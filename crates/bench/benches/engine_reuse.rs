@@ -1,9 +1,9 @@
 //! Criterion benchmark: what binding the `Engine` once actually buys.
 //!
-//! `fresh_prep_per_trial` replays the pre-`Engine` behaviour of
-//! `estimate_count`: every trial rebuilds the graph preprocessing (degree
-//! order plus an `O(m log m)` re-sort of every adjacency list) before
-//! counting. `reused_engine` runs the same trials through one bound
+//! `fresh_prep_per_trial` binds a throwaway [`Engine`] per trial: every
+//! trial rebuilds the graph preprocessing (degree order plus an
+//! `O(m log m)` re-sort of every adjacency list) before counting.
+//! `reused_engine` runs the same trials through one bound
 //! [`Engine`], paying the preprocessing once per benchmark iteration. The
 //! gap between the two series is the amortization win of the bind-once API;
 //! it grows with the trial count.
@@ -15,7 +15,6 @@
 //! attribution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use subgraph_counting::core::driver::count_colorful_fresh_prep;
 use subgraph_counting::core::{CountConfig, Engine};
 use subgraph_counting::gen::{chung_lu, power_law_degrees};
 use subgraph_counting::graph::Coloring;
@@ -47,7 +46,12 @@ fn bench_engine_reuse(c: &mut Criterion) {
                     for trial in 0..trials {
                         let coloring =
                             Coloring::random(graph.num_vertices(), query.num_nodes(), trial as u64);
-                        total += count_colorful_fresh_prep(&graph, &coloring, &plan, &config)
+                        total += Engine::new(&graph)
+                            .count(&query)
+                            .plan(&plan)
+                            .config(config)
+                            .coloring(&coloring)
+                            .run()
                             .unwrap()
                             .colorful_matches;
                     }

@@ -28,13 +28,11 @@
 //! the property suite enforce this against the solo engine path.
 
 use crate::config::Algorithm;
-use crate::context::Context;
-use crate::driver::count_with_context;
+use crate::driver::CountResult;
 use crate::engine::{CountRequest, Engine, PlanRef};
 use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate};
-use crate::kernel::KernelKind;
-use crate::runtime::shard::{count_many_sharded, ShardedBatchJob};
+use crate::runtime::executor::{self, Job};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::Coloring;
@@ -103,7 +101,6 @@ pub struct BatchResult {
 struct Member<'a> {
     plan: PlanRef<'a>,
     algorithm: Algorithm,
-    kernel: KernelKind,
     seed: u64,
     trials: usize,
     num_ranks: usize,
@@ -157,7 +154,6 @@ pub(crate) fn execute<'g, 'a>(
         members.push(Member {
             plan: request.resolve_plan()?,
             algorithm: request.algorithm,
-            kernel: request.kernel,
             seed: request.seed,
             trials: request.trials,
             num_ranks: request.num_ranks,
@@ -198,7 +194,7 @@ pub(crate) fn execute<'g, 'a>(
         let mut coloring_of: HashMap<(usize, u64), usize> = HashMap::new();
         // ... and one DP run per distinct (structure, algorithm, seed).
         let mut step_jobs: Vec<StepJob> = Vec::new();
-        let mut job_of: HashMap<(usize, Algorithm, KernelKind, u64), usize> = HashMap::new();
+        let mut job_of: HashMap<(usize, Algorithm, u64), usize> = HashMap::new();
         // (member, step job serving it) for every cell of this step.
         let mut cells: Vec<(usize, usize)> = Vec::new();
         for (i, member) in members.iter().enumerate() {
@@ -214,8 +210,7 @@ pub(crate) fn execute<'g, 'a>(
                     *e.insert(colorings.len() - 1)
                 }
             };
-            let job = match job_of.entry((member.group, member.algorithm, member.kernel, eff_seed))
-            {
+            let job = match job_of.entry((member.group, member.algorithm, eff_seed)) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
                     step_jobs.push(StepJob {
@@ -233,77 +228,62 @@ pub(crate) fn execute<'g, 'a>(
         metrics.dp_runs += step_jobs.len() as u64;
         metrics.dp_shared += (cells.len() - step_jobs.len()) as u64;
 
-        let outcomes: Vec<(Count, f64)> = match sharded {
-            Some(num_shards) => {
-                let jobs: Vec<ShardedBatchJob<'_>> = step_jobs
-                    .iter()
-                    .map(|job| ShardedBatchJob {
-                        coloring: &colorings[job.coloring],
-                        plan: &members[job.member].plan,
-                        algorithm: members[job.member].algorithm,
-                        num_ranks: members[job.member].num_ranks,
-                        kernel: members[job.member].kernel,
-                        obs: members[job.member].obs,
-                    })
-                    .collect();
-                let outcome = count_many_sharded(
+        let jobs: Vec<Job<'_>> = step_jobs
+            .iter()
+            .map(|job| Job {
+                coloring: &colorings[job.coloring],
+                plan: &members[job.member].plan,
+                algorithm: members[job.member].algorithm,
+                num_ranks: members[job.member].num_ranks,
+                obs: members[job.member].obs,
+                partials: None,
+            })
+            .collect();
+        let publish = |job: &Job<'_>, result: &CountResult| {
+            if job.obs && sgc_obs::enabled() {
+                result.metrics.publish();
+            }
+        };
+        let results: Vec<CountResult> = match sharded {
+            // Sharded steps walk every job's plan in lockstep: one exchange
+            // round serves all of them per block step.
+            Some(_) => {
+                let executed = executor::execute(
                     engine.graph(),
                     engine.prep(),
                     &jobs,
-                    num_shards,
+                    sharded,
                     engine.arena_pool(),
                 )?;
-                metrics.exchange_rounds += outcome.shared_rounds;
-                for (job, result) in step_jobs.iter().zip(&outcome.results) {
-                    if members[job.member].obs && sgc_obs::enabled() {
-                        result.metrics.publish();
-                    }
+                metrics.exchange_rounds += executed.shared_rounds;
+                let results: Vec<_> = executed.jobs.into_iter().map(|o| o.result).collect();
+                for (job, result) in jobs.iter().zip(&results) {
+                    publish(job, result);
                 }
-                outcome
-                    .results
-                    .into_iter()
-                    .map(|r| (r.colorful_matches, r.metrics.elapsed.as_secs_f64()))
-                    .collect()
+                results
             }
+            // Unsharded cells are independent one-job runs, spread over the
+            // pool when any member kept trial parallelism. They publish on
+            // the thread that ran them.
             None => {
-                let run = |j: usize| -> (Count, f64) {
-                    let job = &step_jobs[j];
-                    let member = &members[job.member];
-                    // Cells may run on worker threads that don't inherit the
-                    // submitter's obs state, so obs-off members re-suspend.
-                    let _pause = (!member.obs).then(sgc_obs::suspend);
-                    let ctx = Context::new(
-                        engine.graph(),
-                        engine.prep(),
-                        &colorings[job.coloring],
-                        member.num_ranks,
-                    )
-                    .expect("batch-drawn colorings always cover the graph");
-                    let result = count_with_context(
-                        &ctx,
-                        &member.plan,
-                        member.algorithm,
-                        member.kernel,
-                        engine.arena_pool(),
-                    );
-                    if member.obs && sgc_obs::enabled() {
-                        result.metrics.publish();
-                    }
-                    (
-                        result.colorful_matches,
-                        result.metrics.elapsed.as_secs_f64(),
-                    )
+                let run = |j: usize| -> CountResult {
+                    let job = &jobs[j];
+                    let result = engine
+                        .run_job(job, None)
+                        .expect("batch-drawn colorings always cover the graph");
+                    publish(job, &result);
+                    result
                 };
                 if parallel {
-                    parallel_indexed(step_jobs.len(), run)
+                    parallel_indexed(jobs.len(), run)
                 } else {
-                    (0..step_jobs.len()).map(run).collect()
+                    (0..jobs.len()).map(run).collect()
                 }
             }
         };
         for (member, job) in cells {
-            per_trial[member].push(outcomes[job].0);
-            seconds[member] += outcomes[job].1;
+            per_trial[member].push(results[job].colorful_matches);
+            seconds[member] += results[job].metrics.elapsed.as_secs_f64();
         }
     }
 

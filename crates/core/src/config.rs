@@ -1,7 +1,5 @@
 //! Run configuration for the counting algorithms.
 
-use crate::kernel::KernelKind;
-
 /// Which algorithm solves the cycle blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
@@ -40,10 +38,6 @@ pub struct CountConfig {
     /// 32–512 MPI ranks; this only affects the reported load vectors, not the
     /// result or the actual parallelism).
     pub num_ranks: usize,
-    /// Which join-kernel implementation runs the DP (default: columnar).
-    /// Both kernels are bit-identical; this switch exists for differential
-    /// testing and benchmarking.
-    pub kernel: KernelKind,
     /// Whether runs record observability spans and publish run counters
     /// into the `sgc-obs` registry (default: on). Observability reads,
     /// never branches, the DP: counts are bit-identical either way, which
@@ -52,13 +46,11 @@ pub struct CountConfig {
 }
 
 impl CountConfig {
-    /// Configuration for the given algorithm with the default rank count and
-    /// kernel.
+    /// Configuration for the given algorithm with the default rank count.
     pub fn new(algorithm: Algorithm) -> Self {
         CountConfig {
             algorithm,
             num_ranks: 64,
-            kernel: KernelKind::default(),
             obs: true,
         }
     }
@@ -68,12 +60,6 @@ impl CountConfig {
     /// rather than panicking here.
     pub fn with_ranks(mut self, num_ranks: usize) -> Self {
         self.num_ranks = num_ranks;
-        self
-    }
-
-    /// Selects the join kernel (scalar or columnar).
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -100,7 +86,6 @@ mod tests {
         let c = CountConfig::default();
         assert_eq!(c.algorithm, Algorithm::DegreeBased);
         assert_eq!(c.num_ranks, 64);
-        assert_eq!(c.kernel, KernelKind::Columnar);
         assert!(c.obs, "observability defaults to on");
     }
 
@@ -108,11 +93,9 @@ mod tests {
     fn builder_methods() {
         let c = CountConfig::new(Algorithm::PathSplitting)
             .with_ranks(512)
-            .with_kernel(KernelKind::Scalar)
             .with_obs(false);
         assert_eq!(c.algorithm, Algorithm::PathSplitting);
         assert_eq!(c.num_ranks, 512);
-        assert_eq!(c.kernel, KernelKind::Scalar);
         assert!(!c.obs);
     }
 

@@ -3,16 +3,17 @@
 //! The paper amortizes one expensive preprocessing pass over the data graph —
 //! the degree-based total order and the rank-sorted adjacency lists — across
 //! hundreds of random-coloring trials. That pass lives in [`GraphPrep`],
-//! built once per [`Engine`](crate::Engine) (or once per call in the
-//! deprecated free functions). [`Context`] then bundles a `GraphPrep` with
-//! the *per-trial* inputs — the coloring and the simulated rank partition —
-//! so that the algorithm code passes a single reference around.
+//! built once per [`Engine`](crate::Engine). [`Context`] then bundles a
+//! `GraphPrep` with the *per-trial* inputs — the coloring and the simulated
+//! rank partition — so that the algorithm code passes a single reference
+//! around.
 
 use crate::error::SgcError;
 use crate::runtime::shard::VertexShard;
 use sgc_engine::Signature;
 use sgc_graph::{BlockPartition, Coloring, CsrGraph, DegreeOrder, VertexId};
 use std::cell::Cell;
+use std::ops::Range;
 
 thread_local! {
     /// Number of [`GraphPrep`] constructions performed by this thread. Used
@@ -91,16 +92,16 @@ pub struct Context<'a> {
     /// Simulated 1D block partition of vertices over ranks.
     pub partition: BlockPartition,
     prep: &'a GraphPrep,
-    /// When set, path construction only enumerates start vertices owned by
-    /// this shard; the sharded runtime sums the resulting partial tables
-    /// back together in its exchange step.
-    shard: Option<VertexShard>,
+    /// Path construction only enumerates start vertices in this range: one
+    /// shard's owned vertex block (the executor sums the shards' partial
+    /// tables back together in its exchange step), or every vertex.
+    start: Range<VertexId>,
 }
 
 impl<'a> Context<'a> {
     /// Checks that `coloring` covers `graph` and that `num_ranks` is
-    /// positive — the validation shared by [`Context::new`] and the sharded
-    /// runtime (which validates once up front, then builds one context per
+    /// positive — the validation shared by [`Context::new`] and the
+    /// executor (which validates once up front, then builds one context per
     /// shard infallibly).
     pub(crate) fn validate(
         graph: &CsrGraph,
@@ -119,9 +120,9 @@ impl<'a> Context<'a> {
         Ok(())
     }
 
-    /// Builds a context for one run over `graph` with `coloring`, reusing the
-    /// preprocessing in `prep` and attributing load to `num_ranks` simulated
-    /// ranks.
+    /// Builds a context for one run over all of `graph` with `coloring`,
+    /// reusing the preprocessing in `prep` and attributing load to
+    /// `num_ranks` simulated ranks.
     ///
     /// # Errors
     /// [`SgcError::ColoringSizeMismatch`] if the coloring does not cover
@@ -139,7 +140,7 @@ impl<'a> Context<'a> {
             coloring,
             partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
-            shard: None,
+            start: 0..graph.num_vertices() as VertexId,
         })
     }
 
@@ -159,37 +160,16 @@ impl<'a> Context<'a> {
             coloring,
             partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
-            shard: Some(shard),
+            start: shard.range(),
         }
     }
 
     /// The range of start vertices this context enumerates when seeding a
-    /// path table: the shard's owned range for sharded contexts, every
-    /// vertex otherwise.
+    /// path table: the shard's owned range for shard contexts, every vertex
+    /// otherwise.
     #[inline]
-    pub fn start_vertices(&self) -> std::ops::Range<VertexId> {
-        match &self.shard {
-            Some(shard) => shard.range(),
-            None => 0..self.graph.num_vertices() as VertexId,
-        }
-    }
-
-    /// Whether `v` may start a path in this context (always true without a
-    /// shard scope).
-    #[inline]
-    pub fn owns_start(&self, v: VertexId) -> bool {
-        match &self.shard {
-            Some(shard) => shard.owns(v),
-            None => true,
-        }
-    }
-
-    /// Whether this context is restricted to one vertex shard. Lets seeding
-    /// code pick between probing the shard's (small) owned range and
-    /// scanning a full candidate set.
-    #[inline]
-    pub fn is_sharded(&self) -> bool {
-        self.shard.is_some()
+    pub fn start_vertices(&self) -> Range<VertexId> {
+        self.start.clone()
     }
 
     /// The degree-based total order on data vertices.
@@ -326,17 +306,12 @@ mod tests {
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
         let full = Context::new(&g, &prep, &col, 2).unwrap();
         assert_eq!(full.start_vertices(), 0..4);
-        assert!((0..4u32).all(|v| full.owns_start(v)));
 
         let plan = crate::runtime::ShardPlan::new(g.num_vertices(), 2).unwrap();
         let ctx0 = Context::for_shard(&g, &prep, &col, 2, plan.shard(0));
         let ctx1 = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
         assert_eq!(ctx0.start_vertices(), 0..2);
         assert_eq!(ctx1.start_vertices(), 2..4);
-        for v in 0..4u32 {
-            assert_eq!(ctx0.owns_start(v), v < 2);
-            assert_eq!(ctx1.owns_start(v), v >= 2);
-        }
     }
 
     #[test]

@@ -1,27 +1,15 @@
-//! Bottom-up evaluation of a decomposition tree (the "plan solver").
+//! The outcome of one colorful count.
 //!
-//! Implements the overall algorithm of Figure 3: traverse the decomposition
-//! tree bottom-up, compute each block's projection table from its children's
+//! The overall algorithm of Figure 3 — traverse the decomposition tree
+//! bottom-up, compute each block's projection table from its children's
 //! tables, and report the root's aggregate as the number of colorful matches
-//! of the whole query under the given coloring.
-//!
-//! The [`Engine`] is the public entry point; the free
-//! functions in this module are deprecated shims kept for callers that have
-//! not migrated yet. They rebuild the graph preprocessing on every call —
-//! exactly the cost the engine amortizes away.
+//! of the whole query under the given coloring — is the block-step executor
+//! in [`crate::runtime`]; the [`Engine`](crate::Engine) is its public entry
+//! point. This module holds the result type, and the end-to-end smoke tests
+//! of the walk.
 
-use crate::blocks::solve_block;
-use crate::config::{Algorithm, CountConfig};
-use crate::context::{Context, GraphPrep};
-use crate::engine::Engine;
-use crate::error::SgcError;
-use crate::kernel::{solve_block_columnar, ArenaPool, KernelKind};
 use crate::metrics::RunMetrics;
-use crate::paths::BlockJoinIndex;
-use sgc_engine::{Count, ProjectionTable};
-use sgc_graph::{Coloring, CsrGraph};
-use sgc_query::{DecompositionTree, QueryGraph};
-use std::time::Instant;
+use sgc_engine::Count;
 
 /// The outcome of one colorful-counting run.
 #[derive(Clone, Debug)]
@@ -32,155 +20,13 @@ pub struct CountResult {
     pub metrics: RunMetrics,
 }
 
-/// Evaluates `tree` bottom-up in `ctx`. The context is assumed validated
-/// (coloring covers the graph, positive rank count); the color count must
-/// match the query, which callers in this crate check before building `ctx`.
-pub(crate) fn count_with_context(
-    ctx: &Context<'_>,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    kernel: KernelKind,
-    pool: &ArenaPool,
-) -> CountResult {
-    let started = Instant::now();
-    let mut metrics = RunMetrics::new(ctx.partition.num_ranks());
-
-    let colorful_matches = match tree.root {
-        // Single-node query: every vertex is a colorful match.
-        None => ctx.graph.num_vertices() as Count,
-        Some(root) => {
-            let mut tables: Vec<Option<ProjectionTable>> = vec![None; tree.blocks.len()];
-            match kernel {
-                KernelKind::Scalar => {
-                    for block in &tree.blocks {
-                        let _span = sgc_obs::span(sgc_obs::Stage::DpBlockScalar);
-                        let table = solve_block(ctx, tree, block, &tables, algorithm, &mut metrics);
-                        tables[block.id] = Some(table);
-                    }
-                }
-                KernelKind::Columnar => {
-                    let (mut arena, reused) = pool.checkout();
-                    let before = arena.capacity_bytes();
-                    for block in &tree.blocks {
-                        let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
-                        let index = BlockJoinIndex::build(block, &tables);
-                        let table = solve_block_columnar(
-                            ctx,
-                            tree,
-                            block,
-                            &index,
-                            algorithm,
-                            &mut arena,
-                            &mut metrics,
-                        );
-                        tables[block.id] = Some(table);
-                    }
-                    let after = arena.capacity_bytes();
-                    metrics.kernel.record_checkout(
-                        after as u64,
-                        reused,
-                        after.saturating_sub(before) as u64,
-                    );
-                    pool.give_back(arena);
-                }
-            }
-            tables[root]
-                .as_ref()
-                .expect("root table was just computed")
-                .total()
-        }
-    };
-    metrics.elapsed = started.elapsed();
-    CountResult {
-        colorful_matches,
-        metrics,
-    }
-}
-
-/// Counts the colorful matches of the query represented by `tree` in `graph`
-/// under `coloring`.
-///
-/// Deprecated: this rebuilds the graph preprocessing on every call. Bind an
-/// [`Engine`] once and reuse it instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::new(&graph).count(&tree.query).plan(&tree).coloring(&coloring).run()"
-)]
-pub fn count_colorful_with_tree(
-    graph: &CsrGraph,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    config: &CountConfig,
-) -> Result<CountResult, SgcError> {
-    Engine::new(graph)
-        .count(&tree.query)
-        .plan(tree)
-        .coloring(coloring)
-        .config(*config)
-        .run()
-}
-
-/// Counts the colorful matches of `query` in `graph` under `coloring`,
-/// planning the decomposition with the Section 6 heuristic.
-///
-/// Deprecated: this rebuilds the graph preprocessing on every call. Bind an
-/// [`Engine`] once and reuse it instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::new(&graph).count(&query).coloring(&coloring).run()"
-)]
-pub fn count_colorful(
-    graph: &CsrGraph,
-    coloring: &Coloring,
-    query: &QueryGraph,
-    config: &CountConfig,
-) -> Result<CountResult, SgcError> {
-    Engine::new(graph)
-        .count(query)
-        .coloring(coloring)
-        .config(*config)
-        .run()
-}
-
-/// One-shot counting that builds a fresh [`GraphPrep`] per call, mirroring
-/// the pre-`Engine` behaviour so the `engine_reuse` benchmark can pin the
-/// amortization win.
-///
-/// Hidden from docs: this is benchmark support, not a supported third
-/// counting path — it deliberately defeats the amortization the [`Engine`]
-/// provides.
-#[doc(hidden)]
-pub fn count_colorful_fresh_prep(
-    graph: &CsrGraph,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    config: &CountConfig,
-) -> Result<CountResult, SgcError> {
-    if coloring.num_colors() != tree.query.num_nodes() {
-        return Err(SgcError::WrongColorCount {
-            expected: tree.query.num_nodes(),
-            actual: coloring.num_colors(),
-        });
-    }
-    let prep = GraphPrep::new(graph);
-    let ctx = Context::new(graph, &prep, coloring, config.num_ranks)?;
-    // A fresh pool per call: this path deliberately forgoes all amortization.
-    let pool = ArenaPool::new();
-    Ok(count_with_context(
-        &ctx,
-        tree,
-        config.algorithm,
-        config.kernel,
-        &pool,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::Algorithm;
     use crate::engine::Engine;
-    use sgc_graph::GraphBuilder;
+    use crate::error::SgcError;
+    use sgc_graph::{Coloring, CsrGraph, GraphBuilder};
+    use sgc_query::QueryGraph;
 
     fn cycle_graph(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new(n);
@@ -261,42 +107,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_engine() {
-        let g = cycle_graph(6);
-        let coloring = Coloring::random(g.num_vertices(), 4, 3);
-        let query = sgc_query::catalog::cycle(4);
-        let config = CountConfig::default();
-        let tree = sgc_query::decompose(&query).unwrap();
-        let via_engine = Engine::new(&g)
-            .count(&query)
-            .coloring(&coloring)
-            .run()
-            .unwrap()
-            .colorful_matches;
-        let via_free = count_colorful(&g, &coloring, &query, &config)
-            .unwrap()
-            .colorful_matches;
-        let via_tree = count_colorful_with_tree(&g, &coloring, &tree, &config)
-            .unwrap()
-            .colorful_matches;
-        let via_fresh = count_colorful_fresh_prep(&g, &coloring, &tree, &config)
-            .unwrap()
-            .colorful_matches;
-        assert_eq!(via_engine, via_free);
-        assert_eq!(via_engine, via_tree);
-        assert_eq!(via_engine, via_fresh);
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn wrong_color_count_is_an_error_not_a_panic() {
         let g = cycle_graph(4);
         let coloring = Coloring::from_colors(vec![0; 4], 2);
         let query = sgc_query::catalog::cycle(4);
         let tree = sgc_query::decompose(&query).unwrap();
-        let err =
-            count_colorful_with_tree(&g, &coloring, &tree, &CountConfig::default()).unwrap_err();
+        let err = Engine::new(&g)
+            .count(&query)
+            .plan(&tree)
+            .coloring(&coloring)
+            .run()
+            .unwrap_err();
         assert_eq!(
             err,
             SgcError::WrongColorCount {

@@ -27,13 +27,13 @@
 //! ```
 
 use crate::config::{Algorithm, CountConfig};
-use crate::context::{Context, GraphPrep};
-use crate::driver::{count_with_context, CountResult};
+use crate::context::GraphPrep;
+use crate::driver::CountResult;
 use crate::error::SgcError;
-use crate::estimator::{summarize_trials, Estimate, EstimateConfig, TrialAccumulator};
+use crate::estimator::{summarize_trials, Estimate, TrialAccumulator};
 use crate::explain::PlanReport;
-use crate::kernel::{ArenaPool, KernelKind};
-use crate::runtime::shard::count_sharded;
+use crate::kernel::ArenaPool;
+use crate::runtime::executor::{execute_one, Job};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::{Coloring, CsrGraph};
@@ -75,9 +75,9 @@ pub struct Engine<'g> {
     prep: GraphPrep,
     plan_cache: Mutex<HashMap<CanonicalQueryKey, Arc<DecompositionTree>>>,
     default_config: CountConfig,
-    /// Reusable columnar-kernel arenas, shared by every request (and every
-    /// worker task) of this engine: trial `i + 1` solves into the buffers
-    /// trial `i` grew.
+    /// Reusable DP-kernel arenas, shared by every request (and every worker
+    /// task) of this engine: trial `i + 1` solves into the buffers trial `i`
+    /// grew.
     arena_pool: ArenaPool,
 }
 
@@ -124,7 +124,7 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// The engine's columnar-kernel arena pool.
+    /// The engine's DP-kernel arena pool.
     pub(crate) fn arena_pool(&self) -> &ArenaPool {
         &self.arena_pool
     }
@@ -177,8 +177,8 @@ impl<'g> Engine<'g> {
     }
 
     /// Starts a counting request for `query`, to be finished with
-    /// [`CountRequest::run`] or [`CountRequest::estimate`]. Trial count and
-    /// seed default to [`EstimateConfig::default`]'s values.
+    /// [`CountRequest::run`] or [`CountRequest::estimate`]. The trial count
+    /// defaults to 3 and the seed to `0x5eed`.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -339,18 +339,26 @@ impl<'g> Engine<'g> {
         crate::batch::execute(self, requests)
     }
 
+    /// Runs one job through the block-step executor on this engine's graph,
+    /// preprocessing and arena pool.
+    pub(crate) fn run_job(
+        &self,
+        job: &Job<'_>,
+        shards: Option<usize>,
+    ) -> Result<CountResult, SgcError> {
+        execute_one(&self.graph, &self.prep, job, shards, &self.arena_pool)
+    }
+
     fn request<'e, 'a>(&'e self, query: Cow<'a, QueryGraph>) -> CountRequest<'e, 'g, 'a> {
-        let estimate_defaults = EstimateConfig::default();
         CountRequest {
             engine: self,
             query,
             algorithm: self.default_config.algorithm,
             num_ranks: self.default_config.num_ranks,
-            kernel: self.default_config.kernel,
             coloring: None,
             plan: None,
-            trials: estimate_defaults.trials,
-            seed: estimate_defaults.seed,
+            trials: 3,
+            seed: 0x5eed,
             parallel: true,
             shards: None,
             obs: self.default_config.obs,
@@ -386,7 +394,6 @@ pub struct CountRequest<'e, 'g, 'a> {
     pub(crate) query: Cow<'a, QueryGraph>,
     pub(crate) algorithm: Algorithm,
     pub(crate) num_ranks: usize,
-    pub(crate) kernel: KernelKind,
     pub(crate) coloring: Option<&'a Coloring>,
     pub(crate) plan: Option<&'a DecompositionTree>,
     pub(crate) trials: usize,
@@ -410,12 +417,11 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         self
     }
 
-    /// Applies a whole [`CountConfig`] (algorithm, ranks, kernel and
-    /// observability toggle) at once.
+    /// Applies a whole [`CountConfig`] (algorithm, ranks and observability
+    /// toggle) at once.
     pub fn config(mut self, config: CountConfig) -> Self {
         self.algorithm = config.algorithm;
         self.num_ranks = config.num_ranks;
-        self.kernel = config.kernel;
         self.obs = config.obs;
         self
     }
@@ -427,14 +433,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// branches, the DP.
     pub fn obs(mut self, obs: bool) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Selects the join kernel (default: the engine's, normally
-    /// [`KernelKind::Columnar`]). Counts are bit-identical across kernels;
-    /// the switch exists for differential testing and benchmarking.
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -578,35 +576,15 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
                 &fresh
             }
         };
-        let result = match self.shards {
-            Some(num_shards) => count_sharded(
-                self.engine.graph(),
-                &self.engine.prep,
-                coloring,
-                &plan,
-                self.algorithm,
-                self.num_ranks,
-                num_shards,
-                self.kernel,
-                self.engine.arena_pool(),
-                self.obs,
-            )?,
-            None => {
-                let ctx = Context::new(
-                    self.engine.graph(),
-                    &self.engine.prep,
-                    coloring,
-                    self.num_ranks,
-                )?;
-                count_with_context(
-                    &ctx,
-                    &plan,
-                    self.algorithm,
-                    self.kernel,
-                    self.engine.arena_pool(),
-                )
-            }
+        let job = Job {
+            coloring,
+            plan: &plan,
+            algorithm: self.algorithm,
+            num_ranks: self.num_ranks,
+            obs: self.obs,
+            partials: None,
         };
+        let result = self.engine.run_job(&job, self.shards)?;
         if self.obs {
             result.metrics.publish();
         }
@@ -749,7 +727,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             plan,
             algorithm: self.algorithm,
             num_ranks: self.num_ranks,
-            kernel: self.kernel,
             seed: self.seed,
             parallel: self.parallel,
             shards_per_trial,
@@ -777,7 +754,6 @@ pub struct TrialStream<'e, 'g, 'a> {
     plan: PlanRef<'a>,
     algorithm: Algorithm,
     num_ranks: usize,
-    kernel: KernelKind,
     seed: u64,
     parallel: bool,
     shards_per_trial: Option<usize>,
@@ -805,15 +781,12 @@ impl TrialStream<'_, '_, '_> {
         let _chunk_span = sgc_obs::span(sgc_obs::Stage::EstimatorChunk);
         let start = self.per_trial.len();
         let outcomes: Vec<(Count, f64)> = {
-            let graph = self.engine.graph();
-            let prep = &self.engine.prep;
+            let engine = self.engine;
             let plan: &DecompositionTree = &self.plan;
             let k = plan.query.num_nodes();
             let seed = self.seed;
             let algorithm = self.algorithm;
             let num_ranks = self.num_ranks;
-            let kernel = self.kernel;
-            let pool = self.engine.arena_pool();
             let shards_per_trial = self.shards_per_trial;
             let obs = self.obs;
             let run_trial = move |offset: usize| -> (Count, f64) {
@@ -821,20 +794,20 @@ impl TrialStream<'_, '_, '_> {
                 let trial = start + offset;
                 let coloring = {
                     let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
-                    Coloring::random(graph.num_vertices(), k, seed.wrapping_add(trial as u64))
+                    let n = engine.graph().num_vertices();
+                    Coloring::random(n, k, seed.wrapping_add(trial as u64))
                 };
-                let result = match shards_per_trial {
-                    Some(num_shards) => count_sharded(
-                        graph, prep, &coloring, plan, algorithm, num_ranks, num_shards, kernel,
-                        pool, obs,
-                    )
-                    .expect("engine-drawn colorings always cover the graph"),
-                    None => {
-                        let ctx = Context::new(graph, prep, &coloring, num_ranks)
-                            .expect("engine-drawn colorings always cover the graph");
-                        count_with_context(&ctx, plan, algorithm, kernel, pool)
-                    }
+                let job = Job {
+                    coloring: &coloring,
+                    plan,
+                    algorithm,
+                    num_ranks,
+                    obs,
+                    partials: None,
                 };
+                let result = engine
+                    .run_job(&job, shards_per_trial)
+                    .expect("engine-drawn colorings always cover the graph");
                 if obs && sgc_obs::enabled() {
                     result.metrics.publish();
                 }

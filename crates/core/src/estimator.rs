@@ -12,37 +12,11 @@
 //! module holds the statistics: [`Estimate`], [`scaling_factor`], and the
 //! streaming [`TrialAccumulator`] that lets adaptive callers watch the
 //! confidence interval tighten trial by trial and stop as soon as a target
-//! precision is met. The deprecated free-function shims also live here.
+//! precision is met.
 
-use crate::config::CountConfig;
-use crate::engine::Engine;
-use crate::error::SgcError;
 use sgc_engine::Count;
-use sgc_graph::CsrGraph;
 use sgc_query::automorphism::count_automorphisms;
-use sgc_query::{DecompositionTree, QueryGraph};
-
-/// Configuration of an estimation run (used by the deprecated shims; the
-/// [`Engine`] builder expresses the same settings as methods).
-#[derive(Clone, Copy, Debug)]
-pub struct EstimateConfig {
-    /// Number of independent random colorings.
-    pub trials: usize,
-    /// Base RNG seed; trial `i` uses `seed + i`.
-    pub seed: u64,
-    /// Per-trial counting configuration (algorithm, ranks).
-    pub count: CountConfig,
-}
-
-impl Default for EstimateConfig {
-    fn default() -> Self {
-        EstimateConfig {
-            trials: 3,
-            seed: 0x5eed,
-            count: CountConfig::default(),
-        }
-    }
-}
+use sgc_query::QueryGraph;
 
 /// The result of an estimation run.
 #[derive(Clone, Debug)]
@@ -284,7 +258,7 @@ pub fn scaling_factor(k: usize) -> f64 {
 ///
 /// Public so version-aware callers (the incremental recount path in
 /// `sgc-dyn`) can turn replayed per-trial counts into estimates that are
-/// bit-identical to what [`Engine`] would produce from the
+/// bit-identical to what [`Engine`](crate::Engine) would produce from the
 /// same trials.
 pub fn summarize_trials(per_trial: Vec<Count>, query: &QueryGraph, total_seconds: f64) -> Estimate {
     let k = query.num_nodes();
@@ -320,54 +294,12 @@ pub fn summarize_trials(per_trial: Vec<Count>, query: &QueryGraph, total_seconds
     }
 }
 
-/// Estimates the number of matches (and subgraphs) of `query` in `graph` by
-/// running `config.trials` independent colorful counts.
-///
-/// Deprecated: this rebuilds the graph preprocessing on every call. Bind an
-/// [`Engine`] once and reuse it instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::new(&graph).count(&query).trials(n).seed(s).estimate()"
-)]
-pub fn estimate_count(
-    graph: &CsrGraph,
-    query: &QueryGraph,
-    config: &EstimateConfig,
-) -> Result<Estimate, SgcError> {
-    Engine::new(graph)
-        .count(query)
-        .config(config.count)
-        .trials(config.trials)
-        .seed(config.seed)
-        .estimate()
-}
-
-/// Estimates using an already-planned decomposition tree.
-///
-/// Deprecated: this rebuilds the graph preprocessing on every call. Bind an
-/// [`Engine`] once and reuse it instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::new(&graph).count(&tree.query).plan(&tree).trials(n).seed(s).estimate()"
-)]
-pub fn estimate_count_with_tree(
-    graph: &CsrGraph,
-    tree: &DecompositionTree,
-    config: &EstimateConfig,
-) -> Result<Estimate, SgcError> {
-    Engine::new(graph)
-        .count(&tree.query)
-        .plan(tree)
-        .config(config.count)
-        .trials(config.trials)
-        .seed(config.seed)
-        .estimate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::count_matches;
+    use crate::engine::Engine;
+    use crate::error::SgcError;
     use sgc_graph::GraphBuilder;
     use sgc_query::catalog;
 
@@ -446,31 +378,6 @@ mod tests {
             .estimate()
             .unwrap();
         assert!((est.estimated_subgraphs * 6.0 - est.estimated_matches).abs() < 1e-9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_engine() {
-        let mut b = GraphBuilder::new(6);
-        b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]);
-        let g = b.build();
-        let query = catalog::triangle();
-        let config = EstimateConfig {
-            trials: 8,
-            seed: 21,
-            count: CountConfig::default(),
-        };
-        let tree = sgc_query::decompose(&query).unwrap();
-        let via_engine = Engine::new(&g)
-            .count(&query)
-            .trials(8)
-            .seed(21)
-            .estimate()
-            .unwrap();
-        let via_free = estimate_count(&g, &query, &config).unwrap();
-        let via_tree = estimate_count_with_tree(&g, &tree, &config).unwrap();
-        assert_eq!(via_engine.per_trial, via_free.per_trial);
-        assert_eq!(via_engine.per_trial, via_tree.per_trial);
     }
 
     #[test]
@@ -655,19 +562,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn zero_trials_is_an_error_not_a_panic() {
         let g = GraphBuilder::new(3).build();
-        let tree = sgc_query::decompose(&catalog::triangle()).unwrap();
-        let err = estimate_count_with_tree(
-            &g,
-            &tree,
-            &EstimateConfig {
-                trials: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = Engine::new(&g)
+            .count(&catalog::triangle())
+            .trials(0)
+            .estimate()
+            .unwrap_err();
         assert_eq!(err, SgcError::ZeroTrials);
     }
 }

@@ -1,10 +1,19 @@
-//! The columnar DP kernel and its arena machinery.
+//! The DP kernel: solving one block into its projection table.
 //!
-//! The scalar solver in [`crate::blocks`] / [`crate::paths`] stores every
-//! intermediate table in a fresh `FastMap` and throws it away at the end of
-//! each join. This module reimplements the same block solve — bit-identical
-//! counts, same join order, same pruning — over the structure-of-arrays
-//! tables of [`sgc_engine::columnar`]:
+//! This module turns one block of the decomposition tree into its projection
+//! table, given the already-computed tables of its children:
+//!
+//! * leaf-edge blocks are a short chain of joins (edge realization plus the
+//!   node annotations of the two endpoints) followed by a projection onto the
+//!   boundary node,
+//! * cycle blocks are split into two path segments, each built by a sequence
+//!   of joins (initial edge, EdgeJoin, NodeJoin — Figures 4, 6 and 7), and
+//!   merged back; the PS algorithm uses a single split at the boundary nodes,
+//!   the DB algorithm runs one split per candidate highest node `a_h` and
+//!   aggregates (Equation 1).
+//!
+//! Every working table is a structure-of-arrays table of
+//! [`sgc_engine::columnar`]:
 //!
 //! * each table is four `u32` key columns, two `u64` color-set lanes and a
 //!   `u64` count column, so the join loops stream dense arrays instead of
@@ -15,9 +24,12 @@
 //!   engine's [`ArenaPool`]: trial `i + 1` resets row lengths but keeps all
 //!   capacity, so the steady-state trial path allocates nothing.
 //!
-//! Which kernel runs is selected by [`KernelKind`] (default: columnar); the
-//! equivalence of the two is locked down by `tests/kernel.rs` and asserted
-//! in-binary by `bench_pr7`.
+//! Every examined candidate is attributed to the simulated rank owning the
+//! vertex at which the paper's distributed engine would have performed the
+//! operation. `solve_block` is the kernel's one entry point, and the
+//! block-step executor (`runtime::executor`) its one caller; counts are checked
+//! against the independent oracles in [`crate::brute`] and
+//! [`crate::treelet`] and the committed golden fixtures.
 
 use crate::config::Algorithm;
 use crate::context::Context;
@@ -34,39 +46,6 @@ use sgc_graph::vertex::{VertexId, NO_VERTEX};
 use sgc_query::{Block, BlockKind, DecompositionTree, QueryNode};
 use std::mem;
 use std::sync::Mutex;
-
-/// Which join-kernel implementation a count runs on.
-///
-/// Both kernels produce bit-identical colorful counts; the columnar kernel
-/// is the default because its dense tables and arena reuse make it the
-/// faster one on every workload we measure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// The original hash-map kernel: `FastMap`-backed tables, chunk-parallel
-    /// joins, fresh allocations per join.
-    Scalar,
-    /// Columnar structure-of-arrays tables with `u64` bitset signature lanes
-    /// and per-trial arena reuse.
-    #[default]
-    Columnar,
-}
-
-impl KernelKind {
-    /// A short lowercase name (`"scalar"` / `"columnar"`), used in logs and
-    /// bench output.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Columnar => "columnar",
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.short_name())
-    }
-}
 
 /// Arena accounting surfaced through [`crate::RunMetrics`].
 ///
@@ -102,7 +81,7 @@ impl KernelMetrics {
     }
 }
 
-/// All scratch storage one columnar solve needs, reusable across trials.
+/// All scratch storage one block solve needs, reusable across trials.
 ///
 /// The two ping-pong path tables hold the current and next table of a
 /// path-build join chain; `plus` parks the finished clockwise path while the
@@ -141,12 +120,11 @@ impl KernelArena {
 
 /// A free-list of [`KernelArena`]s owned by the engine.
 ///
-/// Every columnar count checks an arena out for the duration of one
+/// Every count checks one arena per shard out for the duration of one
 /// coloring's solve and returns it afterwards, so repeated trials (and
 /// repeated requests against the same engine) hit warm buffers. The pool is
-/// a mutex'd stack: checkouts are coarse (one per trial), so contention is
-/// negligible even when the sharded runtime checks out one arena per worker
-/// task.
+/// a mutex'd stack: checkouts are coarse (one per shard per trial), so
+/// contention is negligible.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     /// Returned arenas, most recently used last (LIFO keeps buffers warm).
@@ -174,10 +152,9 @@ impl ArenaPool {
     }
 }
 
-/// Solves `block` with the columnar kernel — the arena-backed counterpart
-/// of [`crate::blocks::solve_block_with_index`], producing bit-identical
-/// projection tables.
-pub(crate) fn solve_block_columnar(
+/// Solves `block` into its projection table over the start vertices of
+/// `ctx`, against the already-grouped child tables in `index`.
+pub(crate) fn solve_block(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
@@ -187,17 +164,14 @@ pub(crate) fn solve_block_columnar(
     metrics: &mut RunMetrics,
 ) -> ProjectionTable {
     match &block.kind {
-        BlockKind::LeafEdge { .. } => {
-            solve_leaf_edge_columnar(ctx, tree, block, index, arena, metrics)
-        }
-        BlockKind::Cycle { .. } => {
-            solve_cycle_columnar(ctx, tree, block, index, algorithm, arena, metrics)
-        }
+        BlockKind::LeafEdge { .. } => solve_leaf_edge(ctx, tree, block, index, arena, metrics),
+        BlockKind::Cycle { .. } => solve_cycle(ctx, tree, block, index, algorithm, arena, metrics),
     }
 }
 
-/// Columnar leaf-edge solve: one edge chain, projected onto the boundary.
-fn solve_leaf_edge_columnar(
+/// Solves a leaf-edge block `(a, b)` (with `b` the degree-one endpoint): one
+/// edge chain, projected onto the boundary.
+fn solve_leaf_edge(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
@@ -207,11 +181,13 @@ fn solve_leaf_edge_columnar(
 ) -> ProjectionTable {
     let (a, b) = match block.kind {
         BlockKind::LeafEdge { boundary, leaf } => (boundary, leaf),
-        _ => unreachable!("solve_leaf_edge_columnar called on a cycle block"),
+        _ => unreachable!("solve_leaf_edge called on a cycle block"),
     };
     let builder = PathBuilder::new(ctx, tree, block, index, false);
+    // The "path" here is the single edge a -> b; both endpoint annotations
+    // are folded in (there is no second path to share them with).
     let KernelArena { path_a, path_b, .. } = arena;
-    let in_a = build_path_columnar(&builder, &[0, 1], true, true, path_a, path_b, metrics);
+    let in_a = build_path(&builder, &[0, 1], true, true, path_a, path_b, metrics);
     let table = if in_a { &*path_a } else { &*path_b };
     let result = match block.boundary.as_slice() {
         [] => ProjectionTable::Scalar(table.total()),
@@ -238,10 +214,10 @@ fn solve_leaf_edge_columnar(
     result
 }
 
-/// Columnar cycle solve: one split for PS, one per candidate highest node
+/// Solves a cycle block: one split for PS, one per candidate highest node
 /// for DB, all accumulated into the arena's projection table and exported
 /// once.
-fn solve_cycle_columnar(
+fn solve_cycle(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
@@ -252,7 +228,7 @@ fn solve_cycle_columnar(
 ) -> ProjectionTable {
     let nodes = match &block.kind {
         BlockKind::Cycle { nodes } => nodes.clone(),
-        _ => unreachable!("solve_cycle_columnar called on a leaf-edge block"),
+        _ => unreachable!("solve_cycle called on a leaf-edge block"),
     };
     let l = nodes.len();
     let KernelArena {
@@ -265,15 +241,15 @@ fn solve_cycle_columnar(
     proj.reset();
     match algorithm {
         Algorithm::PathSplitting => {
-            let (s, t) = crate::blocks::ps_split_positions(block, &nodes);
-            solve_cycle_split_columnar(
+            let (s, t) = ps_split_positions(block, &nodes);
+            solve_cycle_split(
                 ctx, tree, block, index, s, t, false, path_a, path_b, plus, groups, proj, metrics,
             );
         }
         Algorithm::DegreeBased => {
             for h in 0..l {
                 let d = (h + l / 2) % l;
-                solve_cycle_split_columnar(
+                solve_cycle_split(
                     ctx, tree, block, index, h, d, true, path_a, path_b, plus, groups, proj,
                     metrics,
                 );
@@ -283,9 +259,30 @@ fn solve_cycle_columnar(
     export_projection(block, proj, metrics)
 }
 
-/// Solves one `(s, t)` split of a cycle into the projection accumulator.
+/// The PS split positions: at the two boundary nodes when there are two, at
+/// the boundary node and its diagonal when there is one, and at position 0
+/// and its diagonal for a root cycle without boundary nodes.
+fn ps_split_positions(block: &Block, nodes: &[QueryNode]) -> (usize, usize) {
+    let l = nodes.len();
+    let position_of = |n: QueryNode| nodes.iter().position(|&x| x == n).unwrap();
+    match block.boundary.as_slice() {
+        [a, b] => (position_of(*a), position_of(*b)),
+        [a] => {
+            let s = position_of(*a);
+            (s, (s + l / 2) % l)
+        }
+        [] => (0, l / 2),
+        _ => unreachable!("cycle blocks have at most two boundary nodes"),
+    }
+}
+
+/// Solves one split `(s, t)` of a cycle block into the projection
+/// accumulator: builds the clockwise path `P+ = s..t` and the
+/// counter-clockwise path `P- = s..t`, then merges them. With `high_start`
+/// set this computes the DB algorithm's per-`a_h` partial counts
+/// `cnt(·|C, hi = h)`.
 #[allow(clippy::too_many_arguments)]
-fn solve_cycle_split_columnar(
+fn solve_cycle_split(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
@@ -317,16 +314,17 @@ fn solve_cycle_split_columnar(
     }
 
     let builder = PathBuilder::new(ctx, tree, block, index, high_start);
-    // Same annotation convention as the scalar solve: P+ folds in the end
-    // node's annotation, P- the start node's.
-    let in_a = build_path_columnar(&builder, &plus, false, true, path_a, path_b, metrics);
+    // Convention (Section 5.2): P+ folds in the annotation of the end node
+    // a_d / a_t, P- folds in the annotation of the start node a_h / a_s, so
+    // each endpoint annotation is joined exactly once.
+    let in_a = build_path(&builder, &plus, false, true, path_a, path_b, metrics);
     // Park the finished P+ table so the ping-pong pair is free for P-.
     mem::swap(if in_a { &mut *path_a } else { &mut *path_b }, plus_slot);
-    let minus_in_a = build_path_columnar(&builder, &minus, true, false, path_a, path_b, metrics);
+    let minus_in_a = build_path(&builder, &minus, true, false, path_a, path_b, metrics);
     let minus_table = if minus_in_a { &*path_a } else { &*path_b };
 
     let nodes = block.kind.nodes();
-    merge_paths_columnar(
+    merge_paths(
         ctx,
         block,
         plus_slot,
@@ -342,7 +340,7 @@ fn solve_cycle_split_columnar(
 /// Builds the table for the path visiting `positions`, ping-ponging between
 /// the two arena tables. Returns `true` when the finished table is in
 /// `path_a`, `false` when it is in `path_b`.
-fn build_path_columnar(
+fn build_path(
     builder: &PathBuilder<'_, '_>,
     positions: &[usize],
     include_start_annotation: bool,
@@ -358,7 +356,7 @@ fn build_path_columnar(
     let mut src = path_a;
     let mut dst = path_b;
     let mut in_a = true;
-    initial_columnar(
+    initial_join(
         builder,
         builder.edge_index_between(positions[0], positions[1]),
         first,
@@ -368,7 +366,7 @@ fn build_path_columnar(
     );
     if include_start_annotation {
         if let Some(child) = builder.node_child(first) {
-            node_join_columnar(builder, src, dst, Field::Start, child, metrics);
+            node_join(builder, src, dst, Field::Start, child, metrics);
             mem::swap(&mut src, &mut dst);
             in_a = !in_a;
         }
@@ -378,14 +376,14 @@ fn build_path_columnar(
         if idx > 1 {
             let prev = nodes[positions[idx - 1]];
             let edge_index = builder.edge_index_between(positions[idx - 1], positions[idx]);
-            edge_join_columnar(builder, src, dst, edge_index, prev, node, metrics);
+            edge_join(builder, src, dst, edge_index, prev, node, metrics);
             mem::swap(&mut src, &mut dst);
             in_a = !in_a;
         }
         let is_end = idx == positions.len() - 1;
         if !is_end || include_end_annotation {
             if let Some(child) = builder.node_child(node) {
-                node_join_columnar(builder, src, dst, Field::End, child, metrics);
+                node_join(builder, src, dst, Field::End, child, metrics);
                 mem::swap(&mut src, &mut dst);
                 in_a = !in_a;
             }
@@ -394,11 +392,8 @@ fn build_path_columnar(
     in_a
 }
 
-/// Writes `vertex` into the extra slot tracking `node`, if any.
-#[inline]
-/// Seeds the initial table for the first path edge (columnar counterpart of
-/// `PathBuilder::initial_table`).
-fn initial_columnar(
+/// Seeds the initial table for the first edge of a path.
+fn initial_join(
     builder: &PathBuilder<'_, '_>,
     edge_index: usize,
     from_node: QueryNode,
@@ -416,8 +411,14 @@ fn initial_columnar(
     let mut pipe = AddPipeline::new();
     match builder.edge_realization(edge_index, from_node, to_node) {
         EdgeRealization::Graph => {
+            // Every path entry keeps its start vertex for its whole life, so
+            // restricting the seeds to the context's (shard's) vertex range
+            // partitions the block's entire table by start ownership.
             for u in ctx.start_vertices() {
                 let cu = ctx.color(u);
+                // In DB mode only the neighbors strictly below the start
+                // vertex in the degree order can appear on a high-starting
+                // path, so the pruned list is enumerated directly.
                 let neighbors = if builder.high_start {
                     ctx.lower_neighbors(u, u)
                 } else {
@@ -461,15 +462,24 @@ fn initial_columnar(
                         pipe.push(out, key, sig, count);
                     }
                 };
-            if ctx.is_sharded() {
-                for u in ctx.start_vertices() {
+            // The group key is the path's start vertex; seeding only from
+            // keys in the context's range partitions the table by start
+            // ownership, exactly like the range restriction above. Probe
+            // the range or scan the (shared, per-block) map, whichever is
+            // smaller: S shards then cost O(n) probes in total instead of S
+            // scans of every group, and a full-range context just scans.
+            let range = ctx.start_vertices();
+            if range.len() < grouped.len() {
+                for u in range {
                     if let Some(list) = grouped.get(&u) {
                         seed_group(out, &mut pipe, u, list);
                     }
                 }
             } else {
                 for (&u, list) in grouped {
-                    seed_group(out, &mut pipe, u, list);
+                    if range.contains(&u) {
+                        seed_group(out, &mut pipe, u, list);
+                    }
                 }
             }
         }
@@ -479,9 +489,9 @@ fn initial_columnar(
     metrics.observe_table(out.len());
 }
 
-/// Folds a child block's unary table into `src`, writing the result to
-/// `dst` (columnar counterpart of `PathBuilder::node_join`).
-fn node_join_columnar(
+/// NodeJoin: folds a child block's unary table into `src` at the given key
+/// field, writing the result to `dst`.
+fn node_join(
     builder: &PathBuilder<'_, '_>,
     src: &ColumnarTable,
     dst: &mut ColumnarTable,
@@ -513,9 +523,9 @@ fn node_join_columnar(
     metrics.observe_table(dst.len());
 }
 
-/// Extends every path in `src` by one block edge into `dst` (columnar
-/// counterpart of `PathBuilder::edge_join`).
-fn edge_join_columnar(
+/// EdgeJoin: extends every path in `src` by one block edge, from `from_node`
+/// (the current end) to `to_node`, into `dst`.
+fn edge_join(
     builder: &PathBuilder<'_, '_>,
     src: &ColumnarTable,
     dst: &mut ColumnarTable,
@@ -586,9 +596,11 @@ fn edge_join_columnar(
 const MERGE_LOOKAHEAD: usize = 16;
 
 /// Merges the two path tables of a split into the projection accumulator
-/// (columnar counterpart of `blocks::merge_paths`).
+/// (Procedure 2 of Figures 4 and 6): join on the shared endpoints, require
+/// the signatures to overlap exactly in the endpoint colors, and key the
+/// output by the images of the block's boundary nodes.
 #[allow(clippy::too_many_arguments)]
-fn merge_paths_columnar(
+fn merge_paths(
     ctx: &Context<'_>,
     block: &Block,
     plus: &ColumnarTable,
@@ -713,9 +725,8 @@ fn merge_paths_columnar(
     metrics.observe_table(proj.len());
 }
 
-/// Exports the accumulated columnar projection as the block's
-/// [`ProjectionTable`] (the interchange format the tree walk, the sharded
-/// exchange and the batch scheduler all consume).
+/// Exports the accumulated projection as the block's [`ProjectionTable`]
+/// (the interchange format the tree walk and the exchange step consume).
 fn export_projection(
     block: &Block,
     proj: &ColumnarTable,
@@ -746,51 +757,60 @@ fn export_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::solve_block;
     use crate::context::GraphPrep;
-    use sgc_graph::{Coloring, GraphBuilder};
+    use sgc_graph::{Coloring, CsrGraph, GraphBuilder};
     use sgc_query::{decompose, QueryGraph};
 
-    /// The columnar kernel matches the scalar kernel on a rainbow triangle
-    /// for both algorithms (the module-level smoke test; the full
-    /// differential suite lives in `tests/kernel.rs`).
-    #[test]
-    fn columnar_matches_scalar_on_rainbow_triangle() {
+    /// Solves the pure triangle query's one block on a data triangle under
+    /// `colors`, with both algorithms.
+    fn triangle_totals(colors: Vec<u8>) -> Vec<(Algorithm, Count, RunMetrics)> {
         let mut b = GraphBuilder::new(3);
         b.extend_edges([(0, 1), (1, 2), (2, 0)]);
-        let g = b.build();
-        let coloring = Coloring::from_colors(vec![0, 1, 2], 3);
+        let g: CsrGraph = b.build();
+        let coloring = Coloring::from_colors(colors, 3);
         let query = QueryGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
         let tree = decompose(&query).unwrap();
         let prep = GraphPrep::new(&g);
         let ctx = Context::new(&g, &prep, &coloring, 4).unwrap();
         let pool = ArenaPool::new();
-        for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let mut scalar_metrics = RunMetrics::new(4);
-            let expected = solve_block(
-                &ctx,
-                &tree,
-                &tree.blocks[0],
-                &[None],
-                algorithm,
-                &mut scalar_metrics,
-            );
-            let (mut arena, _) = pool.checkout();
-            let mut metrics = RunMetrics::new(4);
-            let index = BlockJoinIndex::build(&tree.blocks[0], &[None]);
-            let got = solve_block_columnar(
-                &ctx,
-                &tree,
-                &tree.blocks[0],
-                &index,
-                algorithm,
-                &mut arena,
-                &mut metrics,
-            );
-            pool.give_back(arena);
-            assert_eq!(got.total(), expected.total(), "{algorithm}");
-            assert_eq!(got.total(), 6, "{algorithm}");
+        [Algorithm::PathSplitting, Algorithm::DegreeBased]
+            .into_iter()
+            .map(|algorithm| {
+                let (mut arena, _) = pool.checkout();
+                let mut metrics = RunMetrics::new(4);
+                let index = BlockJoinIndex::build(&tree.blocks[0], &[None]);
+                let table = solve_block(
+                    &ctx,
+                    &tree,
+                    &tree.blocks[0],
+                    &index,
+                    algorithm,
+                    &mut arena,
+                    &mut metrics,
+                );
+                pool.give_back(arena);
+                (algorithm, table.total(), metrics)
+            })
+            .collect()
+    }
+
+    /// A rainbow data triangle has 3! = 6 colorful matches of the triangle
+    /// query (one per orientation), for both algorithms (the module-level
+    /// smoke test; the differential suites against the brute-force and
+    /// treelet oracles live in `tests/`).
+    #[test]
+    fn columnar_matches_scalar_on_rainbow_triangle() {
+        for (algorithm, total, metrics) in triangle_totals(vec![0, 1, 2]) {
+            assert_eq!(total, 6, "{algorithm}");
             assert!(metrics.total_ops > 0);
+        }
+    }
+
+    /// A data triangle with a repeated color has no colorful matches.
+    #[test]
+    fn triangle_without_colors_counts_zero() {
+        for (algorithm, total, _) in triangle_totals(vec![0, 0, 1]) {
+            assert_eq!(total, 0, "{algorithm}");
         }
     }
 
@@ -802,13 +822,6 @@ mod tests {
         pool.give_back(arena);
         let (_, reused) = pool.checkout();
         assert!(reused);
-    }
-
-    #[test]
-    fn kernel_kind_defaults_to_columnar() {
-        assert_eq!(KernelKind::default(), KernelKind::Columnar);
-        assert_eq!(KernelKind::Columnar.to_string(), "columnar");
-        assert_eq!(KernelKind::Scalar.to_string(), "scalar");
     }
 
     #[test]

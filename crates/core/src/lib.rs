@@ -7,11 +7,16 @@
 //!   program rephrased over the decomposition tree, Figure 4) and the Degree
 //!   Based algorithm (split every cycle at its highest-degree-ordered vertex
 //!   and count only high-starting paths, Figures 5–7),
-//! * [`blocks`] — solving individual blocks (leaf edges and annotated cycles)
-//!   into projection tables, shared by both algorithms,
-//! * [`driver`] — bottom-up traversal of a decomposition tree producing the
-//!   number of colorful matches, plus run metrics (per-rank loads, operation
-//!   counts),
+//! * [`kernel`] — the DP kernel: solving individual blocks (leaf edges and
+//!   annotated cycles) into projection tables over arena-backed columnar
+//!   tables, shared by both algorithms ([`paths`] holds the child-table
+//!   indexes its joins consult),
+//! * [`runtime`] — the block-step executor: the bottom-up traversal of a
+//!   decomposition tree (Figure 3) producing the number of colorful matches
+//!   ([`driver::CountResult`]) plus run metrics, as vertex-partitioned
+//!   per-shard solves with explicit partial-sum exchange rounds — the
+//!   shared-memory realization of the paper's distributed rank model
+//!   (Sections 5–7), of which an unsharded run is the one-shard case,
 //! * [`engine`] — the public front door: a long-lived [`Engine`] bound to a
 //!   data graph that amortizes the preprocessing across trials and queries,
 //!   caches decomposition plans, and reports typed [`SgcError`]s instead of
@@ -27,9 +32,6 @@
 //!   query or pattern string into a structured [`PlanReport`] (candidate
 //!   decompositions, Section 6 costs, predicted table bounds) before any
 //!   counting runs,
-//! * [`runtime`] — the sharded rank-runtime: vertex-partitioned execution
-//!   of the DP with explicit partial-sum exchange rounds, the shared-memory
-//!   realization of the paper's distributed rank model (Sections 5–7),
 //! * [`treelet`] — the linear-time tree-query dynamic program (the FASCIA
 //!   special case the paper builds on), used as an independent cross-check,
 //! * [`brute`] — exponential-time reference counters used as the correctness
@@ -38,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod blocks;
 pub mod brute;
 pub mod config;
 pub mod context;
@@ -61,16 +62,11 @@ pub use config::{Algorithm, CountConfig};
 pub use driver::CountResult;
 pub use engine::{CountRequest, Engine, TrialStream};
 pub use error::SgcError;
-pub use estimator::{Estimate, EstimateConfig, TrialAccumulator};
+pub use estimator::{Estimate, TrialAccumulator};
 pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
-pub use kernel::{KernelKind, KernelMetrics};
+pub use kernel::KernelMetrics;
 pub use metrics::{RunMetrics, ShardMetrics};
 pub use runtime::{
     count_sharded_retaining, dirty_shards, recount_sharded_replay, IncrementalOutcome, ShardPlan,
     TrialPartials, VertexShard,
 };
-
-#[allow(deprecated)]
-pub use driver::{count_colorful, count_colorful_with_tree};
-#[allow(deprecated)]
-pub use estimator::estimate_count;

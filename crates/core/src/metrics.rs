@@ -37,8 +37,7 @@ pub struct RunMetrics {
     pub elapsed: Duration,
     /// Per-shard execution metrics — `Some` only for sharded runs.
     pub shards: Option<ShardMetrics>,
-    /// Arena accounting of the columnar kernel (all-zero under the scalar
-    /// kernel, which allocates per join instead of from an arena).
+    /// Arena accounting of the DP kernel.
     pub kernel: KernelMetrics,
 }
 

@@ -1,32 +1,23 @@
-//! Path-table construction along cycle segments.
+//! The join-side view of a block: child-table indexes and edge realizations.
 //!
 //! Both the PS and the DB algorithm reduce a cycle block to two path
 //! segments, build a table for each by a sequence of joins, and merge the two
-//! tables (Figures 4, 6 and 7). The joins are:
+//! tables (Figures 4, 6 and 7). The joins themselves — the **initial edge**,
+//! **EdgeJoin** and **NodeJoin** — live in [`crate::kernel`]; this module
+//! holds what they consult:
 //!
-//! * the **initial edge** — the first cycle edge, realized either by the data
-//!   graph's edges or by the binary projection table of the child block
-//!   annotating that edge,
-//! * **EdgeJoin** — extend every partial path by one cycle edge (again either
-//!   a graph edge or an annotated edge),
-//! * **NodeJoin** — fold in the unary projection table of a child block
-//!   annotating a cycle node.
-//!
-//! The DB algorithm additionally imposes the *high-starting* constraint: the
-//! image of the path's start node must be strictly higher (in the degree
-//! ordering) than the image of every other cycle node, which prunes the
-//! tables dramatically on skewed graphs.
-//!
-//! All joins are data-parallel over the current table's entries (rayon), and
-//! every examined candidate is attributed to the simulated rank owning the
-//! vertex at which the paper's distributed engine would have performed the
-//! operation.
+//! * [`BlockJoinIndex`] — the block's child projection tables, pre-grouped by
+//!   join key once per block and shared by every split and every shard,
+//! * [`PathBuilder`] — the per-split view: which extra slot tracks which
+//!   boundary node, whether the DB algorithm's *high-starting* constraint
+//!   applies (the image of the path's start node must be strictly higher, in
+//!   the degree ordering, than the image of every other cycle node), and how
+//!   each cycle edge is realized — by the data graph's edges or by the binary
+//!   projection table of the child block annotating it.
 
 use crate::context::Context;
-use crate::metrics::RunMetrics;
 use sgc_engine::hash::FastMap;
-use sgc_engine::parallel::{pairwise_reduce, parallel_chunks};
-use sgc_engine::{Count, LoadStats, PathKey, PathTable, ProjectionTable, Signature};
+use sgc_engine::{Count, ProjectionTable, Signature};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_graph::VertexId;
 use sgc_query::{Block, DecompositionTree, QueryNode};
@@ -35,9 +26,9 @@ use std::sync::OnceLock;
 /// Which key field currently holds the image of a query node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Field {
-    /// The path's start vertex (`PathKey::start`).
+    /// The path's start vertex (key field 0).
     Start,
-    /// The path's current end vertex (`PathKey::end`).
+    /// The path's current end vertex (key field 1).
     End,
 }
 
@@ -145,7 +136,8 @@ impl<'t> BlockJoinIndex<'t> {
     }
 }
 
-/// Builds path tables along the segments of one cycle (or leaf-edge) block.
+/// The per-split view of one cycle (or leaf-edge) block that the kernel's
+/// joins consult.
 pub struct PathBuilder<'a, 'b> {
     /// Shared run context.
     pub ctx: &'b Context<'a>,
@@ -190,13 +182,6 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
         self.slot_nodes.iter().position(|&s| s == Some(node))
     }
 
-    fn record_extra(&self, mut key: PathKey, node: QueryNode, vertex: VertexId) -> PathKey {
-        if let Some(slot) = self.slot_of(node) {
-            key.extra[slot] = vertex;
-        }
-        key
-    }
-
     /// The unary table of the child block annotating `node`, if any,
     /// pre-grouped by vertex in the block index.
     pub(crate) fn node_child(&self, node: QueryNode) -> Option<&'b GroupedUnary> {
@@ -233,52 +218,6 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
         }
     }
 
-    /// Builds the table for the path visiting the block nodes at `positions`
-    /// (indices into the cycle's node list, in traversal order).
-    ///
-    /// Node annotations are folded in for every visited node except:
-    /// the start node unless `include_start_annotation`, and the end node
-    /// unless `include_end_annotation` — the caller uses these flags to ensure
-    /// each annotation is joined by exactly one of the two paths.
-    pub fn build_path(
-        &self,
-        positions: &[usize],
-        include_start_annotation: bool,
-        include_end_annotation: bool,
-        metrics: &mut RunMetrics,
-    ) -> PathTable {
-        assert!(positions.len() >= 2, "a path needs at least one edge");
-        let nodes = self.cycle_nodes();
-        let first = nodes[positions[0]];
-        let second = nodes[positions[1]];
-        let mut table = self.initial_table(
-            self.edge_index_between(positions[0], positions[1]),
-            first,
-            second,
-            metrics,
-        );
-        if include_start_annotation {
-            if let Some(child) = self.node_child(first) {
-                table = self.node_join(table, Field::Start, first, child, metrics);
-            }
-        }
-        for idx in 1..positions.len() {
-            let node = nodes[positions[idx]];
-            if idx > 1 {
-                let prev = nodes[positions[idx - 1]];
-                let edge_index = self.edge_index_between(positions[idx - 1], positions[idx]);
-                table = self.edge_join(table, edge_index, prev, node, metrics);
-            }
-            let is_end = idx == positions.len() - 1;
-            if !is_end || include_end_annotation {
-                if let Some(child) = self.node_child(node) {
-                    table = self.node_join(table, Field::End, node, child, metrics);
-                }
-            }
-        }
-        table
-    }
-
     /// Block nodes in cyclic order (for a leaf edge, the two endpoints).
     pub(crate) fn cycle_nodes(&self) -> Vec<QueryNode> {
         self.block.kind.nodes()
@@ -297,209 +236,6 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
             debug_assert_eq!((j + 1) % l, i, "positions {i} and {j} are not adjacent");
             j
         }
-    }
-
-    /// Builds the initial table for the first edge of a path.
-    pub fn initial_table(
-        &self,
-        edge_index: usize,
-        from_node: QueryNode,
-        to_node: QueryNode,
-        metrics: &mut RunMetrics,
-    ) -> PathTable {
-        let ctx = self.ctx;
-        let mut table = PathTable::new();
-        let mut load = LoadStats::new(ctx.partition.num_ranks());
-        match self.edge_realization(edge_index, from_node, to_node) {
-            EdgeRealization::Graph => {
-                // In a sharded context this range is the shard's owned
-                // vertex block; every path entry keeps its start vertex for
-                // its whole life, so restricting the seeds here partitions
-                // the block's entire table by start ownership.
-                for u in ctx.start_vertices() {
-                    let cu = ctx.color(u);
-                    // In DB mode only the neighbors strictly below the start
-                    // vertex in the degree order can appear on a high-starting
-                    // path, so the pruned list is enumerated directly.
-                    let neighbors = if self.high_start {
-                        ctx.lower_neighbors(u, u)
-                    } else {
-                        ctx.graph.neighbors(u)
-                    };
-                    load.record_vertex(&ctx.partition, u, neighbors.len() as u64);
-                    for &w in neighbors {
-                        let cw = ctx.color(w);
-                        if cu == cw {
-                            continue;
-                        }
-                        let sig = Signature::pair(cu, cw);
-                        let mut key = PathKey::new(u, w, sig);
-                        key = self.record_extra(key, from_node, u);
-                        key = self.record_extra(key, to_node, w);
-                        table.add(key, 1);
-                    }
-                }
-            }
-            EdgeRealization::Child(grouped) => {
-                // The group key is the path's start vertex; seeding only
-                // from owned keys partitions the table by start ownership,
-                // exactly like the range restriction above. The grouped map
-                // itself is shared (block index), not rebuilt per shard.
-                let mut seed_group = |u: VertexId, list: &[(VertexId, Signature, Count)]| {
-                    load.record_vertex(&ctx.partition, u, list.len() as u64);
-                    for &(w, sig, count) in list {
-                        if self.high_start && !ctx.order().higher(u, w) {
-                            continue;
-                        }
-                        let mut key = PathKey::new(u, w, sig);
-                        key = self.record_extra(key, from_node, u);
-                        key = self.record_extra(key, to_node, w);
-                        table.add(key, count);
-                    }
-                };
-                if ctx.is_sharded() {
-                    // Probe the shard's own (contiguous, small) vertex
-                    // range instead of scanning the whole shared map: total
-                    // seeding work across shards stays O(n) lookups rather
-                    // than S scans of every group.
-                    for u in ctx.start_vertices() {
-                        if let Some(list) = grouped.get(&u) {
-                            seed_group(u, list);
-                        }
-                    }
-                } else {
-                    for (&u, list) in grouped {
-                        seed_group(u, list);
-                    }
-                }
-            }
-        }
-        metrics.absorb_load(&load);
-        metrics.observe_table(table.len());
-        table
-    }
-
-    /// Joins the unary table of a child block at the given key field.
-    pub fn node_join(
-        &self,
-        table: PathTable,
-        field: Field,
-        _node: QueryNode,
-        child: &FastMap<VertexId, Vec<(Signature, Count)>>,
-        metrics: &mut RunMetrics,
-    ) -> PathTable {
-        let ctx = self.ctx;
-        let entries = table.into_entries();
-        let partials = parallel_chunks(&entries, |chunk| {
-            let mut out = PathTable::new();
-            let mut load = LoadStats::new(ctx.partition.num_ranks());
-            for &(key, count) in chunk {
-                let x = match field {
-                    Field::Start => key.start,
-                    Field::End => key.end,
-                };
-                let Some(list) = child.get(&x) else { continue };
-                load.record_vertex(&ctx.partition, x, list.len() as u64);
-                let shared = ctx.color_sig(x);
-                for &(sig2, count2) in list {
-                    if key.sig.intersection(sig2) != shared {
-                        continue;
-                    }
-                    let mut new_key = key;
-                    new_key.sig = key.sig.union(sig2);
-                    out.add(new_key, count * count2);
-                }
-            }
-            (out, load)
-        });
-        self.merge_partials(partials, metrics)
-    }
-
-    /// Extends every path in `table` by one block edge, from `from_node`
-    /// (the current end) to `to_node`.
-    pub fn edge_join(
-        &self,
-        table: PathTable,
-        edge_index: usize,
-        from_node: QueryNode,
-        to_node: QueryNode,
-        metrics: &mut RunMetrics,
-    ) -> PathTable {
-        let ctx = self.ctx;
-        let realization = self.edge_realization(edge_index, from_node, to_node);
-        let entries = table.into_entries();
-        let partials = parallel_chunks(&entries, |chunk| {
-            let mut out = PathTable::new();
-            let mut load = LoadStats::new(ctx.partition.num_ranks());
-            for &(key, count) in chunk {
-                let v = key.end;
-                let shared = ctx.color_sig(v);
-                match &realization {
-                    EdgeRealization::Graph => {
-                        let neighbors = if self.high_start {
-                            ctx.lower_neighbors(v, key.start)
-                        } else {
-                            ctx.graph.neighbors(v)
-                        };
-                        load.record_vertex(&ctx.partition, v, neighbors.len() as u64);
-                        for &w in neighbors {
-                            let cw = ctx.color(w);
-                            if key.sig.contains(cw) {
-                                continue;
-                            }
-                            let mut new_key = key;
-                            new_key.end = w;
-                            new_key.sig = key.sig.with(cw);
-                            new_key = self.record_extra(new_key, to_node, w);
-                            out.add(new_key, count);
-                        }
-                    }
-                    EdgeRealization::Child(grouped) => {
-                        let Some(list) = grouped.get(&v) else {
-                            continue;
-                        };
-                        load.record_vertex(&ctx.partition, v, list.len() as u64);
-                        for &(w, sig2, count2) in list {
-                            if self.high_start && !ctx.order().higher(key.start, w) {
-                                continue;
-                            }
-                            if key.sig.intersection(sig2) != shared {
-                                continue;
-                            }
-                            let mut new_key = key;
-                            new_key.end = w;
-                            new_key.sig = key.sig.union(sig2);
-                            new_key = self.record_extra(new_key, to_node, w);
-                            out.add(new_key, count * count2);
-                        }
-                    }
-                }
-            }
-            (out, load)
-        });
-        self.merge_partials(partials, metrics)
-    }
-
-    fn merge_partials(
-        &self,
-        partials: Vec<(PathTable, LoadStats)>,
-        metrics: &mut RunMetrics,
-    ) -> PathTable {
-        // Loads are tiny vectors — absorb them sequentially. The tables can be
-        // large, so merge them with a parallel pairwise reduction to keep the
-        // serial fraction of each join small.
-        let mut tables = Vec::with_capacity(partials.len());
-        for (table, load) in partials {
-            metrics.absorb_load(&load);
-            tables.push(table);
-        }
-        let merged = pairwise_reduce(tables, |mut first, second| {
-            first.merge(second);
-            first
-        })
-        .unwrap_or_default();
-        metrics.observe_table(merged.len());
-        merged
     }
 }
 

@@ -10,9 +10,9 @@ pub use crate::config::{Algorithm, CountConfig};
 pub use crate::driver::CountResult;
 pub use crate::engine::{CountRequest, Engine, TrialStream};
 pub use crate::error::SgcError;
-pub use crate::estimator::{Estimate, EstimateConfig, TrialAccumulator};
+pub use crate::estimator::{Estimate, TrialAccumulator};
 pub use crate::explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
-pub use crate::kernel::{KernelKind, KernelMetrics};
+pub use crate::kernel::KernelMetrics;
 pub use crate::metrics::{RunMetrics, ShardMetrics};
 pub use crate::runtime::{ShardPlan, VertexShard};
 pub use sgc_engine::{Count, Signature};
@@ -20,8 +20,3 @@ pub use sgc_graph::{Coloring, CsrGraph, GraphBuilder, VertexId};
 pub use sgc_query::{
     decompose, heuristic_plan, DecompositionTree, Pattern, PatternParseError, QueryGraph, Registry,
 };
-
-#[allow(deprecated)]
-pub use crate::driver::{count_colorful, count_colorful_with_tree};
-#[allow(deprecated)]
-pub use crate::estimator::estimate_count;

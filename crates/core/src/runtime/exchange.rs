@@ -16,7 +16,6 @@
 //! counts because `u64` addition is associative and commutative, which is
 //! what makes the sharded ≡ serial bit-identity contract hold.
 
-use crate::blocks::merge_projection;
 use crate::metrics::ShardMetrics;
 use sgc_engine::parallel::pairwise_reduce;
 use sgc_engine::ProjectionTable;
@@ -92,6 +91,22 @@ pub fn combine_round(
             pairwise_reduce(partials, merge_projection).expect("at least one table")
         })
         .collect()
+}
+
+/// Adds two partial projection tables of the same block.
+fn merge_projection(a: ProjectionTable, b: ProjectionTable) -> ProjectionTable {
+    match (a, b) {
+        (ProjectionTable::Scalar(x), ProjectionTable::Scalar(y)) => ProjectionTable::Scalar(x + y),
+        (ProjectionTable::Unary(mut x), ProjectionTable::Unary(y)) => {
+            x.merge(&y);
+            ProjectionTable::Unary(x)
+        }
+        (ProjectionTable::Binary(mut x), ProjectionTable::Binary(y)) => {
+            x.merge(&y);
+            ProjectionTable::Binary(x)
+        }
+        _ => unreachable!("partial tables of one block always have the same shape"),
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Delta-aware sharded counting: partial-sum retention and replay.
 //!
-//! The sharded solver ([`count_many_sharded`](super::shard)) computes, for
-//! every block step, one **pre-exchange partial table per shard**, then
-//! combines them in an exchange round. Those partials are the unit of
-//! incremental recomputation: a trial's coloring depends only on
+//! The block-step executor (`runtime::executor`) computes, for every block
+//! step, one **pre-exchange partial table per shard**, then combines them in
+//! an exchange round. Those partials are the unit of incremental
+//! recomputation: a trial's coloring depends only on
 //! `(num_vertices, colors, seed)`, so after an edge-only delta the partial
 //! of any shard whose vertices are far enough from every changed edge is
 //! **bit-identical** on the new graph — there is no reason to re-solve it.
 //!
-//! This module provides the two halves of that trade:
+//! This module provides the two halves of that trade, both thin wrappers
+//! that run one job through the executor with its `PartialsHook`:
 //!
 //! * [`count_sharded_retaining`] — a from-scratch sharded count that clones
 //!   each shard's pre-exchange partial into a [`TrialPartials`] record,
@@ -46,20 +47,15 @@
 //! run on the new graph. The differential suite in `tests/dynamic.rs` pins
 //! this end to end.
 
-use crate::blocks::solve_block_with_index;
 use crate::config::Algorithm;
-use crate::context::{Context, GraphPrep};
+use crate::context::GraphPrep;
 use crate::error::SgcError;
-use crate::kernel::{solve_block_columnar, ArenaPool, KernelKind};
-use crate::metrics::{RunMetrics, ShardMetrics};
-use crate::paths::BlockJoinIndex;
-use crate::runtime::exchange;
-use crate::runtime::shard::ShardPlan;
-use sgc_engine::parallel::parallel_indexed;
+use crate::kernel::ArenaPool;
+use crate::metrics::RunMetrics;
+use crate::runtime::executor::{execute, Job, PartialsHook};
 use sgc_engine::{Count, ProjectionTable};
 use sgc_graph::{BlockPartition, Coloring, CsrGraph, VertexId};
 use sgc_query::DecompositionTree;
-use std::time::Instant;
 
 /// The retained pre-exchange partials of one `(coloring, plan, shards)`
 /// trial: for every block step, every shard's partial table as produced
@@ -69,10 +65,10 @@ use std::time::Instant;
 /// [`approx_bytes`](TrialPartials::approx_bytes).
 #[derive(Clone, Debug)]
 pub struct TrialPartials {
-    num_shards: usize,
+    pub(super) num_shards: usize,
     /// `steps[step][shard]`: the shard's pre-exchange partial for the block
     /// solved at `step` (single-node plans have exactly one scalar step).
-    steps: Vec<Vec<ProjectionTable>>,
+    pub(super) steps: Vec<Vec<ProjectionTable>>,
 }
 
 impl TrialPartials {
@@ -101,9 +97,8 @@ impl TrialPartials {
 
 /// What an incremental-capable sharded count produced.
 pub struct IncrementalOutcome {
-    /// The trial's exact colorful count — bit-identical to the serial
-    /// driver and to [`count_many_sharded`](super::shard) on the same
-    /// graph.
+    /// The trial's exact colorful count — bit-identical to an
+    /// [`Engine`](crate::Engine) run on the same graph, sharded or not.
     pub colorful_matches: Count,
     /// The pre-exchange partials, ready to be retained for later replay.
     pub partials: TrialPartials,
@@ -167,7 +162,6 @@ pub fn dirty_shards(
 /// A from-scratch sharded count that retains every shard's pre-exchange
 /// partial table. Identical in result to the plain sharded runtime; the
 /// extra cost is one clone of each partial.
-#[allow(clippy::too_many_arguments)]
 pub fn count_sharded_retaining(
     graph: &CsrGraph,
     prep: &GraphPrep,
@@ -175,11 +169,17 @@ pub fn count_sharded_retaining(
     tree: &DecompositionTree,
     algorithm: Algorithm,
     num_shards: usize,
-    kernel: KernelKind,
     pool: &ArenaPool,
 ) -> Result<IncrementalOutcome, SgcError> {
-    run_incremental(
-        graph, prep, coloring, tree, algorithm, num_shards, kernel, pool, None,
+    run_hooked(
+        graph,
+        prep,
+        coloring,
+        tree,
+        algorithm,
+        num_shards,
+        pool,
+        PartialsHook { replay: None },
     )
 }
 
@@ -202,7 +202,6 @@ pub fn recount_sharded_replay(
     tree: &DecompositionTree,
     algorithm: Algorithm,
     num_shards: usize,
-    kernel: KernelKind,
     pool: &ArenaPool,
     dirty: &[bool],
     cached: &TrialPartials,
@@ -217,160 +216,47 @@ pub fn recount_sharded_replay(
         "cached partials were produced with a different plan"
     );
     assert_eq!(dirty.len(), num_shards, "one dirty flag per shard");
-    run_incremental(
+    run_hooked(
         graph,
         prep,
         coloring,
         tree,
         algorithm,
         num_shards,
-        kernel,
         pool,
-        Some((dirty, cached)),
+        PartialsHook {
+            replay: Some((dirty, cached)),
+        },
     )
 }
 
-/// The shared body: a single-job sharded solve loop mirroring
-/// [`count_many_sharded`](super::shard), with partial retention and
-/// (optionally) clean-shard replay.
+/// The shared body: one hooked job through the executor.
 #[allow(clippy::too_many_arguments)]
-fn run_incremental(
+fn run_hooked(
     graph: &CsrGraph,
     prep: &GraphPrep,
     coloring: &Coloring,
     tree: &DecompositionTree,
     algorithm: Algorithm,
     num_shards: usize,
-    kernel: KernelKind,
     pool: &ArenaPool,
-    replay: Option<(&[bool], &TrialPartials)>,
+    hook: PartialsHook<'_>,
 ) -> Result<IncrementalOutcome, SgcError> {
-    let num_ranks = 1;
-    let plan = ShardPlan::new(graph.num_vertices(), num_shards)?;
-    Context::validate(graph, coloring, num_ranks)?;
-    let obs = sgc_obs::enabled();
-
-    let mut metrics = RunMetrics::new(num_ranks);
-    let mut shard_metrics = ShardMetrics::new(num_shards);
-    let mut tables: Vec<Option<ProjectionTable>> = vec![None; tree.blocks.len()];
-    let mut single_total: Option<Count> = None;
-    let mut retained: Vec<Vec<ProjectionTable>> = Vec::new();
-    let mut shards_replayed = 0usize;
-    let started = Instant::now();
-
-    let steps = tree.blocks.len().max(1);
-    for step in 0..steps {
-        let index = tree
-            .root
-            .is_some()
-            .then(|| BlockJoinIndex::build(&tree.blocks[step], &tables));
-        let partials: Vec<(ProjectionTable, RunMetrics, bool)> =
-            parallel_indexed(num_shards, |s| {
-                // Worker threads do not inherit the submitting thread's
-                // suspension state; mirror it so per-request obs opt-out
-                // holds across the fan-out.
-                let _pause = (!obs).then(sgc_obs::suspend);
-                let mut shard_run = RunMetrics::new(num_ranks);
-                let solve_started = Instant::now();
-                // Clean shard with a cached partial: replay it.
-                if let Some((dirty, cached)) = replay {
-                    if !dirty[s] {
-                        let _span = sgc_obs::span(sgc_obs::Stage::DpRecountReplay);
-                        let table = cached.steps[step][s].clone();
-                        shard_run.elapsed = solve_started.elapsed();
-                        return (table, shard_run, true);
-                    }
-                }
-                let table = match &index {
-                    Some(index) => {
-                        let ctx =
-                            Context::for_shard(graph, prep, coloring, num_ranks, plan.shard(s));
-                        match kernel {
-                            KernelKind::Scalar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockScalar);
-                                solve_block_with_index(
-                                    &ctx,
-                                    tree,
-                                    &tree.blocks[step],
-                                    index,
-                                    algorithm,
-                                    &mut shard_run,
-                                )
-                            }
-                            KernelKind::Columnar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
-                                let (mut arena, reused) = pool.checkout();
-                                let before = arena.capacity_bytes();
-                                let table = solve_block_columnar(
-                                    &ctx,
-                                    tree,
-                                    &tree.blocks[step],
-                                    index,
-                                    algorithm,
-                                    &mut arena,
-                                    &mut shard_run,
-                                );
-                                let after = arena.capacity_bytes();
-                                shard_run.kernel.record_checkout(
-                                    after as u64,
-                                    reused,
-                                    after.saturating_sub(before) as u64,
-                                );
-                                pool.give_back(arena);
-                                table
-                            }
-                        }
-                    }
-                    // Single-node query: the shard's owned-vertex count is
-                    // its scalar partial sum (edge deltas never change it).
-                    None => ProjectionTable::Scalar(plan.shard(s).num_vertices() as Count),
-                };
-                shard_run.elapsed = solve_started.elapsed();
-                (table, shard_run, false)
-            });
-
-        let mut round_tables = Vec::with_capacity(num_shards);
-        let mut step_retained = Vec::with_capacity(num_shards);
-        for (s, (table, shard_run, replayed)) in partials.into_iter().enumerate() {
-            shard_metrics.ops_per_shard[s] += shard_run.total_ops;
-            metrics.absorb_shard(&shard_run);
-            if replayed {
-                shards_replayed += 1;
-            }
-            step_retained.push(table.clone());
-            round_tables.push(table);
-        }
-        retained.push(step_retained);
-
-        let table = {
-            let _span = obs.then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
-            exchange::combine(round_tables, &mut shard_metrics)
-        };
-        if tree.root.is_some() {
-            metrics.observe_table(table.len());
-            tables[tree.blocks[step].id] = Some(table);
-        } else {
-            single_total = Some(table.total());
-        }
-    }
-
-    let colorful_matches = match tree.root {
-        Some(root) => tables[root]
-            .as_ref()
-            .expect("root table was computed in its block step")
-            .total(),
-        None => single_total.expect("single-node totals resolve in step 0"),
+    let job = Job {
+        coloring,
+        plan: tree,
+        algorithm,
+        num_ranks: 1,
+        obs: sgc_obs::enabled(),
+        partials: Some(hook),
     };
-    metrics.shards = Some(shard_metrics);
-    metrics.elapsed = started.elapsed();
+    let mut executed = execute(graph, prep, &[job], Some(num_shards), pool)?;
+    let outcome = executed.jobs.pop().expect("one job in, one outcome out");
     Ok(IncrementalOutcome {
-        colorful_matches,
-        partials: TrialPartials {
-            num_shards,
-            steps: retained,
-        },
-        metrics,
-        shards_replayed,
+        colorful_matches: outcome.result.colorful_matches,
+        partials: outcome.retained.expect("hooked jobs retain partials"),
+        metrics: outcome.result.metrics,
+        shards_replayed: outcome.shards_replayed,
     })
 }
 
@@ -424,7 +310,6 @@ mod tests {
                     &tree,
                     Algorithm::DegreeBased,
                     num_shards,
-                    KernelKind::Columnar,
                     &pool,
                 )
                 .unwrap();
@@ -435,7 +320,6 @@ mod tests {
                     &tree,
                     Algorithm::DegreeBased,
                     num_shards,
-                    KernelKind::Columnar,
                     &pool,
                 )
                 .unwrap();
@@ -449,7 +333,6 @@ mod tests {
                     &tree,
                     Algorithm::DegreeBased,
                     num_shards,
-                    KernelKind::Columnar,
                     &pool,
                     &dirty,
                     &retained.partials,
@@ -524,7 +407,6 @@ mod tests {
             &tree,
             Algorithm::DegreeBased,
             2,
-            KernelKind::Scalar,
             &pool,
         )
         .unwrap();

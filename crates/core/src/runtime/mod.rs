@@ -8,12 +8,17 @@
 //! This module is that rank model realized on a shared-memory machine:
 //!
 //! * [`shard`] — the vertex shards (reusing `sgc_graph::BlockPartition`, the
-//!   same 1D block distribution the paper uses) and the sharded bottom-up
-//!   solver, which runs one worker per shard through the thread pool,
+//!   same 1D block distribution the paper uses),
+//! * `executor` — the one block-step loop: per step, jobs × shards partial
+//!   solves fanned out over the thread pool, then one exchange round. An
+//!   unsharded request is its one-shard case, a batch is many jobs, and
+//!   retain/replay is a hook on the per-shard solve,
 //! * [`exchange`] — the explicit combination step that sums the per-shard
 //!   partial projection tables into each block's full table, mirroring the
 //!   paper's alltoall of partial sums, and recording per-shard exchange
-//!   volume.
+//!   volume,
+//! * [`incremental`] — delta-aware recounting: which shards an edge delta
+//!   can have changed, and the retain/replay wrappers over the executor.
 //!
 //! The partitioning invariant that makes this exact: a path-table entry's
 //! `start` vertex is fixed at seeding time and never changes through any
@@ -26,6 +31,7 @@
 //! sharded ≡ serial contract.
 
 pub mod exchange;
+pub(crate) mod executor;
 pub mod incremental;
 pub mod shard;
 

@@ -1,31 +1,17 @@
-//! Vertex shards and the sharded bottom-up solver.
+//! Vertex shards.
 //!
 //! A [`ShardPlan`] cuts the data graph's vertex set into `num_shards`
 //! contiguous blocks — the same 1D block distribution the paper assigns to
 //! MPI ranks (Section 7), reused from [`sgc_graph::BlockPartition`]. The
-//! sharded solver walks the decomposition tree bottom-up exactly like the
-//! serial driver, but solves every block as `num_shards` independent partial
-//! solves (one per shard, fanned out over worker threads), then combines the
-//! partial tables in an explicit [`exchange`] round before moving to the
-//! next block.
-//!
-//! [`exchange`]: crate::runtime::exchange
+//! block-step executor (`runtime::executor`) solves every block of a plan as
+//! `num_shards` independent partial solves (one per shard, fanned out over
+//! worker threads), then combines the partial tables in an explicit
+//! [`exchange`](crate::runtime::exchange) round before moving to the next
+//! block.
 
-use crate::blocks::solve_block_with_index;
-use crate::config::Algorithm;
-use crate::context::{Context, GraphPrep};
-use crate::driver::CountResult;
 use crate::error::SgcError;
-use crate::kernel::{solve_block_columnar, ArenaPool, KernelKind};
-use crate::metrics::{RunMetrics, ShardMetrics};
-use crate::paths::BlockJoinIndex;
-use crate::runtime::exchange;
-use sgc_engine::parallel::parallel_indexed;
-use sgc_engine::{Count, ProjectionTable};
-use sgc_graph::{BlockPartition, Coloring, CsrGraph, VertexId};
-use sgc_query::DecompositionTree;
+use sgc_graph::{BlockPartition, VertexId};
 use std::ops::Range;
-use std::time::Instant;
 
 /// One shard's contiguous slice of the data graph's vertex set — the analog
 /// of one rank's owned vertex block in the paper's 1D decomposition.
@@ -109,290 +95,6 @@ impl ShardPlan {
             index,
         }
     }
-}
-
-/// Runs one colorful count through the sharded runtime: per-shard partial
-/// solves of every block, combined by partial-sum exchange rounds.
-///
-/// The result's `colorful_matches` is bit-identical to the serial driver's
-/// for any `num_shards ≥ 1`; `metrics.shards` carries the per-shard load
-/// and exchange-volume accounting. Implemented as the one-job case of
-/// [`count_many_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn count_sharded(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_ranks: usize,
-    num_shards: usize,
-    kernel: KernelKind,
-    pool: &ArenaPool,
-    obs: bool,
-) -> Result<CountResult, SgcError> {
-    let job = ShardedBatchJob {
-        coloring,
-        plan: tree,
-        algorithm,
-        num_ranks,
-        kernel,
-        obs,
-    };
-    let mut outcome = count_many_sharded(graph, prep, &[job], num_shards, pool)?;
-    Ok(outcome.results.pop().expect("one job in, one result out"))
-}
-
-/// One member of a batched sharded run: a coloring/plan/algorithm triple to
-/// evaluate over the shared shard layout.
-pub(crate) struct ShardedBatchJob<'a> {
-    /// The member's trial coloring (batch members of one trial step share
-    /// colorings by reference, one per distinct color count).
-    pub coloring: &'a Coloring,
-    /// The member's decomposition plan.
-    pub plan: &'a DecompositionTree,
-    /// The member's cycle-solving algorithm.
-    pub algorithm: Algorithm,
-    /// Simulated rank count for load attribution.
-    pub num_ranks: usize,
-    /// Which join kernel runs the member's per-shard solves.
-    pub kernel: KernelKind,
-    /// Whether this member's shard workers record observability spans.
-    /// Worker threads inherit nothing from the submitting thread, so the
-    /// per-request toggle rides along with the job.
-    pub obs: bool,
-}
-
-/// What [`count_many_sharded`] produced: one [`CountResult`] per job plus
-/// the number of *shared* exchange rounds the batch actually synchronized
-/// on (block steps), as opposed to the `Σ blocks` rounds the same jobs
-/// would pay when run one at a time.
-pub(crate) struct ShardedBatchOutcome {
-    /// Per-job results, in input order.
-    pub results: Vec<CountResult>,
-    /// Exchange rounds the whole batch synchronized on — one per block
-    /// step, each serving every job active in that step.
-    pub shared_rounds: u64,
-}
-
-/// Runs many colorful counts through the sharded runtime at once, block
-/// step by block step: in step `s`, every job whose plan has a block `s`
-/// fans its partial solves out over the shards, and a **single** exchange
-/// round ([`exchange::combine_round`]) then combines the partial-sum tables
-/// of all of them — the batched alltoall of the paper's Section 7, where
-/// concurrent queries share synchronization points instead of each paying
-/// their own.
-///
-/// Each job's count is bit-identical to its solo run (sharded or serial):
-/// the jobs never mix tables, they only share the fan-out and the round
-/// barrier.
-pub(crate) fn count_many_sharded(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    jobs: &[ShardedBatchJob<'_>],
-    num_shards: usize,
-    pool: &ArenaPool,
-) -> Result<ShardedBatchOutcome, SgcError> {
-    let plan = ShardPlan::new(graph.num_vertices(), num_shards)?;
-    for job in jobs {
-        Context::validate(graph, job.coloring, job.num_ranks)?;
-    }
-    let mut metrics: Vec<RunMetrics> = jobs.iter().map(|j| RunMetrics::new(j.num_ranks)).collect();
-    // Wall time actually spent for each job: its shard solves plus its
-    // share of the exchange rounds it participated in.
-    let mut busy: Vec<std::time::Duration> = vec![std::time::Duration::ZERO; jobs.len()];
-    let mut shard_metrics: Vec<ShardMetrics> =
-        jobs.iter().map(|_| ShardMetrics::new(num_shards)).collect();
-    let mut tables: Vec<Vec<Option<ProjectionTable>>> = jobs
-        .iter()
-        .map(|j| vec![None; j.plan.blocks.len()])
-        .collect();
-    // Single-node queries (no root block) are resolved by a scalar exchange
-    // in step 0; their combined total lands here.
-    let mut single_totals: Vec<Option<Count>> = vec![None; jobs.len()];
-    let mut shared_rounds = 0u64;
-
-    let max_steps = jobs
-        .iter()
-        .map(|j| j.plan.blocks.len().max(1))
-        .max()
-        .unwrap_or(0);
-    for step in 0..max_steps {
-        // Jobs with work in this block step: block `step` of their plan, or
-        // (for single-node queries) the step-0 scalar partial sum.
-        let active: Vec<usize> = (0..jobs.len())
-            .filter(|&j| {
-                if jobs[j].plan.root.is_some() {
-                    step < jobs[j].plan.blocks.len()
-                } else {
-                    step == 0
-                }
-            })
-            .collect();
-        if active.is_empty() {
-            continue;
-        }
-        // Fan out all active jobs' blocks over the shards in one sweep. The
-        // join-side child-table indexes are shard-invariant, so they are
-        // built once per job here and shared by its shard workers; the
-        // scope ends their borrow of `tables` before the combined tables
-        // are stored.
-        let per_job_partials: Vec<Vec<(ProjectionTable, RunMetrics)>> = {
-            let indexes: Vec<Option<BlockJoinIndex<'_>>> = active
-                .iter()
-                .map(|&j| {
-                    jobs[j]
-                        .plan
-                        .root
-                        .is_some()
-                        .then(|| BlockJoinIndex::build(&jobs[j].plan.blocks[step], &tables[j]))
-                })
-                .collect();
-            let flat = parallel_indexed(active.len() * num_shards, |idx| {
-                let (a, s) = (idx / num_shards, idx % num_shards);
-                let j = active[a];
-                let job = &jobs[j];
-                // Worker threads don't inherit the submitter's obs state, so
-                // obs-off jobs re-suspend here for the span guards below.
-                let _pause = (!job.obs).then(sgc_obs::suspend);
-                let mut shard_run = RunMetrics::new(job.num_ranks);
-                let solve_started = Instant::now();
-                let table = match &indexes[a] {
-                    Some(index) => {
-                        let ctx = Context::for_shard(
-                            graph,
-                            prep,
-                            job.coloring,
-                            job.num_ranks,
-                            plan.shard(s),
-                        );
-                        match job.kernel {
-                            KernelKind::Scalar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockScalar);
-                                solve_block_with_index(
-                                    &ctx,
-                                    job.plan,
-                                    &job.plan.blocks[step],
-                                    index,
-                                    job.algorithm,
-                                    &mut shard_run,
-                                )
-                            }
-                            KernelKind::Columnar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
-                                let (mut arena, reused) = pool.checkout();
-                                let before = arena.capacity_bytes();
-                                let table = solve_block_columnar(
-                                    &ctx,
-                                    job.plan,
-                                    &job.plan.blocks[step],
-                                    index,
-                                    job.algorithm,
-                                    &mut arena,
-                                    &mut shard_run,
-                                );
-                                let after = arena.capacity_bytes();
-                                shard_run.kernel.record_checkout(
-                                    after as u64,
-                                    reused,
-                                    after.saturating_sub(before) as u64,
-                                );
-                                pool.give_back(arena);
-                                table
-                            }
-                        }
-                    }
-                    // Single-node query: the shard's owned-vertex count is
-                    // its scalar partial sum.
-                    None => ProjectionTable::Scalar(plan.shard(s).num_vertices() as Count),
-                };
-                shard_run.elapsed = solve_started.elapsed();
-                (table, shard_run)
-            });
-            let mut chunks: Vec<Vec<(ProjectionTable, RunMetrics)>> =
-                Vec::with_capacity(active.len());
-            let mut it = flat.into_iter();
-            for _ in 0..active.len() {
-                chunks.push((&mut it).take(num_shards).collect());
-            }
-            chunks
-        };
-        // Absorb per-shard execution metrics (including each solve's own
-        // elapsed time, so a job's reported duration reflects the work done
-        // *for it*, not the whole batch), then combine every active job's
-        // partials in ONE shared exchange round.
-        let mut round_partials: Vec<Vec<ProjectionTable>> = Vec::with_capacity(active.len());
-        for (&j, partials) in active.iter().zip(per_job_partials) {
-            let mut job_tables = Vec::with_capacity(num_shards);
-            for (s, (table, shard_run)) in partials.into_iter().enumerate() {
-                shard_metrics[j].ops_per_shard[s] += shard_run.total_ops;
-                metrics[j].absorb_shard(&shard_run);
-                busy[j] += shard_run.elapsed;
-                job_tables.push(table);
-            }
-            round_partials.push(job_tables);
-        }
-        let exchange_started = Instant::now();
-        let mut round_metrics: Vec<ShardMetrics> = active
-            .iter()
-            .map(|&j| std::mem::take(&mut shard_metrics[j]))
-            .collect();
-        let combined = {
-            // The exchange round is shared; record it if any active job has
-            // observability on (the caller thread may itself be suspended).
-            let _span = active
-                .iter()
-                .any(|&j| jobs[j].obs)
-                .then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
-            exchange::combine_round(round_partials, &mut round_metrics)
-        };
-        shared_rounds += 1;
-        // The shared round's cost is split evenly across the jobs it served.
-        let exchange_share = exchange_started.elapsed() / active.len() as u32;
-        for ((&j, taken), table) in active.iter().zip(round_metrics).zip(combined) {
-            shard_metrics[j] = taken;
-            busy[j] += exchange_share;
-            if jobs[j].plan.root.is_some() {
-                // Parity with the serial driver: only real block tables are
-                // observed; a single-node query's scalar exchange is not a
-                // produced table there either.
-                metrics[j].observe_table(table.len());
-                let id = jobs[j].plan.blocks[step].id;
-                tables[j][id] = Some(table);
-            } else {
-                single_totals[j] = Some(table.total());
-            }
-        }
-    }
-
-    let results = jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| {
-            let colorful_matches = match job.plan.root {
-                Some(root) => tables[j][root]
-                    .as_ref()
-                    .expect("root table was computed in its block step")
-                    .total(),
-                None => single_totals[j].expect("single-node totals resolve in step 0"),
-            };
-            let mut metrics = std::mem::replace(&mut metrics[j], RunMetrics::new(1));
-            metrics.shards = Some(std::mem::take(&mut shard_metrics[j]));
-            // Per-job duration: the solves and exchange shares performed
-            // for THIS job, so batching other jobs alongside never inflates
-            // a member's reported time. (For a one-job batch this is the
-            // whole loop minus scheduling gaps — the solo cost as before.)
-            metrics.elapsed = busy[j];
-            CountResult {
-                colorful_matches,
-                metrics,
-            }
-        })
-        .collect();
-    Ok(ShardedBatchOutcome {
-        results,
-        shared_rounds,
-    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use crate::version::{DynError, VersionId, VersionedGraph};
 use sgc_core::kernel::ArenaPool;
 use sgc_core::{
     count_sharded_retaining, dirty_shards, estimator::summarize_trials, recount_sharded_replay,
-    Algorithm, Estimate, KernelKind, SgcError,
+    Algorithm, Estimate, SgcError,
 };
 use sgc_engine::Count;
 use sgc_graph::Coloring;
@@ -32,8 +32,6 @@ pub struct TrialSpec<'a> {
     pub seed: u64,
     /// Shard count for the sharded runtime (and the replay granularity).
     pub num_shards: usize,
-    /// Which join kernel runs the per-shard solves.
-    pub kernel: KernelKind,
 }
 
 /// What [`run_trials`] did, and how much of it was replayed.
@@ -115,7 +113,6 @@ pub fn run_trials(
                 spec.tree,
                 spec.algorithm,
                 spec.num_shards,
-                spec.kernel,
                 pool,
                 &all_clean,
                 cached,
@@ -145,7 +142,6 @@ pub fn run_trials(
                 spec.tree,
                 spec.algorithm,
                 spec.num_shards,
-                spec.kernel,
                 pool,
                 dirty,
                 cached,
@@ -159,7 +155,6 @@ pub fn run_trials(
                 spec.tree,
                 spec.algorithm,
                 spec.num_shards,
-                spec.kernel,
                 pool,
             )?
         };
@@ -196,7 +191,6 @@ pub fn estimate_at(
         algorithm,
         seed,
         num_shards,
-        kernel: KernelKind::default(),
     };
     let started = Instant::now();
     let outcome = run_trials(
@@ -302,7 +296,6 @@ mod tests {
             algorithm: Algorithm::DegreeBased,
             seed: 7,
             num_shards: 8,
-            kernel: KernelKind::Columnar,
         };
         let pool = ArenaPool::new();
         let root = versions.root();

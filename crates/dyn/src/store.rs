@@ -171,8 +171,8 @@ impl Default for PartialStore {
 mod tests {
     use super::*;
     use sgc_core::context::GraphPrep;
+    use sgc_core::count_sharded_retaining;
     use sgc_core::kernel::ArenaPool;
-    use sgc_core::{count_sharded_retaining, KernelKind};
     use sgc_graph::{Coloring, GraphBuilder};
     use sgc_query::{canonical_key, catalog, heuristic_plan};
 
@@ -193,7 +193,6 @@ mod tests {
             &tree,
             Algorithm::DegreeBased,
             2,
-            KernelKind::Scalar,
             &ArenaPool::new(),
         )
         .unwrap();

@@ -1,7 +1,7 @@
 //! Columnar accumulation tables.
 //!
-//! The scalar kernel stores every DP table as a `FastMap<Key, Count>`; the
-//! columnar kernel stores the same logical table as one dense row column of
+//! The DP kernel's working tables: where a hash-map table would store
+//! `FastMap<Key, Count>`, a [`ColumnarTable`] is one dense row column of
 //! packed 32-byte records — a `u128` key word (the four `u32` key fields:
 //! start, end and the two tracked boundary extras), the low `u64` color-set
 //! lane, and a `u64` count — plus a power-of-two open-addressing slot index
@@ -32,7 +32,7 @@
 //!
 //! | logical table           | f0      | f1    | f2     | f3     |
 //! |-------------------------|---------|-------|--------|--------|
-//! | path table (`PathKey`)  | start   | end   | extra0 | extra1 |
+//! | path table              | start   | end   | extra0 | extra1 |
 //! | unary projection        | vertex  | —     | —      | —      |
 //! | binary projection       | u       | v     | —      | —      |
 //! | scalar projection       | —       | —     | —      | —      |
@@ -194,7 +194,7 @@ impl ColumnarTable {
     }
 
     /// Adds `count` to the row for `(key, sig)`, appending a row if absent.
-    /// Zero counts are ignored (matching the scalar tables' `add`).
+    /// Zero counts are ignored (matching the projection tables' `add`).
     #[inline]
     pub fn add(&mut self, key: RowKey, sig: Signature, count: Count) {
         self.add_prepared(Self::prepare(key, sig, count));
@@ -903,7 +903,7 @@ impl EndpointGroups {
     }
 }
 
-/// A path-table row key with no extras (parallel to `PathKey::new`).
+/// A path-table row key with no extras.
 #[inline]
 pub const fn path_key(start: VertexId, end: VertexId) -> RowKey {
     [start, end, NO_VERTEX, NO_VERTEX]

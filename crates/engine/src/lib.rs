@@ -9,12 +9,12 @@
 //! * [`hash`] — an FxHash-style hasher and the [`FastMap`] alias used for
 //!   all tables (projection-table lookups dominate runtime, so SipHash
 //!   would be a measurable tax),
-//! * [`table`] — unary / binary projection tables, the scalar root table and
-//!   the path tables (with up to two extra tracked boundary fields) used
-//!   while solving cycles,
-//! * [`columnar`] — the same logical tables as structure-of-arrays column
-//!   buffers with an open-addressing row index, built for arena reuse (the
-//!   storage layer of `sgc-core`'s columnar kernel),
+//! * [`table`] — unary / binary projection tables and the scalar root
+//!   table: the interchange format between blocks and across exchanges,
+//! * [`columnar`] — dense row tables with an open-addressing row index,
+//!   built for arena reuse: the working tables (paths with up to two extra
+//!   tracked boundary fields, projection accumulators) of `sgc-core`'s DP
+//!   kernel,
 //! * [`load`] — per-rank load accounting over a
 //!   [`sgc_graph::BlockPartition`], reproducing the paper's
 //!   "number of projection function operations per processor" metric,
@@ -32,4 +32,4 @@ pub use columnar::{ColumnarTable, EndpointGroups};
 pub use hash::FastMap;
 pub use load::LoadStats;
 pub use signature::{Color, Signature};
-pub use table::{BinaryTable, Count, PathKey, PathTable, ProjectionTable, UnaryTable};
+pub use table::{BinaryTable, Count, ProjectionTable, UnaryTable};

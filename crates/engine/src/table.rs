@@ -1,4 +1,4 @@
-//! Projection tables and path tables.
+//! Projection tables.
 //!
 //! Section 4.2 defines the *projection table* of a subquery: for every
 //! combination of boundary-node images and signature it stores the number of
@@ -7,15 +7,13 @@
 //! [`BinaryTable`]s, and the root block (no boundary nodes) produces a plain
 //! count. Only non-zero entries are materialised.
 //!
-//! While a cycle block is being solved, the partially built paths carry up to
-//! two additional tracked vertices (the images of the cycle's boundary nodes,
-//! which may fall in the middle of a path when the DB algorithm splits at the
-//! highest-degree node — Section 5.1, "configurations"). [`PathTable`] holds
-//! those working entries keyed by [`PathKey`].
+//! The working tables of a block solve (partially built paths along a cycle)
+//! live in [`crate::columnar`]; these hash-map tables are the interchange
+//! format between blocks and across the exchange step.
 
 use crate::hash::FastMap;
 use crate::signature::Signature;
-use sgc_graph::vertex::{VertexId, NO_VERTEX};
+use sgc_graph::vertex::VertexId;
 
 /// Number of colorful matches (or partial matches) — always a plain count.
 pub type Count = u64;
@@ -244,113 +242,6 @@ impl ProjectionTable {
     }
 }
 
-/// Key of a [`PathTable`] entry: a partially built path along a cycle.
-///
-/// `start` and `end` are the images of the path's first and last cycle nodes
-/// (the split nodes); `extra` carries the images of up to two tracked cycle
-/// boundary nodes encountered along the path ([`NO_VERTEX`] when unused /
-/// not yet encountered).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PathKey {
-    /// Image of the path's start node (the split node `a_h` / `a_p`).
-    pub start: VertexId,
-    /// Image of the path's current end node.
-    pub end: VertexId,
-    /// Images of tracked boundary nodes (slot per boundary node).
-    pub extra: [VertexId; 2],
-    /// Colors used by the partial match.
-    pub sig: Signature,
-}
-
-impl PathKey {
-    /// A key with no tracked extras.
-    pub fn new(start: VertexId, end: VertexId, sig: Signature) -> Self {
-        PathKey {
-            start,
-            end,
-            extra: [NO_VERTEX, NO_VERTEX],
-            sig,
-        }
-    }
-
-    /// Returns a copy with `slot` set to `vertex`.
-    pub fn with_extra(mut self, slot: usize, vertex: VertexId) -> Self {
-        self.extra[slot] = vertex;
-        self
-    }
-}
-
-/// Working table for a path segment of a cycle.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PathTable {
-    map: FastMap<PathKey, Count>,
-}
-
-impl PathTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `count` to the entry for `key`.
-    #[inline]
-    pub fn add(&mut self, key: PathKey, count: Count) {
-        if count != 0 {
-            *self.map.entry(key).or_insert(0) += count;
-        }
-    }
-
-    /// Number of non-zero entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the table has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates over all `(key, count)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&PathKey, &Count)> {
-        self.map.iter()
-    }
-
-    /// Drains the table into a vector of entries (used to shard work across
-    /// threads between join steps).
-    pub fn into_entries(self) -> Vec<(PathKey, Count)> {
-        self.map.into_iter().collect()
-    }
-
-    /// Builds a table from raw entries, summing duplicates.
-    pub fn from_entries(entries: impl IntoIterator<Item = (PathKey, Count)>) -> Self {
-        let mut t = PathTable::new();
-        for (k, c) in entries {
-            t.add(k, c);
-        }
-        t
-    }
-
-    /// Groups entries by `(start, end)` pair — the access pattern of the final
-    /// path-merge join.
-    pub fn group_by_endpoints(&self) -> FastMap<(VertexId, VertexId), Vec<(PathKey, Count)>> {
-        let mut grouped: FastMap<(VertexId, VertexId), Vec<(PathKey, Count)>> = FastMap::default();
-        for (&key, &count) in &self.map {
-            grouped
-                .entry((key.start, key.end))
-                .or_default()
-                .push((key, count));
-        }
-        grouped
-    }
-
-    /// Merges another path table into this one.
-    pub fn merge(&mut self, other: PathTable) {
-        for (key, count) in other.map {
-            *self.map.entry(key).or_insert(0) += count;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,32 +289,6 @@ mod tests {
         u.add(0, Signature::singleton(0), 4);
         assert_eq!(ProjectionTable::Unary(u).total(), 4);
         assert!(ProjectionTable::Scalar(0).is_empty());
-    }
-
-    #[test]
-    fn path_table_merge_and_group() {
-        let k1 = PathKey::new(1, 5, Signature::pair(0, 1));
-        let k2 = PathKey::new(1, 5, Signature::pair(0, 2)).with_extra(0, 9);
-        let mut a = PathTable::new();
-        a.add(k1, 2);
-        let mut b = PathTable::new();
-        b.add(k1, 3);
-        b.add(k2, 1);
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        let grouped = a.group_by_endpoints();
-        assert_eq!(grouped[&(1, 5)].len(), 2);
-        let rebuilt = PathTable::from_entries(a.clone().into_entries());
-        assert_eq!(rebuilt, a);
-    }
-
-    #[test]
-    fn path_key_extras() {
-        let k = PathKey::new(0, 1, Signature::empty())
-            .with_extra(0, 7)
-            .with_extra(1, 9);
-        assert_eq!(k.extra, [7, 9]);
-        assert_ne!(k, PathKey::new(0, 1, Signature::empty()));
     }
 
     #[test]

@@ -41,9 +41,11 @@ pub enum Stage {
     Plan,
     /// Drawing one random coloring.
     Coloring,
-    /// Solving one block of the plan on the scalar kernel.
+    /// Retired: solving one block on the deleted hash-map kernel. Nothing
+    /// records it; the stage stays because the exposition name set is
+    /// append-only.
     DpBlockScalar,
-    /// Solving one block of the plan on the columnar kernel.
+    /// Solving one block of the plan (one shard's share) on the DP kernel.
     DpBlockColumnar,
     /// One partial-sum exchange round of the sharded runtime.
     Exchange,

@@ -24,7 +24,7 @@ use crate::job::{
 use crate::metrics::{Counters, ServiceMetrics};
 use sgc_core::estimator::summarize_trials;
 use sgc_core::kernel::ArenaPool;
-use sgc_core::{CountRequest, Engine, KernelKind, SgcError};
+use sgc_core::{CountRequest, Engine, SgcError};
 use sgc_dyn::{PartialStore, TrialSpec, VersionId, VersionedGraph};
 use sgc_graph::{CsrGraph, EdgeDelta};
 use std::collections::VecDeque;
@@ -1271,7 +1271,6 @@ fn run_versioned_job(
             algorithm: job.algorithm,
             seed: job.seed,
             num_shards: shared.dyn_shards,
-            kernel: KernelKind::default(),
         };
         {
             let dynamic = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());

@@ -44,10 +44,6 @@
 //! let report = engine.explain_str("brain1").unwrap();
 //! assert_eq!(report.candidates.len(), 2); // the two Section 6 plans
 //! ```
-//!
-//! The pre-0.2 free functions (`count_colorful`, `estimate_count`, …) are
-//! still re-exported as deprecated shims that bind a throwaway engine per
-//! call; migrate to [`Engine`] to stop paying the preprocessing per call.
 
 pub use sgc_core as core;
 /// Versioned graph snapshots and delta-aware incremental recount

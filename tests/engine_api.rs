@@ -111,27 +111,6 @@ fn treewidth_exceeding_queries_are_rejected_not_panicked_on() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_facade_shims_return_errors_instead_of_panicking() {
-    use subgraph_counting::{count_colorful, estimate_count};
-    let graph = gnp(10, 0.3, 6);
-    let query = catalog::triangle();
-    let short = Coloring::random(4, 3, 0);
-    assert!(matches!(
-        count_colorful(&graph, &short, &query, &CountConfig::default()),
-        Err(SgcError::ColoringSizeMismatch { .. })
-    ));
-    let config = subgraph_counting::EstimateConfig {
-        trials: 0,
-        ..Default::default()
-    };
-    assert!(matches!(
-        estimate_count(&graph, &query, &config),
-        Err(SgcError::ZeroTrials)
-    ));
-}
-
-#[test]
 fn trial_seeds_are_deterministic_regardless_of_parallelism() {
     let graph = gnp(30, 0.25, 7);
     let engine = Engine::new(&graph);

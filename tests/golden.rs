@@ -14,7 +14,7 @@
 //! `cargo test --test golden regenerate_golden_fixtures -- --ignored --nocapture`
 //! and replace the fixture file with the printed table.
 
-use subgraph_counting::core::{Algorithm, Engine, KernelKind};
+use subgraph_counting::core::{Algorithm, Engine};
 use subgraph_counting::gen::{chung_lu, gnm, power_law_degrees, rmat, RmatParams};
 use subgraph_counting::graph::{Coloring, CsrGraph, GraphBuilder};
 use subgraph_counting::query::{catalog, QueryGraph};
@@ -126,9 +126,8 @@ fn recount(spec: &str, query_name: &str, coloring_seed: u64) -> (usize, u64) {
         .run()
         .unwrap()
         .colorful_matches;
-    // Both algorithms, both kernels and the sharded runtime must reproduce
-    // the committed count — one fixture row cross-checks four execution
-    // paths (the unmarked runs use the default columnar kernel).
+    // Both algorithms and the sharded runtime must reproduce the committed
+    // count — one fixture row cross-checks three execution paths.
     let ps = engine
         .count(&query)
         .algorithm(Algorithm::PathSplitting)
@@ -137,17 +136,6 @@ fn recount(spec: &str, query_name: &str, coloring_seed: u64) -> (usize, u64) {
         .unwrap()
         .colorful_matches;
     assert_eq!(ps, db, "PS and DB disagree on {spec} / {query_name}");
-    let scalar = engine
-        .count(&query)
-        .kernel(KernelKind::Scalar)
-        .coloring(&coloring)
-        .run()
-        .unwrap()
-        .colorful_matches;
-    assert_eq!(
-        scalar, db,
-        "scalar and columnar kernels disagree on {spec} / {query_name}"
-    );
     let sharded = engine
         .count(&query)
         .coloring(&coloring)

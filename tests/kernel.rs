@@ -1,17 +1,16 @@
-//! Kernel-equivalence test harness: the columnar u64-bitset kernel must be
-//! bit-identical to the scalar kernel on every execution path.
+//! Kernel suite: the DP kernel's sharded ≡ serial contract, its columnar
+//! storage primitives, and its arena-reuse contract.
 //!
 //! The differential suite runs random graphs from the real generator
 //! families (Erdős–Rényi / Chung-Lu / R-MAT, n ≤ 12) through the full
-//! builtin registry with both algorithms and both kernels, and asserts the
-//! counts match exactly. A second suite pins columnar sharded execution
-//! ({1, 2, 4} shards) to columnar serial execution. Deterministic tests
-//! cover the columnar storage primitives at u64-lane granularity and the
-//! arena-reuse contract (steady-state trials allocate no new table
-//! capacity).
+//! builtin registry and pins sharded execution ({1, 2, 4} shards) to serial
+//! execution (`tests/property.rs` runs the same grid against the
+//! brute-force oracle). Deterministic tests cover the columnar storage
+//! primitives at u64-lane granularity and the arena-reuse contract
+//! (steady-state trials allocate no new table capacity).
 
 use proptest::prelude::*;
-use subgraph_counting::core::{Algorithm, Engine, KernelKind, KernelMetrics};
+use subgraph_counting::core::{Algorithm, Engine};
 use subgraph_counting::engine::columnar::{path_key, ColumnarTable, EndpointGroups};
 use subgraph_counting::engine::Signature;
 use subgraph_counting::gen::{chung_lu, gnm, power_law_degrees, rmat, RmatParams};
@@ -51,49 +50,6 @@ fn registry_queries() -> Vec<(String, QueryGraph)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole differential: on random generated graphs, the scalar
-    /// and columnar kernels produce bit-identical counts for every registry
-    /// query under both algorithms.
-    #[test]
-    fn scalar_and_columnar_kernels_are_bit_identical(
-        family in 0u8..3,
-        n in 6usize..13,
-        graph_seed in 0u64..10_000,
-        coloring_seed in 0u64..1000,
-    ) {
-        let graph = generated_graph(family, n, graph_seed);
-        let engine = Engine::new(&graph);
-        for (name, query) in registry_queries() {
-            let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), coloring_seed);
-            for alg in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-                let scalar = engine
-                    .count(&query)
-                    .algorithm(alg)
-                    .kernel(KernelKind::Scalar)
-                    .coloring(&coloring)
-                    .run()
-                    .unwrap();
-                let columnar = engine
-                    .count(&query)
-                    .algorithm(alg)
-                    .kernel(KernelKind::Columnar)
-                    .coloring(&coloring)
-                    .run()
-                    .unwrap();
-                prop_assert_eq!(
-                    columnar.colorful_matches,
-                    scalar.colorful_matches,
-                    "{} with {} on family {}",
-                    name,
-                    alg,
-                    family
-                );
-                // The scalar kernel never touches an arena.
-                prop_assert_eq!(scalar.metrics.kernel, KernelMetrics::default());
-            }
-        }
-    }
-
     /// Columnar sharded execution at {1, 2, 4} shards is bit-identical to
     /// columnar serial execution for every registry query and algorithm.
     #[test]
@@ -116,7 +72,6 @@ proptest! {
             let serial = engine
                 .count(&query)
                 .algorithm(algorithm)
-                .kernel(KernelKind::Columnar)
                 .coloring(&coloring)
                 .run()
                 .unwrap()
@@ -125,8 +80,7 @@ proptest! {
                 let sharded = engine
                     .count(&query)
                     .algorithm(algorithm)
-                    .kernel(KernelKind::Columnar)
-                    .coloring(&coloring)
+                        .coloring(&coloring)
                     .sharded(shards)
                     .run()
                     .unwrap()
@@ -294,21 +248,4 @@ fn sequential_estimate_trials_reuse_arenas() {
         .estimate()
         .unwrap();
     assert_eq!(est.per_trial.len(), 3);
-}
-
-#[test]
-fn scalar_kernel_reports_zero_kernel_metrics() {
-    let graph = gnm(30, 80, 5);
-    let engine = Engine::new(&graph);
-    let query = subgraph_counting::query::catalog::cycle(4);
-    let coloring = Coloring::random(graph.num_vertices(), 4, 1);
-    let m = engine
-        .count(&query)
-        .kernel(KernelKind::Scalar)
-        .coloring(&coloring)
-        .run()
-        .unwrap()
-        .metrics;
-    assert_eq!(m.kernel, KernelMetrics::default());
-    assert!(m.total_ops > 0);
 }

@@ -10,7 +10,6 @@
 //! ever publish the standard metric names.
 
 use std::sync::Arc;
-use subgraph_counting::core::KernelKind;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::CsrGraph;
 use subgraph_counting::net::{Server, ServerConfig};
@@ -89,37 +88,28 @@ fn parse_exposition(exposition: &str) -> Vec<String> {
     names
 }
 
-/// After a workload touching every layer — solo and sharded engine runs on
-/// both kernels, service jobs over loopback including a cache hit, and the
+/// After a workload touching every layer — solo and sharded engine runs,
+/// service jobs over loopback including a cache hit, and the
 /// wire verbs themselves — the exposition is well formed and its name set
 /// matches the checked-in snapshot exactly. A new metric must be added to
 /// `tests/fixtures/metrics_names.txt` (append-only: renames break scrapers).
 #[test]
 fn exposition_names_match_the_checked_in_snapshot() {
     let graph = obs_graph();
-    // Engine layer: sharded + solo runs on both kernels populate the
-    // engine_*, kernel_*, and shard_* metrics and the DP/exchange spans.
+    // Engine layer: sharded + solo runs populate the engine_*, kernel_*,
+    // and shard_* metrics and the DP/exchange spans.
     {
         let engine = Engine::new(&graph);
         let query = subgraph_counting::query::catalog::triangle();
-        for kernel in [KernelKind::Scalar, KernelKind::Columnar] {
-            engine
-                .count(&query)
-                .kernel(kernel)
-                .trials(2)
-                .seed(1)
-                .estimate()
-                .unwrap();
-            engine
-                .count(&query)
-                .kernel(kernel)
-                .parallel(false)
-                .sharded(2)
-                .trials(2)
-                .seed(1)
-                .estimate()
-                .unwrap();
-        }
+        engine.count(&query).trials(2).seed(1).estimate().unwrap();
+        engine
+            .count(&query)
+            .parallel(false)
+            .sharded(2)
+            .trials(2)
+            .seed(1)
+            .estimate()
+            .unwrap();
     }
     // Service + net layers over loopback: a computed job (with precision,
     // so the estimator chunks), its cache-hit repeat, and the verbs.

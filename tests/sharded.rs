@@ -11,7 +11,7 @@ use subgraph_counting::core::{Algorithm, Engine, SgcError};
 use subgraph_counting::gen::chung_lu;
 use subgraph_counting::gen::power_law_degrees;
 use subgraph_counting::graph::{Coloring, CsrGraph, GraphBuilder};
-use subgraph_counting::query::{catalog, QueryGraph};
+use subgraph_counting::query::{catalog, QueryGraph, Registry};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -359,6 +359,40 @@ fn determinism_matrix_shards_by_batch_vs_solo() {
                 baseline.estimated_matches.to_bits(),
                 "batch at {shards} shards"
             );
+        }
+    }
+}
+
+/// One shard is the serial run: `.sharded(1)` reports the unsharded run's
+/// count *and* its work and table metrics — a one-partial exchange round
+/// creates no table, so it must not be observed as one.
+#[test]
+fn one_shard_reports_the_unsharded_metrics_on_every_registry_query() {
+    let degrees: Vec<f64> = power_law_degrees(60, 1.6).iter().map(|d| d * 2.0).collect();
+    let graph = chung_lu(&degrees, 5);
+    let engine = Engine::new(&graph);
+    for entry in Registry::builtin().entries() {
+        let (name, query) = (entry.name(), entry.query());
+        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 7);
+        for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+            let request = || engine.count(query).algorithm(algorithm).coloring(&coloring);
+            let serial = request().run().unwrap();
+            let one = request().sharded(1).run().unwrap();
+            let what = format!("{name} with {algorithm}");
+            assert_eq!(one.colorful_matches, serial.colorful_matches, "{what}");
+            assert_eq!(one.metrics.total_ops, serial.metrics.total_ops, "{what}");
+            assert_eq!(
+                one.metrics.entries_created, serial.metrics.entries_created,
+                "{what}"
+            );
+            assert_eq!(
+                one.metrics.peak_table_entries, serial.metrics.peak_table_entries,
+                "{what}"
+            );
+            // What still tells the two apart: only the sharded request
+            // reports shard metrics.
+            assert!(serial.metrics.shards.is_none(), "{what}");
+            assert_eq!(one.metrics.shards.unwrap().num_shards(), 1, "{what}");
         }
     }
 }
