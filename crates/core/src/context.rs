@@ -172,6 +172,31 @@ impl<'a> Context<'a> {
         self.start.clone()
     }
 
+    /// Cuts [`start_vertices`](Self::start_vertices) into consecutive tiles
+    /// of at most `max_edges` incident edges each (a vertex whose degree
+    /// alone exceeds the budget is a tile of its own). A path row keeps its
+    /// start vertex for life, so the tiles partition every path table of a
+    /// block and the kernel solves them one at a time.
+    pub(crate) fn start_tiles(
+        &self,
+        max_edges: usize,
+    ) -> impl Iterator<Item = Range<VertexId>> + '_ {
+        let end = self.start.end;
+        let mut next = self.start.start;
+        std::iter::from_fn(move || {
+            let first = next;
+            let mut edges = 0usize;
+            while next < end {
+                edges = edges.saturating_add(self.graph.degree(next));
+                if edges > max_edges && next > first {
+                    break;
+                }
+                next += 1;
+            }
+            (first < next).then_some(first..next)
+        })
+    }
+
     /// The degree-based total order on data vertices.
     #[inline]
     pub fn order(&self) -> &DegreeOrder {
@@ -312,6 +337,24 @@ mod tests {
         let ctx1 = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
         assert_eq!(ctx0.start_vertices(), 0..2);
         assert_eq!(ctx1.start_vertices(), 2..4);
+    }
+
+    #[test]
+    fn start_tiles_partition_the_range_within_budget() {
+        // Degrees 1, 2, 2, 1 on the path 0-1-2-3.
+        let g = tiny();
+        let prep = GraphPrep::new(&g);
+        let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
+        let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+        let tiles = |budget| ctx.start_tiles(budget).collect::<Vec<_>>();
+        assert_eq!(tiles(0), vec![0..1, 1..2, 2..3, 3..4]);
+        assert_eq!(tiles(3), vec![0..2, 2..4]);
+        assert_eq!(tiles(4), vec![0..2, 2..4]);
+        assert_eq!(tiles(5), vec![0..3, 3..4]);
+        assert_eq!(tiles(usize::MAX), vec![0..4]);
+        let plan = crate::runtime::ShardPlan::new(g.num_vertices(), 2).unwrap();
+        let shard = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
+        assert_eq!(shard.start_tiles(2).collect::<Vec<_>>(), vec![2..3, 3..4]);
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //!   intersection / popcount over two `u64` words) rather than per color,
 //! * every scratch table lives in a [`KernelArena`] checked out of the
 //!   engine's [`ArenaPool`]: trial `i + 1` resets row lengths but keeps all
-//!   capacity, so the steady-state trial path allocates nothing.
+//!   capacity, so the steady-state trial path allocates nothing,
+//! * a path row never changes its start vertex, so a block is solved one
+//!   *tile* of start vertices at a time (`solve_block`): the path tables
+//!   hold one tile's rows, whatever the size of the graph, and only the
+//!   block's projection accumulator spans tiles.
 //!
 //! Every examined candidate is attributed to the simulated rank owning the
 //! vertex at which the paper's distributed engine would have performed the
@@ -39,12 +43,12 @@ use crate::paths::{
 };
 use sgc_engine::columnar::{path_key, AddPipeline, KEY_FIELDS};
 use sgc_engine::{
-    BinaryTable, ColumnarTable, Count, EndpointGroups, LoadStats, ProjectionTable, Signature,
-    UnaryTable,
+    BinaryTable, ColumnarTable, Count, EndpointGroups, ProjectionTable, Signature, UnaryTable,
 };
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
 use sgc_query::{Block, BlockKind, DecompositionTree, QueryNode};
 use std::mem;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Arena accounting surfaced through [`crate::RunMetrics`].
@@ -83,11 +87,11 @@ impl KernelMetrics {
 
 /// All scratch storage one block solve needs, reusable across trials.
 ///
-/// The two ping-pong path tables hold the current and next table of a
-/// path-build join chain; `plus` parks the finished clockwise path while the
-/// counter-clockwise one is built; `proj` accumulates the block projection
-/// (across all DB splits); `groups` is the endpoint-grouping scratch of the
-/// path merge.
+/// The two ping-pong path tables hold the current and next table of one
+/// start-vertex tile's path-build join chain; `plus` parks the tile's
+/// finished clockwise path while the counter-clockwise one is built; `proj`
+/// accumulates the block projection (across all tiles and DB splits);
+/// `groups` is the endpoint-grouping scratch of the path merge.
 #[derive(Debug, Default)]
 pub struct KernelArena {
     /// Ping-pong table A of the path build.
@@ -152,8 +156,24 @@ impl ArenaPool {
     }
 }
 
+/// Incident-edge budget of one start-vertex tile (see [`solve_block`]).
+/// Measured on the `perf` harness's skewed (condMat analog) and flat
+/// (roadNetCA analog) graphs: around a thousand incident edges the largest
+/// tile's path tables sit in L2 while the per-tile fixed costs (table resets,
+/// one grouping build per merge) are still amortized over hundreds of rows.
+const TILE_EDGES: usize = 1024;
+
 /// Solves `block` into its projection table over the start vertices of
 /// `ctx`, against the already-grouped child tables in `index`.
+///
+/// A path row never changes its start vertex (key field 0), so every path
+/// table of the block partitions by start. The solve walks the start range
+/// in tiles of at most [`TILE_EDGES`] incident edges and runs the whole
+/// build → merge chain per tile into the shared projection accumulator: the
+/// working set is one tile's tables whatever the size of the graph. Counts,
+/// operation counts and created entries equal the one-tile solve's exactly
+/// (tile table lengths sum to the logical table's); only the peak table size
+/// shrinks.
 pub(crate) fn solve_block(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
@@ -163,19 +183,42 @@ pub(crate) fn solve_block(
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) -> ProjectionTable {
+    solve_block_tiled(
+        ctx, tree, block, index, algorithm, TILE_EDGES, arena, metrics,
+    )
+}
+
+/// [`solve_block`] with the tile budget as a parameter (the tile-invariance
+/// test sweeps it).
+#[allow(clippy::too_many_arguments)]
+fn solve_block_tiled(
+    ctx: &Context<'_>,
+    tree: &DecompositionTree,
+    block: &Block,
+    index: &BlockJoinIndex<'_>,
+    algorithm: Algorithm,
+    tile_edges: usize,
+    arena: &mut KernelArena,
+    metrics: &mut RunMetrics,
+) -> ProjectionTable {
     match &block.kind {
-        BlockKind::LeafEdge { .. } => solve_leaf_edge(ctx, tree, block, index, arena, metrics),
-        BlockKind::Cycle { .. } => solve_cycle(ctx, tree, block, index, algorithm, arena, metrics),
+        BlockKind::LeafEdge { .. } => {
+            solve_leaf_edge(ctx, tree, block, index, tile_edges, arena, metrics)
+        }
+        BlockKind::Cycle { .. } => solve_cycle(
+            ctx, tree, block, index, algorithm, tile_edges, arena, metrics,
+        ),
     }
 }
 
 /// Solves a leaf-edge block `(a, b)` (with `b` the degree-one endpoint): one
-/// edge chain, projected onto the boundary.
+/// edge chain per tile, projected onto the boundary.
 fn solve_leaf_edge(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
     index: &BlockJoinIndex<'_>,
+    tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) -> ProjectionTable {
@@ -183,32 +226,38 @@ fn solve_leaf_edge(
         BlockKind::LeafEdge { boundary, leaf } => (boundary, leaf),
         _ => unreachable!("solve_leaf_edge called on a cycle block"),
     };
-    let builder = PathBuilder::new(ctx, tree, block, index, false);
-    // The "path" here is the single edge a -> b; both endpoint annotations
-    // are folded in (there is no second path to share them with).
-    let KernelArena { path_a, path_b, .. } = arena;
-    let in_a = build_path(&builder, &[0, 1], true, true, path_a, path_b, metrics);
-    let table = if in_a { &*path_a } else { &*path_b };
-    let result = match block.boundary.as_slice() {
-        [] => ProjectionTable::Scalar(table.total()),
+    // The key field holding the boundary node's image, if there is one.
+    let field = match block.boundary.as_slice() {
+        [] => None,
+        [n] if *n == a => Some(0),
         [n] => {
-            let field = if *n == a {
-                Field::Start
-            } else {
-                debug_assert_eq!(*n, b, "boundary node must be a leaf-edge endpoint");
-                Field::End
-            };
-            let mut unary = UnaryTable::new();
-            for (key, sig, count) in table.rows() {
-                let v = match field {
-                    Field::Start => key[0],
-                    Field::End => key[1],
-                };
-                unary.add(v, sig, count);
-            }
-            ProjectionTable::Unary(unary)
+            debug_assert_eq!(*n, b, "boundary node must be a leaf-edge endpoint");
+            Some(1)
         }
         other => unreachable!("leaf-edge block with {} boundary nodes", other.len()),
+    };
+    let builder = PathBuilder::new(ctx, tree, block, index, false);
+    let KernelArena { path_a, path_b, .. } = arena;
+    let mut total: Count = 0;
+    let mut unary = UnaryTable::new();
+    for tile in ctx.start_tiles(tile_edges) {
+        // The "path" here is the single edge a -> b; both endpoint
+        // annotations are folded in (there is no second path to share them
+        // with).
+        let in_a = build_path(&builder, &[0, 1], tile, true, true, path_a, path_b, metrics);
+        let table = if in_a { &*path_a } else { &*path_b };
+        match field {
+            None => total += table.total(),
+            Some(f) => {
+                for (key, sig, count) in table.rows() {
+                    unary.add(key[f], sig, count);
+                }
+            }
+        }
+    }
+    let result = match field {
+        None => ProjectionTable::Scalar(total),
+        Some(_) => ProjectionTable::Unary(unary),
     };
     metrics.observe_table(result.len());
     result
@@ -217,46 +266,37 @@ fn solve_leaf_edge(
 /// Solves a cycle block: one split for PS, one per candidate highest node
 /// for DB, all accumulated into the arena's projection table and exported
 /// once.
+#[allow(clippy::too_many_arguments)]
 fn solve_cycle(
     ctx: &Context<'_>,
     tree: &DecompositionTree,
     block: &Block,
     index: &BlockJoinIndex<'_>,
     algorithm: Algorithm,
+    tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) -> ProjectionTable {
-    let nodes = match &block.kind {
-        BlockKind::Cycle { nodes } => nodes.clone(),
-        _ => unreachable!("solve_cycle called on a leaf-edge block"),
-    };
+    let nodes = block.kind.nodes();
     let l = nodes.len();
-    let KernelArena {
-        path_a,
-        path_b,
-        plus,
-        proj,
-        groups,
-    } = arena;
-    proj.reset();
+    arena.proj.reset();
     match algorithm {
         Algorithm::PathSplitting => {
             let (s, t) = ps_split_positions(block, &nodes);
             solve_cycle_split(
-                ctx, tree, block, index, s, t, false, path_a, path_b, plus, groups, proj, metrics,
+                ctx, tree, block, index, s, t, false, tile_edges, arena, metrics,
             );
         }
         Algorithm::DegreeBased => {
             for h in 0..l {
                 let d = (h + l / 2) % l;
                 solve_cycle_split(
-                    ctx, tree, block, index, h, d, true, path_a, path_b, plus, groups, proj,
-                    metrics,
+                    ctx, tree, block, index, h, d, true, tile_edges, arena, metrics,
                 );
             }
         }
     }
-    export_projection(block, proj, metrics)
+    export_projection(block, &arena.proj, metrics)
 }
 
 /// The PS split positions: at the two boundary nodes when there are two, at
@@ -277,9 +317,9 @@ fn ps_split_positions(block: &Block, nodes: &[QueryNode]) -> (usize, usize) {
 }
 
 /// Solves one split `(s, t)` of a cycle block into the projection
-/// accumulator: builds the clockwise path `P+ = s..t` and the
-/// counter-clockwise path `P- = s..t`, then merges them. With `high_start`
-/// set this computes the DB algorithm's per-`a_h` partial counts
+/// accumulator: per start-vertex tile, builds the clockwise path `P+ = s..t`
+/// and the counter-clockwise path `P- = s..t`, then merges them. With
+/// `high_start` set this computes the DB algorithm's per-`a_h` partial counts
 /// `cnt(·|C, hi = h)`.
 #[allow(clippy::too_many_arguments)]
 fn solve_cycle_split(
@@ -290,11 +330,8 @@ fn solve_cycle_split(
     s: usize,
     t: usize,
     high_start: bool,
-    path_a: &mut ColumnarTable,
-    path_b: &mut ColumnarTable,
-    plus_slot: &mut ColumnarTable,
-    groups: &mut EndpointGroups,
-    proj: &mut ColumnarTable,
+    tile_edges: usize,
+    arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) {
     let l = block.kind.len();
@@ -314,35 +351,56 @@ fn solve_cycle_split(
     }
 
     let builder = PathBuilder::new(ctx, tree, block, index, high_start);
-    // Convention (Section 5.2): P+ folds in the annotation of the end node
-    // a_d / a_t, P- folds in the annotation of the start node a_h / a_s, so
-    // each endpoint annotation is joined exactly once.
-    let in_a = build_path(&builder, &plus, false, true, path_a, path_b, metrics);
-    // Park the finished P+ table so the ping-pong pair is free for P-.
-    mem::swap(if in_a { &mut *path_a } else { &mut *path_b }, plus_slot);
-    let minus_in_a = build_path(&builder, &minus, true, false, path_a, path_b, metrics);
-    let minus_table = if minus_in_a { &*path_a } else { &*path_b };
-
     let nodes = block.kind.nodes();
-    merge_paths(
-        ctx,
-        block,
-        plus_slot,
-        minus_table,
-        groups,
-        nodes[s],
-        nodes[t],
+    let KernelArena {
+        path_a,
+        path_b,
+        plus: plus_slot,
         proj,
-        metrics,
-    );
+        groups,
+    } = arena;
+    for tile in ctx.start_tiles(tile_edges) {
+        // Convention (Section 5.2): P+ folds in the annotation of the end
+        // node a_d / a_t, P- folds in the annotation of the start node
+        // a_h / a_s, so each endpoint annotation is joined exactly once.
+        let in_a = build_path(
+            &builder,
+            &plus,
+            tile.clone(),
+            false,
+            true,
+            path_a,
+            path_b,
+            metrics,
+        );
+        // Park the finished P+ table so the ping-pong pair is free for P-.
+        mem::swap(if in_a { &mut *path_a } else { &mut *path_b }, plus_slot);
+        let minus_in_a = build_path(&builder, &minus, tile, true, false, path_a, path_b, metrics);
+        let minus_table = if minus_in_a { &*path_a } else { &*path_b };
+        merge_paths(
+            ctx,
+            block,
+            plus_slot,
+            minus_table,
+            groups,
+            nodes[s],
+            nodes[t],
+            proj,
+            metrics,
+        );
+    }
+    // The accumulator is one table however many tiles fed it.
+    metrics.observe_table(proj.len());
 }
 
-/// Builds the table for the path visiting `positions`, ping-ponging between
-/// the two arena tables. Returns `true` when the finished table is in
-/// `path_a`, `false` when it is in `path_b`.
+/// Builds the table for the paths visiting `positions` from a start vertex
+/// in `starts`, ping-ponging between the two arena tables. Returns `true`
+/// when the finished table is in `path_a`, `false` when it is in `path_b`.
+#[allow(clippy::too_many_arguments)]
 fn build_path(
     builder: &PathBuilder<'_, '_>,
     positions: &[usize],
+    starts: Range<VertexId>,
     include_start_annotation: bool,
     include_end_annotation: bool,
     path_a: &mut ColumnarTable,
@@ -361,6 +419,7 @@ fn build_path(
         builder.edge_index_between(positions[0], positions[1]),
         first,
         second,
+        starts,
         src,
         metrics,
     );
@@ -392,18 +451,19 @@ fn build_path(
     in_a
 }
 
-/// Seeds the initial table for the first edge of a path.
+/// Seeds the initial table for the first edge of the paths starting in
+/// `starts` (one tile of the context's start range).
 fn initial_join(
     builder: &PathBuilder<'_, '_>,
     edge_index: usize,
     from_node: QueryNode,
     to_node: QueryNode,
+    starts: Range<VertexId>,
     out: &mut ColumnarTable,
     metrics: &mut RunMetrics,
 ) {
     let ctx = builder.ctx;
     out.reset();
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
     // Both tracked-extra slots are fixed for the whole join; resolve them
     // once instead of per emitted row.
     let from_slot = builder.slot_of(from_node);
@@ -412,9 +472,9 @@ fn initial_join(
     match builder.edge_realization(edge_index, from_node, to_node) {
         EdgeRealization::Graph => {
             // Every path entry keeps its start vertex for its whole life, so
-            // restricting the seeds to the context's (shard's) vertex range
-            // partitions the block's entire table by start ownership.
-            for u in ctx.start_vertices() {
+            // restricting the seeds to a vertex range (a tile of a shard's
+            // range) partitions the block's entire table by start.
+            for u in starts {
                 let cu = ctx.color(u);
                 // In DB mode only the neighbors strictly below the start
                 // vertex in the degree order can appear on a high-starting
@@ -424,7 +484,7 @@ fn initial_join(
                 } else {
                     ctx.graph.neighbors(u)
                 };
-                load.record_vertex(&ctx.partition, u, neighbors.len() as u64);
+                metrics.record_ops(&ctx.partition, u, neighbors.len() as u64);
                 for &w in neighbors {
                     let cw = ctx.color(w);
                     if cu == cw {
@@ -447,7 +507,7 @@ fn initial_join(
                  pipe: &mut AddPipeline,
                  u: VertexId,
                  list: &[(VertexId, Signature, Count)]| {
-                    load.record_vertex(&ctx.partition, u, list.len() as u64);
+                    metrics.record_ops(&ctx.partition, u, list.len() as u64);
                     for &(w, sig, count) in list {
                         if builder.high_start && !ctx.order().higher(u, w) {
                             continue;
@@ -463,21 +523,20 @@ fn initial_join(
                     }
                 };
             // The group key is the path's start vertex; seeding only from
-            // keys in the context's range partitions the table by start
-            // ownership, exactly like the range restriction above. Probe
-            // the range or scan the (shared, per-block) map, whichever is
-            // smaller: S shards then cost O(n) probes in total instead of S
-            // scans of every group, and a full-range context just scans.
-            let range = ctx.start_vertices();
-            if range.len() < grouped.len() {
-                for u in range {
+            // keys in the range partitions the table by start, exactly like
+            // the range restriction above. Probe the range or scan the
+            // (shared, per-block) map, whichever is smaller: the tiles of
+            // all shards then cost O(n) probes in total instead of one scan
+            // of every group per tile.
+            if starts.len() < grouped.len() {
+                for u in starts {
                     if let Some(list) = grouped.get(&u) {
                         seed_group(out, &mut pipe, u, list);
                     }
                 }
             } else {
                 for (&u, list) in grouped {
-                    if range.contains(&u) {
+                    if starts.contains(&u) {
                         seed_group(out, &mut pipe, u, list);
                     }
                 }
@@ -485,7 +544,6 @@ fn initial_join(
         }
     }
     pipe.flush(out);
-    metrics.absorb_load(&load);
     metrics.observe_table(out.len());
 }
 
@@ -501,7 +559,6 @@ fn node_join(
 ) {
     let ctx = builder.ctx;
     dst.reset();
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
     let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
         let x = match field {
@@ -509,7 +566,7 @@ fn node_join(
             Field::End => key[1],
         };
         let Some(list) = child.get(&x) else { continue };
-        load.record_vertex(&ctx.partition, x, list.len() as u64);
+        metrics.record_ops(&ctx.partition, x, list.len() as u64);
         let shared = ctx.color_sig(x);
         for &(sig2, count2) in list {
             if sig.intersection(sig2) != shared {
@@ -519,7 +576,6 @@ fn node_join(
         }
     }
     pipe.flush(dst);
-    metrics.absorb_load(&load);
     metrics.observe_table(dst.len());
 }
 
@@ -537,7 +593,6 @@ fn edge_join(
     let ctx = builder.ctx;
     dst.reset();
     let realization = builder.edge_realization(edge_index, from_node, to_node);
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
     // The newly mapped node's extra slot is fixed for the whole join.
     let to_slot = builder.slot_of(to_node);
     let mut pipe = AddPipeline::new();
@@ -551,7 +606,7 @@ fn edge_join(
                 } else {
                     ctx.graph.neighbors(v)
                 };
-                load.record_vertex(&ctx.partition, v, neighbors.len() as u64);
+                metrics.record_ops(&ctx.partition, v, neighbors.len() as u64);
                 for &w in neighbors {
                     let cw = ctx.color(w);
                     if sig.contains(cw) {
@@ -569,7 +624,7 @@ fn edge_join(
                 let Some(list) = grouped.get(&v) else {
                     continue;
                 };
-                load.record_vertex(&ctx.partition, v, list.len() as u64);
+                metrics.record_ops(&ctx.partition, v, list.len() as u64);
                 for &(w, sig2, count2) in list {
                     if builder.high_start && !ctx.order().higher(key[0], w) {
                         continue;
@@ -588,7 +643,6 @@ fn edge_join(
         }
     }
     pipe.flush(dst);
-    metrics.absorb_load(&load);
     metrics.observe_table(dst.len());
 }
 
@@ -625,7 +679,6 @@ fn merge_paths(
     let boundary = block.boundary.as_slice();
     let start_slot = boundary.iter().position(|&b| b == start_node);
     let end_slot = boundary.iter().position(|&b| b == end_node);
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
     match boundary.len() {
         // A boundary-free root cycle only ever needs the grand total:
         // accumulate it in a register (extras are never set in a
@@ -663,7 +716,7 @@ fn merge_paths(
                     }
                     total += ocount * g.count;
                 }
-                load.record_vertex(&ctx.partition, v, span.len() as u64);
+                metrics.record_ops(&ctx.partition, v, span.len() as u64);
             }
             proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total);
         }
@@ -716,13 +769,11 @@ fn merge_paths(
                         proj.add([extras[0], extras[1], NO_VERTEX, NO_VERTEX], sig, count);
                     }
                 }
-                load.record_vertex(&ctx.partition, v, span.len() as u64);
+                metrics.record_ops(&ctx.partition, v, span.len() as u64);
             }
         }
         _ => unreachable!(),
     }
-    metrics.absorb_load(&load);
-    metrics.observe_table(proj.len());
 }
 
 /// Exports the accumulated projection as the block's [`ProjectionTable`]
@@ -811,6 +862,72 @@ mod tests {
     fn triangle_without_colors_counts_zero() {
         for (algorithm, total, _) in triangle_totals(vec![0, 0, 1]) {
             assert_eq!(total, 0, "{algorithm}");
+        }
+    }
+
+    /// Solves every block of `tree` bottom-up, as the executor's one-shard
+    /// walk does, with `tile_edges` as the tile budget.
+    fn solve_tree(
+        ctx: &Context<'_>,
+        tree: &DecompositionTree,
+        algorithm: Algorithm,
+        tile_edges: usize,
+    ) -> (Count, RunMetrics) {
+        let mut arena = KernelArena::new();
+        let mut metrics = RunMetrics::new(ctx.partition.num_ranks());
+        let mut tables: Vec<Option<ProjectionTable>> = vec![None; tree.blocks.len()];
+        for block in &tree.blocks {
+            let index = BlockJoinIndex::build(block, &tables);
+            let table = solve_block_tiled(
+                ctx,
+                tree,
+                block,
+                &index,
+                algorithm,
+                tile_edges,
+                &mut arena,
+                &mut metrics,
+            );
+            tables[block.id] = Some(table);
+        }
+        let root = tree.root.expect("registry queries have at least one edge");
+        (tables[root].as_ref().unwrap().total(), metrics)
+    }
+
+    /// Tiling is invisible in everything but the peak: one start per tile,
+    /// the shipped budget and a single tile report the same count, the same
+    /// operations per simulated rank and the same created entries on every
+    /// registry query, on a skewed graph that needs several shipped tiles.
+    #[test]
+    fn tile_budget_changes_nothing_but_the_peak() {
+        let degrees: Vec<f64> = sgc_gen::power_law_degrees(600, 1.6)
+            .iter()
+            .map(|d| d * 2.0)
+            .collect();
+        let g = sgc_gen::chung_lu(&degrees, 5);
+        let prep = GraphPrep::new(&g);
+        let one_tile = usize::MAX;
+        for entry in sgc_query::Registry::builtin().entries() {
+            let query = entry.query();
+            let tree = sgc_query::heuristic_plan(query).unwrap();
+            let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
+            let ctx = Context::new(&g, &prep, &coloring, 8).unwrap();
+            assert!(ctx.start_tiles(TILE_EDGES).count() > 1, "graph too small");
+            for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                let (count, whole) = solve_tree(&ctx, &tree, algorithm, one_tile);
+                for budget in [0, TILE_EDGES] {
+                    let what = format!("{} with {algorithm}, budget {budget}", entry.name());
+                    let (tiled_count, tiled) = solve_tree(&ctx, &tree, algorithm, budget);
+                    assert_eq!(tiled_count, count, "{what}");
+                    assert_eq!(tiled.total_ops, whole.total_ops, "{what}");
+                    assert_eq!(tiled.load.per_rank(), whole.load.per_rank(), "{what}");
+                    assert_eq!(tiled.entries_created, whole.entries_created, "{what}");
+                    assert!(
+                        tiled.peak_table_entries <= whole.peak_table_entries,
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 

@@ -13,6 +13,7 @@
 
 use crate::kernel::KernelMetrics;
 use sgc_engine::LoadStats;
+use sgc_graph::{BlockPartition, VertexId};
 use std::time::Duration;
 
 /// Metrics accumulated over a single colorful-counting run.
@@ -25,9 +26,12 @@ pub struct RunMetrics {
     /// convenience).
     pub total_ops: u64,
     /// Largest number of entries held by any single working table during the
-    /// run — a proxy for peak memory.
+    /// run — a proxy for peak memory. Path tables are built one start-vertex
+    /// tile at a time, so for them this is the largest *tile's* table, not
+    /// the whole logical table; projection tables count in full.
     pub peak_table_entries: usize,
-    /// Total table entries produced across all joins. Shard-dependent in
+    /// Total table entries produced across all joins (a path table's tiles
+    /// sum to the whole logical table). Shard-dependent in
     /// sharded runs: per-shard partial tables and the exchanged block
     /// tables each count as produced entries (the same projection key may
     /// appear in several shards' partials), mirroring the entry duplication
@@ -134,10 +138,12 @@ impl RunMetrics {
         self.kernel.absorb(&shard.kernel);
     }
 
-    /// Merges a partial load vector produced by one join into the totals.
-    pub fn absorb_load(&mut self, partial: &LoadStats) {
-        self.load.merge(partial);
-        self.total_ops = self.load.total();
+    /// Records `ops` projection operations attributed to the simulated
+    /// owner of `vertex`.
+    #[inline]
+    pub(crate) fn record_ops(&mut self, partition: &BlockPartition, vertex: VertexId, ops: u64) {
+        self.load.record_vertex(partition, vertex, ops);
+        self.total_ops += ops;
     }
 
     /// Records the size of a freshly produced table.
@@ -184,12 +190,14 @@ mod tests {
     #[test]
     fn absorb_and_observe() {
         let mut m = RunMetrics::new(4);
-        let mut l = LoadStats::new(4);
-        l.record(1, 10);
-        l.record(2, 4);
-        m.absorb_load(&l);
-        m.absorb_load(&l);
+        // Four ranks over eight vertices: vertex 2 is rank 1's, 5 rank 2's.
+        let partition = BlockPartition::new(8, 4);
+        for _ in 0..2 {
+            m.record_ops(&partition, 2, 10);
+            m.record_ops(&partition, 5, 4);
+        }
         assert_eq!(m.total_ops, 28);
+        assert_eq!(m.load.per_rank(), &[0, 20, 8, 0]);
         assert_eq!(m.max_load(), 20);
         assert!((m.avg_load() - 7.0).abs() < 1e-12);
 
@@ -213,15 +221,12 @@ mod tests {
     #[test]
     fn absorb_shard_merges_loads_and_maxes_peaks() {
         let mut total = RunMetrics::new(2);
+        let partition = BlockPartition::new(2, 2);
         let mut a = RunMetrics::new(2);
-        let mut la = LoadStats::new(2);
-        la.record(0, 5);
-        a.absorb_load(&la);
+        a.record_ops(&partition, 0, 5);
         a.observe_table(10);
         let mut b = RunMetrics::new(2);
-        let mut lb = LoadStats::new(2);
-        lb.record(1, 7);
-        b.absorb_load(&lb);
+        b.record_ops(&partition, 1, 7);
         b.observe_table(4);
         total.absorb_shard(&a);
         total.absorb_shard(&b);

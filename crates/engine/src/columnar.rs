@@ -10,15 +10,26 @@
 //! workload never touches. Rows are append-only (counts accumulate in
 //! place), so iteration is a linear scan over dense memory and
 //! [`reset`](ColumnarTable::reset) retains every allocation for the next
-//! trial: the arena-reuse story of `sgc-core::kernel` is built entirely on
-//! these two properties.
+//! tile and trial: the arena-reuse story of `sgc-core::kernel` is built
+//! entirely on these two properties.
+//!
+//! Both indexes ([`ColumnarTable`]'s rows, [`EndpointGroups`]' groups) take
+//! a key's home slot from the low bits of a rotate-xor-multiply hash whose
+//! high half has been folded into its low half. The fold is what makes them
+//! hash tables for the DP's keys: a multiply carries bits upwards only, so
+//! the low bits of the raw product never see the end vertex of a packed
+//! `start | end << 32` word, and the thousands of rows that share a hub
+//! start vertex would chain on a handful of slots. A unit test pins the
+//! mean probe distance on exactly that key shape.
 //!
 //! Three layout details keep the hot loops memory-friendly:
 //!
-//! * every slot word carries a 16-bit *fingerprint* of the row's hash next
-//!   to the row id, so a probe rejects non-matching slots without loading
-//!   any row data — only a fingerprint match (rare for foreign keys) pays
-//!   the full key + signature compare;
+//! * every slot word carries a 16-bit *fingerprint* (the top bits of the
+//!   row's hash, disjoint from its slot bits) next to the 32-bit row id, so
+//!   a probe rejects non-matching slots without loading any row data — only
+//!   a fingerprint match (rare for foreign keys) pays the full key +
+//!   signature compare; the id width caps an index at 2^32 slots, which the
+//!   growth paths assert;
 //! * slot words are also tagged with a 16-bit *epoch*; `reset` just bumps
 //!   the epoch, turning every stale slot invalid at once instead of
 //!   memsetting a high-water slot table on every join;
@@ -43,6 +54,7 @@
 use crate::signature::Signature;
 use crate::table::Count;
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
+use std::ops::Range;
 
 /// Number of `u32` key fields per row.
 pub const KEY_FIELDS: usize = 4;
@@ -81,13 +93,46 @@ const fn unpack_key(packed: u128) -> RowKey {
 /// The high key half when both extra fields are unused (`NO_VERTEX` twice).
 const NO_EXTRAS: u64 = u64::MAX;
 
+/// Folds the high half of a multiplicative hash into its low half. A
+/// multiply only carries bits upwards, so the low bits of `x * SEED` never
+/// see the high bits of `x` — for a packed `start | end << 32` word, the end
+/// vertex. Slots are taken from the low bits, so without the fold every row
+/// of one start vertex would share a handful of slots.
+#[inline]
+const fn fold(hash: u64) -> u64 {
+    hash ^ (hash >> 32)
+}
+
+/// The slot-word tag of `hash` under `epoch`: `epoch << 48 | fingerprint <<
+/// 32`, row/group id bits zero. The fingerprint is the hash's top 16 bits,
+/// which [`fold`] leaves disjoint from the slot bits of any table below 2^16
+/// slots (and mostly disjoint up to 2^32).
+#[inline]
+const fn slot_tag(epoch: u16, hash: u64) -> u64 {
+    ((epoch as u64) << 48) | ((hash >> 48) << 32)
+}
+
+/// Largest slot table whose row (or group) ids still fit the 32 id bits of a
+/// slot word: a table grows before it is 2/3 full, so its ids stay below its
+/// slot count.
+const MAX_SLOTS: u64 = 1 << 32;
+
+/// Panics if a slot table of `slots` entries could hand out an id that does
+/// not fit a slot word (ids past 2^32 would alias earlier rows).
+fn assert_ids_fit(slots: usize) {
+    assert!(
+        slots as u64 <= MAX_SLOTS,
+        "columnar table index is limited to 2^32 slots, asked for {slots}"
+    );
+}
+
 /// FxHash-style mix of a packed row key and its signature words (the same
-/// rotate-xor-multiply scheme as [`crate::hash::FxHasher`]). Words that
-/// almost every row leaves at their idle value — extras-free key halves and
-/// empty high signature lanes — are skipped: the hash stays a pure function
-/// of the row's content (full key equality still guards every probe match),
-/// and the multiply chain on the probe's critical path halves for the
-/// common extras-free, `k <= 64` row.
+/// rotate-xor-multiply scheme as [`crate::hash::FxHasher`]), finished with
+/// [`fold`]. Words that almost every row leaves at their idle value —
+/// extras-free key halves and empty high signature lanes — are skipped: the
+/// hash stays a pure function of the row's content (full key equality still
+/// guards every probe match), and the multiply chain on the probe's critical
+/// path halves for the common extras-free, `k <= 64` row.
 #[inline]
 fn hash_row(packed: u128, sig_lo: u64, sig_hi: u64) -> u64 {
     let mut state = 0u64;
@@ -101,7 +146,7 @@ fn hash_row(packed: u128, sig_lo: u64, sig_hi: u64) -> u64 {
     if sig_hi != 0 {
         mix(sig_hi);
     }
-    state
+    fold(state)
 }
 
 /// One dense row record: the packed key, the low signature lane and the
@@ -186,13 +231,6 @@ impl ColumnarTable {
         }
     }
 
-    /// The epoch+fingerprint tag of `hash` under the current epoch (row id
-    /// bits zero).
-    #[inline]
-    fn tag(&self, hash: u64) -> u64 {
-        ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32)
-    }
-
     /// Adds `count` to the row for `(key, sig)`, appending a row if absent.
     /// Zero counts are ignored (matching the projection tables' `add`).
     #[inline]
@@ -246,7 +284,7 @@ impl ColumnarTable {
     pub fn prefetch_candidate_row(&self, p: &PreparedAdd) {
         #[cfg(target_arch = "x86_64")]
         if !self.slots.is_empty() {
-            let tag = self.tag(p.hash);
+            let tag = slot_tag(self.epoch, p.hash);
             let mask = self.slots.len() - 1;
             let mut slot = (p.hash as usize) & mask;
             for _ in 0..4 {
@@ -291,7 +329,7 @@ impl ColumnarTable {
         if self.rows.len() * 3 >= self.slots.len() * 2 {
             self.grow();
         }
-        let tag = self.tag(hash);
+        let tag = slot_tag(self.epoch, hash);
         let mask = self.slots.len() - 1;
         let mut slot = (hash as usize) & mask;
         loop {
@@ -338,7 +376,7 @@ impl ColumnarTable {
         let packed = pack_key(key);
         let [sig_lo, sig_hi] = sig.words();
         let hash = hash_row(packed, sig_lo, sig_hi);
-        let tag = self.tag(hash);
+        let tag = slot_tag(self.epoch, hash);
         let mask = self.slots.len() - 1;
         let mut slot = (hash as usize) & mask;
         loop {
@@ -431,13 +469,14 @@ impl ColumnarTable {
     #[cold]
     fn grow(&mut self) {
         let new_len = (self.slots.len() * 2).max(MIN_SLOTS);
+        assert_ids_fit(new_len);
         self.slots.clear();
         self.slots.resize(new_len, 0);
         self.epoch = 1;
         let mask = new_len - 1;
         for r in 0..self.rows.len() {
             let hash = hash_row(self.rows[r].key, self.rows[r].sig_lo, self.hi(r));
-            let tag = self.tag(hash);
+            let tag = slot_tag(self.epoch, hash);
             let mut slot = (hash as usize) & mask;
             while (self.slots[slot] >> 48) as u16 == self.epoch {
                 slot = (slot + 1) & mask;
@@ -652,7 +691,7 @@ struct SlotSpan {
 /// Hash of a packed endpoint pair (same mix family as `hash_row`).
 #[inline]
 fn hash_pair(packed: u64) -> u64 {
-    (packed.rotate_left(5) ^ packed).wrapping_mul(SEED)
+    fold((packed.rotate_left(5) ^ packed).wrapping_mul(SEED))
 }
 
 impl EndpointGroups {
@@ -663,6 +702,12 @@ impl EndpointGroups {
 
     /// Rebuilds the grouping over `table`'s rows, reusing all buffers.
     pub fn build(&mut self, table: &ColumnarTable) {
+        // Span bounds and row ids are `u32`.
+        assert!(
+            table.len() as u64 <= u32::MAX as u64,
+            "endpoint grouping is limited to 2^32 - 1 rows, got {}",
+            table.len()
+        );
         self.group_keys.clear();
         self.group_of.clear();
         self.group_of.resize(table.len(), EMPTY);
@@ -696,7 +741,7 @@ impl EndpointGroups {
             // the packed key column.
             let packed = table.rows[r].key as u64;
             let hash = hash_pair(packed);
-            let tag = ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32);
+            let tag = slot_tag(self.epoch, hash);
             let mut slot = (hash as usize) & mask;
             let group = loop {
                 let entry = self.slots[slot];
@@ -789,6 +834,7 @@ impl EndpointGroups {
     #[cold]
     fn grow_slots(&mut self) {
         let new_len = (self.slots.len() * 2).max(MIN_SLOTS);
+        assert_ids_fit(new_len);
         self.slots.clear();
         self.slots.resize(new_len, 0);
         self.slot_spans.clear();
@@ -797,7 +843,7 @@ impl EndpointGroups {
         let mask = new_len - 1;
         for (g, &packed) in self.group_keys.iter().enumerate() {
             let hash = hash_pair(packed);
-            let tag = ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32);
+            let tag = slot_tag(self.epoch, hash);
             let mut slot = (hash as usize) & mask;
             while (self.slots[slot] >> 48) as u16 == self.epoch {
                 slot = (slot + 1) & mask;
@@ -808,84 +854,46 @@ impl EndpointGroups {
         }
     }
 
-    /// The span of rows whose `(f0, f1)` equals `(start, end)`, as the pair
-    /// of parallel lanes the merge scans: the dense low-signature words and
-    /// the full permuted payloads (both empty if the pair never occurs).
-    pub fn spans_for(&self, start: VertexId, end: VertexId) -> (&[u64], &[GroupedRow]) {
+    /// Probes for the group of `(start, end)`: its span in the permuted row
+    /// lanes, empty if the pair never occurs.
+    #[inline]
+    fn span_of(&self, start: VertexId, end: VertexId) -> Range<usize> {
         if self.slots.is_empty() {
-            return (&[], &[]);
+            return 0..0;
         }
         let packed = (start as u64) | ((end as u64) << 32);
         let hash = hash_pair(packed);
-        let tag = ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32);
+        let tag = slot_tag(self.epoch, hash);
         let mask = self.slots.len() - 1;
         let mut slot = (hash as usize) & mask;
         loop {
             let entry = self.slots[slot];
             if (entry >> 48) as u16 != self.epoch {
-                return (&[], &[]);
+                return 0..0;
             }
             if entry >> 32 == tag >> 32 {
                 let p = &self.slot_spans[slot];
                 if p.key == packed {
-                    let span = p.start as usize..p.end as usize;
-                    return (&self.grouped_sigs[span.clone()], &self.grouped[span]);
+                    return p.start as usize..p.end as usize;
                 }
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// The permuted payloads of the rows whose `(f0, f1)` equals
-    /// `(start, end)`, as one dense span (empty if the pair never occurs).
-    pub fn grouped_rows_for(&self, start: VertexId, end: VertexId) -> &[GroupedRow] {
-        if self.slots.is_empty() {
-            return &[];
-        }
-        let packed = (start as u64) | ((end as u64) << 32);
-        let hash = hash_pair(packed);
-        let tag = ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32);
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.slots[slot];
-            if (entry >> 48) as u16 != self.epoch {
-                return &[];
-            }
-            if entry >> 32 == tag >> 32 {
-                let p = &self.slot_spans[slot];
-                if p.key == packed {
-                    return &self.grouped[p.start as usize..p.end as usize];
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+    /// The span of rows whose `(f0, f1)` equals `(start, end)`, as the pair
+    /// of parallel lanes the merge scans: the dense low-signature words and
+    /// the full permuted payloads (both empty if the pair never occurs).
+    #[inline]
+    pub fn spans_for(&self, start: VertexId, end: VertexId) -> (&[u64], &[GroupedRow]) {
+        let span = self.span_of(start, end);
+        (&self.grouped_sigs[span.clone()], &self.grouped[span])
     }
 
     /// The row ids whose `(f0, f1)` equals `(start, end)`, as one dense
     /// span (empty if the pair never occurs).
     pub fn rows_for(&self, start: VertexId, end: VertexId) -> &[u32] {
-        if self.slots.is_empty() {
-            return &[];
-        }
-        let packed = (start as u64) | ((end as u64) << 32);
-        let hash = hash_pair(packed);
-        let tag = ((self.epoch as u64) << 48) | (((hash >> 32) & 0xFFFF) << 32);
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.slots[slot];
-            if (entry >> 48) as u16 != self.epoch {
-                return &[];
-            }
-            if entry >> 32 == tag >> 32 {
-                let p = &self.slot_spans[slot];
-                if p.key == packed {
-                    return &self.rows[p.start as usize..p.end as usize];
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        &self.rows[self.span_of(start, end)]
     }
 
     /// Total allocated bytes across all scratch buffers.
@@ -1010,6 +1018,73 @@ mod tests {
                 i as u64 + 1
             );
         }
+    }
+
+    /// Mean distance of a live row's slot from the home slot of its hash.
+    fn mean_row_probe_distance(t: &ColumnarTable) -> f64 {
+        let mask = t.slots.len() - 1;
+        let total: usize = (0..t.slots.len())
+            .filter(|&slot| (t.slots[slot] >> 48) as u16 == t.epoch)
+            .map(|slot| {
+                let r = t.slots[slot] as u32 as usize;
+                let home = hash_row(t.rows[r].key, t.rows[r].sig_lo, t.hi(r)) as usize & mask;
+                slot.wrapping_sub(home) & mask
+            })
+            .sum();
+        total as f64 / t.len() as f64
+    }
+
+    /// Mean distance of a group's slot from the home slot of its key's hash.
+    fn mean_group_probe_distance(g: &EndpointGroups) -> f64 {
+        let mask = g.slots.len() - 1;
+        let total: usize = (g.group_keys.iter().zip(&g.group_slot))
+            .map(|(&key, &slot)| (slot as usize).wrapping_sub(hash_pair(key) as usize) & mask)
+            .sum();
+        total as f64 / g.group_keys.len() as f64
+    }
+
+    /// The DP's own key shape — one hub start vertex, thousands of ends, a
+    /// few signatures each — must spread over the slot table: uniform
+    /// hashing at these load factors (1/2 for rows, 1/4..1/2 for groups)
+    /// displaces a key by about half a slot on average. A multiplicative
+    /// hash that takes its slot from the unfolded low bits never sees the end
+    /// vertex there and chains all of them: mean distance in the thousands.
+    #[test]
+    fn one_start_many_ends_probe_in_constant_distance() {
+        for extras in [false, true] {
+            let mut t = ColumnarTable::new();
+            for end in 0..4096u32 {
+                for color in 0..8u8 {
+                    let mut key = path_key(77, 1000 + end);
+                    if extras {
+                        key[2] = 1000 + end;
+                    }
+                    t.add(key, Signature::pair(9, color), 1);
+                }
+            }
+            assert_eq!(t.len(), 4096 * 8);
+            let rows = mean_row_probe_distance(&t);
+            assert!(rows < 2.0, "extras {extras}: mean row probe {rows}");
+            let mut groups = EndpointGroups::new();
+            groups.build(&t);
+            assert_eq!(groups.group_keys.len(), 4096);
+            let pairs = mean_group_probe_distance(&groups);
+            assert!(pairs < 2.0, "extras {extras}: mean group probe {pairs}");
+        }
+    }
+
+    /// Slot words hold 32 id bits. A table of 2^32 slots grows at 2/3 load,
+    /// so its largest row id is the last one that fits; one more doubling
+    /// must panic instead of aliasing rows.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ids_fit_exactly_up_to_the_largest_slot_table() {
+        let max_rows_before_growth = |slots: u64| (slots * 2).div_ceil(3);
+        assert!(max_rows_before_growth(MAX_SLOTS) - 1 <= u32::MAX as u64);
+        assert!(max_rows_before_growth(MAX_SLOTS * 2) - 1 > u32::MAX as u64);
+        assert_ids_fit(MAX_SLOTS as usize);
+        let past = std::panic::catch_unwind(|| assert_ids_fit(MAX_SLOTS as usize * 2));
+        assert!(past.is_err(), "2^33 slots must be refused");
     }
 
     #[test]

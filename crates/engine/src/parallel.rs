@@ -1,21 +1,17 @@
-//! Rayon helpers for the sharded joins and the scaling experiments.
+//! Rayon helpers for the sharded runtime and the scaling experiments.
 //!
-//! The paper's joins run across MPI ranks; here the same joins run as
-//! data-parallel rayon jobs over chunks of table entries. The helpers in this
-//! module keep the algorithm code free of thread-pool plumbing:
+//! The paper's joins run across MPI ranks; here shards, trials and exchange
+//! merges run as rayon jobs. The helpers in this module keep the algorithm
+//! code free of thread-pool plumbing:
 //!
 //! * [`run_with_threads`] executes a closure inside a dedicated rayon pool of
 //!   a given size — used by the strong/weak scaling experiments (Figures 12
 //!   and 13) to sweep the degree of parallelism,
-//! * [`parallel_chunks`] splits a slice of work items into one chunk per
-//!   available thread (at a minimum granularity) and maps each chunk,
-//!   returning the per-chunk results for the caller to merge.
+//! * [`parallel_indexed`] maps an expensive function over `0..count` with
+//!   per-item granularity (shard solves, trials),
+//! * [`pairwise_reduce`] combines partial results in a balanced tree.
 
 use rayon::prelude::*;
-
-/// Minimum number of items per chunk before a join bothers going parallel;
-/// below this the sequential path is faster than the fork/join overhead.
-pub const MIN_PARALLEL_ITEMS: usize = 2_048;
 
 /// Runs `f` on a dedicated rayon thread pool with `num_threads` threads.
 ///
@@ -28,26 +24,6 @@ pub fn run_with_threads<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Sen
         .build()
         .expect("failed to build rayon thread pool");
     pool.install(f)
-}
-
-/// Maps `f` over chunks of `items` in parallel and returns the per-chunk
-/// results. Falls back to a single chunk when the input is small.
-pub fn parallel_chunks<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&[T]) -> R + Sync + Send,
-) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let chunk_size = items
-        .len()
-        .div_ceil(threads)
-        .max(MIN_PARALLEL_ITEMS.min(items.len()));
-    if items.len() <= MIN_PARALLEL_ITEMS || threads == 1 {
-        return vec![f(items)];
-    }
-    items.par_chunks(chunk_size).map(f).collect()
 }
 
 /// Reduces `items` to a single value by rounds of pairwise parallel merges
@@ -79,11 +55,10 @@ pub fn pairwise_reduce<T: Send>(mut items: Vec<T>, op: impl Fn(T, T) -> T + Sync
 /// Maps `f` over `0..count` in parallel with *per-item* granularity,
 /// returning the results in index order.
 ///
-/// Unlike [`parallel_chunks`], which only goes parallel past
-/// [`MIN_PARALLEL_ITEMS`] because its work items are cheap table entries,
-/// this helper assumes each item is expensive (an entire counting trial) and
-/// parallelises even tiny counts. Results are deterministic: item `i`'s
-/// output depends only on `i`, never on the thread layout.
+/// Each item is assumed expensive (an entire counting trial, one shard's
+/// block solve), so even tiny counts go parallel. Results are
+/// deterministic: item `i`'s output depends only on `i`, never on the thread
+/// layout.
 pub fn parallel_indexed<R: Send>(count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if count == 0 {
         return Vec::new();
@@ -113,28 +88,6 @@ mod tests {
         assert_eq!(observed, 3);
         let observed = run_with_threads(1, rayon::current_num_threads);
         assert_eq!(observed, 1);
-    }
-
-    #[test]
-    fn parallel_chunks_covers_all_items() {
-        let items: Vec<u64> = (0..100_000).collect();
-        let partials = parallel_chunks(&items, |chunk| chunk.iter().sum::<u64>());
-        let total: u64 = partials.iter().sum();
-        assert_eq!(total, items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn small_inputs_use_a_single_chunk() {
-        let items: Vec<u32> = (0..10).collect();
-        let partials = parallel_chunks(&items, |chunk| chunk.len());
-        assert_eq!(partials, vec![10]);
-    }
-
-    #[test]
-    fn empty_input_returns_no_chunks() {
-        let items: Vec<u32> = Vec::new();
-        let partials = parallel_chunks(&items, |chunk| chunk.len());
-        assert!(partials.is_empty());
     }
 
     #[test]

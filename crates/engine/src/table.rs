@@ -153,30 +153,6 @@ impl BinaryTable {
         self.map.values().sum()
     }
 
-    /// The transposed table: `cnt'(v, u, α) = cnt(u, v, α)`. The paper notes
-    /// the two orientations of a block's projection table are transposes of
-    /// one another and keeps both; we transpose on demand instead.
-    pub fn transpose(&self) -> BinaryTable {
-        let mut out = BinaryTable::new();
-        for (key, &count) in &self.map {
-            out.add(key.v, key.u, key.sig, count);
-        }
-        out
-    }
-
-    /// Groups entries by the first vertex `u`, yielding `(v, sig, count)`
-    /// lists — the access pattern of an EdgeJoin against this table.
-    pub fn group_by_first(&self) -> FastMap<VertexId, Vec<(VertexId, Signature, Count)>> {
-        let mut grouped: FastMap<VertexId, Vec<(VertexId, Signature, Count)>> = FastMap::default();
-        for (key, &count) in &self.map {
-            grouped
-                .entry(key.u)
-                .or_default()
-                .push((key.v, key.sig, count));
-        }
-        grouped
-    }
-
     /// Merges another binary table into this one.
     pub fn merge(&mut self, other: &BinaryTable) {
         for (key, &count) in &other.map {
@@ -257,29 +233,6 @@ mod tests {
         assert_eq!(t.get(3, Signature::singleton(2)), 0);
         assert_eq!(t.len(), 2);
         assert_eq!(t.total(), 8);
-    }
-
-    #[test]
-    fn binary_table_transpose() {
-        let mut t = BinaryTable::new();
-        t.add(1, 2, Signature::pair(0, 1), 5);
-        t.add(2, 1, Signature::pair(0, 1), 3);
-        let tt = t.transpose();
-        assert_eq!(tt.get(2, 1, Signature::pair(0, 1)), 5);
-        assert_eq!(tt.get(1, 2, Signature::pair(0, 1)), 3);
-        assert_eq!(tt.total(), t.total());
-    }
-
-    #[test]
-    fn binary_group_by_first() {
-        let mut t = BinaryTable::new();
-        t.add(1, 2, Signature::pair(0, 1), 5);
-        t.add(1, 3, Signature::pair(0, 2), 4);
-        t.add(2, 3, Signature::pair(1, 2), 1);
-        let grouped = t.group_by_first();
-        assert_eq!(grouped[&1].len(), 2);
-        assert_eq!(grouped[&2].len(), 1);
-        assert!(!grouped.contains_key(&3));
     }
 
     #[test]

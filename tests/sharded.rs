@@ -368,8 +368,14 @@ fn determinism_matrix_shards_by_batch_vs_solo() {
 /// creates no table, so it must not be observed as one.
 #[test]
 fn one_shard_reports_the_unsharded_metrics_on_every_registry_query() {
-    let degrees: Vec<f64> = power_law_degrees(60, 1.6).iter().map(|d| d * 2.0).collect();
+    let degrees: Vec<f64> = power_law_degrees(600, 1.6)
+        .iter()
+        .map(|d| d * 2.0)
+        .collect();
     let graph = chung_lu(&degrees, 5);
+    // The kernel solves a shard's start range in tiles of about a thousand
+    // incident edges; the check must cover a range of several tiles.
+    assert!(2 * graph.num_edges() > 2048, "{} edges", graph.num_edges());
     let engine = Engine::new(&graph);
     for entry in Registry::builtin().entries() {
         let (name, query) = (entry.name(), entry.query());
