@@ -96,6 +96,10 @@ pub struct Context<'a> {
     /// shard's owned vertex block (the executor sums the shards' partial
     /// tables back together in its exchange step), or every vertex.
     start: Range<VertexId>,
+    /// The run's shard layout (one owner for an unsharded context): a
+    /// block's projection rows are exported grouped by the owner of their
+    /// first boundary image under it.
+    pub(crate) owners: BlockPartition,
 }
 
 impl<'a> Context<'a> {
@@ -141,6 +145,7 @@ impl<'a> Context<'a> {
             partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
             start: 0..graph.num_vertices() as VertexId,
+            owners: BlockPartition::new(graph.num_vertices(), 1),
         })
     }
 
@@ -161,6 +166,7 @@ impl<'a> Context<'a> {
             partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
             start: shard.range(),
+            owners: shard.partition,
         }
     }
 

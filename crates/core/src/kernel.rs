@@ -21,8 +21,10 @@
 //! * color sets are processed word-at-a-time (`Signature` union /
 //!   intersection / popcount over two `u64` words) rather than per color,
 //! * every scratch table lives in a [`KernelArena`] checked out of the
-//!   engine's [`ArenaPool`]: trial `i + 1` resets row lengths but keeps all
-//!   capacity, so the steady-state trial path allocates nothing,
+//!   engine's [`ArenaPool`], and the row buffers of a finished run's
+//!   partials and block tables retire into the arenas that built them: trial
+//!   `i + 1` resets row lengths but keeps all capacity, so the steady-state
+//!   trial path allocates no table memory,
 //! * a path row never changes its start vertex, so a block is solved one
 //!   *tile* of start vertices at a time (`solve_block`): the path tables
 //!   hold one tile's rows, whatever the size of the graph, and only the
@@ -38,15 +40,11 @@
 use crate::config::Algorithm;
 use crate::context::Context;
 use crate::metrics::RunMetrics;
-use crate::paths::{
-    combine_extras, BlockJoinIndex, EdgeRealization, Field, GroupedUnary, PathBuilder,
-};
+use crate::paths::{combine_extras, BlockJoinIndex, EdgeRealization, Field, PathBuilder};
 use sgc_engine::columnar::{path_key, AddPipeline, KEY_FIELDS};
-use sgc_engine::{
-    BinaryTable, ColumnarTable, Count, EndpointGroups, ProjectionTable, Signature, UnaryTable,
-};
+use sgc_engine::{BlockTable, ColumnarTable, Count, EndpointGroups, RowGroups, Signature};
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
-use sgc_query::{Block, BlockKind, DecompositionTree, QueryNode};
+use sgc_query::{Block, BlockId, BlockKind, DecompositionTree, QueryNode};
 use std::mem;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -100,10 +98,17 @@ pub struct KernelArena {
     path_b: ColumnarTable,
     /// Parking slot for the finished `P+` table during the `P-` build.
     plus: ColumnarTable,
-    /// The block projection accumulator (summed over DB splits).
-    proj: ColumnarTable,
+    /// The block projection accumulator (summed over DB splits); between
+    /// two solves, the table the exchange sums one owner's rows in.
+    pub(crate) proj: ColumnarTable,
     /// Endpoint-grouping scratch for the path merge.
     groups: EndpointGroups,
+    /// Row buffers of finished runs, refilled by the same role of the next:
+    /// the lane's partial ([`PARTIAL_ROWS`], dead once its round is over),
+    /// its owner slice of every block's table ([`slice_rows`], alive to the
+    /// end of the run) and, in a job's first lane, the transposed tables of
+    /// the job's blocks ([`transposed_rows`], alive for the parent's step).
+    retired: Vec<RowGroups>,
 }
 
 impl KernelArena {
@@ -119,7 +124,41 @@ impl KernelArena {
             + self.plus.capacity_bytes()
             + self.proj.capacity_bytes()
             + self.groups.capacity_bytes()
+            + (self.retired.iter()).map(RowGroups::bytes).sum::<usize>()
     }
+
+    /// The row buffers retired into `slot` (empty ones if none were).
+    pub(crate) fn take_rows(&mut self, slot: usize) -> RowGroups {
+        self.retired
+            .get_mut(slot)
+            .map(mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Keeps the buffers of `rows` for the next [`take_rows`](Self::take_rows)
+    /// of `slot` — unless the slot holds larger ones nobody took this run (a
+    /// scalar table's one row must not evict another plan's column).
+    pub(crate) fn retire_rows(&mut self, slot: usize, rows: RowGroups) {
+        if self.retired.len() <= slot {
+            self.retired.resize_with(slot + 1, RowGroups::default);
+        }
+        if rows.bytes() > self.retired[slot].bytes() {
+            self.retired[slot] = rows;
+        }
+    }
+}
+
+/// [`KernelArena::take_rows`] slot of a lane's partial.
+pub(crate) const PARTIAL_ROWS: usize = 0;
+
+/// [`KernelArena::take_rows`] slot of a lane's owner slice of `block`'s table.
+pub(crate) fn slice_rows(block: BlockId) -> usize {
+    1 + 2 * block
+}
+
+/// [`KernelArena::take_rows`] slot of `block`'s table transposed.
+pub(crate) fn transposed_rows(block: BlockId) -> usize {
+    2 + 2 * block
 }
 
 /// A free-list of [`KernelArena`]s owned by the engine.
@@ -163,8 +202,9 @@ impl ArenaPool {
 /// one grouping build per merge) are still amortized over hundreds of rows.
 const TILE_EDGES: usize = 1024;
 
-/// Solves `block` into its projection table over the start vertices of
-/// `ctx`, against the already-grouped child tables in `index`.
+/// Solves `block` over the start vertices of `ctx`, against the child tables
+/// in `index`, into the context's partial of its projection table: the rows
+/// grouped by owner, ready for the exchange.
 ///
 /// A path row never changes its start vertex (key field 0), so every path
 /// table of the block partitions by start. The solve walks the start range
@@ -182,7 +222,7 @@ pub(crate) fn solve_block(
     algorithm: Algorithm,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
-) -> ProjectionTable {
+) -> RowGroups {
     solve_block_tiled(
         ctx, tree, block, index, algorithm, TILE_EDGES, arena, metrics,
     )
@@ -200,7 +240,7 @@ fn solve_block_tiled(
     tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
-) -> ProjectionTable {
+) -> RowGroups {
     match &block.kind {
         BlockKind::LeafEdge { .. } => {
             solve_leaf_edge(ctx, tree, block, index, tile_edges, arena, metrics)
@@ -221,7 +261,7 @@ fn solve_leaf_edge(
     tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
-) -> ProjectionTable {
+) -> RowGroups {
     let (a, b) = match block.kind {
         BlockKind::LeafEdge { boundary, leaf } => (boundary, leaf),
         _ => unreachable!("solve_leaf_edge called on a cycle block"),
@@ -237,9 +277,14 @@ fn solve_leaf_edge(
         other => unreachable!("leaf-edge block with {} boundary nodes", other.len()),
     };
     let builder = PathBuilder::new(ctx, tree, block, index, false);
-    let KernelArena { path_a, path_b, .. } = arena;
-    let mut total: Count = 0;
-    let mut unary = UnaryTable::new();
+    let partial = arena.take_rows(PARTIAL_ROWS);
+    let KernelArena {
+        path_a,
+        path_b,
+        proj,
+        ..
+    } = arena;
+    proj.reset();
     for tile in ctx.start_tiles(tile_edges) {
         // The "path" here is the single edge a -> b; both endpoint
         // annotations are folded in (there is no second path to share them
@@ -247,20 +292,17 @@ fn solve_leaf_edge(
         let in_a = build_path(&builder, &[0, 1], tile, true, true, path_a, path_b, metrics);
         let table = if in_a { &*path_a } else { &*path_b };
         match field {
-            None => total += table.total(),
+            None => proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), table.total()),
             Some(f) => {
+                let mut pipe = AddPipeline::new();
                 for (key, sig, count) in table.rows() {
-                    unary.add(key[f], sig, count);
+                    pipe.push(proj, [key[f], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
                 }
+                pipe.flush(proj);
             }
         }
     }
-    let result = match field {
-        None => ProjectionTable::Scalar(total),
-        Some(_) => ProjectionTable::Unary(unary),
-    };
-    metrics.observe_table(result.len());
-    result
+    export_projection(ctx, block, proj, partial, metrics)
 }
 
 /// Solves a cycle block: one split for PS, one per candidate highest node
@@ -276,7 +318,7 @@ fn solve_cycle(
     tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
-) -> ProjectionTable {
+) -> RowGroups {
     let nodes = block.kind.nodes();
     let l = nodes.len();
     arena.proj.reset();
@@ -296,7 +338,8 @@ fn solve_cycle(
             }
         }
     }
-    export_projection(block, &arena.proj, metrics)
+    let partial = arena.take_rows(PARTIAL_ROWS);
+    export_projection(ctx, block, &arena.proj, partial, metrics)
 }
 
 /// The PS split positions: at the two boundary nodes when there are two, at
@@ -358,6 +401,7 @@ fn solve_cycle_split(
         plus: plus_slot,
         proj,
         groups,
+        ..
     } = arena;
     for tile in ctx.start_tiles(tile_edges) {
         // Convention (Section 5.2): P+ folds in the annotation of the end
@@ -374,7 +418,8 @@ fn solve_cycle_split(
             metrics,
         );
         // Park the finished P+ table so the ping-pong pair is free for P-.
-        mem::swap(if in_a { &mut *path_a } else { &mut *path_b }, plus_slot);
+        let parked = if in_a { &mut *path_a } else { &mut *path_b };
+        mem::swap(parked, plus_slot);
         let minus_in_a = build_path(&builder, &minus, tile, true, false, path_a, path_b, metrics);
         let minus_table = if minus_in_a { &*path_a } else { &*path_b };
         merge_paths(
@@ -388,6 +433,10 @@ fn solve_cycle_split(
             proj,
             metrics,
         );
+        // Undo the parking: every tile, and every later trial on this arena,
+        // then finds each buffer in the role that sized it.
+        let parked = if in_a { &mut *path_a } else { &mut *path_b };
+        mem::swap(parked, plus_slot);
     }
     // The accumulator is one table however many tiles fed it.
     metrics.observe_table(proj.len());
@@ -468,6 +517,16 @@ fn initial_join(
     // once instead of per emitted row.
     let from_slot = builder.slot_of(from_node);
     let to_slot = builder.slot_of(to_node);
+    let seed_key = |u: VertexId, w: VertexId| {
+        let mut key = path_key(u, w);
+        if let Some(slot) = from_slot {
+            key[2 + slot] = u;
+        }
+        if let Some(slot) = to_slot {
+            key[2 + slot] = w;
+        }
+        key
+    };
     let mut pipe = AddPipeline::new();
     match builder.edge_realization(edge_index, from_node, to_node) {
         EdgeRealization::Graph => {
@@ -490,55 +549,23 @@ fn initial_join(
                     if cu == cw {
                         continue;
                     }
-                    let mut key = path_key(u, w);
-                    if let Some(slot) = from_slot {
-                        key[2 + slot] = u;
-                    }
-                    if let Some(slot) = to_slot {
-                        key[2 + slot] = w;
-                    }
-                    pipe.push(out, key, Signature::pair(cu, cw), 1);
+                    pipe.push(out, seed_key(u, w), Signature::pair(cu, cw), 1);
                 }
             }
         }
-        EdgeRealization::Child(grouped) => {
-            let mut seed_group =
-                |out: &mut ColumnarTable,
-                 pipe: &mut AddPipeline,
-                 u: VertexId,
-                 list: &[(VertexId, Signature, Count)]| {
-                    metrics.record_ops(&ctx.partition, u, list.len() as u64);
-                    for &(w, sig, count) in list {
-                        if builder.high_start && !ctx.order().higher(u, w) {
-                            continue;
-                        }
-                        let mut key = path_key(u, w);
-                        if let Some(slot) = from_slot {
-                            key[2 + slot] = u;
-                        }
-                        if let Some(slot) = to_slot {
-                            key[2 + slot] = w;
-                        }
-                        pipe.push(out, key, sig, count);
+        EdgeRealization::Child(child) => {
+            // A child row's `u` is the path's start vertex; seeding only
+            // from the range's vertices partitions the table by start,
+            // exactly like the range restriction above.
+            for u in starts {
+                let list = child.get(u);
+                metrics.record_ops(&ctx.partition, u, list.len() as u64);
+                for row in list {
+                    let w = row.v;
+                    if builder.high_start && !ctx.order().higher(u, w) {
+                        continue;
                     }
-                };
-            // The group key is the path's start vertex; seeding only from
-            // keys in the range partitions the table by start, exactly like
-            // the range restriction above. Probe the range or scan the
-            // (shared, per-block) map, whichever is smaller: the tiles of
-            // all shards then cost O(n) probes in total instead of one scan
-            // of every group per tile.
-            if starts.len() < grouped.len() {
-                for u in starts {
-                    if let Some(list) = grouped.get(&u) {
-                        seed_group(out, &mut pipe, u, list);
-                    }
-                }
-            } else {
-                for (&u, list) in grouped {
-                    if starts.contains(&u) {
-                        seed_group(out, &mut pipe, u, list);
-                    }
+                    pipe.push(out, seed_key(u, w), row.sig, row.count);
                 }
             }
         }
@@ -554,7 +581,7 @@ fn node_join(
     src: &ColumnarTable,
     dst: &mut ColumnarTable,
     field: Field,
-    child: &GroupedUnary,
+    child: &BlockTable,
     metrics: &mut RunMetrics,
 ) {
     let ctx = builder.ctx;
@@ -565,14 +592,14 @@ fn node_join(
             Field::Start => key[0],
             Field::End => key[1],
         };
-        let Some(list) = child.get(&x) else { continue };
+        let list = child.get(x);
         metrics.record_ops(&ctx.partition, x, list.len() as u64);
         let shared = ctx.color_sig(x);
-        for &(sig2, count2) in list {
-            if sig.intersection(sig2) != shared {
+        for row in list {
+            if sig.intersection(row.sig) != shared {
                 continue;
             }
-            pipe.push(dst, key, sig.union(sig2), count * count2);
+            pipe.push(dst, key, sig.union(row.sig), count * row.count);
         }
     }
     pipe.flush(dst);
@@ -620,16 +647,15 @@ fn edge_join(
                     pipe.push(dst, new_key, sig.with(cw), count);
                 }
             }
-            EdgeRealization::Child(grouped) => {
-                let Some(list) = grouped.get(&v) else {
-                    continue;
-                };
+            EdgeRealization::Child(child) => {
+                let list = child.get(v);
                 metrics.record_ops(&ctx.partition, v, list.len() as u64);
-                for &(w, sig2, count2) in list {
+                for row in list {
+                    let w = row.v;
                     if builder.high_start && !ctx.order().higher(key[0], w) {
                         continue;
                     }
-                    if sig.intersection(sig2) != shared {
+                    if sig.intersection(row.sig) != shared {
                         continue;
                     }
                     let mut new_key = key;
@@ -637,7 +663,7 @@ fn edge_join(
                     if let Some(slot) = to_slot {
                         new_key[2 + slot] = w;
                     }
-                    pipe.push(dst, new_key, sig.union(sig2), count * count2);
+                    pipe.push(dst, new_key, sig.union(row.sig), count * row.count);
                 }
             }
         }
@@ -776,39 +802,33 @@ fn merge_paths(
     }
 }
 
-/// Exports the accumulated projection as the block's [`ProjectionTable`]
-/// (the interchange format the tree walk and the exchange step consume).
+/// Exports the accumulated projection as the context's partial: the
+/// (already distinct) rows counting-sorted by the owner of their first
+/// boundary image — the export is the bucketing the exchange reads — in the
+/// buffers of `retired`.
 fn export_projection(
+    ctx: &Context<'_>,
     block: &Block,
     proj: &ColumnarTable,
+    retired: RowGroups,
     metrics: &mut RunMetrics,
-) -> ProjectionTable {
-    let result = match block.boundary.len() {
-        0 => ProjectionTable::Scalar(proj.total()),
-        1 => {
-            let mut unary = UnaryTable::new();
-            for (key, sig, count) in proj.rows() {
-                unary.add(key[0], sig, count);
-            }
-            ProjectionTable::Unary(unary)
-        }
-        2 => {
-            let mut binary = BinaryTable::new();
-            for (key, sig, count) in proj.rows() {
-                binary.add(key[0], key[1], sig, count);
-            }
-            ProjectionTable::Binary(binary)
-        }
-        _ => unreachable!("cycle blocks have at most two boundary nodes"),
+) -> RowGroups {
+    let partial = if block.boundary.is_empty() {
+        retired.scalar(proj.total(), &ctx.owners)
+    } else {
+        retired.by_owner(proj.projection_rows(), &ctx.owners)
     };
-    metrics.observe_table(result.len());
-    result
+    metrics.observe_table(partial.len());
+    partial
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::GraphPrep;
+    use crate::metrics::ShardMetrics;
+    use crate::runtime::exchange::tests::combine;
+    use crate::runtime::ShardPlan;
     use sgc_graph::{Coloring, CsrGraph, GraphBuilder};
     use sgc_query::{decompose, QueryGraph};
 
@@ -829,8 +849,9 @@ mod tests {
             .map(|algorithm| {
                 let (mut arena, _) = pool.checkout();
                 let mut metrics = RunMetrics::new(4);
-                let index = BlockJoinIndex::build(&tree.blocks[0], &[None]);
-                let table = solve_block(
+                let index =
+                    BlockJoinIndex::build(&tree.blocks[0], &[None], |_| RowGroups::default());
+                let partial = solve_block(
                     &ctx,
                     &tree,
                     &tree.blocks[0],
@@ -840,7 +861,7 @@ mod tests {
                     &mut metrics,
                 );
                 pool.give_back(arena);
-                (algorithm, table.total(), metrics)
+                (algorithm, partial.total(), metrics)
             })
             .collect()
     }
@@ -875,10 +896,11 @@ mod tests {
     ) -> (Count, RunMetrics) {
         let mut arena = KernelArena::new();
         let mut metrics = RunMetrics::new(ctx.partition.num_ranks());
-        let mut tables: Vec<Option<ProjectionTable>> = vec![None; tree.blocks.len()];
+        let plan = ShardPlan::new(ctx.graph.num_vertices(), 1).unwrap();
+        let mut tables: Vec<Option<BlockTable>> = vec![None; tree.blocks.len()];
         for block in &tree.blocks {
-            let index = BlockJoinIndex::build(block, &tables);
-            let table = solve_block_tiled(
+            let index = BlockJoinIndex::build(block, &tables, |_| RowGroups::default());
+            let partial = solve_block_tiled(
                 ctx,
                 tree,
                 block,
@@ -888,6 +910,7 @@ mod tests {
                 &mut arena,
                 &mut metrics,
             );
+            let table = combine(vec![partial], &plan, &mut ShardMetrics::new(1));
             tables[block.id] = Some(table);
         }
         let root = tree.root.expect("registry queries have at least one edge");

@@ -1,4 +1,4 @@
-//! The join-side view of a block: child-table indexes and edge realizations.
+//! The join-side view of a block: child tables and edge realizations.
 //!
 //! Both the PS and the DB algorithm reduce a cycle block to two path
 //! segments, build a table for each by a sequence of joins, and merge the two
@@ -6,8 +6,10 @@
 //! **EdgeJoin** and **NodeJoin** — live in [`crate::kernel`]; this module
 //! holds what they consult:
 //!
-//! * [`BlockJoinIndex`] — the block's child projection tables, pre-grouped by
-//!   join key once per block and shared by every split and every shard,
+//! * [`BlockJoinIndex`] — the block's child projection tables, as the
+//!   exchange left them (vertex-grouped owner slices, probed by offset) plus
+//!   the one regrouping a join can still need: a binary child traversed from
+//!   its second boundary node,
 //! * [`PathBuilder`] — the per-split view: which extra slot tracks which
 //!   boundary node, whether the DB algorithm's *high-starting* constraint
 //!   applies (the image of the path's start node must be strictly higher, in
@@ -16,12 +18,12 @@
 //!   projection table of the child block annotating it.
 
 use crate::context::Context;
-use sgc_engine::hash::FastMap;
-use sgc_engine::{Count, ProjectionTable, Signature};
+use sgc_engine::{BlockTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_graph::VertexId;
-use sgc_query::{Block, DecompositionTree, QueryNode};
-use std::sync::OnceLock;
+use sgc_query::{Block, BlockId, DecompositionTree, QueryNode};
+use std::mem;
+use std::sync::{Mutex, OnceLock};
 
 /// Which key field currently holds the image of a query node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,106 +34,88 @@ pub enum Field {
     End,
 }
 
-/// A child binary table grouped by the image of a traversal's source node:
-/// source image → `(target image, signature, count)` entries.
-pub(crate) type GroupedBinary = FastMap<VertexId, Vec<(VertexId, Signature, Count)>>;
-
-/// A child unary table grouped by vertex: vertex → `(signature, count)`
-/// entries.
-pub(crate) type GroupedUnary = FastMap<VertexId, Vec<(Signature, Count)>>;
-
 /// How the edge between two consecutive cycle nodes is realized.
 pub(crate) enum EdgeRealization<'b> {
     /// An original query edge, realized by the data graph.
     Graph,
-    /// An annotated edge, realized by the child block's binary table grouped
-    /// by the image of the step's source node (borrowed from the block's
-    /// [`BlockJoinIndex`]).
-    Child(&'b GroupedBinary),
+    /// An annotated edge, realized by the child block's binary table keyed
+    /// so that a row's `u` is the image of the step's source node and its
+    /// `v` the image of the target.
+    Child(&'b BlockTable),
 }
 
-/// Pre-grouped join-side indexes of a block's child tables.
+/// The child tables of one block, as its joins probe them.
 ///
-/// Grouping a child's projection table by its join key is independent of
-/// the split being solved and of the shard doing the solving: every
-/// [`PathBuilder`] of a block consults the same maps. Building the index
-/// once per block — instead of once per split (DB mode solves one split per
-/// candidate highest node) and once per shard (the sharded runtime fans a
-/// block out over workers) — keeps that `O(child table)` pass off the
-/// repeated path.
-///
-/// Edge orientations are grouped lazily on first use: the PS algorithm
-/// traverses each cycle edge in exactly one direction (one split), so
-/// eagerly building both orientations would double its grouping work and
-/// memory; the DB algorithm touches both directions across its splits and
-/// pays each grouping exactly once. The lazy cells are thread-safe
-/// ([`OnceLock`]), so concurrent shards share one initialization.
+/// The exchange leaves every block's table grouped by the image of its first
+/// boundary node: the join key of every NodeJoin and of an annotated edge
+/// traversed from the child's first boundary node. An edge traversed from
+/// the second one needs the table keyed the other way round. That
+/// transposition depends on neither split nor shard, so it is built once per
+/// block, on first use (PS traverses each cycle edge one way only and often
+/// never asks), in a thread-safe cell the concurrent shard solves share.
 pub struct BlockJoinIndex<'t> {
     /// The block whose child tables are indexed.
     block: &'t Block,
-    /// Tables of already-solved blocks, indexed by block id (the lazy
-    /// grouping closures read the annotating children from here).
-    child_tables: &'t [Option<ProjectionTable>],
-    /// `(edge_index, from_is_first)` → the child binary table grouped by
-    /// the image of the traversal's source node, listing
-    /// `(target image, signature, count)`; grouped on first use.
-    edge_groups: FastMap<(usize, bool), OnceLock<GroupedBinary>>,
-    /// Annotated node → the child unary table grouped by vertex.
-    node_groups: FastMap<QueryNode, GroupedUnary>,
+    /// Tables of already-solved blocks, indexed by block id.
+    child_tables: &'t [Option<BlockTable>],
+    /// Per entry of `block.edge_annotations`: the child's table transposed,
+    /// and the retired row buffers its build takes.
+    transposed: Vec<(Mutex<RowGroups>, OnceLock<BlockTable>)>,
 }
 
 impl<'t> BlockJoinIndex<'t> {
     /// Prepares the index for `block`. `child_tables` must already hold the
-    /// tables of all of `block`'s children. Node groupings are built here
-    /// (every split consults them); edge orientations are grouped on first
-    /// use.
-    pub fn build(block: &'t Block, child_tables: &'t [Option<ProjectionTable>]) -> Self {
-        let mut edge_groups: FastMap<(usize, bool), OnceLock<GroupedBinary>> = FastMap::default();
-        for &(edge_index, _) in &block.edge_annotations {
-            edge_groups.insert((edge_index, true), OnceLock::new());
-            edge_groups.insert((edge_index, false), OnceLock::new());
-        }
-        let mut node_groups: FastMap<QueryNode, GroupedUnary> = FastMap::default();
-        for &(node, child) in &block.node_annotations {
-            let unary = child_tables[child]
-                .as_ref()
-                .expect("child table must be solved before its parent")
-                .as_unary()
-                .expect("node annotations correspond to unary child tables");
-            node_groups.insert(node, unary.group_by_vertex());
-        }
+    /// tables of all of `block`'s children; `retired(child)` is the row
+    /// buffers to build the transposed table of `child` in, should a join
+    /// ask for it.
+    pub fn build(
+        block: &'t Block,
+        child_tables: &'t [Option<BlockTable>],
+        mut retired: impl FnMut(BlockId) -> RowGroups,
+    ) -> Self {
         BlockJoinIndex {
             block,
             child_tables,
-            edge_groups,
-            node_groups,
+            transposed: (block.edge_annotations.iter())
+                .map(|&(_, child)| (Mutex::new(retired(child)), OnceLock::new()))
+                .collect(),
         }
     }
 
-    /// The child table of annotated edge `edge_index`, grouped by the image
-    /// of the traversal's source node (`from_is_first`: whether the source
-    /// is the child's first boundary node). Grouped once, on first request.
-    fn edge_group(&self, edge_index: usize, from_is_first: bool) -> &GroupedBinary {
-        self.edge_groups[&(edge_index, from_is_first)].get_or_init(|| {
-            let child = self
-                .block
-                .edge_annotation(edge_index)
-                .expect("edge group cells exist only for annotated edges");
-            let binary = self.child_tables[child]
-                .as_ref()
-                .expect("child table must be solved before its parent")
-                .as_binary()
-                .expect("edge annotations correspond to binary child tables");
-            let mut grouped = GroupedBinary::default();
-            for (key, &count) in binary.iter() {
-                let (u, v) = if from_is_first {
-                    (key.u, key.v)
-                } else {
-                    (key.v, key.u)
+    /// Per annotated edge, the child and the row buffers to retire for it:
+    /// those of its transposed table, or the ones no join asked to fill.
+    pub fn into_retired(self) -> impl Iterator<Item = (BlockId, RowGroups)> + 't {
+        let children = self.block.edge_annotations.iter().map(|&(_, child)| child);
+        children
+            .zip(self.transposed)
+            .map(|(child, (retired, built))| {
+                let rows = match built.into_inner() {
+                    Some(mut table) => table.take_slice(0),
+                    None => retired.into_inner().unwrap_or_default(),
                 };
-                grouped.entry(u).or_default().push((v, key.sig, count));
-            }
-            grouped
+                (child, rows)
+            })
+    }
+
+    /// The solved table of child block `child`.
+    fn child_table(&self, child: BlockId) -> &'t BlockTable {
+        self.child_tables[child]
+            .as_ref()
+            .expect("child table must be solved before its parent")
+    }
+
+    /// The child table of the block's `slot`-th annotated edge, keyed by the
+    /// image of the traversal's source node (`from_is_first`: whether the
+    /// source is the child's first boundary node).
+    fn edge_table(&self, slot: usize, from_is_first: bool) -> &BlockTable {
+        let table = self.child_table(self.block.edge_annotations[slot].1);
+        if from_is_first {
+            return table;
+        }
+        let (retired, built) = &self.transposed[slot];
+        built.get_or_init(|| {
+            let retired = retired.lock().map(|mut rows| mem::take(&mut *rows));
+            table.transposed(retired.unwrap_or_default())
         })
     }
 }
@@ -145,7 +129,7 @@ pub struct PathBuilder<'a, 'b> {
     pub tree: &'b DecompositionTree,
     /// The block being solved.
     pub block: &'b Block,
-    /// Pre-grouped join-side indexes of the block's child tables.
+    /// The block's child tables.
     pub index: &'b BlockJoinIndex<'b>,
     /// Boundary node tracked in each extra slot (`None` when unused).
     pub slot_nodes: [Option<QueryNode>; 2],
@@ -182,40 +166,39 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
         self.slot_nodes.iter().position(|&s| s == Some(node))
     }
 
-    /// The unary table of the child block annotating `node`, if any,
-    /// pre-grouped by vertex in the block index.
-    pub(crate) fn node_child(&self, node: QueryNode) -> Option<&'b GroupedUnary> {
-        self.index.node_groups.get(&node)
+    /// The unary table of the child block annotating `node`, if any.
+    pub(crate) fn node_child(&self, node: QueryNode) -> Option<&'b BlockTable> {
+        let child = self.block.node_annotation(node)?;
+        Some(self.index.child_table(child))
     }
 
     /// The realization of the block edge `edge_index` traversed from
     /// `from_node` to `to_node`: the data graph for an original query edge,
-    /// the pre-grouped child table (oriented so the group key is the image
-    /// of `from_node`) for an annotated edge.
+    /// the child table (keyed by the image of `from_node`) for an annotated
+    /// edge.
     pub(crate) fn edge_realization(
         &self,
         edge_index: usize,
         from_node: QueryNode,
         to_node: QueryNode,
     ) -> EdgeRealization<'b> {
-        match self.block.edge_annotation(edge_index) {
-            None => EdgeRealization::Graph,
-            Some(child) => {
-                let child_block = &self.tree.blocks[child];
-                debug_assert_eq!(child_block.boundary.len(), 2);
-                let from_is_first = child_block.boundary[0] == from_node;
-                debug_assert_eq!(
-                    if from_is_first {
-                        (from_node, to_node)
-                    } else {
-                        (to_node, from_node)
-                    },
-                    (child_block.boundary[0], child_block.boundary[1]),
-                    "child boundary must match the traversed edge"
-                );
-                EdgeRealization::Child(self.index.edge_group(edge_index, from_is_first))
-            }
-        }
+        let annotations = &self.block.edge_annotations;
+        let Some(slot) = annotations.iter().position(|&(e, _)| e == edge_index) else {
+            return EdgeRealization::Graph;
+        };
+        let child_block = &self.tree.blocks[annotations[slot].1];
+        debug_assert_eq!(child_block.boundary.len(), 2);
+        let from_is_first = child_block.boundary[0] == from_node;
+        debug_assert_eq!(
+            if from_is_first {
+                (from_node, to_node)
+            } else {
+                (to_node, from_node)
+            },
+            (child_block.boundary[0], child_block.boundary[1]),
+            "child boundary must match the traversed edge"
+        );
+        EdgeRealization::Child(self.index.edge_table(slot, from_is_first))
     }
 
     /// Block nodes in cyclic order (for a leaf edge, the two endpoints).

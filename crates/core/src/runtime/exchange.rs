@@ -3,137 +3,201 @@
 //! After every shard has solved a block over its own vertex slice, the
 //! per-shard partial projection tables must be summed into the block's full
 //! table before any parent block can consume it. In the paper this is the
-//! batched alltoall of partial sums (the PS trick of Section 7: accumulate
-//! locally, exchange once per block instead of once per entry); on shared
-//! memory it is a table merge — but it is kept as an explicit, metered step
-//! so the runtime has the same structure, and the same observable exchange
-//! volume, as the distributed original.
+//! batched alltoall of partial sums (Section 7): every rank sends each entry
+//! to the rank that *owns* its boundary vertex, once per block, and each rank
+//! sums and later probes only its own slice. Here a shard's partial arrives
+//! grouped by owner (the kernel's export is the bucketing) and the round fans
+//! out over `blocks × owners`: every owner sums the group each shard
+//! addressed to it and counting-sorts the result by vertex over its own
+//! range. The block's table is the list of those owner slices — the exchange
+//! is the regroup the parent's joins need, an unsharded run is its one-owner
+//! case, and it stays an explicit, metered step with the same observable
+//! exchange volume as the distributed original.
 //!
-//! Exactness: projection tables map keys to `u64` counts and the per-shard
-//! partials are disjoint-by-construction only in *origin*, not in key — the
-//! same `(boundary image, signature)` key can receive contributions from
-//! many shards. Summing them in any order or grouping yields identical
-//! counts because `u64` addition is associative and commutative, which is
-//! what makes the sharded ≡ serial bit-identity contract hold.
+//! Exactness: the per-shard partials are disjoint-by-construction only in
+//! *origin*, not in key — the same `(boundary images, signature)` key can
+//! receive contributions from many shards. Summing them in any order or
+//! grouping yields identical counts because `u64` addition is associative
+//! and commutative, which is what makes the sharded ≡ serial bit-identity
+//! contract hold.
 
 use crate::metrics::ShardMetrics;
-use sgc_engine::parallel::pairwise_reduce;
-use sgc_engine::ProjectionTable;
+use crate::runtime::shard::ShardPlan;
+use sgc_engine::columnar::AddPipeline;
+use sgc_engine::parallel::parallel_indexed;
+use sgc_engine::{BlockTable, ColumnarTable, RowGroups};
+use sgc_graph::vertex::NO_VERTEX;
 
-/// Combines the per-shard partial tables of one block into its full table,
-/// recording one exchange round and each shard's contributed entry count in
-/// `metrics`.
-///
-/// The merge is a pairwise parallel reduction: with `S` shards it performs
-/// `⌈log₂ S⌉` rounds of concurrent two-table merges rather than a serial
-/// left fold, keeping the exchange off the runtime's critical path.
-///
-/// # Panics
-/// Panics if `partials` is empty (a shard plan always has ≥ 1 shard), if
-/// `partials.len()` differs from `metrics.num_shards()` (the metrics must
-/// be sized for the shard plan that produced the partials), or if the
-/// partial tables disagree on shape (scalar/unary/binary) — shards solve
-/// the same block, so a mismatch is a programmer error.
-pub fn combine(partials: Vec<ProjectionTable>, metrics: &mut ShardMetrics) -> ProjectionTable {
-    combine_round(vec![partials], std::slice::from_mut(metrics))
-        .pop()
-        .expect("one block in, one combined table out")
-}
+/// Lends one `(batch member, owner)` pair's retired slice buffers and summing
+/// table to the closure it is handed, and returns what the closure made of
+/// them; asked once per owner of a keyed block.
+pub type ScratchLender<'a> = dyn Fn(usize, usize, &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups) -> RowGroups
+    + Sync
+    + 'a;
 
 /// Combines the per-shard partials of *several* blocks — one per member of a
-/// batch trial step — in a single exchange round.
+/// batch trial step — in a single exchange round: the batched form the
+/// paper's Section 7 performs, where every query active in the current block
+/// step contributes to *one* synchronization point instead of paying one
+/// round per query. Each member's [`ShardMetrics`] still records the round
+/// and its shards' contributed entries (the per-query message volume is
+/// unchanged; what the batch saves is rounds, not bytes).
 ///
-/// Where [`combine`] is one block's alltoall, this is the batched form the
-/// paper's Section 7 actually performs: every query active in the current
-/// block step contributes its per-shard partial sums to *one* synchronization
-/// point, instead of paying one round per query. Each member's
-/// [`ShardMetrics`] still records the round and its shards' contributed
-/// entries (the per-query message volume is unchanged; what the batch saves
-/// is rounds, not bytes).
-///
+/// The `members × owners` merges run on the current thread pool. An owner
+/// that a single shard sent rows to — every leaf edge keyed by its start
+/// vertex, every one-shard run — holds distinct keys already and is only
+/// sorted; the others are summed through the table `scratch` lends, and
+/// every slice is written into the buffers `scratch` lends with it.
 /// Returns the combined table of every member, in input order.
 ///
 /// # Panics
-/// Panics if `batch` and `metrics` disagree in length, if any member has no
-/// partials, or if a member's partial count differs from its metrics' shard
-/// count.
+/// Panics if `batch` and `metrics` disagree in length, or if a member's
+/// partial count differs from `plan`'s or its metrics' shard count.
 pub fn combine_round(
-    batch: Vec<Vec<ProjectionTable>>,
+    batch: &[Vec<RowGroups>],
     metrics: &mut [ShardMetrics],
-) -> Vec<ProjectionTable> {
+    plan: &ShardPlan,
+    scratch: &ScratchLender<'_>,
+) -> Vec<BlockTable> {
+    let owners = plan.num_shards();
     assert_eq!(
         batch.len(),
         metrics.len(),
         "one ShardMetrics per batch member"
     );
     for (partials, member_metrics) in batch.iter().zip(metrics.iter_mut()) {
-        assert!(
-            !partials.is_empty(),
-            "exchange requires at least one shard's partial table"
-        );
+        assert_eq!(partials.len(), owners, "one partial table per shard");
         assert_eq!(
-            partials.len(),
             member_metrics.num_shards(),
-            "one partial table per shard"
+            owners,
+            "one metrics slot per shard"
         );
         member_metrics.exchange_rounds += 1;
-        for (shard, table) in partials.iter().enumerate() {
+        for (shard, partial) in partials.iter().enumerate() {
             // A scalar partial is one number on the wire; keyed tables
             // contribute one message entry per materialised key.
-            member_metrics.entries_exchanged[shard] += table.len() as u64;
+            member_metrics.entries_exchanged[shard] += partial.len() as u64;
         }
     }
+    let mut slices = parallel_indexed(batch.len() * owners, |idx| {
+        let (member, owner) = (idx / owners, idx % owners);
+        if batch[member][0].is_scalar() {
+            // The round sums a scalar block's total below.
+            return RowGroups::default();
+        }
+        scratch(member, owner, &mut |retired, table| {
+            owner_slice(&batch[member], plan, owner, retired, table)
+        })
+    })
+    .into_iter();
     batch
-        .into_iter()
+        .iter()
         .map(|partials| {
-            // Each member's merge is a parallel pairwise reduction, so the
-            // round's critical path is one ⌈log₂ S⌉ merge tree per member.
-            pairwise_reduce(partials, merge_projection).expect("at least one table")
+            let slices: Vec<RowGroups> = (&mut slices).take(owners).collect();
+            if partials[0].is_scalar() {
+                BlockTable::scalar(partials.iter().map(RowGroups::total).sum())
+            } else {
+                BlockTable::from_slices(slices, plan.partition.clone())
+            }
         })
         .collect()
 }
 
-/// Adds two partial projection tables of the same block.
-fn merge_projection(a: ProjectionTable, b: ProjectionTable) -> ProjectionTable {
-    match (a, b) {
-        (ProjectionTable::Scalar(x), ProjectionTable::Scalar(y)) => ProjectionTable::Scalar(x + y),
-        (ProjectionTable::Unary(mut x), ProjectionTable::Unary(y)) => {
-            x.merge(&y);
-            ProjectionTable::Unary(x)
-        }
-        (ProjectionTable::Binary(mut x), ProjectionTable::Binary(y)) => {
-            x.merge(&y);
-            ProjectionTable::Binary(x)
-        }
-        _ => unreachable!("partial tables of one block always have the same shape"),
+/// One owner's share of a keyed block's exchange: the rows every shard's
+/// partial addressed to `owner`, summed by key (through `table`, when more
+/// than one shard sent any) and grouped by vertex over the owner's range, in
+/// the buffers of `retired`.
+fn owner_slice(
+    partials: &[RowGroups],
+    plan: &ShardPlan,
+    owner: usize,
+    retired: RowGroups,
+    table: &mut ColumnarTable,
+) -> RowGroups {
+    let range = plan.partition.owned_range(owner);
+    let received = || {
+        let sent = partials.iter().map(|partial| partial.get(owner as u32));
+        sent.filter(|rows| !rows.is_empty())
+    };
+    if received().nth(1).is_none() {
+        let only = received().next().unwrap_or(&[]);
+        return retired.by_vertex(only.iter().copied(), range);
     }
+    table.reset();
+    let mut pipe = AddPipeline::new();
+    for row in received().flatten() {
+        let key = [row.u, row.v, NO_VERTEX, NO_VERTEX];
+        pipe.push(table, key, row.sig, row.count);
+    }
+    pipe.flush(table);
+    retired.by_vertex(table.projection_rows(), range)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sgc_engine::{BinaryTable, Signature, UnaryTable};
+    use proptest::prelude::*;
+    use sgc_engine::{Count, Row, Signature};
+    use sgc_graph::VertexId;
+    use std::collections::BTreeMap;
 
-    fn unary(entries: &[(u32, u8, u64)]) -> ProjectionTable {
-        let mut t = UnaryTable::new();
-        for &(v, color, count) in entries {
-            t.add(v, Signature::singleton(color), count);
-        }
-        ProjectionTable::Unary(t)
+    /// A lender of fresh buffers and throwaway summing tables.
+    fn fresh(
+        _: usize,
+        _: usize,
+        merge: &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups,
+    ) -> RowGroups {
+        merge(RowGroups::default(), &mut ColumnarTable::new())
+    }
+
+    /// [`combine_round`] for one block.
+    pub(crate) fn combine(
+        partials: Vec<RowGroups>,
+        plan: &ShardPlan,
+        metrics: &mut ShardMetrics,
+    ) -> BlockTable {
+        combine_round(&[partials], std::slice::from_mut(metrics), plan, &fresh)
+            .pop()
+            .expect("one block in, one combined table out")
+    }
+
+    /// A shard's partial over `plan` from `(u, v, color, count)` entries.
+    fn partial(plan: &ShardPlan, entries: &[(VertexId, VertexId, u8, Count)]) -> RowGroups {
+        let rows = entries.iter().map(|&(u, v, color, count)| Row {
+            u,
+            v,
+            sig: Signature::singleton(color),
+            count,
+        });
+        RowGroups::default().by_owner(rows, &plan.partition)
+    }
+
+    fn unary(plan: &ShardPlan, entries: &[(VertexId, u8, Count)]) -> RowGroups {
+        let binary: Vec<_> = entries
+            .iter()
+            .map(|&(u, color, count)| (u, NO_VERTEX, color, count))
+            .collect();
+        partial(plan, &binary)
+    }
+
+    /// The count `table` holds for `(u, v, color)`, zero if absent.
+    fn count_of(table: &BlockTable, u: VertexId, v: VertexId, color: u8) -> Count {
+        table
+            .get(u)
+            .iter()
+            .filter(|row| row.v == v && row.sig == Signature::singleton(color))
+            .map(|row| row.count)
+            .sum()
     }
 
     #[test]
     fn scalars_sum_across_shards() {
+        let plan = ShardPlan::new(9, 3).unwrap();
         let mut m = ShardMetrics::new(3);
-        let combined = combine(
-            vec![
-                ProjectionTable::Scalar(5),
-                ProjectionTable::Scalar(0),
-                ProjectionTable::Scalar(7),
-            ],
-            &mut m,
-        );
+        let scalars = [5, 0, 7].map(|total| RowGroups::default().scalar(total, &plan.partition));
+        let combined = combine(scalars.to_vec(), &plan, &mut m);
         assert_eq!(combined.total(), 12);
+        assert_eq!(combined.len(), 1);
         assert_eq!(m.exchange_rounds, 1);
         // Scalars are one entry each, even when zero.
         assert_eq!(m.entries_exchanged, vec![1, 1, 1]);
@@ -144,20 +208,22 @@ mod tests {
         // Shards that own no vertices (more shards than vertices) produce
         // empty keyed tables; the exchange must pass the populated entries
         // through untouched.
+        let plan = ShardPlan::new(2, 4).unwrap();
         let mut m = ShardMetrics::new(4);
         let combined = combine(
             vec![
-                unary(&[(0, 0, 2), (1, 1, 3)]),
-                unary(&[]),
-                unary(&[]),
-                unary(&[(0, 0, 4)]),
+                unary(&plan, &[(0, 0, 2), (1, 1, 3)]),
+                unary(&plan, &[]),
+                unary(&plan, &[]),
+                unary(&plan, &[(0, 0, 4)]),
             ],
+            &plan,
             &mut m,
         );
         assert_eq!(combined.total(), 9);
-        let merged = combined.as_unary().unwrap();
-        assert_eq!(merged.get(0, Signature::singleton(0)), 6);
-        assert_eq!(merged.get(1, Signature::singleton(1)), 3);
+        assert_eq!(combined.len(), 2);
+        assert_eq!(count_of(&combined, 0, NO_VERTEX, 0), 6);
+        assert_eq!(count_of(&combined, 1, NO_VERTEX, 1), 3);
         assert_eq!(m.entries_exchanged, vec![2, 0, 0, 1]);
     }
 
@@ -165,13 +231,15 @@ mod tests {
     fn single_vertex_shards_reassemble_the_full_table() {
         // One shard per vertex: every partial holds at most one vertex's
         // entries, and the exchange must reassemble the exact union.
+        let plan = ShardPlan::new(3, 3).unwrap();
         let mut m = ShardMetrics::new(3);
         let combined = combine(
             vec![
-                unary(&[(0, 0, 1)]),
-                unary(&[(1, 1, 2)]),
-                unary(&[(2, 2, 3)]),
+                unary(&plan, &[(0, 0, 1)]),
+                unary(&plan, &[(1, 1, 2)]),
+                unary(&plan, &[(2, 2, 3)]),
             ],
+            &plan,
             &mut m,
         );
         assert_eq!(combined.len(), 3);
@@ -181,51 +249,52 @@ mod tests {
 
     #[test]
     fn single_shard_exchange_is_identity() {
+        let plan = ShardPlan::new(6, 1).unwrap();
         let mut m = ShardMetrics::new(1);
-        let combined = combine(vec![unary(&[(4, 1, 9)])], &mut m);
-        assert_eq!(
-            combined.as_unary().unwrap().get(4, Signature::singleton(1)),
-            9
-        );
+        let combined = combine(vec![unary(&plan, &[(4, 1, 9)])], &plan, &mut m);
+        assert_eq!(count_of(&combined, 4, NO_VERTEX, 1), 9);
+        assert_eq!(combined.len(), 1);
         assert_eq!(m.exchange_rounds, 1);
     }
 
     #[test]
     fn binary_partials_merge_by_key() {
-        let mut a = BinaryTable::new();
-        a.add(0, 1, Signature::pair(0, 1), 2);
-        let mut b = BinaryTable::new();
-        b.add(0, 1, Signature::pair(0, 1), 5);
-        b.add(2, 3, Signature::pair(2, 3), 1);
+        let plan = ShardPlan::new(4, 2).unwrap();
         let mut m = ShardMetrics::new(2);
         let combined = combine(
-            vec![ProjectionTable::Binary(a), ProjectionTable::Binary(b)],
+            vec![
+                partial(&plan, &[(0, 1, 0, 2)]),
+                partial(&plan, &[(0, 1, 0, 5), (2, 3, 2, 1)]),
+            ],
+            &plan,
             &mut m,
         );
-        let merged = combined.as_binary().unwrap();
-        assert_eq!(merged.get(0, 1, Signature::pair(0, 1)), 7);
-        assert_eq!(merged.get(2, 3, Signature::pair(2, 3)), 1);
+        assert_eq!(count_of(&combined, 0, 1, 0), 7);
+        assert_eq!(count_of(&combined, 2, 3, 2), 1);
+        assert_eq!(combined.len(), 2);
     }
 
     #[test]
     #[should_panic]
     fn empty_partials_panic() {
-        let mut m = ShardMetrics::new(0);
-        let _ = combine(Vec::new(), &mut m);
+        let plan = ShardPlan::new(3, 1).unwrap();
+        let _ = combine(Vec::new(), &plan, &mut ShardMetrics::new(0));
     }
 
     #[test]
     fn one_round_serves_several_blocks() {
         // Two batch members combine in one shared round: each member's
         // metrics record exactly one round and its own entry volume.
-        let mut metrics = vec![ShardMetrics::new(2), ShardMetrics::new(2)];
-        let combined = combine_round(
+        let plan = ShardPlan::new(2, 2).unwrap();
+        let second = || {
             vec![
-                vec![ProjectionTable::Scalar(3), ProjectionTable::Scalar(4)],
-                vec![unary(&[(0, 0, 1), (1, 1, 2)]), unary(&[(0, 0, 5)])],
-            ],
-            &mut metrics,
-        );
+                unary(&plan, &[(0, 0, 1), (1, 1, 2)]),
+                unary(&plan, &[(0, 0, 5)]),
+            ]
+        };
+        let mut metrics = vec![ShardMetrics::new(2), ShardMetrics::new(2)];
+        let scalars = [3, 4].map(|total| RowGroups::default().scalar(total, &plan.partition));
+        let combined = combine_round(&[scalars.to_vec(), second()], &mut metrics, &plan, &fresh);
         assert_eq!(combined.len(), 2);
         assert_eq!(combined[0].total(), 7);
         assert_eq!(combined[1].total(), 8);
@@ -235,24 +304,83 @@ mod tests {
         assert_eq!(metrics[1].entries_exchanged, vec![2, 1]);
         // Combining per member one at a time yields the same tables: the
         // shared round changes synchronization structure, never counts.
-        let mut solo = ShardMetrics::new(2);
-        let alone = combine(
-            vec![unary(&[(0, 0, 1), (1, 1, 2)]), unary(&[(0, 0, 5)])],
-            &mut solo,
-        );
-        assert_eq!(alone.total(), combined[1].total());
+        let alone = combine(second(), &plan, &mut ShardMetrics::new(2));
+        assert_eq!(alone, combined[1]);
     }
 
     #[test]
     #[should_panic(expected = "one ShardMetrics per batch member")]
     fn mismatched_round_lengths_panic() {
+        let plan = ShardPlan::new(3, 1).unwrap();
+        let scalar = || vec![RowGroups::default().scalar(1, &plan.partition)];
         let mut m = vec![ShardMetrics::new(1)];
-        let _ = combine_round(
-            vec![
-                vec![ProjectionTable::Scalar(1)],
-                vec![ProjectionTable::Scalar(2)],
-            ],
-            &mut m,
-        );
+        let _ = combine_round(&[scalar(), scalar()], &mut m, &plan, &fresh);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random partial sets — empty shards, more shards than vertices,
+        /// the same key in every shard, a hub vertex holding most rows —
+        /// combine to exactly the reference sum; every owner slice holds
+        /// only vertices of its own range, and `get(x)` returns exactly
+        /// `x`'s rows.
+        #[test]
+        fn exchange_equals_the_reference_sum_for_any_partials(
+            layout in (0usize..4, 1u32..12, 0u32..12),
+            entries in proptest::collection::vec((0u64..u64::MAX, 0u32..16, 1u64..1000), 0..120),
+        ) {
+            let (shards, n, hub) = ([1, 2, 3, 8][layout.0], layout.1, layout.2 % layout.1);
+            let plan = ShardPlan::new(n as usize, shards).unwrap();
+            // Entry → (shard, key): half of the rows sit on the hub vertex,
+            // and every eighth key is sent by every shard.
+            let mut sent: Vec<BTreeMap<(VertexId, VertexId, u8), Count>> =
+                vec![BTreeMap::new(); shards];
+            for &(bits, v, count) in &entries {
+                let u = if bits & 1 == 0 { hub } else { (bits >> 8) as u32 % n };
+                let key = (u, v % (n + 1), (bits >> 40) as u8 % 3);
+                let everywhere = (bits >> 4) % 8 == 0;
+                for (shard, map) in sent.iter_mut().enumerate() {
+                    if everywhere || shard == (bits >> 16) as usize % shards {
+                        *map.entry(key).or_insert(0) += count;
+                    }
+                }
+            }
+            let mut reference: BTreeMap<(VertexId, VertexId, u8), Count> = BTreeMap::new();
+            let partials: Vec<RowGroups> = sent
+                .iter()
+                .map(|map| {
+                    let rows: Vec<_> = map.iter().map(|(&(u, v, c), &n)| (u, v, c, n)).collect();
+                    for &(u, v, c, count) in &rows {
+                        *reference.entry((u, v, c)).or_insert(0) += count;
+                    }
+                    partial(&plan, &rows)
+                })
+                .collect();
+            let mut metrics = ShardMetrics::new(shards);
+            let table = combine(partials, &plan, &mut metrics);
+            let sent_rows: Vec<u64> = sent.iter().map(|map| map.len() as u64).collect();
+            prop_assert_eq!(&metrics.entries_exchanged, &sent_rows);
+            prop_assert_eq!(table.len(), reference.len());
+            prop_assert_eq!(table.slices().len(), shards);
+            for (owner, slice) in table.slices().iter().enumerate() {
+                let range = plan.shard(owner).range();
+                prop_assert!(slice.rows().iter().all(|row| range.contains(&row.u)));
+            }
+            for x in 0..n + 2 {
+                let got: BTreeMap<_, _> = table
+                    .get(x)
+                    .iter()
+                    .map(|row| ((row.u, row.v, row.sig), row.count))
+                    .collect();
+                prop_assert_eq!(got.len(), table.get(x).len(), "distinct keys at {}", x);
+                let want: BTreeMap<_, _> = reference
+                    .range((x, 0, 0)..(x + 1, 0, 0))
+                    .map(|(&(u, v, c), &count)| ((u, v, Signature::singleton(c)), count))
+                    .collect();
+                prop_assert_eq!(got, want, "rows of {}", x);
+            }
+            prop_assert!(table.get(NO_VERTEX).is_empty());
+        }
     }
 }

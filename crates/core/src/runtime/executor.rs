@@ -7,8 +7,8 @@
 //! * an **unsharded** request is the one-shard case (the shard owns every
 //!   vertex, the exchange round passes its partial through untouched),
 //! * a **sharded** request fans each block out over the shards of a
-//!   [`ShardPlan`] on worker threads and sums the partial tables in the
-//!   round ([`exchange::combine_round`]),
+//!   [`ShardPlan`] on worker threads, and the round
+//!   ([`exchange::combine_round`]) fans the owners' merges out the same way,
 //! * a **batch** is many jobs walking their plans in lockstep: in step `s`
 //!   every job whose plan has a block `s` solves it, and a *single* round
 //!   combines the partials of all of them — the batched alltoall of the
@@ -27,14 +27,16 @@ use crate::config::Algorithm;
 use crate::context::{Context, GraphPrep};
 use crate::driver::CountResult;
 use crate::error::SgcError;
-use crate::kernel::{solve_block, ArenaPool, KernelArena};
+use crate::kernel::{
+    slice_rows, solve_block, transposed_rows, ArenaPool, KernelArena, PARTIAL_ROWS,
+};
 use crate::metrics::{RunMetrics, ShardMetrics};
 use crate::paths::BlockJoinIndex;
 use crate::runtime::exchange;
 use crate::runtime::incremental::TrialPartials;
 use crate::runtime::shard::ShardPlan;
 use sgc_engine::parallel::parallel_indexed;
-use sgc_engine::{Count, ProjectionTable};
+use sgc_engine::{BlockTable, ColumnarTable, Count, RowGroups};
 use sgc_graph::{Coloring, CsrGraph};
 use sgc_query::DecompositionTree;
 use std::sync::Mutex;
@@ -60,9 +62,10 @@ pub(crate) struct Job<'a> {
 }
 
 /// The retain/replay hook on a job's per-shard solves. Its presence makes
-/// the executor keep one clone of every shard's pre-exchange partial table
-/// per block step; the hook only observes — counts and metrics of a
-/// from-scratch hooked run equal the unhooked run's.
+/// the executor keep every shard's pre-exchange partial of every block step
+/// instead of retiring it into its lane's arena after the round; the hook
+/// only observes — counts and metrics of a from-scratch hooked run equal the
+/// unhooked run's, apart from the arena bytes the kept partials take along.
 pub(crate) struct PartialsHook<'a> {
     /// `(dirty, cached)`: every shard not flagged dirty takes its partial
     /// from `cached` (under the `dp.recount.replay` span) instead of
@@ -102,6 +105,34 @@ struct Lane {
     arena: Option<(KernelArena, bool, usize)>,
 }
 
+/// A lane's arena, checked out of `pool` on first use: by the lane's first
+/// solve, or by the exchange when the lane's owner builds its first slice.
+fn checked_out<'l>(
+    arena: &'l mut Option<(KernelArena, bool, usize)>,
+    pool: &ArenaPool,
+) -> &'l mut KernelArena {
+    let (arena, _, _) = arena.get_or_insert_with(|| {
+        let (arena, reused) = pool.checkout();
+        let before = arena.capacity_bytes();
+        (arena, reused, before)
+    });
+    arena
+}
+
+/// Runs `f` on the arena of lane `index`, between two fan-outs or as the
+/// one task of a round that works there.
+fn with_arena<R>(
+    lanes: &[Mutex<Lane>],
+    index: usize,
+    pool: &ArenaPool,
+    f: impl FnOnce(&mut KernelArena) -> R,
+) -> R {
+    let mut lane = lanes[index]
+        .lock()
+        .expect("a lane is locked by one task at a time; a panicked one ends the run");
+    f(checked_out(&mut lane.arena, pool))
+}
+
 /// One job's state across the block steps.
 struct Run {
     /// What the job's exchange rounds observed; its lanes' metrics are
@@ -109,25 +140,25 @@ struct Run {
     metrics: RunMetrics,
     shard_metrics: ShardMetrics,
     /// The combined table of every block solved so far, by block id.
-    tables: Vec<Option<ProjectionTable>>,
+    tables: Vec<Option<BlockTable>>,
     /// Single-node queries (no root block) are resolved by a scalar
     /// exchange in step 0; their combined total lands here.
     single_total: Option<Count>,
     /// `retained[step][shard]`, filled only for hooked jobs.
-    retained: Vec<Vec<ProjectionTable>>,
+    retained: Vec<Vec<RowGroups>>,
     shards_replayed: usize,
 }
 
-/// Runs `jobs` over `graph`, block step by block step: per step, every
-/// active job's join-side child-table index is built once, the job × shard
-/// partial solves fan out over the current thread pool, and one exchange
-/// round combines every active job's partials into its block table.
+/// Runs `jobs` over `graph`, block step by block step: per step, the job ×
+/// shard partial solves fan out over the current thread pool, and one
+/// exchange round — the job × owner merges, fanned out the same way —
+/// combines every active job's partials into its block table.
 ///
 /// `shards` is the request's shard count; `None` runs one shard and reports
 /// [`RunMetrics::shards`] as `None`. Each result's `elapsed` is the time
-/// spent *for that job* — its index builds and shard solves plus its share
-/// of the rounds it took part in — so batching other jobs alongside never
-/// inflates a member's reported time.
+/// spent *for that job* — its shard solves plus its share of the rounds it
+/// took part in — so batching other jobs alongside never inflates a
+/// member's reported time.
 ///
 /// # Errors
 /// [`SgcError::ZeroShards`] for `Some(0)` shards, and
@@ -167,10 +198,13 @@ pub(crate) fn execute(
             shards_replayed: 0,
         })
         .collect();
-    // Time spent for each job outside its lanes: index builds and its share
-    // of the exchange rounds.
+    // Time spent for each job outside its lanes: its share of the exchange
+    // rounds.
     let mut busy = vec![Duration::ZERO; jobs.len()];
     let mut shared_rounds = 0u64;
+    // The `exchange` span covers everything between two fan-outs of solves:
+    // open from a step's last solve to the next step's first (or the end).
+    let mut exchange_span = None;
 
     let max_steps = jobs
         .iter()
@@ -183,23 +217,28 @@ pub(crate) fn execute(
         let active: Vec<usize> = (0..jobs.len())
             .filter(|&j| step < jobs[j].plan.blocks.len().max(1))
             .collect();
-        // The join-side child-table indexes are shard-invariant, so they
-        // are built once per job here and shared by its shard workers; the
-        // scope ends their borrow of the jobs' tables before the combined
-        // tables are stored.
-        let partials: Vec<(ProjectionTable, bool)> = {
+        // A job's child tables are shard-invariant and shared by its shard
+        // workers; the scope ends their borrow of the jobs' tables before
+        // the combined tables are stored.
+        let partials: Vec<(RowGroups, bool)> = {
             let indexes: Vec<Option<BlockJoinIndex<'_>>> = active
                 .iter()
                 .map(|&j| {
-                    let started = Instant::now();
-                    let index = jobs[j].plan.root.is_some().then(|| {
-                        BlockJoinIndex::build(&jobs[j].plan.blocks[step], &runs[j].tables)
-                    });
-                    busy[j] += started.elapsed();
-                    index
+                    let job = &jobs[j];
+                    // A transposed child table is built in the buffers the
+                    // job's first lane retired it into a run ago.
+                    let retired = |child| {
+                        let take =
+                            |arena: &mut KernelArena| arena.take_rows(transposed_rows(child));
+                        with_arena(&lanes, j * num_shards, pool, take)
+                    };
+                    (job.plan.root.is_some()).then(|| {
+                        BlockJoinIndex::build(&job.plan.blocks[step], &runs[j].tables, retired)
+                    })
                 })
                 .collect();
-            parallel_indexed(active.len() * num_shards, |idx| {
+            drop(exchange_span.take());
+            let partials = parallel_indexed(active.len() * num_shards, |idx| {
                 let (a, s) = (idx / num_shards, idx % num_shards);
                 let j = active[a];
                 let job = &jobs[j];
@@ -216,7 +255,7 @@ pub(crate) fn execute(
                     .and_then(|hook| hook.replay)
                     .filter(|(dirty, _)| !dirty[s])
                     .map(|(_, cached)| &cached.steps[step][s]);
-                let table = if let Some(cached) = cached {
+                let partial = if let Some(cached) = cached {
                     // Clean shard with a cached partial: replay it.
                     let _span = sgc_obs::span(sgc_obs::Stage::DpRecountReplay);
                     cached.clone()
@@ -225,62 +264,76 @@ pub(crate) fn execute(
                     let ctx =
                         Context::for_shard(graph, prep, job.coloring, job.num_ranks, plan.shard(s));
                     let Lane { metrics, arena } = &mut *lane;
-                    let (arena, _, _) = arena.get_or_insert_with(|| {
-                        let (arena, reused) = pool.checkout();
-                        let before = arena.capacity_bytes();
-                        (arena, reused, before)
-                    });
                     solve_block(
                         &ctx,
                         job.plan,
                         &job.plan.blocks[step],
                         index,
                         job.algorithm,
-                        arena,
+                        checked_out(arena, pool),
                         metrics,
                     )
                 } else {
                     // Single-node query: the shard's owned-vertex count is
                     // its scalar partial sum (edge deltas never change it).
-                    ProjectionTable::Scalar(plan.shard(s).num_vertices() as Count)
+                    RowGroups::default()
+                        .scalar(plan.shard(s).num_vertices() as Count, &plan.partition)
                 };
                 lane.metrics.elapsed += started.elapsed();
-                (table, cached.is_some())
-            })
+                (partial, cached.is_some())
+            });
+            for (&j, index) in active.iter().zip(indexes) {
+                for (child, rows) in index.into_iter().flat_map(BlockJoinIndex::into_retired) {
+                    with_arena(&lanes, j * num_shards, pool, |arena| {
+                        arena.retire_rows(transposed_rows(child), rows)
+                    });
+                }
+            }
+            partials
         };
+        let exchange_started = Instant::now();
+        // The exchange round is shared; record it if any active job has
+        // observability on (the caller thread may itself be suspended).
+        exchange_span = active
+            .iter()
+            .any(|&j| jobs[j].obs)
+            .then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
         // Regroup the partials per job, then combine every active job's in
         // ONE shared exchange round.
         let mut partials = partials.into_iter();
-        let mut round: Vec<Vec<ProjectionTable>> = Vec::with_capacity(active.len());
+        let mut round: Vec<Vec<RowGroups>> = Vec::with_capacity(active.len());
         for &j in &active {
-            let mut job_tables = Vec::with_capacity(num_shards);
-            for (table, replayed) in (&mut partials).take(num_shards) {
+            let mut job_partials = Vec::with_capacity(num_shards);
+            for (partial, replayed) in (&mut partials).take(num_shards) {
                 runs[j].shards_replayed += replayed as usize;
-                job_tables.push(table);
+                job_partials.push(partial);
             }
-            if jobs[j].partials.is_some() {
-                runs[j].retained.push(job_tables.clone());
-            }
-            round.push(job_tables);
+            round.push(job_partials);
         }
-        let exchange_started = Instant::now();
         let mut round_metrics: Vec<ShardMetrics> = active
             .iter()
             .map(|&j| std::mem::take(&mut runs[j].shard_metrics))
             .collect();
-        let combined = {
-            // The exchange round is shared; record it if any active job has
-            // observability on (the caller thread may itself be suspended).
-            let _span = active
-                .iter()
-                .any(|&j| jobs[j].obs)
-                .then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
-            exchange::combine_round(round, &mut round_metrics)
-        };
+        // An owner builds its slice of a block's table with the arena of the
+        // lane it shares its index with: into the buffers of the slice it
+        // built there a run ago, summing through the arena's table.
+        let scratch =
+            |a: usize,
+             owner: usize,
+             merge: &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups| {
+                let j = active[a];
+                with_arena(&lanes, j * num_shards + owner, pool, |arena| {
+                    let retired = arena.take_rows(slice_rows(jobs[j].plan.blocks[step].id));
+                    merge(retired, &mut arena.proj)
+                })
+            };
+        let combined = exchange::combine_round(&round, &mut round_metrics, &plan, &scratch);
         shared_rounds += 1;
         // The shared round's cost is split evenly across the jobs it served.
         let exchange_share = exchange_started.elapsed() / active.len() as u32;
-        for ((&j, taken), table) in active.iter().zip(round_metrics).zip(combined) {
+        for (((&j, taken), table), job_partials) in
+            active.iter().zip(round_metrics).zip(combined).zip(round)
+        {
             let run = &mut runs[j];
             run.shard_metrics = taken;
             busy[j] += exchange_share;
@@ -295,13 +348,25 @@ pub(crate) fn execute(
             } else {
                 run.single_total = Some(table.total());
             }
+            if jobs[j].partials.is_some() {
+                run.retained.push(job_partials);
+            } else if jobs[j].plan.root.is_some() {
+                // Their round over, the partials go back to their lanes.
+                for (s, partial) in job_partials.into_iter().enumerate() {
+                    with_arena(&lanes, j * num_shards + s, pool, |arena| {
+                        arena.retire_rows(PARTIAL_ROWS, partial)
+                    });
+                }
+            }
         }
     }
+    drop(exchange_span);
 
     let mut lanes = lanes.into_iter().map(|lane| {
         lane.into_inner()
             .expect("no task holds a lane after the last step")
     });
+    let mut arenas = Vec::new();
     let jobs = jobs
         .iter()
         .zip(runs)
@@ -317,16 +382,22 @@ pub(crate) fn execute(
                     .expect("single-node totals resolve in step 0"),
             };
             let (mut metrics, mut shard_metrics) = (run.metrics, run.shard_metrics);
+            let mut tables = run.tables;
             metrics.elapsed = busy;
             for (s, mut lane) in (&mut lanes).take(num_shards).enumerate() {
-                if let Some((arena, reused, before)) = lane.arena {
+                if let Some((mut arena, reused, before)) = lane.arena {
+                    // The run over, the lane's slice of every table retires.
+                    for (block, table) in tables.iter_mut().enumerate() {
+                        let slice = table.as_mut().map(|table| table.take_slice(s));
+                        arena.retire_rows(slice_rows(block), slice.unwrap_or_default());
+                    }
                     let after = arena.capacity_bytes();
                     lane.metrics.kernel.record_checkout(
                         after as u64,
                         reused,
                         after.saturating_sub(before) as u64,
                     );
-                    pool.give_back(arena);
+                    arenas.push(arena);
                 }
                 shard_metrics.ops_per_shard[s] = lane.metrics.total_ops;
                 metrics.elapsed += lane.metrics.elapsed;
@@ -346,6 +417,12 @@ pub(crate) fn execute(
             }
         })
         .collect();
+    // The pool is a stack and lanes check out in lane order: returning the
+    // arenas last lane first hands the next run's lane `i` the arena this
+    // run's lane `i` sized.
+    for arena in arenas.into_iter().rev() {
+        pool.give_back(arena);
+    }
     Ok(Executed {
         jobs,
         shared_rounds,
@@ -428,7 +505,10 @@ mod tests {
                 assert_eq!(p.metrics.total_ops, h.metrics.total_ops);
                 assert_eq!(p.metrics.entries_created, h.metrics.entries_created);
                 assert_eq!(p.metrics.peak_table_entries, h.metrics.peak_table_entries);
-                assert_eq!(p.metrics.kernel, h.metrics.kernel);
+                // The retained partials leave with the hook instead of
+                // retiring into the arenas that built them.
+                assert_eq!(p.metrics.kernel.arena_reuses, h.metrics.kernel.arena_reuses);
+                assert!(h.metrics.kernel.arena_bytes <= p.metrics.kernel.arena_bytes);
                 assert_eq!(p.metrics.shards, h.metrics.shards);
                 assert_eq!(p.metrics.shards.is_some(), shards.is_some());
             }

@@ -11,8 +11,8 @@
 //! This module provides the two halves of that trade, both thin wrappers
 //! that run one job through the executor with its `PartialsHook`:
 //!
-//! * [`count_sharded_retaining`] — a from-scratch sharded count that clones
-//!   each shard's pre-exchange partial into a [`TrialPartials`] record,
+//! * [`count_sharded_retaining`] — a from-scratch sharded count that keeps
+//!   each shard's pre-exchange partial in a [`TrialPartials`] record,
 //! * [`recount_sharded_replay`] — the same count on a *new* graph version,
 //!   re-solving only the shards marked dirty and replaying every clean
 //!   shard's cached partial (under the `dp.recount.replay` span).
@@ -53,7 +53,7 @@ use crate::error::SgcError;
 use crate::kernel::ArenaPool;
 use crate::metrics::RunMetrics;
 use crate::runtime::executor::{execute, Job, PartialsHook};
-use sgc_engine::{Count, ProjectionTable};
+use sgc_engine::{Count, RowGroups};
 use sgc_graph::{BlockPartition, Coloring, CsrGraph, VertexId};
 use sgc_query::DecompositionTree;
 
@@ -62,13 +62,13 @@ use sgc_query::DecompositionTree;
 /// *before* the exchange round combined them.
 ///
 /// Bounded stores (the `sgc-dyn` partial store) account for these via
-/// [`approx_bytes`](TrialPartials::approx_bytes).
+/// [`bytes`](TrialPartials::bytes).
 #[derive(Clone, Debug)]
 pub struct TrialPartials {
     pub(super) num_shards: usize,
     /// `steps[step][shard]`: the shard's pre-exchange partial for the block
     /// solved at `step` (single-node plans have exactly one scalar step).
-    pub(super) steps: Vec<Vec<ProjectionTable>>,
+    pub(super) steps: Vec<Vec<RowGroups>>,
 }
 
 impl TrialPartials {
@@ -83,15 +83,10 @@ impl TrialPartials {
         self.steps.len()
     }
 
-    /// Rough retained size: table entries times a fixed per-entry record
-    /// estimate, for bounded-store accounting.
-    pub fn approx_bytes(&self) -> usize {
-        const BYTES_PER_ENTRY: usize = 48;
-        self.steps
-            .iter()
-            .flat_map(|shards| shards.iter())
-            .map(|t| t.len().max(1) * BYTES_PER_ENTRY)
-            .sum()
+    /// Retained size, for bounded-store accounting: every partial's rows
+    /// and owner-group bounds.
+    pub fn bytes(&self) -> usize {
+        self.steps.iter().flatten().map(RowGroups::bytes).sum()
     }
 }
 
@@ -160,8 +155,8 @@ pub fn dirty_shards(
 }
 
 /// A from-scratch sharded count that retains every shard's pre-exchange
-/// partial table. Identical in result to the plain sharded runtime; the
-/// extra cost is one clone of each partial.
+/// partial table. Identical in result to the plain sharded runtime, which
+/// drops the partials after each round instead.
 pub fn count_sharded_retaining(
     graph: &CsrGraph,
     prep: &GraphPrep,
@@ -412,7 +407,7 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.partials.num_shards(), 2);
         assert_eq!(outcome.partials.num_steps(), tree.blocks.len());
-        assert!(outcome.partials.approx_bytes() > 0);
+        assert!(outcome.partials.bytes() > 0);
         assert_eq!(outcome.shards_replayed, 0);
     }
 }

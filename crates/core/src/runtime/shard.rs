@@ -17,7 +17,7 @@ use std::ops::Range;
 /// of one rank's owned vertex block in the paper's 1D decomposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexShard {
-    partition: BlockPartition,
+    pub(crate) partition: BlockPartition,
     index: usize,
 }
 
@@ -59,7 +59,7 @@ impl VertexShard {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
-    partition: BlockPartition,
+    pub(crate) partition: BlockPartition,
     num_shards: usize,
 }
 

@@ -35,7 +35,8 @@ pub struct PartialKey {
 pub struct StoreStats {
     /// Entries currently held.
     pub entries: usize,
-    /// Approximate retained bytes.
+    /// Retained bytes: the sum of the held entries'
+    /// [`TrialPartials::bytes`].
     pub bytes: usize,
     /// Lookups that found their entry.
     pub hits: u64,
@@ -53,8 +54,8 @@ struct StoreInner {
 
 /// A bounded, thread-safe LRU store of per-trial partial sums.
 ///
-/// Capacity is accounted in approximate bytes
-/// ([`TrialPartials::approx_bytes`]); inserting past capacity evicts
+/// Capacity is accounted in the bytes the partials' rows and group bounds
+/// occupy ([`TrialPartials::bytes`]); inserting past capacity evicts
 /// least-recently-used entries (get and insert both refresh recency). An
 /// entry larger than the whole capacity is simply not retained — the
 /// incremental path then falls back to from-scratch counting, it never
@@ -112,7 +113,7 @@ impl PartialStore {
     /// Stores `partials` under `key`, evicting LRU entries as needed.
     /// Replacing an existing entry first releases its accounted bytes.
     pub fn insert(&self, key: PartialKey, partials: Arc<TrialPartials>) {
-        let size = partials.approx_bytes();
+        let size = partials.bytes();
         if size > self.capacity_bytes {
             return;
         }
@@ -122,7 +123,7 @@ impl PartialStore {
             inner.tick += 1;
             let tick = inner.tick;
             if let Some((_, old)) = inner.map.remove(&key) {
-                inner.bytes -= old.approx_bytes();
+                inner.bytes -= old.bytes();
             }
             while inner.bytes + size > self.capacity_bytes {
                 let oldest = inner
@@ -132,7 +133,7 @@ impl PartialStore {
                     .map(|(k, _)| k.clone())
                     .expect("over capacity implies a resident entry");
                 let (_, gone) = inner.map.remove(&oldest).expect("key just observed");
-                inner.bytes -= gone.approx_bytes();
+                inner.bytes -= gone.bytes();
                 evicted += 1;
             }
             inner.bytes += size;
@@ -171,12 +172,14 @@ impl Default for PartialStore {
 mod tests {
     use super::*;
     use sgc_core::context::GraphPrep;
-    use sgc_core::count_sharded_retaining;
     use sgc_core::kernel::ArenaPool;
+    use sgc_core::{count_sharded_retaining, recount_sharded_replay, IncrementalOutcome};
     use sgc_graph::{Coloring, GraphBuilder};
     use sgc_query::{canonical_key, catalog, heuristic_plan};
 
-    fn sample_partials(seed: u64) -> Arc<TrialPartials> {
+    /// One trial of `path(3)` on a 12-vertex path under coloring `seed`,
+    /// over two shards: from scratch, or replaying both shards of `cached`.
+    fn sample(seed: u64, cached: Option<&TrialPartials>) -> IncrementalOutcome {
         let mut b = GraphBuilder::new(12);
         for v in 0..11u32 {
             b.add_edge(v, v + 1);
@@ -186,17 +189,26 @@ mod tests {
         let query = catalog::path(3);
         let tree = heuristic_plan(&query).unwrap();
         let coloring = Coloring::random(12, 3, seed);
-        let outcome = count_sharded_retaining(
-            &g,
-            &prep,
-            &coloring,
-            &tree,
-            Algorithm::DegreeBased,
-            2,
-            &ArenaPool::new(),
-        )
-        .unwrap();
-        Arc::new(outcome.partials)
+        let (algorithm, pool) = (Algorithm::DegreeBased, ArenaPool::new());
+        match cached {
+            None => count_sharded_retaining(&g, &prep, &coloring, &tree, algorithm, 2, &pool),
+            Some(cached) => recount_sharded_replay(
+                &g,
+                &prep,
+                &coloring,
+                &tree,
+                algorithm,
+                2,
+                &pool,
+                &[false, false],
+                cached,
+            ),
+        }
+        .unwrap()
+    }
+
+    fn sample_partials(seed: u64) -> Arc<TrialPartials> {
+        Arc::new(sample(seed, None).partials)
     }
 
     fn key(trial: usize) -> PartialKey {
@@ -213,7 +225,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_and_counts() {
         let one = sample_partials(0);
-        let size = one.approx_bytes();
+        let size = one.bytes();
         // Room for exactly two entries.
         let store = PartialStore::new(2 * size);
         store.insert(key(0), Arc::clone(&one));
@@ -241,7 +253,7 @@ mod tests {
     #[test]
     fn replacing_an_entry_releases_its_bytes() {
         let p = sample_partials(0);
-        let size = p.approx_bytes();
+        let size = p.bytes();
         let store = PartialStore::new(3 * size);
         store.insert(key(0), Arc::clone(&p));
         store.insert(key(0), Arc::clone(&p));
@@ -250,5 +262,38 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.bytes, size);
         assert_eq!(stats.evictions, 0);
+    }
+
+    /// The accounted bytes are the held partials' own, through inserts past
+    /// capacity; and an entry that survived eviction still replays to the
+    /// count of a from-scratch run (an evicted one is a miss, which the
+    /// caller answers from scratch).
+    #[test]
+    fn accounted_bytes_are_the_held_partials_and_survivors_still_replay() {
+        let scratch: Vec<IncrementalOutcome> = (0..5).map(|seed| sample(seed, None)).collect();
+        let total: usize = scratch.iter().map(|run| run.partials.bytes()).sum();
+        let store = PartialStore::new(total / 2);
+        for (trial, run) in scratch.iter().enumerate() {
+            store.insert(key(trial), Arc::new(run.partials.clone()));
+        }
+        let held: Vec<(usize, Arc<TrialPartials>)> = (0..5)
+            .filter_map(|trial| Some((trial, store.get(&key(trial))?)))
+            .collect();
+        assert!(store.evictions() > 0, "five entries into room for half");
+        assert!(!held.is_empty());
+        let stats = store.stats();
+        assert_eq!(stats.entries, held.len());
+        assert_eq!(
+            stats.bytes,
+            held.iter().map(|(_, p)| p.bytes()).sum::<usize>()
+        );
+        for (trial, partials) in held {
+            let replayed = sample(trial as u64, Some(&partials));
+            assert_eq!(replayed.shards_replayed, 2 * partials.num_steps());
+            assert_eq!(
+                replayed.colorful_matches, scratch[trial].colorful_matches,
+                "trial {trial}"
+            );
+        }
     }
 }

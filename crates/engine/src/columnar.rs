@@ -52,7 +52,7 @@
 //! 128-bit compare.
 
 use crate::signature::Signature;
-use crate::table::Count;
+use crate::table::{self, Count};
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
 use std::ops::Range;
 
@@ -232,7 +232,7 @@ impl ColumnarTable {
     }
 
     /// Adds `count` to the row for `(key, sig)`, appending a row if absent.
-    /// Zero counts are ignored (matching the projection tables' `add`).
+    /// Zero counts are ignored (only non-zero entries are materialised).
     #[inline]
     pub fn add(&mut self, key: RowKey, sig: Signature, count: Count) {
         self.add_prepared(Self::prepare(key, sig, count));
@@ -437,6 +437,17 @@ impl ColumnarTable {
     /// Iterates over all rows in insertion order.
     pub fn rows(&self) -> impl Iterator<Item = (RowKey, Signature, Count)> + '_ {
         (0..self.len()).map(|r| self.row(r))
+    }
+
+    /// The rows of a projection accumulator (`f0`, `f1` the boundary images)
+    /// in the interchange format, in insertion order.
+    pub fn projection_rows(&self) -> impl Iterator<Item = table::Row> + Clone + '_ {
+        self.rows.iter().enumerate().map(|(r, row)| table::Row {
+            u: row.key as u32,
+            v: (row.key >> 32) as u32,
+            sig: Signature::from_words([row.sig_lo, self.hi(r)]),
+            count: row.count,
+        })
     }
 
     /// Sum of all counts.

@@ -8,8 +8,7 @@
 //!   a given size — used by the strong/weak scaling experiments (Figures 12
 //!   and 13) to sweep the degree of parallelism,
 //! * [`parallel_indexed`] maps an expensive function over `0..count` with
-//!   per-item granularity (shard solves, trials),
-//! * [`pairwise_reduce`] combines partial results in a balanced tree.
+//!   per-item granularity (shard solves, owner merges, trials).
 
 use rayon::prelude::*;
 
@@ -24,32 +23,6 @@ pub fn run_with_threads<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Sen
         .build()
         .expect("failed to build rayon thread pool");
     pool.install(f)
-}
-
-/// Reduces `items` to a single value by rounds of pairwise parallel merges
-/// (`⌈log₂ n⌉` rounds of concurrent two-item combines instead of a serial
-/// left fold). Returns `None` for an empty input.
-///
-/// `op` must be associative; the reduction order is the deterministic
-/// balanced-tree order over the input sequence, so commutativity is only
-/// required if callers reorder the input.
-pub fn pairwise_reduce<T: Send>(mut items: Vec<T>, op: impl Fn(T, T) -> T + Sync) -> Option<T> {
-    while items.len() > 1 {
-        items = items
-            .into_par_iter()
-            .chunks(2)
-            .map(|mut pair| {
-                if pair.len() == 2 {
-                    let second = pair.pop().unwrap();
-                    let first = pair.pop().unwrap();
-                    op(first, second)
-                } else {
-                    pair.pop().unwrap()
-                }
-            })
-            .collect();
-    }
-    items.pop()
 }
 
 /// Maps `f` over `0..count` in parallel with *per-item* granularity,
@@ -94,25 +67,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_panics() {
         run_with_threads(0, || ());
-    }
-
-    #[test]
-    fn pairwise_reduce_matches_a_fold() {
-        assert_eq!(pairwise_reduce(Vec::<u64>::new(), |a, b| a + b), None);
-        assert_eq!(pairwise_reduce(vec![7u64], |a, b| a + b), Some(7));
-        let items: Vec<u64> = (1..=100).collect();
-        let total = pairwise_reduce(items.clone(), |a, b| a + b);
-        assert_eq!(total, Some(items.iter().sum()));
-        // Associative but non-commutative op: balanced-tree order must
-        // still concatenate left to right.
-        let words: Vec<String> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            pairwise_reduce(words, |a, b| a + &b).as_deref(),
-            Some("abcde")
-        );
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! ever publish the standard metric names.
 
 use std::sync::Arc;
+use subgraph_counting::engine::parallel::run_with_threads;
 use subgraph_counting::gen::erdos_renyi::gnp;
+use subgraph_counting::graph::Coloring;
 use subgraph_counting::graph::CsrGraph;
 use subgraph_counting::net::{Server, ServerConfig};
+use subgraph_counting::obs::{span, Stage};
 use subgraph_counting::query::Registry;
 use subgraph_counting::{Algorithm, Engine, Precision};
 
@@ -62,6 +65,41 @@ fn observability_never_perturbs_the_count() {
                 );
             }
         }
+    }
+}
+
+/// The trace of a sharded run, block step by block step: the step's shard
+/// solves, then exactly one `exchange` span. That span opens where the
+/// step's last solve returns and closes where the next step's solves fan out
+/// (or the run ends), so in a thread's completion order nothing but it lies
+/// between two steps' `dp.block.columnar` spans, and no solve completes
+/// inside it. One pool thread on a fresh OS thread: every span of the run,
+/// and nothing else, lands in one ring.
+#[test]
+fn one_exchange_span_fills_each_gap_between_block_steps() {
+    const SHARDS: usize = 3;
+    let graph = obs_graph();
+    for name in ["glet1", "wiki", "brain1"] {
+        let query = Registry::builtin().build(name).unwrap();
+        let engine = Engine::new(&graph);
+        let steps = engine.plan(&query).unwrap().blocks.len();
+        assert!(steps > 1, "{name} has several blocks");
+        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 3);
+        let stages: Vec<Stage> = std::thread::scope(|scope| {
+            let run = || {
+                let request = engine.count(&query).coloring(&coloring).sharded(SHARDS);
+                run_with_threads(1, || request.run().unwrap());
+                span::recent()
+            };
+            scope.spawn(run).join().unwrap()
+        })
+        .into_iter()
+        .map(|(stage, _)| stage)
+        .filter(|stage| matches!(stage, Stage::DpBlockColumnar | Stage::Exchange))
+        .collect();
+        let mut one_step = vec![Stage::DpBlockColumnar; SHARDS];
+        one_step.push(Stage::Exchange);
+        assert_eq!(stages, one_step.repeat(steps), "{name}");
     }
 }
 

@@ -8,6 +8,7 @@
 
 use subgraph_counting::core::brute::count_colorful_matches;
 use subgraph_counting::core::{Algorithm, Engine, SgcError};
+use subgraph_counting::engine::parallel::run_with_threads;
 use subgraph_counting::gen::chung_lu;
 use subgraph_counting::gen::power_law_degrees;
 use subgraph_counting::graph::{Coloring, CsrGraph, GraphBuilder};
@@ -363,42 +364,122 @@ fn determinism_matrix_shards_by_batch_vs_solo() {
     }
 }
 
-/// One shard is the serial run: `.sharded(1)` reports the unsharded run's
-/// count *and* its work and table metrics — a one-partial exchange round
-/// creates no table, so it must not be observed as one.
-#[test]
-fn one_shard_reports_the_unsharded_metrics_on_every_registry_query() {
+/// The 600-vertex Chung–Lu graph of the two tests below. The kernel solves a
+/// shard's start range in tiles of about a thousand incident edges; the
+/// checks must cover ranges of several tiles.
+fn skewed_graph() -> CsrGraph {
     let degrees: Vec<f64> = power_law_degrees(600, 1.6)
         .iter()
         .map(|d| d * 2.0)
         .collect();
     let graph = chung_lu(&degrees, 5);
-    // The kernel solves a shard's start range in tiles of about a thousand
-    // incident edges; the check must cover a range of several tiles.
     assert!(2 * graph.num_edges() > 2048, "{} edges", graph.num_edges());
+    graph
+}
+
+/// The shard count decides who does the work, never what work is done: on
+/// every registry query and both algorithms, `None`, `sharded(1)`,
+/// `sharded(2)` and `sharded(5)` report the same count, the same operations
+/// and the same per-rank load. One shard is the serial run down to its table
+/// metrics — a one-partial exchange round creates no table, so it must not
+/// be observed as one; what still tells the two apart is that only the
+/// sharded request reports shard metrics.
+#[test]
+fn shard_count_changes_nothing_but_the_shard_metrics() {
+    let graph = skewed_graph();
     let engine = Engine::new(&graph);
     for entry in Registry::builtin().entries() {
         let (name, query) = (entry.name(), entry.query());
         let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 7);
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let request = || engine.count(query).algorithm(algorithm).coloring(&coloring);
+            let request = || {
+                engine
+                    .count(query)
+                    .algorithm(algorithm)
+                    .ranks(8)
+                    .coloring(&coloring)
+            };
             let serial = request().run().unwrap();
-            let one = request().sharded(1).run().unwrap();
-            let what = format!("{name} with {algorithm}");
-            assert_eq!(one.colorful_matches, serial.colorful_matches, "{what}");
-            assert_eq!(one.metrics.total_ops, serial.metrics.total_ops, "{what}");
-            assert_eq!(
-                one.metrics.entries_created, serial.metrics.entries_created,
-                "{what}"
-            );
-            assert_eq!(
-                one.metrics.peak_table_entries, serial.metrics.peak_table_entries,
-                "{what}"
-            );
-            // What still tells the two apart: only the sharded request
-            // reports shard metrics.
-            assert!(serial.metrics.shards.is_none(), "{what}");
-            assert_eq!(one.metrics.shards.unwrap().num_shards(), 1, "{what}");
+            assert!(serial.metrics.shards.is_none(), "{name} with {algorithm}");
+            for shards in [1, 2, 5] {
+                let what = format!("{name} with {algorithm} at {shards} shards");
+                let sharded = request().sharded(shards).run().unwrap();
+                let (m, s) = (&sharded.metrics, &serial.metrics);
+                assert_eq!(sharded.colorful_matches, serial.colorful_matches, "{what}");
+                assert_eq!(m.total_ops, s.total_ops, "{what}");
+                assert_eq!(m.load.per_rank(), s.load.per_rank(), "{what}");
+                let shard_metrics = m.shards.as_ref().expect("sharded metrics present");
+                assert_eq!(shard_metrics.num_shards(), shards, "{what}");
+                assert_eq!(
+                    shard_metrics.ops_per_shard.iter().sum::<u64>(),
+                    s.total_ops,
+                    "{what}"
+                );
+                if shards == 1 {
+                    assert_eq!(m.entries_created, s.entries_created, "{what}");
+                    assert_eq!(m.peak_table_entries, s.peak_table_entries, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// The exchange sums an owner's rows in the arena of the lane it shares its
+/// index with, and partials and owner slices are written into the buffers
+/// their lane retired a run ago, so the second of two identical sharded
+/// trials allocates no table capacity at all — solve, export or exchange.
+/// (One pool thread: lanes then check their arenas out in lane order, and
+/// each gets its own back.)
+#[test]
+fn steady_state_sharded_trials_grow_no_arena() {
+    let graph = skewed_graph();
+    for entry in Registry::builtin().entries() {
+        let (name, query) = (entry.name(), entry.query());
+        // A pool of its own per query, so every first trial starts cold.
+        let engine = Engine::new(&graph);
+        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 7);
+        let run = || {
+            let request = engine.count(query).coloring(&coloring).sharded(3);
+            run_with_threads(1, || request.run().unwrap().metrics.kernel)
+        };
+        let first = run();
+        assert!(first.arena_grown_bytes > 0, "{name}: cold arenas grow");
+        let second = run();
+        assert_eq!(second.arena_reuses, 3, "{name}: one warm arena per lane");
+        assert_eq!(second.arena_grown_bytes, 0, "{name}");
+        assert_eq!(second.arena_bytes, first.arena_bytes, "{name}");
+    }
+}
+
+/// One engine serving many plans: every role's buffer ends up as large as
+/// the largest plan needs it, and no plan's small (or scalar) table may evict
+/// another's column — from the second round of a sweep over every registry
+/// query on, nothing grows and the arenas hold what they held.
+#[test]
+fn a_sweep_of_queries_grows_no_arena_after_its_first_round() {
+    let graph = skewed_graph();
+    for shards in [None, Some(3)] {
+        let engine = Engine::new(&graph);
+        let round = || -> Vec<_> {
+            let registry = Registry::builtin();
+            let kernels = registry.entries().map(|entry| {
+                let query = entry.query();
+                let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 7);
+                let request = engine.count(query).coloring(&coloring);
+                let request = match shards {
+                    Some(n) => request.sharded(n),
+                    None => request,
+                };
+                run_with_threads(1, || request.run().unwrap().metrics.kernel)
+            });
+            kernels.collect()
+        };
+        let first = round();
+        assert!(first.iter().any(|k| k.arena_grown_bytes > 0), "{shards:?}");
+        let held = first.last().map(|k| k.arena_bytes);
+        for kernel in round() {
+            assert_eq!(kernel.arena_grown_bytes, 0, "{shards:?}");
+            assert_eq!(Some(kernel.arena_bytes), held, "{shards:?}");
         }
     }
 }
