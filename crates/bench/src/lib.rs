@@ -69,15 +69,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// [`env_usize`] for `u64`-valued knobs (seeds). Zero is a valid seed, so
-/// unlike the count knobs it is not filtered out.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
 /// Reads the number of simulated ranks from `SGC_RANKS` (default 64).
 pub fn simulated_ranks() -> usize {
     env_usize("SGC_RANKS", 64)

@@ -33,7 +33,7 @@ use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate, TrialAccumulator};
 use crate::explain::PlanReport;
 use crate::kernel::ArenaPool;
-use crate::runtime::executor::{execute_one, Job};
+use crate::runtime::executor::{execute, Job};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::{Coloring, CsrGraph};
@@ -122,11 +122,6 @@ impl<'g> Engine<'g> {
             default_config: config,
             arena_pool: ArenaPool::new(),
         }
-    }
-
-    /// The engine's DP-kernel arena pool.
-    pub(crate) fn arena_pool(&self) -> &ArenaPool {
-        &self.arena_pool
     }
 
     /// The bound data graph.
@@ -281,26 +276,25 @@ impl<'g> Engine<'g> {
         self.explain(&query)
     }
 
-    /// Executes many counting requests as one batch: every trial step draws
-    /// each needed coloring **once** (queries with the same node count and
-    /// effective seed share it) and runs the PS/DB dynamic program per
-    /// *distinct* query against that shared coloring — structurally
-    /// identical requests share one plan and one DP result.
+    /// Estimates many counting requests in one call: a loop over the solo
+    /// path, one [`TrialStream`] per *distinct* request. Structurally
+    /// identical requests (same [`canonical_key`], algorithm and seed) run
+    /// once, to the longest member's trial count, and each twin is handed
+    /// its prefix; everything else runs exactly as its own
+    /// [`estimate`](CountRequest::estimate) would.
     ///
-    /// Every request's estimate is **bit-identical** to its solo
-    /// [`estimate`](CountRequest::estimate): trial `i` of a request still
-    /// colors with `seed + i` and runs the same DP, so batching changes how
-    /// often shared work happens, never what any query observes. The
-    /// returned [`BatchMetrics`](crate::BatchMetrics) report how much was
-    /// shared.
+    /// Every request's estimate is therefore **bit-identical** to its solo
+    /// `estimate`: trial `i` of a request colors with `seed + i` and runs
+    /// the same DP. The returned [`BatchMetrics`](crate::BatchMetrics)
+    /// report how many DP runs the twins shared.
     ///
     /// Requests must come from this engine (so they share its graph,
     /// preprocessing and plan cache); a request carrying an explicit
-    /// coloring is rejected exactly like a solo `estimate`. If any request
-    /// asked for [`sharded`](CountRequest::sharded) execution and the batch
-    /// runs sequentially ([`parallel(false)`](CountRequest::parallel) on
-    /// every member), each trial step runs through the batch-aware sharded
-    /// runtime: one exchange round serves all queries in a block step.
+    /// coloring is rejected exactly like a solo `estimate`. A twin group
+    /// runs with its first member's settings
+    /// ([`parallel`](CountRequest::parallel),
+    /// [`sharded`](CountRequest::sharded), ranks, observability) — counts
+    /// are identical under all of them.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -319,7 +313,7 @@ impl<'g> Engine<'g> {
     ///     .collect();
     /// let batch = engine.count_batch(&requests).unwrap();
     ///
-    /// // Bit-identical to the solo runs, with shared colorings underneath.
+    /// // Bit-identical to the solo runs.
     /// for (query, estimate) in queries.iter().zip(&batch.estimates) {
     ///     let solo = engine.count(query).trials(8).seed(7).estimate().unwrap();
     ///     assert_eq!(estimate.per_trial, solo.per_trial);
@@ -341,12 +335,8 @@ impl<'g> Engine<'g> {
 
     /// Runs one job through the block-step executor on this engine's graph,
     /// preprocessing and arena pool.
-    pub(crate) fn run_job(
-        &self,
-        job: &Job<'_>,
-        shards: Option<usize>,
-    ) -> Result<CountResult, SgcError> {
-        execute_one(&self.graph, &self.prep, job, shards, &self.arena_pool)
+    fn run_job(&self, job: &Job<'_>, shards: Option<usize>) -> Result<CountResult, SgcError> {
+        Ok(execute(&self.graph, &self.prep, job, shards, &self.arena_pool)?.result)
     }
 
     fn request<'e, 'a>(&'e self, query: Cow<'a, QueryGraph>) -> CountRequest<'e, 'g, 'a> {
@@ -367,7 +357,7 @@ impl<'g> Engine<'g> {
 }
 
 /// Either a caller-supplied plan or a cache-owned one.
-pub(crate) enum PlanRef<'a> {
+enum PlanRef<'a> {
     Borrowed(&'a DecompositionTree),
     Cached(Arc<DecompositionTree>),
 }
@@ -393,14 +383,14 @@ pub struct CountRequest<'e, 'g, 'a> {
     pub(crate) engine: &'e Engine<'g>,
     pub(crate) query: Cow<'a, QueryGraph>,
     pub(crate) algorithm: Algorithm,
-    pub(crate) num_ranks: usize,
-    pub(crate) coloring: Option<&'a Coloring>,
-    pub(crate) plan: Option<&'a DecompositionTree>,
+    num_ranks: usize,
+    coloring: Option<&'a Coloring>,
+    plan: Option<&'a DecompositionTree>,
     pub(crate) trials: usize,
     pub(crate) seed: u64,
-    pub(crate) parallel: bool,
-    pub(crate) shards: Option<usize>,
-    pub(crate) obs: bool,
+    parallel: bool,
+    shards: Option<usize>,
+    obs: bool,
 }
 
 impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
@@ -522,7 +512,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         self
     }
 
-    pub(crate) fn resolve_plan(&self) -> Result<PlanRef<'a>, SgcError> {
+    fn resolve_plan(&self) -> Result<PlanRef<'a>, SgcError> {
         match self.plan {
             Some(tree) => {
                 // Same canonical form as the cache key, so "is this plan for
@@ -703,6 +693,12 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::ZeroRanks`] / [`SgcError::ZeroShards`] for zero ranks or
     /// shards, plus the planning errors of [`run`](CountRequest::run).
     pub fn estimate_incremental(self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
+        self.stream()
+    }
+
+    /// [`estimate_incremental`](CountRequest::estimate_incremental) by
+    /// reference, for [`Engine::count_batch`]'s borrowed requests.
+    pub(crate) fn stream(&self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
         if self.coloring.is_some() {
             return Err(SgcError::ColoringWithEstimate);
         }

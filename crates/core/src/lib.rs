@@ -21,10 +21,10 @@
 //!   data graph that amortizes the preprocessing across trials and queries,
 //!   caches decomposition plans, and reports typed [`SgcError`]s instead of
 //!   panicking on bad input,
-//! * [`batch`] — batched multi-query execution ([`Engine::count_batch`]):
-//!   one coloring pass per trial step serves every query in the batch,
-//!   structurally identical queries share one plan and one DP result, and
-//!   every member stays bit-identical to its solo run,
+//! * [`batch`] — many requests in one call ([`Engine::count_batch`]): a
+//!   loop over the solo trial stream in which structurally identical
+//!   requests share one plan and one DP run, and every member stays
+//!   bit-identical to its solo run,
 //! * [`estimator`] — the approximate subgraph counting statistics: the
 //!   `k^k / k!` unbiased scaling and the precision metrics of Figure 15
 //!   (the trial loop itself lives in [`CountRequest::estimate`]),

@@ -3,13 +3,13 @@
 //! After every shard has solved a block over its own vertex slice, the
 //! per-shard partial projection tables must be summed into the block's full
 //! table before any parent block can consume it. In the paper this is the
-//! batched alltoall of partial sums (Section 7): every rank sends each entry
-//! to the rank that *owns* its boundary vertex, once per block, and each rank
-//! sums and later probes only its own slice. Here a shard's partial arrives
-//! grouped by owner (the kernel's export is the bucketing) and the round fans
-//! out over `blocks × owners`: every owner sums the group each shard
-//! addressed to it and counting-sorts the result by vertex over its own
-//! range. The block's table is the list of those owner slices — the exchange
+//! batched alltoall of partial sums (Section 7) — "batched" over the entries
+//! of one block's exchange: every rank sends each entry to the rank that
+//! *owns* its boundary vertex, once per block, and each rank sums and later
+//! probes only its own slice. Here a shard's partial arrives grouped by owner
+//! (the kernel's export is the bucketing) and the round fans out over the
+//! owners: every owner sums the group each shard addressed to it and
+//! counting-sorts the result by vertex over its own range. The block's table is the list of those owner slices — the exchange
 //! is the regroup the parent's joins need, an unsharded run is its one-owner
 //! case, and it stays an explicit, metered step with the same observable
 //! exchange volume as the distributed original.
@@ -28,79 +28,50 @@ use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
 
-/// Lends one `(batch member, owner)` pair's retired slice buffers and summing
-/// table to the closure it is handed, and returns what the closure made of
-/// them; asked once per owner of a keyed block.
-pub type ScratchLender<'a> = dyn Fn(usize, usize, &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups) -> RowGroups
+/// Lends one owner's retired slice buffers and summing table to the closure
+/// it is handed, and returns what the closure made of them; asked once per
+/// owner of a keyed block.
+pub type ScratchLender<'a> = dyn Fn(usize, &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups) -> RowGroups
     + Sync
     + 'a;
 
-/// Combines the per-shard partials of *several* blocks — one per member of a
-/// batch trial step — in a single exchange round: the batched form the
-/// paper's Section 7 performs, where every query active in the current block
-/// step contributes to *one* synchronization point instead of paying one
-/// round per query. Each member's [`ShardMetrics`] still records the round
-/// and its shards' contributed entries (the per-query message volume is
-/// unchanged; what the batch saves is rounds, not bytes).
+/// Combines the per-shard partials of one block in one exchange round and
+/// returns the block's table. `metrics` records the round and every shard's
+/// contributed entries.
 ///
-/// The `members × owners` merges run on the current thread pool. An owner
-/// that a single shard sent rows to — every leaf edge keyed by its start
-/// vertex, every one-shard run — holds distinct keys already and is only
-/// sorted; the others are summed through the table `scratch` lends, and
-/// every slice is written into the buffers `scratch` lends with it.
-/// Returns the combined table of every member, in input order.
+/// The owners' merges run on the current thread pool. An owner that a single
+/// shard sent rows to — every leaf edge keyed by its start vertex, every
+/// one-shard run — holds distinct keys already and is only sorted; the others
+/// are summed through the table `scratch` lends, and every slice is written
+/// into the buffers `scratch` lends with it.
 ///
 /// # Panics
-/// Panics if `batch` and `metrics` disagree in length, or if a member's
-/// partial count differs from `plan`'s or its metrics' shard count.
+/// Panics if the partial count differs from `plan`'s or `metrics`' shard
+/// count.
 pub fn combine_round(
-    batch: &[Vec<RowGroups>],
-    metrics: &mut [ShardMetrics],
+    partials: &[RowGroups],
+    metrics: &mut ShardMetrics,
     plan: &ShardPlan,
     scratch: &ScratchLender<'_>,
-) -> Vec<BlockTable> {
+) -> BlockTable {
     let owners = plan.num_shards();
-    assert_eq!(
-        batch.len(),
-        metrics.len(),
-        "one ShardMetrics per batch member"
-    );
-    for (partials, member_metrics) in batch.iter().zip(metrics.iter_mut()) {
-        assert_eq!(partials.len(), owners, "one partial table per shard");
-        assert_eq!(
-            member_metrics.num_shards(),
-            owners,
-            "one metrics slot per shard"
-        );
-        member_metrics.exchange_rounds += 1;
-        for (shard, partial) in partials.iter().enumerate() {
-            // A scalar partial is one number on the wire; keyed tables
-            // contribute one message entry per materialised key.
-            member_metrics.entries_exchanged[shard] += partial.len() as u64;
-        }
+    assert_eq!(partials.len(), owners, "one partial table per shard");
+    assert_eq!(metrics.num_shards(), owners, "one metrics slot per shard");
+    metrics.exchange_rounds += 1;
+    for (shard, partial) in partials.iter().enumerate() {
+        // A scalar partial is one number on the wire; keyed tables
+        // contribute one message entry per materialised key.
+        metrics.entries_exchanged[shard] += partial.len() as u64;
     }
-    let mut slices = parallel_indexed(batch.len() * owners, |idx| {
-        let (member, owner) = (idx / owners, idx % owners);
-        if batch[member][0].is_scalar() {
-            // The round sums a scalar block's total below.
-            return RowGroups::default();
-        }
-        scratch(member, owner, &mut |retired, table| {
-            owner_slice(&batch[member], plan, owner, retired, table)
+    if partials[0].is_scalar() {
+        return BlockTable::scalar(partials.iter().map(RowGroups::total).sum());
+    }
+    let slices = parallel_indexed(owners, |owner| {
+        scratch(owner, &mut |retired, table| {
+            owner_slice(partials, plan, owner, retired, table)
         })
-    })
-    .into_iter();
-    batch
-        .iter()
-        .map(|partials| {
-            let slices: Vec<RowGroups> = (&mut slices).take(owners).collect();
-            if partials[0].is_scalar() {
-                BlockTable::scalar(partials.iter().map(RowGroups::total).sum())
-            } else {
-                BlockTable::from_slices(slices, plan.partition.clone())
-            }
-        })
-        .collect()
+    });
+    BlockTable::from_slices(slices, plan.partition.clone())
 }
 
 /// One owner's share of a keyed block's exchange: the rows every shard's
@@ -144,21 +115,18 @@ pub(crate) mod tests {
     /// A lender of fresh buffers and throwaway summing tables.
     fn fresh(
         _: usize,
-        _: usize,
         merge: &mut dyn FnMut(RowGroups, &mut ColumnarTable) -> RowGroups,
     ) -> RowGroups {
         merge(RowGroups::default(), &mut ColumnarTable::new())
     }
 
-    /// [`combine_round`] for one block.
+    /// [`combine_round`] with fresh scratch.
     pub(crate) fn combine(
         partials: Vec<RowGroups>,
         plan: &ShardPlan,
         metrics: &mut ShardMetrics,
     ) -> BlockTable {
-        combine_round(&[partials], std::slice::from_mut(metrics), plan, &fresh)
-            .pop()
-            .expect("one block in, one combined table out")
+        combine_round(&partials, metrics, plan, &fresh)
     }
 
     /// A shard's partial over `plan` from `(u, v, color, count)` entries.
@@ -279,42 +247,6 @@ pub(crate) mod tests {
     fn empty_partials_panic() {
         let plan = ShardPlan::new(3, 1).unwrap();
         let _ = combine(Vec::new(), &plan, &mut ShardMetrics::new(0));
-    }
-
-    #[test]
-    fn one_round_serves_several_blocks() {
-        // Two batch members combine in one shared round: each member's
-        // metrics record exactly one round and its own entry volume.
-        let plan = ShardPlan::new(2, 2).unwrap();
-        let second = || {
-            vec![
-                unary(&plan, &[(0, 0, 1), (1, 1, 2)]),
-                unary(&plan, &[(0, 0, 5)]),
-            ]
-        };
-        let mut metrics = vec![ShardMetrics::new(2), ShardMetrics::new(2)];
-        let scalars = [3, 4].map(|total| RowGroups::default().scalar(total, &plan.partition));
-        let combined = combine_round(&[scalars.to_vec(), second()], &mut metrics, &plan, &fresh);
-        assert_eq!(combined.len(), 2);
-        assert_eq!(combined[0].total(), 7);
-        assert_eq!(combined[1].total(), 8);
-        assert_eq!(metrics[0].exchange_rounds, 1);
-        assert_eq!(metrics[1].exchange_rounds, 1);
-        assert_eq!(metrics[0].entries_exchanged, vec![1, 1]);
-        assert_eq!(metrics[1].entries_exchanged, vec![2, 1]);
-        // Combining per member one at a time yields the same tables: the
-        // shared round changes synchronization structure, never counts.
-        let alone = combine(second(), &plan, &mut ShardMetrics::new(2));
-        assert_eq!(alone, combined[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one ShardMetrics per batch member")]
-    fn mismatched_round_lengths_panic() {
-        let plan = ShardPlan::new(3, 1).unwrap();
-        let scalar = || vec![RowGroups::default().scalar(1, &plan.partition)];
-        let mut m = vec![ShardMetrics::new(1)];
-        let _ = combine_round(&[scalar(), scalar()], &mut m, &plan, &fresh);
     }
 
     proptest! {

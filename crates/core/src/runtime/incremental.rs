@@ -245,8 +245,7 @@ fn run_hooked(
         obs: sgc_obs::enabled(),
         partials: Some(hook),
     };
-    let mut executed = execute(graph, prep, &[job], Some(num_shards), pool)?;
-    let outcome = executed.jobs.pop().expect("one job in, one outcome out");
+    let outcome = execute(graph, prep, &job, Some(num_shards), pool)?;
     Ok(IncrementalOutcome {
         colorful_matches: outcome.result.colorful_matches,
         partials: outcome.retained.expect("hooked jobs retain partials"),

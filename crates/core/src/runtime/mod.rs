@@ -9,14 +9,14 @@
 //!
 //! * [`shard`] — the vertex shards (reusing `sgc_graph::BlockPartition`, the
 //!   same 1D block distribution the paper uses),
-//! * `executor` — the one block-step loop: per step, jobs × shards partial
-//!   solves fanned out over the thread pool, then one exchange round. An
-//!   unsharded request is its one-shard case, a batch is many jobs, and
-//!   retain/replay is a hook on the per-shard solve,
-//! * [`exchange`] — the explicit combination step that sums the per-shard
-//!   partial projection tables into each block's full table, mirroring the
-//!   paper's alltoall of partial sums, and recording per-shard exchange
-//!   volume,
+//! * `executor` — the one block-step loop, for one (query, coloring) job:
+//!   per step, the per-shard partial solves fanned out over the thread
+//!   pool, then one exchange round. An unsharded request is its one-shard
+//!   case and retain/replay is a hook on the per-shard solve,
+//! * [`exchange`] — the explicit combination step that sums one block's
+//!   per-shard partial projection tables into its full table, mirroring
+//!   the paper's alltoall of partial sums (batched over the entries of that
+//!   block, not over queries), and recording per-shard exchange volume,
 //! * [`incremental`] — delta-aware recounting: which shards an edge delta
 //!   can have changed, and the retain/replay wrappers over the executor.
 //!

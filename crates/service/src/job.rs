@@ -169,19 +169,14 @@ impl CountJob {
     }
 }
 
-/// A set of [`CountJob`]s submitted together for batched execution.
+/// A set of [`CountJob`]s submitted together.
 ///
 /// A batch is admitted atomically (all members or none, counted against the
-/// queue capacity member by member) and processed by one worker as a unit:
-/// members without a [`Precision`] target run through the engine's batched
-/// executor ([`count_batch`](sgc_core::Engine::count_batch)), sharing one
-/// coloring pass per trial step and one DP result per structurally
-/// identical query; members *with* a precision target keep their individual
-/// adaptive trial loop (early stopping and coloring sharing pull in
-/// opposite directions, so each job gets the optimization that matches its
-/// contract). Every member's result is bit-identical to its solo
-/// submission and lands in the single-flight result cache under the same
-/// canonical key, so batched and solo submissions stay interchangeable.
+/// queue capacity member by member); from there every member is an ordinary
+/// job — its own worker, adaptive trial loop, progress updates, cancellation
+/// and trace entry. Identical members compute once through the single-flight
+/// result cache, under the same canonical key a solo submission uses, so
+/// batched and solo submissions stay interchangeable and bit-identical.
 ///
 /// ```
 /// use sgc_query::catalog;

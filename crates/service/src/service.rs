@@ -7,11 +7,13 @@
 //! * **admission control** — the work queue is bounded; a full queue rejects
 //!   with [`ServiceError::QueueFull`] instead of growing without limit,
 //! * **adaptive scheduling** — each job's trials run in fixed-size chunks
-//!   through the engine's incremental
-//!   [`TrialStream`](sgc_core::TrialStream); after every chunk the job's
+//!   (through the engine's incremental
+//!   [`TrialStream`], or the delta-aware runtime for
+//!   a job pinned to a graph version); after every chunk the job's
 //!   confidence interval is checked against its
 //!   [`Precision`](crate::job::Precision) target and the job stops as soon
-//!   as the target is met (or the budget runs out),
+//!   as the target is met (or the budget runs out). One loop serves every
+//!   job: solo, batch member, versioned, watch emission,
 //! * **result caching** — deterministic jobs are memoized and
 //!   single-flighted (see [`crate::cache`]); identical submissions are
 //!   served without recomputation, bit-identically.
@@ -22,11 +24,12 @@ use crate::job::{
     BatchJob, ChunkUpdate, CountJob, JobHandle, JobOutput, JobState, ProgressFn, StopReason,
 };
 use crate::metrics::{Counters, ServiceMetrics};
-use sgc_core::estimator::summarize_trials;
+use sgc_core::estimator::{summarize_trials, TrialAccumulator};
 use sgc_core::kernel::ArenaPool;
-use sgc_core::{CountRequest, Engine, SgcError};
+use sgc_core::{Engine, SgcError, TrialStream};
 use sgc_dyn::{PartialStore, TrialSpec, VersionId, VersionedGraph};
 use sgc_graph::{CsrGraph, EdgeDelta};
+use sgc_query::DecompositionTree;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,29 +93,15 @@ impl Default for ServiceConfig {
 /// payload); older entries are evicted first.
 const TRACE_LOG_CAPACITY: usize = 64;
 
-/// One queued job: the description plus the completion slot its
-/// [`JobHandle`] waits on.
-struct QueuedJob {
+/// One queue slot: a job, the completion slot its [`JobHandle`] waits on,
+/// and the graph version it is pinned to, if any.
+struct QueueEntry {
     job: CountJob,
     state: Arc<JobState>,
-}
-
-/// One queue slot: a solo submission, a batch processed as a unit, or a
-/// job pinned to a graph version.
-enum QueueEntry {
-    Single(QueuedJob),
-    Batch(Vec<QueuedJob>),
-    Versioned(VersionId, QueuedJob),
-}
-
-impl QueueEntry {
-    /// Number of jobs this entry admits against the queue capacity.
-    fn members(&self) -> usize {
-        match self {
-            QueueEntry::Single(_) | QueueEntry::Versioned(_, _) => 1,
-            QueueEntry::Batch(jobs) => jobs.len(),
-        }
-    }
+    /// `None` for a plain job, which counts on the bound graph through the
+    /// engine's trial stream; `Some` for a job that runs through the
+    /// delta-aware runtime at that version.
+    version: Option<VersionId>,
 }
 
 /// A live watch subscription: the job re-run at every new version, and the
@@ -153,14 +142,6 @@ impl WatchHandle {
 struct QueueState {
     jobs: VecDeque<QueueEntry>,
     shutdown: bool,
-}
-
-impl QueueState {
-    /// Jobs currently queued, counting every batch member individually —
-    /// the quantity admission control bounds.
-    fn member_count(&self) -> usize {
-        self.jobs.iter().map(QueueEntry::members).sum()
-    }
 }
 
 /// Everything the workers share.
@@ -265,6 +246,13 @@ impl Service {
     /// a cached or in-flight result, the handle is fulfilled from that
     /// result without recomputation.
     ///
+    /// A plain job always counts on the **root** — the graph the service
+    /// was bound to — however many deltas [`apply_delta`](Service::apply_delta)
+    /// has landed since: its answer is bit-identical to, and shares a cache
+    /// slot with, [`submit_at`](Service::submit_at) at
+    /// [`root_version`](Service::root_version). Counting at the head (or
+    /// any other version) is `submit_at`'s job.
+    ///
     /// # Errors
     /// [`ServiceError::QueueFull`] when the bounded queue is at capacity,
     /// [`ServiceError::ShuttingDown`] after [`shutdown`](Service::shutdown),
@@ -273,7 +261,7 @@ impl Service {
     /// reported through the handle instead, as
     /// [`ServiceError::Count`].
     pub fn submit(&self, job: CountJob) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(job, None)
+        self.admit_one(job, None, None)
     }
 
     /// [`submit`](Service::submit) with a progress watcher: `progress` is
@@ -283,11 +271,9 @@ impl Service {
     ///
     /// Watchers fire only when the job actually computes — a submission
     /// answered from the result cache (or joined onto an identical
-    /// in-flight computation) goes straight to its final output, and batch
-    /// members routed through the batched executor have no chunk
-    /// boundaries. Every update is delivered strictly before the handle is
-    /// fulfilled, so a caller that streams updates and then waits observes
-    /// them in order.
+    /// in-flight computation) goes straight to its final output. Every
+    /// update is delivered strictly before the handle is fulfilled, so a
+    /// caller that streams updates and then waits observes them in order.
     ///
     /// This is the serving primitive behind the `sgc-net` wire protocol's
     /// streamed estimate frames.
@@ -299,59 +285,86 @@ impl Service {
         job: CountJob,
         progress: ProgressFn,
     ) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(job, Some(progress))
+        self.admit_one(job, Some(progress), None)
     }
 
-    fn submit_inner(
+    /// Admits one job: [`admit`](Service::admit) for a single member.
+    fn admit_one(
         &self,
-        mut job: CountJob,
+        job: CountJob,
         progress: Option<ProgressFn>,
+        version: Option<VersionId>,
     ) -> Result<JobHandle, ServiceError> {
-        if let Some(precision) = &job.precision {
-            precision.validate()?;
+        let mut handles = self.admit(vec![job], vec![progress], version)?;
+        Ok(handles.pop().expect("one job in, one handle out"))
+    }
+
+    /// The one admission path: validates every job, mints missing trace
+    /// IDs (at submission, unless the client propagated one over the wire,
+    /// so even a rejected or cancelled job has an identity in the logs),
+    /// and queues all of them or none under one lock acquisition.
+    /// `progress` may be shorter than `jobs`; missing tails mean "no
+    /// watcher".
+    fn admit(
+        &self,
+        mut jobs: Vec<CountJob>,
+        progress: Vec<Option<ProgressFn>>,
+        version: Option<VersionId>,
+    ) -> Result<Vec<JobHandle>, ServiceError> {
+        for job in &mut jobs {
+            if let Some(precision) = &job.precision {
+                precision.validate()?;
+            }
+            if job.trace_id.is_none() {
+                job.trace_id = Some(sgc_obs::next_trace_id());
+            }
         }
-        // Trace IDs are minted at submission (unless the client propagated
-        // one over the wire), so even a rejected or cancelled job has an
-        // identity in the logs.
-        if job.trace_id.is_none() {
-            job.trace_id = Some(sgc_obs::next_trace_id());
-        }
-        let state = Arc::new(JobState::with_progress(progress));
+        let count = jobs.len();
+        let mut progress = progress.into_iter();
+        let states: Vec<Arc<JobState>> = (0..count)
+            .map(|_| Arc::new(JobState::with_progress(progress.next().flatten())))
+            .collect();
         {
             let mut queue = self.shared.lock_queue();
             if queue.shutdown {
                 return Err(ServiceError::ShuttingDown);
             }
-            if queue.member_count() >= self.shared.queue_capacity {
-                Counters::bump(&self.shared.counters.jobs_rejected);
+            if queue.jobs.len() + count > self.shared.queue_capacity {
+                Counters::add(&self.shared.counters.jobs_rejected, count as u64);
                 return Err(ServiceError::QueueFull {
                     capacity: self.shared.queue_capacity,
                 });
             }
-            Counters::bump(&self.shared.counters.jobs_submitted);
-            queue.jobs.push_back(QueueEntry::Single(QueuedJob {
-                job,
-                state: Arc::clone(&state),
-            }));
+            Counters::add(&self.shared.counters.jobs_submitted, count as u64);
+            for (job, state) in jobs.into_iter().zip(&states) {
+                queue.jobs.push_back(QueueEntry {
+                    job,
+                    state: Arc::clone(state),
+                    version,
+                });
+            }
         }
-        self.shared.available.notify_one();
-        Ok(JobHandle { state })
+        for _ in 0..count {
+            self.shared.available.notify_one();
+        }
+        Ok(states
+            .into_iter()
+            .map(|state| JobHandle { state })
+            .collect())
     }
 
-    /// Submits a batch of jobs for processing as one unit, returning one
-    /// handle per member (in submission order).
+    /// Submits a batch of jobs, returning one handle per member (in
+    /// submission order).
     ///
     /// Admission is atomic: either every member fits within the queue
     /// capacity or the whole batch is rejected with
-    /// [`ServiceError::QueueFull`] — a batch cannot be half-admitted. One
-    /// worker then picks the batch up and routes every member through the
-    /// single-flight result cache under its own canonical key (so batch
-    /// members join or serve identical solo jobs and vice versa);
-    /// fixed-budget members that miss the cache execute together through
-    /// [`Engine::count_batch`], sharing colorings and deduplicated DP runs,
-    /// while precision-targeted members keep their adaptive early-stop
-    /// loop. Every member's output is bit-identical to a solo submission
-    /// of the same job.
+    /// [`ServiceError::QueueFull`] — a batch cannot be half-admitted. Once
+    /// admitted, every member is an ordinary job: it is picked up by
+    /// whichever worker is free, routed through the single-flight result
+    /// cache under its own canonical key (so identical members — and
+    /// identical solo jobs — compute once), runs the same adaptive trial
+    /// loop, and can be cancelled on its own. Every member's output is
+    /// bit-identical to a solo submission of the same job.
     ///
     /// ```
     /// use sgc_graph::GraphBuilder;
@@ -378,16 +391,15 @@ impl Service {
     /// [`ServiceError::InvalidPrecision`] for an unusable member target.
     /// Counting-level failures are reported through the member handles.
     pub fn submit_batch(&self, batch: BatchJob) -> Result<Vec<JobHandle>, ServiceError> {
-        self.submit_batch_inner(batch, Vec::new())
+        self.submit_batch_with_progress(batch, Vec::new())
     }
 
     /// [`submit_batch`](Service::submit_batch) with one optional progress
     /// watcher per member (`progress` may be shorter than the batch;
-    /// missing tails mean "no watcher"). Watchers follow the
-    /// [`submit_with_progress`](Service::submit_with_progress) contract;
-    /// note that fixed-budget members executed through the batched engine
-    /// path have no chunk boundaries and therefore emit no updates, while
-    /// precision-targeted members stream one update per adaptive chunk.
+    /// missing tails mean "no watcher"). Each watcher follows the
+    /// [`submit_with_progress`](Service::submit_with_progress) contract:
+    /// one update per completed chunk of its member, fixed-budget or
+    /// precision-targeted alike.
     ///
     /// # Errors
     /// Exactly those of [`submit_batch`](Service::submit_batch).
@@ -396,61 +408,12 @@ impl Service {
         batch: BatchJob,
         progress: Vec<Option<ProgressFn>>,
     ) -> Result<Vec<JobHandle>, ServiceError> {
-        self.submit_batch_inner(batch, progress)
-    }
-
-    fn submit_batch_inner(
-        &self,
-        batch: BatchJob,
-        progress: Vec<Option<ProgressFn>>,
-    ) -> Result<Vec<JobHandle>, ServiceError> {
-        for job in batch.jobs() {
-            if let Some(precision) = &job.precision {
-                precision.validate()?;
-            }
-        }
-        let mut jobs = batch.into_jobs();
-        for job in &mut jobs {
-            if job.trace_id.is_none() {
-                job.trace_id = Some(sgc_obs::next_trace_id());
-            }
-        }
-        if jobs.is_empty() {
+        if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let mut progress = progress.into_iter();
-        let states: Vec<Arc<JobState>> = jobs
-            .iter()
-            .map(|_| Arc::new(JobState::with_progress(progress.next().flatten())))
-            .collect();
-        {
-            let mut queue = self.shared.lock_queue();
-            if queue.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if queue.member_count() + jobs.len() > self.shared.queue_capacity {
-                Counters::add(&self.shared.counters.jobs_rejected, jobs.len() as u64);
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.queue_capacity,
-                });
-            }
-            Counters::add(&self.shared.counters.jobs_submitted, jobs.len() as u64);
-            Counters::bump(&self.shared.counters.batches_submitted);
-            queue.jobs.push_back(QueueEntry::Batch(
-                jobs.into_iter()
-                    .zip(&states)
-                    .map(|(job, state)| QueuedJob {
-                        job,
-                        state: Arc::clone(state),
-                    })
-                    .collect(),
-            ));
-        }
-        self.shared.available.notify_one();
-        Ok(states
-            .into_iter()
-            .map(|state| JobHandle { state })
-            .collect())
+        let handles = self.admit(batch.into_jobs(), progress, None)?;
+        Counters::bump(&self.shared.counters.batches_submitted);
+        Ok(handles)
     }
 
     /// Submits a job and blocks until it completes — submission and
@@ -552,7 +515,7 @@ impl Service {
     /// # Errors
     /// Exactly those of [`submit`](Service::submit).
     pub fn submit_at(&self, version: VersionId, job: CountJob) -> Result<JobHandle, ServiceError> {
-        self.submit_at_inner(version, job, None)
+        self.admit_one(job, None, Some(version))
     }
 
     /// [`submit_at`](Service::submit_at) with a progress watcher, following
@@ -565,44 +528,7 @@ impl Service {
         job: CountJob,
         progress: ProgressFn,
     ) -> Result<JobHandle, ServiceError> {
-        self.submit_at_inner(version, job, Some(progress))
-    }
-
-    fn submit_at_inner(
-        &self,
-        version: VersionId,
-        mut job: CountJob,
-        progress: Option<ProgressFn>,
-    ) -> Result<JobHandle, ServiceError> {
-        if let Some(precision) = &job.precision {
-            precision.validate()?;
-        }
-        if job.trace_id.is_none() {
-            job.trace_id = Some(sgc_obs::next_trace_id());
-        }
-        let state = Arc::new(JobState::with_progress(progress));
-        {
-            let mut queue = self.shared.lock_queue();
-            if queue.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if queue.member_count() >= self.shared.queue_capacity {
-                Counters::bump(&self.shared.counters.jobs_rejected);
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.queue_capacity,
-                });
-            }
-            Counters::bump(&self.shared.counters.jobs_submitted);
-            queue.jobs.push_back(QueueEntry::Versioned(
-                version,
-                QueuedJob {
-                    job,
-                    state: Arc::clone(&state),
-                },
-            ));
-        }
-        self.shared.available.notify_one();
-        Ok(JobHandle { state })
+        self.admit_one(job, Some(progress), Some(version))
     }
 
     /// Counts at a version and blocks: [`submit_at`](Service::submit_at)
@@ -653,7 +579,7 @@ impl Service {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
             let head = self.head_version();
-            let output = run_versioned_now(&self.shared, head, &job)?;
+            let output = count_now(&self.shared, head, &job)?;
             callback(
                 head,
                 &ChunkUpdate {
@@ -694,7 +620,7 @@ impl Service {
 
     /// A snapshot of the service counters.
     pub fn metrics(&self) -> ServiceMetrics {
-        let queue_depth = self.shared.lock_queue().member_count();
+        let queue_depth = self.shared.lock_queue().jobs.len();
         self.shared.counters.snapshot(
             queue_depth,
             self.shared.cache.ready_entries(),
@@ -767,13 +693,7 @@ impl Service {
             queue.jobs.drain(..).collect()
         };
         for entry in leftovers {
-            let members = match entry {
-                QueueEntry::Single(queued) | QueueEntry::Versioned(_, queued) => vec![queued],
-                QueueEntry::Batch(members) => members,
-            };
-            for queued in members {
-                queued.state.fulfill(Err(ServiceError::ShuttingDown));
-            }
+            entry.state.fulfill(Err(ServiceError::ShuttingDown));
         }
         // Nothing can complete an in-flight computation once the workers
         // are gone (only reachable if a worker died outside catch_unwind).
@@ -806,68 +726,50 @@ fn worker_loop(shared: Arc<Shared>) {
                     .unwrap_or_else(|p| p.into_inner());
             }
         };
-        match entry {
-            QueueEntry::Single(queued) => process(&shared, queued),
-            QueueEntry::Batch(members) => process_batch(&shared, members),
-            QueueEntry::Versioned(version, queued) => process_versioned(&shared, version, queued),
-        }
+        process(&shared, entry);
     }
 }
 
-/// Routes one job through the cache and, if this worker owns the
-/// computation, runs the adaptive trial loop and fans the result out to
-/// every identical job that joined in flight.
-fn process(shared: &Shared, queued: QueuedJob) {
-    if finish_if_cancelled_before_start(shared, &queued) {
-        return;
-    }
-    if let Some((key, queued)) = route(shared, shared.graph_fingerprint, queued) {
-        let result = run_traced(shared, &queued, |queued| {
-            run_job(shared, &queued.job, &queued.state)
-        });
-        finish_compute(shared, key, &queued, result);
-    }
-}
-
-/// Like [`process`], but pinned to a graph version: the job runs through
-/// the delta-aware incremental runtime instead of the engine's trial
-/// stream, and its cache key carries the version id in the fingerprint
-/// slot (the root version id *is* the graph fingerprint, so root-version
+/// The one way a job runs — solo, batch member, versioned or watch
+/// emission: route it through the single-flight cache and, if this thread
+/// owns the computation, run the adaptive trial loop and fan the result out
+/// to every identical job that joined in flight.
+///
+/// A versioned job's cache key carries the version id in the fingerprint
+/// slot. The root version id *is* the graph fingerprint, so root-version
 /// jobs share slots with plain submissions — correct, because their
-/// per-trial counts are bit-identical).
-fn process_versioned(shared: &Shared, version: VersionId, queued: QueuedJob) {
-    if finish_if_cancelled_before_start(shared, &queued) {
+/// per-trial counts are bit-identical.
+fn process(shared: &Shared, entry: QueueEntry) {
+    if entry.state.is_cancelled() {
+        // Cancelled while still queued: it never touches the cache or runs
+        // a trial.
+        Counters::bump(&shared.counters.jobs_cancelled);
+        Counters::bump(&shared.counters.jobs_completed);
+        entry.state.fulfill(Err(ServiceError::Cancelled));
         return;
     }
-    if let Some((key, queued)) = route(shared, version.as_u64(), queued) {
-        let result = run_traced(shared, &queued, |queued| {
-            run_versioned_job(shared, version, &queued.job, &queued.state)
-        });
-        finish_compute(shared, key, &queued, result);
+    if let Some(key) = route(shared, &entry) {
+        let result = run_traced(shared, &entry);
+        finish_compute(shared, key, &entry, result);
     }
 }
 
-/// Runs one versioned job synchronously on the calling thread, through the
-/// same single-flight cache the workers use: a cached result is served, an
-/// identical in-flight computation is joined (blocking until it
-/// completes), and otherwise this thread computes. The primitive behind
-/// watch emissions.
-fn run_versioned_now(
+/// Runs one versioned job synchronously on the calling thread, through
+/// [`process`] like any queued job: a cached result is served, an identical
+/// in-flight computation is joined (blocking until it completes), and
+/// otherwise this thread computes. The primitive behind watch emissions.
+fn count_now(
     shared: &Shared,
     version: VersionId,
     job: &CountJob,
 ) -> Result<JobOutput, ServiceError> {
     let state = Arc::new(JobState::with_progress(None));
-    let queued = QueuedJob {
+    let entry = QueueEntry {
         job: job.clone(),
         state: Arc::clone(&state),
+        version: Some(version),
     };
-    if let Some((key, queued)) = route(shared, version.as_u64(), queued) {
-        let result = run_traced(shared, &queued, |queued| {
-            run_versioned_job(shared, version, &queued.job, &queued.state)
-        });
-        finish_compute(shared, key, &queued, result);
-    }
+    process(shared, entry);
     JobHandle { state }.wait()
 }
 
@@ -896,7 +798,7 @@ fn notify_watchers(shared: &Shared, version: VersionId) {
         if cancelled.load(Ordering::Relaxed) {
             continue;
         }
-        if let Ok(output) = run_versioned_now(shared, version, &job) {
+        if let Ok(output) = count_now(shared, version, &job) {
             if !cancelled.load(Ordering::Relaxed) {
                 callback(
                     version,
@@ -916,22 +818,18 @@ fn notify_watchers(shared: &Shared, version: VersionId) {
 /// neither kills the worker nor strands the jobs joined onto this
 /// computation (the span stack self-heals during unwinding), and the
 /// finished job lands in the slow-query trace log.
-fn run_traced(
-    shared: &Shared,
-    queued: &QueuedJob,
-    run: impl FnOnce(&QueuedJob) -> Result<JobOutput, ServiceError>,
-) -> Result<JobOutput, ServiceError> {
+fn run_traced(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceError> {
     let _pause = (!shared.obs).then(sgc_obs::suspend);
     let started = std::time::Instant::now();
     sgc_obs::start_job();
-    let result =
-        catch_unwind(AssertUnwindSafe(|| run(queued))).unwrap_or(Err(ServiceError::WorkerLost));
+    let result = catch_unwind(AssertUnwindSafe(|| run_job(shared, entry)))
+        .unwrap_or(Err(ServiceError::WorkerLost));
     let stages = sgc_obs::end_job();
     if shared.obs && sgc_obs::enabled() {
         shared.traces.record(sgc_obs::JobTrace {
-            trace_id: queued.job.trace_id.unwrap_or(0),
-            label: job_label(&queued.job),
-            seed: queued.job.seed,
+            trace_id: entry.job.trace_id.unwrap_or(0),
+            label: job_label(&entry.job),
+            seed: entry.job.seed,
             trials_run: result.as_ref().map(|o| o.trials_run as u64).unwrap_or(0),
             total_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             outcome: job_outcome(&result),
@@ -966,32 +864,23 @@ fn job_outcome(result: &Result<JobOutput, ServiceError>) -> &'static str {
     }
 }
 
-/// Fails a job whose cancellation arrived while it was still queued, before
-/// it ever touched the cache or ran a trial. Returns whether it did.
-fn finish_if_cancelled_before_start(shared: &Shared, queued: &QueuedJob) -> bool {
-    if !queued.state.is_cancelled() {
-        return false;
-    }
-    Counters::bump(&shared.counters.jobs_cancelled);
-    Counters::bump(&shared.counters.jobs_completed);
-    queued.state.fulfill(Err(ServiceError::Cancelled));
-    true
-}
-
 /// Routes one job through the single-flight cache. Serves cache hits and
-/// joins in-flight twins immediately; returns the key and job when this
-/// worker owns the computation (the miss counter is already bumped).
+/// joins in-flight twins immediately; returns the key when this worker owns
+/// the computation (the miss counter is already bumped).
 ///
 /// Counters are always bumped BEFORE the corresponding handle is
 /// fulfilled: once a caller's wait() returns, the metrics already account
 /// for that job.
-fn route(shared: &Shared, fingerprint: u64, queued: QueuedJob) -> Option<(JobKey, QueuedJob)> {
-    let key = JobKey::new(fingerprint, &queued.job);
+fn route(shared: &Shared, entry: &QueueEntry) -> Option<JobKey> {
+    let fingerprint = entry
+        .version
+        .map_or(shared.graph_fingerprint, VersionId::as_u64);
+    let key = JobKey::new(fingerprint, &entry.job);
     let _pause = (!shared.obs).then(sgc_obs::suspend);
     let started = std::time::Instant::now();
     let claim = {
         let _span = sgc_obs::span(sgc_obs::Stage::Cache);
-        shared.cache.claim(key.clone(), &queued.state)
+        shared.cache.claim(key.clone(), &entry.state)
     };
     match claim {
         Claim::Served(output) => {
@@ -999,16 +888,16 @@ fn route(shared: &Shared, fingerprint: u64, queued: QueuedJob) -> Option<(JobKey
             Counters::bump(&shared.counters.jobs_completed);
             if shared.obs && sgc_obs::enabled() {
                 shared.traces.record(sgc_obs::JobTrace {
-                    trace_id: queued.job.trace_id.unwrap_or(0),
-                    label: job_label(&queued.job),
-                    seed: queued.job.seed,
+                    trace_id: entry.job.trace_id.unwrap_or(0),
+                    label: job_label(&entry.job),
+                    seed: entry.job.seed,
                     trials_run: output.trials_run as u64,
                     total_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     outcome: "cache_hit",
                     stages: sgc_obs::StageNanos::default(),
                 });
             }
-            queued.state.fulfill(Ok(output));
+            entry.state.fulfill(Ok(output));
             None
         }
         Claim::Joined => {
@@ -1018,7 +907,7 @@ fn route(shared: &Shared, fingerprint: u64, queued: QueuedJob) -> Option<(JobKey
         }
         Claim::Compute => {
             Counters::bump(&shared.counters.cache_misses);
-            Some((key, queued))
+            Some(key)
         }
     }
 }
@@ -1029,7 +918,7 @@ fn route(shared: &Shared, fingerprint: u64, queued: QueuedJob) -> Option<(JobKey
 fn finish_compute(
     shared: &Shared,
     key: JobKey,
-    queued: &QueuedJob,
+    entry: &QueueEntry,
     result: Result<JobOutput, ServiceError>,
 ) {
     match &result {
@@ -1065,7 +954,7 @@ fn finish_compute(
         Counters::add(&shared.counters.cache_hits, waiters.len() as u64);
     }
     Counters::add(&shared.counters.jobs_completed, 1 + waiters.len() as u64);
-    queued.state.fulfill(result.clone());
+    entry.state.fulfill(result.clone());
     for waiter in waiters {
         let served = if cancelled_partial {
             Counters::bump(&shared.counters.jobs_cancelled);
@@ -1080,140 +969,99 @@ fn finish_compute(
     }
 }
 
-/// Processes a batch entry: routes every member through the cache, runs the
-/// cache-missing fixed-budget members through the engine's batched executor
-/// (shared colorings, deduplicated DP runs), and the precision-targeted
-/// members through their individual adaptive loops.
-fn process_batch(shared: &Shared, members: Vec<QueuedJob>) {
-    let computes: Vec<(JobKey, QueuedJob)> = members
-        .into_iter()
-        .filter(|queued| !finish_if_cancelled_before_start(shared, queued))
-        .filter_map(|queued| route(shared, shared.graph_fingerprint, queued))
-        .collect();
-    // Early stopping is an individual contract (each job stops on its own
-    // confidence interval), so precision-targeted members keep the solo
-    // adaptive loop; fixed-budget members share the batched executor.
-    let (adaptive, fixed): (Vec<_>, Vec<_>) = computes
-        .into_iter()
-        .partition(|(_, queued)| queued.job.precision.is_some());
-    for (key, queued) in adaptive {
-        let result = run_traced(shared, &queued, |queued| {
-            run_job(shared, &queued.job, &queued.state)
-        });
-        finish_compute(shared, key, &queued, result);
-    }
-    if fixed.is_empty() {
-        return;
-    }
-    match catch_unwind(AssertUnwindSafe(|| run_jobs_batched(shared, &fixed))) {
-        Ok(Ok(outputs)) => {
-            for ((key, queued), output) in fixed.into_iter().zip(outputs) {
-                // Batched members have no per-job stage breakdown (the
-                // batch shares colorings and DP runs), but they still get
-                // a slow-query entry under their own trace ID.
-                if shared.obs && sgc_obs::enabled() {
-                    shared.traces.record(sgc_obs::JobTrace {
-                        trace_id: queued.job.trace_id.unwrap_or(0),
-                        label: job_label(&queued.job),
-                        seed: queued.job.seed,
-                        trials_run: output.trials_run as u64,
-                        total_ns: (output.estimate.total_seconds * 1e9) as u64,
-                        outcome: "budget_exhausted",
-                        stages: sgc_obs::StageNanos::default(),
-                    });
-                }
-                finish_compute(shared, key, &queued, Ok(output));
-            }
-        }
-        // A batch-level validation error (one bad member fails
-        // `count_batch` for everyone): fall back to individual runs so
-        // only the offending members report the failure.
-        Ok(Err(_)) => {
-            for (key, queued) in fixed {
-                let result = run_traced(shared, &queued, |queued| {
-                    run_job(shared, &queued.job, &queued.state)
-                });
-                finish_compute(shared, key, &queued, result);
-            }
-        }
-        // A panic inside the batched executor: fail every owned member so
-        // nothing joined onto them is stranded.
-        Err(_) => {
-            for (key, queued) in fixed {
-                finish_compute(shared, key, &queued, Err(ServiceError::WorkerLost));
-            }
-        }
-    }
+/// How a job's trials `a..b` are run — the only per-kind code of the
+/// adaptive loop.
+enum Trials<'a> {
+    /// A plain job: the engine's incremental trial stream on the bound
+    /// graph.
+    Plain(TrialStream<'a, 'static, 'a>),
+    /// A job pinned to a version: the delta-aware runtime
+    /// ([`sgc_dyn::run_trials`]) under the engine's cached plan.
+    At(VersionId, Arc<DecompositionTree>),
 }
 
-/// Runs the cache-missing fixed-budget members of one batch through
-/// [`Engine::count_batch`]: one shared coloring pass per trial step, one DP
-/// run per structurally identical member. Outputs are bit-identical to the
-/// members' solo runs (asserted by `tests/batch.rs`).
-fn run_jobs_batched(
-    shared: &Shared,
-    fixed: &[(JobKey, QueuedJob)],
-) -> Result<Vec<JobOutput>, ServiceError> {
-    let requests: Vec<CountRequest<'_, 'static, '_>> = fixed
-        .iter()
-        .map(|(_, queued)| {
-            shared
-                .engine
-                .count(&queued.job.query)
-                .algorithm(queued.job.algorithm)
-                .seed(queued.job.seed)
-                .trials(queued.job.budget)
-                .parallel(shared.trial_parallelism)
-                .obs(shared.obs)
-        })
-        .collect();
-    let batch = shared.engine.count_batch(&requests)?;
-    Ok(fixed
-        .iter()
-        .zip(batch.estimates)
-        .map(|((_, queued), estimate)| JobOutput {
-            trials_run: estimate.per_trial.len(),
-            budget: queued.job.budget,
-            stop: StopReason::BudgetExhausted,
-            from_cache: false,
-            estimate,
-        })
-        .collect())
-}
-
-/// The adaptive trial loop of one job: run chunks through the incremental
-/// engine API, stop at the precision target, the budget, or a cancellation
-/// (checked once per chunk boundary — cancellation never interrupts a
-/// chunk mid-trial, so the trials that did run keep the seed+i contract).
-fn run_job(shared: &Shared, job: &CountJob, state: &JobState) -> Result<JobOutput, ServiceError> {
+/// The adaptive trial loop of every job: run chunks of trials, stop at the
+/// precision target, the budget, or a cancellation (checked once per chunk
+/// boundary — cancellation never interrupts a chunk mid-trial, so the
+/// trials that did run keep the seed+i contract).
+///
+/// Both kinds of [`Trials`] fold into an estimate with the very same
+/// [`summarize_trials`] the engine uses — which is what makes every output
+/// and every progress update bit-identical to a fixed-budget engine run of
+/// exactly that many trials (on the version's materialized graph, for a
+/// versioned job; pinned by `tests/dynamic.rs`).
+///
+/// A versioned job holds the version-chain read lock per chunk, not per
+/// job, so [`Service::apply_delta`] interleaves with long counts at chunk
+/// granularity.
+fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceError> {
+    let (job, state) = (&entry.job, &entry.state);
     if state.is_cancelled() {
         return Err(ServiceError::Cancelled);
     }
-    let mut stream = shared
-        .engine
-        .count(&job.query)
-        .algorithm(job.algorithm)
-        .seed(job.seed)
-        .parallel(shared.trial_parallelism)
-        .obs(shared.obs)
-        .estimate_incremental()?;
+    let mut trials = match entry.version {
+        None => Trials::Plain(
+            shared
+                .engine
+                .count(&job.query)
+                .algorithm(job.algorithm)
+                .seed(job.seed)
+                .parallel(shared.trial_parallelism)
+                .obs(shared.obs)
+                .estimate_incremental()?,
+        ),
+        Some(version) => Trials::At(version, shared.engine.plan(&job.query)?),
+    };
+    let mut per_trial: Vec<u64> = Vec::new();
+    let mut acc = TrialAccumulator::new();
+    let mut seconds = 0.0;
     let mut stop = StopReason::BudgetExhausted;
-    while stream.trials_run() < job.budget {
-        let chunk = shared.chunk_trials.min(job.budget - stream.trials_run());
-        stream.run_chunk(chunk);
+    while per_trial.len() < job.budget {
+        let start = per_trial.len();
+        let chunk = start..start + shared.chunk_trials.min(job.budget - start);
+        let chunk_started = std::time::Instant::now();
+        match &mut trials {
+            Trials::Plain(stream) => {
+                stream.run_chunk(chunk.len());
+                per_trial.extend(&stream.per_trial()[chunk]);
+            }
+            Trials::At(version, tree) => {
+                let spec = TrialSpec {
+                    query: &job.query,
+                    tree,
+                    algorithm: job.algorithm,
+                    seed: job.seed,
+                    num_shards: shared.dyn_shards,
+                };
+                let dynamic = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
+                let outcome = sgc_dyn::run_trials(
+                    &dynamic,
+                    &shared.partials,
+                    *version,
+                    &spec,
+                    chunk,
+                    &shared.pool,
+                )?;
+                per_trial.extend(outcome.per_trial);
+            }
+        }
+        seconds += chunk_started.elapsed().as_secs_f64();
+        for &count in &per_trial[start..] {
+            acc.push(count as f64);
+        }
         if state.has_progress() {
-            // The snapshot is the stream's own anytime estimate, so every
-            // update a watcher sees is bit-identical to a batch run of
-            // exactly that many trials (the invariant `sgc-net` streams
-            // over the wire).
+            // Summarized exactly as the final output will be, so every
+            // update a watcher sees is bit-identical to a fixed-budget run
+            // of that many trials (the invariant `sgc-net` streams over the
+            // wire).
             state.emit_progress(&ChunkUpdate {
-                trials_run: stream.trials_run(),
+                trials_run: per_trial.len(),
                 budget: job.budget,
-                estimate: stream.estimate()?,
+                estimate: summarize_trials(per_trial.clone(), &job.query, seconds),
             });
         }
         if let Some(precision) = &job.precision {
-            if stream.relative_half_width(precision.confidence) <= precision.target {
+            if acc.relative_half_width(precision.confidence) <= precision.target {
                 stop = StopReason::PrecisionMet;
                 break;
             }
@@ -1223,96 +1071,13 @@ fn run_job(shared: &Shared, job: &CountJob, state: &JobState) -> Result<JobOutpu
             break;
         }
     }
-    let trials_run = stream.trials_run();
-    // A zero budget runs zero trials; the stream reports it as the same
-    // typed error the batch API uses.
-    let estimate = stream.estimate()?;
-    Ok(JobOutput {
-        estimate,
-        trials_run,
-        budget: job.budget,
-        stop,
-        from_cache: false,
-    })
-}
-
-/// The adaptive trial loop of one *versioned* job: chunks run through the
-/// delta-aware incremental runtime ([`sgc_dyn::run_trials`]) instead of
-/// the engine's trial stream, then fold into an estimate with the very
-/// same [`summarize_trials`] the engine uses — which is what makes a
-/// versioned output bit-identical to a from-scratch engine run on the
-/// version's materialized graph (pinned by `tests/dynamic.rs`).
-///
-/// The version-chain read lock is held per chunk, not per job, so
-/// [`Service::apply_delta`] interleaves with long counts at chunk
-/// granularity.
-fn run_versioned_job(
-    shared: &Shared,
-    version: VersionId,
-    job: &CountJob,
-    state: &JobState,
-) -> Result<JobOutput, ServiceError> {
-    if state.is_cancelled() {
-        return Err(ServiceError::Cancelled);
-    }
-    if job.budget == 0 {
+    // A zero budget runs zero trials: the typed error the engine API uses.
+    if per_trial.is_empty() {
         return Err(ServiceError::Count(SgcError::ZeroTrials));
     }
-    let tree = sgc_query::heuristic_plan(&job.query).map_err(SgcError::Query)?;
-    let started = std::time::Instant::now();
-    let mut per_trial: Vec<u64> = Vec::new();
-    let mut stop = StopReason::BudgetExhausted;
-    while per_trial.len() < job.budget {
-        let chunk = shared.chunk_trials.min(job.budget - per_trial.len());
-        let start = per_trial.len();
-        let spec = TrialSpec {
-            query: &job.query,
-            tree: &tree,
-            algorithm: job.algorithm,
-            seed: job.seed,
-            num_shards: shared.dyn_shards,
-        };
-        {
-            let dynamic = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
-            let outcome = sgc_dyn::run_trials(
-                &dynamic,
-                &shared.partials,
-                version,
-                &spec,
-                start..start + chunk,
-                &shared.pool,
-            )?;
-            per_trial.extend(outcome.per_trial);
-        }
-        if state.has_progress() || job.precision.is_some() {
-            let estimate = summarize_trials(
-                per_trial.clone(),
-                &job.query,
-                started.elapsed().as_secs_f64(),
-            );
-            if state.has_progress() {
-                state.emit_progress(&ChunkUpdate {
-                    trials_run: per_trial.len(),
-                    budget: job.budget,
-                    estimate: estimate.clone(),
-                });
-            }
-            if let Some(precision) = &job.precision {
-                if estimate.relative_half_width(precision.confidence) <= precision.target {
-                    stop = StopReason::PrecisionMet;
-                    break;
-                }
-            }
-        }
-        if state.is_cancelled() {
-            stop = StopReason::Cancelled;
-            break;
-        }
-    }
     let trials_run = per_trial.len();
-    let estimate = summarize_trials(per_trial, &job.query, started.elapsed().as_secs_f64());
     Ok(JobOutput {
-        estimate,
+        estimate: summarize_trials(per_trial, &job.query, seconds),
         trials_run,
         budget: job.budget,
         stop,
@@ -1791,9 +1556,10 @@ mod tests {
         let shared = &service.shared;
         let job = CountJob::new(catalog::triangle()).seed(9).budget(1000);
         let key = JobKey::new(shared.graph_fingerprint, &job);
-        let owner = QueuedJob {
+        let owner = QueueEntry {
             job: job.clone(),
             state: Arc::new(JobState::with_progress(None)),
+            version: None,
         };
         let twin = Arc::new(JobState::with_progress(None));
         assert!(matches!(

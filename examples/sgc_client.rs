@@ -15,8 +15,10 @@
 //! ```
 //!
 //! `count` prints one progress line per streamed estimate chunk to stderr
-//! and the final result to stdout. `delta` mutates the server's graph and
-//! prints the new version id; `watch` subscribes and prints one
+//! and the final result to stdout; it always answers on the graph the
+//! server was started with (the root version), whatever deltas have landed
+//! since. `delta` mutates the server's graph and prints the new version id;
+//! `watch` is the verb that follows the head: it subscribes and prints one
 //! version-tagged line per emission (the immediate one, then one per
 //! delta), exiting after `--frames` emissions. Typed server errors (including spanned
 //! pattern parse errors with their caret diagnostic) are printed to stderr

@@ -365,6 +365,9 @@ fn service_count_at_is_bit_identical_to_fresh_build() {
         .estimate()
         .unwrap();
     assert_eq!(at_root.estimate.per_trial, pre.per_trial);
+    // Versioned jobs plan through the engine's cache: the two `count_at`
+    // jobs of one query left one plan behind.
+    assert_eq!(service.engine().cached_plans(), 1);
 
     // Unknown versions are a typed error, not a panic.
     let err = service

@@ -13,11 +13,11 @@
 
 use std::sync::Arc;
 use subgraph_counting::gen::erdos_renyi::gnp;
-use subgraph_counting::graph::CsrGraph;
+use subgraph_counting::graph::{CsrGraph, GraphBuilder};
 use subgraph_counting::net::{
     Client, ClientError, ErrorKind, Server, ServerConfig, StreamEvent, WireOutput,
 };
-use subgraph_counting::query::Registry;
+use subgraph_counting::query::{catalog, Registry};
 use subgraph_counting::{
     CountJob, Engine, JobOutput, Precision, Service, ServiceConfig, StopReason,
 };
@@ -371,6 +371,77 @@ fn wire_batches_match_solo_service_runs_bitwise() {
         assert_outputs_bit_identical(&over_wire, &local, pattern);
     }
     assert_eq!(server.service().metrics().batches_submitted, 1);
+    client.bye().expect("clean goodbye");
+    server.shutdown();
+}
+
+/// The plain `count` verb answers at the **root** — the graph the server
+/// was bound to — however many deltas have landed, in the cache slot of
+/// `count_at(root)`; the head is what `count_at(head)` answers.
+#[test]
+fn plain_count_answers_at_the_root_after_deltas() {
+    let graph = test_graph();
+    let mut server = start_server(2, 64, 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let count = |client: &mut Client, seed| {
+        let request = client.count("cycle(3)").seed(seed).budget(8);
+        request.run().expect("count")
+    };
+    let before = count(&mut client, 11);
+
+    // Close a triangle over an existing path u–v–w whose ends are not
+    // adjacent, so the head's triangle counts differ from the root's.
+    let (u, w) = (0..graph.num_vertices() as u32)
+        .flat_map(|v| {
+            let around = graph.neighbors(v);
+            around
+                .iter()
+                .flat_map(move |&u| around.iter().map(move |&w| (u, w)))
+        })
+        .find(|&(u, w)| u < w && !graph.neighbors(u).contains(&w))
+        .expect("a sparse random graph has an open wedge");
+    let head = client.apply_delta(&[(u, w)], &[]).expect("delta");
+
+    // The pre-delta job again, and one the server has never seen: both
+    // answer on the root graph.
+    let after = count(&mut client, 11);
+    assert_eq!(after.estimate.per_trial, before.estimate.per_trial);
+    let fresh = count(&mut client, 12);
+    assert!(!fresh.from_cache);
+    let root_engine = Engine::new(&graph);
+    let triangle = catalog::triangle();
+    let on_root = |seed| {
+        let request = root_engine.count(&triangle).seed(seed);
+        request.trials(8).estimate().unwrap()
+    };
+    assert_eq!(before.estimate.per_trial, on_root(11).per_trial);
+    assert_eq!(fresh.estimate.per_trial, on_root(12).per_trial);
+    assert_eq!(
+        fresh.estimate.estimated_matches.to_bits(),
+        on_root(12).estimated_matches.to_bits()
+    );
+
+    // `count_at(root)` of the same job is the same cache slot ...
+    let service = server.service();
+    let job = || CountJob::new(catalog::triangle()).seed(12).budget(8);
+    let at_root = service.count_at(service.root_version(), job()).unwrap();
+    assert!(at_root.from_cache);
+    assert_eq!(at_root.estimate.per_trial, fresh.estimate.per_trial);
+    // ... while `count_at(head)` sees the delta, as a fresh build does.
+    assert_eq!(service.head_version().as_u64(), head);
+    let at_head = service.count_at(service.head_version(), job()).unwrap();
+    let mut rebuilt = GraphBuilder::new(graph.num_vertices());
+    rebuilt.extend_edges(graph.edges());
+    rebuilt.add_edge(u, w);
+    let on_head = Engine::new(&rebuilt.build())
+        .count(&catalog::triangle())
+        .seed(12)
+        .trials(8)
+        .estimate()
+        .unwrap();
+    assert_eq!(at_head.estimate.per_trial, on_head.per_trial);
+    assert_ne!(at_head.estimate.per_trial, at_root.estimate.per_trial);
+
     client.bye().expect("clean goodbye");
     server.shutdown();
 }

@@ -355,3 +355,112 @@ fn determinism_matrix_workers_by_batch_vs_solo() {
         }
     }
 }
+
+/// Batch members are ordinary jobs: a fixed-budget member streams one
+/// update per chunk (each bit-identical to a fixed-budget run of that many
+/// trials), a member cancelled mid-run stops at a chunk boundary while its
+/// siblings complete, and every member's trace-log entry carries its stage
+/// breakdown and its real outcome.
+#[test]
+fn batch_members_stream_progress_cancel_alone_and_are_traced() {
+    use std::sync::{mpsc, Mutex};
+    use subgraph_counting::service::ProgressFn;
+    use subgraph_counting::{CancelToken, ChunkUpdate};
+
+    let graph = service_graph();
+    let service = Service::with_config(Arc::clone(&graph), config(1));
+    let streamed = CountJob::new(catalog::triangle())
+        .seed(5)
+        .budget(12)
+        .trace(41);
+    let cancelled = CountJob::new(catalog::cycle(4))
+        .seed(5)
+        .budget(4000)
+        .trace(42);
+    let sibling = CountJob::new(catalog::glet1()).seed(6).budget(8).trace(43);
+
+    let updates: Arc<Mutex<Vec<ChunkUpdate>>> = Arc::default();
+    let sink = Arc::clone(&updates);
+    let collect: ProgressFn = Arc::new(move |update: &ChunkUpdate| {
+        sink.lock().unwrap().push(update.clone());
+    });
+    // The second member cancels itself from its own first update. The
+    // watcher blocks until the token arrives, so the cancel lands at the
+    // first chunk boundary whatever the scheduling.
+    let (send_token, token) = mpsc::channel::<CancelToken>();
+    let token = Mutex::new(token);
+    let cancel_self: ProgressFn = Arc::new(move |_: &ChunkUpdate| {
+        if let Ok(token) = token.lock().unwrap().recv() {
+            token.cancel();
+        }
+    });
+
+    let handles = service
+        .submit_batch_with_progress(
+            BatchJob::from_jobs(vec![streamed, cancelled, sibling]),
+            vec![Some(collect), Some(cancel_self)],
+        )
+        .unwrap();
+    send_token.send(handles[1].cancel_token()).unwrap();
+    drop(send_token);
+    let outputs: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+
+    // One update per chunk of four, each the fixed-budget run of its length.
+    let engine = Engine::new(&graph);
+    let updates = updates.lock().unwrap();
+    let seen: Vec<usize> = updates.iter().map(|u| u.trials_run).collect();
+    assert_eq!(seen, vec![4, 8, 12]);
+    for update in updates.iter() {
+        let fixed = engine
+            .count(&catalog::triangle())
+            .trials(update.trials_run)
+            .seed(5)
+            .estimate()
+            .unwrap();
+        assert_eq!(update.budget, 12);
+        assert_eq!(update.estimate.per_trial, fixed.per_trial);
+        assert_eq!(
+            update.estimate.estimated_matches.to_bits(),
+            fixed.estimated_matches.to_bits()
+        );
+        assert_eq!(update.estimate.variance.to_bits(), fixed.variance.to_bits());
+    }
+
+    // The cancelled member stopped after its first chunk; its partial
+    // estimate is the fixed-budget run of the trials that completed.
+    assert_eq!(outputs[1].stop, StopReason::Cancelled);
+    assert_eq!(outputs[1].trials_run, 4);
+    let partial = engine
+        .count(&catalog::cycle(4))
+        .trials(4)
+        .seed(5)
+        .estimate()
+        .unwrap();
+    assert_eq!(outputs[1].estimate.per_trial, partial.per_trial);
+    // Its siblings ran their whole budgets.
+    for (output, budget) in [(&outputs[0], 12), (&outputs[2], 8)] {
+        assert_eq!(output.stop, StopReason::BudgetExhausted);
+        assert_eq!(output.trials_run, budget);
+    }
+    assert_eq!(service.metrics().jobs_cancelled, 1);
+
+    // Every member has a trace entry with its own outcome and the stages
+    // its worker spent time in.
+    let report = service.trace_report();
+    for (trace_id, outcome) in [
+        (41, "outcome=budget_exhausted trials=12"),
+        (42, "outcome=cancelled trials=4"),
+        (43, "outcome=budget_exhausted trials=8"),
+    ] {
+        let mut lines = report
+            .lines()
+            .skip_while(|line| !line.starts_with(&format!("trace_id={trace_id} ")));
+        let header = lines.next().expect("every member is traced");
+        assert!(header.contains(outcome), "{header}");
+        let stages: Vec<&str> = lines.take_while(|l| l.starts_with("  stage=")).collect();
+        assert!(
+            stages.iter().any(|l| l.contains("stage=dp.block.columnar")),
+            "trace {trace_id} has no stage breakdown: {report}"
+        );
+    }
+}

@@ -334,7 +334,7 @@ fn determinism_matrix_shards_by_batch_vs_solo() {
                 "solo at {shards} shards"
             );
         }
-        // Batch, sharded: every trial step shares one exchange round.
+        // Batch, sharded.
         let batch = engine
             .count_batch(
                 &queries
