@@ -35,7 +35,8 @@
 //! operation. `solve_block` is the kernel's one entry point, and the
 //! block-step executor (`runtime::executor`) its one caller; counts are checked
 //! against the independent oracles in [`crate::brute`] and
-//! [`crate::treelet`] and the committed golden fixtures.
+//! `tests/treelet/` (a tree-query DP of its own) and the committed golden
+//! fixtures.
 
 use crate::config::Algorithm;
 use crate::context::Context;
@@ -869,7 +870,7 @@ mod tests {
     /// A rainbow data triangle has 3! = 6 colorful matches of the triangle
     /// query (one per orientation), for both algorithms (the module-level
     /// smoke test; the differential suites against the brute-force and
-    /// treelet oracles live in `tests/`).
+    /// treelet oracles are `tests/correctness.rs` and `tests/property.rs`).
     #[test]
     fn columnar_matches_scalar_on_rainbow_triangle() {
         for (algorithm, total, metrics) in triangle_totals(vec![0, 1, 2]) {

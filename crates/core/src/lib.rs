@@ -32,10 +32,8 @@
 //!   query or pattern string into a structured [`PlanReport`] (candidate
 //!   decompositions, Section 6 costs, predicted table bounds) before any
 //!   counting runs,
-//! * [`treelet`] — the linear-time tree-query dynamic program (the FASCIA
-//!   special case the paper builds on), used as an independent cross-check,
 //! * [`brute`] — exponential-time reference counters used as the correctness
-//!   oracle in tests.
+//!   oracle in tests (the tree-query DP oracle lives in `tests/treelet/`).
 
 #![warn(missing_docs)]
 
@@ -55,7 +53,6 @@ pub mod paths;
 pub mod prelude;
 pub mod ps;
 pub mod runtime;
-pub mod treelet;
 
 pub use batch::{BatchMetrics, BatchResult};
 pub use config::{Algorithm, CountConfig};

@@ -68,6 +68,10 @@ pub struct TrialBatchOutcome {
 /// subsequent delta recounts incrementally no matter how this one was
 /// answered. The returned counts are bit-identical across the three paths;
 /// `tests/dynamic.rs` pins that differentially.
+///
+/// Instrumented like [`TrialStream::run_chunk`](sgc_core::TrialStream::run_chunk):
+/// the call is one `estimator.chunk` span, each colouring a `coloring`
+/// span, and each trial's metrics are published when observability is on.
 pub fn run_trials(
     versions: &VersionedGraph,
     store: &PartialStore,
@@ -76,6 +80,7 @@ pub fn run_trials(
     trials: Range<usize>,
     pool: &ArenaPool,
 ) -> Result<TrialBatchOutcome, DynError> {
+    let _chunk_span = sgc_obs::span(sgc_obs::Stage::EstimatorChunk);
     let data = versions.data_at(version)?;
     let query_key = canonical_key(spec.query);
     let key_for = |v: VersionId, trial: usize| PartialKey {
@@ -94,11 +99,14 @@ pub fn run_trials(
 
     let mut outcome = TrialBatchOutcome::default();
     for trial in trials {
-        let coloring = Coloring::random(
-            data.graph.num_vertices(),
-            spec.query.num_nodes(),
-            spec.seed.wrapping_add(trial as u64),
-        );
+        let coloring = {
+            let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
+            Coloring::random(
+                data.graph.num_vertices(),
+                spec.query.num_nodes(),
+                spec.seed.wrapping_add(trial as u64),
+            )
+        };
         let cached_here = store.get(&key_for(version, trial));
         let cached_parent = match (&cached_here, parent) {
             (None, Some(p)) => store.get(&key_for(p, trial)),
@@ -158,6 +166,9 @@ pub fn run_trials(
                 pool,
             )?
         };
+        if sgc_obs::enabled() {
+            run.metrics.publish();
+        }
         let solves = spec.tree.blocks.len().max(1) * spec.num_shards;
         outcome.shards_replayed += run.shards_replayed;
         outcome.shards_computed += solves - run.shards_replayed;

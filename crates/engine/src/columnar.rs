@@ -1,7 +1,7 @@
 //! Columnar accumulation tables.
 //!
 //! The DP kernel's working tables: where a hash-map table would store
-//! `FastMap<Key, Count>`, a [`ColumnarTable`] is one dense row column of
+//! `HashMap<Key, Count>`, a [`ColumnarTable`] is one dense row column of
 //! packed 32-byte records — a `u128` key word (the four `u32` key fields:
 //! start, end and the two tracked boundary extras), the low `u64` color-set
 //! lane, and a `u64` count — plus a power-of-two open-addressing slot index
@@ -126,8 +126,8 @@ fn assert_ids_fit(slots: usize) {
     );
 }
 
-/// FxHash-style mix of a packed row key and its signature words (the same
-/// rotate-xor-multiply scheme as [`crate::hash::FxHasher`]), finished with
+/// FxHash-style mix of a packed row key and its signature words (rustc's
+/// rotate-xor-multiply scheme), finished with
 /// [`fold`]. Words that almost every row leaves at their idle value —
 /// extras-free key halves and empty high signature lanes — are skipped: the
 /// hash stays a pure function of the row's content (full key equality still

@@ -6,8 +6,6 @@
 //!
 //! * [`Signature`] — color sets as two `u64` bitset words with the
 //!   disjointness / containment operations used by every join,
-//! * [`hash`] — an FxHash-style hasher and the [`FastMap`] alias (the DP's
-//!   own tables are columnar and no longer go through it),
 //! * [`table`] — projection tables in their one interchange format: dense
 //!   32-byte rows counting-sorted by owner (a shard's partial) or by vertex
 //!   (an owner's slice of a block's table), probed by offset,
@@ -22,14 +20,12 @@
 //!   pools for the scaling experiments).
 
 pub mod columnar;
-pub mod hash;
 pub mod load;
 pub mod parallel;
 pub mod signature;
 pub mod table;
 
 pub use columnar::{ColumnarTable, EndpointGroups};
-pub use hash::FastMap;
 pub use load::LoadStats;
 pub use signature::{Color, Signature};
 pub use table::{BlockTable, Count, Row, RowGroups};

@@ -8,13 +8,11 @@
 //! * skewed social / communication / citation graphs → Chung-Lu with a
 //!   truncated power-law degree sequence tuned so that the average degree and
 //!   the rough maximum degree match the row,
-//! * `roadNetCA` → the low-skew [`crate::road::road_like`] generator,
-//! * a generic R-MAT entry is used by the weak-scaling experiment.
+//! * `roadNetCA` → the low-skew [`crate::road::road_like`] generator.
 //!
 //! Every spec carries a `scale` so the full-size graphs can be shrunk to
-//! laptop-friendly sizes while preserving the degree-distribution shape; the
-//! experiment binaries default to `scale = 1/16` of the paper sizes and
-//! print the scale they used.
+//! laptop-friendly sizes while preserving the degree-distribution shape
+//! (`tests/repro.rs` runs them at 0.002–0.02 of the paper sizes).
 
 use crate::chung_lu::chung_lu;
 use crate::power_law::power_law_degrees;

@@ -288,7 +288,7 @@ pub fn query_by_name(name: &str) -> Option<QueryGraph> {
 
 /// Every name [`query_by_name`] resolves, in registration order (the ten
 /// Figure 8 queries followed by `satellite`). This is the single source of
-/// truth the bench binaries iterate instead of repeating name lists.
+/// truth callers iterate instead of repeating name lists.
 pub fn names() -> Vec<&'static str> {
     Registry::builtin().names()
 }

@@ -63,8 +63,7 @@ impl ServiceMetrics {
 ///
 /// This is the *serialization contract* shared by every consumer that
 /// prints metrics — the `sgc-net` `stats` verb renders the snapshot it
-/// received over the wire with this impl, and the bench binaries print
-/// their end-of-run service state through it — so scrapers can parse one
+/// received over the wire with this impl — so scrapers can parse one
 /// format everywhere. New fields are only ever appended.
 impl std::fmt::Display for ServiceMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -49,11 +49,6 @@ pub struct ServiceConfig {
     /// Trials per scheduling chunk: the granularity at which the adaptive
     /// loop re-checks a job's precision target. Clamped to at least 1.
     pub chunk_trials: usize,
-    /// Whether each chunk's trials additionally fan out over the rayon pool.
-    /// Off by default: the service's parallelism axis is *jobs across
-    /// workers*, and nested per-trial threading mostly adds scheduling
-    /// overhead. Results are bit-identical either way.
-    pub trial_parallelism: bool,
     /// Whether workers record observability spans, publish run counters
     /// into the `sgc-obs` registry, and feed the slow-query trace log.
     /// On by default; results are bit-identical either way.
@@ -80,7 +75,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             queue_capacity: 64,
             chunk_trials: 8,
-            trial_parallelism: false,
             obs: true,
             cache_capacity: 256,
             dyn_shards: 4,
@@ -150,7 +144,6 @@ struct Shared {
     graph_fingerprint: u64,
     queue_capacity: usize,
     chunk_trials: usize,
-    trial_parallelism: bool,
     obs: bool,
     dyn_shards: usize,
     queue: Mutex<QueueState>,
@@ -206,7 +199,6 @@ impl Service {
             graph_fingerprint,
             queue_capacity: config.queue_capacity,
             chunk_trials: config.chunk_trials.max(1),
-            trial_parallelism: config.trial_parallelism,
             obs: config.obs,
             dyn_shards: config.dyn_shards.max(1),
             queue: Mutex::new(QueueState {
@@ -1006,7 +998,7 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
                 .count(&job.query)
                 .algorithm(job.algorithm)
                 .seed(job.seed)
-                .parallel(shared.trial_parallelism)
+                .parallel(false)
                 .obs(shared.obs)
                 .estimate_incremental()?,
         ),
@@ -1121,7 +1113,6 @@ mod tests {
                 workers,
                 queue_capacity: 16,
                 chunk_trials: 4,
-                trial_parallelism: false,
                 obs: true,
                 ..ServiceConfig::default()
             },
@@ -1176,7 +1167,6 @@ mod tests {
                 workers: 0,
                 queue_capacity: 2,
                 chunk_trials: 4,
-                trial_parallelism: false,
                 obs: true,
                 ..ServiceConfig::default()
             },
@@ -1262,7 +1252,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 4,
                 chunk_trials: 4,
-                trial_parallelism: false,
                 obs: true,
                 ..ServiceConfig::default()
             },
@@ -1346,7 +1335,6 @@ mod tests {
                 workers: 0,
                 queue_capacity: 4,
                 chunk_trials: 4,
-                trial_parallelism: false,
                 obs: true,
                 ..ServiceConfig::default()
             },

@@ -7,9 +7,9 @@
 //! * Lemma 9.6 (upper bound):
 //!   `E[X(q)] ≤ C · (2m)^{2−q} · (Σ d_u^{2−1/(q−1)})^{q−1}`.
 //!
-//! These are evaluated on a concrete (expected) degree sequence so the
-//! experiment binaries can compare them against the measured `X(q)` / `Y(q)`
-//! counts on sampled Chung-Lu graphs.
+//! These are evaluated on a concrete (expected) degree sequence so they can
+//! be compared against the measured `X(q)` / `Y(q)` counts on sampled
+//! Chung-Lu graphs.
 
 /// Sum of `d_u^s` over the degree sequence.
 pub fn moment(degrees: &[f64], s: f64) -> f64 {

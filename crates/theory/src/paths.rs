@@ -169,5 +169,21 @@ mod tests {
             x < y,
             "expected X(3)={x} to be smaller than Y(3)={y} on a power-law graph"
         );
+
+        // Corollary 9.9's shape: X/Y shrinks as n grows (α = 1.5, seed 33;
+        // measured 0.513 → 0.327 for q = 3 and 0.402 → 0.206 for q = 4).
+        let ratio = |n: usize, q: usize| {
+            let degrees = sgc_gen::power_law::power_law_degrees(n, 1.5);
+            let g = sgc_gen::chung_lu::chung_lu(&degrees, 33);
+            let order = DegreeOrder::new(&g);
+            count_high_starting_paths(&g, &order, q) as f64 / count_id_ordered_paths(&g, q) as f64
+        };
+        for q in [3, 4] {
+            let (small, large) = (ratio(1 << 10, q), ratio(1 << 12, q));
+            assert!(
+                large < small,
+                "X({q})/Y({q}) should shrink with n: {small:.3} at n = 2^10, {large:.3} at 2^12"
+            );
+        }
     }
 }

@@ -186,7 +186,6 @@ fn service_batches_match_solo_submissions_and_the_engine() {
             workers: 2,
             queue_capacity: 64,
             chunk_trials: 4,
-            trial_parallelism: false,
             obs: true,
             ..ServiceConfig::default()
         },

@@ -7,7 +7,10 @@
 //! algorithm and the exponential backtracking oracle must be identical, for
 //! every decomposition plan of the query. All counts go through the
 //! [`Engine`] front door, so this suite also exercises the plan cache and
-//! the shared preprocessing.
+//! the shared preprocessing. Tree queries are also checked against the
+//! independent tree-query DP in `tests/treelet/`.
+
+mod treelet;
 
 use subgraph_counting::core::brute::count_colorful_matches;
 use subgraph_counting::core::{Algorithm, Engine};
@@ -142,8 +145,7 @@ fn tree_queries_agree_with_treelet_dp_and_brute_force() {
         for seed in 0..2 {
             let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), seed);
             let brute = count_colorful_matches(&graph, &query, &coloring);
-            let dp =
-                subgraph_counting::core::treelet::count_colorful_treelet(&graph, &coloring, &query);
+            let dp = treelet::count_colorful_treelet(&graph, &coloring, &query);
             assert_eq!(dp, brute);
             for algorithm in ALGORITHMS {
                 let got = engine

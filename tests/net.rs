@@ -32,7 +32,6 @@ fn server_config(workers: usize, queue_capacity: usize, chunk_trials: usize) -> 
             workers,
             queue_capacity,
             chunk_trials,
-            trial_parallelism: false,
             obs: true,
             ..ServiceConfig::default()
         },
@@ -99,7 +98,6 @@ fn wire_outputs_are_bit_identical_to_service_run_for_every_registry_query() {
             workers: 1,
             queue_capacity: 64,
             chunk_trials: 4,
-            trial_parallelism: false,
             obs: true,
             ..ServiceConfig::default()
         },
@@ -405,6 +403,7 @@ fn plain_count_answers_at_the_root_after_deltas() {
     // The pre-delta job again, and one the server has never seen: both
     // answer on the root graph.
     let after = count(&mut client, 11);
+    assert!(after.from_cache);
     assert_eq!(after.estimate.per_trial, before.estimate.per_trial);
     let fresh = count(&mut client, 12);
     assert!(!fresh.from_cache);

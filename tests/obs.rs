@@ -7,20 +7,28 @@
 //!
 //! These tests share one process, so they toggle observability only at
 //! request/config granularity (never the process-wide switch) and only
-//! ever publish the standard metric names.
+//! ever publish the standard metric names. Each holds [`serial`] so that
+//! one test can read an exact counter delta off the shared registry.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use subgraph_counting::engine::parallel::run_with_threads;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::Coloring;
 use subgraph_counting::graph::CsrGraph;
 use subgraph_counting::net::{Server, ServerConfig};
-use subgraph_counting::obs::{span, Stage};
-use subgraph_counting::query::Registry;
-use subgraph_counting::{Algorithm, Engine, Precision};
+use subgraph_counting::obs::{global, span, Stage};
+use subgraph_counting::query::{catalog, Registry};
+use subgraph_counting::{Algorithm, CountJob, EdgeDelta, Engine, Precision, Service};
 
 fn obs_graph() -> CsrGraph {
     gnp(80, 0.1, 0x0B5)
+}
+
+/// Serializes this file's tests: all of them publish into the one
+/// process-wide registry.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// The one invariant everything else leans on: enabling or disabling
@@ -28,6 +36,7 @@ fn obs_graph() -> CsrGraph {
 /// algorithms, and solo vs sharded execution.
 #[test]
 fn observability_never_perturbs_the_count() {
+    let _serial = serial();
     let graph = obs_graph();
     let engine = Engine::new(&graph);
     let registry = Registry::builtin();
@@ -77,6 +86,7 @@ fn observability_never_perturbs_the_count() {
 /// and nothing else, lands in one ring.
 #[test]
 fn one_exchange_span_fills_each_gap_between_block_steps() {
+    let _serial = serial();
     const SHARDS: usize = 3;
     let graph = obs_graph();
     for name in ["glet1", "wiki", "brain1"] {
@@ -101,6 +111,30 @@ fn one_exchange_span_fills_each_gap_between_block_steps() {
         one_step.push(Stage::Exchange);
         assert_eq!(stages, one_step.repeat(steps), "{name}");
     }
+}
+
+/// A trial run at a graph version (the delta-aware runtime behind
+/// `count_at` and `watch`) publishes its run metrics like an engine trial:
+/// four trials, four `engine_runs`.
+#[test]
+fn versioned_trials_publish_their_run_metrics() {
+    let _serial = serial();
+    let graph = obs_graph();
+    let (u, v) = graph
+        .vertices()
+        .flat_map(|u| graph.vertices().map(move |v| (u, v)))
+        .find(|&(u, v)| u < v && !graph.has_edge(u, v))
+        .expect("a sparse graph has a non-edge");
+    let service = Service::new(Arc::new(graph));
+    let v1 = service
+        .apply_delta(&EdgeDelta::new(vec![(u, v)], vec![]).unwrap())
+        .unwrap();
+    let runs = || global().get("engine_runs").unwrap_or(0);
+    let before = runs();
+    let job = CountJob::new(catalog::triangle());
+    let output = service.count_at(v1, job.seed(5).budget(4)).unwrap();
+    assert_eq!(output.trials_run, 4);
+    assert_eq!(runs() - before, 4, "one published run per versioned trial");
 }
 
 /// Splits an exposition into its names, asserting the line format on the
@@ -133,12 +167,13 @@ fn parse_exposition(exposition: &str) -> Vec<String> {
 /// `tests/fixtures/metrics_names.txt` (append-only: renames break scrapers).
 #[test]
 fn exposition_names_match_the_checked_in_snapshot() {
+    let _serial = serial();
     let graph = obs_graph();
     // Engine layer: sharded + solo runs populate the engine_*, kernel_*,
     // and shard_* metrics and the DP/exchange spans.
     {
         let engine = Engine::new(&graph);
-        let query = subgraph_counting::query::catalog::triangle();
+        let query = catalog::triangle();
         engine.count(&query).trials(2).seed(1).estimate().unwrap();
         engine
             .count(&query)
@@ -182,6 +217,7 @@ fn exposition_names_match_the_checked_in_snapshot() {
 /// live connection, and a client-stamped trace ID surfaces in the log.
 #[test]
 fn metrics_and_trace_verbs_work_over_loopback() {
+    let _serial = serial();
     let mut server = Server::bind(
         "127.0.0.1:0",
         Arc::new(obs_graph()),

@@ -20,7 +20,6 @@ fn config(workers: usize) -> ServiceConfig {
         workers,
         queue_capacity: 64,
         chunk_trials: 4,
-        trial_parallelism: false,
         obs: true,
         ..ServiceConfig::default()
     }
@@ -212,7 +211,6 @@ fn admission_control_and_shutdown_are_typed() {
             workers: 0, // accept-only: the queue fills deterministically
             queue_capacity: 3,
             chunk_trials: 4,
-            trial_parallelism: false,
             obs: true,
             ..ServiceConfig::default()
         },

@@ -7,16 +7,16 @@
 //! store the number of colorful matches of the subtree rooted at `q` that map
 //! `q` to `v`, keyed by the set of colors used.
 //!
-//! The general treewidth-2 machinery in this crate also handles trees (the
-//! decomposition consists solely of leaf-edge blocks), so this module exists
-//! as an *independent* implementation used to cross-validate the general path
-//! on tree queries, and as the natural baseline when only treelets are needed.
+//! The general treewidth-2 machinery also handles trees (the decomposition
+//! consists solely of leaf-edge blocks), so this module is an *independent*
+//! implementation — sharing only `Signature` with the kernel — used by
+//! `tests/correctness.rs` to cross-validate the general path on tree queries.
 
-use sgc_engine::hash::FastMap;
-use sgc_engine::{Count, Signature};
-use sgc_graph::{Coloring, CsrGraph, VertexId};
-use sgc_query::treewidth::is_tree;
-use sgc_query::{QueryGraph, QueryNode};
+use std::collections::HashMap;
+use subgraph_counting::engine::{Count, Signature};
+use subgraph_counting::graph::{Coloring, CsrGraph, VertexId};
+use subgraph_counting::query::treewidth::is_tree;
+use subgraph_counting::query::{QueryGraph, QueryNode};
 
 /// Counts the colorful matches of a tree query with the classic color-coding
 /// dynamic program.
@@ -54,7 +54,7 @@ pub fn count_colorful_treelet(graph: &CsrGraph, coloring: &Coloring, query: &Que
 
     // tables[q][v] : list of (signature, count) for the subtree rooted at q
     // with q mapped to v.
-    let mut tables: Vec<FastMap<VertexId, Vec<(Signature, Count)>>> = vec![FastMap::default(); k];
+    let mut tables: Vec<HashMap<VertexId, Vec<(Signature, Count)>>> = vec![HashMap::new(); k];
 
     // Process in reverse DFS discovery order → children before parents.
     for &q in order.iter().rev() {
@@ -62,14 +62,14 @@ pub fn count_colorful_treelet(graph: &CsrGraph, coloring: &Coloring, query: &Que
             .neighbors(q)
             .filter(|&c| parent[c as usize] == Some(q))
             .collect();
-        let mut table: FastMap<VertexId, Vec<(Signature, Count)>> = FastMap::default();
+        let mut table: HashMap<VertexId, Vec<(Signature, Count)>> = HashMap::new();
         for v in graph.vertices() {
             let base_sig = Signature::singleton(coloring.color(v));
             // Start with the single mapping q -> v.
             let mut acc: Vec<(Signature, Count)> = vec![(base_sig, 1)];
             for &c in &children {
                 let child_table = &tables[c as usize];
-                let mut next: FastMap<Signature, Count> = FastMap::default();
+                let mut next: HashMap<Signature, Count> = HashMap::new();
                 for &(sig, count) in &acc {
                     for &w in graph.neighbors(v) {
                         let Some(entries) = child_table.get(&w) else {
@@ -108,9 +108,10 @@ pub fn count_colorful_treelet(graph: &CsrGraph, coloring: &Coloring, query: &Que
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::count_colorful_matches;
-    use sgc_graph::GraphBuilder;
-    use sgc_query::catalog;
+    use subgraph_counting::core::brute::count_colorful_matches;
+    use subgraph_counting::core::Engine;
+    use subgraph_counting::graph::GraphBuilder;
+    use subgraph_counting::query::catalog;
 
     fn sample_graph() -> CsrGraph {
         let mut b = GraphBuilder::new(9);
@@ -155,7 +156,7 @@ mod tests {
         let query = catalog::binary_tree(3);
         let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 42);
         let dp = count_colorful_treelet(&g, &coloring, &query);
-        let general = crate::engine::Engine::new(&g)
+        let general = Engine::new(&g)
             .count(&query)
             .coloring(&coloring)
             .run()
