@@ -33,7 +33,8 @@ use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate, TrialAccumulator};
 use crate::explain::PlanReport;
 use crate::kernel::ArenaPool;
-use crate::runtime::executor::{execute, Job};
+use crate::runtime::executor::{execute, Job, JobOutcome};
+use crate::runtime::incremental::{Retention, TrialShape};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::{Coloring, CsrGraph};
@@ -64,6 +65,9 @@ impl std::ops::Deref for GraphRef<'_> {
     }
 }
 
+/// The plan memo: one decomposition plan per canonical query.
+type PlanCache = Mutex<HashMap<CanonicalQueryKey, Arc<DecompositionTree>>>;
+
 /// A long-lived counting engine bound to one data graph.
 ///
 /// Construction runs the `O(m log m)` preprocessing pass ([`GraphPrep`]);
@@ -73,12 +77,14 @@ impl std::ops::Deref for GraphRef<'_> {
 pub struct Engine<'g> {
     graph: GraphRef<'g>,
     prep: GraphPrep,
-    plan_cache: Mutex<HashMap<CanonicalQueryKey, Arc<DecompositionTree>>>,
+    /// Shared with every engine [`rebind`](Engine::rebind) derives from this
+    /// one: a plan depends only on the query, never on the graph.
+    plan_cache: Arc<PlanCache>,
     default_config: CountConfig,
     /// Reusable DP-kernel arenas, shared by every request (and every worker
-    /// task) of this engine: trial `i + 1` solves into the buffers trial `i`
-    /// grew.
-    arena_pool: ArenaPool,
+    /// task) of this engine and of the engines it rebinds: trial `i + 1`
+    /// solves into the buffers trial `i` grew.
+    arena_pool: Arc<ArenaPool>,
 }
 
 impl Engine<'static> {
@@ -112,15 +118,27 @@ impl<'g> Engine<'g> {
         Engine::build(GraphRef::Borrowed(graph), config)
     }
 
+    /// Binds a second engine to `graph` — another version of this engine's
+    /// graph, say. It runs its own preprocessing pass and shares this
+    /// engine's plan cache (so a query is planned once for both graphs),
+    /// arena pool and default [`CountConfig`].
+    pub fn rebind(&self, graph: Arc<CsrGraph>) -> Engine<'static> {
+        Engine {
+            plan_cache: Arc::clone(&self.plan_cache),
+            arena_pool: Arc::clone(&self.arena_pool),
+            ..Engine::build(GraphRef::Shared(graph), self.default_config)
+        }
+    }
+
     fn build(graph: GraphRef<'g>, config: CountConfig) -> Self {
         let _span = config.obs.then(|| sgc_obs::span(sgc_obs::Stage::Bind));
         let prep = GraphPrep::new(&graph);
         Engine {
             graph,
             prep,
-            plan_cache: Mutex::new(HashMap::new()),
+            plan_cache: Arc::default(),
             default_config: config,
-            arena_pool: ArenaPool::new(),
+            arena_pool: Arc::default(),
         }
     }
 
@@ -335,8 +353,8 @@ impl<'g> Engine<'g> {
 
     /// Runs one job through the block-step executor on this engine's graph,
     /// preprocessing and arena pool.
-    fn run_job(&self, job: &Job<'_>, shards: Option<usize>) -> Result<CountResult, SgcError> {
-        Ok(execute(&self.graph, &self.prep, job, shards, &self.arena_pool)?.result)
+    fn execute(&self, job: &Job<'_>, shards: Option<usize>) -> Result<JobOutcome, SgcError> {
+        execute(&self.graph, &self.prep, job, shards, &self.arena_pool)
     }
 
     fn request<'e, 'a>(&'e self, query: Cow<'a, QueryGraph>) -> CountRequest<'e, 'g, 'a> {
@@ -352,6 +370,7 @@ impl<'g> Engine<'g> {
             parallel: true,
             shards: None,
             obs: self.default_config.obs,
+            retention: None,
         }
     }
 }
@@ -391,6 +410,7 @@ pub struct CountRequest<'e, 'g, 'a> {
     parallel: bool,
     shards: Option<usize>,
     obs: bool,
+    retention: Option<&'a dyn Retention>,
 }
 
 impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
@@ -481,8 +501,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::ZeroShards`].
     ///
     /// For [`estimate`](CountRequest::estimate), per-trial sharding applies
-    /// when trial-level parallelism is disabled; see there for the
-    /// interaction.
+    /// when trial-level parallelism is disabled or the request
+    /// [`retain`](CountRequest::retain)s; see there for the interaction.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -509,6 +529,22 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// ```
     pub fn sharded(mut self, num_shards: usize) -> Self {
         self.shards = Some(num_shards);
+        self
+    }
+
+    /// Keeps every trial's per-shard partials in `retention`, and replays
+    /// the cached partials it offers in place of the shard solves they
+    /// cover (the incremental recount of a new graph version; see
+    /// [`runtime::incremental`](crate::runtime::incremental)). Applies to
+    /// the trials of [`estimate`](CountRequest::estimate) and
+    /// [`estimate_incremental`](CountRequest::estimate_incremental); like
+    /// [`trials`](CountRequest::trials), [`run`](CountRequest::run) ignores
+    /// it. Partials are kept per shard of [`sharded`](CountRequest::sharded)
+    /// (one shard when unset), parallel trials included. Counts are
+    /// unchanged as long as the replayed partials are sound: the retention
+    /// must answer for this engine's graph.
+    pub fn retain(mut self, retention: &'a dyn Retention) -> Self {
+        self.retention = Some(retention);
         self
     }
 
@@ -574,7 +610,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             obs: self.obs,
             partials: None,
         };
-        let result = self.engine.run_job(&job, self.shards)?;
+        let result = self.engine.execute(&job, self.shards)?.result;
         if self.obs {
             result.metrics.publish();
         }
@@ -593,7 +629,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// through the sharded rank-runtime, parallelising *within* the trial
     /// instead of across trials; under parallel trials the shards would
     /// only serialize, so the unsharded per-trial path is used (the counts
-    /// are identical in all three modes).
+    /// are identical in all three modes). A request that
+    /// [`retain`](CountRequest::retain)s shards every trial either way.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -716,8 +753,13 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         // sequentially), so sharding each trial would add exchange and
         // regrouping overhead without any added parallelism. Counts are
         // bit-identical either way, so those requests take the unsharded
-        // per-trial path.
-        let shards_per_trial = if self.parallel { None } else { self.shards };
+        // per-trial path — unless they retain: the shard count is then the
+        // granularity of every later replay, not an execution detail.
+        let shards_per_trial = if self.parallel && self.retention.is_none() {
+            None
+        } else {
+            self.shards
+        };
         Ok(TrialStream {
             engine: self.engine,
             plan,
@@ -727,6 +769,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             parallel: self.parallel,
             shards_per_trial,
             obs: self.obs,
+            retention: self.retention,
             per_trial: Vec::new(),
             acc: TrialAccumulator::new(),
             total_seconds: 0.0,
@@ -754,6 +797,7 @@ pub struct TrialStream<'e, 'g, 'a> {
     parallel: bool,
     shards_per_trial: Option<usize>,
     obs: bool,
+    retention: Option<&'a dyn Retention>,
     per_trial: Vec<Count>,
     acc: TrialAccumulator,
     total_seconds: f64,
@@ -785,25 +829,38 @@ impl TrialStream<'_, '_, '_> {
             let num_ranks = self.num_ranks;
             let shards_per_trial = self.shards_per_trial;
             let obs = self.obs;
+            let retention = self.retention;
             let run_trial = move |offset: usize| -> (Count, f64) {
                 let _pause = (!obs).then(sgc_obs::suspend);
-                let trial = start + offset;
+                let shape = TrialShape {
+                    plan,
+                    algorithm,
+                    coloring_seed: seed.wrapping_add((start + offset) as u64),
+                    num_shards: shards_per_trial.unwrap_or(1),
+                };
                 let coloring = {
                     let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
                     let n = engine.graph().num_vertices();
-                    Coloring::random(n, k, seed.wrapping_add(trial as u64))
+                    Coloring::random(n, k, shape.coloring_seed)
                 };
+                let replay = retention.and_then(|retention| retention.replay(&shape));
                 let job = Job {
                     coloring: &coloring,
                     plan,
                     algorithm,
                     num_ranks,
                     obs,
-                    partials: None,
+                    partials: retention.map(|_| {
+                        shape.hook(replay.as_ref().map(|(cached, dirty)| (&**cached, *dirty)))
+                    }),
                 };
-                let result = engine
-                    .run_job(&job, shards_per_trial)
+                let outcome = engine
+                    .execute(&job, shards_per_trial)
                     .expect("engine-drawn colorings always cover the graph");
+                if let (Some(retention), Some(partials)) = (retention, outcome.retained) {
+                    retention.retain(&shape, partials);
+                }
+                let result = outcome.result;
                 if obs && sgc_obs::enabled() {
                     result.metrics.publish();
                 }
@@ -872,6 +929,7 @@ impl TrialStream<'_, '_, '_> {
 mod tests {
     use super::*;
     use crate::context::prep_build_count;
+    use crate::runtime::incremental::TrialPartials;
     use sgc_graph::GraphBuilder;
     use sgc_query::{catalog, decompose, enumerate_plans, QueryError};
 
@@ -993,6 +1051,33 @@ mod tests {
         });
         assert_eq!(serial.per_trial, parallel.per_trial);
         assert_eq!(serial.estimated_matches, parallel.estimated_matches);
+    }
+
+    /// Parallel trials of a retaining request still run over the requested
+    /// shards: those are the partials every later replay is cut by.
+    #[test]
+    fn a_retaining_request_shards_even_parallel_trials() {
+        struct Shards(Mutex<Vec<(usize, usize)>>);
+        impl Retention for Shards {
+            fn replay(&self, _: &TrialShape<'_>) -> Option<(Arc<TrialPartials>, &[bool])> {
+                None
+            }
+            fn retain(&self, trial: &TrialShape<'_>, partials: TrialPartials) {
+                let shards = (trial.num_shards, partials.num_shards());
+                self.0.lock().unwrap().push(shards);
+            }
+        }
+        let g = demo_graph();
+        let engine = Engine::new(&g);
+        let query = catalog::triangle();
+        let kept = Shards(Mutex::new(Vec::new()));
+        let retained = sgc_engine::parallel::run_with_threads(3, || {
+            let request = engine.count(&query).trials(6).seed(4).sharded(3);
+            request.retain(&kept).estimate().unwrap()
+        });
+        assert_eq!(kept.0.into_inner().unwrap(), vec![(3, 3); 6]);
+        let plain = engine.count(&query).trials(6).seed(4).estimate().unwrap();
+        assert_eq!(retained.per_trial, plain.per_trial);
     }
 
     #[test]

@@ -63,7 +63,4 @@ pub use estimator::{Estimate, TrialAccumulator};
 pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use kernel::KernelMetrics;
 pub use metrics::{RunMetrics, ShardMetrics};
-pub use runtime::{
-    count_sharded_retaining, dirty_shards, recount_sharded_replay, IncrementalOutcome, ShardPlan,
-    TrialPartials, VertexShard,
-};
+pub use runtime::{dirty_shards, Retention, ShardPlan, TrialPartials, TrialShape, VertexShard};

@@ -9,10 +9,10 @@
 //! * a **sharded** request fans each block out over the shards of a
 //!   [`ShardPlan`] on worker threads, and the round
 //!   ([`exchange::combine_round`]) fans the owners' merges out the same way,
-//! * **retain/replay** (the incremental recount of
-//!   [`incremental`](super::incremental)) is a [`PartialsHook`] on the job's
-//!   per-shard solves: keep every pre-exchange partial, and reuse a cached
-//!   one in place of a solve the delta cannot have changed.
+//! * **retain/replay** (a request's
+//!   [`Retention`](super::incremental::Retention)) is a [`PartialsHook`] on
+//!   the job's per-shard solves: keep every pre-exchange partial, and reuse a
+//!   cached one in place of a solve the delta cannot have changed.
 //!
 //! Estimates, batches and service jobs are loops over this call.
 
@@ -71,8 +71,6 @@ pub(crate) struct JobOutcome {
     pub result: CountResult,
     /// The pre-exchange partials, when the job carried a [`PartialsHook`].
     pub retained: Option<TrialPartials>,
-    /// Shard solves served from the hook's cache instead of computed.
-    pub shards_replayed: usize,
 }
 
 /// One shard's state across the block steps — the analog of one rank's local
@@ -156,7 +154,6 @@ pub(crate) fn execute(
     let mut single_total: Option<Count> = None;
     // `retained[step][shard]`, filled only for hooked jobs.
     let mut retained: Vec<Vec<RowGroups>> = Vec::new();
-    let mut shards_replayed = 0;
     let mut exchange_time = Duration::ZERO;
     // The `exchange` span covers everything between two fan-outs of solves:
     // open from a step's last solve to the next step's first (or the end).
@@ -168,7 +165,7 @@ pub(crate) fn execute(
         // The child tables are shard-invariant and shared by the shard
         // workers; the scope ends their borrow of `tables` before the
         // combined table is stored.
-        let partials: Vec<(RowGroups, bool)> = {
+        let partials: Vec<RowGroups> = {
             // A transposed child table is built in the buffers the first
             // lane retired it into a run ago.
             let retired = |child| {
@@ -217,7 +214,7 @@ pub(crate) fn execute(
                         .scalar(plan.shard(s).num_vertices() as Count, &plan.partition)
                 };
                 lane.metrics.elapsed += started.elapsed();
-                (partial, cached.is_some())
+                partial
             });
             for (child, rows) in index.into_iter().flat_map(BlockJoinIndex::into_retired) {
                 with_arena(&lanes, 0, pool, |arena| {
@@ -229,8 +226,6 @@ pub(crate) fn execute(
         let exchange_started = Instant::now();
         // The caller thread may itself be suspended; the job's toggle rules.
         exchange_span = job.obs.then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
-        let (partials, replayed): (Vec<RowGroups>, Vec<bool>) = partials.into_iter().unzip();
-        shards_replayed += replayed.iter().filter(|&&replayed| replayed).count();
         // An owner builds its slice of the block's table with the arena of
         // the lane it shares its index with: into the buffers of the slice it
         // built there a run ago, summing through the arena's table.
@@ -314,7 +309,6 @@ pub(crate) fn execute(
             num_shards,
             steps: retained,
         }),
-        shards_replayed,
     })
 }
 
@@ -370,7 +364,6 @@ mod tests {
                 let partials = hooked.retained.expect("hooked runs retain");
                 assert_eq!(partials.num_shards(), shards.unwrap_or(1));
                 assert_eq!(partials.num_steps(), tree.blocks.len().max(1));
-                assert_eq!((plain.shards_replayed, hooked.shards_replayed), (0, 0));
                 let (p, h) = (plain.result, hooked.result);
                 assert_eq!(p.colorful_matches, h.colorful_matches);
                 assert_eq!(p.metrics.load.per_rank(), h.metrics.load.per_rank());

@@ -8,14 +8,13 @@
 //! of any shard whose vertices are far enough from every changed edge is
 //! **bit-identical** on the new graph — there is no reason to re-solve it.
 //!
-//! This module provides the two halves of that trade, both thin wrappers
-//! that run one job through the executor with its `PartialsHook`:
-//!
-//! * [`count_sharded_retaining`] — a from-scratch sharded count that keeps
-//!   each shard's pre-exchange partial in a [`TrialPartials`] record,
-//! * [`recount_sharded_replay`] — the same count on a *new* graph version,
-//!   re-solving only the shards marked dirty and replaying every clean
-//!   shard's cached partial (under the `dp.recount.replay` span).
+//! A request opts into that trade with
+//! [`CountRequest::retain`](crate::CountRequest::retain): its [`Retention`]
+//! answers, per trial, which cached partials to replay and which shards are
+//! dirty, and keeps the partials the trial produced. The trial loop turns the
+//! answer into the executor's per-shard hook, so retained trials run through
+//! the same loop, spans and metrics as every other trial. The `sgc-dyn`
+//! partial store is the one implementation.
 //!
 //! [`dirty_shards`] computes a sound dirty set: a shard is dirty iff it
 //! owns a vertex within graph distance `2k` of an endpoint of a changed
@@ -48,14 +47,12 @@
 //! this end to end.
 
 use crate::config::Algorithm;
-use crate::context::GraphPrep;
 use crate::error::SgcError;
-use crate::kernel::ArenaPool;
-use crate::metrics::RunMetrics;
-use crate::runtime::executor::{execute, Job, PartialsHook};
-use sgc_engine::{Count, RowGroups};
-use sgc_graph::{BlockPartition, Coloring, CsrGraph, VertexId};
+use crate::runtime::executor::PartialsHook;
+use sgc_engine::RowGroups;
+use sgc_graph::{BlockPartition, CsrGraph, VertexId};
 use sgc_query::DecompositionTree;
+use std::sync::Arc;
 
 /// The retained pre-exchange partials of one `(coloring, plan, shards)`
 /// trial: for every block step, every shard's partial table as produced
@@ -90,18 +87,66 @@ impl TrialPartials {
     }
 }
 
-/// What an incremental-capable sharded count produced.
-pub struct IncrementalOutcome {
-    /// The trial's exact colorful count — bit-identical to an
-    /// [`Engine`](crate::Engine) run on the same graph, sharded or not.
-    pub colorful_matches: Count,
-    /// The pre-exchange partials, ready to be retained for later replay.
-    pub partials: TrialPartials,
-    /// Execution metrics (replayed shards contribute no DP ops).
-    pub metrics: RunMetrics,
-    /// How many shard solves were replayed from cache instead of computed
-    /// (`0` for a from-scratch run).
-    pub shards_replayed: usize,
+/// Everything apart from the graph that shapes one trial's partials: what a
+/// [`Retention`] keys them by. Partials of two trials with equal shapes on
+/// equal graphs are equal.
+#[derive(Clone, Copy, Debug)]
+pub struct TrialShape<'a> {
+    /// The decomposition plan; its query fixes the colour count.
+    pub plan: &'a DecompositionTree,
+    /// The cycle-solving algorithm.
+    pub algorithm: Algorithm,
+    /// The trial's coloring seed: `seed + trial` of its request.
+    pub coloring_seed: u64,
+    /// The shard count the trial runs with.
+    pub num_shards: usize,
+}
+
+impl TrialShape<'_> {
+    /// The executor hook for this trial: replay `cached` on every shard not
+    /// flagged in `dirty`, or solve every shard; either way retain.
+    ///
+    /// # Panics
+    /// If `cached` or `dirty` do not fit this shape's shard and step counts
+    /// (a [`Retention`] keys partials by shape, so a mismatch is a
+    /// bookkeeping bug, not an input error).
+    pub(crate) fn hook<'r>(
+        &self,
+        replay: Option<(&'r TrialPartials, &'r [bool])>,
+    ) -> PartialsHook<'r> {
+        if let Some((cached, dirty)) = replay {
+            assert_eq!(
+                cached.num_shards, self.num_shards,
+                "cached partials were produced with a different shard count"
+            );
+            assert_eq!(
+                cached.num_steps(),
+                self.plan.blocks.len().max(1),
+                "cached partials were produced with a different plan"
+            );
+            assert_eq!(dirty.len(), self.num_shards, "one dirty flag per shard");
+        }
+        PartialsHook {
+            replay: replay.map(|(cached, dirty)| (dirty, cached)),
+        }
+    }
+}
+
+/// Where a request's trials find partials to replay and leave the partials
+/// they produced. Set on a request with
+/// [`CountRequest::retain`](crate::CountRequest::retain).
+///
+/// A trial offered nothing solves every shard. Replay is exact only if the
+/// cached partials came from a trial of the same [`TrialShape`] on a graph
+/// that differs from this one at most inside the shards flagged dirty (see
+/// [`dirty_shards`]).
+pub trait Retention: Sync {
+    /// The cached partials to replay `trial` from, with one flag per shard
+    /// marking the shards to solve anyway; `None` solves every shard.
+    fn replay(&self, trial: &TrialShape<'_>) -> Option<(Arc<TrialPartials>, &[bool])>;
+
+    /// Keeps the partials `trial` produced.
+    fn retain(&self, trial: &TrialShape<'_>, partials: TrialPartials);
 }
 
 /// Computes the shards whose partials may change under `delta_endpoints`:
@@ -154,110 +199,13 @@ pub fn dirty_shards(
     Ok(dirty)
 }
 
-/// A from-scratch sharded count that retains every shard's pre-exchange
-/// partial table. Identical in result to the plain sharded runtime, which
-/// drops the partials after each round instead.
-pub fn count_sharded_retaining(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_shards: usize,
-    pool: &ArenaPool,
-) -> Result<IncrementalOutcome, SgcError> {
-    run_hooked(
-        graph,
-        prep,
-        coloring,
-        tree,
-        algorithm,
-        num_shards,
-        pool,
-        PartialsHook { replay: None },
-    )
-}
-
-/// Re-counts on a **new** graph version, re-solving only the shards
-/// flagged in `dirty` and replaying every other shard's partial from
-/// `cached` — bit-identical to a from-scratch count on `graph` as long as
-/// `dirty` covers at least [`dirty_shards`] of the applied delta and
-/// `cached` came from the parent version with the same
-/// `(coloring, tree, algorithm, num_shards)`.
-///
-/// # Panics
-/// If `cached` was produced with a different shard count or step count
-/// (the caller keys its partial store by shard count, so a mismatch is a
-/// bookkeeping bug, not an input error).
-#[allow(clippy::too_many_arguments)]
-pub fn recount_sharded_replay(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_shards: usize,
-    pool: &ArenaPool,
-    dirty: &[bool],
-    cached: &TrialPartials,
-) -> Result<IncrementalOutcome, SgcError> {
-    assert_eq!(
-        cached.num_shards, num_shards,
-        "cached partials were produced with a different shard count"
-    );
-    assert_eq!(
-        cached.num_steps(),
-        tree.blocks.len().max(1),
-        "cached partials were produced with a different plan"
-    );
-    assert_eq!(dirty.len(), num_shards, "one dirty flag per shard");
-    run_hooked(
-        graph,
-        prep,
-        coloring,
-        tree,
-        algorithm,
-        num_shards,
-        pool,
-        PartialsHook {
-            replay: Some((dirty, cached)),
-        },
-    )
-}
-
-/// The shared body: one hooked job through the executor.
-#[allow(clippy::too_many_arguments)]
-fn run_hooked(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_shards: usize,
-    pool: &ArenaPool,
-    hook: PartialsHook<'_>,
-) -> Result<IncrementalOutcome, SgcError> {
-    let job = Job {
-        coloring,
-        plan: tree,
-        algorithm,
-        num_ranks: 1,
-        obs: sgc_obs::enabled(),
-        partials: Some(hook),
-    };
-    let outcome = execute(graph, prep, &job, Some(num_shards), pool)?;
-    Ok(IncrementalOutcome {
-        colorful_matches: outcome.result.colorful_matches,
-        partials: outcome.retained.expect("hooked jobs retain partials"),
-        metrics: outcome.result.metrics,
-        shards_replayed: outcome.shards_replayed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgc_graph::GraphBuilder;
+    use crate::context::GraphPrep;
+    use crate::kernel::ArenaPool;
+    use crate::runtime::executor::{execute, Job, JobOutcome};
+    use sgc_graph::{Coloring, GraphBuilder};
     use sgc_query::{catalog, heuristic_plan};
 
     fn grid_graph(side: usize) -> CsrGraph {
@@ -276,6 +224,33 @@ mod tests {
         b.build()
     }
 
+    /// One hooked DB job over `shards` shards: replaying `replay`'s clean
+    /// shards, or solving every shard.
+    fn hooked(
+        graph: &CsrGraph,
+        coloring: &Coloring,
+        tree: &DecompositionTree,
+        shards: usize,
+        replay: Option<(&TrialPartials, &[bool])>,
+    ) -> JobOutcome {
+        let shape = TrialShape {
+            plan: tree,
+            algorithm: Algorithm::DegreeBased,
+            coloring_seed: 0,
+            num_shards: shards,
+        };
+        let job = Job {
+            coloring,
+            plan: tree,
+            algorithm: Algorithm::DegreeBased,
+            num_ranks: 1,
+            obs: true,
+            partials: Some(shape.hook(replay)),
+        };
+        let prep = GraphPrep::new(graph);
+        execute(graph, &prep, &job, Some(shards), &ArenaPool::new()).unwrap()
+    }
+
     #[test]
     fn retain_matches_plain_sharded_and_replay_matches_scratch() {
         let old = grid_graph(12);
@@ -290,50 +265,25 @@ mod tests {
 
         let query = catalog::triangle();
         let tree = heuristic_plan(&query).unwrap();
-        let pool = ArenaPool::new();
         for num_shards in [1usize, 4] {
             for seed in [7u64, 21] {
                 let coloring = Coloring::random(old.num_vertices(), query.num_nodes(), seed);
-                let old_prep = GraphPrep::new(&old);
-                let new_prep = GraphPrep::new(&new);
-
-                let retained = count_sharded_retaining(
-                    &old,
-                    &old_prep,
-                    &coloring,
-                    &tree,
-                    Algorithm::DegreeBased,
-                    num_shards,
-                    &pool,
-                )
-                .unwrap();
-                let scratch_new = count_sharded_retaining(
-                    &new,
-                    &new_prep,
-                    &coloring,
-                    &tree,
-                    Algorithm::DegreeBased,
-                    num_shards,
-                    &pool,
-                )
-                .unwrap();
+                let retained = hooked(&old, &coloring, &tree, num_shards, None);
+                let scratch_new = hooked(&new, &coloring, &tree, num_shards, None);
+                let retained = retained.retained.unwrap();
+                let scratch_partials = scratch_new.retained.unwrap();
 
                 let dirty =
                     dirty_shards(&old, &new, &[delta_edge], query.num_nodes(), num_shards).unwrap();
-                let replayed = recount_sharded_replay(
+                let replayed = hooked(
                     &new,
-                    &new_prep,
                     &coloring,
                     &tree,
-                    Algorithm::DegreeBased,
                     num_shards,
-                    &pool,
-                    &dirty,
-                    &retained.partials,
-                )
-                .unwrap();
+                    Some((&retained, &dirty)),
+                );
                 assert_eq!(
-                    replayed.colorful_matches, scratch_new.colorful_matches,
+                    replayed.result.colorful_matches, scratch_new.result.colorful_matches,
                     "shards={num_shards} seed={seed}"
                 );
                 // With 4 shards on a 144-vertex grid and a corner delta,
@@ -343,12 +293,18 @@ mod tests {
                         dirty.iter().any(|&d| !d),
                         "corner delta dirtied every shard"
                     );
-                    assert!(replayed.shards_replayed > 0);
+                }
+                // Exactly the clean shards replayed: they ran no DP
+                // operation, and every dirty shard solved its blocks.
+                let shards = replayed.result.metrics.shards.as_ref().unwrap();
+                for (s, (&ops, &dirty)) in shards.ops_per_shard.iter().zip(&dirty).enumerate() {
+                    assert_eq!(ops > 0, dirty, "shards={num_shards} seed={seed} shard={s}");
                 }
                 // Replayed partials equal the from-scratch partials — the
                 // retained store stays valid for the *next* delta too.
                 assert_eq!(
-                    replayed.partials.steps, scratch_new.partials.steps,
+                    replayed.retained.unwrap().steps,
+                    scratch_partials.steps,
                     "shards={num_shards} seed={seed}"
                 );
             }
@@ -389,24 +345,12 @@ mod tests {
     #[test]
     fn partials_report_shape_and_size() {
         let graph = grid_graph(4);
-        let prep = GraphPrep::new(&graph);
         let query = catalog::path(3);
         let tree = heuristic_plan(&query).unwrap();
         let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 5);
-        let pool = ArenaPool::new();
-        let outcome = count_sharded_retaining(
-            &graph,
-            &prep,
-            &coloring,
-            &tree,
-            Algorithm::DegreeBased,
-            2,
-            &pool,
-        )
-        .unwrap();
-        assert_eq!(outcome.partials.num_shards(), 2);
-        assert_eq!(outcome.partials.num_steps(), tree.blocks.len());
-        assert!(outcome.partials.bytes() > 0);
-        assert_eq!(outcome.shards_replayed, 0);
+        let partials = hooked(&graph, &coloring, &tree, 2, None).retained.unwrap();
+        assert_eq!(partials.num_shards(), 2);
+        assert_eq!(partials.num_steps(), tree.blocks.len());
+        assert!(partials.bytes() > 0);
     }
 }

@@ -18,7 +18,8 @@
 //!   the paper's alltoall of partial sums (batched over the entries of that
 //!   block, not over queries), and recording per-shard exchange volume,
 //! * [`incremental`] — delta-aware recounting: which shards an edge delta
-//!   can have changed, and the retain/replay wrappers over the executor.
+//!   can have changed, and the [`Retention`] hook through which a request's
+//!   trials keep and replay their per-shard partials.
 //!
 //! The partitioning invariant that makes this exact: a path-table entry's
 //! `start` vertex is fixed at seeding time and never changes through any
@@ -35,8 +36,5 @@ pub(crate) mod executor;
 pub mod incremental;
 pub mod shard;
 
-pub use incremental::{
-    count_sharded_retaining, dirty_shards, recount_sharded_replay, IncrementalOutcome,
-    TrialPartials,
-};
+pub use incremental::{dirty_shards, Retention, TrialPartials, TrialShape};
 pub use shard::{ShardPlan, VertexShard};

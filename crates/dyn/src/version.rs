@@ -1,6 +1,6 @@
 //! The version chain: snapshot lineage with fingerprint-⊕-digest ids.
 
-use sgc_core::context::GraphPrep;
+use sgc_core::Engine;
 use sgc_graph::{CsrGraph, DeltaError, EdgeDelta, SegmentedSnapshot};
 use std::collections::HashMap;
 use std::fmt;
@@ -52,21 +52,14 @@ impl fmt::Display for VersionId {
     }
 }
 
-/// Everything the solvers need about one materialized version: the plain
-/// CSR graph and its prepared degree-order views, built once and shared.
-pub struct VersionData {
-    /// The version's full graph, materialized from its snapshot.
-    pub graph: CsrGraph,
-    /// The solver-side preprocessing ([`GraphPrep`]) for that graph.
-    pub prep: GraphPrep,
-}
-
 struct VersionEntry {
     snapshot: SegmentedSnapshot,
     parent: Option<VersionId>,
     delta: Option<EdgeDelta>,
-    /// Materialized lazily, at most once, shared by all readers.
-    data: OnceLock<Arc<VersionData>>,
+    /// The engine bound to the materialized snapshot: built lazily, at most
+    /// once, shared by all readers. The root's may come bound
+    /// ([`VersionedGraph::from_engine`]).
+    engine: OnceLock<Arc<Engine<'static>>>,
 }
 
 /// Errors from the versioned store.
@@ -109,9 +102,11 @@ impl From<sgc_core::SgcError> for DynError {
 ///
 /// The store owns one [`SegmentedSnapshot`] per version; siblings and
 /// ancestors share every CSR segment a delta did not touch, so holding many
-/// versions of a large graph costs far less than many full copies.
-/// Materialized `CsrGraph`s (needed by the solvers) are built lazily and
-/// memoized per version.
+/// versions of a large graph costs far less than many full copies. A
+/// version is counted through an [`Engine`] bound to its materialized graph
+/// ([`data_at`](VersionedGraph::data_at)): built lazily, memoized per
+/// version, and rebound from the root's engine, whose plan cache and arena
+/// pool every version shares.
 ///
 /// ```
 /// use sgc_dyn::VersionedGraph;
@@ -137,30 +132,18 @@ pub struct VersionedGraph {
 
 impl VersionedGraph {
     /// Starts a version chain at `graph` (the root version's id is the
-    /// graph's fingerprint).
+    /// graph's fingerprint). No engine is bound until a version is first
+    /// counted ([`data_at`](VersionedGraph::data_at)).
     pub fn new(graph: &CsrGraph) -> Self {
-        Self::with_snapshot(graph, SegmentedSnapshot::new(graph))
-    }
-
-    /// Like [`new`](VersionedGraph::new) with an explicit snapshot segment
-    /// size (smaller segments = finer copy-on-write granularity).
-    pub fn with_segment_vertices(graph: &CsrGraph, segment_vertices: usize) -> Self {
-        Self::with_snapshot(
-            graph,
-            SegmentedSnapshot::from_graph(graph, segment_vertices),
-        )
-    }
-
-    fn with_snapshot(graph: &CsrGraph, snapshot: SegmentedSnapshot) -> Self {
         let root = VersionId(graph.fingerprint());
         let mut versions = HashMap::new();
         versions.insert(
             root,
             VersionEntry {
-                snapshot,
+                snapshot: SegmentedSnapshot::new(graph),
                 parent: None,
                 delta: None,
-                data: OnceLock::new(),
+                engine: OnceLock::new(),
             },
         );
         VersionedGraph {
@@ -168,6 +151,14 @@ impl VersionedGraph {
             head: root,
             versions,
         }
+    }
+
+    /// Starts a version chain at `engine`'s graph, with `engine` as the root
+    /// version's engine: the root is never bound a second time.
+    pub fn from_engine(engine: Arc<Engine<'static>>) -> Self {
+        let chain = Self::new(engine.graph());
+        chain.versions[&chain.root].engine.get_or_init(|| engine);
+        chain
     }
 
     /// The id of the base version.
@@ -209,19 +200,6 @@ impl VersionedGraph {
         self.versions.get(&version).and_then(|e| e.delta.as_ref())
     }
 
-    /// The ids from the root to `version`, in application order.
-    pub fn chain(&self, version: VersionId) -> Option<Vec<VersionId>> {
-        let mut chain = vec![version];
-        let mut at = version;
-        self.versions.get(&at)?;
-        while let Some(parent) = self.parent(at) {
-            chain.push(parent);
-            at = parent;
-        }
-        chain.reverse();
-        Some(chain)
-    }
-
     /// Applies `delta` to `parent`, storing the child snapshot and
     /// returning its id (`parent ⊕ delta.digest()`). Re-applying a delta
     /// that already produced a child is idempotent. Runs under the
@@ -259,7 +237,7 @@ impl VersionedGraph {
                     snapshot,
                     parent: Some(parent),
                     delta: Some(delta.clone()),
-                    data: OnceLock::new(),
+                    engine: OnceLock::new(),
                 },
             );
         }
@@ -274,21 +252,35 @@ impl VersionedGraph {
         self.apply_delta(self.head, delta)
     }
 
-    /// The materialized graph + solver prep of `version`, built on first
-    /// use and shared afterwards.
+    /// The engine bound to `version`'s materialized graph, built on first
+    /// use and shared afterwards. The root's is the one
+    /// [`from_engine`](VersionedGraph::from_engine) supplied, or else bound
+    /// here; every other version's is a [`rebind`](Engine::rebind) of the
+    /// root's, so binding a version first binds the root.
     ///
     /// # Errors
     /// [`DynError::UnknownVersion`] when `version` is not in the store.
-    pub fn data_at(&self, version: VersionId) -> Result<Arc<VersionData>, DynError> {
+    pub fn data_at(&self, version: VersionId) -> Result<Arc<Engine<'static>>, DynError> {
         let entry = self
             .versions
             .get(&version)
             .ok_or(DynError::UnknownVersion(version))?;
-        Ok(Arc::clone(entry.data.get_or_init(|| {
-            let graph = entry.snapshot.materialize();
-            let prep = GraphPrep::new(&graph);
-            Arc::new(VersionData { graph, prep })
+        Ok(Arc::clone(entry.engine.get_or_init(|| {
+            let graph = Arc::new(entry.snapshot.materialize());
+            Arc::new(match entry.parent {
+                None => Engine::from_shared(graph),
+                Some(_) => {
+                    let root = self.data_at(self.root);
+                    root.expect("the root is in every chain").rebind(graph)
+                }
+            })
         })))
+    }
+
+    /// `version`'s engine if it is already bound. Only a bound version has
+    /// been counted, so only a bound version can have retained partials.
+    pub(crate) fn bound(&self, version: VersionId) -> Option<Arc<Engine<'static>>> {
+        self.versions.get(&version)?.engine.get().cloned()
     }
 }
 
@@ -320,7 +312,9 @@ mod tests {
         assert_eq!(v1.as_u64(), root.as_u64() ^ d1.digest());
         assert_eq!(v2.as_u64(), v1.as_u64() ^ d2.digest());
         assert_eq!(versions.head(), v2);
-        assert_eq!(versions.chain(v2).unwrap(), vec![root, v1, v2]);
+        let chain: Vec<VersionId> =
+            std::iter::successors(Some(v2), |&v| versions.parent(v)).collect();
+        assert_eq!(chain, vec![v2, v1, root]);
         assert_eq!(versions.parent(v2), Some(v1));
         assert_eq!(versions.delta(v2), Some(&d2));
         assert_eq!(versions.num_versions(), 3);
@@ -410,9 +404,33 @@ mod tests {
         let fresh = b.build();
 
         let data = versions.data_at(v1).unwrap();
-        assert_eq!(data.graph.fingerprint(), fresh.fingerprint());
+        assert_eq!(data.graph().fingerprint(), fresh.fingerprint());
         // Memoized: second call hands back the same allocation.
         let again = versions.data_at(v1).unwrap();
         assert!(Arc::ptr_eq(&data, &again));
+    }
+
+    /// A chain binds its root once: on first use, or never when it was
+    /// handed a bound engine, whose plan cache every version then shares.
+    #[test]
+    fn the_root_is_bound_once_and_shared() {
+        let builds = sgc_core::context::prep_build_count;
+        let before = builds();
+        let versions = VersionedGraph::new(&path_graph(8));
+        assert_eq!(builds(), before, "a new chain binds nothing");
+        versions.data_at(versions.root()).unwrap();
+        versions.data_at(versions.root()).unwrap();
+        assert_eq!(builds(), before + 1);
+
+        let engine = Arc::new(Engine::from_shared(Arc::new(path_graph(8))));
+        engine.plan(&sgc_query::catalog::triangle()).unwrap();
+        let mut versions = VersionedGraph::from_engine(Arc::clone(&engine));
+        let root = versions.data_at(versions.root()).unwrap();
+        assert!(
+            Arc::ptr_eq(&root, &engine),
+            "the root binds no second engine"
+        );
+        let v1 = versions.apply_to_head(&EdgeDelta::new(vec![(0, 7)], vec![]).unwrap());
+        assert_eq!(versions.data_at(v1.unwrap()).unwrap().cached_plans(), 1);
     }
 }

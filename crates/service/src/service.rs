@@ -7,13 +7,14 @@
 //! * **admission control** — the work queue is bounded; a full queue rejects
 //!   with [`ServiceError::QueueFull`] instead of growing without limit,
 //! * **adaptive scheduling** — each job's trials run in fixed-size chunks
-//!   (through the engine's incremental
-//!   [`TrialStream`], or the delta-aware runtime for
-//!   a job pinned to a graph version); after every chunk the job's
-//!   confidence interval is checked against its
-//!   [`Precision`](crate::job::Precision) target and the job stops as soon
-//!   as the target is met (or the budget runs out). One loop serves every
-//!   job: solo, batch member, versioned, watch emission,
+//!   through an engine's incremental
+//!   [`TrialStream`](sgc_core::TrialStream): the bound graph's
+//!   engine for a plain job, the version's engine — sharded, retaining its
+//!   partials in the service's [`PartialStore`] — for a job pinned to a
+//!   graph version. After every chunk the job's confidence interval is
+//!   checked against its [`Precision`](crate::job::Precision) target and the
+//!   job stops as soon as the target is met (or the budget runs out). One
+//!   loop serves every job: solo, batch member, versioned, watch emission,
 //! * **result caching** — deterministic jobs are memoized and
 //!   single-flighted (see [`crate::cache`]); identical submissions are
 //!   served without recomputation, bit-identically.
@@ -24,12 +25,10 @@ use crate::job::{
     BatchJob, ChunkUpdate, CountJob, JobHandle, JobOutput, JobState, ProgressFn, StopReason,
 };
 use crate::metrics::{Counters, ServiceMetrics};
-use sgc_core::estimator::{summarize_trials, TrialAccumulator};
-use sgc_core::kernel::ArenaPool;
-use sgc_core::{Engine, SgcError, TrialStream};
-use sgc_dyn::{PartialStore, TrialSpec, VersionId, VersionedGraph};
+use sgc_core::estimator::summarize_trials;
+use sgc_core::{Engine, SgcError};
+use sgc_dyn::{PartialStore, VersionId, VersionedGraph};
 use sgc_graph::{CsrGraph, EdgeDelta};
-use sgc_query::DecompositionTree;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,9 +91,8 @@ const TRACE_LOG_CAPACITY: usize = 64;
 struct QueueEntry {
     job: CountJob,
     state: Arc<JobState>,
-    /// `None` for a plain job, which counts on the bound graph through the
-    /// engine's trial stream; `Some` for a job that runs through the
-    /// delta-aware runtime at that version.
+    /// `None` for a plain job, which counts on the bound graph; `Some` for a
+    /// job that counts on that version, replaying retained partials.
     version: Option<VersionId>,
 }
 
@@ -140,7 +138,8 @@ struct QueueState {
 
 /// Everything the workers share.
 struct Shared {
-    engine: Engine<'static>,
+    /// The bound graph's engine, which is also the root version's.
+    engine: Arc<Engine<'static>>,
     graph_fingerprint: u64,
     queue_capacity: usize,
     chunk_trials: usize,
@@ -151,14 +150,13 @@ struct Shared {
     cache: ResultCache,
     counters: Counters,
     traces: sgc_obs::TraceLog,
-    /// The version chain rooted at the bound graph. Reads (versioned
-    /// counting) take the read lock per chunk; `apply_delta` takes the
-    /// write lock, so mutation never waits for a whole job.
+    /// The version chain rooted at the bound graph. A versioned job takes
+    /// the read lock once, to resolve its version's engine, and runs its
+    /// trials without it; `apply_delta` takes the write lock, so mutation
+    /// never waits for a job.
     dynamic: RwLock<VersionedGraph>,
     /// Per-trial, per-shard partial sums backing incremental recounts.
     partials: PartialStore,
-    /// Arena pool the versioned runs check join-kernel scratch out of.
-    pool: ArenaPool,
     watchers: Mutex<Vec<Watcher>>,
     watch_ids: AtomicU64,
 }
@@ -193,9 +191,10 @@ impl Service {
     /// Starts a service for `graph` with an explicit configuration.
     pub fn with_config(graph: Arc<CsrGraph>, config: ServiceConfig) -> Self {
         let graph_fingerprint = graph.fingerprint();
-        let dynamic = VersionedGraph::new(&graph);
+        let engine = Arc::new(Engine::from_shared(graph));
+        let dynamic = VersionedGraph::from_engine(Arc::clone(&engine));
         let shared = Arc::new(Shared {
-            engine: Engine::from_shared(graph),
+            engine,
             graph_fingerprint,
             queue_capacity: config.queue_capacity,
             chunk_trials: config.chunk_trials.max(1),
@@ -211,7 +210,6 @@ impl Service {
             traces: sgc_obs::TraceLog::new(TRACE_LOG_CAPACITY),
             dynamic: RwLock::new(dynamic),
             partials: PartialStore::new(config.partial_store_bytes),
-            pool: ArenaPool::new(),
             watchers: Mutex::new(Vec::new()),
             watch_ids: AtomicU64::new(0),
         });
@@ -495,10 +493,10 @@ impl Service {
 
     /// Submits a job pinned to graph version `version` (see
     /// [`apply_delta`](Service::apply_delta)). Admission follows
-    /// [`submit`](Service::submit); the job runs through the delta-aware
-    /// incremental runtime — shards the version's delta cannot have touched
-    /// replay their retained partial sums — and its output is bit-identical
-    /// to a from-scratch run on the version's materialized graph.
+    /// [`submit`](Service::submit); the job counts incrementally — shards
+    /// the version's delta cannot have touched replay their retained partial
+    /// sums — and its output is bit-identical to a from-scratch run on the
+    /// version's materialized graph.
     ///
     /// The version is resolved when the job runs, not at admission: an
     /// unknown version reports [`ServiceError::UnknownVersion`] through the
@@ -533,8 +531,8 @@ impl Service {
     /// chunk for `job` at the current head (computed synchronously, on this
     /// thread), then a fresh version-tagged chunk every time
     /// [`apply_delta`](Service::apply_delta) lands a new version. Re-counts
-    /// ride the incremental runtime, so a small delta re-emits after
-    /// recomputing only its invalidation ball.
+    /// replay the previous version's retained partials, so a small delta
+    /// re-emits after recomputing only its invalidation ball.
     ///
     /// Emissions run on the thread that applies the delta, serially across
     /// watchers; identical watch jobs (and identical `submit_at` jobs) share
@@ -961,99 +959,68 @@ fn finish_compute(
     }
 }
 
-/// How a job's trials `a..b` are run — the only per-kind code of the
-/// adaptive loop.
-enum Trials<'a> {
-    /// A plain job: the engine's incremental trial stream on the bound
-    /// graph.
-    Plain(TrialStream<'a, 'static, 'a>),
-    /// A job pinned to a version: the delta-aware runtime
-    /// ([`sgc_dyn::run_trials`]) under the engine's cached plan.
-    At(VersionId, Arc<DecompositionTree>),
-}
-
-/// The adaptive trial loop of every job: run chunks of trials, stop at the
-/// precision target, the budget, or a cancellation (checked once per chunk
-/// boundary — cancellation never interrupts a chunk mid-trial, so the
-/// trials that did run keep the seed+i contract).
+/// The adaptive trial loop of every job: run chunks of the job's
+/// [`TrialStream`](sgc_core::TrialStream), stop at the precision target,
+/// the budget, or a cancellation (checked once per chunk boundary —
+/// cancellation never interrupts a chunk mid-trial, so the trials that did
+/// run keep the seed+i contract).
 ///
-/// Both kinds of [`Trials`] fold into an estimate with the very same
-/// [`summarize_trials`] the engine uses — which is what makes every output
-/// and every progress update bit-identical to a fixed-budget engine run of
-/// exactly that many trials (on the version's materialized graph, for a
-/// versioned job; pinned by `tests/dynamic.rs`).
+/// The job kind only picks the stream's engine, shards and retention: a
+/// plain job counts on the bound graph's engine, unsharded, retaining
+/// nothing; a versioned job on its version's engine, over the service's
+/// `dyn_shards`, replaying and retaining partials through the
+/// [`PartialStore`] seen from its version ([`PartialStore::at`], whose
+/// requests run on that version's engine). The version is resolved once,
+/// under a short read lock; no lock is held while trials run.
 ///
-/// A versioned job holds the version-chain read lock per chunk, not per
-/// job, so [`Service::apply_delta`] interleaves with long counts at chunk
-/// granularity.
+/// Every output and every progress update is [`summarize_trials`] over the
+/// stream's counts — bit-identical to a fixed-budget engine run of exactly
+/// that many trials (on the version's materialized graph, for a versioned
+/// job; pinned by `tests/dynamic.rs`).
 fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceError> {
     let (job, state) = (&entry.job, &entry.state);
     if state.is_cancelled() {
         return Err(ServiceError::Cancelled);
     }
-    let mut trials = match entry.version {
-        None => Trials::Plain(
-            shared
-                .engine
-                .count(&job.query)
-                .algorithm(job.algorithm)
-                .seed(job.seed)
-                .parallel(false)
-                .obs(shared.obs)
-                .estimate_incremental()?,
-        ),
-        Some(version) => Trials::At(version, shared.engine.plan(&job.query)?),
+    let mut at = match entry.version {
+        None => None,
+        Some(version) => {
+            let versions = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
+            Some(shared.partials.at(&versions, version)?)
+        }
     };
-    let mut per_trial: Vec<u64> = Vec::new();
-    let mut acc = TrialAccumulator::new();
+    let request = match &mut at {
+        None => shared.engine.count(&job.query),
+        Some(at) => at.count(&job.query).sharded(shared.dyn_shards),
+    };
+    // Nothing here reads per-rank load, so one simulated rank: the kernel
+    // then skips the owner lookup it attributes every row's work with.
+    let mut stream = request
+        .algorithm(job.algorithm)
+        .seed(job.seed)
+        .ranks(1)
+        .parallel(false)
+        .obs(shared.obs)
+        .estimate_incremental()?;
     let mut seconds = 0.0;
     let mut stop = StopReason::BudgetExhausted;
-    while per_trial.len() < job.budget {
-        let start = per_trial.len();
-        let chunk = start..start + shared.chunk_trials.min(job.budget - start);
+    while stream.trials_run() < job.budget {
         let chunk_started = std::time::Instant::now();
-        match &mut trials {
-            Trials::Plain(stream) => {
-                stream.run_chunk(chunk.len());
-                per_trial.extend(&stream.per_trial()[chunk]);
-            }
-            Trials::At(version, tree) => {
-                let spec = TrialSpec {
-                    query: &job.query,
-                    tree,
-                    algorithm: job.algorithm,
-                    seed: job.seed,
-                    num_shards: shared.dyn_shards,
-                };
-                let dynamic = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
-                let outcome = sgc_dyn::run_trials(
-                    &dynamic,
-                    &shared.partials,
-                    *version,
-                    &spec,
-                    chunk,
-                    &shared.pool,
-                )?;
-                per_trial.extend(outcome.per_trial);
-            }
-        }
+        stream.run_chunk(shared.chunk_trials.min(job.budget - stream.trials_run()));
         seconds += chunk_started.elapsed().as_secs_f64();
-        for &count in &per_trial[start..] {
-            acc.push(count as f64);
-        }
         if state.has_progress() {
             // Summarized exactly as the final output will be, so every
             // update a watcher sees is bit-identical to a fixed-budget run
             // of that many trials (the invariant `sgc-net` streams over the
             // wire).
             state.emit_progress(&ChunkUpdate {
-                trials_run: per_trial.len(),
+                trials_run: stream.trials_run(),
                 budget: job.budget,
-                estimate: summarize_trials(per_trial.clone(), &job.query, seconds),
+                estimate: summarize_trials(stream.per_trial().to_vec(), &job.query, seconds),
             });
         }
         if let Some(precision) = &job.precision {
-            if acc.relative_half_width(precision.confidence) <= precision.target {
+            if stream.relative_half_width(precision.confidence) <= precision.target {
                 stop = StopReason::PrecisionMet;
                 break;
             }
@@ -1064,13 +1031,12 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
         }
     }
     // A zero budget runs zero trials: the typed error the engine API uses.
-    if per_trial.is_empty() {
+    if stream.trials_run() == 0 {
         return Err(ServiceError::Count(SgcError::ZeroTrials));
     }
-    let trials_run = per_trial.len();
     Ok(JobOutput {
-        estimate: summarize_trials(per_trial, &job.query, seconds),
-        trials_run,
+        estimate: summarize_trials(stream.per_trial().to_vec(), &job.query, seconds),
+        trials_run: stream.trials_run(),
         budget: job.budget,
         stop,
         from_cache: false,

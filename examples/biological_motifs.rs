@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 use subgraph_counting::gen::{chung_lu, power_law_degrees};
-use subgraph_counting::graph::{Coloring, DegreeStats};
+use subgraph_counting::graph::DegreeStats;
 use subgraph_counting::query::catalog;
 use subgraph_counting::{Algorithm, Engine};
 
@@ -43,13 +43,12 @@ fn main() {
 
     for name in ["dros", "ecoli1", "ecoli2"] {
         let query = catalog::query_by_name(name).unwrap();
-        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 99);
 
         let started = Instant::now();
         let ps = engine
             .count(&query)
             .algorithm(Algorithm::PathSplitting)
-            .coloring(&coloring)
+            .seed(99)
             .run()
             .unwrap();
         let ps_time = started.elapsed().as_secs_f64();
@@ -58,7 +57,7 @@ fn main() {
         let db = engine
             .count(&query)
             .algorithm(Algorithm::DegreeBased)
-            .coloring(&coloring)
+            .seed(99)
             .run()
             .unwrap();
         let db_time = started.elapsed().as_secs_f64();

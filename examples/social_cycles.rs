@@ -12,7 +12,7 @@
 //! ```
 
 use subgraph_counting::gen::rmat::{rmat, RmatParams};
-use subgraph_counting::graph::{Coloring, DegreeStats};
+use subgraph_counting::graph::DegreeStats;
 use subgraph_counting::query::catalog;
 use subgraph_counting::{Algorithm, Engine};
 
@@ -34,14 +34,13 @@ fn main() {
         ("brain1", catalog::brain1()),
     ] {
         println!("query {name}:");
-        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 17);
         let mut results = Vec::new();
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
             let res = engine
                 .count(&query)
                 .algorithm(algorithm)
                 .ranks(ranks)
-                .coloring(&coloring)
+                .seed(17)
                 .run()
                 .unwrap();
             println!(

@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
-use subgraph_counting::core::{Algorithm, Engine};
-use subgraph_counting::dynamic::{estimate_at, PartialStore, VersionedGraph};
+use subgraph_counting::core::{Algorithm, Engine, Estimate};
+use subgraph_counting::dynamic::{PartialStore, VersionedGraph};
 use subgraph_counting::gen::{chung_lu, gnm, power_law_degrees};
 use subgraph_counting::graph::{CsrGraph, EdgeDelta, GraphBuilder};
 use subgraph_counting::net::{Client, Server, ServerConfig};
@@ -98,6 +98,30 @@ fn random_delta(graph: &CsrGraph, seed: u64, max_inserts: usize, max_deletes: us
     EdgeDelta::new(inserts, deletes).expect("generated delta is valid by construction")
 }
 
+/// DB trials `0..trials` of `query` at `version` through the engine bound to
+/// it, over `shards` shards, replaying and keeping partials in `store`.
+fn count_at(
+    versions: &VersionedGraph,
+    store: &PartialStore,
+    version: VersionId,
+    query: &QueryGraph,
+    seed: u64,
+    trials: usize,
+    shards: usize,
+) -> Estimate {
+    store
+        .at(versions, version)
+        .unwrap()
+        .count(query)
+        .algorithm(Algorithm::DegreeBased)
+        .seed(seed)
+        .trials(trials)
+        .parallel(false)
+        .sharded(shards)
+        .estimate()
+        .unwrap()
+}
+
 /// The first `count` vertex pairs absent from `graph`, in lexicographic
 /// order — guaranteed-valid inserts for the fixed-scenario tests below.
 fn absent_edges(graph: &CsrGraph, count: usize) -> Vec<(u32, u32)> {
@@ -148,8 +172,7 @@ proptest! {
         let root = versions.root();
         // Populate the store at the root so the post-delta run has parent
         // partials to recount from.
-        estimate_at(&versions, &store, root, query, Algorithm::DegreeBased, seed, trials, shards)
-            .unwrap();
+        count_at(&versions, &store, root, query, seed, trials, shards);
 
         let delta = random_delta(&graph, graph_seed ^ 0x9e37_79b9, 3, 2);
         if delta.is_empty() {
@@ -158,22 +181,19 @@ proptest! {
         }
         let v1 = versions.apply_to_head(&delta).unwrap();
 
-        let (incremental, outcome) =
-            estimate_at(&versions, &store, v1, query, Algorithm::DegreeBased, seed, trials, shards)
-                .unwrap();
-        prop_assert_eq!(outcome.trials_incremental, trials);
+        let hits = store.stats().hits;
+        let incremental = count_at(&versions, &store, v1, query, seed, trials, shards);
+        prop_assert_eq!(store.stats().hits - hits, trials as u64);
 
         // Scratch on an empty store (no replay possible).
-        let (scratch, scratch_outcome) = estimate_at(
-            &versions, &PartialStore::default(), v1, query,
-            Algorithm::DegreeBased, seed, trials, shards,
-        ).unwrap();
-        prop_assert_eq!(scratch_outcome.trials_scratch, trials);
+        let empty = PartialStore::default();
+        let scratch = count_at(&versions, &empty, v1, query, seed, trials, shards);
+        prop_assert_eq!(empty.stats().hits, 0);
         prop_assert_eq!(&incremental.per_trial, &scratch.per_trial);
 
         // The engine on a freshly built graph with the same edge list.
         let data = versions.data_at(v1).unwrap();
-        let reference = Engine::new(&rebuild(&data.graph))
+        let reference = Engine::new(&rebuild(data.graph()))
             .count(query)
             .seed(seed)
             .trials(trials)
@@ -202,7 +222,7 @@ fn chain_scenario() -> (CsrGraph, Vec<EdgeDelta>, Vec<(String, QueryGraph)>) {
         assert!(!delta.is_empty(), "chain fixture deltas must be non-empty");
         let mut versions = VersionedGraph::new(&current);
         let v = versions.apply_to_head(&delta).unwrap();
-        current = rebuild(&versions.data_at(v).unwrap().graph);
+        current = rebuild(versions.data_at(v).unwrap().graph());
         deltas.push(delta);
     }
     let queries = vec![
@@ -224,23 +244,13 @@ fn chain_rows() -> Vec<String> {
         version = versions.apply_delta(version, delta).unwrap();
         let data = versions.data_at(version).unwrap();
         for (name, query) in &queries {
-            let (estimate, _) = estimate_at(
-                &versions,
-                &store,
-                version,
-                query,
-                Algorithm::DegreeBased,
-                11,
-                4,
-                4,
-            )
-            .unwrap();
+            let estimate = count_at(&versions, &store, version, query, 11, 4, 4);
             let counts: Vec<String> = estimate.per_trial.iter().map(|c| c.to_string()).collect();
             rows.push(format!(
                 "{}\t{}\t{}\t{}",
                 step + 1,
                 name,
-                data.graph.num_edges(),
+                data.graph().num_edges(),
                 counts.join(",")
             ));
         }
@@ -275,20 +285,10 @@ fn delta_chain_matches_golden_fixture_and_fresh_build() {
     for delta in &deltas {
         version = versions.apply_delta(version, delta).unwrap();
     }
-    let fresh = rebuild(&versions.data_at(version).unwrap().graph);
+    let fresh = rebuild(versions.data_at(version).unwrap().graph());
     let store = PartialStore::default();
     for (_, query) in &queries {
-        let (estimate, _) = estimate_at(
-            &versions,
-            &store,
-            version,
-            query,
-            Algorithm::DegreeBased,
-            11,
-            4,
-            4,
-        )
-        .unwrap();
+        let estimate = count_at(&versions, &store, version, query, 11, 4, 4);
         let reference = Engine::new(&fresh)
             .count(query)
             .seed(11)

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use subgraph_counting::engine::parallel::run_with_threads;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::Coloring;
-use subgraph_counting::graph::CsrGraph;
+use subgraph_counting::graph::{CsrGraph, GraphBuilder};
 use subgraph_counting::net::{Server, ServerConfig};
 use subgraph_counting::obs::{global, span, Stage};
 use subgraph_counting::query::{catalog, Registry};
@@ -135,6 +135,51 @@ fn versioned_trials_publish_their_run_metrics() {
     let output = service.count_at(v1, job.seed(5).budget(4)).unwrap();
     assert_eq!(output.trials_run, 4);
     assert_eq!(runs() - before, 4, "one published run per versioned trial");
+}
+
+/// A versioned service job replays the partials its parent version kept:
+/// after a corner delta on a grid, `count_at` the child runs clean shards
+/// through the `dp.recount.replay` span, and still counts exactly what a
+/// fresh build of the child's edge list counts.
+#[test]
+fn versioned_jobs_replay_their_parents_partials() {
+    let _serial = serial();
+    let side = 24u32;
+    let mut b = GraphBuilder::new((side * side) as usize);
+    for r in 0..side {
+        for c in 0..side {
+            if c + 1 < side {
+                b.add_edge(r * side + c, r * side + c + 1);
+            }
+            if r + 1 < side {
+                b.add_edge(r * side + c, (r + 1) * side + c);
+            }
+        }
+    }
+    let graph = b.build();
+    let service = Service::new(Arc::new(graph.clone()));
+    let job = || CountJob::new(catalog::triangle()).seed(5).budget(4);
+    service.count_at(service.root_version(), job()).unwrap();
+    // Close the top-left unit square's diagonal.
+    let corner = (0, side + 1);
+    let v1 = service
+        .apply_delta(&EdgeDelta::new(vec![corner], vec![]).unwrap())
+        .unwrap();
+    let replays = || Stage::DpRecountReplay.histogram().snapshot().count;
+    let before = replays();
+    let output = service.count_at(v1, job()).unwrap();
+    assert!(replays() > before, "the versioned job solved every shard");
+
+    let mut fresh = GraphBuilder::new(graph.num_vertices());
+    fresh.extend_edges(graph.edges());
+    fresh.add_edge(corner.0, corner.1);
+    let reference = Engine::new(&fresh.build())
+        .count(&catalog::triangle())
+        .seed(5)
+        .trials(4)
+        .estimate()
+        .unwrap();
+    assert_eq!(output.estimate.per_trial, reference.per_trial);
 }
 
 /// Splits an exposition into its names, asserting the line format on the
