@@ -28,7 +28,15 @@
 //! * a path row never changes its start vertex, so a block is solved one
 //!   *tile* of start vertices at a time (`solve_block`): the path tables
 //!   hold one tile's rows, whatever the size of the graph, and only the
-//!   block's projection accumulator spans tiles.
+//!   block's projection accumulator spans tiles. Tiles are the outer loop
+//!   and a cycle's splits the inner one,
+//! * every path of a tile whose first edge is a graph edge starts from the
+//!   same edge set (`P+` and `P-` of every DB split, both PS paths, the
+//!   leaf-edge chain): the tile's seeds are enumerated once, into an
+//!   appended table the paths copy their first table from,
+//! * only join outputs are hashed: a first table's keys — seed edges, or a
+//!   child slice's rows — are distinct by construction, so it is appended
+//!   ([`ColumnarTable::append`]) without probing.
 //!
 //! Every examined candidate is attributed to the simulated rank owning the
 //! vertex at which the paper's distributed engine would have performed the
@@ -86,13 +94,16 @@ impl KernelMetrics {
 
 /// All scratch storage one block solve needs, reusable across trials.
 ///
-/// The two ping-pong path tables hold the current and next table of one
-/// start-vertex tile's path-build join chain; `plus` parks the tile's
-/// finished clockwise path while the counter-clockwise one is built; `proj`
-/// accumulates the block projection (across all tiles and DB splits);
-/// `groups` is the endpoint-grouping scratch of the path merge.
+/// `seeds` holds the current tile's graph-edge seeds; the two ping-pong
+/// path tables hold the current and next table of one start-vertex tile's
+/// path-build join chain; `plus` parks the tile's finished clockwise path
+/// while the counter-clockwise one is built; `proj` accumulates the block
+/// projection (across all tiles and DB splits); `groups` is the
+/// endpoint-grouping scratch of the path merge.
 #[derive(Debug, Default)]
 pub struct KernelArena {
+    /// The current tile's graph-edge seeds.
+    seeds: TileSeeds,
     /// Ping-pong table A of the path build.
     path_a: ColumnarTable,
     /// Ping-pong table B of the path build.
@@ -120,7 +131,8 @@ impl KernelArena {
 
     /// Total allocated capacity across all tables and scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
-        self.path_a.capacity_bytes()
+        self.seeds.capacity_bytes()
+            + self.path_a.capacity_bytes()
             + self.path_b.capacity_bytes()
             + self.plus.capacity_bytes()
             + self.proj.capacity_bytes()
@@ -146,6 +158,74 @@ impl KernelArena {
         if rows.bytes() > self.retired[slot].bytes() {
             self.retired[slot] = rows;
         }
+    }
+}
+
+/// One start-vertex tile's graph-edge seeds: the data edges `(u, w)` with
+/// `u` in the tile and `c(u) ≠ c(w)` — in DB mode only those with `w`
+/// below `u` in the degree order, the only first edges a high-starting path
+/// can take. `high_start` is fixed for a block solve, so this one set is the
+/// first table of every path of the tile whose first edge is a graph edge,
+/// up to the extras each path sets.
+#[derive(Debug, Default)]
+struct TileSeeds {
+    /// One `(u, w, {c(u), c(w)}, 1)` row per seed, appended: the keys are
+    /// distinct by construction.
+    table: ColumnarTable,
+    /// The seed step's operations per simulated rank, as `(rank, ops)`
+    /// runs in start-vertex order — what each path build records.
+    ops: Vec<(usize, u64)>,
+    /// Whether `table` and `ops` hold the current tile's seeds.
+    filled: bool,
+}
+
+impl TileSeeds {
+    /// Forgets the seeds: the next [`fill`](Self::fill) enumerates afresh.
+    /// Called at the start of every tile of every block solve.
+    fn clear(&mut self) {
+        self.filled = false;
+    }
+
+    /// Enumerates the seeds of the tile `starts`, unless this tile's are
+    /// already here — so a tile whose paths all start on an annotated edge
+    /// enumerates nothing.
+    fn fill(&mut self, builder: &PathBuilder<'_, '_>, starts: Range<VertexId>) {
+        if self.filled {
+            return;
+        }
+        self.filled = true;
+        self.table.reset();
+        self.ops.clear();
+        let ctx = builder.ctx;
+        for u in starts {
+            let cu = ctx.color(u);
+            // In DB mode only the neighbors strictly below the start vertex
+            // in the degree order can appear on a high-starting path, so the
+            // pruned list is enumerated directly.
+            let neighbors = if builder.high_start {
+                ctx.lower_neighbors(u, u)
+            } else {
+                ctx.graph.neighbors(u)
+            };
+            let rank = ctx.partition.owner(u);
+            let ops = neighbors.len() as u64;
+            match self.ops.last_mut() {
+                Some((last, sum)) if *last == rank => *sum += ops,
+                _ => self.ops.push((rank, ops)),
+            }
+            for &w in neighbors {
+                let cw = ctx.color(w);
+                if cu != cw {
+                    self.table
+                        .append(path_key(u, w), Signature::pair(cu, cw), 1);
+                }
+            }
+        }
+    }
+
+    /// Allocated bytes of the seed table and the op runs.
+    fn capacity_bytes(&self) -> usize {
+        self.table.capacity_bytes() + self.ops.capacity() * mem::size_of::<(usize, u64)>()
     }
 }
 
@@ -280,6 +360,7 @@ fn solve_leaf_edge(
     let builder = PathBuilder::new(ctx, tree, block, index, false);
     let partial = arena.take_rows(PARTIAL_ROWS);
     let KernelArena {
+        seeds,
         path_a,
         path_b,
         proj,
@@ -287,10 +368,21 @@ fn solve_leaf_edge(
     } = arena;
     proj.reset();
     for tile in ctx.start_tiles(tile_edges) {
+        seeds.clear();
         // The "path" here is the single edge a -> b; both endpoint
         // annotations are folded in (there is no second path to share them
         // with).
-        let in_a = build_path(&builder, &[0, 1], tile, true, true, path_a, path_b, metrics);
+        let in_a = build_path(
+            &builder,
+            &[0, 1],
+            tile,
+            true,
+            true,
+            seeds,
+            path_a,
+            path_b,
+            metrics,
+        );
         let table = if in_a { &*path_a } else { &*path_b };
         match field {
             None => proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), table.total()),
@@ -307,8 +399,10 @@ fn solve_leaf_edge(
 }
 
 /// Solves a cycle block: one split for PS, one per candidate highest node
-/// for DB, all accumulated into the arena's projection table and exported
-/// once.
+/// for DB. Tiles are the outer loop and splits the inner one, so every
+/// split of a tile starts from the tile's one seed table. All of them
+/// accumulate into the arena's projection table, which is observed once,
+/// at its final size, and exported once.
 #[allow(clippy::too_many_arguments)]
 fn solve_cycle(
     ctx: &Context<'_>,
@@ -322,25 +416,43 @@ fn solve_cycle(
 ) -> RowGroups {
     let nodes = block.kind.nodes();
     let l = nodes.len();
-    arena.proj.reset();
-    match algorithm {
+    let paths: Vec<_> = match algorithm {
         Algorithm::PathSplitting => {
             let (s, t) = ps_split_positions(block, &nodes);
-            solve_cycle_split(
-                ctx, tree, block, index, s, t, false, tile_edges, arena, metrics,
-            );
+            vec![split_paths(l, s, t)]
         }
-        Algorithm::DegreeBased => {
-            for h in 0..l {
-                let d = (h + l / 2) % l;
-                solve_cycle_split(
-                    ctx, tree, block, index, h, d, true, tile_edges, arena, metrics,
-                );
-            }
+        Algorithm::DegreeBased => (0..l).map(|h| split_paths(l, h, (h + l / 2) % l)).collect(),
+    };
+    let high_start = algorithm == Algorithm::DegreeBased;
+    let builder = PathBuilder::new(ctx, tree, block, index, high_start);
+    arena.proj.reset();
+    for tile in ctx.start_tiles(tile_edges) {
+        arena.seeds.clear();
+        for (plus, minus) in &paths {
+            solve_cycle_split(&builder, &nodes, plus, minus, tile.clone(), arena, metrics);
         }
     }
+    // The accumulator is one table however many tiles and splits fed it.
+    metrics.observe_table(arena.proj.len());
     let partial = arena.take_rows(PARTIAL_ROWS);
     export_projection(ctx, block, &arena.proj, partial, metrics)
+}
+
+/// The two paths of split `(s, t)` of a cycle of length `l`, as position
+/// lists: clockwise `P+ = s, s+1, ..., t` and counter-clockwise
+/// `P- = s, s-1, ..., t`.
+fn split_paths(l: usize, s: usize, t: usize) -> (Vec<usize>, Vec<usize>) {
+    debug_assert!(l >= 3 && s != t);
+    let walk = |step: usize| {
+        let mut path = vec![s];
+        let mut p = s;
+        while p != t {
+            p = (p + step) % l;
+            path.push(p);
+        }
+        path
+    };
+    (walk(1), walk(l - 1))
 }
 
 /// The PS split positions: at the two boundary nodes when there are two, at
@@ -360,43 +472,23 @@ fn ps_split_positions(block: &Block, nodes: &[QueryNode]) -> (usize, usize) {
     }
 }
 
-/// Solves one split `(s, t)` of a cycle block into the projection
-/// accumulator: per start-vertex tile, builds the clockwise path `P+ = s..t`
-/// and the counter-clockwise path `P- = s..t`, then merges them. With
-/// `high_start` set this computes the DB algorithm's per-`a_h` partial counts
-/// `cnt(·|C, hi = h)`.
-#[allow(clippy::too_many_arguments)]
+/// Solves one split of a cycle block over one start-vertex tile into the
+/// projection accumulator: builds the clockwise path `plus` and the
+/// counter-clockwise path `minus` (position lists from the split's `s` to
+/// its `t`, see [`split_paths`]), then merges them. With the builder's
+/// `high_start` set this computes the tile's share of the DB algorithm's
+/// per-`a_h` partial counts `cnt(·|C, hi = h)`.
 fn solve_cycle_split(
-    ctx: &Context<'_>,
-    tree: &DecompositionTree,
-    block: &Block,
-    index: &BlockJoinIndex<'_>,
-    s: usize,
-    t: usize,
-    high_start: bool,
-    tile_edges: usize,
+    builder: &PathBuilder<'_, '_>,
+    nodes: &[QueryNode],
+    plus: &[usize],
+    minus: &[usize],
+    tile: Range<VertexId>,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) {
-    let l = block.kind.len();
-    debug_assert!(l >= 3 && s != t);
-    // Clockwise positions s, s+1, ..., t and counter-clockwise s, s-1, ..., t.
-    let mut plus = vec![s];
-    let mut p = s;
-    while p != t {
-        p = (p + 1) % l;
-        plus.push(p);
-    }
-    let mut minus = vec![s];
-    p = s;
-    while p != t {
-        p = (p + l - 1) % l;
-        minus.push(p);
-    }
-
-    let builder = PathBuilder::new(ctx, tree, block, index, high_start);
-    let nodes = block.kind.nodes();
     let KernelArena {
+        seeds,
         path_a,
         path_b,
         plus: plus_slot,
@@ -404,48 +496,48 @@ fn solve_cycle_split(
         groups,
         ..
     } = arena;
-    for tile in ctx.start_tiles(tile_edges) {
-        // Convention (Section 5.2): P+ folds in the annotation of the end
-        // node a_d / a_t, P- folds in the annotation of the start node
-        // a_h / a_s, so each endpoint annotation is joined exactly once.
-        let in_a = build_path(
-            &builder,
-            &plus,
-            tile.clone(),
-            false,
-            true,
-            path_a,
-            path_b,
-            metrics,
-        );
-        // Park the finished P+ table so the ping-pong pair is free for P-.
-        let parked = if in_a { &mut *path_a } else { &mut *path_b };
-        mem::swap(parked, plus_slot);
-        let minus_in_a = build_path(&builder, &minus, tile, true, false, path_a, path_b, metrics);
-        let minus_table = if minus_in_a { &*path_a } else { &*path_b };
-        merge_paths(
-            ctx,
-            block,
-            plus_slot,
-            minus_table,
-            groups,
-            nodes[s],
-            nodes[t],
-            proj,
-            metrics,
-        );
-        // Undo the parking: every tile, and every later trial on this arena,
-        // then finds each buffer in the role that sized it.
-        let parked = if in_a { &mut *path_a } else { &mut *path_b };
-        mem::swap(parked, plus_slot);
-    }
-    // The accumulator is one table however many tiles fed it.
-    metrics.observe_table(proj.len());
+    // Convention (Section 5.2): P+ folds in the annotation of the end node
+    // a_d / a_t, P- folds in the annotation of the start node a_h / a_s, so
+    // each endpoint annotation is joined exactly once.
+    let in_a = build_path(
+        builder,
+        plus,
+        tile.clone(),
+        false,
+        true,
+        seeds,
+        path_a,
+        path_b,
+        metrics,
+    );
+    // Park the finished P+ table so the ping-pong pair is free for P-.
+    let parked = if in_a { &mut *path_a } else { &mut *path_b };
+    mem::swap(parked, plus_slot);
+    let minus_in_a = build_path(
+        builder, minus, tile, true, false, seeds, path_a, path_b, metrics,
+    );
+    let minus_table = if minus_in_a { &*path_a } else { &*path_b };
+    merge_paths(
+        builder.ctx,
+        builder.block,
+        plus_slot,
+        minus_table,
+        groups,
+        nodes[plus[0]],
+        nodes[plus[plus.len() - 1]],
+        proj,
+        metrics,
+    );
+    // Undo the parking: every tile, and every later trial on this arena,
+    // then finds each buffer in the role that sized it.
+    let parked = if in_a { &mut *path_a } else { &mut *path_b };
+    mem::swap(parked, plus_slot);
 }
 
 /// Builds the table for the paths visiting `positions` from a start vertex
-/// in `starts`, ping-ponging between the two arena tables. Returns `true`
-/// when the finished table is in `path_a`, `false` when it is in `path_b`.
+/// in `starts` (the tile whose seeds `seeds` holds or will hold),
+/// ping-ponging between the two arena tables. Returns `true` when the
+/// finished table is in `path_a`, `false` when it is in `path_b`.
 #[allow(clippy::too_many_arguments)]
 fn build_path(
     builder: &PathBuilder<'_, '_>,
@@ -453,6 +545,7 @@ fn build_path(
     starts: Range<VertexId>,
     include_start_annotation: bool,
     include_end_annotation: bool,
+    seeds: &mut TileSeeds,
     path_a: &mut ColumnarTable,
     path_b: &mut ColumnarTable,
     metrics: &mut RunMetrics,
@@ -470,6 +563,7 @@ fn build_path(
         first,
         second,
         starts,
+        seeds,
         src,
         metrics,
     );
@@ -502,13 +596,16 @@ fn build_path(
 }
 
 /// Seeds the initial table for the first edge of the paths starting in
-/// `starts` (one tile of the context's start range).
+/// `starts` (one tile of the context's start range). Its keys are distinct
+/// by construction, so every row is appended without probing.
+#[allow(clippy::too_many_arguments)]
 fn initial_join(
     builder: &PathBuilder<'_, '_>,
     edge_index: usize,
     from_node: QueryNode,
     to_node: QueryNode,
     starts: Range<VertexId>,
+    seeds: &mut TileSeeds,
     out: &mut ColumnarTable,
     metrics: &mut RunMetrics,
 ) {
@@ -528,36 +625,26 @@ fn initial_join(
         }
         key
     };
-    let mut pipe = AddPipeline::new();
     match builder.edge_realization(edge_index, from_node, to_node) {
         EdgeRealization::Graph => {
             // Every path entry keeps its start vertex for its whole life, so
             // restricting the seeds to a vertex range (a tile of a shard's
-            // range) partitions the block's entire table by start.
-            for u in starts {
-                let cu = ctx.color(u);
-                // In DB mode only the neighbors strictly below the start
-                // vertex in the degree order can appear on a high-starting
-                // path, so the pruned list is enumerated directly.
-                let neighbors = if builder.high_start {
-                    ctx.lower_neighbors(u, u)
-                } else {
-                    ctx.graph.neighbors(u)
-                };
-                metrics.record_ops(&ctx.partition, u, neighbors.len() as u64);
-                for &w in neighbors {
-                    let cw = ctx.color(w);
-                    if cu == cw {
-                        continue;
-                    }
-                    pipe.push(out, seed_key(u, w), Signature::pair(cu, cw), 1);
-                }
+            // range) partitions the block's entire table by start. The
+            // tile's first graph-realised path enumerates them; this path
+            // records the enumeration's operations as if it had done it.
+            seeds.fill(builder, starts);
+            for &(rank, ops) in &seeds.ops {
+                metrics.record_rank_ops(rank, ops);
+            }
+            for (key, sig, count) in seeds.table.rows() {
+                out.append(seed_key(key[0], key[1]), sig, count);
             }
         }
         EdgeRealization::Child(child) => {
             // A child row's `u` is the path's start vertex; seeding only
             // from the range's vertices partitions the table by start,
-            // exactly like the range restriction above.
+            // exactly like the range restriction above. A child slice's
+            // `(v, sig)` rows are distinct, so the keys are too.
             for u in starts {
                 let list = child.get(u);
                 metrics.record_ops(&ctx.partition, u, list.len() as u64);
@@ -566,12 +653,11 @@ fn initial_join(
                     if builder.high_start && !ctx.order().higher(u, w) {
                         continue;
                     }
-                    pipe.push(out, seed_key(u, w), row.sig, row.count);
+                    out.append(seed_key(u, w), row.sig, row.count);
                 }
             }
         }
     }
-    pipe.flush(out);
     metrics.observe_table(out.len());
 }
 
@@ -871,11 +957,19 @@ mod tests {
     /// query (one per orientation), for both algorithms (the module-level
     /// smoke test; the differential suites against the brute-force and
     /// treelet oracles are `tests/correctness.rs` and `tests/property.rs`).
+    /// The per-rank operation counts are pinned too: every path records its
+    /// seed step's operations, although the paths of a tile share one
+    /// enumeration.
     #[test]
-    fn columnar_matches_scalar_on_rainbow_triangle() {
+    fn rainbow_triangle_has_six_colorful_matches() {
         for (algorithm, total, metrics) in triangle_totals(vec![0, 1, 2]) {
             assert_eq!(total, 6, "{algorithm}");
-            assert!(metrics.total_ops > 0);
+            let load: &[u64] = match algorithm {
+                Algorithm::PathSplitting => &[10, 10, 10, 0],
+                Algorithm::DegreeBased => &[6, 12, 12, 0],
+            };
+            assert_eq!(metrics.load.per_rank(), load, "{algorithm}");
+            assert_eq!(metrics.total_ops, 30, "{algorithm}");
         }
     }
 

@@ -31,7 +31,9 @@ pub struct RunMetrics {
     /// the whole logical table; projection tables count in full.
     pub peak_table_entries: usize,
     /// Total table entries produced across all joins (a path table's tiles
-    /// sum to the whole logical table). Shard-dependent in
+    /// sum to the whole logical table). A cycle block's projection
+    /// accumulator counts once, at its final size after the block's last
+    /// tile, however many splits fed it. Shard-dependent in
     /// sharded runs: per-shard partial tables and the exchanged block
     /// tables each count as produced entries (the same projection key may
     /// appear in several shards' partials), mirroring the entry duplication
@@ -143,6 +145,13 @@ impl RunMetrics {
     #[inline]
     pub(crate) fn record_ops(&mut self, partition: &BlockPartition, vertex: VertexId, ops: u64) {
         self.load.record_vertex(partition, vertex, ops);
+        self.total_ops += ops;
+    }
+
+    /// Records `ops` projection operations attributed to simulated `rank`.
+    #[inline]
+    pub(crate) fn record_rank_ops(&mut self, rank: usize, ops: u64) {
+        self.load.record(rank, ops);
         self.total_ops += ops;
     }
 

@@ -39,6 +39,12 @@
 //!   in flight so the joins overlap each probe's cache misses with useful
 //!   work instead of stalling on them one at a time.
 //!
+//! A table whose keys are distinct by construction — the seed edges of a
+//! path build, a child slice's rows — skips the index altogether:
+//! [`append`](ColumnarTable::append) pushes the row record and nothing
+//! else. Such a table is only ever streamed, never probed, until its next
+//! `reset`; debug builds enforce that.
+//!
 //! The same four-field shape serves every table the DP needs:
 //!
 //! | logical table           | f0      | f1    | f2     | f3     |
@@ -164,9 +170,10 @@ struct Row {
 
 /// A columnar accumulation table: a dense row column plus a hash index.
 ///
-/// `add` sums duplicate keys in place; `rows`/`row` iterate the dense
-/// columns in insertion order; `reset` clears the rows while keeping every
-/// buffer's capacity (and the slot table's size) for reuse.
+/// `add` sums duplicate keys in place; `append` adds a row the caller knows
+/// is new without indexing it; `rows`/`row` iterate the dense columns in
+/// insertion order; `reset` clears the rows while keeping every buffer's
+/// capacity (and the slot table's size) for reuse.
 ///
 /// The high signature lane (colors 64..128) lives in a side column that is
 /// only consulted when some row actually uses it (`any_hi`): the common
@@ -187,6 +194,10 @@ pub struct ColumnarTable {
     slots: Vec<u64>,
     /// Current slot epoch; bumped by `reset` to invalidate all slots at once.
     epoch: u16,
+    /// Whether rows were [`append`](ColumnarTable::append)ed since the last
+    /// `reset`: the slot index does not cover them, so the table may only
+    /// be streamed until it is reset.
+    appended: bool,
 }
 
 impl Default for ColumnarTable {
@@ -197,6 +208,7 @@ impl Default for ColumnarTable {
             any_hi: false,
             slots: Vec::new(),
             epoch: 1,
+            appended: false,
         }
     }
 }
@@ -320,6 +332,7 @@ impl ColumnarTable {
             count,
             hash,
         } = p;
+        debug_assert!(!self.appended, "add to an appended table");
         if count == 0 {
             return;
         }
@@ -335,22 +348,9 @@ impl ColumnarTable {
         loop {
             let entry = self.slots[slot];
             if (entry >> 48) as u16 != self.epoch {
-                // Stale or virgin slot: claim it for a fresh row. The high
-                // signature column stays empty (untouched) until some row
-                // actually needs it.
+                // Stale or virgin slot: claim it for a fresh row.
                 self.slots[slot] = tag | self.rows.len() as u64;
-                self.rows.push(Row {
-                    key: packed,
-                    sig_lo,
-                    count,
-                });
-                if self.any_hi {
-                    self.sig_hi.push(sig_hi);
-                } else if sig_hi != 0 {
-                    self.sig_hi.resize(self.rows.len() - 1, 0);
-                    self.sig_hi.push(sig_hi);
-                    self.any_hi = true;
-                }
+                self.push_row(packed, sig_lo, sig_hi, count);
                 return;
             }
             if entry >> 32 == tag >> 32 {
@@ -368,8 +368,44 @@ impl ColumnarTable {
         }
     }
 
+    /// Appends `(key, sig, count)` as a new row without touching the slot
+    /// index — for a caller whose keys are distinct by construction, where
+    /// [`add`](Self::add)'s probe could never find a match. Zero counts are
+    /// ignored, as by `add`. Until the next [`reset`](Self::reset) the table
+    /// may only be streamed (rows, endpoints, signatures, totals, an
+    /// [`EndpointGroups`] build): `add` and `get` on it panic in debug
+    /// builds, since the index does not know the appended rows.
+    #[inline]
+    pub fn append(&mut self, key: RowKey, sig: Signature, count: Count) {
+        if count == 0 {
+            return;
+        }
+        self.appended = true;
+        let [sig_lo, sig_hi] = sig.words();
+        self.push_row(pack_key(key), sig_lo, sig_hi, count);
+    }
+
+    /// Pushes a row record. The high signature column stays empty
+    /// (untouched) until some row actually needs it.
+    #[inline]
+    fn push_row(&mut self, packed: u128, sig_lo: u64, sig_hi: u64, count: Count) {
+        self.rows.push(Row {
+            key: packed,
+            sig_lo,
+            count,
+        });
+        if self.any_hi {
+            self.sig_hi.push(sig_hi);
+        } else if sig_hi != 0 {
+            self.sig_hi.resize(self.rows.len() - 1, 0);
+            self.sig_hi.push(sig_hi);
+            self.any_hi = true;
+        }
+    }
+
     /// The count stored for `(key, sig)`, zero if absent.
     pub fn get(&self, key: RowKey, sig: Signature) -> Count {
+        debug_assert!(!self.appended, "probe of an appended table");
         if self.slots.is_empty() {
             return 0;
         }
@@ -463,6 +499,7 @@ impl ColumnarTable {
         self.rows.clear();
         self.sig_hi.clear();
         self.any_hi = false;
+        self.appended = false;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.slots.fill(0);
@@ -1000,6 +1037,44 @@ mod tests {
             t.reset();
             assert_eq!(t.get(path_key(round % 13, 1), sig), 0);
         }
+    }
+
+    /// The unhashed fill of distinct keys is the hashed fill minus the
+    /// index: same rows, same order (the zero count skipped by both, the
+    /// wide-lane row materializing the high column on both), same total.
+    /// Probing it is a bug until `reset`.
+    #[test]
+    fn appending_distinct_rows_builds_what_adding_them_builds() {
+        let rows = [
+            (path_key(4, 9), Signature::pair(0, 1), 3),
+            ([4, 10, 4, NO_VERTEX], Signature::pair(0, 2), 1),
+            (path_key(4, 11), Signature::pair(0, 5), 0),
+            (path_key(5, 9), Signature::pair(1, 70), 2),
+            (path_key(5, 9), Signature::pair(1, 3), 7),
+        ];
+        let mut added = ColumnarTable::new();
+        let mut appended = ColumnarTable::new();
+        for (key, sig, count) in rows {
+            added.add(key, sig, count);
+            appended.append(key, sig, count);
+        }
+        assert_eq!(appended.len(), 4);
+        assert!(appended.any_hi);
+        assert_eq!(
+            appended.rows().collect::<Vec<_>>(),
+            added.rows().collect::<Vec<_>>()
+        );
+        assert_eq!(appended.total(), added.total());
+        if cfg!(debug_assertions) {
+            let mut probed = appended.clone();
+            let add = std::panic::catch_unwind(move || probed.add(path_key(1, 2), rows[0].1, 1));
+            assert!(add.is_err(), "add to an appended table must panic");
+            let get = std::panic::catch_unwind(|| appended.get(rows[0].0, rows[0].1));
+            assert!(get.is_err(), "get on an appended table must panic");
+        }
+        appended.reset();
+        appended.add(path_key(1, 2), rows[0].1, 1);
+        assert_eq!(appended.get(path_key(1, 2), rows[0].1), 1);
     }
 
     #[test]
