@@ -32,7 +32,7 @@ use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, Count, RowGroups};
 use sgc_graph::{Coloring, CsrGraph};
 use sgc_query::DecompositionTree;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One colorful count to run: a coloring/plan/algorithm triple.
@@ -153,7 +153,7 @@ pub(crate) fn execute(
     // in step 0; their combined total lands here.
     let mut single_total: Option<Count> = None;
     // `retained[step][shard]`, filled only for hooked jobs.
-    let mut retained: Vec<Vec<RowGroups>> = Vec::new();
+    let mut retained: Vec<Vec<Arc<RowGroups>>> = Vec::new();
     let mut exchange_time = Duration::ZERO;
     // The `exchange` span covers everything between two fan-outs of solves:
     // open from a step's last solve to the next step's first (or the end).
@@ -165,7 +165,7 @@ pub(crate) fn execute(
         // The child tables are shard-invariant and shared by the shard
         // workers; the scope ends their borrow of `tables` before the
         // combined table is stored.
-        let partials: Vec<RowGroups> = {
+        let partials: Vec<Arc<RowGroups>> = {
             // A transposed child table is built in the buffers the first
             // lane retired it into a run ago.
             let retired = |child| {
@@ -190,15 +190,16 @@ pub(crate) fn execute(
                     .filter(|(dirty, _)| !dirty[s])
                     .map(|(_, cached)| &cached.steps[step][s]);
                 let partial = if let Some(cached) = cached {
-                    // Clean shard with a cached partial: replay it.
+                    // Clean shard with a cached partial: replay it, shared
+                    // with the partials it came from rather than copied.
                     let _span = sgc_obs::span(sgc_obs::Stage::DpRecountReplay);
-                    cached.clone()
+                    Arc::clone(cached)
                 } else if let Some(index) = &index {
                     let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
                     let ctx =
                         Context::for_shard(graph, prep, job.coloring, job.num_ranks, plan.shard(s));
                     let Lane { metrics, arena } = &mut *lane;
-                    solve_block(
+                    Arc::new(solve_block(
                         &ctx,
                         job.plan,
                         &job.plan.blocks[step],
@@ -206,12 +207,14 @@ pub(crate) fn execute(
                         job.algorithm,
                         checked_out(arena, pool),
                         metrics,
-                    )
+                    ))
                 } else {
                     // Single-node query: the shard's owned-vertex count is
                     // its scalar partial sum (edge deltas never change it).
-                    RowGroups::default()
-                        .scalar(plan.shard(s).num_vertices() as Count, &plan.partition)
+                    Arc::new(
+                        RowGroups::default()
+                            .scalar(plan.shard(s).num_vertices() as Count, &plan.partition),
+                    )
                 };
                 lane.metrics.elapsed += started.elapsed();
                 partial
@@ -236,7 +239,8 @@ pub(crate) fn execute(
                     merge(retired, &mut arena.proj)
                 })
             };
-        let table = exchange::combine_round(&partials, &mut shard_metrics, &plan, &scratch);
+        let sent: Vec<&RowGroups> = partials.iter().map(|partial| &**partial).collect();
+        let table = exchange::combine_round(&sent, &mut shard_metrics, &plan, &scratch);
         exchange_time += exchange_started.elapsed();
         if job.plan.root.is_some() {
             // A table is observed when it is created: each shard's partial
@@ -254,6 +258,8 @@ pub(crate) fn execute(
         } else if job.plan.root.is_some() {
             // Their round over, the partials go back to their lanes.
             for (s, partial) in partials.into_iter().enumerate() {
+                let partial =
+                    Arc::into_inner(partial).expect("a run without a hook replays no partial");
                 with_arena(&lanes, s, pool, |arena| {
                     arena.retire_rows(PARTIAL_ROWS, partial)
                 });

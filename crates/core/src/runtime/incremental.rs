@@ -56,7 +56,8 @@ use std::sync::Arc;
 
 /// The retained pre-exchange partials of one `(coloring, plan, shards)`
 /// trial: for every block step, every shard's partial table as produced
-/// *before* the exchange round combined them.
+/// *before* the exchange round combined them. A shard the trial replayed
+/// shares its partial with the partials it was replayed from.
 ///
 /// Bounded stores (the `sgc-dyn` partial store) account for these via
 /// [`bytes`](TrialPartials::bytes).
@@ -65,7 +66,7 @@ pub struct TrialPartials {
     pub(super) num_shards: usize,
     /// `steps[step][shard]`: the shard's pre-exchange partial for the block
     /// solved at `step` (single-node plans have exactly one scalar step).
-    pub(super) steps: Vec<Vec<RowGroups>>,
+    pub(super) steps: Vec<Vec<Arc<RowGroups>>>,
 }
 
 impl TrialPartials {
@@ -81,9 +82,13 @@ impl TrialPartials {
     }
 
     /// Retained size, for bounded-store accounting: every partial's rows
-    /// and owner-group bounds.
+    /// and owner-group bounds, shared ones included.
     pub fn bytes(&self) -> usize {
-        self.steps.iter().flatten().map(RowGroups::bytes).sum()
+        self.steps
+            .iter()
+            .flatten()
+            .map(|partial| partial.bytes())
+            .sum()
     }
 }
 

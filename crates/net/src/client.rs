@@ -312,7 +312,9 @@ impl Client {
     /// # Errors
     /// [`ClientError::Remote`] with a `delta` frame when the batch is
     /// rejected (self-loop, duplicate edge, vertex out of range, inserting
-    /// an existing edge, deleting a missing one), plus transport failures.
+    /// an existing edge, deleting a missing one), with a retryable
+    /// `queue-full` frame when the server's queue cannot take the
+    /// re-emissions (nothing was applied), plus transport failures.
     pub fn apply_delta(
         &mut self,
         inserts: &[(u32, u32)],

@@ -89,8 +89,9 @@ pub enum Request {
     Trace,
     /// Apply an edge delta to the server's head graph version; answered
     /// with [`Response::DeltaOk`] carrying the new version id, after every
-    /// live watch re-emitted. Rejected deltas answer a `delta` error and
-    /// leave the graph unchanged.
+    /// live watch re-emitted. Rejected deltas answer a `delta` error, and
+    /// deltas whose re-emissions the queue cannot take a `queue-full` one;
+    /// either leaves the graph unchanged.
     Delta(DeltaSpec),
     /// Subscribe to a live count: the server answers one
     /// [`Response::WatchChunk`] at the current head immediately, then a

@@ -778,9 +778,12 @@ fn start_count(conn: &Arc<Conn>, spec: CountSpec) -> Option<JoinHandle<()>> {
 }
 
 /// Applies one edge-delta batch to the service's versioned graph head and
-/// answers with the new version id. Watch re-emissions run synchronously
-/// inside `apply_delta`, so by the time `delta-ok` is written every live
-/// watch on this server has already streamed its chunk for the new version.
+/// answers with the new version id. `apply_delta` queues one re-emission
+/// per live watch and returns only once each has been delivered, so by the
+/// time `delta-ok` is written every live watch on this server has already
+/// streamed its chunk for the new version. A delta whose re-emissions the
+/// queue cannot take is answered `queue-full` (retryable) and the head does
+/// not move.
 fn handle_delta(conn: &Arc<Conn>, spec: DeltaSpec) -> bool {
     let delta = match EdgeDelta::new(spec.inserts, spec.deletes) {
         Ok(delta) => delta,

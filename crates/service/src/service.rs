@@ -5,7 +5,10 @@
 //! preprocessing runs exactly once) and serves concurrent [`CountJob`]s:
 //!
 //! * **admission control** — the work queue is bounded; a full queue rejects
-//!   with [`ServiceError::QueueFull`] instead of growing without limit,
+//!   with [`ServiceError::QueueFull`] instead of growing without limit.
+//!   Every job the service runs — a submission, a batch member, a versioned
+//!   job, a watch emission — is admitted through the one path and run by a
+//!   worker,
 //! * **adaptive scheduling** — each job's trials run in fixed-size chunks
 //!   through an engine's incremental
 //!   [`TrialStream`](sgc_core::TrialStream): the bound graph's
@@ -40,7 +43,10 @@ use std::thread::JoinHandle;
 pub struct ServiceConfig {
     /// Worker threads draining the queue. `0` is allowed and means "accept
     /// but never process" — useful for inspecting admission control; real
-    /// deployments want at least 1.
+    /// deployments want at least 1. Watch emissions are jobs too: with no
+    /// worker, [`Service::watch`] and a watched
+    /// [`Service::apply_delta`] wait until [`Service::shutdown`] fails their
+    /// emissions with [`ServiceError::ShuttingDown`].
     pub workers: usize,
     /// Maximum number of jobs waiting in the queue before submissions are
     /// rejected with [`ServiceError::QueueFull`].
@@ -250,8 +256,8 @@ impl Service {
     /// Counting-level failures (unplannable query, zero budget, …) are
     /// reported through the handle instead, as
     /// [`ServiceError::Count`].
-    pub fn submit(&self, job: CountJob) -> Result<JobHandle, ServiceError> {
-        self.admit_one(job, None, None)
+    pub fn submit(&self, mut job: CountJob) -> Result<JobHandle, ServiceError> {
+        self.admit_one(&mut job, None, None)
     }
 
     /// [`submit`](Service::submit) with a progress watcher: `progress` is
@@ -272,20 +278,20 @@ impl Service {
     /// Exactly those of [`submit`](Service::submit).
     pub fn submit_with_progress(
         &self,
-        job: CountJob,
+        mut job: CountJob,
         progress: ProgressFn,
     ) -> Result<JobHandle, ServiceError> {
-        self.admit_one(job, Some(progress), None)
+        self.admit_one(&mut job, Some(progress), None)
     }
 
     /// Admits one job: [`admit`](Service::admit) for a single member.
     fn admit_one(
         &self,
-        job: CountJob,
+        job: &mut CountJob,
         progress: Option<ProgressFn>,
         version: Option<VersionId>,
     ) -> Result<JobHandle, ServiceError> {
-        let mut handles = self.admit(vec![job], vec![progress], version)?;
+        let mut handles = self.admit(std::slice::from_mut(job), vec![progress], || Ok(version))?;
         Ok(handles.pop().expect("one job in, one handle out"))
     }
 
@@ -295,13 +301,20 @@ impl Service {
     /// and queues all of them or none under one lock acquisition.
     /// `progress` may be shorter than `jobs`; missing tails mean "no
     /// watcher".
+    ///
+    /// Trace IDs are minted into `jobs` in place, so a caller that queues
+    /// the same job again (a watch subscription, at every delta) keeps one
+    /// identity across its runs. `version` names the graph version the jobs
+    /// are pinned to; it is called under the queue lock once shutdown and
+    /// capacity have passed, so a version it mints (`apply_delta`) exists
+    /// only if its jobs are queued, and its error admits nothing.
     fn admit(
         &self,
-        mut jobs: Vec<CountJob>,
+        jobs: &mut [CountJob],
         progress: Vec<Option<ProgressFn>>,
-        version: Option<VersionId>,
+        version: impl FnOnce() -> Result<Option<VersionId>, ServiceError>,
     ) -> Result<Vec<JobHandle>, ServiceError> {
-        for job in &mut jobs {
+        for job in jobs.iter_mut() {
             if let Some(precision) = &job.precision {
                 precision.validate()?;
             }
@@ -325,10 +338,11 @@ impl Service {
                     capacity: self.shared.queue_capacity,
                 });
             }
+            let version = version()?;
             Counters::add(&self.shared.counters.jobs_submitted, count as u64);
-            for (job, state) in jobs.into_iter().zip(&states) {
+            for (job, state) in jobs.iter().zip(&states) {
                 queue.jobs.push_back(QueueEntry {
-                    job,
+                    job: job.clone(),
                     state: Arc::clone(state),
                     version,
                 });
@@ -401,7 +415,7 @@ impl Service {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let handles = self.admit(batch.into_jobs(), progress, None)?;
+        let handles = self.admit(&mut batch.into_jobs(), progress, || Ok(None))?;
         Counters::bump(&self.shared.counters.batches_submitted);
         Ok(handles)
     }
@@ -461,10 +475,19 @@ impl Service {
     }
 
     /// Applies an edge delta to the head snapshot, minting a new version,
-    /// and synchronously re-emits a fresh estimate chunk to every live
-    /// [`watch`](Service::watch) subscription at the new version (identical
-    /// watch jobs share one computation through the single-flight cache).
-    /// Returns the new head version id.
+    /// and re-emits a fresh estimate chunk to every live
+    /// [`watch`](Service::watch) subscription at the new version before it
+    /// returns the new head version id.
+    ///
+    /// Each re-emission is an ordinary queued job pinned to the new version:
+    /// the emissions of distinct watchers run on the worker pool side by
+    /// side, identical watch jobs share one computation through the
+    /// single-flight cache, and the callbacks run on this thread, in
+    /// subscription order, once their jobs complete. The version is minted
+    /// under the same queue-lock acquisition that queues its re-emissions,
+    /// with the watchers lock held (lock order: watchers → queue → graph
+    /// versions), so a delta is applied only if every live watcher's
+    /// re-emission fits in the queue.
     ///
     /// The delta applies copy-on-write over the head's CSR segments:
     /// untouched segments are shared, and versions already minted are
@@ -472,22 +495,47 @@ impl Service {
     /// number of deltas.
     ///
     /// # Errors
-    /// [`ServiceError::Delta`] when the snapshot layer rejects the delta
-    /// (the graph is unchanged), [`ServiceError::ShuttingDown`] after
-    /// shutdown.
+    /// [`ServiceError::Delta`] when the snapshot layer rejects the delta,
+    /// [`ServiceError::QueueFull`] when the queue cannot take one
+    /// re-emission per live watcher, [`ServiceError::ShuttingDown`] after
+    /// shutdown. On every error the head is unchanged.
     pub fn apply_delta(&self, delta: &EdgeDelta) -> Result<VersionId, ServiceError> {
-        if self.shared.lock_queue().shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let version = {
-            let mut dynamic = self
+        let mut minted = None;
+        let (handles, live) = {
+            let mut watchers = self
                 .shared
-                .dynamic
-                .write()
+                .watchers
+                .lock()
                 .unwrap_or_else(|p| p.into_inner());
-            dynamic.apply_to_head(delta)?
+            watchers.retain(|w| !w.cancelled.load(Ordering::Relaxed));
+            let mut jobs: Vec<CountJob> = watchers.iter().map(|w| w.job.clone()).collect();
+            let handles = self.admit(&mut jobs, Vec::new(), || {
+                let mut dynamic = self
+                    .shared
+                    .dynamic
+                    .write()
+                    .unwrap_or_else(|p| p.into_inner());
+                minted = Some(dynamic.apply_to_head(delta)?);
+                Ok(minted)
+            })?;
+            let live: Vec<(WatchFn, Arc<AtomicBool>)> = watchers
+                .iter()
+                .map(|w| (Arc::clone(&w.callback), Arc::clone(&w.cancelled)))
+                .collect();
+            (handles, live)
         };
-        notify_watchers(&self.shared, version);
+        let version = minted.expect("an admitted delta minted its version");
+        for (handle, (callback, cancelled)) in handles.into_iter().zip(live) {
+            // A watcher cancelled since the delta queued its emission is
+            // skipped; so is one whose job failed (it cannot — jobs are
+            // validated by their initial emission — except through a worker
+            // panic or shutdown).
+            if let Ok(output) = handle.wait() {
+                if !cancelled.load(Ordering::Relaxed) {
+                    callback(version, &emission(output));
+                }
+            }
+        }
         Ok(version)
     }
 
@@ -504,8 +552,12 @@ impl Service {
     ///
     /// # Errors
     /// Exactly those of [`submit`](Service::submit).
-    pub fn submit_at(&self, version: VersionId, job: CountJob) -> Result<JobHandle, ServiceError> {
-        self.admit_one(job, None, Some(version))
+    pub fn submit_at(
+        &self,
+        version: VersionId,
+        mut job: CountJob,
+    ) -> Result<JobHandle, ServiceError> {
+        self.admit_one(&mut job, None, Some(version))
     }
 
     /// [`submit_at`](Service::submit_at) with a progress watcher, following
@@ -515,10 +567,10 @@ impl Service {
     pub fn submit_at_with_progress(
         &self,
         version: VersionId,
-        job: CountJob,
+        mut job: CountJob,
         progress: ProgressFn,
     ) -> Result<JobHandle, ServiceError> {
-        self.admit_one(job, Some(progress), Some(version))
+        self.admit_one(&mut job, Some(progress), Some(version))
     }
 
     /// Counts at a version and blocks: [`submit_at`](Service::submit_at)
@@ -528,63 +580,44 @@ impl Service {
     }
 
     /// Registers a live watch: `callback` receives an initial estimate
-    /// chunk for `job` at the current head (computed synchronously, on this
-    /// thread), then a fresh version-tagged chunk every time
-    /// [`apply_delta`](Service::apply_delta) lands a new version. Re-counts
-    /// replay the previous version's retained partials, so a small delta
-    /// re-emits after recomputing only its invalidation ball.
+    /// chunk for `job` at the current head, on this thread, then a fresh
+    /// version-tagged chunk every time [`apply_delta`](Service::apply_delta)
+    /// lands a new version. Re-counts replay the previous version's retained
+    /// partials, so a small delta re-emits after recomputing only its
+    /// invalidation ball.
     ///
-    /// Emissions run on the thread that applies the delta, serially across
-    /// watchers; identical watch jobs (and identical `submit_at` jobs) share
-    /// one computation through the single-flight cache. This is the serving
-    /// primitive behind the `sgc-net` `watch` verb.
+    /// Every emission, the initial one included, is an ordinary job queued
+    /// at its version and run by a worker; all of a subscription's emissions
+    /// carry one trace ID. Identical watch jobs (and identical `submit_at`
+    /// jobs) share one computation through the single-flight cache. This is
+    /// the serving primitive behind the `sgc-net` `watch` verb.
     ///
     /// # Errors
-    /// [`ServiceError::InvalidPrecision`] for an unusable target,
-    /// [`ServiceError::ShuttingDown`] after shutdown, and any counting
-    /// error of the initial run (a watch that cannot produce its first
+    /// Those of [`submit`](Service::submit) for the initial emission, and
+    /// any counting error of its run (a watch that cannot produce its first
     /// chunk is not registered).
     pub fn watch(&self, mut job: CountJob, callback: WatchFn) -> Result<WatchHandle, ServiceError> {
-        if let Some(precision) = &job.precision {
-            precision.validate()?;
-        }
-        if job.trace_id.is_none() {
-            job.trace_id = Some(sgc_obs::next_trace_id());
-        }
-        if self.shared.lock_queue().shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
+        // The initial emission and the registration happen under the
+        // watchers lock, under which `apply_delta` also mints its version:
+        // a concurrent delta either minted first, so the initial emission is
+        // at its version, or waits and then re-emits to this watcher. Either
+        // way a new watch cannot miss a version.
+        let mut watchers = self
+            .shared
+            .watchers
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        let head = self.head_version();
+        let output = self.admit_one(&mut job, None, Some(head))?.wait()?;
+        callback(head, &emission(output));
         let id = self.shared.watch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let cancelled = Arc::new(AtomicBool::new(false));
-        // The initial emission and the registration happen under the
-        // watchers lock, atomically with respect to `notify_watchers`: a
-        // delta landing concurrently either waits and then re-emits to this
-        // watcher, or finished notifying before the initial run — in which
-        // case the initial emission already observes its version. Either
-        // way a new watch cannot miss a version.
-        {
-            let mut watchers = self
-                .shared
-                .watchers
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            let head = self.head_version();
-            let output = count_now(&self.shared, head, &job)?;
-            callback(
-                head,
-                &ChunkUpdate {
-                    trials_run: output.trials_run,
-                    budget: output.budget,
-                    estimate: output.estimate,
-                },
-            );
-            watchers.push(Watcher {
-                id,
-                job,
-                callback,
-                cancelled: Arc::clone(&cancelled),
-            });
-        }
+        watchers.push(Watcher {
+            id,
+            job,
+            callback,
+            cancelled: Arc::clone(&cancelled),
+        });
         Ok(WatchHandle { id, cancelled })
     }
 
@@ -744,62 +777,12 @@ fn process(shared: &Shared, entry: QueueEntry) {
     }
 }
 
-/// Runs one versioned job synchronously on the calling thread, through
-/// [`process`] like any queued job: a cached result is served, an identical
-/// in-flight computation is joined (blocking until it completes), and
-/// otherwise this thread computes. The primitive behind watch emissions.
-fn count_now(
-    shared: &Shared,
-    version: VersionId,
-    job: &CountJob,
-) -> Result<JobOutput, ServiceError> {
-    let state = Arc::new(JobState::with_progress(None));
-    let entry = QueueEntry {
-        job: job.clone(),
-        state: Arc::clone(&state),
-        version: Some(version),
-    };
-    process(shared, entry);
-    JobHandle { state }.wait()
-}
-
-/// Re-emits a fresh estimate chunk at `version` to every live watcher.
-/// Cancelled watchers are pruned first; identical watch jobs dedupe
-/// through the single-flight cache. A watcher whose job fails at this
-/// version (it cannot — jobs are validated by their initial emission —
-/// except through a worker panic) skips the emission rather than killing
-/// the delta.
-fn notify_watchers(shared: &Shared, version: VersionId) {
-    let live: Vec<(CountJob, WatchFn, Arc<AtomicBool>)> = {
-        let mut watchers = shared.watchers.lock().unwrap_or_else(|p| p.into_inner());
-        watchers.retain(|w| !w.cancelled.load(Ordering::Relaxed));
-        watchers
-            .iter()
-            .map(|w| {
-                (
-                    w.job.clone(),
-                    Arc::clone(&w.callback),
-                    Arc::clone(&w.cancelled),
-                )
-            })
-            .collect()
-    };
-    for (job, callback, cancelled) in live {
-        if cancelled.load(Ordering::Relaxed) {
-            continue;
-        }
-        if let Ok(output) = count_now(shared, version, &job) {
-            if !cancelled.load(Ordering::Relaxed) {
-                callback(
-                    version,
-                    &ChunkUpdate {
-                        trials_run: output.trials_run,
-                        budget: output.budget,
-                        estimate: output.estimate,
-                    },
-                );
-            }
-        }
+/// The chunk a watch emission delivers: a completed job's output.
+fn emission(output: JobOutput) -> ChunkUpdate {
+    ChunkUpdate {
+        trials_run: output.trials_run,
+        budget: output.budget,
+        estimate: output.estimate,
     }
 }
 
@@ -1152,6 +1135,31 @@ mod tests {
         assert!(matches!(a.wait(), Err(ServiceError::ShuttingDown)));
         let err = service.submit(CountJob::new(catalog::triangle()));
         assert_eq!(err.unwrap_err(), ServiceError::ShuttingDown);
+    }
+
+    #[test]
+    fn a_zero_worker_watch_fails_at_shutdown_and_registers_nothing() {
+        // A watch's initial emission is a queued job like any other: with
+        // no worker to run it, `watch` waits until shutdown fails it.
+        let service = small_service(0);
+        std::thread::scope(|scope| {
+            let watch = scope.spawn(|| {
+                service.watch(
+                    CountJob::new(catalog::triangle()).seed(1).budget(4),
+                    Arc::new(|_, _| {}),
+                )
+            });
+            while service.metrics().queue_depth == 0 {
+                std::thread::yield_now();
+            }
+            service.shutdown();
+            assert_eq!(
+                watch.join().unwrap().err(),
+                Some(ServiceError::ShuttingDown)
+            );
+        });
+        assert_eq!(service.watch_count(), 0);
+        assert_eq!(service.metrics().jobs_submitted, 1);
     }
 
     #[test]

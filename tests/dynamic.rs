@@ -423,48 +423,161 @@ fn result_cache_evictions_are_bounded_and_counted() {
     service.shutdown();
 }
 
+/// What the watchers of a test delivered: `(watcher, version, per-trial
+/// counts)`, in arrival order.
+type Emissions = Arc<Mutex<Vec<(usize, u64, Vec<u64>)>>>;
+
+/// A callback recording watcher `who`'s emissions into `emissions`.
+fn recorder(emissions: &Emissions, who: usize) -> WatchFn {
+    let sink = Arc::clone(emissions);
+    Arc::new(move |version, update| {
+        sink.lock()
+            .unwrap()
+            .push((who, version.as_u64(), update.estimate.per_trial.clone()));
+    })
+}
+
+/// How many trace-log entries carry `trace_id`.
+fn traced(service: &Service, trace_id: u64) -> usize {
+    let header = format!("trace_id={trace_id} ");
+    service
+        .trace_report()
+        .lines()
+        .filter(|line| line.starts_with(&header))
+        .count()
+}
+
 #[test]
 fn watch_reemits_a_version_tagged_estimate_per_delta() {
     let graph = Arc::new(gnm(20, 40, 13));
     let inserts = absent_edges(&graph, 2);
     let service = Service::with_config(graph, service_config());
-    type Emissions = Arc<Mutex<Vec<(u64, Vec<u64>)>>>;
-    let emissions: Emissions = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&emissions);
-    let callback: WatchFn = Arc::new(move |version, update| {
-        sink.lock()
-            .unwrap()
-            .push((version.as_u64(), update.estimate.per_trial.clone()));
-    });
+    let emissions: Emissions = Arc::default();
 
-    let job = CountJob::new(catalog::path(4)).seed(3).budget(6);
-    let handle = service.watch(job.clone(), callback).unwrap();
-    assert_eq!(service.watch_count(), 1);
-    // The initial estimate (at the head at subscription time) is emitted
-    // synchronously by `watch` itself.
-    assert_eq!(emissions.lock().unwrap().len(), 1);
-    assert_eq!(
-        emissions.lock().unwrap()[0].0,
-        service.head_version().as_u64()
-    );
+    // Two distinct watchers: the first carries a client-propagated trace
+    // ID, the second has one minted at subscription.
+    let jobs = [
+        CountJob::new(catalog::path(4))
+            .seed(3)
+            .budget(6)
+            .trace(0x3A7C),
+        CountJob::new(catalog::triangle()).seed(3).budget(6),
+    ];
+    let handles: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .map(|(who, job)| service.watch(job.clone(), recorder(&emissions, who)))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(service.watch_count(), 2);
+    // The initial estimates (at the head at subscription time) are
+    // delivered by `watch` itself, before it returns.
+    let root = service.head_version().as_u64();
+    let initial: Vec<(usize, u64)> = emissions
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|e| (e.0, e.1))
+        .collect();
+    assert_eq!(initial, vec![(0, root), (1, root)]);
+    // Each initial emission was admitted like any job, and traced.
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_submitted, 2);
+    assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
+    assert_eq!(traced(&service, 0x3A7C), 1);
+    let report = service.trace_report();
+    let minted: u64 = report
+        .lines()
+        .filter_map(|line| line.strip_prefix("trace_id="))
+        .filter_map(|rest| rest.split(' ').next()?.parse().ok())
+        .find(|&id| id != 0x3A7C)
+        .expect("the second watcher's initial emission is traced");
 
     let delta = EdgeDelta::new(vec![inserts[0]], vec![]).unwrap();
     let v1 = service.apply_delta(&delta).unwrap();
     {
         let seen = emissions.lock().unwrap();
-        assert_eq!(seen.len(), 2, "apply_delta must re-emit to live watchers");
-        assert_eq!(seen[1].0, v1.as_u64());
-        // The re-emitted estimate is the version's exact per-trial counts.
+        assert_eq!(seen.len(), 4, "apply_delta must re-emit to live watchers");
+        // Delivered before `apply_delta` returned, in watcher order, tagged
+        // with the new version.
+        assert_eq!((seen[2].0, seen[2].1), (0, v1.as_u64()));
+        assert_eq!((seen[3].0, seen[3].1), (1, v1.as_u64()));
+    }
+    // One admitted job per live watcher, all completed by the return, each
+    // traced under its subscription's ID.
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_submitted, 4);
+    assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
+    assert_eq!(traced(&service, 0x3A7C), 2);
+    assert_eq!(traced(&service, minted), 2);
+    // The re-emitted estimates are the version's exact per-trial counts.
+    for (who, job) in jobs.iter().enumerate() {
         let direct = service.count_at(v1, job.clone()).unwrap();
-        assert_eq!(seen[1].1, direct.estimate.per_trial);
+        assert_eq!(
+            emissions.lock().unwrap()[2 + who].2,
+            direct.estimate.per_trial
+        );
     }
 
-    // After unwatch, further deltas stop re-emitting.
-    service.unwatch(handle.id());
-    assert_eq!(service.watch_count(), 0);
+    // After unwatch, that watcher's emissions stop; the other's go on.
+    service.unwatch(handles[0].id());
+    assert_eq!(service.watch_count(), 1);
+    let submitted = service.metrics().jobs_submitted;
     let delta2 = EdgeDelta::new(vec![inserts[1]], vec![]).unwrap();
-    service.apply_delta(&delta2).unwrap();
+    let v2 = service.apply_delta(&delta2).unwrap();
+    {
+        let seen = emissions.lock().unwrap();
+        assert_eq!(seen.len(), 5);
+        assert_eq!((seen[4].0, seen[4].1), (1, v2.as_u64()));
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_submitted, submitted + 1);
+    assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
+    service.shutdown();
+}
+
+/// A delta is applied only together with its re-emissions: when the queue
+/// cannot take one per live watcher, the delta is refused before a version
+/// is minted, so no watcher ever misses a version.
+#[test]
+fn a_delta_the_queue_cannot_reemit_is_refused_and_mints_nothing() {
+    let graph = Arc::new(gnm(20, 40, 19));
+    let inserts = absent_edges(&graph, 1);
+    let service = Service::with_config(
+        graph,
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..service_config()
+        },
+    );
+    let emissions: Emissions = Arc::default();
+    let handles: Vec<_> = [catalog::path(4), catalog::triangle()]
+        .into_iter()
+        .enumerate()
+        .map(|(who, query)| {
+            let job = CountJob::new(query).seed(5).budget(4);
+            service.watch(job, recorder(&emissions, who)).unwrap()
+        })
+        .collect();
     assert_eq!(emissions.lock().unwrap().len(), 2);
+
+    let delta = EdgeDelta::new(inserts, vec![]).unwrap();
+    let rejected = service.metrics().jobs_rejected;
+    let err = service.apply_delta(&delta).unwrap_err();
+    assert_eq!(err, ServiceError::QueueFull { capacity: 1 });
+    assert_eq!(service.head_version(), service.root_version());
+    assert_eq!(service.metrics().jobs_rejected, rejected + 2);
+    assert_eq!(emissions.lock().unwrap().len(), 2, "nothing was emitted");
+
+    // With one watcher left its re-emission fits: the same delta applies.
+    handles[0].cancel();
+    let v1 = service.apply_delta(&delta).unwrap();
+    assert_ne!(v1, service.root_version());
+    let seen = emissions.lock().unwrap();
+    assert_eq!(seen.len(), 3);
+    assert_eq!((seen[2].0, seen[2].1), (1, v1.as_u64()));
+    drop(seen);
     service.shutdown();
 }
 

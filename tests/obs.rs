@@ -18,7 +18,9 @@ use subgraph_counting::graph::{CsrGraph, GraphBuilder};
 use subgraph_counting::net::{Server, ServerConfig};
 use subgraph_counting::obs::{global, span, Stage};
 use subgraph_counting::query::{catalog, Registry};
-use subgraph_counting::{Algorithm, CountJob, EdgeDelta, Engine, Precision, Service};
+use subgraph_counting::{
+    Algorithm, CountJob, EdgeDelta, Engine, Precision, Service, ServiceConfig,
+};
 
 fn obs_graph() -> CsrGraph {
     gnp(80, 0.1, 0x0B5)
@@ -180,6 +182,34 @@ fn versioned_jobs_replay_their_parents_partials() {
         .estimate()
         .unwrap();
     assert_eq!(output.estimate.per_trial, reference.per_trial);
+}
+
+/// The root version is the service's own engine: a watch at the root and a
+/// `count_at` the root, both run by a worker, bind no second copy of the
+/// graph. Read off the process-wide `bind` stage, so it sees every thread.
+#[test]
+fn a_watch_at_the_root_binds_no_second_engine() {
+    let _serial = serial();
+    let service = Service::with_config(
+        Arc::new(obs_graph()),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let binds = || Stage::Bind.histogram().snapshot().count;
+    let before = binds();
+    let job = || CountJob::new(catalog::triangle()).seed(5).budget(4);
+    let handle = service.watch(job(), Arc::new(|_, _| {})).unwrap();
+    service
+        .count_at(service.root_version(), job().seed(6))
+        .unwrap();
+    assert_eq!(
+        binds(),
+        before,
+        "counting at the root bound the root's graph again"
+    );
+    handle.cancel();
 }
 
 /// Splits an exposition into its names, asserting the line format on the

@@ -462,24 +462,3 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
         );
     }
 }
-
-/// The root version is the service's own engine: a watch at the root (its
-/// first emission runs on this thread) binds no second copy of the graph.
-#[test]
-fn a_watch_at_the_root_binds_no_second_engine() {
-    use subgraph_counting::core::context::prep_build_count;
-    let service = Service::with_config(service_graph(), config(1));
-    let before = prep_build_count();
-    let handle = service
-        .watch(
-            CountJob::new(catalog::triangle()).seed(5).budget(4),
-            Arc::new(|_, _| {}),
-        )
-        .unwrap();
-    assert_eq!(
-        prep_build_count(),
-        before,
-        "counting at the root rebuilt the root's preprocessing"
-    );
-    handle.cancel();
-}
