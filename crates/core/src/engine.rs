@@ -26,6 +26,7 @@
 //! assert!(estimate.estimated_matches >= 0.0);
 //! ```
 
+use crate::ball::DeltaBall;
 use crate::config::{Algorithm, CountConfig};
 use crate::context::GraphPrep;
 use crate::driver::CountResult;
@@ -33,8 +34,7 @@ use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate, TrialAccumulator};
 use crate::explain::PlanReport;
 use crate::kernel::ArenaPool;
-use crate::runtime::executor::{execute, Job, JobOutcome};
-use crate::runtime::incremental::{Retention, TrialShape};
+use crate::runtime::executor::{execute, Job};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::{Coloring, CsrGraph};
@@ -353,7 +353,7 @@ impl<'g> Engine<'g> {
 
     /// Runs one job through the block-step executor on this engine's graph,
     /// preprocessing and arena pool.
-    fn execute(&self, job: &Job<'_>, shards: Option<usize>) -> Result<JobOutcome, SgcError> {
+    fn execute(&self, job: &Job<'_>, shards: Option<usize>) -> Result<CountResult, SgcError> {
         execute(&self.graph, &self.prep, job, shards, &self.arena_pool)
     }
 
@@ -370,7 +370,7 @@ impl<'g> Engine<'g> {
             parallel: true,
             shards: None,
             obs: self.default_config.obs,
-            retention: None,
+            recount: None,
         }
     }
 }
@@ -410,7 +410,7 @@ pub struct CountRequest<'e, 'g, 'a> {
     parallel: bool,
     shards: Option<usize>,
     obs: bool,
-    retention: Option<&'a dyn Retention>,
+    recount: Option<(&'a [Count], &'a DeltaBall)>,
 }
 
 impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
@@ -501,8 +501,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::ZeroShards`].
     ///
     /// For [`estimate`](CountRequest::estimate), per-trial sharding applies
-    /// when trial-level parallelism is disabled or the request
-    /// [`retain`](CountRequest::retain)s; see there for the interaction.
+    /// when trial-level parallelism is disabled; see there for the
+    /// interaction.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -532,19 +532,20 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         self
     }
 
-    /// Keeps every trial's per-shard partials in `retention`, and replays
-    /// the cached partials it offers in place of the shard solves they
-    /// cover (the incremental recount of a new graph version; see
-    /// [`runtime::incremental`](crate::runtime::incremental)). Applies to
-    /// the trials of [`estimate`](CountRequest::estimate) and
+    /// Counts the trials `parent` holds from `ball` instead of the whole
+    /// graph: trial `i < parent.len()` is `parent[i]` minus the ball's count
+    /// before the delta plus its count after it (see [`ball`](crate::ball)).
+    /// `parent` must hold this request's per-trial counts (same query,
+    /// algorithm and seed) on the graph before the delta. The trials past
+    /// `parent` count the whole graph on this engine, which must then be
+    /// bound to the graph after the delta; for the trials `parent` holds the
+    /// engine lends only its plan cache and arenas. Applies to the trials of
+    /// [`estimate`](CountRequest::estimate) and
     /// [`estimate_incremental`](CountRequest::estimate_incremental); like
     /// [`trials`](CountRequest::trials), [`run`](CountRequest::run) ignores
-    /// it. Partials are kept per shard of [`sharded`](CountRequest::sharded)
-    /// (one shard when unset), parallel trials included. Counts are
-    /// unchanged as long as the replayed partials are sound: the retention
-    /// must answer for this engine's graph.
-    pub fn retain(mut self, retention: &'a dyn Retention) -> Self {
-        self.retention = Some(retention);
+    /// it. The counts are those of a request without it, bit for bit.
+    pub fn recount(mut self, parent: &'a [Count], ball: &'a DeltaBall) -> Self {
+        self.recount = Some((parent, ball));
         self
     }
 
@@ -608,9 +609,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             algorithm: self.algorithm,
             num_ranks: self.num_ranks,
             obs: self.obs,
-            partials: None,
         };
-        let result = self.engine.execute(&job, self.shards)?.result;
+        let result = self.engine.execute(&job, self.shards)?;
         if self.obs {
             result.metrics.publish();
         }
@@ -629,8 +629,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// through the sharded rank-runtime, parallelising *within* the trial
     /// instead of across trials; under parallel trials the shards would
     /// only serialize, so the unsharded per-trial path is used (the counts
-    /// are identical in all three modes). A request that
-    /// [`retain`](CountRequest::retain)s shards every trial either way.
+    /// are identical in all three modes).
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -753,13 +752,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         // sequentially), so sharding each trial would add exchange and
         // regrouping overhead without any added parallelism. Counts are
         // bit-identical either way, so those requests take the unsharded
-        // per-trial path — unless they retain: the shard count is then the
-        // granularity of every later replay, not an execution detail.
-        let shards_per_trial = if self.parallel && self.retention.is_none() {
-            None
-        } else {
-            self.shards
-        };
+        // per-trial path.
+        let shards_per_trial = if self.parallel { None } else { self.shards };
         Ok(TrialStream {
             engine: self.engine,
             plan,
@@ -769,7 +763,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             parallel: self.parallel,
             shards_per_trial,
             obs: self.obs,
-            retention: self.retention,
+            recount: self.recount,
             per_trial: Vec::new(),
             acc: TrialAccumulator::new(),
             total_seconds: 0.0,
@@ -797,7 +791,7 @@ pub struct TrialStream<'e, 'g, 'a> {
     parallel: bool,
     shards_per_trial: Option<usize>,
     obs: bool,
-    retention: Option<&'a dyn Retention>,
+    recount: Option<(&'a [Count], &'a DeltaBall)>,
     per_trial: Vec<Count>,
     acc: TrialAccumulator,
     total_seconds: f64,
@@ -829,38 +823,36 @@ impl TrialStream<'_, '_, '_> {
             let num_ranks = self.num_ranks;
             let shards_per_trial = self.shards_per_trial;
             let obs = self.obs;
-            let retention = self.retention;
+            let recount = self.recount;
             let run_trial = move |offset: usize| -> (Count, f64) {
                 let _pause = (!obs).then(sgc_obs::suspend);
-                let shape = TrialShape {
-                    plan,
-                    algorithm,
-                    coloring_seed: seed.wrapping_add((start + offset) as u64),
-                    num_shards: shards_per_trial.unwrap_or(1),
-                };
+                let trial = start + offset;
+                let coloring_seed = seed.wrapping_add(trial as u64);
+                // A trial the parent ran recounts the ball; any other counts
+                // the whole graph.
+                let ball = recount
+                    .filter(|(parent, _)| trial < parent.len())
+                    .map(|(parent, ball)| (parent[trial], ball));
                 let coloring = {
                     let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
-                    let n = engine.graph().num_vertices();
-                    Coloring::random(n, k, shape.coloring_seed)
+                    match ball {
+                        Some((_, ball)) => ball.coloring(k, coloring_seed),
+                        None => Coloring::random(engine.graph().num_vertices(), k, coloring_seed),
+                    }
                 };
-                let replay = retention.and_then(|retention| retention.replay(&shape));
                 let job = Job {
                     coloring: &coloring,
                     plan,
                     algorithm,
                     num_ranks,
                     obs,
-                    partials: retention.map(|_| {
-                        shape.hook(replay.as_ref().map(|(cached, dirty)| (&**cached, *dirty)))
-                    }),
                 };
-                let outcome = engine
-                    .execute(&job, shards_per_trial)
-                    .expect("engine-drawn colorings always cover the graph");
-                if let (Some(retention), Some(partials)) = (retention, outcome.retained) {
-                    retention.retain(&shape, partials);
-                }
-                let result = outcome.result;
+                let result = match ball {
+                    Some((parent, ball)) => ball.recount(parent, &job, &engine.arena_pool),
+                    None => engine
+                        .execute(&job, shards_per_trial)
+                        .expect("engine-drawn colorings always cover the graph"),
+                };
                 if obs && sgc_obs::enabled() {
                     result.metrics.publish();
                 }
@@ -929,7 +921,6 @@ impl TrialStream<'_, '_, '_> {
 mod tests {
     use super::*;
     use crate::context::prep_build_count;
-    use crate::runtime::incremental::TrialPartials;
     use sgc_graph::GraphBuilder;
     use sgc_query::{catalog, decompose, enumerate_plans, QueryError};
 
@@ -1053,31 +1044,45 @@ mod tests {
         assert_eq!(serial.estimated_matches, parallel.estimated_matches);
     }
 
-    /// Parallel trials of a retaining request still run over the requested
-    /// shards: those are the partials every later replay is cut by.
+    /// A recounting request answers the parent's trials from the ball and
+    /// the rest from the whole graph; either way, serial or parallel, it
+    /// counts what a plain request counts.
     #[test]
-    fn a_retaining_request_shards_even_parallel_trials() {
-        struct Shards(Mutex<Vec<(usize, usize)>>);
-        impl Retention for Shards {
-            fn replay(&self, _: &TrialShape<'_>) -> Option<(Arc<TrialPartials>, &[bool])> {
-                None
-            }
-            fn retain(&self, trial: &TrialShape<'_>, partials: TrialPartials) {
-                let shards = (trial.num_shards, partials.num_shards());
-                self.0.lock().unwrap().push(shards);
-            }
+    fn a_recounting_request_counts_what_a_plain_one_counts() {
+        let old = demo_graph();
+        let mut b = GraphBuilder::new(old.num_vertices());
+        b.extend_edges(old.edges());
+        b.add_edge(1, 8);
+        let new = b.build();
+        let query = catalog::cycle(4);
+        let estimate = |engine: &Engine<'_>, trials| {
+            let request = engine.count(&query).trials(trials).seed(9);
+            request.estimate().unwrap().per_trial
+        };
+        let parent = estimate(&Engine::new(&old), 4);
+        let ball = DeltaBall::new(
+            |v| old.neighbors(v),
+            |v| new.neighbors(v),
+            [(1, 8)],
+            query.num_nodes(),
+        );
+        let engine = Engine::new(&new);
+        let plain = estimate(&engine, 6);
+        for parallel in [false, true] {
+            let request = engine.count(&query).trials(6).seed(9).parallel(parallel);
+            let recounted = request.recount(&parent, &ball).estimate().unwrap();
+            assert_eq!(recounted.per_trial, plain, "parallel {parallel}");
         }
-        let g = demo_graph();
-        let engine = Engine::new(&g);
-        let query = catalog::triangle();
-        let kept = Shards(Mutex::new(Vec::new()));
-        let retained = sgc_engine::parallel::run_with_threads(3, || {
-            let request = engine.count(&query).trials(6).seed(4).sharded(3);
-            request.retain(&kept).estimate().unwrap()
-        });
-        assert_eq!(kept.0.into_inner().unwrap(), vec![(3, 3); 6]);
-        let plain = engine.count(&query).trials(6).seed(4).estimate().unwrap();
-        assert_eq!(retained.per_trial, plain.per_trial);
+        // The parent's four trials really come from the parent's counts.
+        let shifted: Vec<Count> = parent.iter().map(|count| count + 1).collect();
+        let request = engine.count(&query).trials(6).seed(9);
+        let off = request
+            .recount(&shifted, &ball)
+            .estimate()
+            .unwrap()
+            .per_trial;
+        let plus_one: Vec<Count> = plain[..4].iter().map(|count| count + 1).collect();
+        assert_eq!((&off[..4], &off[4..]), (&plus_one[..], &plain[4..]));
     }
 
     #[test]

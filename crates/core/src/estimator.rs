@@ -256,8 +256,8 @@ pub fn scaling_factor(k: usize) -> f64 {
 /// Folds per-trial colorful counts into the scaled estimate and its
 /// precision statistics.
 ///
-/// Public so version-aware callers (the incremental recount path in
-/// `sgc-dyn`) can turn replayed per-trial counts into estimates that are
+/// Public so callers that hold per-trial counts (the service's adaptive
+/// loop, between chunks) can turn them into estimates that are
 /// bit-identical to what [`Engine`](crate::Engine) would produce from the
 /// same trials.
 pub fn summarize_trials(per_trial: Vec<Count>, query: &QueryGraph, total_seconds: f64) -> Estimate {

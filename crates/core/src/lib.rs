@@ -17,6 +17,10 @@
 //!   per-shard solves with explicit partial-sum exchange rounds — the
 //!   shared-memory realization of the paper's distributed rank model
 //!   (Sections 5–7), of which an unsharded run is the one-shard case,
+//! * [`ball`] — counting the change instead of the graph: a trial on a graph
+//!   after an edge delta is the trial's count before it plus a recount of
+//!   the small ball the delta touched ([`DeltaBall`],
+//!   [`CountRequest::recount`]),
 //! * [`engine`] — the public front door: a long-lived [`Engine`] bound to a
 //!   data graph that amortizes the preprocessing across trials and queries,
 //!   caches decomposition plans, and reports typed [`SgcError`]s instead of
@@ -37,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ball;
 pub mod batch;
 pub mod brute;
 pub mod config;
@@ -54,6 +59,7 @@ pub mod prelude;
 pub mod ps;
 pub mod runtime;
 
+pub use ball::DeltaBall;
 pub use batch::{BatchMetrics, BatchResult};
 pub use config::{Algorithm, CountConfig};
 pub use driver::CountResult;
@@ -63,4 +69,4 @@ pub use estimator::{Estimate, TrialAccumulator};
 pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use kernel::KernelMetrics;
 pub use metrics::{RunMetrics, ShardMetrics};
-pub use runtime::{dirty_shards, Retention, ShardPlan, TrialPartials, TrialShape, VertexShard};
+pub use runtime::{ShardPlan, VertexShard};

@@ -49,7 +49,7 @@ pub type ScratchLender<'a> = dyn Fn(usize, &mut dyn FnMut(RowGroups, &mut Column
 /// Panics if the partial count differs from `plan`'s or `metrics`' shard
 /// count.
 pub fn combine_round(
-    partials: &[&RowGroups],
+    partials: &[RowGroups],
     metrics: &mut ShardMetrics,
     plan: &ShardPlan,
     scratch: &ScratchLender<'_>,
@@ -64,7 +64,7 @@ pub fn combine_round(
         metrics.entries_exchanged[shard] += partial.len() as u64;
     }
     if partials[0].is_scalar() {
-        return BlockTable::scalar(partials.iter().map(|partial| partial.total()).sum());
+        return BlockTable::scalar(partials.iter().map(RowGroups::total).sum());
     }
     let slices = parallel_indexed(owners, |owner| {
         scratch(owner, &mut |retired, table| {
@@ -79,7 +79,7 @@ pub fn combine_round(
 /// than one shard sent any) and grouped by vertex over the owner's range, in
 /// the buffers of `retired`.
 fn owner_slice(
-    partials: &[&RowGroups],
+    partials: &[RowGroups],
     plan: &ShardPlan,
     owner: usize,
     retired: RowGroups,
@@ -126,7 +126,7 @@ pub(crate) mod tests {
         plan: &ShardPlan,
         metrics: &mut ShardMetrics,
     ) -> BlockTable {
-        combine_round(&partials.iter().collect::<Vec<_>>(), metrics, plan, &fresh)
+        combine_round(&partials, metrics, plan, &fresh)
     }
 
     /// A shard's partial over `plan` from `(u, v, color, count)` entries.

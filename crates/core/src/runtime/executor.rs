@@ -8,13 +8,10 @@
 //!   vertex, the exchange round passes its partial through untouched),
 //! * a **sharded** request fans each block out over the shards of a
 //!   [`ShardPlan`] on worker threads, and the round
-//!   ([`exchange::combine_round`]) fans the owners' merges out the same way,
-//! * **retain/replay** (a request's
-//!   [`Retention`](super::incremental::Retention)) is a [`PartialsHook`] on
-//!   the job's per-shard solves: keep every pre-exchange partial, and reuse a
-//!   cached one in place of a solve the delta cannot have changed.
+//!   ([`exchange::combine_round`]) fans the owners' merges out the same way.
 //!
-//! Estimates, batches and service jobs are loops over this call.
+//! Estimates, batches, service jobs and the ball recount of a graph version
+//! ([`DeltaBall`](crate::DeltaBall)) are loops over this call.
 
 use crate::config::Algorithm;
 use crate::context::{Context, GraphPrep};
@@ -26,13 +23,12 @@ use crate::kernel::{
 use crate::metrics::{RunMetrics, ShardMetrics};
 use crate::paths::BlockJoinIndex;
 use crate::runtime::exchange;
-use crate::runtime::incremental::TrialPartials;
 use crate::runtime::shard::ShardPlan;
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, Count, RowGroups};
 use sgc_graph::{Coloring, CsrGraph};
 use sgc_query::DecompositionTree;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One colorful count to run: a coloring/plan/algorithm triple.
@@ -49,28 +45,6 @@ pub(crate) struct Job<'a> {
     /// threads inherit nothing from the submitting thread, so the
     /// per-request toggle rides along with the job.
     pub obs: bool,
-    /// Retain (and optionally replay) this job's pre-exchange partials.
-    pub partials: Option<PartialsHook<'a>>,
-}
-
-/// The retain/replay hook on a job's per-shard solves. Its presence makes
-/// the executor keep every shard's pre-exchange partial of every block step
-/// instead of retiring it into its lane's arena after the round; the hook
-/// only observes — counts and metrics of a from-scratch hooked run equal the
-/// unhooked run's, apart from the arena bytes the kept partials take along.
-pub(crate) struct PartialsHook<'a> {
-    /// `(dirty, cached)`: every shard not flagged dirty takes its partial
-    /// from `cached` (under the `dp.recount.replay` span) instead of
-    /// solving the block. `None` solves every shard.
-    pub replay: Option<(&'a [bool], &'a TrialPartials)>,
-}
-
-/// What [`execute`] produced for its job.
-pub(crate) struct JobOutcome {
-    /// The count and its metrics.
-    pub result: CountResult,
-    /// The pre-exchange partials, when the job carried a [`PartialsHook`].
-    pub retained: Option<TrialPartials>,
 }
 
 /// One shard's state across the block steps — the analog of one rank's local
@@ -131,7 +105,7 @@ pub(crate) fn execute(
     job: &Job<'_>,
     shards: Option<usize>,
     pool: &ArenaPool,
-) -> Result<JobOutcome, SgcError> {
+) -> Result<CountResult, SgcError> {
     let num_shards = shards.unwrap_or(1);
     let plan = ShardPlan::new(graph.num_vertices(), num_shards)?;
     Context::validate(graph, job.coloring, job.num_ranks)?;
@@ -152,8 +126,6 @@ pub(crate) fn execute(
     // Single-node queries (no root block) are resolved by a scalar exchange
     // in step 0; their combined total lands here.
     let mut single_total: Option<Count> = None;
-    // `retained[step][shard]`, filled only for hooked jobs.
-    let mut retained: Vec<Vec<Arc<RowGroups>>> = Vec::new();
     let mut exchange_time = Duration::ZERO;
     // The `exchange` span covers everything between two fan-outs of solves:
     // open from a step's last solve to the next step's first (or the end).
@@ -165,7 +137,7 @@ pub(crate) fn execute(
         // The child tables are shard-invariant and shared by the shard
         // workers; the scope ends their borrow of `tables` before the
         // combined table is stored.
-        let partials: Vec<Arc<RowGroups>> = {
+        let partials: Vec<RowGroups> = {
             // A transposed child table is built in the buffers the first
             // lane retired it into a run ago.
             let retired = |child| {
@@ -183,23 +155,12 @@ pub(crate) fn execute(
                 let mut lane = lanes[s]
                     .lock()
                     .expect("a lane is locked by one task per step; a panicked one ends the run");
-                let cached = job
-                    .partials
-                    .as_ref()
-                    .and_then(|hook| hook.replay)
-                    .filter(|(dirty, _)| !dirty[s])
-                    .map(|(_, cached)| &cached.steps[step][s]);
-                let partial = if let Some(cached) = cached {
-                    // Clean shard with a cached partial: replay it, shared
-                    // with the partials it came from rather than copied.
-                    let _span = sgc_obs::span(sgc_obs::Stage::DpRecountReplay);
-                    Arc::clone(cached)
-                } else if let Some(index) = &index {
+                let partial = if let Some(index) = &index {
                     let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
                     let ctx =
                         Context::for_shard(graph, prep, job.coloring, job.num_ranks, plan.shard(s));
                     let Lane { metrics, arena } = &mut *lane;
-                    Arc::new(solve_block(
+                    solve_block(
                         &ctx,
                         job.plan,
                         &job.plan.blocks[step],
@@ -207,14 +168,12 @@ pub(crate) fn execute(
                         job.algorithm,
                         checked_out(arena, pool),
                         metrics,
-                    ))
+                    )
                 } else {
                     // Single-node query: the shard's owned-vertex count is
-                    // its scalar partial sum (edge deltas never change it).
-                    Arc::new(
-                        RowGroups::default()
-                            .scalar(plan.shard(s).num_vertices() as Count, &plan.partition),
-                    )
+                    // its scalar partial sum.
+                    RowGroups::default()
+                        .scalar(plan.shard(s).num_vertices() as Count, &plan.partition)
                 };
                 lane.metrics.elapsed += started.elapsed();
                 partial
@@ -239,8 +198,7 @@ pub(crate) fn execute(
                     merge(retired, &mut arena.proj)
                 })
             };
-        let sent: Vec<&RowGroups> = partials.iter().map(|partial| &**partial).collect();
-        let table = exchange::combine_round(&sent, &mut shard_metrics, &plan, &scratch);
+        let table = exchange::combine_round(&partials, &mut shard_metrics, &plan, &scratch);
         exchange_time += exchange_started.elapsed();
         if job.plan.root.is_some() {
             // A table is observed when it is created: each shard's partial
@@ -253,13 +211,9 @@ pub(crate) fn execute(
         } else {
             single_total = Some(table.total());
         }
-        if job.partials.is_some() {
-            retained.push(partials);
-        } else if job.plan.root.is_some() {
+        if job.plan.root.is_some() {
             // Their round over, the partials go back to their lanes.
             for (s, partial) in partials.into_iter().enumerate() {
-                let partial =
-                    Arc::into_inner(partial).expect("a run without a hook replays no partial");
                 with_arena(&lanes, s, pool, |arena| {
                     arena.retire_rows(PARTIAL_ROWS, partial)
                 });
@@ -306,90 +260,8 @@ pub(crate) fn execute(
     for arena in arenas.into_iter().rev() {
         pool.give_back(arena);
     }
-    Ok(JobOutcome {
-        result: CountResult {
-            colorful_matches,
-            metrics,
-        },
-        retained: job.partials.as_ref().map(|_| TrialPartials {
-            num_shards,
-            steps: retained,
-        }),
+    Ok(CountResult {
+        colorful_matches,
+        metrics,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sgc_graph::GraphBuilder;
-    use sgc_query::{catalog, heuristic_plan, QueryGraph};
-
-    /// The hook only observes: a retaining run reports the counts and the
-    /// metrics of the plain run of the same job.
-    #[test]
-    fn retaining_run_equals_plain_run_in_counts_and_metrics() {
-        let mut b = GraphBuilder::new(10);
-        b.extend_edges([
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 0),
-            (0, 5),
-            (5, 6),
-            (6, 1),
-            (2, 7),
-            (7, 8),
-            (8, 3),
-            (4, 9),
-            (9, 0),
-            (5, 2),
-            (6, 3),
-        ]);
-        let graph = b.build();
-        let prep = GraphPrep::new(&graph);
-        for query in [catalog::triangle(), catalog::glet1(), QueryGraph::new(1)] {
-            let tree = heuristic_plan(&query).unwrap();
-            let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 17);
-            for shards in [None, Some(1), Some(3)] {
-                let run = |partials| {
-                    let job = Job {
-                        coloring: &coloring,
-                        plan: &tree,
-                        algorithm: Algorithm::DegreeBased,
-                        num_ranks: 4,
-                        obs: true,
-                        partials,
-                    };
-                    // A fresh pool per run, so both see a cold arena.
-                    execute(&graph, &prep, &job, shards, &ArenaPool::new()).unwrap()
-                };
-                let plain = run(None);
-                let hooked = run(Some(PartialsHook { replay: None }));
-                assert!(plain.retained.is_none());
-                let partials = hooked.retained.expect("hooked runs retain");
-                assert_eq!(partials.num_shards(), shards.unwrap_or(1));
-                assert_eq!(partials.num_steps(), tree.blocks.len().max(1));
-                let (p, h) = (plain.result, hooked.result);
-                assert_eq!(p.colorful_matches, h.colorful_matches);
-                assert_eq!(p.metrics.load.per_rank(), h.metrics.load.per_rank());
-                assert_eq!(p.metrics.total_ops, h.metrics.total_ops);
-                assert_eq!(p.metrics.entries_created, h.metrics.entries_created);
-                assert_eq!(p.metrics.peak_table_entries, h.metrics.peak_table_entries);
-                // The retained partials leave with the hook instead of
-                // retiring into the arenas that built them.
-                assert_eq!(p.metrics.kernel.arena_reuses, h.metrics.kernel.arena_reuses);
-                assert!(h.metrics.kernel.arena_bytes <= p.metrics.kernel.arena_bytes);
-                assert_eq!(p.metrics.shards, h.metrics.shards);
-                assert_eq!(p.metrics.shards.is_some(), shards.is_some());
-                // One exchange round per block step.
-                if let Some(shard_metrics) = &p.metrics.shards {
-                    assert_eq!(
-                        shard_metrics.exchange_rounds,
-                        tree.blocks.len().max(1) as u64
-                    );
-                }
-            }
-        }
-    }
 }

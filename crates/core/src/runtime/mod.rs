@@ -12,14 +12,11 @@
 //! * `executor` — the one block-step loop, for one (query, coloring) job:
 //!   per step, the per-shard partial solves fanned out over the thread
 //!   pool, then one exchange round. An unsharded request is its one-shard
-//!   case and retain/replay is a hook on the per-shard solve,
+//!   case,
 //! * [`exchange`] — the explicit combination step that sums one block's
 //!   per-shard partial projection tables into its full table, mirroring
 //!   the paper's alltoall of partial sums (batched over the entries of that
-//!   block, not over queries), and recording per-shard exchange volume,
-//! * [`incremental`] — delta-aware recounting: which shards an edge delta
-//!   can have changed, and the [`Retention`] hook through which a request's
-//!   trials keep and replay their per-shard partials.
+//!   block, not over queries), and recording per-shard exchange volume.
 //!
 //! The partitioning invariant that makes this exact: a path-table entry's
 //! `start` vertex is fixed at seeding time and never changes through any
@@ -33,8 +30,6 @@
 
 pub mod exchange;
 pub(crate) mod executor;
-pub mod incremental;
 pub mod shard;
 
-pub use incremental::{dirty_shards, Retention, TrialPartials, TrialShape};
 pub use shard::{ShardPlan, VertexShard};

@@ -5,7 +5,7 @@
 //! makes the graph *mutable without giving that up*: every edge
 //! insert/delete batch ([`EdgeDelta`](sgc_graph::EdgeDelta)) produces a new
 //! immutable copy-on-write snapshot, identified by a [`VersionId`], and
-//! counting always targets a specific version. Three pieces:
+//! counting always targets a specific version. Two pieces:
 //!
 //! * [`VersionedGraph`] — the version chain. Applying a delta to a parent
 //!   version yields a child whose id is `parent ⊕ delta.digest()` and which
@@ -14,26 +14,22 @@
 //!   materialized graph on first use (memoized); the root's may come bound
 //!   (the service's own engine), and every other version's is a rebind of
 //!   the root's, sharing its plan cache and arena pool.
-//! * [`PartialStore`] — a bounded LRU store of per-trial, per-shard partial
-//!   sums ([`TrialPartials`](sgc_core::TrialPartials)) keyed by
-//!   `(version, plan, algorithm, coloring seed, shards)`.
-//! * [`StoreAt`] — the store seen from one version. Its
-//!   [`count`](StoreAt::count) is an engine request on that version's
-//!   engine carrying the store's [`Retention`](sgc_core::Retention), this
-//!   crate's only one. A trial whose parent-version partials are in the store
-//!   recomputes only the shards within the delta's invalidation ball
-//!   ([`dirty_shards`](sgc_core::dirty_shards)) and **replays** the rest —
-//!   with the hard contract that the per-trial counts are bit-identical to
-//!   a from-scratch run on the new snapshot (per-trial colorful counts are
-//!   exact given a coloring, and colorings depend only on
-//!   `(num_vertices, colors, seed + trial)`, which edge deltas never
-//!   change). The trials themselves run in the engine's one trial loop.
+//! * [`VersionedGraph::ball`] — what a version's trials recount instead of
+//!   the whole graph: the [`DeltaBall`](sgc_core::DeltaBall) around the
+//!   edges its delta changed, read off the parent's and the version's
+//!   snapshots. Given the parent's per-trial counts, a request on the
+//!   version's engine [`recount`](sgc_core::CountRequest::recount)s each of
+//!   those trials from the ball — with the hard contract that the per-trial
+//!   counts are bit-identical to a from-scratch run on the new snapshot
+//!   (per-trial colorful counts are exact given a coloring, and colorings
+//!   depend only on `(num_vertices, colors, seed + trial)`, which edge
+//!   deltas never change). The trials themselves run in the engine's one
+//!   trial loop, and the parent's counts are whatever the caller kept: the
+//!   service reads them off its result cache.
 //!
 //! `sgc-service` builds its `apply_delta` / `count_at` / `watch` jobs on
 //! top of this crate; `sgc-net` exposes them as protocol-v3 verbs.
 
-pub mod store;
 pub mod version;
 
-pub use store::{PartialKey, PartialStore, StoreAt, StoreStats, DEFAULT_STORE_CAPACITY_BYTES};
 pub use version::{DynError, VersionId, VersionedGraph};

@@ -1,6 +1,6 @@
 //! The version chain: snapshot lineage with fingerprint-⊕-digest ids.
 
-use sgc_core::Engine;
+use sgc_core::{DeltaBall, Engine};
 use sgc_graph::{CsrGraph, DeltaError, EdgeDelta, SegmentedSnapshot};
 use std::collections::HashMap;
 use std::fmt;
@@ -70,8 +70,6 @@ pub enum DynError {
     /// The delta does not apply to the parent snapshot (missing delete,
     /// duplicate insert, vertex out of range, ...).
     Delta(DeltaError),
-    /// A counting error from the underlying runtime.
-    Count(sgc_core::SgcError),
 }
 
 impl fmt::Display for DynError {
@@ -79,7 +77,6 @@ impl fmt::Display for DynError {
         match self {
             DynError::UnknownVersion(v) => write!(f, "unknown graph version {v}"),
             DynError::Delta(e) => write!(f, "delta rejected: {e}"),
-            DynError::Count(e) => write!(f, "count failed: {e}"),
         }
     }
 }
@@ -92,18 +89,14 @@ impl From<DeltaError> for DynError {
     }
 }
 
-impl From<sgc_core::SgcError> for DynError {
-    fn from(e: sgc_core::SgcError) -> Self {
-        DynError::Count(e)
-    }
-}
-
 /// A chain (in general, a tree) of copy-on-write graph versions.
 ///
 /// The store owns one [`SegmentedSnapshot`] per version; siblings and
 /// ancestors share every CSR segment a delta did not touch, so holding many
-/// versions of a large graph costs far less than many full copies. A
-/// version is counted through an [`Engine`] bound to its materialized graph
+/// versions of a large graph costs far less than many full copies. A trial
+/// its parent ran is recounted from the version's [`ball`](VersionedGraph::ball),
+/// read off the snapshots; any other trial counts through an [`Engine`]
+/// bound to the version's materialized graph
 /// ([`data_at`](VersionedGraph::data_at)): built lazily, memoized per
 /// version, and rebound from the root's engine, whose plan cache and arena
 /// pool every version shares.
@@ -277,10 +270,33 @@ impl VersionedGraph {
         })))
     }
 
-    /// `version`'s engine if it is already bound. Only a bound version has
-    /// been counted, so only a bound version can have retained partials.
-    pub(crate) fn bound(&self, version: VersionId) -> Option<Arc<Engine<'static>>> {
-        self.versions.get(&version)?.engine.get().cloned()
+    /// The ball a trial at `version` recounts instead of the whole graph,
+    /// for a `query_nodes`-node query: the one around the edges the
+    /// parent → `version` delta changed, induced in both snapshots
+    /// (see [`DeltaBall`]). `None` for the root, which has no parent. Binds
+    /// no engine: the ball is read off the copy-on-write snapshots.
+    ///
+    /// # Errors
+    /// [`DynError::UnknownVersion`] when `version` is not in the store.
+    pub fn ball(
+        &self,
+        version: VersionId,
+        query_nodes: usize,
+    ) -> Result<Option<DeltaBall>, DynError> {
+        let entry = self
+            .versions
+            .get(&version)
+            .ok_or(DynError::UnknownVersion(version))?;
+        let (Some(parent), Some(delta)) = (entry.parent, &entry.delta) else {
+            return Ok(None);
+        };
+        let before = &self.versions[&parent].snapshot;
+        Ok(Some(DeltaBall::new(
+            |v| before.neighbors(v),
+            |v| entry.snapshot.neighbors(v),
+            delta.changed_edges(),
+            query_nodes,
+        )))
     }
 }
 
@@ -432,5 +448,61 @@ mod tests {
         );
         let v1 = versions.apply_to_head(&EdgeDelta::new(vec![(0, 7)], vec![]).unwrap());
         assert_eq!(versions.data_at(v1.unwrap()).unwrap().cached_plans(), 1);
+    }
+
+    fn grid(side: u32) -> CsrGraph {
+        let mut b = GraphBuilder::new((side * side) as usize);
+        for r in 0..side {
+            for c in 0..side {
+                if c + 1 < side {
+                    b.add_edge(r * side + c, r * side + c + 1);
+                }
+                if r + 1 < side {
+                    b.add_edge(r * side + c, (r + 1) * side + c);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// A version's ball is read off the snapshots, small against a lattice,
+    /// and recounts the parent's trials into what a fresh build of the
+    /// version counts — an empty delta's empty ball included. The root has
+    /// no ball.
+    #[test]
+    fn a_version_recounts_its_parents_trials_from_its_ball() {
+        let query = sgc_query::catalog::cycle(4);
+        let mut versions = VersionedGraph::new(&grid(12));
+        let root = versions.root();
+        assert!(versions.ball(root, 4).unwrap().is_none());
+        assert!(versions.ball(VersionId::from_u64(7), 4).is_err());
+        let estimate = |engine: &Engine<'_>| {
+            let request = engine.count(&query).seed(3).trials(6);
+            request.estimate().unwrap().per_trial
+        };
+        let mut parent = estimate(&versions.data_at(root).unwrap());
+        for delta in [
+            EdgeDelta::new(vec![(0, 13), (40, 53)], vec![(0, 1)]).unwrap(),
+            EdgeDelta::new(vec![], vec![]).unwrap(),
+        ] {
+            let version = versions.apply_to_head(&delta).unwrap();
+            let ball = versions.ball(version, 4).unwrap().expect("not the root");
+            let graph_edges = versions.snapshot(version).unwrap().num_edges();
+            assert!(
+                ball.pays_off(graph_edges),
+                "{} ball edges",
+                ball.num_edges()
+            );
+            let engine = versions.data_at(version).unwrap();
+            let request = engine.count(&query).seed(3).trials(6);
+            let recounted = request
+                .recount(&parent, &ball)
+                .estimate()
+                .unwrap()
+                .per_trial;
+            let fresh = estimate(&Engine::new(&engine.graph().clone()));
+            assert_eq!(recounted, fresh);
+            parent = recounted;
+        }
     }
 }

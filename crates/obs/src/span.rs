@@ -60,8 +60,10 @@ pub enum Stage {
     /// Applying one edge-delta batch to the versioned graph store (segment
     /// rebuild + version-chain bookkeeping).
     DeltaApply,
-    /// Replaying one clean shard's cached partial table during a
-    /// delta-aware incremental recount (instead of re-solving the block).
+    /// Retired: replaying a cached shard partial in the deleted per-shard
+    /// recount of a graph version (a version's trials now recount the ball
+    /// around its delta, on the kernel). Nothing records it; the stage stays
+    /// because the exposition name set is append-only.
     DpRecountReplay,
 }
 

@@ -24,7 +24,7 @@ use crate::treewidth::treewidth_at_most_two;
 use std::collections::BTreeMap;
 
 /// A fully constructed decomposition tree for a query graph.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecompositionTree {
     /// The query this tree decomposes.
     pub query: QueryGraph,

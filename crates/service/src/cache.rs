@@ -19,6 +19,7 @@
 
 use crate::error::ServiceError;
 use crate::job::{CountJob, JobOutput, JobState};
+use sgc_core::prelude::Count;
 use sgc_query::{canonical_key, CanonicalQueryKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,6 +200,16 @@ impl ResultCache {
             }
         }
         waiters
+    }
+
+    /// The per-trial counts of the completed entry under `key`, if there is
+    /// one: what a job at a child version recounts from. Does not refresh
+    /// the entry's recency.
+    pub(crate) fn per_trial(&self, key: &JobKey) -> Option<Vec<Count>> {
+        match self.lock().get(key)? {
+            Slot::Ready { output, .. } => Some(output.estimate.per_trial.clone()),
+            Slot::InFlight(_) => None,
+        }
     }
 
     /// Completed entries evicted so far to honor the capacity bound.

@@ -91,7 +91,6 @@ impl From<sgc_dyn::DynError> for ServiceError {
             sgc_dyn::DynError::Delta(d) => ServiceError::Delta {
                 reason: d.to_string(),
             },
-            sgc_dyn::DynError::Count(c) => ServiceError::Count(c),
         }
     }
 }

@@ -11,10 +11,11 @@
 //!   worker,
 //! * **adaptive scheduling** — each job's trials run in fixed-size chunks
 //!   through an engine's incremental
-//!   [`TrialStream`](sgc_core::TrialStream): the bound graph's
-//!   engine for a plain job, the version's engine — sharded, retaining its
-//!   partials in the service's [`PartialStore`] — for a job pinned to a
-//!   graph version. After every chunk the job's confidence interval is
+//!   [`TrialStream`](sgc_core::TrialStream): on the bound graph's
+//!   engine for a plain job; for a job pinned to a graph version, every
+//!   trial its parent version's identical job ran is recounted from the
+//!   ball around the version's delta and any other runs, sharded, on the
+//!   version's engine. After every chunk the job's confidence interval is
 //!   checked against its [`Precision`](crate::job::Precision) target and the
 //!   job stops as soon as the target is met (or the budget runs out). One
 //!   loop serves every job: solo, batch member, versioned, watch emission,
@@ -29,8 +30,9 @@ use crate::job::{
 };
 use crate::metrics::{Counters, ServiceMetrics};
 use sgc_core::estimator::summarize_trials;
-use sgc_core::{Engine, SgcError};
-use sgc_dyn::{PartialStore, VersionId, VersionedGraph};
+use sgc_core::prelude::Count;
+use sgc_core::{DeltaBall, Engine, SgcError};
+use sgc_dyn::{VersionId, VersionedGraph};
 use sgc_graph::{CsrGraph, EdgeDelta};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,13 +65,10 @@ pub struct ServiceConfig {
     /// is LRU-bounded; evictions are counted in
     /// [`ServiceMetrics::cache_evictions`]. Clamped to at least 1.
     pub cache_capacity: usize,
-    /// Shard count versioned jobs (`submit_at` / `watch`) run with — also
-    /// the granularity of delta-aware partial replay. Clamped to at
-    /// least 1.
+    /// Shard count the whole-graph trials of versioned jobs (`submit_at` /
+    /// `watch`) run with; a trial recounted from its delta's ball runs
+    /// unsharded. Clamped to at least 1.
     pub dyn_shards: usize,
-    /// Approximate byte budget of the per-trial partial-sum store backing
-    /// incremental recounts.
-    pub partial_store_bytes: usize,
 }
 
 impl Default for ServiceConfig {
@@ -83,7 +82,6 @@ impl Default for ServiceConfig {
             obs: true,
             cache_capacity: 256,
             dyn_shards: 4,
-            partial_store_bytes: sgc_dyn::DEFAULT_STORE_CAPACITY_BYTES,
         }
     }
 }
@@ -98,7 +96,7 @@ struct QueueEntry {
     job: CountJob,
     state: Arc<JobState>,
     /// `None` for a plain job, which counts on the bound graph; `Some` for a
-    /// job that counts on that version, replaying retained partials.
+    /// job that counts on that version, recounting from its parent's.
     version: Option<VersionId>,
 }
 
@@ -161,8 +159,6 @@ struct Shared {
     /// trials without it; `apply_delta` takes the write lock, so mutation
     /// never waits for a job.
     dynamic: RwLock<VersionedGraph>,
-    /// Per-trial, per-shard partial sums backing incremental recounts.
-    partials: PartialStore,
     watchers: Mutex<Vec<Watcher>>,
     watch_ids: AtomicU64,
 }
@@ -215,7 +211,6 @@ impl Service {
             counters: Counters::default(),
             traces: sgc_obs::TraceLog::new(TRACE_LOG_CAPACITY),
             dynamic: RwLock::new(dynamic),
-            partials: PartialStore::new(config.partial_store_bytes),
             watchers: Mutex::new(Vec::new()),
             watch_ids: AtomicU64::new(0),
         });
@@ -541,10 +536,11 @@ impl Service {
 
     /// Submits a job pinned to graph version `version` (see
     /// [`apply_delta`](Service::apply_delta)). Admission follows
-    /// [`submit`](Service::submit); the job counts incrementally — shards
-    /// the version's delta cannot have touched replay their retained partial
-    /// sums — and its output is bit-identical to a from-scratch run on the
-    /// version's materialized graph.
+    /// [`submit`](Service::submit); the job counts incrementally — every
+    /// trial the same job ran at the version's parent, and left in the
+    /// result cache, is that count corrected by a recount of the small ball
+    /// the version's delta touched — and its output is bit-identical to a
+    /// from-scratch run on the version's materialized graph.
     ///
     /// The version is resolved when the job runs, not at admission: an
     /// unknown version reports [`ServiceError::UnknownVersion`] through the
@@ -582,9 +578,9 @@ impl Service {
     /// Registers a live watch: `callback` receives an initial estimate
     /// chunk for `job` at the current head, on this thread, then a fresh
     /// version-tagged chunk every time [`apply_delta`](Service::apply_delta)
-    /// lands a new version. Re-counts replay the previous version's retained
-    /// partials, so a small delta re-emits after recomputing only its
-    /// invalidation ball.
+    /// lands a new version. A re-count starts from the previous emission's
+    /// per-trial counts, so a small delta re-emits after recounting only the
+    /// ball it touched.
     ///
     /// Every emission, the initial one included, is an ordinary job queued
     /// at its version and run by a worker; all of a subscription's emissions
@@ -948,13 +944,12 @@ fn finish_compute(
 /// cancellation never interrupts a chunk mid-trial, so the trials that did
 /// run keep the seed+i contract).
 ///
-/// The job kind only picks the stream's engine, shards and retention: a
-/// plain job counts on the bound graph's engine, unsharded, retaining
-/// nothing; a versioned job on its version's engine, over the service's
-/// `dyn_shards`, replaying and retaining partials through the
-/// [`PartialStore`] seen from its version ([`PartialStore::at`], whose
-/// requests run on that version's engine). The version is resolved once,
-/// under a short read lock; no lock is held while trials run.
+/// The job kind only picks the stream's engine, shards and recount: a plain
+/// job counts on the bound graph's engine, unsharded; a versioned job
+/// recounts from its parent ([`recount_from`]) and counts any other trial on
+/// its version's engine, over the service's `dyn_shards`. The version is
+/// resolved once, under a short read lock; no lock is held while trials
+/// run.
 ///
 /// Every output and every progress update is [`summarize_trials`] over the
 /// stream's counts — bit-identical to a fixed-budget engine run of exactly
@@ -965,17 +960,28 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
     if state.is_cancelled() {
         return Err(ServiceError::Cancelled);
     }
-    let mut at = match entry.version {
-        None => None,
+    let (engine, recount) = match entry.version {
+        None => (Arc::clone(&shared.engine), None),
         Some(version) => {
             let versions = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
-            Some(shared.partials.at(&versions, version)?)
+            let recount = recount_from(shared, &versions, version, job)?;
+            // A job whose every trial recounts the ball never needs the
+            // version's whole graph, so it does not bind it: the root's
+            // engine lends the request its plan cache and arenas.
+            let engine = match &recount {
+                Some((parent, _)) if parent.len() >= job.budget => Arc::clone(&shared.engine),
+                _ => versions.data_at(version)?,
+            };
+            (engine, recount)
         }
     };
-    let request = match &mut at {
-        None => shared.engine.count(&job.query),
-        Some(at) => at.count(&job.query).sharded(shared.dyn_shards),
-    };
+    let mut request = engine.count(&job.query);
+    if entry.version.is_some() {
+        request = request.sharded(shared.dyn_shards);
+    }
+    if let Some((parent, ball)) = &recount {
+        request = request.recount(parent, ball);
+    }
     // Nothing here reads per-rank load, so one simulated rank: the kernel
     // then skips the owner lookup it attributes every row's work with.
     let mut stream = request
@@ -1024,6 +1030,33 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
         stop,
         from_cache: false,
     })
+}
+
+/// What a job at `version` recounts from: the per-trial counts its
+/// identical job left in the result cache at the parent version, and the
+/// ball around the delta between the two. `None` — count every trial on the
+/// whole graph — for the root, when the parent's job has no completed entry
+/// (never run, evicted or still in flight), or when the ball does not pay
+/// off against the version's graph ([`DeltaBall::pays_off`]).
+fn recount_from(
+    shared: &Shared,
+    versions: &VersionedGraph,
+    version: VersionId,
+    job: &CountJob,
+) -> Result<Option<(Vec<Count>, DeltaBall)>, ServiceError> {
+    let parent = versions
+        .parent(version)
+        .and_then(|parent| shared.cache.per_trial(&JobKey::new(parent.as_u64(), job)));
+    let Some(parent) = parent else {
+        return Ok(None);
+    };
+    let Some(ball) = versions.ball(version, job.query.num_nodes())? else {
+        return Ok(None);
+    };
+    let graph = versions
+        .snapshot(version)
+        .expect("a version with a ball is in the chain");
+    Ok(ball.pays_off(graph.num_edges()).then_some((parent, ball)))
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
-//! Dynamic-graph suite: versioned snapshots, delta-aware incremental
-//! recount, and live watch subscriptions.
+//! Dynamic-graph suite: versioned snapshots, the delta ball recount, and
+//! live watch subscriptions.
 //!
 //! The one hard contract under test is **bit-identity**: counting at a
-//! version — whether from scratch, replayed from the partial store, or
-//! recounted incrementally from a parent version's partials — returns
-//! per-trial counts bit-for-bit equal to a from-scratch run of the engine
-//! on a *freshly built* graph with the same edge list. It is checked three
-//! ways:
+//! version — whether from scratch or recounted from the parent version's
+//! per-trial counts and the ball around the delta — returns per-trial
+//! counts bit-for-bit equal to a from-scratch run of the engine on a
+//! *freshly built* graph with the same edge list. It is checked three ways:
 //!
 //! * differentially under proptest: random delta batches over ER/Chung-Lu
 //!   graphs × registry queries × shard counts {1, 4},
@@ -19,7 +18,8 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use subgraph_counting::core::{Algorithm, Engine, Estimate};
-use subgraph_counting::dynamic::{PartialStore, VersionedGraph};
+use subgraph_counting::dynamic::VersionedGraph;
+use subgraph_counting::engine::Count;
 use subgraph_counting::gen::{chung_lu, gnm, power_law_degrees};
 use subgraph_counting::graph::{CsrGraph, EdgeDelta, GraphBuilder};
 use subgraph_counting::net::{Client, Server, ServerConfig};
@@ -99,27 +99,29 @@ fn random_delta(graph: &CsrGraph, seed: u64, max_inserts: usize, max_deletes: us
 }
 
 /// DB trials `0..trials` of `query` at `version` through the engine bound to
-/// it, over `shards` shards, replaying and keeping partials in `store`.
+/// it, over `shards` shards. With `parent` — the same request's counts at
+/// the version's parent — each trial it holds is recounted from the ball
+/// around the version's delta, however large that ball is.
 fn count_at(
     versions: &VersionedGraph,
-    store: &PartialStore,
     version: VersionId,
     query: &QueryGraph,
-    seed: u64,
-    trials: usize,
-    shards: usize,
+    (seed, trials, shards): (u64, usize, usize),
+    parent: Option<&[Count]>,
 ) -> Estimate {
-    store
-        .at(versions, version)
-        .unwrap()
+    let engine = versions.data_at(version).unwrap();
+    let ball = versions.ball(version, query.num_nodes()).unwrap();
+    let mut request = engine
         .count(query)
         .algorithm(Algorithm::DegreeBased)
         .seed(seed)
         .trials(trials)
         .parallel(false)
-        .sharded(shards)
-        .estimate()
-        .unwrap()
+        .sharded(shards);
+    if let (Some(parent), Some(ball)) = (parent, &ball) {
+        request = request.recount(parent, ball);
+    }
+    request.estimate().unwrap()
 }
 
 /// The first `count` vertex pairs absent from `graph`, in lexicographic
@@ -142,16 +144,19 @@ fn absent_edges(graph: &CsrGraph, count: usize) -> Vec<(u32, u32)> {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property: incremental ≡ store replay ≡ scratch ≡ fresh build.
+// Differential property: ball recount ≡ scratch ≡ fresh build.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random delta batches over ER/Chung-Lu graphs × registry queries ×
-    /// shard counts {1, 4}: the incremental recount (parent partials in
-    /// store), a pure-scratch run (empty store), and the engine on a fresh
-    /// build of the new edge list all agree bit-for-bit, trial by trial.
+    /// The identity `count(G′) = count(G) − count(G[B]) + count(G′[B])`
+    /// itself, over random delta batches on ER/Chung-Lu graphs × registry
+    /// queries × shard counts {1, 4}: the recount from the root's per-trial
+    /// counts (its ball anything from a sliver to the whole graph, and one
+    /// trial past the root's counted on the whole graph), a scratch run, and
+    /// the engine on a fresh build of the new edge list all agree
+    /// bit-for-bit, trial by trial.
     #[test]
     fn incremental_recount_is_bit_identical_differentially(
         family in 0u8..2,
@@ -160,7 +165,7 @@ proptest! {
         shard_sel in 0u8..2,
     ) {
         let shards = if shard_sel == 0 { 1usize } else { 4 };
-        let n = 12 + (graph_seed as usize % 8);
+        let n = 12 + (graph_seed as usize % 32);
         let graph = generated_graph(family, n, graph_seed);
         let queries = registry_queries();
         let (_, query) = &queries[query_idx % queries.len()];
@@ -168,11 +173,8 @@ proptest! {
         let trials = 3;
 
         let mut versions = VersionedGraph::new(&graph);
-        let store = PartialStore::default();
         let root = versions.root();
-        // Populate the store at the root so the post-delta run has parent
-        // partials to recount from.
-        count_at(&versions, &store, root, query, seed, trials, shards);
+        let parent = count_at(&versions, root, query, (seed, trials - 1, shards), None);
 
         let delta = random_delta(&graph, graph_seed ^ 0x9e37_79b9, 3, 2);
         if delta.is_empty() {
@@ -181,14 +183,14 @@ proptest! {
         }
         let v1 = versions.apply_to_head(&delta).unwrap();
 
-        let hits = store.stats().hits;
-        let incremental = count_at(&versions, &store, v1, query, seed, trials, shards);
-        prop_assert_eq!(store.stats().hits - hits, trials as u64);
-
-        // Scratch on an empty store (no replay possible).
-        let empty = PartialStore::default();
-        let scratch = count_at(&versions, &empty, v1, query, seed, trials, shards);
-        prop_assert_eq!(empty.stats().hits, 0);
+        let incremental = count_at(
+            &versions,
+            v1,
+            query,
+            (seed, trials, shards),
+            Some(&parent.per_trial),
+        );
+        let scratch = count_at(&versions, v1, query, (seed, trials, shards), None);
         prop_assert_eq!(&incremental.per_trial, &scratch.per_trial);
 
         // The engine on a freshly built graph with the same edge list.
@@ -237,14 +239,17 @@ fn chain_scenario() -> (CsrGraph, Vec<EdgeDelta>, Vec<(String, QueryGraph)>) {
 fn chain_rows() -> Vec<String> {
     let (graph, deltas, queries) = chain_scenario();
     let mut versions = VersionedGraph::new(&graph);
-    let store = PartialStore::default();
     let mut version = versions.root();
     let mut rows = Vec::new();
+    // Each query's counts at the previous version: none at the root, which
+    // the chain never counts.
+    let mut parents: Vec<Option<Vec<Count>>> = vec![None; queries.len()];
     for (step, delta) in deltas.iter().enumerate() {
         version = versions.apply_delta(version, delta).unwrap();
         let data = versions.data_at(version).unwrap();
-        for (name, query) in &queries {
-            let estimate = count_at(&versions, &store, version, query, 11, 4, 4);
+        for ((name, query), parent) in queries.iter().zip(&mut parents) {
+            let estimate = count_at(&versions, version, query, (11, 4, 4), parent.as_deref());
+            *parent = Some(estimate.per_trial.clone());
             let counts: Vec<String> = estimate.per_trial.iter().map(|c| c.to_string()).collect();
             rows.push(format!(
                 "{}\t{}\t{}\t{}",
@@ -286,9 +291,8 @@ fn delta_chain_matches_golden_fixture_and_fresh_build() {
         version = versions.apply_delta(version, delta).unwrap();
     }
     let fresh = rebuild(versions.data_at(version).unwrap().graph());
-    let store = PartialStore::default();
     for (_, query) in &queries {
-        let estimate = count_at(&versions, &store, version, query, 11, 4, 4);
+        let estimate = count_at(&versions, version, query, (11, 4, 4), None);
         let reference = Engine::new(&fresh)
             .count(query)
             .seed(11)

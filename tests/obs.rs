@@ -139,12 +139,15 @@ fn versioned_trials_publish_their_run_metrics() {
     assert_eq!(runs() - before, 4, "one published run per versioned trial");
 }
 
-/// A versioned service job replays the partials its parent version kept:
-/// after a corner delta on a grid, `count_at` the child runs clean shards
-/// through the `dp.recount.replay` span, and still counts exactly what a
-/// fresh build of the child's edge list counts.
+/// A versioned service job counts the change, not the graph: after a corner
+/// delta on a grid, `count_at` the child recounts each trial its parent ran
+/// from the small ball around the delta — a sliver of the DP operations a
+/// from-scratch count of the child takes, without binding the child's graph
+/// — and still counts exactly what a fresh build of the child's edge list
+/// counts. Read off the process-wide registry and `bind` stage, so they see
+/// the worker threads.
 #[test]
-fn versioned_jobs_replay_their_parents_partials() {
+fn versioned_jobs_recount_only_the_ball_around_their_delta() {
     let _serial = serial();
     let side = 24u32;
     let mut b = GraphBuilder::new((side * side) as usize);
@@ -160,17 +163,29 @@ fn versioned_jobs_replay_their_parents_partials() {
     }
     let graph = b.build();
     let service = Service::new(Arc::new(graph.clone()));
-    let job = || CountJob::new(catalog::triangle()).seed(5).budget(4);
-    service.count_at(service.root_version(), job()).unwrap();
+    let job = |seed| CountJob::new(catalog::triangle()).seed(seed).budget(4);
+    service.count_at(service.root_version(), job(5)).unwrap();
     // Close the top-left unit square's diagonal.
     let corner = (0, side + 1);
     let v1 = service
         .apply_delta(&EdgeDelta::new(vec![corner], vec![]).unwrap())
         .unwrap();
-    let replays = || Stage::DpRecountReplay.histogram().snapshot().count;
-    let before = replays();
-    let output = service.count_at(v1, job()).unwrap();
-    assert!(replays() > before, "the versioned job solved every shard");
+    let ops = || global().get("engine_total_ops").unwrap_or(0);
+    let binds = || Stage::Bind.histogram().snapshot().count;
+    let (ops_before, binds_before) = (ops(), binds());
+    let output = service.count_at(v1, job(5)).unwrap();
+    let recount_ops = ops() - ops_before;
+    assert_eq!(binds(), binds_before, "the recount bound the child's graph");
+    // The same job under another seed has no parent counts at the root: it
+    // binds the child and counts it whole.
+    let ops_before = ops();
+    service.count_at(v1, job(6)).unwrap();
+    let scratch_ops = ops() - ops_before;
+    assert_eq!(binds(), binds_before + 1);
+    assert!(
+        recount_ops > 0 && 20 * recount_ops < scratch_ops,
+        "recount {recount_ops} ops, scratch {scratch_ops}"
+    );
 
     let mut fresh = GraphBuilder::new(graph.num_vertices());
     fresh.extend_edges(graph.edges());
