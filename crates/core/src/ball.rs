@@ -30,7 +30,7 @@
 //! A [`DeltaBall`] reaches a request through
 //! [`CountRequest::recount`](crate::CountRequest::recount), together with the
 //! parent graph's per-trial counts; `sgc-dyn` builds the ball of a graph
-//! version from its parent's snapshot.
+//! version from an ancestor's snapshot, around every edge changed since.
 
 use crate::context::GraphPrep;
 use crate::driver::CountResult;

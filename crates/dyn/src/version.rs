@@ -1,7 +1,7 @@
 //! The version chain: snapshot lineage with fingerprint-⊕-digest ids.
 
 use sgc_core::{DeltaBall, Engine};
-use sgc_graph::{CsrGraph, DeltaError, EdgeDelta, SegmentedSnapshot};
+use sgc_graph::{CsrGraph, DeltaError, EdgeDelta, SegmentedSnapshot, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -62,6 +62,67 @@ struct VersionEntry {
     engine: OnceLock<Arc<Engine<'static>>>,
 }
 
+/// `entry`'s engine, bound on first use: the root's from its own snapshot,
+/// any other version's as a [`rebind`](Engine::rebind) of the root's.
+fn bound(entry: &VersionEntry, root: &VersionEntry) -> Arc<Engine<'static>> {
+    Arc::clone(entry.engine.get_or_init(|| {
+        let graph = Arc::new(entry.snapshot.materialize());
+        Arc::new(match entry.parent {
+            None => Engine::from_shared(graph),
+            Some(_) => bound(root, root).rebind(graph),
+        })
+    }))
+}
+
+/// One version, detached from its chain: its snapshot and its (lazily
+/// bound) engine, usable after the chain — or the lock a caller keeps it
+/// under — is released. Cloning shares everything.
+#[derive(Clone)]
+pub struct Version {
+    entry: Arc<VersionEntry>,
+    root: Arc<VersionEntry>,
+}
+
+impl Version {
+    /// The version's copy-on-write snapshot.
+    pub fn snapshot(&self) -> &SegmentedSnapshot {
+        &self.entry.snapshot
+    }
+
+    /// The engine bound to the version's materialized graph, built on first
+    /// use (under the `bind` span) and shared by every handle and by
+    /// [`VersionedGraph::data_at`].
+    pub fn engine(&self) -> Arc<Engine<'static>> {
+        bound(&self.entry, &self.root)
+    }
+}
+
+/// The way down the chain from an ancestor to one of its descendants: both
+/// snapshots and every edge a delta changed on the way, detached from the
+/// chain like [`Version`].
+pub struct Descent {
+    ancestor: Arc<VersionEntry>,
+    version: Arc<VersionEntry>,
+    changed: Vec<(VertexId, VertexId)>,
+}
+
+impl Descent {
+    /// The ball a trial at the descendant recounts from its count at the
+    /// ancestor, for a `query_nodes`-node query: the one around every edge
+    /// changed on the way, induced in both snapshots (see [`DeltaBall`]).
+    /// An edge flipped and flipped back is in it too, which only widens
+    /// the ball; the ball identity holds for any superset of the edges
+    /// that differ.
+    pub fn ball(&self, query_nodes: usize) -> DeltaBall {
+        DeltaBall::new(
+            |v| self.ancestor.snapshot.neighbors(v),
+            |v| self.version.snapshot.neighbors(v),
+            self.changed.iter().copied(),
+            query_nodes,
+        )
+    }
+}
+
 /// Errors from the versioned store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DynError {
@@ -94,8 +155,9 @@ impl From<DeltaError> for DynError {
 /// The store owns one [`SegmentedSnapshot`] per version; siblings and
 /// ancestors share every CSR segment a delta did not touch, so holding many
 /// versions of a large graph costs far less than many full copies. A trial
-/// its parent ran is recounted from the version's [`ball`](VersionedGraph::ball),
-/// read off the snapshots; any other trial counts through an [`Engine`]
+/// an ancestor ran is recounted from the [`ball`](VersionedGraph::ball)
+/// around the edges changed since, read off the two snapshots; any other
+/// trial counts through an [`Engine`]
 /// bound to the version's materialized graph
 /// ([`data_at`](VersionedGraph::data_at)): built lazily, memoized per
 /// version, and rebound from the root's engine, whose plan cache and arena
@@ -120,7 +182,7 @@ impl From<DeltaError> for DynError {
 pub struct VersionedGraph {
     root: VersionId,
     head: VersionId,
-    versions: HashMap<VersionId, VersionEntry>,
+    versions: HashMap<VersionId, Arc<VersionEntry>>,
 }
 
 impl VersionedGraph {
@@ -132,12 +194,12 @@ impl VersionedGraph {
         let mut versions = HashMap::new();
         versions.insert(
             root,
-            VersionEntry {
+            Arc::new(VersionEntry {
                 snapshot: SegmentedSnapshot::new(graph),
                 parent: None,
                 delta: None,
                 engine: OnceLock::new(),
-            },
+            }),
         );
         VersionedGraph {
             root,
@@ -226,12 +288,12 @@ impl VersionedGraph {
             let snapshot = entry.snapshot.apply(delta)?;
             self.versions.insert(
                 child,
-                VersionEntry {
+                Arc::new(VersionEntry {
                     snapshot,
                     parent: Some(parent),
                     delta: Some(delta.clone()),
                     engine: OnceLock::new(),
-                },
+                }),
             );
         }
         if parent == self.head {
@@ -245,6 +307,21 @@ impl VersionedGraph {
         self.apply_delta(self.head, delta)
     }
 
+    /// `version`, detached from the chain (two reference-count bumps).
+    ///
+    /// # Errors
+    /// [`DynError::UnknownVersion`] when `version` is not in the store.
+    pub fn version(&self, version: VersionId) -> Result<Version, DynError> {
+        let entry = self
+            .versions
+            .get(&version)
+            .ok_or(DynError::UnknownVersion(version))?;
+        Ok(Version {
+            entry: Arc::clone(entry),
+            root: Arc::clone(&self.versions[&self.root]),
+        })
+    }
+
     /// The engine bound to `version`'s materialized graph, built on first
     /// use and shared afterwards. The root's is the one
     /// [`from_engine`](VersionedGraph::from_engine) supplied, or else bound
@@ -254,49 +331,58 @@ impl VersionedGraph {
     /// # Errors
     /// [`DynError::UnknownVersion`] when `version` is not in the store.
     pub fn data_at(&self, version: VersionId) -> Result<Arc<Engine<'static>>, DynError> {
+        Ok(self.version(version)?.engine())
+    }
+
+    /// The way down from `ancestor` to `version`: `None` when `ancestor` is
+    /// neither `version` nor one of its ancestors. Collects the changed
+    /// edges of every delta on the way; builds nothing.
+    ///
+    /// # Errors
+    /// [`DynError::UnknownVersion`] when `version` is not in the store.
+    pub fn descent(
+        &self,
+        version: VersionId,
+        ancestor: VersionId,
+    ) -> Result<Option<Descent>, DynError> {
         let entry = self
             .versions
             .get(&version)
             .ok_or(DynError::UnknownVersion(version))?;
-        Ok(Arc::clone(entry.engine.get_or_init(|| {
-            let graph = Arc::new(entry.snapshot.materialize());
-            Arc::new(match entry.parent {
-                None => Engine::from_shared(graph),
-                Some(_) => {
-                    let root = self.data_at(self.root);
-                    root.expect("the root is in every chain").rebind(graph)
-                }
-            })
-        })))
+        let mut changed = Vec::new();
+        let mut at = version;
+        while at != ancestor {
+            let step = &self.versions[&at];
+            let (Some(parent), Some(delta)) = (step.parent, &step.delta) else {
+                return Ok(None);
+            };
+            changed.extend(delta.changed_edges());
+            at = parent;
+        }
+        Ok(Some(Descent {
+            ancestor: Arc::clone(&self.versions[&ancestor]),
+            version: Arc::clone(entry),
+            changed,
+        }))
     }
 
-    /// The ball a trial at `version` recounts instead of the whole graph,
-    /// for a `query_nodes`-node query: the one around the edges the
-    /// parent → `version` delta changed, induced in both snapshots
-    /// (see [`DeltaBall`]). `None` for the root, which has no parent. Binds
-    /// no engine: the ball is read off the copy-on-write snapshots.
+    /// The ball a trial at `version` recounts from its count at `ancestor`,
+    /// for a `query_nodes`-node query: [`Descent::ball`] of the
+    /// [`descent`](VersionedGraph::descent) between them, so `None` when
+    /// `ancestor` is not on `version`'s chain. Binds no engine: the ball is
+    /// read off the copy-on-write snapshots.
     ///
     /// # Errors
     /// [`DynError::UnknownVersion`] when `version` is not in the store.
     pub fn ball(
         &self,
         version: VersionId,
+        ancestor: VersionId,
         query_nodes: usize,
     ) -> Result<Option<DeltaBall>, DynError> {
-        let entry = self
-            .versions
-            .get(&version)
-            .ok_or(DynError::UnknownVersion(version))?;
-        let (Some(parent), Some(delta)) = (entry.parent, &entry.delta) else {
-            return Ok(None);
-        };
-        let before = &self.versions[&parent].snapshot;
-        Ok(Some(DeltaBall::new(
-            |v| before.neighbors(v),
-            |v| entry.snapshot.neighbors(v),
-            delta.changed_edges(),
-            query_nodes,
-        )))
+        Ok(self
+            .descent(version, ancestor)?
+            .map(|descent| descent.ball(query_nodes)))
     }
 }
 
@@ -465,28 +551,51 @@ mod tests {
         b.build()
     }
 
+    /// DB trials `0..6` of `query` on `engine`, seeded 3, recounted from
+    /// `parent` through `ball` when both are given.
+    fn trials(
+        engine: &Engine<'_>,
+        query: &sgc_query::QueryGraph,
+        recount: Option<(&[u64], &DeltaBall)>,
+    ) -> Vec<u64> {
+        let mut request = engine.count(query).seed(3).trials(6);
+        if let Some((parent, ball)) = recount {
+            request = request.recount(parent, ball);
+        }
+        request.estimate().unwrap().per_trial
+    }
+
+    /// What a fresh engine on a rebuild of `version`'s edge list counts.
+    fn fresh(
+        versions: &VersionedGraph,
+        version: VersionId,
+        query: &sgc_query::QueryGraph,
+    ) -> Vec<u64> {
+        let graph = versions.version(version).unwrap().snapshot().materialize();
+        trials(&Engine::new(&graph), query, None)
+    }
+
     /// A version's ball is read off the snapshots, small against a lattice,
     /// and recounts the parent's trials into what a fresh build of the
     /// version counts — an empty delta's empty ball included. The root has
-    /// no ball.
+    /// no ancestor to recount from.
     #[test]
     fn a_version_recounts_its_parents_trials_from_its_ball() {
         let query = sgc_query::catalog::cycle(4);
         let mut versions = VersionedGraph::new(&grid(12));
         let root = versions.root();
-        assert!(versions.ball(root, 4).unwrap().is_none());
-        assert!(versions.ball(VersionId::from_u64(7), 4).is_err());
-        let estimate = |engine: &Engine<'_>| {
-            let request = engine.count(&query).seed(3).trials(6);
-            request.estimate().unwrap().per_trial
-        };
-        let mut parent = estimate(&versions.data_at(root).unwrap());
+        let mut parent = trials(&versions.data_at(root).unwrap(), &query, None);
         for delta in [
             EdgeDelta::new(vec![(0, 13), (40, 53)], vec![(0, 1)]).unwrap(),
             EdgeDelta::new(vec![], vec![]).unwrap(),
         ] {
+            let from = versions.head();
             let version = versions.apply_to_head(&delta).unwrap();
-            let ball = versions.ball(version, 4).unwrap().expect("not the root");
+            assert!(versions.ball(from, version, 4).unwrap().is_none());
+            let ball = versions
+                .ball(version, from, 4)
+                .unwrap()
+                .expect("the parent");
             let graph_edges = versions.snapshot(version).unwrap().num_edges();
             assert!(
                 ball.pays_off(graph_edges),
@@ -494,15 +603,67 @@ mod tests {
                 ball.num_edges()
             );
             let engine = versions.data_at(version).unwrap();
-            let request = engine.count(&query).seed(3).trials(6);
-            let recounted = request
-                .recount(&parent, &ball)
-                .estimate()
-                .unwrap()
-                .per_trial;
-            let fresh = estimate(&Engine::new(&engine.graph().clone()));
-            assert_eq!(recounted, fresh);
+            let recounted = trials(&engine, &query, Some((&parent, &ball)));
+            assert_eq!(recounted, fresh(&versions, version, &query));
             parent = recounted;
         }
+        assert!(versions.ball(VersionId::from_u64(7), root, 4).is_err());
+    }
+
+    /// Down a three-delta chain, the ball around every edge changed since
+    /// an ancestor recounts that ancestor's trials into the head's: from
+    /// the parent, the grandparent and the root alike. None of it binds
+    /// the head.
+    #[test]
+    fn a_version_recounts_from_any_ancestors_counts() {
+        let query = sgc_query::catalog::cycle(4);
+        let mut versions = VersionedGraph::new(&grid(12));
+        let mut chain = vec![versions.root()];
+        for delta in [
+            EdgeDelta::new(vec![(0, 13)], vec![(0, 1)]).unwrap(),
+            EdgeDelta::new(vec![(50, 63), (100, 113)], vec![]).unwrap(),
+            EdgeDelta::new(vec![(0, 1)], vec![(50, 51)]).unwrap(),
+        ] {
+            chain.push(versions.apply_to_head(&delta).unwrap());
+        }
+        let head = versions.head();
+        let want = fresh(&versions, head, &query);
+        let root_engine = versions.data_at(versions.root()).unwrap();
+        for &ancestor in &chain[..3] {
+            let counts = fresh(&versions, ancestor, &query);
+            let ball = versions.ball(head, ancestor, 4).unwrap().unwrap();
+            assert_eq!(trials(&root_engine, &query, Some((&counts, &ball))), want);
+        }
+        // The head's own descent is empty: its ball recounts nothing.
+        let ball = versions.ball(head, head, 4).unwrap().unwrap();
+        assert_eq!(ball.num_vertices(), 0);
+    }
+
+    /// An edge inserted and then deleted leaves the grandparent's graph
+    /// under a new id: the ball around it recounts the grandparent's
+    /// trials into exactly those trials, which a fresh build agrees with.
+    #[test]
+    fn an_edge_flipped_and_flipped_back_recounts_to_the_grandparents_counts() {
+        let query = sgc_query::catalog::cycle(4);
+        let mut versions = VersionedGraph::new(&grid(12));
+        let root = versions.root();
+        let edge = (0, 13);
+        versions
+            .apply_to_head(&EdgeDelta::new(vec![edge], vec![]).unwrap())
+            .unwrap();
+        let back = versions
+            .apply_to_head(&EdgeDelta::new(vec![], vec![edge]).unwrap())
+            .unwrap();
+        assert_ne!(back, root);
+        let counts = fresh(&versions, root, &query);
+        let ball = versions.ball(back, root, 4).unwrap().unwrap();
+        assert!(ball.num_vertices() > 0, "the flipped edge is in the ball");
+        let recounted = trials(
+            &versions.data_at(root).unwrap(),
+            &query,
+            Some((&counts, &ball)),
+        );
+        assert_eq!(recounted, counts);
+        assert_eq!(recounted, fresh(&versions, back, &query));
     }
 }

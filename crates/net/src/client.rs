@@ -301,9 +301,11 @@ impl Client {
     }
 
     /// Applies one batch of edge inserts and deletes to the server's graph,
-    /// returning the new version id. Every live watch subscription on the
-    /// server re-emits its estimate for the new version before this call's
-    /// `delta-ok` acknowledgement is written.
+    /// returning the new version id. The server acknowledges once every
+    /// live watch subscription's re-emission is scheduled: the watch
+    /// streams deliver it afterwards, so this call returns without waiting
+    /// for any watcher, and a watch whose previous emission was still
+    /// running skips to the newest version.
     ///
     /// Use a dedicated connection for mutations when this client also holds
     /// a [`watch`](CountBuilder::watch) stream — the stream owns the
@@ -312,9 +314,7 @@ impl Client {
     /// # Errors
     /// [`ClientError::Remote`] with a `delta` frame when the batch is
     /// rejected (self-loop, duplicate edge, vertex out of range, inserting
-    /// an existing edge, deleting a missing one), with a retryable
-    /// `queue-full` frame when the server's queue cannot take the
-    /// re-emissions (nothing was applied), plus transport failures.
+    /// an existing edge, deleting a missing one), plus transport failures.
     pub fn apply_delta(
         &mut self,
         inserts: &[(u32, u32)],
@@ -485,10 +485,12 @@ impl<'a> CountBuilder<'a> {
 
     /// Subscribes to live re-estimation: the server runs the job once at
     /// the current graph version (the stream's first item, emitted
-    /// immediately) and again at every version a later `delta` creates,
-    /// streaming one version-tagged [`WatchFrame`] per run. The stream
-    /// blocks between versions; call [`WatchStream::cancel`] (or drop the
-    /// connection) to unsubscribe.
+    /// immediately) and again after every later `delta`, streaming one
+    /// version-tagged [`WatchFrame`] per run, in increasing version order.
+    /// When deltas land faster than the job counts, the server skips to the
+    /// newest version instead of queueing every one, so the stream may pass
+    /// over versions. The stream blocks between versions; call
+    /// [`WatchStream::cancel`] (or drop the connection) to unsubscribe.
     ///
     /// Apply deltas from a *different* connection — this one's incoming
     /// frames belong to the watch stream while it is live.

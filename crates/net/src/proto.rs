@@ -88,10 +88,10 @@ pub enum Request {
     /// [`Response::TraceOk`].
     Trace,
     /// Apply an edge delta to the server's head graph version; answered
-    /// with [`Response::DeltaOk`] carrying the new version id, after every
-    /// live watch re-emitted. Rejected deltas answer a `delta` error, and
-    /// deltas whose re-emissions the queue cannot take a `queue-full` one;
-    /// either leaves the graph unchanged.
+    /// with [`Response::DeltaOk`] carrying the new version id once every
+    /// live watch's re-emission is scheduled (the `watch-chunk` frames may
+    /// follow it). Rejected deltas answer a `delta` error and leave the
+    /// graph unchanged.
     Delta(DeltaSpec),
     /// Subscribe to a live count: the server answers one
     /// [`Response::WatchChunk`] at the current head immediately, then a
@@ -401,13 +401,15 @@ pub enum Response {
         report: String,
     },
     /// Acknowledges a `delta` request: the delta applied and every live
-    /// watch re-emitted at the new version.
+    /// watch's re-emission is scheduled (not yet delivered).
     DeltaOk {
         /// The new head version id.
         version: u64,
     },
     /// One version-tagged estimate chunk of a `watch` subscription: sent
-    /// once at registration (the current head) and once per applied delta.
+    /// once at registration (the current head), then once per applied
+    /// delta — or, when deltas land faster than the watch counts, once at
+    /// the newest version it was owed.
     WatchChunk(WatchFrame),
 }
 
@@ -910,6 +912,8 @@ impl Response {
                     trials_saved: r.u64()?,
                     jobs_cancelled: r.u64()?,
                     cache_evictions: r.u64()?,
+                    // Not on the wire: the exposition carries them.
+                    ..ServiceMetrics::default()
                 },
                 server: ServerStats {
                     connections_accepted: r.u64()?,
@@ -1090,6 +1094,7 @@ mod tests {
                 trials_saved: 100,
                 jobs_cancelled: 1,
                 cache_evictions: 2,
+                ..ServiceMetrics::default()
             },
             server: ServerStats {
                 connections_accepted: 3,

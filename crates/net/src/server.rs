@@ -778,12 +778,13 @@ fn start_count(conn: &Arc<Conn>, spec: CountSpec) -> Option<JoinHandle<()>> {
 }
 
 /// Applies one edge-delta batch to the service's versioned graph head and
-/// answers with the new version id. `apply_delta` queues one re-emission
-/// per live watch and returns only once each has been delivered, so by the
-/// time `delta-ok` is written every live watch on this server has already
-/// streamed its chunk for the new version. A delta whose re-emissions the
-/// queue cannot take is answered `queue-full` (retryable) and the head does
-/// not move.
+/// answers with the new version id. `apply_delta` returns once every live
+/// watch's re-emission is scheduled, without waiting for any: `delta-ok`
+/// may therefore reach this client before the version's `watch-chunk`
+/// frames reach their watchers, which worker threads write when the
+/// emissions complete. A watch whose previous emission is still running
+/// when the delta lands skips to the newest version once it is free. The
+/// queue never refuses a delta for its watchers.
 fn handle_delta(conn: &Arc<Conn>, spec: DeltaSpec) -> bool {
     let delta = match EdgeDelta::new(spec.inserts, spec.deletes) {
         Ok(delta) => delta,
@@ -809,10 +810,14 @@ fn handle_delta(conn: &Arc<Conn>, spec: DeltaSpec) -> bool {
     }
 }
 
-/// Registers a live watch subscription: the job re-runs at every new graph
-/// version and each result streams back as a `watch-chunk` frame tagged
+/// Registers a live watch subscription: the job re-runs at new graph
+/// versions and each result streams back as a `watch-chunk` frame tagged
 /// with the version that produced it. The initial emission (at the current
-/// head) is written before this returns; `cancel` with the same id
+/// head) is written before this returns, on the connection's reader
+/// thread; later ones are written by the service worker that completed
+/// them — in increasing version order, at the newest version when deltas
+/// outpace the watch — each write bounded by the connection's write
+/// timeout, like [`chunk_watcher`]'s. `cancel` with the same id
 /// unsubscribes.
 fn start_watch(conn: &Arc<Conn>, spec: CountSpec) {
     let Some(job) = build_job(conn, &spec) else {

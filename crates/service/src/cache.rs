@@ -51,6 +51,14 @@ impl JobKey {
                 .map(|p| (p.target.to_bits(), p.confidence.to_bits())),
         }
     }
+
+    /// The same job's key on another graph (version).
+    pub(crate) fn at(&self, graph_fingerprint: u64) -> Self {
+        JobKey {
+            graph_fingerprint,
+            ..self.clone()
+        }
+    }
 }
 
 /// A cache slot: either a computation in progress (with the handles of
@@ -228,15 +236,19 @@ impl ResultCache {
     /// Fails every in-flight waiter (used on shutdown after the workers
     /// have exited: nothing will complete those computations anymore).
     pub(crate) fn fail_in_flight(&self, error: ServiceError) {
-        let mut slots = self.lock();
-        for slot in slots.values_mut() {
-            if let Slot::InFlight(waiters) = slot {
-                for waiter in waiters.drain(..) {
-                    waiter.fulfill(Err(error.clone()));
-                }
+        let mut waiters = Vec::new();
+        self.lock().retain(|_, slot| match slot {
+            Slot::InFlight(joined) => {
+                waiters.append(joined);
+                false
             }
+            Slot::Ready { .. } => true,
+        });
+        // Fulfilled after the lock is released: a fulfilment may run a
+        // completion hook.
+        for waiter in waiters {
+            waiter.fulfill(Err(error.clone()));
         }
-        slots.retain(|_, slot| matches!(slot, Slot::Ready { .. }));
     }
 }
 

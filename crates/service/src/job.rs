@@ -286,6 +286,10 @@ pub struct JobOutput {
     pub from_cache: bool,
 }
 
+/// A completion hook: runs once, with the job's result, on whichever thread
+/// fulfils the job.
+pub(crate) type DoneFn = Box<dyn FnOnce(Result<JobOutput, ServiceError>) + Send>;
+
 /// Shared completion slot between a [`JobHandle`] and the worker pool.
 pub(crate) struct JobState {
     slot: Mutex<Option<Result<JobOutput, ServiceError>>>,
@@ -295,6 +299,8 @@ pub(crate) struct JobState {
     cancelled: AtomicBool,
     /// Optional per-chunk progress watcher, fixed at submission time.
     progress: Option<ProgressFn>,
+    /// Optional completion hook, taken by the fulfilment that wins the slot.
+    done: Mutex<Option<DoneFn>>,
 }
 
 impl JobState {
@@ -304,6 +310,15 @@ impl JobState {
             ready: Condvar::new(),
             cancelled: AtomicBool::new(false),
             progress,
+            done: Mutex::new(None),
+        }
+    }
+
+    /// A state whose fulfilment runs `done` (see [`fulfill`](JobState::fulfill)).
+    pub(crate) fn with_done(done: DoneFn) -> Self {
+        JobState {
+            done: Mutex::new(Some(done)),
+            ..JobState::with_progress(None)
         }
     }
 
@@ -326,12 +341,22 @@ impl JobState {
         self.progress.is_some()
     }
 
-    /// Fills the slot (first writer wins) and wakes every waiter.
+    /// Fills the slot (first writer wins) and wakes every waiter. The winner
+    /// then runs the completion hook, if any, on its own thread and with no
+    /// lock held: every caller fulfils only after releasing the service's
+    /// locks, and after the cache holds what the job computed.
     pub(crate) fn fulfill(&self, result: Result<JobOutput, ServiceError>) {
         let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(result);
-            self.ready.notify_all();
+        if slot.is_some() {
+            return;
+        }
+        let done = self.done.lock().unwrap_or_else(|p| p.into_inner()).take();
+        *slot = Some(result);
+        self.ready.notify_all();
+        if let Some(done) = done {
+            let result = slot.clone().expect("just filled");
+            drop(slot);
+            done(result);
         }
     }
 
@@ -524,6 +549,21 @@ mod tests {
             Some(Err(ServiceError::WorkerLost))
         ));
         assert!(matches!(handle.wait(), Err(ServiceError::WorkerLost)));
+    }
+
+    #[test]
+    fn the_completion_hook_runs_once_with_the_winning_result() {
+        let runs: Arc<Mutex<Vec<Result<JobOutput, ServiceError>>>> = Arc::default();
+        let sink = Arc::clone(&runs);
+        let state = JobState::with_done(Box::new(move |result| {
+            sink.lock().unwrap().push(result);
+        }));
+        state.fulfill(Err(ServiceError::WorkerLost));
+        state.fulfill(Err(ServiceError::ShuttingDown));
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 1);
+        assert!(matches!(runs[0], Err(ServiceError::WorkerLost)));
+        assert!(matches!(state.peek(), Some(Err(ServiceError::WorkerLost))));
     }
 
     #[test]

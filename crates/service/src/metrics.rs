@@ -43,6 +43,15 @@ pub struct ServiceMetrics {
     /// Completed results evicted from the bounded result cache (LRU over
     /// the per-version job keys) to honor its capacity.
     pub cache_evictions: u64,
+    /// Live watch subscriptions (cancelled ones excluded). Not carried by
+    /// the wire `stats` frame; read it from the `service_watchers`
+    /// exposition line.
+    pub watchers: usize,
+    /// Versions a watcher was owed that a newer delta superseded before
+    /// their emission was queued: the re-counts latest-version-wins
+    /// coalescing saved. Not carried by the wire `stats` frame; read it
+    /// from the `service_watch_emissions_coalesced` exposition line.
+    pub watch_emissions_coalesced: u64,
 }
 
 impl ServiceMetrics {
@@ -111,6 +120,7 @@ pub(crate) struct Counters {
     pub trials_executed: AtomicU64,
     pub trials_saved: AtomicU64,
     pub jobs_cancelled: AtomicU64,
+    pub watch_emissions_coalesced: AtomicU64,
 }
 
 impl Counters {
@@ -119,6 +129,7 @@ impl Counters {
         queue_depth: usize,
         cached_results: usize,
         cache_evictions: u64,
+        watchers: usize,
     ) -> ServiceMetrics {
         ServiceMetrics {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
@@ -133,6 +144,8 @@ impl Counters {
             trials_saved: self.trials_saved.load(Ordering::Relaxed),
             jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
             cache_evictions,
+            watchers,
+            watch_emissions_coalesced: self.watch_emissions_coalesced.load(Ordering::Relaxed),
         }
     }
 
@@ -160,7 +173,8 @@ mod tests {
         Counters::bump(&counters.cache_hits);
         Counters::add(&counters.trials_executed, 40);
         Counters::add(&counters.trials_saved, 24);
-        let snap = counters.snapshot(3, 1, 2);
+        Counters::bump(&counters.watch_emissions_coalesced);
+        let snap = counters.snapshot(3, 1, 2, 5);
         assert_eq!(snap.jobs_submitted, 2);
         assert_eq!(snap.batches_submitted, 1);
         assert_eq!(snap.jobs_rejected, 1);
@@ -172,6 +186,8 @@ mod tests {
         assert_eq!(snap.trials_executed, 40);
         assert_eq!(snap.trials_saved, 24);
         assert_eq!(snap.cache_evictions, 2);
+        assert_eq!(snap.watchers, 5);
+        assert_eq!(snap.watch_emissions_coalesced, 1);
     }
 
     #[test]

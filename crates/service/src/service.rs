@@ -21,7 +21,14 @@
 //!   loop serves every job: solo, batch member, versioned, watch emission,
 //! * **result caching** — deterministic jobs are memoized and
 //!   single-flighted (see [`crate::cache`]); identical submissions are
-//!   served without recomputation, bit-identically.
+//!   served without recomputation, bit-identically,
+//! * **live watches** — [`Service::apply_delta`] mints a version, schedules
+//!   one re-emission per idle watcher and returns; each emission's callback
+//!   runs on the thread that completes it. A watcher has at most one
+//!   emission queued or running, so a delta that lands meanwhile only
+//!   raises the version it is owed, and the next emission counts the
+//!   newest version (latest-version-wins), recounting from the nearest
+//!   version its job was counted at.
 
 use crate::cache::{Claim, JobKey, ResultCache};
 use crate::error::ServiceError;
@@ -32,7 +39,7 @@ use crate::metrics::{Counters, ServiceMetrics};
 use sgc_core::estimator::summarize_trials;
 use sgc_core::prelude::Count;
 use sgc_core::{DeltaBall, Engine, SgcError};
-use sgc_dyn::{VersionId, VersionedGraph};
+use sgc_dyn::{Version, VersionId, VersionedGraph};
 use sgc_graph::{CsrGraph, EdgeDelta};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,13 +52,16 @@ use std::thread::JoinHandle;
 pub struct ServiceConfig {
     /// Worker threads draining the queue. `0` is allowed and means "accept
     /// but never process" — useful for inspecting admission control; real
-    /// deployments want at least 1. Watch emissions are jobs too: with no
-    /// worker, [`Service::watch`] and a watched
-    /// [`Service::apply_delta`] wait until [`Service::shutdown`] fails their
-    /// emissions with [`ServiceError::ShuttingDown`].
+    /// deployments want at least 1. Watch emissions are jobs too, and their
+    /// callbacks run on these threads: with no worker, [`Service::watch`]
+    /// waits until [`Service::shutdown`] fails its initial emission with
+    /// [`ServiceError::ShuttingDown`], and re-emissions are never delivered.
     pub workers: usize,
     /// Maximum number of jobs waiting in the queue before submissions are
-    /// rejected with [`ServiceError::QueueFull`].
+    /// rejected with [`ServiceError::QueueFull`]. Watch re-emissions are not
+    /// held to it: each watcher has at most one emission queued or running,
+    /// so they add at most one entry per live watcher, and a delta is never
+    /// refused for them. A watch's initial emission is.
     pub queue_capacity: usize,
     /// Trials per scheduling chunk: the granularity at which the adaptive
     /// loop re-checks a job's precision target. Clamped to at least 1.
@@ -96,26 +106,45 @@ struct QueueEntry {
     job: CountJob,
     state: Arc<JobState>,
     /// `None` for a plain job, which counts on the bound graph; `Some` for a
-    /// job that counts on that version, recounting from its parent's.
+    /// job that counts on that version, recounting from an ancestor's.
     version: Option<VersionId>,
 }
 
-/// A live watch subscription: the job re-run at every new version, and the
-/// callback its version-tagged chunks are delivered through.
+/// A live watch subscription: the job re-run at new versions, the callback
+/// its version-tagged chunks are delivered through, and where its one
+/// emission stands.
 struct Watcher {
     id: u64,
     job: CountJob,
     callback: WatchFn,
     cancelled: Arc<AtomicBool>,
+    /// The version of the subscription's one emission queued, running or
+    /// being delivered, if any.
+    running: Option<VersionId>,
+    /// The newest version minted since `running` was queued: the next
+    /// emission's, once `running` is delivered.
+    owed: Option<VersionId>,
 }
 
 /// Callback of a [`watch`](Service::watch) subscription: invoked with the
 /// version that landed and the fresh estimate chunk computed at it.
+///
+/// The initial emission is delivered on the thread that called `watch`;
+/// every later one on a worker thread, the one that completed the emission
+/// (or, for an emission failed at shutdown, the thread calling
+/// [`Service::shutdown`]; a failed emission calls nothing). Calls for one
+/// subscription never overlap and arrive in strictly increasing version
+/// order, but not at every version: a watcher whose emission is still
+/// running when further deltas land is next called at the newest of them
+/// only. While a callback runs, its worker runs no trials, so keep it short
+/// or bounded — the `sgc-net` server's callback writes one frame, bounded
+/// by the connection's write timeout like its per-chunk progress watcher.
+/// A panic in the callback loses that delivery only.
 pub type WatchFn = Arc<dyn Fn(VersionId, &ChunkUpdate) + Send + Sync>;
 
 /// Handle to a live [`watch`](Service::watch) subscription. Cancelling (or
-/// [`Service::unwatch`]) stops future emissions; an emission already in
-/// progress may still be delivered.
+/// [`Service::unwatch`]) stops future emissions; an emission already
+/// being delivered may still reach the callback.
 pub struct WatchHandle {
     id: u64,
     cancelled: Arc<AtomicBool>,
@@ -127,8 +156,10 @@ impl WatchHandle {
         self.id
     }
 
-    /// Stops future emissions for this subscription. The watcher entry is
-    /// pruned at the next delta.
+    /// Stops future emissions for this subscription: an emission queued or
+    /// running is computed but not delivered, and none is queued after it.
+    /// Returns at once, from any thread (a callback included). The watcher
+    /// entry is pruned at the next delta.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
@@ -154,10 +185,10 @@ struct Shared {
     cache: ResultCache,
     counters: Counters,
     traces: sgc_obs::TraceLog,
-    /// The version chain rooted at the bound graph. A versioned job takes
-    /// the read lock once, to resolve its version's engine, and runs its
-    /// trials without it; `apply_delta` takes the write lock, so mutation
-    /// never waits for a job.
+    /// The version chain rooted at the bound graph. A versioned job holds
+    /// the read lock only to look versions up, never while it builds a
+    /// ball, binds an engine or runs trials; `apply_delta` takes the write
+    /// lock, so mutation never waits for a job.
     dynamic: RwLock<VersionedGraph>,
     watchers: Mutex<Vec<Watcher>>,
     watch_ids: AtomicU64,
@@ -166,6 +197,75 @@ struct Shared {
 impl Shared {
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, QueueState> {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn lock_watchers(&self) -> std::sync::MutexGuard<'_, Vec<Watcher>> {
+        self.watchers.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn versions(&self) -> std::sync::RwLockReadGuard<'_, VersionedGraph> {
+        self.dynamic.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The one admission path: validates every job, mints missing trace
+    /// IDs (at submission, unless the client propagated one over the wire,
+    /// so even a rejected or cancelled job has an identity in the logs),
+    /// and queues all of them or none under one lock acquisition, each
+    /// with its state from `states` (one per job).
+    ///
+    /// Trace IDs are minted into `jobs` in place, so a caller that queues
+    /// the same job again (a watch subscription, at every emission) keeps
+    /// one identity across its runs. `bounded` holds the jobs to the queue
+    /// capacity; only watch re-emissions, at most one per watcher, skip
+    /// it. `version` names the graph version the jobs are pinned to; it is
+    /// called under the queue lock once shutdown and capacity have passed,
+    /// so a version it mints (`apply_delta`) exists only if its jobs are
+    /// queued, and its error admits nothing.
+    fn admit(
+        &self,
+        jobs: &mut [CountJob],
+        states: Vec<JobState>,
+        bounded: bool,
+        version: impl FnOnce() -> Result<Option<VersionId>, ServiceError>,
+    ) -> Result<Vec<JobHandle>, ServiceError> {
+        for job in jobs.iter_mut() {
+            if let Some(precision) = &job.precision {
+                precision.validate()?;
+            }
+            if job.trace_id.is_none() {
+                job.trace_id = Some(sgc_obs::next_trace_id());
+            }
+        }
+        let count = jobs.len();
+        let states: Vec<Arc<JobState>> = states.into_iter().map(Arc::new).collect();
+        {
+            let mut queue = self.lock_queue();
+            if queue.shutdown {
+                return Err(ServiceError::ShuttingDown);
+            }
+            if bounded && queue.jobs.len() + count > self.queue_capacity {
+                Counters::add(&self.counters.jobs_rejected, count as u64);
+                return Err(ServiceError::QueueFull {
+                    capacity: self.queue_capacity,
+                });
+            }
+            let version = version()?;
+            Counters::add(&self.counters.jobs_submitted, count as u64);
+            for (job, state) in jobs.iter().zip(&states) {
+                queue.jobs.push_back(QueueEntry {
+                    job: job.clone(),
+                    state: Arc::clone(state),
+                    version,
+                });
+            }
+        }
+        for _ in 0..count {
+            self.available.notify_one();
+        }
+        Ok(states
+            .into_iter()
+            .map(|state| JobHandle { state })
+            .collect())
     }
 }
 
@@ -279,77 +379,19 @@ impl Service {
         self.admit_one(&mut job, Some(progress), None)
     }
 
-    /// Admits one job: [`admit`](Service::admit) for a single member.
+    /// Admits one job through the one admission path, held to the queue
+    /// capacity.
     fn admit_one(
         &self,
         job: &mut CountJob,
         progress: Option<ProgressFn>,
         version: Option<VersionId>,
     ) -> Result<JobHandle, ServiceError> {
-        let mut handles = self.admit(std::slice::from_mut(job), vec![progress], || Ok(version))?;
+        let state = JobState::with_progress(progress);
+        let mut handles =
+            self.shared
+                .admit(std::slice::from_mut(job), vec![state], true, || Ok(version))?;
         Ok(handles.pop().expect("one job in, one handle out"))
-    }
-
-    /// The one admission path: validates every job, mints missing trace
-    /// IDs (at submission, unless the client propagated one over the wire,
-    /// so even a rejected or cancelled job has an identity in the logs),
-    /// and queues all of them or none under one lock acquisition.
-    /// `progress` may be shorter than `jobs`; missing tails mean "no
-    /// watcher".
-    ///
-    /// Trace IDs are minted into `jobs` in place, so a caller that queues
-    /// the same job again (a watch subscription, at every delta) keeps one
-    /// identity across its runs. `version` names the graph version the jobs
-    /// are pinned to; it is called under the queue lock once shutdown and
-    /// capacity have passed, so a version it mints (`apply_delta`) exists
-    /// only if its jobs are queued, and its error admits nothing.
-    fn admit(
-        &self,
-        jobs: &mut [CountJob],
-        progress: Vec<Option<ProgressFn>>,
-        version: impl FnOnce() -> Result<Option<VersionId>, ServiceError>,
-    ) -> Result<Vec<JobHandle>, ServiceError> {
-        for job in jobs.iter_mut() {
-            if let Some(precision) = &job.precision {
-                precision.validate()?;
-            }
-            if job.trace_id.is_none() {
-                job.trace_id = Some(sgc_obs::next_trace_id());
-            }
-        }
-        let count = jobs.len();
-        let mut progress = progress.into_iter();
-        let states: Vec<Arc<JobState>> = (0..count)
-            .map(|_| Arc::new(JobState::with_progress(progress.next().flatten())))
-            .collect();
-        {
-            let mut queue = self.shared.lock_queue();
-            if queue.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if queue.jobs.len() + count > self.shared.queue_capacity {
-                Counters::add(&self.shared.counters.jobs_rejected, count as u64);
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.queue_capacity,
-                });
-            }
-            let version = version()?;
-            Counters::add(&self.shared.counters.jobs_submitted, count as u64);
-            for (job, state) in jobs.iter().zip(&states) {
-                queue.jobs.push_back(QueueEntry {
-                    job: job.clone(),
-                    state: Arc::clone(state),
-                    version,
-                });
-            }
-        }
-        for _ in 0..count {
-            self.shared.available.notify_one();
-        }
-        Ok(states
-            .into_iter()
-            .map(|state| JobHandle { state })
-            .collect())
     }
 
     /// Submits a batch of jobs, returning one handle per member (in
@@ -410,7 +452,13 @@ impl Service {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let handles = self.admit(&mut batch.into_jobs(), progress, || Ok(None))?;
+        let mut jobs = batch.into_jobs();
+        let mut progress = progress.into_iter();
+        let states = jobs
+            .iter()
+            .map(|_| JobState::with_progress(progress.next().flatten()))
+            .collect();
+        let handles = self.shared.admit(&mut jobs, states, true, || Ok(None))?;
         Counters::bump(&self.shared.counters.batches_submitted);
         Ok(handles)
     }
@@ -443,46 +491,44 @@ impl Service {
     /// equals the graph fingerprint, so counting at the root shares cache
     /// slots with plain [`submit`](Service::submit) jobs.
     pub fn root_version(&self) -> VersionId {
-        self.shared
-            .dynamic
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .root()
+        self.shared.versions().root()
     }
 
     /// The current head version — where [`apply_delta`](Service::apply_delta)
     /// chains the next delta.
     pub fn head_version(&self) -> VersionId {
-        self.shared
-            .dynamic
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .head()
+        self.shared.versions().head()
     }
 
     /// Whether the service holds `version` in its chain.
     pub fn has_version(&self, version: VersionId) -> bool {
-        self.shared
-            .dynamic
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .contains(version)
+        self.shared.versions().contains(version)
     }
 
     /// Applies an edge delta to the head snapshot, minting a new version,
-    /// and re-emits a fresh estimate chunk to every live
-    /// [`watch`](Service::watch) subscription at the new version before it
-    /// returns the new head version id.
+    /// and schedules a fresh estimate of it for every live
+    /// [`watch`](Service::watch) subscription; returns the new head version
+    /// id as soon as that is done, without waiting for any emission.
     ///
-    /// Each re-emission is an ordinary queued job pinned to the new version:
-    /// the emissions of distinct watchers run on the worker pool side by
-    /// side, identical watch jobs share one computation through the
-    /// single-flight cache, and the callbacks run on this thread, in
-    /// subscription order, once their jobs complete. The version is minted
-    /// under the same queue-lock acquisition that queues its re-emissions,
-    /// with the watchers lock held (lock order: watchers → queue → graph
-    /// versions), so a delta is applied only if every live watcher's
-    /// re-emission fits in the queue.
+    /// A watcher with no emission queued or running gets one queued at the
+    /// new version: an ordinary job, so distinct watchers compute side by
+    /// side on the worker pool and identical ones share one computation
+    /// through the single-flight cache, and its callback runs on the worker
+    /// thread that completes it (see [`WatchFn`]). A watcher whose emission
+    /// is still in flight is only marked as owing the new version: once the
+    /// running emission is delivered, it gets one emission at the newest
+    /// version it is owed, and the versions in between are never counted
+    /// for it (latest-version-wins; each one skipped counts in
+    /// [`ServiceMetrics::watch_emissions_coalesced`]). Re-emissions are
+    /// therefore at most one queue entry per watcher, and they are not
+    /// held to the queue capacity: a delta is never refused for its
+    /// watchers.
+    ///
+    /// The version is minted under the same queue-lock acquisition that
+    /// queues its re-emissions, with the watchers lock held (lock order:
+    /// watchers → queue → graph versions); neither lock is ever held while
+    /// a job computes or a callback runs, so the mutator's latency does not
+    /// depend on how many clients are watching.
     ///
     /// The delta applies copy-on-write over the head's CSR segments:
     /// untouched segments are shared, and versions already minted are
@@ -491,44 +537,32 @@ impl Service {
     ///
     /// # Errors
     /// [`ServiceError::Delta`] when the snapshot layer rejects the delta,
-    /// [`ServiceError::QueueFull`] when the queue cannot take one
-    /// re-emission per live watcher, [`ServiceError::ShuttingDown`] after
-    /// shutdown. On every error the head is unchanged.
+    /// [`ServiceError::ShuttingDown`] after shutdown. On every error the
+    /// head is unchanged.
     pub fn apply_delta(&self, delta: &EdgeDelta) -> Result<VersionId, ServiceError> {
+        let mut watchers = self.shared.lock_watchers();
+        watchers.retain(|w| !w.cancelled.load(Ordering::Relaxed));
+        let (mut jobs, states): (Vec<CountJob>, Vec<JobState>) = watchers
+            .iter()
+            .filter(|w| w.running.is_none())
+            .map(|w| (w.job.clone(), emission_state(&self.shared, w.id)))
+            .unzip();
         let mut minted = None;
-        let (handles, live) = {
-            let mut watchers = self
+        self.shared.admit(&mut jobs, states, false, || {
+            let mut dynamic = self
                 .shared
-                .watchers
-                .lock()
+                .dynamic
+                .write()
                 .unwrap_or_else(|p| p.into_inner());
-            watchers.retain(|w| !w.cancelled.load(Ordering::Relaxed));
-            let mut jobs: Vec<CountJob> = watchers.iter().map(|w| w.job.clone()).collect();
-            let handles = self.admit(&mut jobs, Vec::new(), || {
-                let mut dynamic = self
-                    .shared
-                    .dynamic
-                    .write()
-                    .unwrap_or_else(|p| p.into_inner());
-                minted = Some(dynamic.apply_to_head(delta)?);
-                Ok(minted)
-            })?;
-            let live: Vec<(WatchFn, Arc<AtomicBool>)> = watchers
-                .iter()
-                .map(|w| (Arc::clone(&w.callback), Arc::clone(&w.cancelled)))
-                .collect();
-            (handles, live)
-        };
+            minted = Some(dynamic.apply_to_head(delta)?);
+            Ok(minted)
+        })?;
         let version = minted.expect("an admitted delta minted its version");
-        for (handle, (callback, cancelled)) in handles.into_iter().zip(live) {
-            // A watcher cancelled since the delta queued its emission is
-            // skipped; so is one whose job failed (it cannot — jobs are
-            // validated by their initial emission — except through a worker
-            // panic or shutdown).
-            if let Ok(output) = handle.wait() {
-                if !cancelled.load(Ordering::Relaxed) {
-                    callback(version, &emission(output));
-                }
+        for watcher in watchers.iter_mut() {
+            if watcher.running.is_none() {
+                watcher.running = Some(version);
+            } else if watcher.owed.replace(version).is_some() {
+                Counters::bump(&self.shared.counters.watch_emissions_coalesced);
             }
         }
         Ok(version)
@@ -537,10 +571,11 @@ impl Service {
     /// Submits a job pinned to graph version `version` (see
     /// [`apply_delta`](Service::apply_delta)). Admission follows
     /// [`submit`](Service::submit); the job counts incrementally — every
-    /// trial the same job ran at the version's parent, and left in the
-    /// result cache, is that count corrected by a recount of the small ball
-    /// the version's delta touched — and its output is bit-identical to a
-    /// from-scratch run on the version's materialized graph.
+    /// trial the same job ran at the nearest ancestor version that left it
+    /// in the result cache is that count corrected by a recount of the
+    /// small ball around the edges changed since — and its output is
+    /// bit-identical to a from-scratch run on the version's materialized
+    /// graph.
     ///
     /// The version is resolved when the job runs, not at admission: an
     /// unknown version reports [`ServiceError::UnknownVersion`] through the
@@ -576,74 +611,88 @@ impl Service {
     }
 
     /// Registers a live watch: `callback` receives an initial estimate
-    /// chunk for `job` at the current head, on this thread, then a fresh
-    /// version-tagged chunk every time [`apply_delta`](Service::apply_delta)
-    /// lands a new version. A re-count starts from the previous emission's
-    /// per-trial counts, so a small delta re-emits after recounting only the
-    /// ball it touched.
+    /// chunk for `job` at the current head, on this thread, before `watch`
+    /// returns; then, after every [`apply_delta`](Service::apply_delta), a
+    /// fresh version-tagged chunk on a worker thread — at the newest version
+    /// minted while the previous emission ran, when deltas outpace it (see
+    /// [`WatchFn`]). A re-count starts from the per-trial counts the job
+    /// left at the nearest version it was counted at, so a small delta
+    /// re-emits after recounting only the ball around the edges changed
+    /// since.
     ///
     /// Every emission, the initial one included, is an ordinary job queued
     /// at its version and run by a worker; all of a subscription's emissions
     /// carry one trace ID. Identical watch jobs (and identical `submit_at`
-    /// jobs) share one computation through the single-flight cache. This is
-    /// the serving primitive behind the `sgc-net` `watch` verb.
+    /// jobs) share one computation through the single-flight cache. The
+    /// subscription is registered, with its initial emission in flight,
+    /// under the watchers lock that `apply_delta` mints under; the lock is
+    /// released before `watch` waits, so deltas keep landing meanwhile and
+    /// the first one after the head this emission counts is delivered
+    /// next: no watcher misses the head. This is the serving primitive
+    /// behind the `sgc-net` `watch` verb.
     ///
     /// # Errors
     /// Those of [`submit`](Service::submit) for the initial emission, and
     /// any counting error of its run (a watch that cannot produce its first
     /// chunk is not registered).
     pub fn watch(&self, mut job: CountJob, callback: WatchFn) -> Result<WatchHandle, ServiceError> {
-        // The initial emission and the registration happen under the
-        // watchers lock, under which `apply_delta` also mints its version:
-        // a concurrent delta either minted first, so the initial emission is
-        // at its version, or waits and then re-emits to this watcher. Either
-        // way a new watch cannot miss a version.
-        let mut watchers = self
-            .shared
-            .watchers
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let head = self.head_version();
-        let output = self.admit_one(&mut job, None, Some(head))?.wait()?;
-        callback(head, &emission(output));
         let id = self.shared.watch_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let cancelled = Arc::new(AtomicBool::new(false));
-        watchers.push(Watcher {
-            id,
-            job,
-            callback,
-            cancelled: Arc::clone(&cancelled),
-        });
+        let initial = {
+            let mut watchers = self.shared.lock_watchers();
+            let head = self.head_version();
+            let initial = self.admit_one(&mut job, None, Some(head))?;
+            watchers.push(Watcher {
+                id,
+                job,
+                callback,
+                cancelled: Arc::clone(&cancelled),
+                running: Some(head),
+                owed: None,
+            });
+            initial
+        };
+        match initial.wait() {
+            Ok(output) => deliver(&self.shared, id, Ok(output)),
+            Err(e) => {
+                self.unwatch(id);
+                return Err(e);
+            }
+        }
         Ok(WatchHandle { id, cancelled })
     }
 
-    /// Removes a watch subscription by id (see [`WatchHandle::id`]).
-    /// Unknown ids are a no-op. [`WatchHandle::cancel`] is the handle-side
-    /// equivalent.
+    /// Removes a watch subscription by id (see [`WatchHandle::id`]), with
+    /// [`WatchHandle::cancel`]'s effect on an emission in flight. Unknown
+    /// ids are a no-op.
     pub fn unwatch(&self, id: u64) {
-        self.shared
-            .watchers
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|w| w.id != id);
+        self.shared.lock_watchers().retain(|w| {
+            if w.id == id {
+                w.cancelled.store(true, Ordering::Relaxed);
+            }
+            w.id != id
+        });
     }
 
     /// Live watch subscriptions (cancelled-but-unpruned entries included).
     pub fn watch_count(&self) -> usize {
-        self.shared
-            .watchers
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .len()
+        self.shared.lock_watchers().len()
     }
 
     /// A snapshot of the service counters.
     pub fn metrics(&self) -> ServiceMetrics {
         let queue_depth = self.shared.lock_queue().jobs.len();
+        let watchers = self
+            .shared
+            .lock_watchers()
+            .iter()
+            .filter(|w| !w.cancelled.load(Ordering::Relaxed))
+            .count();
         self.shared.counters.snapshot(
             queue_depth,
             self.shared.cache.ready_entries(),
             self.shared.cache.evictions(),
+            watchers,
         )
     }
 
@@ -667,6 +716,11 @@ impl Service {
         registry.gauge_set("service_trials_executed", snapshot.trials_executed);
         registry.gauge_set("service_trials_saved", snapshot.trials_saved);
         registry.gauge_set("service_cache_evictions", snapshot.cache_evictions);
+        registry.gauge_set("service_watchers", snapshot.watchers as u64);
+        registry.gauge_set(
+            "service_watch_emissions_coalesced",
+            snapshot.watch_emissions_coalesced,
+        );
         registry.render()
     }
 
@@ -779,6 +833,59 @@ fn emission(output: JobOutput) -> ChunkUpdate {
         trials_run: output.trials_run,
         budget: output.budget,
         estimate: output.estimate,
+    }
+}
+
+/// The state of one re-emission of subscription `id`: fulfilling it, on
+/// whichever thread does, [`deliver`]s it. Holds the service weakly, so a
+/// queued emission keeps nothing alive.
+fn emission_state(shared: &Arc<Shared>, id: u64) -> JobState {
+    let shared = Arc::downgrade(shared);
+    JobState::with_done(Box::new(move |result| {
+        if let Some(shared) = shared.upgrade() {
+            deliver(&shared, id, result);
+        }
+    }))
+}
+
+/// Delivers subscription `id`'s finished emission through its callback —
+/// unless the emission failed or the subscription is gone or cancelled —
+/// and then queues its one next emission, at the newest version it is owed,
+/// if any. Runs with no lock held while the callback does. By the time a
+/// re-emission is fulfilled its counts are in the result cache, so the next
+/// emission recounts from them.
+fn deliver(shared: &Arc<Shared>, id: u64, result: Result<JobOutput, ServiceError>) {
+    let found = shared.lock_watchers().iter().find(|w| w.id == id).map(|w| {
+        let callback = Arc::clone(&w.callback);
+        (w.running, callback, Arc::clone(&w.cancelled))
+    });
+    let Some((Some(version), callback, cancelled)) = found else {
+        return;
+    };
+    if let Ok(output) = result {
+        if !cancelled.load(Ordering::Relaxed) {
+            let update = emission(output);
+            let _ = catch_unwind(AssertUnwindSafe(|| callback(version, &update)));
+        }
+    }
+    let mut watchers = shared.lock_watchers();
+    let Some(watcher) = watchers.iter_mut().find(|w| w.id == id) else {
+        return;
+    };
+    watcher.running = watcher
+        .owed
+        .take()
+        .filter(|_| !watcher.cancelled.load(Ordering::Relaxed));
+    if let Some(next) = watcher.running {
+        let mut job = watcher.job.clone();
+        let state = emission_state(shared, id);
+        let queued = shared.admit(std::slice::from_mut(&mut job), vec![state], false, || {
+            Ok(Some(next))
+        });
+        if queued.is_err() {
+            // Shutting down: nothing will run it.
+            watcher.running = None;
+        }
     }
 }
 
@@ -946,10 +1053,11 @@ fn finish_compute(
 ///
 /// The job kind only picks the stream's engine, shards and recount: a plain
 /// job counts on the bound graph's engine, unsharded; a versioned job
-/// recounts from its parent ([`recount_from`]) and counts any other trial on
-/// its version's engine, over the service's `dyn_shards`. The version is
-/// resolved once, under a short read lock; no lock is held while trials
-/// run.
+/// recounts from its nearest counted ancestor ([`recount_from`]) and counts
+/// any other trial on its version's engine, over the service's
+/// `dyn_shards`. The graph versions are only looked up under their read
+/// lock; the ball is built and the engine bound after it is released, and
+/// no lock is held while trials run.
 ///
 /// Every output and every progress update is [`summarize_trials`] over the
 /// stream's counts — bit-identical to a fixed-budget engine run of exactly
@@ -963,14 +1071,13 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
     let (engine, recount) = match entry.version {
         None => (Arc::clone(&shared.engine), None),
         Some(version) => {
-            let versions = shared.dynamic.read().unwrap_or_else(|p| p.into_inner());
-            let recount = recount_from(shared, &versions, version, job)?;
+            let (target, recount) = recount_from(shared, version, job)?;
             // A job whose every trial recounts the ball never needs the
             // version's whole graph, so it does not bind it: the root's
             // engine lends the request its plan cache and arenas.
             let engine = match &recount {
                 Some((parent, _)) if parent.len() >= job.budget => Arc::clone(&shared.engine),
-                _ => versions.data_at(version)?,
+                _ => target.engine(),
             };
             (engine, recount)
         }
@@ -1032,31 +1139,49 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
     })
 }
 
-/// What a job at `version` recounts from: the per-trial counts its
-/// identical job left in the result cache at the parent version, and the
-/// ball around the delta between the two. `None` — count every trial on the
-/// whole graph — for the root, when the parent's job has no completed entry
-/// (never run, evicted or still in flight), or when the ball does not pay
-/// off against the version's graph ([`DeltaBall::pays_off`]).
+/// What a versioned job recounts from: an ancestor's per-trial counts, and
+/// the ball they are recounted through.
+type Recount = (Vec<Count>, DeltaBall);
+
+/// The version a job at `version` counts on, and what it recounts from: the
+/// per-trial counts its identical job left in the result cache at the
+/// nearest ancestor that has them, and the ball around every edge changed
+/// on the way down from there (any superset of the changed edges keeps the
+/// ball identity). No recount — count every trial on the whole graph — for
+/// the root, when no ancestor's job has a completed entry (never run,
+/// evicted or still in flight), or when the ball does not pay off against
+/// the version's graph ([`DeltaBall::pays_off`]).
+///
+/// The walk up the chain takes the read lock one step at a time, and the
+/// ball is built after the last lookup released it, so a delta waits for
+/// at most one lookup.
 fn recount_from(
     shared: &Shared,
-    versions: &VersionedGraph,
     version: VersionId,
     job: &CountJob,
-) -> Result<Option<(Vec<Count>, DeltaBall)>, ServiceError> {
-    let parent = versions
-        .parent(version)
-        .and_then(|parent| shared.cache.per_trial(&JobKey::new(parent.as_u64(), job)));
-    let Some(parent) = parent else {
-        return Ok(None);
+) -> Result<(Version, Option<Recount>), ServiceError> {
+    let target = shared.versions().version(version)?;
+    let key = JobKey::new(version.as_u64(), job);
+    let mut at = version;
+    let found = loop {
+        let Some(parent) = shared.versions().parent(at) else {
+            break None;
+        };
+        if let Some(counts) = shared.cache.per_trial(&key.at(parent.as_u64())) {
+            break Some((parent, counts));
+        }
+        at = parent;
     };
-    let Some(ball) = versions.ball(version, job.query.num_nodes())? else {
-        return Ok(None);
+    let Some((ancestor, counts)) = found else {
+        return Ok((target, None));
     };
-    let graph = versions
-        .snapshot(version)
-        .expect("a version with a ball is in the chain");
-    Ok(ball.pays_off(graph.num_edges()).then_some((parent, ball)))
+    let descent = shared
+        .versions()
+        .descent(version, ancestor)?
+        .expect("an ancestor has a descent");
+    let ball = descent.ball(job.query.num_nodes());
+    let pays_off = ball.pays_off(target.snapshot().num_edges());
+    Ok((target, pays_off.then_some((counts, ball))))
 }
 
 #[cfg(test)]
@@ -1193,6 +1318,40 @@ mod tests {
         });
         assert_eq!(service.watch_count(), 0);
         assert_eq!(service.metrics().jobs_submitted, 1);
+    }
+
+    #[test]
+    fn identical_watchers_share_one_computation_and_both_deliver() {
+        // The second watcher's emission joins the first's in flight or is
+        // served from the cache: either way its completion hook runs on the
+        // thread that fulfils it, and it delivers too.
+        let service = small_service(2);
+        let seen: Arc<Mutex<Vec<(u64, VersionId)>>> = Arc::default();
+        let job = CountJob::new(catalog::triangle()).seed(2).budget(4);
+        let _handles: Vec<WatchHandle> = (0..2)
+            .map(|who| {
+                let sink = Arc::clone(&seen);
+                let callback: WatchFn = Arc::new(move |version, _| {
+                    sink.lock().unwrap().push((who, version));
+                });
+                service.watch(job.clone(), callback).unwrap()
+            })
+            .collect();
+        let misses = service.metrics().cache_misses;
+        let v1 = service
+            .apply_delta(&EdgeDelta::new(vec![(0, 2)], vec![]).unwrap())
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while seen.lock().unwrap().len() < 4 {
+            assert!(std::time::Instant::now() < deadline, "not delivered");
+            std::thread::yield_now();
+        }
+        let mut delivered = seen.lock().unwrap()[2..].to_vec();
+        delivered.sort_unstable();
+        assert_eq!(delivered, vec![(0, v1), (1, v1)]);
+        let metrics = service.metrics();
+        assert_eq!(metrics.cache_misses, misses + 1, "one computation");
+        assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! since. `delta` mutates the server's graph and prints the new version id;
 //! `watch` is the verb that follows the head: it subscribes and prints one
 //! version-tagged line per emission (the immediate one, then one per
-//! delta), exiting after `--frames` emissions. Typed server errors (including spanned
+//! delta, or one at the newest version when deltas outpace the count),
+//! exiting after `--frames` emissions. Typed server errors (including spanned
 //! pattern parse errors with their caret diagnostic) are printed to stderr
 //! and exit nonzero — which is what the CI smoke job asserts.
 

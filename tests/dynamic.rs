@@ -7,25 +7,38 @@
 //! counts bit-for-bit equal to a from-scratch run of the engine on a
 //! *freshly built* graph with the same edge list. It is checked three ways:
 //!
-//! * differentially under proptest: random delta batches over ER/Chung-Lu
-//!   graphs × registry queries × shard counts {1, 4},
+//! * differentially under proptest: random delta chains over ER/Chung-Lu
+//!   graphs × registry queries × shard counts {1, 4}, recounted from a
+//!   random ancestor,
 //! * against a checked-in golden fixture
 //!   (`tests/fixtures/dynamic_chain.tsv`): a fixed chain of deltas whose
 //!   per-version exact counts were computed once and committed,
 //! * end-to-end through `Service::{apply_delta, count_at, watch}` and the
 //!   protocol-v3 `delta` / `watch` verbs over a loopback TCP connection.
+//!
+//! Every test holds [`serial`]: one of them reads the process-wide `bind`
+//! stage, which any other test's engine would move.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use subgraph_counting::core::{Algorithm, Engine, Estimate};
 use subgraph_counting::dynamic::VersionedGraph;
 use subgraph_counting::engine::Count;
 use subgraph_counting::gen::{chung_lu, gnm, power_law_degrees};
 use subgraph_counting::graph::{CsrGraph, EdgeDelta, GraphBuilder};
 use subgraph_counting::net::{Client, Server, ServerConfig};
+use subgraph_counting::obs::Stage;
 use subgraph_counting::query::{catalog, QueryGraph, Registry};
 use subgraph_counting::service::{CountJob, Service, ServiceConfig, ServiceError, WatchFn};
 use subgraph_counting::VersionId;
+
+/// Serializes this file's tests (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// A small ER or Chung-Lu graph — the two families the incremental-recount
 /// satellite names.
@@ -99,18 +112,18 @@ fn random_delta(graph: &CsrGraph, seed: u64, max_inserts: usize, max_deletes: us
 }
 
 /// DB trials `0..trials` of `query` at `version` through the engine bound to
-/// it, over `shards` shards. With `parent` — the same request's counts at
-/// the version's parent — each trial it holds is recounted from the ball
-/// around the version's delta, however large that ball is.
+/// it, over `shards` shards. With `ancestor` — an ancestor of the version
+/// and the same request's counts there — each trial it holds is recounted
+/// from the ball around every edge changed since, however large that ball
+/// is.
 fn count_at(
     versions: &VersionedGraph,
     version: VersionId,
     query: &QueryGraph,
     (seed, trials, shards): (u64, usize, usize),
-    parent: Option<&[Count]>,
+    ancestor: Option<(VersionId, &[Count])>,
 ) -> Estimate {
     let engine = versions.data_at(version).unwrap();
-    let ball = versions.ball(version, query.num_nodes()).unwrap();
     let mut request = engine
         .count(query)
         .algorithm(Algorithm::DegreeBased)
@@ -118,8 +131,12 @@ fn count_at(
         .trials(trials)
         .parallel(false)
         .sharded(shards);
-    if let (Some(parent), Some(ball)) = (parent, &ball) {
-        request = request.recount(parent, ball);
+    let ball = ancestor.map(|(ancestor, counts)| {
+        let ball = versions.ball(version, ancestor, query.num_nodes());
+        (counts, ball.unwrap().expect("an ancestor of the version"))
+    });
+    if let Some((counts, ball)) = &ball {
+        request = request.recount(counts, ball);
     }
     request.estimate().unwrap()
 }
@@ -151,19 +168,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The identity `count(G′) = count(G) − count(G[B]) + count(G′[B])`
-    /// itself, over random delta batches on ER/Chung-Lu graphs × registry
-    /// queries × shard counts {1, 4}: the recount from the root's per-trial
-    /// counts (its ball anything from a sliver to the whole graph, and one
-    /// trial past the root's counted on the whole graph), a scratch run, and
-    /// the engine on a fresh build of the new edge list all agree
-    /// bit-for-bit, trial by trial.
+    /// itself, over random chains of one to three delta batches on
+    /// ER/Chung-Lu graphs × registry queries × shard counts {1, 4}: the
+    /// recount of the chain's head from a random ancestor's per-trial
+    /// counts (its ball, around every edge changed since, anything from a
+    /// sliver to the whole graph, and one trial past the ancestor's counted
+    /// on the whole graph), a scratch run, and the engine on a fresh build
+    /// of the head's edge list all agree bit-for-bit, trial by trial.
     #[test]
     fn incremental_recount_is_bit_identical_differentially(
         family in 0u8..2,
         graph_seed in 0u64..1_000_000,
         query_idx in 0usize..64,
         shard_sel in 0u8..2,
+        chain_sel in 0usize..9,
     ) {
+        let _serial = serial();
         let shards = if shard_sel == 0 { 1usize } else { 4 };
         let n = 12 + (graph_seed as usize % 32);
         let graph = generated_graph(family, n, graph_seed);
@@ -171,31 +191,33 @@ proptest! {
         let (_, query) = &queries[query_idx % queries.len()];
         let seed = 0x5eed ^ graph_seed;
         let trials = 3;
+        let (depth, pick) = (1 + chain_sel / 3, chain_sel % 3);
 
         let mut versions = VersionedGraph::new(&graph);
-        let root = versions.root();
-        let parent = count_at(&versions, root, query, (seed, trials - 1, shards), None);
-
-        let delta = random_delta(&graph, graph_seed ^ 0x9e37_79b9, 3, 2);
-        if delta.is_empty() {
-            // Degenerate (e.g. an edgeless Chung-Lu draw): nothing to test.
-            return Ok(());
+        let mut chain = vec![versions.root()];
+        let mut current = rebuild(&graph);
+        for step in 0..depth as u64 {
+            let delta = random_delta(&current, graph_seed ^ 0x9e37_79b9 ^ step, 3, 2);
+            let head = versions.apply_to_head(&delta).unwrap();
+            current = rebuild(versions.data_at(head).unwrap().graph());
+            chain.push(head);
         }
-        let v1 = versions.apply_to_head(&delta).unwrap();
+        let head = versions.head();
+        let ancestor = chain[pick % (chain.len() - 1)];
+        let counts = count_at(&versions, ancestor, query, (seed, trials - 1, shards), None);
 
         let incremental = count_at(
             &versions,
-            v1,
+            head,
             query,
             (seed, trials, shards),
-            Some(&parent.per_trial),
+            Some((ancestor, &counts.per_trial)),
         );
-        let scratch = count_at(&versions, v1, query, (seed, trials, shards), None);
+        let scratch = count_at(&versions, head, query, (seed, trials, shards), None);
         prop_assert_eq!(&incremental.per_trial, &scratch.per_trial);
 
         // The engine on a freshly built graph with the same edge list.
-        let data = versions.data_at(v1).unwrap();
-        let reference = Engine::new(&rebuild(data.graph()))
+        let reference = Engine::new(&current)
             .count(query)
             .seed(seed)
             .trials(trials)
@@ -245,10 +267,12 @@ fn chain_rows() -> Vec<String> {
     // the chain never counts.
     let mut parents: Vec<Option<Vec<Count>>> = vec![None; queries.len()];
     for (step, delta) in deltas.iter().enumerate() {
+        let previous = version;
         version = versions.apply_delta(version, delta).unwrap();
         let data = versions.data_at(version).unwrap();
         for ((name, query), parent) in queries.iter().zip(&mut parents) {
-            let estimate = count_at(&versions, version, query, (11, 4, 4), parent.as_deref());
+            let from = parent.as_deref().map(|counts| (previous, counts));
+            let estimate = count_at(&versions, version, query, (11, 4, 4), from);
             *parent = Some(estimate.per_trial.clone());
             let counts: Vec<String> = estimate.per_trial.iter().map(|c| c.to_string()).collect();
             rows.push(format!(
@@ -268,6 +292,7 @@ fn chain_rows() -> Vec<String> {
 /// the final edge list.
 #[test]
 fn delta_chain_matches_golden_fixture_and_fresh_build() {
+    let _serial = serial();
     let expected: Vec<&str> = CHAIN_FIXTURE
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -332,6 +357,7 @@ fn service_config() -> ServiceConfig {
 
 #[test]
 fn service_count_at_is_bit_identical_to_fresh_build() {
+    let _serial = serial();
     let graph = Arc::new(gnm(20, 40, 3));
     let service = Service::with_config(Arc::clone(&graph), service_config());
     let root = service.root_version();
@@ -382,6 +408,7 @@ fn service_count_at_is_bit_identical_to_fresh_build() {
 
 #[test]
 fn service_rejects_invalid_deltas() {
+    let _serial = serial();
     let graph = Arc::new(gnm(12, 24, 5));
     let service = Service::with_config(Arc::clone(&graph), service_config());
     let existing = graph.edges().next().unwrap();
@@ -403,6 +430,7 @@ fn service_rejects_invalid_deltas() {
 
 #[test]
 fn result_cache_evictions_are_bounded_and_counted() {
+    let _serial = serial();
     let graph = Arc::new(gnm(16, 32, 9));
     let service = Service::with_config(
         graph,
@@ -441,6 +469,32 @@ fn recorder(emissions: &Emissions, who: usize) -> WatchFn {
     })
 }
 
+/// Waits, up to 10 s, until `emissions` holds at least `count` entries, and
+/// returns them.
+fn delivered(emissions: &Emissions, count: usize) -> Vec<(usize, u64, Vec<u64>)> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let seen = emissions.lock().unwrap().clone();
+        if seen.len() >= count {
+            return seen;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{} of {count} emissions delivered in 10 s",
+            seen.len()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The `(watcher, version)` pairs of `emissions`, sorted: watchers deliver
+/// side by side, in no fixed order among themselves.
+fn who_and_when(emissions: &[(usize, u64, Vec<u64>)]) -> Vec<(usize, u64)> {
+    let mut pairs: Vec<(usize, u64)> = emissions.iter().map(|e| (e.0, e.1)).collect();
+    pairs.sort_unstable();
+    pairs
+}
+
 /// How many trace-log entries carry `trace_id`.
 fn traced(service: &Service, trace_id: u64) -> usize {
     let header = format!("trace_id={trace_id} ");
@@ -453,6 +507,7 @@ fn traced(service: &Service, trace_id: u64) -> usize {
 
 #[test]
 fn watch_reemits_a_version_tagged_estimate_per_delta() {
+    let _serial = serial();
     let graph = Arc::new(gnm(20, 40, 13));
     let inserts = absent_edges(&graph, 2);
     let service = Service::with_config(graph, service_config());
@@ -499,16 +554,16 @@ fn watch_reemits_a_version_tagged_estimate_per_delta() {
 
     let delta = EdgeDelta::new(vec![inserts[0]], vec![]).unwrap();
     let v1 = service.apply_delta(&delta).unwrap();
-    {
-        let seen = emissions.lock().unwrap();
-        assert_eq!(seen.len(), 4, "apply_delta must re-emit to live watchers");
-        // Delivered before `apply_delta` returned, in watcher order, tagged
-        // with the new version.
-        assert_eq!((seen[2].0, seen[2].1), (0, v1.as_u64()));
-        assert_eq!((seen[3].0, seen[3].1), (1, v1.as_u64()));
-    }
-    // One admitted job per live watcher, all completed by the return, each
-    // traced under its subscription's ID.
+    // Delivered after `apply_delta` returned, by the workers, each tagged
+    // with the new version.
+    let seen = delivered(&emissions, 4);
+    assert_eq!(seen.len(), 4, "apply_delta must re-emit to live watchers");
+    assert_eq!(
+        who_and_when(&seen[2..]),
+        vec![(0, v1.as_u64()), (1, v1.as_u64())]
+    );
+    // One admitted job per live watcher, all completed by their delivery,
+    // each traced under its subscription's ID.
     let metrics = service.metrics();
     assert_eq!(metrics.jobs_submitted, 4);
     assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
@@ -517,10 +572,8 @@ fn watch_reemits_a_version_tagged_estimate_per_delta() {
     // The re-emitted estimates are the version's exact per-trial counts.
     for (who, job) in jobs.iter().enumerate() {
         let direct = service.count_at(v1, job.clone()).unwrap();
-        assert_eq!(
-            emissions.lock().unwrap()[2 + who].2,
-            direct.estimate.per_trial
-        );
+        let emitted = seen[2..].iter().find(|e| e.0 == who).unwrap();
+        assert_eq!(emitted.2, direct.estimate.per_trial);
     }
 
     // After unwatch, that watcher's emissions stop; the other's go on.
@@ -529,22 +582,22 @@ fn watch_reemits_a_version_tagged_estimate_per_delta() {
     let submitted = service.metrics().jobs_submitted;
     let delta2 = EdgeDelta::new(vec![inserts[1]], vec![]).unwrap();
     let v2 = service.apply_delta(&delta2).unwrap();
-    {
-        let seen = emissions.lock().unwrap();
-        assert_eq!(seen.len(), 5);
-        assert_eq!((seen[4].0, seen[4].1), (1, v2.as_u64()));
-    }
+    let seen = delivered(&emissions, 5);
+    assert_eq!(seen.len(), 5);
+    assert_eq!((seen[4].0, seen[4].1), (1, v2.as_u64()));
     let metrics = service.metrics();
     assert_eq!(metrics.jobs_submitted, submitted + 1);
     assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
     service.shutdown();
 }
 
-/// A delta is applied only together with its re-emissions: when the queue
-/// cannot take one per live watcher, the delta is refused before a version
-/// is minted, so no watcher ever misses a version.
+/// Coalesce, never refuse: a watcher has at most one emission queued or
+/// running, so re-emissions are not held to the queue capacity. A delta
+/// with more live watchers than the queue has room for applies, rejects
+/// nothing, and reaches every watcher.
 #[test]
-fn a_delta_the_queue_cannot_reemit_is_refused_and_mints_nothing() {
+fn a_watched_delta_is_never_refused_for_a_full_queue() {
+    let _serial = serial();
     let graph = Arc::new(gnm(20, 40, 19));
     let inserts = absent_edges(&graph, 1);
     let service = Service::with_config(
@@ -566,22 +619,139 @@ fn a_delta_the_queue_cannot_reemit_is_refused_and_mints_nothing() {
         .collect();
     assert_eq!(emissions.lock().unwrap().len(), 2);
 
-    let delta = EdgeDelta::new(inserts, vec![]).unwrap();
     let rejected = service.metrics().jobs_rejected;
-    let err = service.apply_delta(&delta).unwrap_err();
-    assert_eq!(err, ServiceError::QueueFull { capacity: 1 });
-    assert_eq!(service.head_version(), service.root_version());
-    assert_eq!(service.metrics().jobs_rejected, rejected + 2);
-    assert_eq!(emissions.lock().unwrap().len(), 2, "nothing was emitted");
-
-    // With one watcher left its re-emission fits: the same delta applies.
-    handles[0].cancel();
-    let v1 = service.apply_delta(&delta).unwrap();
+    let v1 = service
+        .apply_delta(&EdgeDelta::new(inserts, vec![]).unwrap())
+        .unwrap();
     assert_ne!(v1, service.root_version());
-    let seen = emissions.lock().unwrap();
-    assert_eq!(seen.len(), 3);
-    assert_eq!((seen[2].0, seen[2].1), (1, v1.as_u64()));
-    drop(seen);
+    assert_eq!(service.head_version(), v1);
+    let seen = delivered(&emissions, 4);
+    assert_eq!(
+        who_and_when(&seen[2..]),
+        vec![(0, v1.as_u64()), (1, v1.as_u64())]
+    );
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_rejected, rejected);
+    assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
+    handles.iter().for_each(|handle| handle.cancel());
+    service.shutdown();
+}
+
+/// A `side × side` lattice: the graph on which a delta's ball is small.
+fn grid(side: u32) -> CsrGraph {
+    let mut b = GraphBuilder::new((side * side) as usize);
+    for r in 0..side {
+        for c in 0..side {
+            if c + 1 < side {
+                b.add_edge(r * side + c, r * side + c + 1);
+            }
+            if r + 1 < side {
+                b.add_edge(r * side + c, (r + 1) * side + c);
+            }
+        }
+    }
+    b.build()
+}
+
+/// A mutator's latency does not depend on how many clients are watching,
+/// nor on how slow they are: with one watcher's callback blocked, three
+/// deltas each return. Released, the watcher receives its pending version
+/// and then only the head (latest-version-wins), which it recounts from the
+/// pending version's counts — the nearest counted ancestor, its parent
+/// never having been counted — without binding the head's graph. The
+/// delivered head's counts are the head's exact ones.
+#[test]
+fn a_blocked_watcher_never_holds_the_mutator() {
+    let _serial = serial();
+    let side = 20;
+    let graph = Arc::new(grid(side));
+    let service = Arc::new(Service::with_config(Arc::clone(&graph), service_config()));
+    let root = service.root_version();
+    let emissions: Emissions = Arc::default();
+    let (release, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let sink = recorder(&emissions, 0);
+    let callback: WatchFn = Arc::new(move |version, update| {
+        if version != root {
+            let _ = gate.lock().unwrap().recv_timeout(Duration::from_secs(10));
+        }
+        sink(version, update);
+    });
+    let job = CountJob::new(catalog::cycle(4)).seed(7).budget(4);
+    let _handle = service.watch(job.clone(), callback).unwrap();
+    let binds = || Stage::Bind.histogram().snapshot().count;
+    let binds_before = binds();
+
+    // On a helper thread, so that a mutator held by the watcher fails the
+    // bounded wait below instead of hanging the test.
+    let diagonals = [
+        (0, side + 1),
+        (5 * side + 5, 6 * side + 6),
+        (12 * side + 3, 13 * side + 4),
+    ];
+    let (minted, versions) = mpsc::channel();
+    let shared = Arc::clone(&service);
+    let mutator = std::thread::spawn(move || {
+        for edge in diagonals {
+            let delta = EdgeDelta::new(vec![edge], vec![]).unwrap();
+            let _ = minted.send(shared.apply_delta(&delta).unwrap());
+        }
+    });
+    let versions: Vec<VersionId> = (1..=3)
+        .map(|i| {
+            versions
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("delta {i} waited for a blocked watcher"))
+        })
+        .collect();
+    mutator.join().unwrap();
+    assert_eq!(
+        emissions.lock().unwrap().len(),
+        1,
+        "the callback is blocked"
+    );
+    assert_eq!(service.head_version(), versions[2]);
+    let metrics = service.metrics();
+    assert_eq!(metrics.watchers, 1);
+    assert_eq!(
+        metrics.watch_emissions_coalesced, 1,
+        "the second delta's version was superseded before it ran"
+    );
+    let exposition = service.exposition();
+    assert!(exposition.lines().any(|l| l == "service_watchers 1"));
+    assert!(exposition
+        .lines()
+        .any(|l| l == "service_watch_emissions_coalesced 1"));
+
+    release.send(()).unwrap();
+    release.send(()).unwrap();
+    let seen = delivered(&emissions, 3);
+    let order: Vec<u64> = seen.iter().map(|e| e.1).collect();
+    assert_eq!(
+        order,
+        vec![root.as_u64(), versions[0].as_u64(), versions[2].as_u64()]
+    );
+    assert_eq!(binds(), binds_before, "an emission bound a version's graph");
+    assert_eq!(
+        service.metrics().jobs_submitted,
+        3,
+        "one emission each at the root, the first delta's version and the head"
+    );
+    let head_counts = &seen[2].2;
+    let at_head = service.count_at(versions[2], job).unwrap();
+    assert_eq!(&at_head.estimate.per_trial, head_counts);
+    let mut fresh = GraphBuilder::new(graph.num_vertices());
+    fresh.extend_edges(graph.edges());
+    fresh.extend_edges(diagonals);
+    let reference = Engine::new(&fresh.build())
+        .count(&catalog::cycle(4))
+        .seed(7)
+        .trials(4)
+        .estimate()
+        .unwrap();
+    assert_eq!(&reference.per_trial, head_counts);
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_completed, metrics.jobs_submitted);
     service.shutdown();
 }
 
@@ -591,6 +761,7 @@ fn a_delta_the_queue_cannot_reemit_is_refused_and_mints_nothing() {
 
 #[test]
 fn net_watch_streams_version_tagged_chunks_across_deltas() {
+    let _serial = serial();
     let graph = Arc::new(gnm(20, 40, 17));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -626,8 +797,9 @@ fn net_watch_streams_version_tagged_chunks_across_deltas() {
     }
 
     // A valid delta lands a new version; the watcher's next frame carries
-    // it. The server re-emits before acknowledging the delta, so reading
-    // after `apply_delta` returned cannot hang.
+    // it. The server acknowledges the delta once the re-emission is queued
+    // and writes the frame when it completes, so the read below waits for
+    // it.
     let inserts = absent_edges(&graph, 2);
     let version = mutator.apply_delta(&inserts, &[existing]).unwrap();
     let second = stream.next().unwrap().unwrap();

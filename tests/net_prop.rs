@@ -6,12 +6,16 @@
 //! valid encoding is rejected, encodings are canonical (decode∘encode is
 //! the identity on accepted byte strings), and frames round-trip through
 //! the length-prefixed transport layer — including f64 payloads with
-//! arbitrary bit patterns, which must survive bit-exactly.
+//! arbitrary bit patterns, which must survive bit-exactly. The protocol-v3
+//! frames (`delta`, `watch`, `delta-ok`, `watch-chunk`) are held to the
+//! same contract.
 
 use proptest::prelude::*;
 use subgraph_counting::core::Algorithm;
 use subgraph_counting::net::wire::{read_frame, write_frame, FrameError};
-use subgraph_counting::net::{ChunkFrame, CountSpec, Request, Response, DEFAULT_MAX_FRAME_LEN};
+use subgraph_counting::net::{
+    ChunkFrame, CountSpec, DeltaSpec, Request, Response, WatchFrame, DEFAULT_MAX_FRAME_LEN,
+};
 use subgraph_counting::Precision;
 
 /// A small pool of pattern texts (codec-level: the server parses later, so
@@ -41,6 +45,26 @@ fn spec_from(id: u64, selector: u8, seed: u64, budget: u64, precision: u8) -> Co
         },
         trace: (seed % 2 == 1).then_some(seed),
     }
+}
+
+/// Every strict prefix of `payload`, and `payload` padded with `pad` bytes,
+/// fails `decodes`: the decoder consumes exactly the payload.
+fn rejects_truncation_and_padding(
+    payload: &[u8],
+    pad: usize,
+    decodes: impl Fn(&[u8]) -> bool,
+) -> Result<(), TestCaseError> {
+    for cut in 0..payload.len() {
+        prop_assert!(
+            !decodes(&payload[..cut]),
+            "prefix of {cut}/{} bytes must not decode",
+            payload.len()
+        );
+    }
+    let mut padded = payload.to_vec();
+    padded.extend(std::iter::repeat_n(0xAA, pad));
+    prop_assert!(!decodes(&padded), "{pad} bytes of padding must not decode");
+    Ok(())
 }
 
 proptest! {
@@ -186,5 +210,65 @@ proptest! {
         prop_assert_eq!(decoded.id, id);
         prop_assert_eq!(decoded.estimated_subgraphs.to_bits(), subgraph_bits);
         prop_assert_eq!(decoded.relative_half_width.to_bits(), width_bits);
+    }
+
+    /// `delta` requests with random insert and delete lists, and `watch`
+    /// requests, round-trip exactly; every truncation or padding of their
+    /// payloads is a typed error.
+    #[test]
+    fn v3_requests_round_trip_and_reject_truncation_and_padding(
+        inserts in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..6),
+        deletes in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..6),
+        params in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..1_000_000),
+        knobs in (0u8..255, 0u8..8, 1usize..9),
+    ) {
+        let ((id, seed, budget), (selector, precision, pad)) = (params, knobs);
+        let delta = Request::Delta(DeltaSpec { inserts, deletes });
+        let watch = Request::Watch(spec_from(id, selector, seed, budget, precision));
+        for request in [delta, watch] {
+            let payload = request.encode();
+            let decoded = Request::decode(request.tag(), &payload);
+            prop_assert_eq!(decoded.as_ref(), Ok(&request));
+            rejects_truncation_and_padding(&payload, pad, |bytes| {
+                Request::decode(request.tag(), bytes).is_ok()
+            })?;
+        }
+    }
+
+    /// `delta-ok` and `watch-chunk` responses round-trip exactly — the
+    /// chunk's f64s with arbitrary bit patterns, NaN payloads included —
+    /// and every truncation or padding of their payloads is a typed error.
+    #[test]
+    fn v3_responses_round_trip_bit_exactly_and_reject_truncation_and_padding(
+        ids in (0u64..u64::MAX, 0u64..u64::MAX),
+        counters in (0u64..u64::MAX, 0u64..u64::MAX),
+        bits in (0u64..u64::MAX, 0u64..u64::MAX, 1usize..9),
+    ) {
+        let ((id, version), (trials_run, budget), (subgraph_bits, width_bits, pad)) =
+            (ids, counters, bits);
+        let delta_ok = Response::DeltaOk { version };
+        let decoded = Response::decode(delta_ok.tag(), &delta_ok.encode());
+        prop_assert_eq!(decoded.as_ref(), Ok(&delta_ok));
+        let chunk = Response::WatchChunk(WatchFrame {
+            id,
+            version,
+            trials_run,
+            budget,
+            estimated_subgraphs: f64::from_bits(subgraph_bits),
+            relative_half_width: f64::from_bits(width_bits),
+        });
+        let decoded = Response::decode(chunk.tag(), &chunk.encode()).expect("round trip");
+        let Response::WatchChunk(decoded) = decoded else { panic!("tag preserved") };
+        prop_assert_eq!(
+            (decoded.id, decoded.version, decoded.trials_run, decoded.budget),
+            (id, version, trials_run, budget)
+        );
+        prop_assert_eq!(decoded.estimated_subgraphs.to_bits(), subgraph_bits);
+        prop_assert_eq!(decoded.relative_half_width.to_bits(), width_bits);
+        for response in [delta_ok, chunk] {
+            rejects_truncation_and_padding(&response.encode(), pad, |bytes| {
+                Response::decode(response.tag(), bytes).is_ok()
+            })?;
+        }
     }
 }
