@@ -152,8 +152,8 @@ impl<'g> Engine<'g> {
         &self.prep
     }
 
-    /// The decomposition plan for `query`, planned with the Section 6
-    /// heuristic on first use and served from the cache afterwards.
+    /// The decomposition plan for `query`, planned with
+    /// [`heuristic_plan`] on first use and served from the cache afterwards.
     ///
     /// # Errors
     /// [`SgcError::Query`] if the query has no treewidth-≤2 decomposition.
@@ -251,7 +251,7 @@ impl<'g> Engine<'g> {
     }
 
     /// Explains what a request for `query` would do, without running it: the
-    /// candidate decomposition trees with their Section 6 cost vectors, the
+    /// candidate decomposition trees with their plan-cost vectors, the
     /// heuristic's choice (exactly the plan [`Engine::plan`] caches), the
     /// treewidth verdict, and upper bounds on the projection-table sizes on
     /// this engine's graph. The returned [`PlanReport`] `Display`s as the

@@ -2,7 +2,7 @@
 //!
 //! A query engine serving arbitrary patterns owes its callers a plan report
 //! *before* they pay for execution: which decomposition trees exist, which
-//! one the Section 6 heuristic picks and why, and how much table state a run
+//! one the plan heuristic picks and why, and how much table state a run
 //! is bounded by. [`Engine::explain`](crate::Engine::explain) returns that as
 //! a structured [`PlanReport`] (the data the `plan_explorer` example used to
 //! compute inline), and the report's `Display` renders the familiar explain
@@ -55,7 +55,7 @@ pub struct BlockReport {
 /// One candidate decomposition tree, costed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanCandidate {
-    /// The Section 6 cost vector (longest cycle, boundary nodes,
+    /// The cost vector (longest cycle, folded nodes, boundary nodes,
     /// annotations) the heuristic compares lexicographically.
     pub cost: PlanCost,
     /// Per-block structure and table bounds.
@@ -129,10 +129,11 @@ impl std::fmt::Display for PlanReport {
         for (i, plan) in self.candidates.iter().enumerate() {
             writeln!(
                 f,
-                "  plan {i:>2}: blocks={:<2} longest cycle={:<2} boundary nodes={:<2} \
-                 annotations={:<2} predicted rows <= {}{}",
+                "  plan {i:>2}: blocks={:<2} longest cycle={:<2} folded nodes={:<2} \
+                 boundary nodes={:<2} annotations={:<2} predicted rows <= {}{}",
                 plan.blocks.len(),
                 plan.cost.longest_cycle,
+                plan.cost.folded_nodes,
                 plan.cost.boundary_nodes,
                 plan.cost.annotations,
                 plan.predicted_rows,
@@ -151,20 +152,24 @@ impl std::fmt::Display for PlanReport {
     }
 }
 
-/// `C(n, r)`, exact for the query domain (`n ≤ 32`, where the largest
-/// intermediate is far below `u64::MAX`).
+/// Saturating `C(n, r)`: exact up to `u64::MAX`, which it returns for
+/// larger values (query nodes go up to 128, and `C(128, 64)` is ≈ 2.4e37).
 fn binomial(n: usize, r: usize) -> u64 {
     if r > n {
         return 0;
     }
     let r = r.min(n - r);
-    let mut out: u64 = 1;
+    let mut out: u128 = 1;
     for i in 0..r {
         // out * (n - i) is always divisible by i + 1: it equals C(n, i+1)
-        // times (i + 1).
-        out = out * (n - i) as u64 / (i + 1) as u64;
+        // times (i + 1). Once out passes u64::MAX every later C(n, i+1) is
+        // larger still (i + 1 ≤ r ≤ n / 2), so the answer saturates.
+        out = out * (n - i) as u128 / (i + 1) as u128;
+        if out > u64::MAX as u128 {
+            return u64::MAX;
+        }
     }
-    out
+    out as u64
 }
 
 /// Saturating `n^b` for the boundary-image factor (`b` is 0, 1 or 2).
@@ -267,8 +272,27 @@ mod tests {
         assert_eq!(binomial(5, 5), 1);
         assert_eq!(binomial(3, 4), 0);
         assert_eq!(binomial(32, 16), 601_080_390);
+        assert_eq!(binomial(67, 33), 14_226_520_737_620_288_370);
+        // C(70, 35) ≈ 1.1e20 and C(127, 63) ≈ 1.2e37 exceed u64::MAX.
+        assert_eq!(binomial(70, 35), u64::MAX);
+        assert_eq!(binomial(127, 63), u64::MAX);
+        assert_eq!(binomial(127, 126), 127);
         assert_eq!(power(10, 0), 1);
         assert_eq!(power(10, 2), 100);
         assert_eq!(power(u64::MAX, 2), u64::MAX);
+    }
+
+    /// Subquery sizes near half of a large query's nodes have binomials past
+    /// `u64::MAX`; in a debug build an unchecked product would panic here.
+    #[test]
+    fn explaining_a_path_of_more_than_64_nodes_saturates_instead_of_overflowing() {
+        let query = sgc_query::catalog::path(70);
+        let report = build_report(1, &query, Algorithm::DegreeBased).unwrap();
+        let chosen = report.chosen_candidate();
+        let rows = chosen.blocks.iter().map(|b| b.predicted_rows);
+        assert_eq!(rows.max(), Some(u64::MAX));
+        assert_eq!(chosen.predicted_rows, u64::MAX);
+        let text = report.to_string();
+        assert!(text.contains(&format!("predicted rows <= {}", u64::MAX)));
     }
 }

@@ -34,7 +34,7 @@
 //!   (the trial loop itself lives in [`CountRequest::estimate`]),
 //! * [`explain`] — the library-level `EXPLAIN`: [`Engine::explain`] turns a
 //!   query or pattern string into a structured [`PlanReport`] (candidate
-//!   decompositions, Section 6 costs, predicted table bounds) before any
+//!   decompositions, plan costs, predicted table bounds) before any
 //!   counting runs,
 //! * [`brute`] — exponential-time reference counters used as the correctness
 //!   oracle in tests (the tree-query DP oracle lives in `tests/treelet/`).

@@ -9,8 +9,8 @@
 //!   contractible cycles) and the decomposition-tree construction of
 //!   Section 4.1, including annotations and parent inheritance,
 //! * [`plan`] — enumeration of all decomposition trees of a query and the
-//!   plan-selection heuristic of Section 6 (longest cycle, boundary nodes,
-//!   annotation count),
+//!   plan-selection heuristic (Section 6's longest cycle, boundary nodes and
+//!   annotation count, plus the query nodes folded into cycles),
 //! * [`automorphism`] — automorphism counting, needed to convert match counts
 //!   into subgraph counts (Section 2),
 //! * [`key`] — the canonical cache identity of a query, shared by the

@@ -4,7 +4,7 @@
 //! (`"a-b, b-c, c-a"`), generator macros (`cycle(5)`, `star(6)`), or
 //! registered names (`glet1`, `brain2`, `satellite`) — and the explorer
 //! prints each pattern's explain report (candidate decomposition trees with
-//! their Section 6 cost vectors, the heuristic's choice, treewidth verdict,
+//! their plan-cost vectors, the heuristic's choice, treewidth verdict,
 //! automorphisms, predicted table bounds) and then counts it, demonstrating
 //! the text front door end to end. With no arguments it walks the whole
 //! built-in registry.

@@ -1,27 +1,30 @@
 //! The paper's evaluation shapes (Section 8) as assertions on the Table 1
 //! analogs.
 //!
-//! Each test runs all ten Figure 8 queries on their heuristic plans under
-//! both algorithms, one colouring per query, and reads only deterministic
-//! counters — `RunMetrics::total_ops` and the per-rank `max_load()` over 64
-//! simulated ranks — never a clock, so the outcome is the same on any box.
-//! What is reproduced is the *shape* of a figure (who does less work, whose
-//! load is better balanced), not its absolute numbers. Every failure message
-//! prints the measured rows next to the figure's claim.
+//! Figures 10 and 11 run all ten Figure 8 queries on their Section 6 plans
+//! under both algorithms; Figure 14 runs every registry query on every
+//! enumerated plan under DB. Each uses one colouring per query and reads
+//! only deterministic counters — `RunMetrics::total_ops` and the per-rank
+//! `max_load()` over 64 simulated ranks — never a clock, so the outcome is
+//! the same on any box. What is reproduced is the *shape* of a figure (who
+//! does less work, whose load is better balanced, how far the chosen plan is
+//! from the best), not its absolute numbers. Every failure message prints
+//! the measured rows next to the figure's claim.
 //!
 //! Shapes pinned elsewhere: Corollary 9.9 by
 //! `theory::bounds::tests::power_law_sequences_give_polynomially_smaller_x_bound`
 //! and `theory::paths::tests::skewed_graphs_have_fewer_high_starting_paths`,
 //! Claim 10.1 by `theory::balanced::tests`, Table 1's skew by
-//! `gen::catalog::tests::skewed_rows_are_more_skewed_than_road`. Figure 14
-//! (heuristic plan within 15 % of the best) does not reproduce here and is
-//! recorded as such in DESIGN.md rather than asserted either way.
+//! `gen::catalog::tests::skewed_rows_are_more_skewed_than_road`.
 
 use std::fmt::Write;
 use subgraph_counting::core::{Algorithm, Engine};
 use subgraph_counting::gen::catalog::TABLE1_ANALOGS;
-use subgraph_counting::graph::Coloring;
-use subgraph_counting::query::{catalog::FIGURE8_QUERIES, heuristic_plan};
+use subgraph_counting::graph::{Coloring, CsrGraph};
+use subgraph_counting::query::catalog::{self, FIGURE8_QUERIES};
+use subgraph_counting::query::{
+    enumerate_plans, heuristic_plan, DecompositionTree, PlanCost, QueryGraph,
+};
 
 /// Simulated ranks the loads are attributed to (the paper runs 32–512).
 const RANKS: usize = 64;
@@ -46,20 +49,47 @@ impl Row {
     }
 }
 
-/// Runs every Figure 8 query on the named Table 1 analog at `scale`.
-fn measure(graph: &str, scale: f64) -> Vec<Row> {
-    let spec = TABLE1_ANALOGS
+/// The named Table 1 analog at `scale`.
+fn analog(graph: &str, scale: f64) -> CsrGraph {
+    TABLE1_ANALOGS
         .iter()
         .find(|spec| spec.name == graph)
-        .expect("a Table 1 row");
-    let graph = spec.generate(scale, 0xC0FFEE);
+        .expect("a Table 1 row")
+        .generate(scale, 0xC0FFEE)
+}
+
+/// The colouring every figure runs `query` with.
+fn coloring_for(graph: &CsrGraph, query: &QueryGraph) -> Coloring {
+    Coloring::random(graph.num_vertices(), query.num_nodes(), 42)
+}
+
+/// The plan the paper's Section 6 rule picks: the smallest (longest cycle,
+/// boundary nodes, annotations), ties broken by signature. Figures 10 and 11
+/// were measured on these plans, so they keep them whatever
+/// `heuristic_plan` ranks first.
+fn section6_plan(query: &QueryGraph) -> DecompositionTree {
+    enumerate_plans(query)
+        .expect("Figure 8 queries are treewidth 2")
+        .into_iter()
+        .min_by_key(|tree| {
+            let cost = PlanCost::of(tree);
+            let key = (cost.longest_cycle, cost.boundary_nodes, cost.annotations);
+            (key, tree.signature())
+        })
+        .expect("enumerate_plans returns at least one plan")
+}
+
+/// Runs every Figure 8 query on its Section 6 plan on the named Table 1
+/// analog at `scale`.
+fn measure(graph: &str, scale: f64) -> Vec<Row> {
+    let graph = analog(graph, scale);
     let engine = Engine::new(&graph);
     FIGURE8_QUERIES
         .iter()
         .map(|spec| {
             let query = (spec.build)();
-            let plan = heuristic_plan(&query).expect("Figure 8 queries are treewidth 2");
-            let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 42);
+            let plan = section6_plan(&query);
+            let coloring = coloring_for(&graph, &query);
             let run = |algorithm| {
                 let request = engine.count(&query).plan(&plan).algorithm(algorithm);
                 request.ranks(RANKS).coloring(&coloring).run().unwrap()
@@ -166,5 +196,112 @@ fn figure11_db_lowers_max_rank_load_on_enron() {
             r.ops_ratio(),
             table(label, &rows)
         );
+    }
+}
+
+/// One query's DB work on the planner's plan against every enumerated plan.
+struct PlanRow {
+    query: &'static str,
+    plans: usize,
+    chosen_ops: u64,
+    best_ops: u64,
+    worst_ops: u64,
+}
+
+impl PlanRow {
+    /// The chosen plan's work over the cheapest plan's: Figure 14's quantity.
+    fn over_best(&self) -> f64 {
+        self.chosen_ops as f64 / self.best_ops as f64
+    }
+}
+
+/// Runs every registry query under DB on each of its enumerated plans on
+/// the named Table 1 analog at `scale`.
+fn measure_plans(graph: &str, scale: f64) -> Vec<PlanRow> {
+    let graph = analog(graph, scale);
+    let engine = Engine::new(&graph);
+    catalog::names()
+        .into_iter()
+        .map(|name| {
+            let query = catalog::query_by_name(name).expect("a registry name");
+            let coloring = coloring_for(&graph, &query);
+            let ops = |plan: &DecompositionTree| {
+                let request = engine.count(&query).plan(plan).coloring(&coloring);
+                let run = request.algorithm(Algorithm::DegreeBased).run().unwrap();
+                run.metrics.total_ops
+            };
+            let plans = enumerate_plans(&query).expect("registry queries are treewidth 2");
+            let chosen = heuristic_plan(&query).unwrap().signature();
+            let chosen = plans.iter().position(|p| p.signature() == chosen);
+            let all: Vec<u64> = plans.iter().map(ops).collect();
+            PlanRow {
+                query: name,
+                plans: all.len(),
+                chosen_ops: all[chosen.expect("the chosen plan is an enumerated plan")],
+                best_ops: *all.iter().min().unwrap(),
+                worst_ops: *all.iter().max().unwrap(),
+            }
+        })
+        .collect()
+}
+
+fn plan_table(label: &str, rows: &[PlanRow]) -> String {
+    let mut out = format!(
+        "{label}:\n{:<9} {:>5} {:>12} {:>12} {:>12} {:>10}\n",
+        "query", "plans", "chosen ops", "best ops", "worst ops", "chosen/best"
+    );
+    for r in rows {
+        writeln!(
+            out,
+            "{:<9} {:>5} {:>12} {:>12} {:>12} {:>10.2}",
+            r.query,
+            r.plans,
+            r.chosen_ops,
+            r.best_ops,
+            r.worst_ops,
+            r.over_best()
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Figure 14: the query-only planner picks a plan close to the best one
+/// (the paper: optimal or within 15 % of it). The paper's Section 6 rule
+/// alone does not reproduce this here (geomean chosen/best 1.50 / 1.49 /
+/// 1.23 on these analogs, worst 2.55); ranking plans by the nodes they fold
+/// into cycles does (1.02 / 1.02 / 1.03, worst 1.16 on the skewed analogs).
+/// On roads the worst single query, brain2, stays at 1.38, so only the
+/// geomean is bounded there.
+#[test]
+fn figure14_planner_stays_near_the_best_enumerated_plan() {
+    const CLAIM: &str = "paper Fig. 14: the heuristic plan is optimal or within 15 % of it";
+    for (graph, scale, worst_bound) in [
+        ("enron", 0.01, Some(1.20)),
+        ("condMat", 0.02, Some(1.20)),
+        ("roadNetCA", 0.002, None),
+    ] {
+        let rows = measure_plans(graph, scale);
+        let label = format!("{graph}@{scale}");
+        let geomean = geometric_mean(rows.iter().map(PlanRow::over_best));
+        assert!(
+            geomean <= 1.05,
+            "{label}: geometric-mean chosen/best DB ops {geomean:.3}, want ≤ 1.05 ({CLAIM})\n{}",
+            plan_table(&label, &rows)
+        );
+        if let Some(bound) = worst_bound {
+            let by_ratio = |a: &&PlanRow, b: &&PlanRow| a.over_best().total_cmp(&b.over_best());
+            let worst = rows
+                .iter()
+                .max_by(by_ratio)
+                .expect("the registry is not empty");
+            assert!(
+                worst.over_best() <= bound,
+                "{label} {}: chosen/best DB ops {:.3}, want ≤ {bound} ({CLAIM})\n{}",
+                worst.query,
+                worst.over_best(),
+                plan_table(&label, &rows)
+            );
+        }
     }
 }
