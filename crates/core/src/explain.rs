@@ -10,6 +10,7 @@
 
 use crate::config::Algorithm;
 use crate::error::SgcError;
+use crate::paths::PathProgram;
 use sgc_query::automorphism::count_automorphisms;
 use sgc_query::treewidth::is_tree;
 use sgc_query::{enumerate_plans, DecompositionTree, PlanCost, QueryGraph};
@@ -50,6 +51,17 @@ pub struct BlockReport {
     /// Upper bound on the block's projection-table rows (see
     /// [`PlanCandidate::predicted_rows`]).
     pub predicted_rows: u64,
+    /// Path steps one start-vertex tile runs under the report's algorithm:
+    /// the block's path program (`PathProgram`) builds each distinct step once.
+    pub distinct_steps: usize,
+    /// Path steps the written algorithm runs per tile (`P+` and `P-` of
+    /// every split, or a leaf edge's one chain).
+    pub written_steps: u64,
+    /// Merges one tile runs (zero for a leaf edge): each distinct split
+    /// once, with its multiplicity.
+    pub distinct_merges: usize,
+    /// Merges the written algorithm runs per tile: one per split.
+    pub written_merges: u64,
 }
 
 /// One candidate decomposition tree, costed.
@@ -142,11 +154,22 @@ impl std::fmt::Display for PlanReport {
         }
         writeln!(f, "chosen plan blocks:")?;
         for (i, block) in self.chosen_candidate().blocks.iter().enumerate() {
-            writeln!(
+            write!(
                 f,
                 "  block {i}: {} boundary={} subquery nodes={} predicted rows <= {}",
                 block.kind, block.boundary_nodes, block.subquery_nodes, block.predicted_rows
             )?;
+            if block.cycle_length > 0 {
+                write!(
+                    f,
+                    "  path steps {}/{}, merges {}/{}",
+                    block.distinct_steps,
+                    block.written_steps,
+                    block.distinct_merges,
+                    block.written_merges
+                )?;
+            }
+            writeln!(f)?;
         }
         Ok(())
     }
@@ -182,8 +205,11 @@ fn block_report(
     block: sgc_query::BlockId,
     k: usize,
     graph_vertices: usize,
+    algorithm: Algorithm,
 ) -> BlockReport {
     let b = &tree.blocks[block];
+    // The program the kernel would run: the same compiler, not a model.
+    let program = PathProgram::compile(tree, b, algorithm);
     let subquery = tree.subquery_nodes(block).len();
     let boundary = b.boundary.len();
     let predicted = binomial(k, subquery).saturating_mul(power(graph_vertices as u64, boundary));
@@ -204,6 +230,10 @@ fn block_report(
         boundary_nodes: boundary,
         subquery_nodes: subquery,
         predicted_rows: predicted,
+        distinct_steps: program.distinct_steps(),
+        written_steps: program.written_steps(),
+        distinct_merges: program.distinct_merges(),
+        written_merges: program.written_merges(),
     }
 }
 
@@ -229,7 +259,7 @@ pub(crate) fn build_report(
         .enumerate()
         .map(|(i, tree)| {
             let blocks: Vec<BlockReport> = (0..tree.blocks.len())
-                .map(|b| block_report(tree, b, k, graph_vertices))
+                .map(|b| block_report(tree, b, k, graph_vertices, algorithm))
                 .collect();
             let predicted_rows = blocks
                 .iter()
@@ -280,6 +310,25 @@ mod tests {
         assert_eq!(power(10, 0), 1);
         assert_eq!(power(10, 2), 100);
         assert_eq!(power(u64::MAX, 2), u64::MAX);
+    }
+
+    /// The report shows the program the kernel runs: a bare 5-cycle under
+    /// DB builds 3 of its 25 written path steps and merges once, five times
+    /// over; under PS its one split shares two of five steps.
+    #[test]
+    fn explain_shows_the_path_program_of_each_cycle_block() {
+        let query = sgc_query::catalog::cycle(5);
+        let db = build_report(10, &query, Algorithm::DegreeBased).unwrap();
+        let block = &db.chosen_candidate().blocks[0];
+        let program = (block.distinct_steps, block.written_steps);
+        assert_eq!(program, (3, 25));
+        assert_eq!((block.distinct_merges, block.written_merges), (1, 5));
+        assert!(db.to_string().contains("path steps 3/25, merges 1/5"));
+        let ps = build_report(10, &query, Algorithm::PathSplitting).unwrap();
+        assert!(ps.to_string().contains("path steps 3/5, merges 1/1"));
+        // Leaf-edge blocks print no program line.
+        let path = build_report(10, &sgc_query::catalog::path(3), Algorithm::DegreeBased);
+        assert!(!path.unwrap().to_string().contains("path steps"));
     }
 
     /// Subquery sizes near half of a large query's nodes have binomials past

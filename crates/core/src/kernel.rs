@@ -1,16 +1,19 @@
 //! The DP kernel: solving one block into its projection table.
 //!
 //! This module turns one block of the decomposition tree into its projection
-//! table, given the already-computed tables of its children:
+//! table, given the already-computed tables of its children, by running the
+//! block's path program (`paths::PathProgram`) once per start-vertex tile:
 //!
-//! * leaf-edge blocks are a short chain of joins (edge realization plus the
-//!   node annotations of the two endpoints) followed by a projection onto the
-//!   boundary node,
-//! * cycle blocks are split into two path segments, each built by a sequence
-//!   of joins (initial edge, EdgeJoin, NodeJoin — Figures 4, 6 and 7), and
-//!   merged back; the PS algorithm uses a single split at the boundary nodes,
-//!   the DB algorithm runs one split per candidate highest node `a_h` and
-//!   aggregates (Equation 1).
+//! * leaf-edge blocks are a one-path program — a short chain of joins (edge
+//!   realization plus the node annotations of the two endpoints) — followed
+//!   by a projection onto the boundary node,
+//! * cycle blocks are split into two path segments, each built by a
+//!   sequence of joins (initial edge, EdgeJoin, NodeJoin — Figures 4, 6 and
+//!   7), and merged back; the PS algorithm uses a single split at the
+//!   boundary nodes, the DB algorithm one split per candidate highest node
+//!   `a_h`, aggregated (Equation 1). The program runs one run per distinct
+//!   split: each distinct path step once per tile, each distinct merge once
+//!   with its multiplicity.
 //!
 //! Every working table is a structure-of-arrays table of
 //! [`sgc_engine::columnar`]:
@@ -29,31 +32,33 @@
 //!   *tile* of start vertices at a time (`solve_block`): the path tables
 //!   hold one tile's rows, whatever the size of the graph, and only the
 //!   block's projection accumulator spans tiles. Tiles are the outer loop
-//!   and a cycle's splits the inner one,
+//!   and the program's run the inner one,
 //! * every path of a tile whose first edge is a graph edge starts from the
 //!   same edge set (`P+` and `P-` of every DB split, both PS paths, the
 //!   leaf-edge chain): the tile's seeds are enumerated once, into an
-//!   appended table the paths copy their first table from,
+//!   appended table the first steps copy their tables from,
 //! * only join outputs are hashed: a first table's keys — seed edges, or a
 //!   child slice's rows — are distinct by construction, so it is appended
 //!   ([`ColumnarTable::append`]) without probing.
 //!
 //! Every examined candidate is attributed to the simulated rank owning the
 //! vertex at which the paper's distributed engine would have performed the
-//! operation. `solve_block` is the kernel's one entry point, and the
-//! block-step executor (`runtime::executor`) its one caller; counts are checked
-//! against the independent oracles in [`crate::brute`] and
-//! `tests/treelet/` (a tree-query DP of its own) and the committed golden
-//! fixtures.
+//! operation, as many times as the written algorithm examines it: a shared
+//! step records its operations once per written step it stands for.
+//! `solve_block` is the kernel's one entry point, and the block-step
+//! executor (`runtime::executor`) its one caller; counts are checked
+//! against the independent oracles in [`crate::brute`] and `tests/treelet/`
+//! (a tree-query DP of its own) and the committed golden fixtures.
 
-use crate::config::Algorithm;
 use crate::context::Context;
 use crate::metrics::RunMetrics;
-use crate::paths::{combine_extras, BlockJoinIndex, EdgeRealization, Field, PathBuilder};
+use crate::paths::{
+    combine_extras, BlockJoinIndex, Field, Instr, Merge, PathProgram, Step, StepOp, Via,
+};
 use sgc_engine::columnar::{path_key, AddPipeline, KEY_FIELDS};
 use sgc_engine::{BlockTable, ColumnarTable, Count, EndpointGroups, RowGroups, Signature};
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
-use sgc_query::{Block, BlockId, BlockKind, DecompositionTree, QueryNode};
+use sgc_query::{Block, BlockId};
 use std::mem;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -94,22 +99,19 @@ impl KernelMetrics {
 
 /// All scratch storage one block solve needs, reusable across trials.
 ///
-/// `seeds` holds the current tile's graph-edge seeds; the two ping-pong
-/// path tables hold the current and next table of one start-vertex tile's
-/// path-build join chain; `plus` parks the tile's finished clockwise path
-/// while the counter-clockwise one is built; `proj` accumulates the block
-/// projection (across all tiles and DB splits); `groups` is the
-/// endpoint-grouping scratch of the path merge.
+/// `seeds` holds the current tile's graph-edge seeds; `paths` the path
+/// tables a path program run addresses — the two ping-pong tables of a
+/// join chain, the parked `P+` of a split while its `P-` is built, and the
+/// memo tables of the steps two or more consumers read, each alive until
+/// the tile ends; `proj` accumulates the block projection (across all tiles
+/// and DB splits); `groups` is the endpoint-grouping scratch of the path
+/// merge.
 #[derive(Debug, Default)]
 pub struct KernelArena {
     /// The current tile's graph-edge seeds.
     seeds: TileSeeds,
-    /// Ping-pong table A of the path build.
-    path_a: ColumnarTable,
-    /// Ping-pong table B of the path build.
-    path_b: ColumnarTable,
-    /// Parking slot for the finished `P+` table during the `P-` build.
-    plus: ColumnarTable,
+    /// The path tables of a program run, by the program's table number.
+    paths: Vec<ColumnarTable>,
     /// The block projection accumulator (summed over DB splits); between
     /// two solves, the table the exchange sums one owner's rows in.
     pub(crate) proj: ColumnarTable,
@@ -132,9 +134,9 @@ impl KernelArena {
     /// Total allocated capacity across all tables and scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
         self.seeds.capacity_bytes()
-            + self.path_a.capacity_bytes()
-            + self.path_b.capacity_bytes()
-            + self.plus.capacity_bytes()
+            + (self.paths.iter())
+                .map(ColumnarTable::capacity_bytes)
+                .sum::<usize>()
             + self.proj.capacity_bytes()
             + self.groups.capacity_bytes()
             + (self.retired.iter()).map(RowGroups::bytes).sum::<usize>()
@@ -173,7 +175,7 @@ struct TileSeeds {
     /// distinct by construction.
     table: ColumnarTable,
     /// The seed step's operations per simulated rank, as `(rank, ops)`
-    /// runs in start-vertex order — what each path build records.
+    /// runs in start-vertex order — what each written path build records.
     ops: Vec<(usize, u64)>,
     /// Whether `table` and `ops` hold the current tile's seeds.
     filled: bool,
@@ -189,20 +191,20 @@ impl TileSeeds {
     /// Enumerates the seeds of the tile `starts`, unless this tile's are
     /// already here — so a tile whose paths all start on an annotated edge
     /// enumerates nothing.
-    fn fill(&mut self, builder: &PathBuilder<'_, '_>, starts: Range<VertexId>) {
+    fn fill(&mut self, joins: &Joins<'_, '_>, starts: Range<VertexId>) {
         if self.filled {
             return;
         }
         self.filled = true;
         self.table.reset();
         self.ops.clear();
-        let ctx = builder.ctx;
+        let ctx = joins.ctx;
         for u in starts {
             let cu = ctx.color(u);
             // In DB mode only the neighbors strictly below the start vertex
             // in the degree order can appear on a high-starting path, so the
             // pruned list is enumerated directly.
-            let neighbors = if builder.high_start {
+            let neighbors = if joins.high_start {
                 ctx.lower_neighbors(u, u)
             } else {
                 ctx.graph.neighbors(u)
@@ -285,336 +287,177 @@ const TILE_EDGES: usize = 1024;
 
 /// Solves `block` over the start vertices of `ctx`, against the child tables
 /// in `index`, into the context's partial of its projection table: the rows
-/// grouped by owner, ready for the exchange.
+/// grouped by owner, ready for the exchange. `program` is the block's
+/// [`PathProgram`] under the run's algorithm.
 ///
 /// A path row never changes its start vertex (key field 0), so every path
 /// table of the block partitions by start. The solve walks the start range
 /// in tiles of at most [`TILE_EDGES`] incident edges and runs the whole
-/// build → merge chain per tile into the shared projection accumulator: the
-/// working set is one tile's tables whatever the size of the graph. Counts,
-/// operation counts and created entries equal the one-tile solve's exactly
-/// (tile table lengths sum to the logical table's); only the peak table size
-/// shrinks.
+/// program — path steps, merges or the leaf-edge projection — per tile into
+/// the shared projection accumulator: the working set is one tile's tables
+/// whatever the size of the graph. Counts, operation counts and created
+/// entries equal the one-tile solve's exactly (tile table lengths sum to the
+/// logical table's); only the peak table size shrinks.
 pub(crate) fn solve_block(
     ctx: &Context<'_>,
-    tree: &DecompositionTree,
     block: &Block,
     index: &BlockJoinIndex<'_>,
-    algorithm: Algorithm,
+    program: &PathProgram,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) -> RowGroups {
-    solve_block_tiled(
-        ctx, tree, block, index, algorithm, TILE_EDGES, arena, metrics,
-    )
+    solve_block_tiled(ctx, block, index, program, TILE_EDGES, arena, metrics)
 }
 
 /// [`solve_block`] with the tile budget as a parameter (the tile-invariance
 /// test sweeps it).
-#[allow(clippy::too_many_arguments)]
 fn solve_block_tiled(
     ctx: &Context<'_>,
-    tree: &DecompositionTree,
     block: &Block,
     index: &BlockJoinIndex<'_>,
-    algorithm: Algorithm,
+    program: &PathProgram,
     tile_edges: usize,
     arena: &mut KernelArena,
     metrics: &mut RunMetrics,
 ) -> RowGroups {
-    match &block.kind {
-        BlockKind::LeafEdge { .. } => {
-            solve_leaf_edge(ctx, tree, block, index, tile_edges, arena, metrics)
-        }
-        BlockKind::Cycle { .. } => solve_cycle(
-            ctx, tree, block, index, algorithm, tile_edges, arena, metrics,
-        ),
-    }
-}
-
-/// Solves a leaf-edge block `(a, b)` (with `b` the degree-one endpoint): one
-/// edge chain per tile, projected onto the boundary.
-fn solve_leaf_edge(
-    ctx: &Context<'_>,
-    tree: &DecompositionTree,
-    block: &Block,
-    index: &BlockJoinIndex<'_>,
-    tile_edges: usize,
-    arena: &mut KernelArena,
-    metrics: &mut RunMetrics,
-) -> RowGroups {
-    let (a, b) = match block.kind {
-        BlockKind::LeafEdge { boundary, leaf } => (boundary, leaf),
-        _ => unreachable!("solve_leaf_edge called on a cycle block"),
+    let joins = Joins {
+        ctx,
+        index,
+        high_start: program.high_start(),
     };
-    // The key field holding the boundary node's image, if there is one.
-    let field = match block.boundary.as_slice() {
-        [] => None,
-        [n] if *n == a => Some(0),
-        [n] => {
-            debug_assert_eq!(*n, b, "boundary node must be a leaf-edge endpoint");
-            Some(1)
-        }
-        other => unreachable!("leaf-edge block with {} boundary nodes", other.len()),
-    };
-    let builder = PathBuilder::new(ctx, tree, block, index, false);
     let partial = arena.take_rows(PARTIAL_ROWS);
     let KernelArena {
         seeds,
-        path_a,
-        path_b,
+        paths,
         proj,
+        groups,
         ..
     } = arena;
+    // Tables are only ever added: every block and every later trial on this
+    // arena finds the buffers the table numbers sized before.
+    if paths.len() < program.tables() {
+        paths.resize_with(program.tables(), ColumnarTable::default);
+    }
     proj.reset();
     for tile in ctx.start_tiles(tile_edges) {
         seeds.clear();
-        // The "path" here is the single edge a -> b; both endpoint
-        // annotations are folded in (there is no second path to share them
-        // with).
-        let in_a = build_path(
-            &builder,
-            &[0, 1],
-            tile,
-            true,
-            true,
-            seeds,
-            path_a,
-            path_b,
-            metrics,
-        );
-        let table = if in_a { &*path_a } else { &*path_b };
-        match field {
-            None => proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), table.total()),
-            Some(f) => {
-                let mut pipe = AddPipeline::new();
-                for (key, sig, count) in table.rows() {
-                    pipe.push(proj, [key[f], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
-                }
-                pipe.flush(proj);
+        for instr in program.run() {
+            match instr {
+                Instr::Step(step) => run_step(&joins, step, tile.clone(), seeds, paths, metrics),
+                Instr::Merge(merge) => merge_paths(
+                    ctx,
+                    block,
+                    &paths[merge.plus],
+                    &paths[merge.minus],
+                    merge,
+                    groups,
+                    proj,
+                    metrics,
+                ),
+                Instr::Project { table, field } => project(&paths[*table], *field, proj),
             }
         }
+    }
+    if block.kind.is_cycle() {
+        // The accumulator is one table however many tiles and splits fed it.
+        metrics.observe_table(proj.len());
     }
     export_projection(ctx, block, proj, partial, metrics)
 }
 
-/// Solves a cycle block: one split for PS, one per candidate highest node
-/// for DB. Tiles are the outer loop and splits the inner one, so every
-/// split of a tile starts from the tile's one seed table. All of them
-/// accumulate into the arena's projection table, which is observed once,
-/// at its final size, and exported once.
-#[allow(clippy::too_many_arguments)]
-fn solve_cycle(
-    ctx: &Context<'_>,
-    tree: &DecompositionTree,
-    block: &Block,
-    index: &BlockJoinIndex<'_>,
-    algorithm: Algorithm,
-    tile_edges: usize,
-    arena: &mut KernelArena,
-    metrics: &mut RunMetrics,
-) -> RowGroups {
-    let nodes = block.kind.nodes();
-    let l = nodes.len();
-    let paths: Vec<_> = match algorithm {
-        Algorithm::PathSplitting => {
-            let (s, t) = ps_split_positions(block, &nodes);
-            vec![split_paths(l, s, t)]
-        }
-        Algorithm::DegreeBased => (0..l).map(|h| split_paths(l, h, (h + l / 2) % l)).collect(),
-    };
-    let high_start = algorithm == Algorithm::DegreeBased;
-    let builder = PathBuilder::new(ctx, tree, block, index, high_start);
-    arena.proj.reset();
-    for tile in ctx.start_tiles(tile_edges) {
-        arena.seeds.clear();
-        for (plus, minus) in &paths {
-            solve_cycle_split(&builder, &nodes, plus, minus, tile.clone(), arena, metrics);
-        }
-    }
-    // The accumulator is one table however many tiles and splits fed it.
-    metrics.observe_table(arena.proj.len());
-    let partial = arena.take_rows(PARTIAL_ROWS);
-    export_projection(ctx, block, &arena.proj, partial, metrics)
+/// What the joins of one block solve consult: the shard's context, the
+/// block's child tables, and whether only high-starting paths are built.
+struct Joins<'a, 'b> {
+    /// Shared run context.
+    ctx: &'b Context<'a>,
+    /// The block's child tables.
+    index: &'b BlockJoinIndex<'b>,
+    /// DB mode: require `start ≻ w` for every newly mapped cycle node `w`.
+    high_start: bool,
 }
 
-/// The two paths of split `(s, t)` of a cycle of length `l`, as position
-/// lists: clockwise `P+ = s, s+1, ..., t` and counter-clockwise
-/// `P- = s, s-1, ..., t`.
-fn split_paths(l: usize, s: usize, t: usize) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!(l >= 3 && s != t);
-    let walk = |step: usize| {
-        let mut path = vec![s];
-        let mut p = s;
-        while p != t {
-            p = (p + step) % l;
-            path.push(p);
+impl<'b> Joins<'_, 'b> {
+    /// The child table realizing an edge, keyed by the image of the
+    /// traversal's source node (`None` for a graph edge).
+    fn edge_child(&self, via: Via) -> Option<&'b BlockTable> {
+        match via {
+            Via::Graph => None,
+            Via::Child {
+                annotation,
+                forward,
+            } => Some(self.index.edge_table(annotation, forward)),
         }
-        path
-    };
-    (walk(1), walk(l - 1))
-}
-
-/// The PS split positions: at the two boundary nodes when there are two, at
-/// the boundary node and its diagonal when there is one, and at position 0
-/// and its diagonal for a root cycle without boundary nodes.
-fn ps_split_positions(block: &Block, nodes: &[QueryNode]) -> (usize, usize) {
-    let l = nodes.len();
-    let position_of = |n: QueryNode| nodes.iter().position(|&x| x == n).unwrap();
-    match block.boundary.as_slice() {
-        [a, b] => (position_of(*a), position_of(*b)),
-        [a] => {
-            let s = position_of(*a);
-            (s, (s + l / 2) % l)
-        }
-        [] => (0, l / 2),
-        _ => unreachable!("cycle blocks have at most two boundary nodes"),
     }
 }
 
-/// Solves one split of a cycle block over one start-vertex tile into the
-/// projection accumulator: builds the clockwise path `plus` and the
-/// counter-clockwise path `minus` (position lists from the split's `s` to
-/// its `t`, see [`split_paths`]), then merges them. With the builder's
-/// `high_start` set this computes the tile's share of the DB algorithm's
-/// per-`a_h` partial counts `cnt(·|C, hi = h)`.
-fn solve_cycle_split(
-    builder: &PathBuilder<'_, '_>,
-    nodes: &[QueryNode],
-    plus: &[usize],
-    minus: &[usize],
+/// Runs one path step of a tile: reads table `step.src` of `tables` (or the
+/// tile's seeds), writes table `step.dst`.
+fn run_step(
+    joins: &Joins<'_, '_>,
+    step: &Step,
     tile: Range<VertexId>,
-    arena: &mut KernelArena,
+    seeds: &mut TileSeeds,
+    tables: &mut [ColumnarTable],
     metrics: &mut RunMetrics,
 ) {
-    let KernelArena {
-        seeds,
-        path_a,
-        path_b,
-        plus: plus_slot,
-        proj,
-        groups,
-        ..
-    } = arena;
-    // Convention (Section 5.2): P+ folds in the annotation of the end node
-    // a_d / a_t, P- folds in the annotation of the start node a_h / a_s, so
-    // each endpoint annotation is joined exactly once.
-    let in_a = build_path(
-        builder,
-        plus,
-        tile.clone(),
-        false,
-        true,
-        seeds,
-        path_a,
-        path_b,
-        metrics,
-    );
-    // Park the finished P+ table so the ping-pong pair is free for P-.
-    let parked = if in_a { &mut *path_a } else { &mut *path_b };
-    mem::swap(parked, plus_slot);
-    let minus_in_a = build_path(
-        builder, minus, tile, true, false, seeds, path_a, path_b, metrics,
-    );
-    let minus_table = if minus_in_a { &*path_a } else { &*path_b };
-    merge_paths(
-        builder.ctx,
-        builder.block,
-        plus_slot,
-        minus_table,
-        groups,
-        nodes[plus[0]],
-        nodes[plus[plus.len() - 1]],
-        proj,
-        metrics,
-    );
-    // Undo the parking: every tile, and every later trial on this arena,
-    // then finds each buffer in the role that sized it.
-    let parked = if in_a { &mut *path_a } else { &mut *path_b };
-    mem::swap(parked, plus_slot);
+    let weight = step.weight;
+    match step.op {
+        StepOp::First {
+            via,
+            from_slot,
+            to_slot,
+        } => {
+            let out = &mut tables[step.dst];
+            let slots = [from_slot, to_slot];
+            initial_join(joins, via, slots, tile, seeds, out, weight, metrics);
+        }
+        StepOp::NodeJoin { field, child } => {
+            let (src, dst) = src_and_dst(tables, step.src, step.dst);
+            let child = joins.index.child_table(child);
+            node_join(joins.ctx, src, dst, field, child, weight, metrics);
+        }
+        StepOp::EdgeJoin { via, to_slot } => {
+            let (src, dst) = src_and_dst(tables, step.src, step.dst);
+            edge_join(joins, src, dst, via, to_slot, weight, metrics);
+        }
+    }
 }
 
-/// Builds the table for the paths visiting `positions` from a start vertex
-/// in `starts` (the tile whose seeds `seeds` holds or will hold),
-/// ping-ponging between the two arena tables. Returns `true` when the
-/// finished table is in `path_a`, `false` when it is in `path_b`.
-#[allow(clippy::too_many_arguments)]
-fn build_path(
-    builder: &PathBuilder<'_, '_>,
-    positions: &[usize],
-    starts: Range<VertexId>,
-    include_start_annotation: bool,
-    include_end_annotation: bool,
-    seeds: &mut TileSeeds,
-    path_a: &mut ColumnarTable,
-    path_b: &mut ColumnarTable,
-    metrics: &mut RunMetrics,
-) -> bool {
-    assert!(positions.len() >= 2, "a path needs at least one edge");
-    let nodes = builder.cycle_nodes();
-    let first = nodes[positions[0]];
-    let second = nodes[positions[1]];
-    let mut src = path_a;
-    let mut dst = path_b;
-    let mut in_a = true;
-    initial_join(
-        builder,
-        builder.edge_index_between(positions[0], positions[1]),
-        first,
-        second,
-        starts,
-        seeds,
-        src,
-        metrics,
-    );
-    if include_start_annotation {
-        if let Some(child) = builder.node_child(first) {
-            node_join(builder, src, dst, Field::Start, child, metrics);
-            mem::swap(&mut src, &mut dst);
-            in_a = !in_a;
-        }
+/// Table `src` to read and table `dst` to write, two distinct entries of
+/// `tables`.
+fn src_and_dst(
+    tables: &mut [ColumnarTable],
+    src: usize,
+    dst: usize,
+) -> (&ColumnarTable, &mut ColumnarTable) {
+    if src < dst {
+        let (low, high) = tables.split_at_mut(dst);
+        (&low[src], &mut high[0])
+    } else {
+        let (low, high) = tables.split_at_mut(src);
+        (&high[0], &mut low[dst])
     }
-    for idx in 1..positions.len() {
-        let node = nodes[positions[idx]];
-        if idx > 1 {
-            let prev = nodes[positions[idx - 1]];
-            let edge_index = builder.edge_index_between(positions[idx - 1], positions[idx]);
-            edge_join(builder, src, dst, edge_index, prev, node, metrics);
-            mem::swap(&mut src, &mut dst);
-            in_a = !in_a;
-        }
-        let is_end = idx == positions.len() - 1;
-        if !is_end || include_end_annotation {
-            if let Some(child) = builder.node_child(node) {
-                node_join(builder, src, dst, Field::End, child, metrics);
-                mem::swap(&mut src, &mut dst);
-                in_a = !in_a;
-            }
-        }
-    }
-    in_a
 }
 
 /// Seeds the initial table for the first edge of the paths starting in
-/// `starts` (one tile of the context's start range). Its keys are distinct
-/// by construction, so every row is appended without probing.
+/// `starts` (one tile of the context's start range), with the start's and
+/// the second node's images in their extra `slots`. Its keys are distinct
+/// by construction, so every row is appended without probing. The step
+/// stands for `weight` written ones.
 #[allow(clippy::too_many_arguments)]
 fn initial_join(
-    builder: &PathBuilder<'_, '_>,
-    edge_index: usize,
-    from_node: QueryNode,
-    to_node: QueryNode,
+    joins: &Joins<'_, '_>,
+    via: Via,
+    slots: [Option<usize>; 2],
     starts: Range<VertexId>,
     seeds: &mut TileSeeds,
     out: &mut ColumnarTable,
+    weight: u64,
     metrics: &mut RunMetrics,
 ) {
-    let ctx = builder.ctx;
+    let ctx = joins.ctx;
     out.reset();
-    // Both tracked-extra slots are fixed for the whole join; resolve them
-    // once instead of per emitted row.
-    let from_slot = builder.slot_of(from_node);
-    let to_slot = builder.slot_of(to_node);
+    let [from_slot, to_slot] = slots;
     let seed_key = |u: VertexId, w: VertexId| {
         let mut key = path_key(u, w);
         if let Some(slot) = from_slot {
@@ -625,32 +468,33 @@ fn initial_join(
         }
         key
     };
-    match builder.edge_realization(edge_index, from_node, to_node) {
-        EdgeRealization::Graph => {
+    match joins.edge_child(via) {
+        None => {
             // Every path entry keeps its start vertex for its whole life, so
             // restricting the seeds to a vertex range (a tile of a shard's
             // range) partitions the block's entire table by start. The
-            // tile's first graph-realised path enumerates them; this path
-            // records the enumeration's operations as if it had done it.
-            seeds.fill(builder, starts);
+            // tile's first graph-realised step enumerates them; every
+            // written path records the enumeration's operations as if it
+            // had done it.
+            seeds.fill(joins, starts);
             for &(rank, ops) in &seeds.ops {
-                metrics.record_rank_ops(rank, ops);
+                metrics.record_rank_ops(rank, ops * weight);
             }
             for (key, sig, count) in seeds.table.rows() {
                 out.append(seed_key(key[0], key[1]), sig, count);
             }
         }
-        EdgeRealization::Child(child) => {
+        Some(child) => {
             // A child row's `u` is the path's start vertex; seeding only
             // from the range's vertices partitions the table by start,
             // exactly like the range restriction above. A child slice's
             // `(v, sig)` rows are distinct, so the keys are too.
             for u in starts {
                 let list = child.get(u);
-                metrics.record_ops(&ctx.partition, u, list.len() as u64);
+                metrics.record_ops(&ctx.partition, u, list.len() as u64 * weight);
                 for row in list {
                     let w = row.v;
-                    if builder.high_start && !ctx.order().higher(u, w) {
+                    if joins.high_start && !ctx.order().higher(u, w) {
                         continue;
                     }
                     out.append(seed_key(u, w), row.sig, row.count);
@@ -658,20 +502,21 @@ fn initial_join(
             }
         }
     }
-    metrics.observe_table(out.len());
+    metrics.observe_tables(out.len(), weight);
 }
 
 /// NodeJoin: folds a child block's unary table into `src` at the given key
-/// field, writing the result to `dst`.
+/// field, writing the result to `dst`. The step stands for `weight` written
+/// ones.
 fn node_join(
-    builder: &PathBuilder<'_, '_>,
+    ctx: &Context<'_>,
     src: &ColumnarTable,
     dst: &mut ColumnarTable,
     field: Field,
     child: &BlockTable,
+    weight: u64,
     metrics: &mut RunMetrics,
 ) {
-    let ctx = builder.ctx;
     dst.reset();
     let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
@@ -680,7 +525,7 @@ fn node_join(
             Field::End => key[1],
         };
         let list = child.get(x);
-        metrics.record_ops(&ctx.partition, x, list.len() as u64);
+        metrics.record_ops(&ctx.partition, x, list.len() as u64 * weight);
         let shared = ctx.color_sig(x);
         for row in list {
             if sig.intersection(row.sig) != shared {
@@ -690,37 +535,37 @@ fn node_join(
         }
     }
     pipe.flush(dst);
-    metrics.observe_table(dst.len());
+    metrics.observe_tables(dst.len(), weight);
 }
 
-/// EdgeJoin: extends every path in `src` by one block edge, from `from_node`
-/// (the current end) to `to_node`, into `dst`.
+/// EdgeJoin: extends every path in `src` by one block edge, realized by
+/// `via`, from its current end into `dst`; the new end's image goes to the
+/// extra slot `to_slot`, if any. The step stands for `weight` written ones.
+#[allow(clippy::too_many_arguments)]
 fn edge_join(
-    builder: &PathBuilder<'_, '_>,
+    joins: &Joins<'_, '_>,
     src: &ColumnarTable,
     dst: &mut ColumnarTable,
-    edge_index: usize,
-    from_node: QueryNode,
-    to_node: QueryNode,
+    via: Via,
+    to_slot: Option<usize>,
+    weight: u64,
     metrics: &mut RunMetrics,
 ) {
-    let ctx = builder.ctx;
+    let ctx = joins.ctx;
     dst.reset();
-    let realization = builder.edge_realization(edge_index, from_node, to_node);
-    // The newly mapped node's extra slot is fixed for the whole join.
-    let to_slot = builder.slot_of(to_node);
+    let child = joins.edge_child(via);
     let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
         let v = key[1];
         let shared = ctx.color_sig(v);
-        match &realization {
-            EdgeRealization::Graph => {
-                let neighbors = if builder.high_start {
+        match child {
+            None => {
+                let neighbors = if joins.high_start {
                     ctx.lower_neighbors(v, key[0])
                 } else {
                     ctx.graph.neighbors(v)
                 };
-                metrics.record_ops(&ctx.partition, v, neighbors.len() as u64);
+                metrics.record_ops(&ctx.partition, v, neighbors.len() as u64 * weight);
                 for &w in neighbors {
                     let cw = ctx.color(w);
                     if sig.contains(cw) {
@@ -734,12 +579,12 @@ fn edge_join(
                     pipe.push(dst, new_key, sig.with(cw), count);
                 }
             }
-            EdgeRealization::Child(child) => {
+            Some(child) => {
                 let list = child.get(v);
-                metrics.record_ops(&ctx.partition, v, list.len() as u64);
+                metrics.record_ops(&ctx.partition, v, list.len() as u64 * weight);
                 for row in list {
                     let w = row.v;
-                    if builder.high_start && !ctx.order().higher(key[0], w) {
+                    if joins.high_start && !ctx.order().higher(key[0], w) {
                         continue;
                     }
                     if sig.intersection(row.sig) != shared {
@@ -756,7 +601,22 @@ fn edge_join(
         }
     }
     pipe.flush(dst);
-    metrics.observe_table(dst.len());
+    metrics.observe_tables(dst.len(), weight);
+}
+
+/// Projects a leaf-edge block's finished path table onto the key field
+/// holding its boundary node's image (`None`: onto the scalar total).
+fn project(table: &ColumnarTable, field: Option<usize>, proj: &mut ColumnarTable) {
+    match field {
+        None => proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), table.total()),
+        Some(f) => {
+            let mut pipe = AddPipeline::new();
+            for (key, sig, count) in table.rows() {
+                pipe.push(proj, [key[f], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
+            }
+            pipe.flush(proj);
+        }
+    }
 }
 
 /// How many outer rows ahead the path merge prefetches its group probes.
@@ -765,16 +625,18 @@ const MERGE_LOOKAHEAD: usize = 16;
 /// Merges the two path tables of a split into the projection accumulator
 /// (Procedure 2 of Figures 4 and 6): join on the shared endpoints, require
 /// the signatures to overlap exactly in the endpoint colors, and key the
-/// output by the images of the block's boundary nodes.
+/// output by the images of the block's boundary nodes. The merge stands for
+/// `merge.multiplicity` written ones: it adds every count and records every
+/// operation that many times (in release builds, exactly the wrapping sum
+/// of that many equal adds).
 #[allow(clippy::too_many_arguments)]
 fn merge_paths(
     ctx: &Context<'_>,
     block: &Block,
     plus: &ColumnarTable,
     minus: &ColumnarTable,
+    merge: &Merge,
     groups: &mut EndpointGroups,
-    start_node: QueryNode,
-    end_node: QueryNode,
     proj: &mut ColumnarTable,
     metrics: &mut RunMetrics,
 ) {
@@ -789,10 +651,8 @@ fn merge_paths(
         (plus, minus)
     };
     groups.build(inner);
-    let boundary = block.boundary.as_slice();
-    let start_slot = boundary.iter().position(|&b| b == start_node);
-    let end_slot = boundary.iter().position(|&b| b == end_node);
-    match boundary.len() {
+    let (start_slot, end_slot, m) = (merge.start_slot, merge.end_slot, merge.multiplicity);
+    match block.boundary.len() {
         // A boundary-free root cycle only ever needs the grand total:
         // accumulate it in a register (extras are never set in a
         // boundary-free block, so the extras merge can never fail) and
@@ -829,9 +689,9 @@ fn merge_paths(
                     }
                     total += ocount * g.count;
                 }
-                metrics.record_ops(&ctx.partition, v, span.len() as u64);
+                metrics.record_ops(&ctx.partition, v, span.len() as u64 * m);
             }
-            proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total);
+            proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total * m);
         }
         arity @ (1 | 2) => {
             for r in 0..outer.len() {
@@ -846,7 +706,7 @@ fn merge_paths(
                 }
                 let shared = Signature::pair(ctx.color(u), ctx.color(v));
                 let osig = outer.sig(r);
-                let ocount = outer.count(r);
+                let ocount = outer.count(r) * m;
                 let oextras = outer.extras(r);
                 let [o_lo, _] = osig.words();
                 let [shared_lo, _] = shared.words();
@@ -882,7 +742,7 @@ fn merge_paths(
                         proj.add([extras[0], extras[1], NO_VERTEX, NO_VERTEX], sig, count);
                     }
                 }
-                metrics.record_ops(&ctx.partition, v, span.len() as u64);
+                metrics.record_ops(&ctx.partition, v, span.len() as u64 * m);
             }
         }
         _ => unreachable!(),
@@ -912,12 +772,13 @@ fn export_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Algorithm;
     use crate::context::GraphPrep;
     use crate::metrics::ShardMetrics;
     use crate::runtime::exchange::tests::combine;
     use crate::runtime::ShardPlan;
     use sgc_graph::{Coloring, CsrGraph, GraphBuilder};
-    use sgc_query::{decompose, QueryGraph};
+    use sgc_query::{decompose, DecompositionTree, QueryGraph};
 
     /// Solves the pure triangle query's one block on a data triangle under
     /// `colors`, with both algorithms.
@@ -936,17 +797,10 @@ mod tests {
             .map(|algorithm| {
                 let (mut arena, _) = pool.checkout();
                 let mut metrics = RunMetrics::new(4);
-                let index =
-                    BlockJoinIndex::build(&tree.blocks[0], &[None], |_| RowGroups::default());
-                let partial = solve_block(
-                    &ctx,
-                    &tree,
-                    &tree.blocks[0],
-                    &index,
-                    algorithm,
-                    &mut arena,
-                    &mut metrics,
-                );
+                let block = &tree.blocks[0];
+                let index = BlockJoinIndex::build(block, &[None], |_| RowGroups::default());
+                let program = PathProgram::compile(&tree, block, algorithm);
+                let partial = solve_block(&ctx, block, &index, &program, &mut arena, &mut metrics);
                 pool.give_back(arena);
                 (algorithm, partial.total(), metrics)
             })
@@ -957,9 +811,9 @@ mod tests {
     /// query (one per orientation), for both algorithms (the module-level
     /// smoke test; the differential suites against the brute-force and
     /// treelet oracles are `tests/correctness.rs` and `tests/property.rs`).
-    /// The per-rank operation counts are pinned too: every path records its
-    /// seed step's operations, although the paths of a tile share one
-    /// enumeration.
+    /// The per-rank operation counts are pinned too: every written path
+    /// records its seed step's operations, although the paths of a tile
+    /// share one enumeration and DB's three splits one first step.
     #[test]
     fn rainbow_triangle_has_six_colorful_matches() {
         for (algorithm, total, metrics) in triangle_totals(vec![0, 1, 2]) {
@@ -981,35 +835,48 @@ mod tests {
         }
     }
 
-    /// Solves every block of `tree` bottom-up, as the executor's one-shard
-    /// walk does, with `tile_edges` as the tile budget.
+    /// A block's program under an algorithm: [`PathProgram::compile`] or
+    /// the written algorithm's [`PathProgram::compile_unshared`].
+    type Compile = fn(&DecompositionTree, &Block, Algorithm) -> PathProgram;
+
+    /// Solves every block of `tree` bottom-up, as the executor's walk does:
+    /// each shard of `plan` solves its partial in its context of `contexts`
+    /// with `tile_edges` as the tile budget, and the exchange combines them.
     fn solve_tree(
-        ctx: &Context<'_>,
+        contexts: &[Context<'_>],
+        plan: &ShardPlan,
         tree: &DecompositionTree,
         algorithm: Algorithm,
+        compile: Compile,
         tile_edges: usize,
     ) -> (Count, RunMetrics) {
         let mut arena = KernelArena::new();
-        let mut metrics = RunMetrics::new(ctx.partition.num_ranks());
-        let plan = ShardPlan::new(ctx.graph.num_vertices(), 1).unwrap();
+        let mut metrics = RunMetrics::new(contexts[0].partition.num_ranks());
         let mut tables: Vec<Option<BlockTable>> = vec![None; tree.blocks.len()];
         for block in &tree.blocks {
             let index = BlockJoinIndex::build(block, &tables, |_| RowGroups::default());
-            let partial = solve_block_tiled(
-                ctx,
-                tree,
-                block,
-                &index,
-                algorithm,
-                tile_edges,
-                &mut arena,
-                &mut metrics,
-            );
-            let table = combine(vec![partial], &plan, &mut ShardMetrics::new(1));
+            let program = compile(tree, block, algorithm);
+            let partials = (contexts.iter())
+                .map(|ctx| {
+                    let (arena, metrics) = (&mut arena, &mut metrics);
+                    solve_block_tiled(ctx, block, &index, &program, tile_edges, arena, metrics)
+                })
+                .collect();
+            let table = combine(partials, plan, &mut ShardMetrics::new(contexts.len()));
             tables[block.id] = Some(table);
         }
         let root = tree.root.expect("registry queries have at least one edge");
         (tables[root].as_ref().unwrap().total(), metrics)
+    }
+
+    /// The skewed 600-vertex graph of the tile and program tests: its hubs
+    /// need several shipped tiles.
+    fn skewed_graph() -> CsrGraph {
+        let degrees: Vec<f64> = sgc_gen::power_law_degrees(600, 1.6)
+            .iter()
+            .map(|d| d * 2.0)
+            .collect();
+        sgc_gen::chung_lu(&degrees, 5)
     }
 
     /// Tiling is invisible in everything but the peak: one start per tile,
@@ -1018,24 +885,25 @@ mod tests {
     /// registry query, on a skewed graph that needs several shipped tiles.
     #[test]
     fn tile_budget_changes_nothing_but_the_peak() {
-        let degrees: Vec<f64> = sgc_gen::power_law_degrees(600, 1.6)
-            .iter()
-            .map(|d| d * 2.0)
-            .collect();
-        let g = sgc_gen::chung_lu(&degrees, 5);
+        let g = skewed_graph();
         let prep = GraphPrep::new(&g);
         let one_tile = usize::MAX;
+        let plan = ShardPlan::new(g.num_vertices(), 1).unwrap();
         for entry in sgc_query::Registry::builtin().entries() {
             let query = entry.query();
             let tree = sgc_query::heuristic_plan(query).unwrap();
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
             let ctx = Context::new(&g, &prep, &coloring, 8).unwrap();
             assert!(ctx.start_tiles(TILE_EDGES).count() > 1, "graph too small");
+            let contexts = [ctx];
+            let compile: Compile = PathProgram::compile;
             for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-                let (count, whole) = solve_tree(&ctx, &tree, algorithm, one_tile);
+                let solve =
+                    |budget| solve_tree(&contexts, &plan, &tree, algorithm, compile, budget);
+                let (count, whole) = solve(one_tile);
                 for budget in [0, TILE_EDGES] {
                     let what = format!("{} with {algorithm}, budget {budget}", entry.name());
-                    let (tiled_count, tiled) = solve_tree(&ctx, &tree, algorithm, budget);
+                    let (tiled_count, tiled) = solve(budget);
                     assert_eq!(tiled_count, count, "{what}");
                     assert_eq!(tiled.total_ops, whole.total_ops, "{what}");
                     assert_eq!(tiled.load.per_rank(), whole.load.per_rank(), "{what}");
@@ -1047,6 +915,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sharing steps and merges is invisible in everything but the time: on
+    /// every registry query, under PS and DB, at every tile budget, serial
+    /// and over three shards, the compiled program reports the count,
+    /// operations, per-rank load, created entries and peak of the written
+    /// algorithm — the program that shares nothing.
+    #[test]
+    fn the_path_program_changes_nothing_but_time() {
+        let g = skewed_graph();
+        let prep = GraphPrep::new(&g);
+        let mut shared_somewhere = false;
+        for entry in sgc_query::Registry::builtin().entries() {
+            let query = entry.query();
+            let tree = sgc_query::heuristic_plan(query).unwrap();
+            let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
+            for shards in [1, 3] {
+                let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                let contexts: Vec<Context<'_>> = (0..shards)
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                    .collect();
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    shared_somewhere |= (tree.blocks.iter())
+                        .map(|block| PathProgram::compile(&tree, block, algorithm))
+                        .any(|p| p.distinct_steps() as u64 != p.written_steps());
+                    for budget in [0, TILE_EDGES, usize::MAX] {
+                        let what = format!(
+                            "{} with {algorithm}, {shards} shard(s), budget {budget}",
+                            entry.name()
+                        );
+                        let solve = |compile| {
+                            solve_tree(&contexts, &plan, &tree, algorithm, compile, budget)
+                        };
+                        let (count, shared) = solve(PathProgram::compile);
+                        let (written_count, written) = solve(PathProgram::compile_unshared);
+                        assert_eq!(count, written_count, "{what}");
+                        assert_eq!(shared.total_ops, written.total_ops, "{what}");
+                        assert_eq!(shared.load.per_rank(), written.load.per_rank(), "{what}");
+                        assert_eq!(shared.entries_created, written.entries_created, "{what}");
+                        assert_eq!(
+                            shared.peak_table_entries, written.peak_table_entries,
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(shared_somewhere, "no program shared a step");
     }
 
     #[test]

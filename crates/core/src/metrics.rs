@@ -157,8 +157,14 @@ impl RunMetrics {
 
     /// Records the size of a freshly produced table.
     pub fn observe_table(&mut self, entries: usize) {
+        self.observe_tables(entries, 1);
+    }
+
+    /// Records `copies` freshly produced tables of `entries` entries each:
+    /// one shared path step standing for that many written ones.
+    pub(crate) fn observe_tables(&mut self, entries: usize, copies: u64) {
         self.peak_table_entries = self.peak_table_entries.max(entries);
-        self.entries_created += entries as u64;
+        self.entries_created += entries as u64 * copies;
     }
 
     /// Maximum per-rank load (Figure 11's "max load").

@@ -1,27 +1,31 @@
-//! The join-side view of a block: child tables and edge realizations.
+//! The join-side view of a block: child tables and the path program.
 //!
 //! Both the PS and the DB algorithm reduce a cycle block to two path
-//! segments, build a table for each by a sequence of joins, and merge the two
-//! tables (Figures 4, 6 and 7). The joins themselves — the **initial edge**,
-//! **EdgeJoin** and **NodeJoin** — live in [`crate::kernel`]; this module
-//! holds what they consult:
+//! segments per split, build a table for each by a sequence of joins, and
+//! merge the two tables (Figures 4, 6 and 7). The joins themselves — the
+//! **initial edge**, **EdgeJoin** and **NodeJoin** — live in
+//! [`crate::kernel`]; this module holds what they consult:
 //!
 //! * [`BlockJoinIndex`] — the block's child projection tables, as the
 //!   exchange left them (vertex-grouped owner slices, probed by offset) plus
 //!   the one regrouping a join can still need: a binary child traversed from
 //!   its second boundary node,
-//! * [`PathBuilder`] — the per-split view: which extra slot tracks which
-//!   boundary node, whether the DB algorithm's *high-starting* constraint
-//!   applies (the image of the path's start node must be strictly higher, in
-//!   the degree ordering, than the image of every other cycle node), and how
-//!   each cycle edge is realized — by the data graph's edges or by the binary
-//!   projection table of the child block annotating it.
+//! * `PathProgram` — the block's path builds and merges, compiled from the
+//!   query alone: which extra slot tracks which boundary node, how each
+//!   cycle edge is realized (by the data graph's edges or by the binary
+//!   projection table of the child block annotating it), and which joins
+//!   each written path runs — with equal steps of equal prefixes built once
+//!   and equal splits merged once with their multiplicity, so a tile runs
+//!   one run per distinct split. Whether the DB algorithm's *high-starting*
+//!   constraint applies (the image of the path's start node must be
+//!   strictly higher, in the degree ordering, than the image of every other
+//!   cycle node) is the program's too.
 
-use crate::context::Context;
+use crate::config::Algorithm;
 use sgc_engine::{BlockTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_graph::VertexId;
-use sgc_query::{Block, BlockId, DecompositionTree, QueryNode};
+use sgc_query::{Block, BlockId, BlockKind, DecompositionTree, QueryNode};
 use std::mem;
 use std::sync::{Mutex, OnceLock};
 
@@ -32,16 +36,6 @@ pub enum Field {
     Start,
     /// The path's current end vertex (key field 1).
     End,
-}
-
-/// How the edge between two consecutive cycle nodes is realized.
-pub(crate) enum EdgeRealization<'b> {
-    /// An original query edge, realized by the data graph.
-    Graph,
-    /// An annotated edge, realized by the child block's binary table keyed
-    /// so that a row's `u` is the image of the step's source node and its
-    /// `v` the image of the target.
-    Child(&'b BlockTable),
 }
 
 /// The child tables of one block, as its joins probe them.
@@ -98,7 +92,7 @@ impl<'t> BlockJoinIndex<'t> {
     }
 
     /// The solved table of child block `child`.
-    fn child_table(&self, child: BlockId) -> &'t BlockTable {
+    pub(crate) fn child_table(&self, child: BlockId) -> &'t BlockTable {
         self.child_tables[child]
             .as_ref()
             .expect("child table must be solved before its parent")
@@ -107,7 +101,7 @@ impl<'t> BlockJoinIndex<'t> {
     /// The child table of the block's `slot`-th annotated edge, keyed by the
     /// image of the traversal's source node (`from_is_first`: whether the
     /// source is the child's first boundary node).
-    fn edge_table(&self, slot: usize, from_is_first: bool) -> &BlockTable {
+    pub(crate) fn edge_table(&self, slot: usize, from_is_first: bool) -> &BlockTable {
         let table = self.child_table(self.block.edge_annotations[slot].1);
         if from_is_first {
             return table;
@@ -120,105 +114,508 @@ impl<'t> BlockJoinIndex<'t> {
     }
 }
 
-/// The per-split view of one cycle (or leaf-edge) block that the kernel's
-/// joins consult.
-pub struct PathBuilder<'a, 'b> {
-    /// Shared run context.
-    pub ctx: &'b Context<'a>,
-    /// The decomposition tree the block belongs to.
-    pub tree: &'b DecompositionTree,
-    /// The block being solved.
-    pub block: &'b Block,
-    /// The block's child tables.
-    pub index: &'b BlockJoinIndex<'b>,
-    /// Boundary node tracked in each extra slot (`None` when unused).
-    pub slot_nodes: [Option<QueryNode>; 2],
-    /// DB mode: require `start ≻ w` for every newly mapped cycle node `w`.
-    pub high_start: bool,
+/// How a path step's edge is realized, named by the query alone — never by
+/// a table address, so compiling a program builds no table (in particular
+/// no transposed child table that no tile would read).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// An original query edge, realized by the data graph.
+    Graph,
+    /// An annotated edge, realized by the binary table of the child block
+    /// of the block's `annotation`-th edge annotation, traversed from the
+    /// child's first boundary node (`forward`) or from its second.
+    Child {
+        /// Index into the block's `edge_annotations` (one child block each).
+        annotation: usize,
+        /// Whether the traversal starts at the child's first boundary node.
+        forward: bool,
+    },
 }
 
-impl<'a, 'b> PathBuilder<'a, 'b> {
-    /// Creates a builder for `block`, assigning extra slots to its boundary
-    /// nodes in boundary order.
-    pub fn new(
-        ctx: &'b Context<'a>,
-        tree: &'b DecompositionTree,
-        block: &'b Block,
-        index: &'b BlockJoinIndex<'b>,
-        high_start: bool,
+/// What one path step computes, named by the query alone: two written steps
+/// with the same op after the same prefix build the same table in every
+/// tile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StepOp {
+    /// The initial edge: the path's first table, with the start's and the
+    /// second node's images tracked in their extra slots, if any.
+    First {
+        /// The first edge's realization.
+        via: Via,
+        /// The extra slot of the path's start node.
+        from_slot: Option<usize>,
+        /// The extra slot of the path's second node.
+        to_slot: Option<usize>,
+    },
+    /// NodeJoin: the unary table of block `child` folded in at `field`.
+    NodeJoin {
+        /// The key field holding the annotated node's image.
+        field: Field,
+        /// The annotating child block.
+        child: BlockId,
+    },
+    /// EdgeJoin: one more edge from the path's end.
+    EdgeJoin {
+        /// The edge's realization.
+        via: Via,
+        /// The extra slot of the newly mapped node.
+        to_slot: Option<usize>,
+    },
+}
+
+/// One step of a program run: a join reading the arena path table `src`
+/// and writing `dst`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// What the step computes.
+    pub op: StepOp,
+    /// How many written path steps it stands for: its operations are
+    /// recorded, and its table observed, that many times.
+    pub weight: u64,
+    /// The path table read (a first step reads the seeds or a child slice
+    /// instead; its `src` is its `dst`).
+    pub src: usize,
+    /// The path table written.
+    pub dst: usize,
+}
+
+/// One distinct split's merge of its two path tables. The merge is
+/// symmetric in them, so which one is `plus` is the compiler's choice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Merge {
+    /// The path table built first (it parks while the other is built).
+    pub plus: usize,
+    /// The other path table (`plus` itself when the two paths are one).
+    pub minus: usize,
+    /// The extra slot of the split's start node.
+    pub start_slot: Option<usize>,
+    /// The extra slot of the split's end node.
+    pub end_slot: Option<usize>,
+    /// How many written splits this merge stands for: every count it adds
+    /// and every operation it records is multiplied by it.
+    pub multiplicity: u64,
+}
+
+/// One instruction of a program run, executed in order once per tile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Instr {
+    /// Run a path step.
+    Step(Step),
+    /// Merge two finished paths into the block's projection.
+    Merge(Merge),
+    /// Project a leaf-edge block's finished path onto the key field of its
+    /// boundary node (`None`: onto the scalar total).
+    Project {
+        /// The path table projected.
+        table: usize,
+        /// The key field holding the boundary node's image.
+        field: Option<usize>,
+    },
+}
+
+/// Path table of a program run: ping-pong table A.
+pub(crate) const PATH_A: usize = 0;
+/// Path table of a program run: ping-pong table B.
+pub(crate) const PATH_B: usize = 1;
+/// Path table of a program run: a merge's first path, waiting for its
+/// second.
+pub(crate) const PARKED: usize = 2;
+/// The first memo table: a step read by two or more consumers keeps its
+/// table here until the tile ends.
+const FIRST_MEMO: usize = 3;
+
+/// A block's path builds and merges compiled from the query alone: what one
+/// start-vertex tile runs.
+///
+/// The *written* algorithm builds `P+` and `P-` for every split — one split
+/// for PS, one per candidate highest node for DB (Equation 1), and a
+/// leaf-edge block's one edge chain — and merges each split's two paths.
+/// Many of those computations are the same: every split of a bare cycle is
+/// a rotation of the first, `P+` and `P-` of a 4-cycle whose middle nodes
+/// carry nothing are one table, and the splits of a longer cycle share path
+/// prefixes. The program names every written step by what it computes
+/// ([`StepOp`]: the join, the edge's realization, the tracked slots, the
+/// annotating child), so equal steps after equal prefixes become one node
+/// of a trie whose weight is the number of written steps it stands for,
+/// and splits with the same two path leaves and the same endpoint slots
+/// become one merge with a multiplicity. The run list then builds each
+/// distinct step once per tile: a step with two or more consumers writes a
+/// memo table that lives to the end of the tile, every other one ping-pongs
+/// through tables A and B, and a `P+` consumed only by its merge parks in a
+/// table of its own while the `P-` is built.
+///
+/// Every step records its operations and observes its table `weight`
+/// times, and every merge records its operations and adds its counts
+/// `multiplicity` times, so counts and every work counter are those of the
+/// written algorithm to the digit; only the time goes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct PathProgram {
+    /// DB mode: only high-starting paths are built.
+    high_start: bool,
+    /// The instructions one tile runs, in order.
+    run: Vec<Instr>,
+    /// Path tables the run addresses: A, B, the parked `P+` and the memos.
+    tables: usize,
+    /// Path steps the written algorithm runs per tile.
+    written_steps: u64,
+    /// Merges the written algorithm runs per tile.
+    written_merges: u64,
+}
+
+/// A node of the compile-time step trie.
+struct TrieNode {
+    /// The step whose table this one extends (`None` for a first step).
+    parent: Option<usize>,
+    /// What the step computes.
+    op: StepOp,
+    /// Written path steps this node stands for.
+    weight: u64,
+    /// Child steps and merge or projection reads of its table.
+    consumers: usize,
+}
+
+impl PathProgram {
+    /// Compiles `block` of `tree` under `algorithm`.
+    pub(crate) fn compile(tree: &DecompositionTree, block: &Block, algorithm: Algorithm) -> Self {
+        Self::build(tree, block, algorithm, true)
+    }
+
+    /// The written algorithm as a program: every written step and merge its
+    /// own, nothing shared — the reference the shared program is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn compile_unshared(
+        tree: &DecompositionTree,
+        block: &Block,
+        algorithm: Algorithm,
     ) -> Self {
-        let mut slot_nodes = [None, None];
-        for (i, &b) in block.boundary.iter().enumerate() {
-            slot_nodes[i] = Some(b);
-        }
-        PathBuilder {
-            ctx,
-            tree,
-            block,
-            index,
-            slot_nodes,
-            high_start,
-        }
+        Self::build(tree, block, algorithm, false)
     }
 
-    /// The extra-slot index tracking `node`, if it is a boundary node.
-    pub(crate) fn slot_of(&self, node: QueryNode) -> Option<usize> {
-        self.slot_nodes.iter().position(|&s| s == Some(node))
-    }
-
-    /// The unary table of the child block annotating `node`, if any.
-    pub(crate) fn node_child(&self, node: QueryNode) -> Option<&'b BlockTable> {
-        let child = self.block.node_annotation(node)?;
-        Some(self.index.child_table(child))
-    }
-
-    /// The realization of the block edge `edge_index` traversed from
-    /// `from_node` to `to_node`: the data graph for an original query edge,
-    /// the child table (keyed by the image of `from_node`) for an annotated
-    /// edge.
-    pub(crate) fn edge_realization(
-        &self,
-        edge_index: usize,
-        from_node: QueryNode,
-        to_node: QueryNode,
-    ) -> EdgeRealization<'b> {
-        let annotations = &self.block.edge_annotations;
-        let Some(slot) = annotations.iter().position(|&(e, _)| e == edge_index) else {
-            return EdgeRealization::Graph;
+    fn build(tree: &DecompositionTree, block: &Block, algorithm: Algorithm, share: bool) -> Self {
+        let nodes = block.kind.nodes();
+        let mut trie: Vec<TrieNode> = Vec::new();
+        // Inserts one written path, returning the trie node holding its
+        // finished table.
+        let insert = |trie: &mut Vec<TrieNode>, positions: &[usize], start: bool, end: bool| {
+            let mut at = None;
+            for op in path_ops(tree, block, &nodes, positions, start, end) {
+                let same = |n: &TrieNode| share && n.parent == at && n.op == op;
+                let node = match trie.iter().position(same) {
+                    Some(node) => node,
+                    None => {
+                        if let Some(parent) = at {
+                            trie[parent].consumers += 1;
+                        }
+                        trie.push(TrieNode {
+                            parent: at,
+                            op,
+                            weight: 0,
+                            consumers: 0,
+                        });
+                        trie.len() - 1
+                    }
+                };
+                trie[node].weight += 1;
+                at = Some(node);
+            }
+            at.expect("a path has at least one edge")
         };
-        let child_block = &self.tree.blocks[annotations[slot].1];
-        debug_assert_eq!(child_block.boundary.len(), 2);
-        let from_is_first = child_block.boundary[0] == from_node;
-        debug_assert_eq!(
-            if from_is_first {
-                (from_node, to_node)
-            } else {
-                (to_node, from_node)
-            },
-            (child_block.boundary[0], child_block.boundary[1]),
-            "child boundary must match the traversed edge"
-        );
-        EdgeRealization::Child(self.index.edge_table(slot, from_is_first))
-    }
-
-    /// Block nodes in cyclic order (for a leaf edge, the two endpoints).
-    pub(crate) fn cycle_nodes(&self) -> Vec<QueryNode> {
-        self.block.kind.nodes()
-    }
-
-    /// The block edge index connecting positions `i` and `j` (which must be
-    /// adjacent on the cycle, or the single edge of a leaf block).
-    pub(crate) fn edge_index_between(&self, i: usize, j: usize) -> usize {
-        let l = self.block.kind.len();
-        if l == 2 {
-            return 0;
+        // The sinks, in trie-node terms until they are scheduled: merges
+        // whose `plus` and `minus` name trie nodes, or the one projected
+        // leaf-edge path.
+        let mut merges: Vec<Merge> = Vec::new();
+        let mut project = None;
+        match &block.kind {
+            BlockKind::LeafEdge { boundary, leaf } => {
+                // The single edge a -> b folds in both endpoint annotations
+                // (there is no second path to share them with).
+                let path = insert(&mut trie, &[0, 1], true, true);
+                trie[path].consumers += 1;
+                let field = match block.boundary.as_slice() {
+                    [] => None,
+                    [n] if n == boundary => Some(0),
+                    [n] => {
+                        debug_assert_eq!(n, leaf, "boundary node must be a leaf-edge endpoint");
+                        Some(1)
+                    }
+                    other => unreachable!("leaf-edge block with {} boundary nodes", other.len()),
+                };
+                project = Some((path, field));
+            }
+            BlockKind::Cycle { .. } => {
+                let l = nodes.len();
+                let splits: Vec<_> = match algorithm {
+                    Algorithm::PathSplitting => {
+                        let (s, t) = ps_split_positions(block, &nodes);
+                        vec![split_paths(l, s, t)]
+                    }
+                    Algorithm::DegreeBased => {
+                        (0..l).map(|h| split_paths(l, h, (h + l / 2) % l)).collect()
+                    }
+                };
+                for (plus, minus) in &splits {
+                    // Convention (Section 5.2): P+ folds in the annotation
+                    // of the end node a_d / a_t, P- that of the start node
+                    // a_h / a_s, so each endpoint annotation is joined
+                    // exactly once.
+                    let p = insert(&mut trie, plus, false, true);
+                    let m = insert(&mut trie, minus, true, false);
+                    // The merge is symmetric in its two tables (pairs with
+                    // equal endpoints, counts multiplied, each pair's
+                    // operations attributed to its end vertex), so a split
+                    // whose paths are another's swapped is that merge again.
+                    let merge = Merge {
+                        plus: p.min(m),
+                        minus: p.max(m),
+                        start_slot: slot_of(block, nodes[plus[0]]),
+                        end_slot: slot_of(block, nodes[plus[plus.len() - 1]]),
+                        multiplicity: 1,
+                    };
+                    let key = |x: &Merge| (x.plus, x.minus, x.start_slot, x.end_slot);
+                    match merges.iter_mut().find(|x| share && key(x) == key(&merge)) {
+                        Some(same) => same.multiplicity += 1,
+                        None => {
+                            trie[merge.plus].consumers += 1;
+                            trie[merge.minus].consumers += 1;
+                            merges.push(merge);
+                        }
+                    }
+                }
+            }
         }
-        if (i + 1) % l == j {
-            i
+
+        // Steps read by two or more consumers keep their tables to the end
+        // of the tile; every other step is computed exactly once, right
+        // before its one consumer reads it.
+        let mut memo = vec![None; trie.len()];
+        let mut tables = FIRST_MEMO;
+        for (node, slot) in trie.iter().zip(&mut memo) {
+            if node.consumers >= 2 {
+                *slot = Some(tables);
+                tables += 1;
+            }
+        }
+        let mut schedule = Schedule {
+            trie: &trie,
+            memo: &memo,
+            done: vec![false; trie.len()],
+            run: Vec::new(),
+        };
+        for merge in &merges {
+            let plus = schedule.table_of(merge.plus, true);
+            let minus = schedule.table_of(merge.minus, false);
+            schedule.run.push(Instr::Merge(Merge {
+                plus,
+                minus,
+                ..*merge
+            }));
+        }
+        if let Some((path, field)) = project {
+            let table = schedule.table_of(path, false);
+            schedule.run.push(Instr::Project { table, field });
+        }
+        PathProgram {
+            high_start: block.kind.is_cycle() && algorithm == Algorithm::DegreeBased,
+            run: schedule.run,
+            tables,
+            written_steps: trie.iter().map(|n| n.weight).sum(),
+            written_merges: merges.iter().map(|m| m.multiplicity).sum(),
+        }
+    }
+
+    /// DB mode: only high-starting paths are built (clear for PS and for
+    /// leaf-edge blocks).
+    pub(crate) fn high_start(&self) -> bool {
+        self.high_start
+    }
+
+    /// The instructions one tile runs, in order.
+    pub(crate) fn run(&self) -> &[Instr] {
+        &self.run
+    }
+
+    /// Number of path tables the run addresses.
+    pub(crate) fn tables(&self) -> usize {
+        self.tables
+    }
+
+    /// Path steps one tile runs.
+    pub(crate) fn distinct_steps(&self) -> usize {
+        self.run
+            .iter()
+            .filter(|i| matches!(i, Instr::Step(_)))
+            .count()
+    }
+
+    /// Path steps the written algorithm runs per tile.
+    pub(crate) fn written_steps(&self) -> u64 {
+        self.written_steps
+    }
+
+    /// Merges one tile runs (zero for a leaf-edge block).
+    pub(crate) fn distinct_merges(&self) -> usize {
+        self.run
+            .iter()
+            .filter(|i| matches!(i, Instr::Merge(_)))
+            .count()
+    }
+
+    /// Merges the written algorithm runs per tile.
+    pub(crate) fn written_merges(&self) -> u64 {
+        self.written_merges
+    }
+}
+
+/// The run-list builder: emits each trie node's step once, before its first
+/// consumer, and assigns the tables.
+struct Schedule<'c> {
+    trie: &'c [TrieNode],
+    /// Each node's memo table, if it has two or more consumers.
+    memo: &'c [Option<usize>],
+    /// Whether the node's step is already in the run.
+    done: Vec<bool>,
+    run: Vec<Instr>,
+}
+
+impl Schedule<'_> {
+    /// Emits what `node`'s table needs and returns the table holding it.
+    /// `park`: the table is a `P+` that must survive its `P-`'s build.
+    fn table_of(&mut self, node: usize, park: bool) -> usize {
+        if self.done[node] {
+            return self.memo[node].expect("only a memo table is read twice");
+        }
+        let src = self.trie[node].parent.map(|p| self.table_of(p, false));
+        let dst = match (self.memo[node], src) {
+            (Some(memo), _) => memo,
+            (None, _) if park => PARKED,
+            (None, Some(PATH_A)) => PATH_B,
+            (None, _) => PATH_A,
+        };
+        self.run.push(Instr::Step(Step {
+            op: self.trie[node].op,
+            weight: self.trie[node].weight,
+            src: src.unwrap_or(dst),
+            dst,
+        }));
+        self.done[node] = true;
+        dst
+    }
+}
+
+/// The written steps of the path visiting cycle `positions` (for a leaf
+/// edge, `[0, 1]`), folding in the start node's annotation if `start` and
+/// the end node's if `end` (inner nodes' always).
+fn path_ops(
+    tree: &DecompositionTree,
+    block: &Block,
+    nodes: &[QueryNode],
+    positions: &[usize],
+    start: bool,
+    end: bool,
+) -> Vec<StepOp> {
+    assert!(positions.len() >= 2, "a path needs at least one edge");
+    let node_join = |node: QueryNode, field: Field| {
+        let child = block.node_annotation(node)?;
+        Some(StepOp::NodeJoin { field, child })
+    };
+    let (first, second) = (nodes[positions[0]], nodes[positions[1]]);
+    let mut ops = vec![StepOp::First {
+        via: via(tree, block, nodes, positions[0], positions[1]),
+        from_slot: slot_of(block, first),
+        to_slot: slot_of(block, second),
+    }];
+    if start {
+        ops.extend(node_join(first, Field::Start));
+    }
+    for idx in 1..positions.len() {
+        let node = nodes[positions[idx]];
+        if idx > 1 {
+            ops.push(StepOp::EdgeJoin {
+                via: via(tree, block, nodes, positions[idx - 1], positions[idx]),
+                to_slot: slot_of(block, node),
+            });
+        }
+        if idx < positions.len() - 1 || end {
+            ops.extend(node_join(node, Field::End));
+        }
+    }
+    ops
+}
+
+/// The extra slot tracking `node`: its position among the block's boundary
+/// nodes, if it is one.
+fn slot_of(block: &Block, node: QueryNode) -> Option<usize> {
+    block.boundary.iter().position(|&b| b == node)
+}
+
+/// The realization of the block edge between positions `i` and `j` of
+/// `nodes` (which must be adjacent on the cycle, or the single edge of a
+/// leaf block), traversed from `i` to `j`.
+fn via(tree: &DecompositionTree, block: &Block, nodes: &[QueryNode], i: usize, j: usize) -> Via {
+    let (from_node, to_node) = (nodes[i], nodes[j]);
+    let l = nodes.len();
+    let edge_index = if l == 2 {
+        0
+    } else if (i + 1) % l == j {
+        i
+    } else {
+        debug_assert_eq!((j + 1) % l, i, "positions {i} and {j} are not adjacent");
+        j
+    };
+    let annotations = &block.edge_annotations;
+    let Some(annotation) = annotations.iter().position(|&(e, _)| e == edge_index) else {
+        return Via::Graph;
+    };
+    let child = &tree.blocks[annotations[annotation].1];
+    debug_assert_eq!(child.boundary.len(), 2);
+    let forward = child.boundary[0] == from_node;
+    debug_assert_eq!(
+        if forward {
+            (from_node, to_node)
         } else {
-            debug_assert_eq!((j + 1) % l, i, "positions {i} and {j} are not adjacent");
-            j
+            (to_node, from_node)
+        },
+        (child.boundary[0], child.boundary[1]),
+        "child boundary must match the traversed edge"
+    );
+    Via::Child {
+        annotation,
+        forward,
+    }
+}
+
+/// The two paths of split `(s, t)` of a cycle of length `l`, as position
+/// lists: clockwise `P+ = s, s+1, ..., t` and counter-clockwise
+/// `P- = s, s-1, ..., t`.
+fn split_paths(l: usize, s: usize, t: usize) -> (Vec<usize>, Vec<usize>) {
+    debug_assert!(l >= 3 && s != t);
+    let walk = |step: usize| {
+        let mut path = vec![s];
+        let mut p = s;
+        while p != t {
+            p = (p + step) % l;
+            path.push(p);
         }
+        path
+    };
+    (walk(1), walk(l - 1))
+}
+
+/// The PS split positions: at the two boundary nodes when there are two, at
+/// the boundary node and its diagonal when there is one, and at position 0
+/// and its diagonal for a root cycle without boundary nodes.
+fn ps_split_positions(block: &Block, nodes: &[QueryNode]) -> (usize, usize) {
+    let l = nodes.len();
+    let position_of = |n: QueryNode| nodes.iter().position(|&x| x == n).unwrap();
+    match block.boundary.as_slice() {
+        [a, b] => (position_of(*a), position_of(*b)),
+        [a] => {
+            let s = position_of(*a);
+            (s, (s + l / 2) % l)
+        }
+        [] => (0, l / 2),
+        _ => unreachable!("cycle blocks have at most two boundary nodes"),
     }
 }
 
@@ -241,6 +638,123 @@ pub fn combine_extras(a: [VertexId; 2], b: [VertexId; 2]) -> Option<[VertexId; 2
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgc_query::{catalog, heuristic_plan, QueryGraph, Registry};
+
+    /// The heuristic plan of `query`.
+    fn plan(query: &QueryGraph) -> DecompositionTree {
+        heuristic_plan(query).unwrap()
+    }
+
+    /// The merges of a program's run, in run order.
+    fn merges(program: &PathProgram) -> Vec<Merge> {
+        let merges = program.run().iter().filter_map(|instr| match instr {
+            Instr::Merge(merge) => Some(*merge),
+            _ => None,
+        });
+        merges.collect()
+    }
+
+    /// `(distinct, written)` steps and merges of a program.
+    fn counts(program: &PathProgram) -> [(u64, u64); 2] {
+        [
+            (program.distinct_steps() as u64, program.written_steps()),
+            (program.distinct_merges() as u64, program.written_merges()),
+        ]
+    }
+
+    /// Every DB split of a bare 5-cycle is a rotation of the first: the 25
+    /// written steps are one first edge and two edge joins, and the five
+    /// merges one merge five times over. PS's one split shares its first
+    /// two steps between `P+` and `P-`.
+    #[test]
+    fn a_bare_five_cycle_is_one_split_five_times_over() {
+        let tree = plan(&catalog::cycle(5));
+        let [block] = tree.blocks.as_slice() else {
+            panic!("cycle(5) is one block")
+        };
+        let db = PathProgram::compile(&tree, block, Algorithm::DegreeBased);
+        assert_eq!(counts(&db), [(3, 25), (1, 5)]);
+        assert_eq!(merges(&db)[0].multiplicity, 5);
+        let ps = PathProgram::compile(&tree, block, Algorithm::PathSplitting);
+        assert_eq!(counts(&ps), [(3, 5), (1, 1)]);
+        // The unshared compile is the written algorithm, step by step.
+        let written = PathProgram::compile_unshared(&tree, block, Algorithm::DegreeBased);
+        assert_eq!(counts(&written), [(25, 25), (5, 5)]);
+        assert!(merges(&written).iter().all(|m| m.multiplicity == 1));
+    }
+
+    /// `dros`'s 4-cycle has its two boundary nodes opposite each other and
+    /// nothing on its middle nodes: a split at a boundary node (PS's one,
+    /// DB's two) has `P+` ≡ `P-`, one table merged with itself. DB's two
+    /// splits at the middle nodes track different boundary nodes in their
+    /// paths' middles, so their paths differ — but each is the other's
+    /// swapped, one merge twice over.
+    #[test]
+    fn the_dros_four_cycle_merges_a_path_with_itself() {
+        let tree = plan(&catalog::dros());
+        let cycles = tree.blocks.iter().filter(|b| b.cycle_length() == 4);
+        let [block] = cycles.collect::<Vec<_>>()[..] else {
+            panic!("dros has one 4-cycle block")
+        };
+        assert_eq!(block.boundary.len(), 2);
+        let ps = PathProgram::compile(&tree, block, Algorithm::PathSplitting);
+        let [merge] = merges(&ps)[..] else {
+            panic!("PS merges once")
+        };
+        assert_eq!(merge.plus, merge.minus);
+        assert_eq!(counts(&ps), [(2, 4), (1, 1)]);
+        let db = PathProgram::compile(&tree, block, Algorithm::DegreeBased);
+        let db_merges = merges(&db);
+        let with_itself = db_merges.iter().filter(|m| m.plus == m.minus);
+        assert!(with_itself.clone().all(|m| m.multiplicity == 1));
+        assert_eq!(with_itself.count(), 2);
+        assert_eq!(counts(&db), [(8, 16), (3, 4)]);
+    }
+
+    /// PS runs one split, and a leaf-edge block one path and no merge: no
+    /// merge of theirs can repeat. A leaf-edge program ends in its one
+    /// projection.
+    #[test]
+    fn ps_and_leaf_edge_programs_repeat_no_merge() {
+        for entry in Registry::builtin().entries() {
+            let tree = plan(entry.query());
+            for block in &tree.blocks {
+                let what = format!("{} block {}", entry.name(), block.id);
+                let ps = PathProgram::compile(&tree, block, Algorithm::PathSplitting);
+                assert!(merges(&ps).iter().all(|m| m.multiplicity == 1), "{what}");
+                if block.kind.is_cycle() {
+                    assert_eq!(ps.distinct_merges(), 1, "{what}");
+                    continue;
+                }
+                let db = PathProgram::compile(&tree, block, Algorithm::DegreeBased);
+                assert_eq!(db, ps, "{what}: a leaf edge ignores the algorithm");
+                assert_eq!(ps.distinct_merges(), 0, "{what}");
+                assert_eq!(ps.distinct_steps() as u64, ps.written_steps(), "{what}");
+                let last = ps.run().last();
+                assert!(matches!(last, Some(Instr::Project { .. })), "{what}");
+            }
+        }
+    }
+
+    /// The plans `dyn-stream` runs: `path(4)` is three leaf-edge blocks,
+    /// each a one-path program — its first edge plus a NodeJoin per
+    /// annotated endpoint, nothing shared, no merge and no high start;
+    /// `cycle(5)` is the one-split program of the test above.
+    #[test]
+    fn the_dynamic_workload_plans_compile_as_stated() {
+        let tree = plan(&catalog::path(4));
+        assert_eq!(tree.blocks.len(), 3);
+        for block in &tree.blocks {
+            let program = PathProgram::compile(&tree, block, Algorithm::DegreeBased);
+            let steps = 1 + block.node_annotations.len() as u64;
+            assert_eq!(counts(&program), [(steps, steps), (0, 0)], "{block:?}");
+            assert!(!program.high_start());
+        }
+        let tree = plan(&catalog::cycle(5));
+        let program = PathProgram::compile(&tree, &tree.blocks[0], Algorithm::DegreeBased);
+        assert!(program.high_start());
+        assert_eq!(counts(&program), [(3, 25), (1, 5)]);
+    }
 
     #[test]
     fn combine_extras_prefers_set_slots() {

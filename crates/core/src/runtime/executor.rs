@@ -21,7 +21,7 @@ use crate::kernel::{
     slice_rows, solve_block, transposed_rows, ArenaPool, KernelArena, PARTIAL_ROWS,
 };
 use crate::metrics::{RunMetrics, ShardMetrics};
-use crate::paths::BlockJoinIndex;
+use crate::paths::{BlockJoinIndex, PathProgram};
 use crate::runtime::exchange;
 use crate::runtime::shard::ShardPlan;
 use sgc_engine::parallel::parallel_indexed;
@@ -144,8 +144,13 @@ pub(crate) fn execute(
                 let take = |arena: &mut KernelArena| arena.take_rows(transposed_rows(child));
                 with_arena(&lanes, 0, pool, take)
             };
-            let index = (job.plan.root.is_some())
-                .then(|| BlockJoinIndex::build(&job.plan.blocks[step], &tables, retired));
+            // The block's child tables and its path program are
+            // shard-invariant: built once, shared by every shard's solve.
+            let inputs = (job.plan.root.is_some()).then(|| {
+                let block = &job.plan.blocks[step];
+                let program = PathProgram::compile(job.plan, block, job.algorithm);
+                (BlockJoinIndex::build(block, &tables, retired), program)
+            });
             drop(exchange_span.take());
             let partials = parallel_indexed(num_shards, |s| {
                 // Worker threads don't inherit the submitter's obs state, so
@@ -155,20 +160,14 @@ pub(crate) fn execute(
                 let mut lane = lanes[s]
                     .lock()
                     .expect("a lane is locked by one task per step; a panicked one ends the run");
-                let partial = if let Some(index) = &index {
+                let partial = if let Some((index, program)) = &inputs {
                     let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
                     let ctx =
                         Context::for_shard(graph, prep, job.coloring, job.num_ranks, plan.shard(s));
                     let Lane { metrics, arena } = &mut *lane;
-                    solve_block(
-                        &ctx,
-                        job.plan,
-                        &job.plan.blocks[step],
-                        index,
-                        job.algorithm,
-                        checked_out(arena, pool),
-                        metrics,
-                    )
+                    let block = &job.plan.blocks[step];
+                    let arena = checked_out(arena, pool);
+                    solve_block(&ctx, block, index, program, arena, metrics)
                 } else {
                     // Single-node query: the shard's owned-vertex count is
                     // its scalar partial sum.
@@ -178,7 +177,10 @@ pub(crate) fn execute(
                 lane.metrics.elapsed += started.elapsed();
                 partial
             });
-            for (child, rows) in index.into_iter().flat_map(BlockJoinIndex::into_retired) {
+            let transposed = inputs
+                .into_iter()
+                .flat_map(|(index, _)| index.into_retired());
+            for (child, rows) in transposed {
                 with_arena(&lanes, 0, pool, |arena| {
                     arena.retire_rows(transposed_rows(child), rows)
                 });
