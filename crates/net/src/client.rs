@@ -177,62 +177,6 @@ impl Client {
         }
     }
 
-    /// Runs several counts as one atomically-admitted batch and blocks
-    /// until every member completes, returning per-member outcomes in
-    /// submission order. Streamed chunk frames are drained silently; use
-    /// solo [`count`](Client::count) streams to observe them.
-    ///
-    /// # Errors
-    /// Transport-level failures. Per-member failures (parse errors,
-    /// `queue-full`, …) are the inner `Err`s.
-    pub fn batch(
-        &mut self,
-        requests: Vec<BatchRequest>,
-    ) -> Result<Vec<Result<WireOutput, ErrorFrame>>, ClientError> {
-        let specs: Vec<CountSpec> = requests
-            .into_iter()
-            .map(|request| {
-                let id = self.next_id;
-                self.next_id += 1;
-                CountSpec {
-                    id,
-                    pattern: request.pattern,
-                    algorithm: request.algorithm,
-                    seed: request.seed,
-                    budget: request.budget,
-                    precision: request.precision,
-                    trace: request.trace,
-                }
-            })
-            .collect();
-        let ids: Vec<JobId> = specs.iter().map(|spec| spec.id).collect();
-        self.send(&Request::Batch(specs))?;
-        let mut outcomes: std::collections::HashMap<JobId, Result<WireOutput, ErrorFrame>> =
-            std::collections::HashMap::new();
-        while outcomes.len() < ids.len() {
-            match self.read_response()? {
-                Response::Chunk(_) => {}
-                Response::Final { id, output } if ids.contains(&id) => {
-                    outcomes.insert(id, Ok(output));
-                }
-                Response::Error(frame) if ids.contains(&frame.id) => {
-                    outcomes.insert(frame.id, Err(frame));
-                }
-                Response::Error(frame) => return Err(ClientError::Remote(frame)),
-                other => {
-                    return Err(ClientError::Unexpected(format!(
-                        "mid-batch frame with tag 0x{:02x}",
-                        other.tag()
-                    )))
-                }
-            }
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| outcomes.remove(&id).expect("every id resolved"))
-            .collect())
-    }
-
     /// Asks the server to plan `pattern` and returns the rendered report.
     ///
     /// # Errors
@@ -349,68 +293,6 @@ impl Client {
                 other.tag()
             ))),
         }
-    }
-}
-
-/// Parameters of one member of a [`Client::batch`] call.
-#[derive(Clone, Debug)]
-pub struct BatchRequest {
-    /// The pattern text.
-    pub pattern: String,
-    /// Cycle-solving algorithm.
-    pub algorithm: Algorithm,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Trial budget.
-    pub budget: u64,
-    /// Optional early-stop target.
-    pub precision: Option<Precision>,
-    /// Optional trace ID to stamp the job with in the server's slow-query
-    /// log; the server mints one when absent.
-    pub trace: Option<u64>,
-}
-
-impl BatchRequest {
-    /// A member with the service's default parameters.
-    pub fn new(pattern: impl Into<String>) -> Self {
-        BatchRequest {
-            pattern: pattern.into(),
-            algorithm: Algorithm::DegreeBased,
-            seed: 0x5eed,
-            budget: 64,
-            precision: None,
-            trace: None,
-        }
-    }
-
-    /// Sets the base RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the trial budget.
-    pub fn budget(mut self, budget: u64) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the early-stop precision target.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
-        self
-    }
-
-    /// Selects the cycle-solving algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Stamps the job with a caller-chosen trace ID.
-    pub fn trace(mut self, trace_id: u64) -> Self {
-        self.trace = Some(trace_id);
-        self
     }
 }
 

@@ -15,7 +15,8 @@
 //! * [`wire`] — frames (`[u32 len][u8 tag][payload]`) and bounds-checked
 //!   primitive encode/decode; malformed input is a typed error, never a
 //!   panic or a hang,
-//! * [`proto`] — the verb vocabulary: `hello`, `count` (streams), `batch`,
+//! * [`proto`] — the verb vocabulary: `hello`, `count` (streams; several
+//!   may be in flight on one connection, so a batch is a loop of counts),
 //!   `cancel`, `explain`, `stats`, `metrics`, `trace`, `delta` (mutate the
 //!   graph, get the new version id), `watch` (a live subscription
 //!   re-emitting a version-tagged estimate whenever a delta lands), `bye`,
@@ -61,9 +62,7 @@ pub mod proto;
 pub mod server;
 pub mod wire;
 
-pub use client::{
-    BatchRequest, Client, ClientError, CountBuilder, CountStream, StreamEvent, WatchStream,
-};
+pub use client::{Client, ClientError, CountBuilder, CountStream, StreamEvent, WatchStream};
 pub use proto::{
     ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, ErrorKind, JobId, Request, Response, ServerStats,
     StatsFrame, WatchFrame, WireEstimate, WireOutput,

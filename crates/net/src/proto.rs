@@ -7,7 +7,7 @@
 //! |--------|------------|-------------------------------------------------|
 //! | `0x01` | Hello      | protocol version (`u32`)                        |
 //! | `0x02` | Count      | [`CountSpec`]                                   |
-//! | `0x03` | Batch      | `u32` count, then that many [`CountSpec`]s      |
+//! | `0x03` | —          | retired in protocol v4 (was Batch); not reused  |
 //! | `0x04` | Cancel     | job id (`u64`)                                  |
 //! | `0x05` | Explain    | pattern text (`str`)                            |
 //! | `0x06` | Stats      | —                                               |
@@ -42,12 +42,6 @@ use sgc_service::{Precision, ServiceMetrics, StopReason};
 /// [`ErrorFrame`] means "about the connection, not any job".
 pub type JobId = u64;
 
-/// Encoded bytes of the smallest possible [`CountSpec`]: id (8) + empty
-/// pattern's length prefix (4) + algorithm (1) + seed (8) + budget (8) +
-/// precision flag (1) + trace flag (1). Bounds how many members a batch
-/// payload of a given size can plausibly declare.
-const MIN_COUNT_SPEC_BYTES: usize = 31;
-
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
@@ -65,9 +59,6 @@ pub enum Request {
     /// as trials complete, then exactly one [`Response::Final`] or
     /// [`Response::Error`] with the same id.
     Count(CountSpec),
-    /// Submit several jobs as one batch (atomic admission); each member
-    /// streams and completes independently under its own id.
-    Batch(Vec<CountSpec>),
     /// Cancel the active job with this id at its next chunk boundary.
     Cancel(JobId),
     /// Plan a pattern without running it; answered with
@@ -137,7 +128,6 @@ impl Request {
         match self {
             Request::Hello { .. } => 0x01,
             Request::Count(_) => 0x02,
-            Request::Batch(_) => 0x03,
             Request::Cancel(_) => 0x04,
             Request::Explain { .. } => 0x05,
             Request::Stats => 0x06,
@@ -155,12 +145,6 @@ impl Request {
         match self {
             Request::Hello { version } => wire::put_u32(&mut buf, *version),
             Request::Count(spec) => encode_count_spec(&mut buf, spec),
-            Request::Batch(specs) => {
-                wire::put_u32(&mut buf, specs.len() as u32);
-                for spec in specs {
-                    encode_count_spec(&mut buf, spec);
-                }
-            }
             Request::Cancel(id) => wire::put_u64(&mut buf, *id),
             Request::Explain { pattern } => wire::put_str(&mut buf, pattern),
             Request::Stats | Request::Bye | Request::Metrics | Request::Trace => {}
@@ -183,27 +167,6 @@ impl Request {
         let request = match tag {
             0x01 => Request::Hello { version: r.u32()? },
             0x02 => Request::Count(decode_count_spec(&mut r)?),
-            0x03 => {
-                let count = r.u32()? as usize;
-                // Each member needs at least its fixed-width fields on the
-                // wire, so the remaining payload bounds the plausible count;
-                // reject anything above it before reserving — a `CountSpec`
-                // is far larger in memory than on the wire, and an honest
-                // length check alone would let one hostile frame reserve
-                // gigabytes.
-                let max = r.remaining() / MIN_COUNT_SPEC_BYTES;
-                if count > max {
-                    return Err(WireError::LengthOverflow {
-                        declared: count,
-                        max,
-                    });
-                }
-                let mut specs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    specs.push(decode_count_spec(&mut r)?);
-                }
-                Request::Batch(specs)
-            }
             0x04 => Request::Cancel(r.u64()?),
             0x05 => Request::Explain { pattern: r.str()? },
             0x06 => Request::Stats,
@@ -804,7 +767,6 @@ impl Response {
             Response::StatsOk(s) => {
                 let m = &s.service;
                 wire::put_u64(&mut buf, m.jobs_submitted);
-                wire::put_u64(&mut buf, m.batches_submitted);
                 wire::put_u64(&mut buf, m.jobs_rejected);
                 wire::put_u64(&mut buf, m.jobs_completed);
                 wire::put_u64(&mut buf, m.queue_depth as u64);
@@ -901,7 +863,6 @@ impl Response {
             0x86 => Response::StatsOk(StatsFrame {
                 service: ServiceMetrics {
                     jobs_submitted: r.u64()?,
-                    batches_submitted: r.u64()?,
                     jobs_rejected: r.u64()?,
                     jobs_completed: r.u64()?,
                     queue_depth: r.u64()? as usize,
@@ -1027,8 +988,6 @@ mod tests {
             trace: None,
             ..demo_spec(2)
         }));
-        round_trip_request(Request::Batch(vec![demo_spec(1), demo_spec(2)]));
-        round_trip_request(Request::Batch(Vec::new()));
         round_trip_request(Request::Cancel(42));
         round_trip_request(Request::Explain {
             pattern: "a-b, b-c".to_string(),
@@ -1083,7 +1042,6 @@ mod tests {
         round_trip_response(Response::StatsOk(StatsFrame {
             service: ServiceMetrics {
                 jobs_submitted: 10,
-                batches_submitted: 2,
                 jobs_rejected: 1,
                 jobs_completed: 9,
                 queue_depth: 3,
@@ -1216,40 +1174,11 @@ mod tests {
             Request::decode(0x04, &buf),
             Err(WireError::TrailingBytes { remaining: 1 })
         );
-        // A batch count promising more members than bytes.
-        let mut buf = Vec::new();
-        wire::put_u32(&mut buf, u32::MAX);
-        assert!(matches!(
-            Request::decode(0x03, &buf),
-            Err(WireError::LengthOverflow { .. })
-        ));
-        // A batch count that fits the raw byte length but not the minimum
-        // encoded spec size: 100 bytes cannot hold 50 members, so the
-        // decoder must refuse before reserving 50 spec slots.
-        let mut buf = Vec::new();
-        wire::put_u32(&mut buf, 50);
-        buf.extend_from_slice(&[0u8; 100]);
+        // The retired batch tag is unknown, not a request.
         assert_eq!(
-            Request::decode(0x03, &buf),
-            Err(WireError::LengthOverflow {
-                declared: 50,
-                max: 100 / MIN_COUNT_SPEC_BYTES,
-            })
+            Request::decode(0x03, &[]),
+            Err(WireError::BadTag { tag: 0x03 })
         );
-        // The bound is tight: a batch whose encoding is exactly its members
-        // still decodes.
-        let specs = vec![CountSpec {
-            id: 1,
-            pattern: String::new(),
-            algorithm: Algorithm::DegreeBased,
-            seed: 0,
-            budget: 1,
-            precision: None,
-            trace: None,
-        }];
-        let encoded = Request::Batch(specs.clone()).encode();
-        assert_eq!(encoded.len(), 4 + MIN_COUNT_SPEC_BYTES);
-        assert_eq!(Request::decode(0x03, &encoded), Ok(Request::Batch(specs)));
     }
 
     #[test]

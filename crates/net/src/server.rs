@@ -37,8 +37,8 @@ use crate::proto::{
 use crate::wire::{self, FrameError, RawFrame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
 use sgc_graph::CsrGraph;
 use sgc_service::{
-    BatchJob, CancelToken, ChunkUpdate, CountJob, EdgeDelta, JobHandle, ProgressFn, Service,
-    ServiceConfig, ServiceError, VersionId, WatchFn, WatchHandle,
+    CancelToken, ChunkUpdate, CountJob, EdgeDelta, JobHandle, ProgressFn, Service, ServiceConfig,
+    ServiceError, VersionId, WatchFn, WatchHandle,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -539,11 +539,6 @@ fn handle_frame(
             }
             true
         }
-        Request::Batch(specs) => {
-            reap_finished(waiters);
-            start_batch(conn, specs, waiters);
-            true
-        }
         Request::Cancel(id) => {
             let token = {
                 let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
@@ -749,22 +744,34 @@ fn service_error_frame(id: JobId, e: &ServiceError) -> ErrorFrame {
     ErrorFrame::new(id, kind, e.to_string())
 }
 
+/// Answers `bad-request` and returns `true` when a count stream or a watch
+/// subscription on this connection already uses `id`: both would carry it,
+/// and `cancel` could reach only one of them. Ids are checked and
+/// registered on the connection's one reader thread, so no other request
+/// can claim `id` in between.
+fn refuse_id_in_use(conn: &Conn, id: JobId) -> bool {
+    let in_use = {
+        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
+        let watches = conn.watches.lock().unwrap_or_else(|p| p.into_inner());
+        active.contains_key(&id) || watches.contains_key(&id)
+    };
+    if in_use {
+        conn.send_error(
+            id,
+            ErrorKind::BadRequest,
+            format!("job id {id} is already active on this connection"),
+        );
+    }
+    in_use
+}
+
 /// Starts one streaming count job; returns the waiter thread handle, or
 /// `None` when the job was rejected before submission (the error frame is
 /// already written).
 fn start_count(conn: &Arc<Conn>, spec: CountSpec) -> Option<JoinHandle<()>> {
     let job = build_job(conn, &spec)?;
-    {
-        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-        if active.contains_key(&spec.id) {
-            drop(active);
-            conn.send_error(
-                spec.id,
-                ErrorKind::BadRequest,
-                format!("job id {} is already active on this connection", spec.id),
-            );
-            return None;
-        }
+    if refuse_id_in_use(conn, spec.id) {
+        return None;
     }
     let confidence = spec.precision.map(|p| p.confidence).unwrap_or(0.95);
     let watcher = chunk_watcher(conn, spec.id, confidence);
@@ -823,19 +830,8 @@ fn start_watch(conn: &Arc<Conn>, spec: CountSpec) {
     let Some(job) = build_job(conn, &spec) else {
         return;
     };
-    {
-        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-        let watches = conn.watches.lock().unwrap_or_else(|p| p.into_inner());
-        if active.contains_key(&spec.id) || watches.contains_key(&spec.id) {
-            drop(active);
-            drop(watches);
-            conn.send_error(
-                spec.id,
-                ErrorKind::BadRequest,
-                format!("job id {} is already active on this connection", spec.id),
-            );
-            return;
-        }
+    if refuse_id_in_use(conn, spec.id) {
+        return;
     }
     let confidence = spec.precision.map(|p| p.confidence).unwrap_or(0.95);
     let id = spec.id;
@@ -863,61 +859,6 @@ fn start_watch(conn: &Arc<Conn>, spec: CountSpec) {
         }
         Err(e) => {
             let _ = conn.send(&Response::Error(service_error_frame(id, &e)));
-        }
-    }
-}
-
-/// Starts a batch: members with invalid patterns or ids are answered with
-/// per-member error frames and excluded; the valid rest is submitted as one
-/// atomic batch (an admission failure — e.g. `queue-full` — is reported to
-/// every member, since batch admission is all-or-nothing). Admitted members
-/// stream and complete independently under their own ids.
-fn start_batch(conn: &Arc<Conn>, specs: Vec<CountSpec>, waiters: &mut Vec<JoinHandle<()>>) {
-    let duplicate_id = {
-        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-        let mut seen = std::collections::HashSet::new();
-        specs
-            .iter()
-            .map(|spec| spec.id)
-            .find(|id| active.contains_key(id) || !seen.insert(*id))
-    };
-    if let Some(id) = duplicate_id {
-        conn.send_error(
-            id,
-            ErrorKind::BadRequest,
-            format!("job id {id} is already active on this connection"),
-        );
-        return;
-    }
-    let mut members: Vec<(JobId, CountJob, f64)> = Vec::new();
-    for spec in specs {
-        if let Some(job) = build_job(conn, &spec) {
-            let confidence = spec.precision.map(|p| p.confidence).unwrap_or(0.95);
-            members.push((spec.id, job, confidence));
-        }
-    }
-    if members.is_empty() {
-        return;
-    }
-    let batch = BatchJob::from_jobs(members.iter().map(|(_, job, _)| job.clone()).collect());
-    let progress: Vec<Option<ProgressFn>> = members
-        .iter()
-        .map(|(id, _, confidence)| Some(chunk_watcher(conn, *id, *confidence)))
-        .collect();
-    match conn
-        .shared
-        .service
-        .submit_batch_with_progress(batch, progress)
-    {
-        Ok(handles) => {
-            for ((id, _, _), handle) in members.into_iter().zip(handles) {
-                waiters.push(spawn_waiter(conn, id, handle));
-            }
-        }
-        Err(e) => {
-            for (id, _, _) in members {
-                let _ = conn.send(&Response::Error(service_error_frame(id, &e)));
-            }
         }
     }
 }

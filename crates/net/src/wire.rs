@@ -30,7 +30,9 @@ use std::io::{Read, Write};
 /// `metrics`/`trace` verbs. Version 3 added the `delta` and `watch` verbs
 /// (versioned graphs with live re-emission), their `delta-ok` /
 /// `watch-chunk` responses, and the cache-evictions field in stats frames.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// Version 4 retired the `batch` verb (tag `0x03`, now an unknown tag) and
+/// the batches-submitted field of stats frames.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Default cap on `length` (tag + payload bytes) accepted per frame.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 16 * 1024 * 1024;

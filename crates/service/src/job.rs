@@ -169,66 +169,6 @@ impl CountJob {
     }
 }
 
-/// A set of [`CountJob`]s submitted together.
-///
-/// A batch is admitted atomically (all members or none, counted against the
-/// queue capacity member by member); from there every member is an ordinary
-/// job — its own worker, adaptive trial loop, progress updates, cancellation
-/// and trace entry. Identical members compute once through the single-flight
-/// result cache, under the same canonical key a solo submission uses, so
-/// batched and solo submissions stay interchangeable and bit-identical.
-///
-/// ```
-/// use sgc_query::catalog;
-/// use sgc_service::{BatchJob, CountJob};
-///
-/// let batch = BatchJob::new()
-///     .push(CountJob::new(catalog::triangle()).seed(7).budget(16))
-///     .push(CountJob::new(catalog::cycle(4)).seed(7).budget(16));
-/// assert_eq!(batch.len(), 2);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct BatchJob {
-    jobs: Vec<CountJob>,
-}
-
-impl BatchJob {
-    /// An empty batch.
-    pub fn new() -> Self {
-        BatchJob::default()
-    }
-
-    /// A batch over an existing job list.
-    pub fn from_jobs(jobs: Vec<CountJob>) -> Self {
-        BatchJob { jobs }
-    }
-
-    /// Appends one member.
-    pub fn push(mut self, job: CountJob) -> Self {
-        self.jobs.push(job);
-        self
-    }
-
-    /// The members, in submission order.
-    pub fn jobs(&self) -> &[CountJob] {
-        &self.jobs
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the batch has no members.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    pub(crate) fn into_jobs(self) -> Vec<CountJob> {
-        self.jobs
-    }
-}
-
 /// Why a job stopped running trials.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {

@@ -73,8 +73,7 @@ pub mod service;
 
 pub use error::ServiceError;
 pub use job::{
-    BatchJob, CancelToken, ChunkUpdate, CountJob, JobHandle, JobOutput, Precision, ProgressFn,
-    StopReason,
+    CancelToken, ChunkUpdate, CountJob, JobHandle, JobOutput, Precision, ProgressFn, StopReason,
 };
 pub use metrics::ServiceMetrics;
 pub use service::{Service, ServiceConfig, WatchFn, WatchHandle};

@@ -11,12 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`Service::metrics`](crate::Service::metrics).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
-    /// Jobs accepted by admission control (batch members count
-    /// individually).
+    /// Jobs accepted by admission control.
     pub jobs_submitted: u64,
-    /// Batches accepted by admission control (each spanning one or more of
-    /// the submitted jobs).
-    pub batches_submitted: u64,
     /// Jobs rejected with `QueueFull`.
     pub jobs_rejected: u64,
     /// Jobs fulfilled (computed, served from cache, or joined in flight).
@@ -73,13 +69,15 @@ impl ServiceMetrics {
 /// This is the *serialization contract* shared by every consumer that
 /// prints metrics — the `sgc-net` `stats` verb renders the snapshot it
 /// received over the wire with this impl — so scrapers can parse one
-/// format everywhere. New fields are only ever appended.
+/// format everywhere. New fields are only ever appended, and none is ever
+/// removed: `batches_submitted` outlived the batch API it counted and
+/// always reads 0.
 impl std::fmt::Display for ServiceMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "jobs_submitted    {}\n\
-             batches_submitted {}\n\
+             batches_submitted 0\n\
              jobs_rejected     {}\n\
              jobs_completed    {}\n\
              jobs_cancelled    {}\n\
@@ -92,7 +90,6 @@ impl std::fmt::Display for ServiceMetrics {
              trials_saved      {}\n\
              cache_evictions   {}",
             self.jobs_submitted,
-            self.batches_submitted,
             self.jobs_rejected,
             self.jobs_completed,
             self.jobs_cancelled,
@@ -112,7 +109,6 @@ impl std::fmt::Display for ServiceMetrics {
 #[derive(Default)]
 pub(crate) struct Counters {
     pub jobs_submitted: AtomicU64,
-    pub batches_submitted: AtomicU64,
     pub jobs_rejected: AtomicU64,
     pub jobs_completed: AtomicU64,
     pub cache_hits: AtomicU64,
@@ -133,7 +129,6 @@ impl Counters {
     ) -> ServiceMetrics {
         ServiceMetrics {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            batches_submitted: self.batches_submitted.load(Ordering::Relaxed),
             jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             queue_depth,
@@ -167,7 +162,6 @@ mod tests {
         let counters = Counters::default();
         Counters::bump(&counters.jobs_submitted);
         Counters::bump(&counters.jobs_submitted);
-        Counters::bump(&counters.batches_submitted);
         Counters::bump(&counters.jobs_rejected);
         Counters::bump(&counters.jobs_completed);
         Counters::bump(&counters.cache_hits);
@@ -176,7 +170,6 @@ mod tests {
         Counters::bump(&counters.watch_emissions_coalesced);
         let snap = counters.snapshot(3, 1, 2, 5);
         assert_eq!(snap.jobs_submitted, 2);
-        assert_eq!(snap.batches_submitted, 1);
         assert_eq!(snap.jobs_rejected, 1);
         assert_eq!(snap.jobs_completed, 1);
         assert_eq!(snap.queue_depth, 3);

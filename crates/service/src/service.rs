@@ -6,9 +6,8 @@
 //!
 //! * **admission control** — the work queue is bounded; a full queue rejects
 //!   with [`ServiceError::QueueFull`] instead of growing without limit.
-//!   Every job the service runs — a submission, a batch member, a versioned
-//!   job, a watch emission — is admitted through the one path and run by a
-//!   worker,
+//!   Every job the service runs — a submission, a versioned job, a watch
+//!   emission — is admitted through the one path and run by a worker,
 //! * **adaptive scheduling** — each job's trials run in fixed-size chunks
 //!   through an engine's incremental
 //!   [`TrialStream`](sgc_core::TrialStream): on the bound graph's
@@ -18,7 +17,7 @@
 //!   version's engine. After every chunk the job's confidence interval is
 //!   checked against its [`Precision`](crate::job::Precision) target and the
 //!   job stops as soon as the target is met (or the budget runs out). One
-//!   loop serves every job: solo, batch member, versioned, watch emission,
+//!   loop serves every job: plain, versioned, watch emission,
 //! * **result caching** — deterministic jobs are memoized and
 //!   single-flighted (see [`crate::cache`]); identical submissions are
 //!   served without recomputation, bit-identically,
@@ -32,9 +31,7 @@
 
 use crate::cache::{Claim, JobKey, ResultCache};
 use crate::error::ServiceError;
-use crate::job::{
-    BatchJob, ChunkUpdate, CountJob, JobHandle, JobOutput, JobState, ProgressFn, StopReason,
-};
+use crate::job::{ChunkUpdate, CountJob, JobHandle, JobOutput, JobState, ProgressFn, StopReason};
 use crate::metrics::{Counters, ServiceMetrics};
 use sgc_core::estimator::summarize_trials;
 use sgc_core::prelude::Count;
@@ -66,10 +63,6 @@ pub struct ServiceConfig {
     /// Trials per scheduling chunk: the granularity at which the adaptive
     /// loop re-checks a job's precision target. Clamped to at least 1.
     pub chunk_trials: usize,
-    /// Whether workers record observability spans, publish run counters
-    /// into the `sgc-obs` registry, and feed the slow-query trace log.
-    /// On by default; results are bit-identical either way.
-    pub obs: bool,
     /// Maximum completed results the single-flight cache retains. With
     /// versioned graphs every delta mints fresh cache keys, so the cache
     /// is LRU-bounded; evictions are counted in
@@ -89,7 +82,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             queue_capacity: 64,
             chunk_trials: 8,
-            obs: true,
             cache_capacity: 256,
             dyn_shards: 4,
         }
@@ -178,7 +170,6 @@ struct Shared {
     graph_fingerprint: u64,
     queue_capacity: usize,
     chunk_trials: usize,
-    obs: bool,
     dyn_shards: usize,
     queue: Mutex<QueueState>,
     available: Condvar,
@@ -300,7 +291,6 @@ impl Service {
             graph_fingerprint,
             queue_capacity: config.queue_capacity,
             chunk_trials: config.chunk_trials.max(1),
-            obs: config.obs,
             dyn_shards: config.dyn_shards.max(1),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -394,97 +384,10 @@ impl Service {
         Ok(handles.pop().expect("one job in, one handle out"))
     }
 
-    /// Submits a batch of jobs, returning one handle per member (in
-    /// submission order).
-    ///
-    /// Admission is atomic: either every member fits within the queue
-    /// capacity or the whole batch is rejected with
-    /// [`ServiceError::QueueFull`] — a batch cannot be half-admitted. Once
-    /// admitted, every member is an ordinary job: it is picked up by
-    /// whichever worker is free, routed through the single-flight result
-    /// cache under its own canonical key (so identical members — and
-    /// identical solo jobs — compute once), runs the same adaptive trial
-    /// loop, and can be cancelled on its own. Every member's output is
-    /// bit-identical to a solo submission of the same job.
-    ///
-    /// ```
-    /// use sgc_graph::GraphBuilder;
-    /// use sgc_query::catalog;
-    /// use sgc_service::{BatchJob, CountJob, Service};
-    /// use std::sync::Arc;
-    ///
-    /// let mut b = GraphBuilder::new(6);
-    /// b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]);
-    /// let service = Service::new(Arc::new(b.build()));
-    ///
-    /// let batch = BatchJob::new()
-    ///     .push(CountJob::new(catalog::triangle()).seed(3).budget(8))
-    ///     .push(CountJob::new(catalog::cycle(4)).seed(3).budget(8));
-    /// let handles = service.submit_batch(batch).unwrap();
-    /// for handle in handles {
-    ///     assert!(handle.wait().unwrap().trials_run > 0);
-    /// }
-    /// ```
-    ///
-    /// # Errors
-    /// [`ServiceError::QueueFull`] when the members would overflow the
-    /// queue, [`ServiceError::ShuttingDown`] after shutdown,
-    /// [`ServiceError::InvalidPrecision`] for an unusable member target.
-    /// Counting-level failures are reported through the member handles.
-    pub fn submit_batch(&self, batch: BatchJob) -> Result<Vec<JobHandle>, ServiceError> {
-        self.submit_batch_with_progress(batch, Vec::new())
-    }
-
-    /// [`submit_batch`](Service::submit_batch) with one optional progress
-    /// watcher per member (`progress` may be shorter than the batch;
-    /// missing tails mean "no watcher"). Each watcher follows the
-    /// [`submit_with_progress`](Service::submit_with_progress) contract:
-    /// one update per completed chunk of its member, fixed-budget or
-    /// precision-targeted alike.
-    ///
-    /// # Errors
-    /// Exactly those of [`submit_batch`](Service::submit_batch).
-    pub fn submit_batch_with_progress(
-        &self,
-        batch: BatchJob,
-        progress: Vec<Option<ProgressFn>>,
-    ) -> Result<Vec<JobHandle>, ServiceError> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut jobs = batch.into_jobs();
-        let mut progress = progress.into_iter();
-        let states = jobs
-            .iter()
-            .map(|_| JobState::with_progress(progress.next().flatten()))
-            .collect();
-        let handles = self.shared.admit(&mut jobs, states, true, || Ok(None))?;
-        Counters::bump(&self.shared.counters.batches_submitted);
-        Ok(handles)
-    }
-
     /// Submits a job and blocks until it completes — submission and
     /// [`JobHandle::wait`] in one call.
     pub fn run(&self, job: CountJob) -> Result<JobOutput, ServiceError> {
         self.submit(job)?.wait()
-    }
-
-    /// Submits a batch and blocks until every member completes, returning
-    /// each member's outcome in submission order.
-    ///
-    /// # Errors
-    /// The batch-level admission errors of
-    /// [`submit_batch`](Service::submit_batch); per-member counting
-    /// failures are the inner `Result`s.
-    pub fn run_batch(
-        &self,
-        batch: BatchJob,
-    ) -> Result<Vec<Result<JobOutput, ServiceError>>, ServiceError> {
-        Ok(self
-            .submit_batch(batch)?
-            .into_iter()
-            .map(JobHandle::wait)
-            .collect())
     }
 
     /// The root version: the bound graph itself, before any delta. Its id
@@ -705,7 +608,8 @@ impl Service {
         let snapshot = self.metrics();
         let registry = sgc_obs::global();
         registry.gauge_set("service_jobs_submitted", snapshot.jobs_submitted);
-        registry.gauge_set("service_batches_submitted", snapshot.batches_submitted);
+        // Kept under the append-only name contract; nothing submits batches.
+        registry.gauge_set("service_batches_submitted", 0);
         registry.gauge_set("service_jobs_rejected", snapshot.jobs_rejected);
         registry.gauge_set("service_jobs_completed", snapshot.jobs_completed);
         registry.gauge_set("service_jobs_cancelled", snapshot.jobs_cancelled);
@@ -803,8 +707,7 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// The one way a job runs — solo, batch member, versioned or watch
-/// emission: route it through the single-flight cache and, if this thread
+/// The one way a job runs — plain, versioned or watch emission: route it through the single-flight cache and, if this thread
 /// owns the computation, run the adaptive trial loop and fan the result out
 /// to every identical job that joined in flight.
 ///
@@ -895,13 +798,12 @@ fn deliver(shared: &Arc<Shared>, id: u64, result: Result<JobOutput, ServiceError
 /// computation (the span stack self-heals during unwinding), and the
 /// finished job lands in the slow-query trace log.
 fn run_traced(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceError> {
-    let _pause = (!shared.obs).then(sgc_obs::suspend);
     let started = std::time::Instant::now();
     sgc_obs::start_job();
     let result = catch_unwind(AssertUnwindSafe(|| run_job(shared, entry)))
         .unwrap_or(Err(ServiceError::WorkerLost));
     let stages = sgc_obs::end_job();
-    if shared.obs && sgc_obs::enabled() {
+    if sgc_obs::enabled() {
         shared.traces.record(sgc_obs::JobTrace {
             trace_id: entry.job.trace_id.unwrap_or(0),
             label: job_label(&entry.job),
@@ -952,7 +854,6 @@ fn route(shared: &Shared, entry: &QueueEntry) -> Option<JobKey> {
         .version
         .map_or(shared.graph_fingerprint, VersionId::as_u64);
     let key = JobKey::new(fingerprint, &entry.job);
-    let _pause = (!shared.obs).then(sgc_obs::suspend);
     let started = std::time::Instant::now();
     let claim = {
         let _span = sgc_obs::span(sgc_obs::Stage::Cache);
@@ -962,7 +863,7 @@ fn route(shared: &Shared, entry: &QueueEntry) -> Option<JobKey> {
         Claim::Served(output) => {
             Counters::bump(&shared.counters.cache_hits);
             Counters::bump(&shared.counters.jobs_completed);
-            if shared.obs && sgc_obs::enabled() {
+            if sgc_obs::enabled() {
                 shared.traces.record(sgc_obs::JobTrace {
                     trace_id: entry.job.trace_id.unwrap_or(0),
                     label: job_label(&entry.job),
@@ -1096,7 +997,6 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
         .seed(job.seed)
         .ranks(1)
         .parallel(false)
-        .obs(shared.obs)
         .estimate_incremental()?;
     let mut seconds = 0.0;
     let mut stop = StopReason::BudgetExhausted;
@@ -1220,7 +1120,6 @@ mod tests {
                 workers,
                 queue_capacity: 16,
                 chunk_trials: 4,
-                obs: true,
                 ..ServiceConfig::default()
             },
         )
@@ -1274,7 +1173,6 @@ mod tests {
                 workers: 0,
                 queue_capacity: 2,
                 chunk_trials: 4,
-                obs: true,
                 ..ServiceConfig::default()
             },
         );
@@ -1418,7 +1316,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 4,
                 chunk_trials: 4,
-                obs: true,
                 ..ServiceConfig::default()
             },
         );
@@ -1434,161 +1331,6 @@ mod tests {
         assert_eq!(output.trials_run, 20);
         assert_eq!(output.estimate.estimated_matches, 0.0);
         assert_eq!(service.metrics().trials_saved, 0);
-    }
-
-    #[test]
-    fn batched_members_match_solo_submissions_bitwise() {
-        let service = small_service(1);
-        let batch = BatchJob::new()
-            .push(CountJob::new(catalog::triangle()).seed(21).budget(10))
-            .push(CountJob::new(catalog::cycle(4)).seed(21).budget(10))
-            .push(CountJob::new(catalog::glet1()).seed(4).budget(6));
-        let outputs: Vec<JobOutput> = service
-            .run_batch(batch)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(outputs.len(), 3);
-        // A separate service (fresh cache) computes each job solo: the
-        // batched members must be bit-identical.
-        let solo_service = small_service(1);
-        for (output, job) in outputs.iter().zip([
-            CountJob::new(catalog::triangle()).seed(21).budget(10),
-            CountJob::new(catalog::cycle(4)).seed(21).budget(10),
-            CountJob::new(catalog::glet1()).seed(4).budget(6),
-        ]) {
-            let solo = solo_service.run(job).unwrap();
-            assert_eq!(output.estimate.per_trial, solo.estimate.per_trial);
-            assert_eq!(
-                output.estimate.estimated_matches.to_bits(),
-                solo.estimate.estimated_matches.to_bits()
-            );
-            assert_eq!(output.trials_run, solo.trials_run);
-            assert_eq!(output.stop, StopReason::BudgetExhausted);
-        }
-        assert_eq!(service.metrics().batches_submitted, 1);
-        assert_eq!(service.metrics().jobs_submitted, 3);
-    }
-
-    #[test]
-    fn batch_results_fan_into_the_single_flight_cache() {
-        let service = small_service(1);
-        let job = CountJob::new(catalog::triangle()).seed(8).budget(8);
-        // Duplicate members inside one batch: the second joins the first
-        // in flight through the cache and is served bit-identically.
-        let results = service
-            .run_batch(BatchJob::from_jobs(vec![job.clone(), job.clone()]))
-            .unwrap();
-        let first = results[0].as_ref().unwrap();
-        let second = results[1].as_ref().unwrap();
-        assert_eq!(first.estimate.per_trial, second.estimate.per_trial);
-        // A later solo submission of the same job is a cache hit on the
-        // batched result.
-        let solo = service.run(job).unwrap();
-        assert!(solo.from_cache);
-        assert_eq!(solo.estimate.per_trial, first.estimate.per_trial);
-        let metrics = service.metrics();
-        assert_eq!(metrics.cache_misses, 1, "the batch computed once");
-        assert_eq!(metrics.cache_hits, 2, "the twin and the solo follow-up");
-    }
-
-    #[test]
-    fn batch_admission_is_atomic_and_counts_members() {
-        let service = Service::with_config(
-            demo_graph(),
-            ServiceConfig {
-                workers: 0,
-                queue_capacity: 4,
-                chunk_trials: 4,
-                obs: true,
-                ..ServiceConfig::default()
-            },
-        );
-        // Five members cannot fit a capacity-4 queue: nothing is admitted.
-        let five = BatchJob::from_jobs(vec![CountJob::new(catalog::triangle()); 5]);
-        assert_eq!(
-            service.submit_batch(five).unwrap_err(),
-            ServiceError::QueueFull { capacity: 4 }
-        );
-        assert_eq!(service.metrics().queue_depth, 0);
-        assert_eq!(service.metrics().jobs_rejected, 5);
-        // Three members fit; a further two-member batch would overflow.
-        let handles = service
-            .submit_batch(BatchJob::from_jobs(vec![
-                CountJob::new(catalog::triangle());
-                3
-            ]))
-            .unwrap();
-        assert_eq!(handles.len(), 3);
-        assert_eq!(service.metrics().queue_depth, 3);
-        assert_eq!(
-            service
-                .submit_batch(BatchJob::from_jobs(vec![
-                    CountJob::new(catalog::cycle(4));
-                    2
-                ]))
-                .unwrap_err(),
-            ServiceError::QueueFull { capacity: 4 }
-        );
-        // Empty batches are a no-op.
-        assert!(service.submit_batch(BatchJob::new()).unwrap().is_empty());
-        // Shutdown fails the still-queued batch members.
-        service.shutdown();
-        for handle in handles {
-            assert!(matches!(handle.wait(), Err(ServiceError::ShuttingDown)));
-        }
-    }
-
-    #[test]
-    fn precision_members_keep_their_adaptive_loop_inside_a_batch() {
-        let service = small_service(1);
-        let adaptive = CountJob::new(catalog::triangle())
-            .seed(1000)
-            .budget(400)
-            .precision(Precision::within(0.5));
-        let fixed = CountJob::new(catalog::cycle(4)).seed(1000).budget(12);
-        let results = service
-            .run_batch(BatchJob::from_jobs(vec![adaptive.clone(), fixed]))
-            .unwrap();
-        let adaptive_out = results[0].as_ref().unwrap();
-        assert_eq!(adaptive_out.stop, StopReason::PrecisionMet);
-        assert!(adaptive_out.trials_run < adaptive_out.budget);
-        // Bit-identical to the solo adaptive run (fresh cache).
-        let solo = small_service(1).run(adaptive).unwrap();
-        assert_eq!(adaptive_out.trials_run, solo.trials_run);
-        assert_eq!(adaptive_out.estimate.per_trial, solo.estimate.per_trial);
-        let fixed_out = results[1].as_ref().unwrap();
-        assert_eq!(fixed_out.trials_run, 12);
-        assert_eq!(fixed_out.stop, StopReason::BudgetExhausted);
-    }
-
-    #[test]
-    fn a_bad_batch_member_fails_alone() {
-        let service = small_service(1);
-        let mut k4 = sgc_query::QueryGraph::new(4);
-        for a in 0..4u8 {
-            for b in (a + 1)..4 {
-                k4.add_edge(a, b).unwrap();
-            }
-        }
-        let results = service
-            .run_batch(BatchJob::from_jobs(vec![
-                CountJob::new(catalog::triangle()).seed(2).budget(6),
-                CountJob::new(k4),
-            ]))
-            .unwrap();
-        let good = results[0].as_ref().unwrap();
-        assert_eq!(good.trials_run, 6);
-        assert!(matches!(
-            results[1],
-            Err(ServiceError::Count(sgc_core::SgcError::Query(_)))
-        ));
-        // The healthy member is still bit-identical to its solo run.
-        let solo = small_service(1)
-            .run(CountJob::new(catalog::triangle()).seed(2).budget(6))
-            .unwrap();
-        assert_eq!(good.estimate.per_trial, solo.estimate.per_trial);
     }
 
     #[test]

@@ -67,9 +67,8 @@ pub use sgc_core::prelude::*;
 // `Service` is the recommended way to share one graph across many
 // concurrent callers.
 pub use sgc_service::{
-    BatchJob, CancelToken, ChunkUpdate, CountJob, EdgeDelta, JobHandle, JobOutput, Precision,
-    Service, ServiceConfig, ServiceError, ServiceMetrics, StopReason, VersionId, WatchFn,
-    WatchHandle,
+    CancelToken, ChunkUpdate, CountJob, EdgeDelta, JobHandle, JobOutput, Precision, Service,
+    ServiceConfig, ServiceError, ServiceMetrics, StopReason, VersionId, WatchFn, WatchHandle,
 };
 
 // The network front door: serve the bound graph over TCP with streaming

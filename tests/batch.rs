@@ -1,18 +1,16 @@
-//! Integration tests for batched submission.
+//! Integration tests for `Engine::count_batch`.
 //!
-//! The batch contract under test, end to end: `engine.count_batch` (and
-//! `Service::submit_batch` above it) is a loop over the solo path that runs
-//! structurally identical requests once, and every member's result is
-//! **bit-identical** to its solo run — for the full builtin registry, for
-//! text-pattern requests, for sharded execution, and through the service's
-//! result cache.
+//! The batch contract under test, end to end: `engine.count_batch` is a
+//! loop over the solo path that runs structurally identical requests once,
+//! and every member's result is **bit-identical** to its solo run — for the
+//! full builtin registry, for text-pattern requests and for sharded
+//! execution. Above the engine a batch is a loop the caller writes over
+//! `Service::submit` or `Client::count`.
 
-use std::sync::Arc;
 use subgraph_counting::core::{Algorithm, Engine};
 use subgraph_counting::gen::{chung_lu, power_law_degrees};
 use subgraph_counting::graph::CsrGraph;
 use subgraph_counting::query::{QueryGraph, Registry};
-use subgraph_counting::{BatchJob, CountJob, Service, ServiceConfig};
 
 fn bench_graph() -> CsrGraph {
     let degrees: Vec<f64> = power_law_degrees(180, 1.7)
@@ -173,60 +171,4 @@ fn sharded_batches_are_bit_identical_on_generated_graphs() {
             assert_eq!(a.per_trial, b.per_trial, "{name} at {shards} shards");
         }
     }
-}
-
-/// The service's batch front door produces the same bits as solo
-/// submissions and the raw engine, and shares the result cache with them.
-#[test]
-fn service_batches_match_solo_submissions_and_the_engine() {
-    let graph = Arc::new(bench_graph());
-    let service = Service::with_config(
-        Arc::clone(&graph),
-        ServiceConfig {
-            workers: 2,
-            queue_capacity: 64,
-            chunk_trials: 4,
-            obs: true,
-            ..ServiceConfig::default()
-        },
-    );
-    let queries = registry_queries();
-    let batch = BatchJob::from_jobs(
-        queries
-            .iter()
-            .map(|(_, q)| CountJob::new(q.clone()).seed(31).budget(4))
-            .collect(),
-    );
-    let outputs: Vec<_> = service
-        .run_batch(batch)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    for ((name, query), output) in queries.iter().zip(&outputs) {
-        // Engine-level solo estimate: the determinism baseline.
-        let solo = service
-            .engine()
-            .count(query)
-            .trials(4)
-            .seed(31)
-            .estimate()
-            .unwrap();
-        assert_eq!(output.estimate.per_trial, solo.per_trial, "{name}");
-        assert_eq!(output.trials_run, 4, "{name}");
-        // A solo resubmission of the same job hits the batched cache entry.
-        let resubmit = service
-            .run(CountJob::new(query.clone()).seed(31).budget(4))
-            .unwrap();
-        assert!(resubmit.from_cache, "{name}");
-        assert_eq!(
-            resubmit.estimate.estimated_matches.to_bits(),
-            output.estimate.estimated_matches.to_bits(),
-            "{name}"
-        );
-    }
-    let metrics = service.metrics();
-    assert_eq!(metrics.batches_submitted, 1);
-    assert_eq!(metrics.cache_misses, queries.len() as u64);
-    assert_eq!(metrics.cache_hits, queries.len() as u64);
 }

@@ -350,7 +350,6 @@ fn service_config() -> ServiceConfig {
         workers: 2,
         queue_capacity: 64,
         chunk_trials: 4,
-        obs: true,
         ..ServiceConfig::default()
     }
 }

@@ -11,11 +11,13 @@
 //! estimate, admission control surfaces as the one retryable wire error,
 //! and malformed frames and patterns produce typed, spanned errors.
 
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::{CsrGraph, GraphBuilder};
 use subgraph_counting::net::{
-    Client, ClientError, ErrorKind, Server, ServerConfig, StreamEvent, WireOutput,
+    wire, Client, ClientError, CountSpec, ErrorKind, Request, Response, Server, ServerConfig,
+    StreamEvent, WireOutput, PROTOCOL_VERSION,
 };
 use subgraph_counting::query::{catalog, Registry};
 use subgraph_counting::{
@@ -32,7 +34,6 @@ fn server_config(workers: usize, queue_capacity: usize, chunk_trials: usize) -> 
             workers,
             queue_capacity,
             chunk_trials,
-            obs: true,
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
@@ -46,6 +47,44 @@ fn start_server(workers: usize, queue_capacity: usize, chunk_trials: usize) -> S
         server_config(workers, queue_capacity, chunk_trials),
     )
     .expect("ephemeral bind")
+}
+
+fn write_request(raw: &mut TcpStream, request: &Request) {
+    wire::write_frame(raw, request.tag(), &request.encode(), 1 << 20).unwrap();
+}
+
+/// Reads one response off a raw socket; `None` once the server closed it.
+fn read_response(raw: &mut TcpStream) -> Option<Response> {
+    let frame = wire::read_frame(raw, 1 << 20).unwrap()?;
+    Some(Response::decode(frame.tag, &frame.payload).unwrap())
+}
+
+/// A raw socket past the `hello` handshake.
+fn raw_client(addr: SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    write_request(
+        &mut raw,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    );
+    assert!(matches!(
+        read_response(&mut raw),
+        Some(Response::HelloOk { .. })
+    ));
+    raw
+}
+
+fn count_spec(id: u64, pattern: &str, seed: u64, budget: u64) -> CountSpec {
+    CountSpec {
+        id,
+        pattern: pattern.to_string(),
+        algorithm: subgraph_counting::Algorithm::DegreeBased,
+        seed,
+        budget,
+        precision: None,
+        trace: None,
+    }
 }
 
 /// Asserts a wire output equals a service output bit-for-bit, field by
@@ -98,7 +137,6 @@ fn wire_outputs_are_bit_identical_to_service_run_for_every_registry_query() {
             workers: 1,
             queue_capacity: 64,
             chunk_trials: 4,
-            obs: true,
             ..ServiceConfig::default()
         },
     );
@@ -334,42 +372,86 @@ fn queue_full_is_a_typed_retryable_wire_error() {
     server.shutdown();
 }
 
-/// Batch members stream and complete independently, and each is
+/// A batch is a loop of counts: several `count` frames in flight on one
+/// connection stream and complete independently, and each final is
 /// bit-identical to its solo `Service::run`.
 #[test]
-fn wire_batches_match_solo_service_runs_bitwise() {
+fn counts_in_flight_together_match_solo_service_runs_bitwise() {
     let mut server = start_server(2, 64, 4);
     let reference = Service::with_config(test_graph(), ServiceConfig::default());
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let members = [
-        ("cycle(3)", 21u64, 10u64),
-        ("cycle(4)", 21, 10),
-        ("glet1", 4, 6),
-    ];
-    let requests = members
-        .iter()
-        .map(|(pattern, seed, budget)| {
-            subgraph_counting::net::BatchRequest::new(*pattern)
-                .seed(*seed)
-                .budget(*budget)
-        })
-        .collect();
-    let results = client.batch(requests).expect("batch transport");
-    assert_eq!(results.len(), members.len());
-    for ((pattern, seed, budget), result) in members.iter().zip(results) {
-        let over_wire = result.unwrap_or_else(|e| panic!("member {pattern} failed: {e}"));
+    let jobs = [(1u64, "cycle(3)", 21u64, 10u64), (2, "glet1", 4, 6)];
+    let mut raw = raw_client(server.local_addr());
+    // Both frames are written before any response is read.
+    for &(id, pattern, seed, budget) in &jobs {
+        write_request(
+            &mut raw,
+            &Request::Count(count_spec(id, pattern, seed, budget)),
+        );
+    }
+    let mut finals = std::collections::HashMap::new();
+    while finals.len() < jobs.len() {
+        match read_response(&mut raw).expect("the connection stays open") {
+            Response::Chunk(chunk) => {
+                assert!(!finals.contains_key(&chunk.id), "a chunk after its final");
+            }
+            Response::Final { id, output } => {
+                assert!(finals.insert(id, output).is_none(), "two finals for {id}");
+            }
+            other => panic!("unexpected frame with tag 0x{:02x}", other.tag()),
+        }
+    }
+    for (id, pattern, seed, budget) in jobs {
         let local = reference
             .run(
                 CountJob::from_pattern_str(pattern)
                     .unwrap()
-                    .seed(*seed)
-                    .budget(*budget as usize),
+                    .seed(seed)
+                    .budget(budget as usize),
             )
             .unwrap();
-        assert_outputs_bit_identical(&over_wire, &local, pattern);
+        assert_outputs_bit_identical(&finals[&id], &local, pattern);
     }
-    assert_eq!(server.service().metrics().batches_submitted, 1);
-    client.bye().expect("clean goodbye");
+    write_request(&mut raw, &Request::Bye);
+    assert!(matches!(read_response(&mut raw), Some(Response::ByeOk)));
+    server.shutdown();
+}
+
+/// A `count` may not reuse the id of a live watch on its connection: both
+/// streams would carry the id, and `cancel` could reach only one of them.
+/// The count is refused, and `cancel` still unsubscribes the watch.
+#[test]
+fn a_count_cannot_reuse_a_live_watch_id() {
+    let mut server = start_server(1, 16, 4);
+    let mut raw = raw_client(server.local_addr());
+    write_request(&mut raw, &Request::Watch(count_spec(7, "cycle(3)", 3, 4)));
+    match read_response(&mut raw) {
+        Some(Response::WatchChunk(frame)) => assert_eq!(frame.id, 7),
+        other => panic!("expected the initial watch chunk, got {other:?}"),
+    }
+    write_request(&mut raw, &Request::Count(count_spec(7, "cycle(4)", 3, 4)));
+    match read_response(&mut raw) {
+        Some(Response::Error(frame)) => {
+            assert_eq!(frame.id, 7);
+            assert_eq!(frame.kind, ErrorKind::BadRequest);
+        }
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
+    write_request(&mut raw, &Request::Cancel(7));
+    match read_response(&mut raw) {
+        Some(Response::CancelOk { id, was_active }) => {
+            assert_eq!(id, 7);
+            assert!(was_active);
+        }
+        other => panic!("expected cancel-ok, got {other:?}"),
+    }
+    assert_eq!(server.service().watch_count(), 0, "the watch is gone");
+    assert_eq!(
+        server.service().metrics().jobs_submitted,
+        1,
+        "only the watch ran"
+    );
+    write_request(&mut raw, &Request::Bye);
+    assert!(matches!(read_response(&mut raw), Some(Response::ByeOk)));
     server.shutdown();
 }
 
@@ -480,72 +562,40 @@ fn malformed_patterns_are_spanned_errors_with_caret_diagnostics() {
 /// error and a closed connection — the server never hangs or panics.
 #[test]
 fn malformed_frames_are_rejected_with_typed_errors() {
-    use std::io::{Read, Write};
     let mut server = start_server(1, 16, 4);
     let addr = server.local_addr();
 
-    // An unknown tag after a proper hello.
-    {
-        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-        // hello first so the frame reaches the dispatcher.
-        let hello = subgraph_counting::net::Request::Hello {
-            version: subgraph_counting::net::PROTOCOL_VERSION,
-        };
-        let payload = hello.encode();
-        let mut frame = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
-        frame.push(0x01);
-        frame.extend_from_slice(&payload);
-        raw.write_all(&frame).unwrap();
-        // Unknown tag 0x7F, empty payload.
-        raw.write_all(&1u32.to_be_bytes()).unwrap();
-        raw.write_all(&[0x7F]).unwrap();
-        let mut bytes = Vec::new();
-        raw.read_to_end(&mut bytes).expect("server closes cleanly");
-        // The reply stream holds hello-ok then a bad-frame error.
-        let mut cursor = std::io::Cursor::new(bytes);
-        let first = subgraph_counting::net::wire::read_frame(&mut cursor, 1 << 20)
-            .unwrap()
-            .expect("hello-ok frame");
-        assert_eq!(first.tag, 0x81);
-        let second = subgraph_counting::net::wire::read_frame(&mut cursor, 1 << 20)
-            .unwrap()
-            .expect("error frame");
-        let response =
-            subgraph_counting::net::Response::decode(second.tag, &second.payload).unwrap();
-        match response {
-            subgraph_counting::net::Response::Error(frame) => {
+    // Unknown tags after a proper hello: 0x7F was never assigned, and 0x03
+    // (the batch verb before protocol v4) is retired.
+    for (tag, payload) in [(0x7F, Vec::new()), (0x03, 0u32.to_be_bytes().to_vec())] {
+        let mut raw = raw_client(addr);
+        wire::write_frame(&mut raw, tag, &payload, 1 << 20).unwrap();
+        match read_response(&mut raw) {
+            Some(Response::Error(frame)) => {
                 assert_eq!(frame.id, 0);
-                assert_eq!(frame.kind, ErrorKind::BadFrame);
+                assert_eq!(frame.kind, ErrorKind::BadFrame, "tag 0x{tag:02x}");
             }
-            other => panic!("expected an error frame, got tag 0x{:02x}", other.tag()),
+            other => panic!("tag 0x{tag:02x}: expected an error frame, got {other:?}"),
         }
+        assert!(
+            read_response(&mut raw).is_none(),
+            "tag 0x{tag:02x}: not closed"
+        );
     }
 
-    // A verb before hello is a bad request.
-    {
-        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-        let stats = subgraph_counting::net::Request::Stats;
-        let payload = stats.encode();
-        let mut frame = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
-        frame.push(stats.tag());
-        frame.extend_from_slice(&payload);
-        raw.write_all(&frame).unwrap();
-        let mut bytes = Vec::new();
-        raw.read_to_end(&mut bytes).expect("server closes cleanly");
-        let mut cursor = std::io::Cursor::new(bytes);
-        let reply = subgraph_counting::net::wire::read_frame(&mut cursor, 1 << 20)
-            .unwrap()
-            .expect("error frame");
-        let response = subgraph_counting::net::Response::decode(reply.tag, &reply.payload).unwrap();
-        match response {
-            subgraph_counting::net::Response::Error(frame) => {
-                assert_eq!(frame.kind, ErrorKind::BadRequest);
-            }
-            other => panic!("expected an error frame, got tag 0x{:02x}", other.tag()),
+    // A verb before hello is a bad request, and so is a hello of another
+    // protocol version.
+    for first in [Request::Stats, Request::Hello { version: 3 }] {
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        write_request(&mut raw, &first);
+        match read_response(&mut raw) {
+            Some(Response::Error(frame)) => assert_eq!(frame.kind, ErrorKind::BadRequest),
+            other => panic!("{first:?}: expected an error frame, got {other:?}"),
         }
+        assert!(read_response(&mut raw).is_none(), "{first:?}: not closed");
     }
 
-    assert!(server.stats().protocol_errors >= 2);
+    assert!(server.stats().protocol_errors >= 3);
     server.shutdown();
 }
 
@@ -557,7 +607,6 @@ fn malformed_frames_are_rejected_with_typed_errors() {
 /// boundary, and other clients (and shutdown) proceed normally.
 #[test]
 fn a_client_that_vanishes_mid_stream_gets_its_job_cancelled() {
-    use std::io::Write;
     use std::time::{Duration, Instant};
     let mut config = server_config(1, 16, 2);
     config.write_timeout = Duration::from_millis(250);
@@ -566,41 +615,18 @@ fn a_client_that_vanishes_mid_stream_gets_its_job_cancelled() {
 
     // A raw socket that handshakes and submits an effectively endless
     // streaming job.
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-    let hello = subgraph_counting::net::Request::Hello {
-        version: subgraph_counting::net::PROTOCOL_VERSION,
-    };
-    let payload = hello.encode();
-    let mut frame = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
-    frame.push(hello.tag());
-    frame.extend_from_slice(&payload);
-    raw.write_all(&frame).unwrap();
-    let reply = subgraph_counting::net::wire::read_frame(&mut raw, 1 << 20)
-        .unwrap()
-        .expect("hello-ok");
-    assert_eq!(reply.tag, 0x81);
-    let count = subgraph_counting::net::Request::Count(subgraph_counting::net::CountSpec {
-        id: 1,
-        pattern: "cycle(3)".to_string(),
-        algorithm: subgraph_counting::Algorithm::DegreeBased,
-        seed: 5,
+    let mut raw = raw_client(addr);
+    let endless = CountSpec {
         budget: 1 << 40,
         precision: Some(Precision::within(1e-15)),
-        trace: None,
-    });
-    let payload = count.encode();
-    let mut frame = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
-    frame.push(count.tag());
-    frame.extend_from_slice(&payload);
-    raw.write_all(&frame).unwrap();
+        ..count_spec(1, "cycle(3)", 5, 0)
+    };
+    write_request(&mut raw, &Request::Count(endless));
     // Wait for the first streamed chunk (the job is computing on the only
     // worker), then vanish: dropping the socket with chunk frames still
     // unread makes the kernel reset the connection, so the server's next
     // chunk write fails.
-    let first = subgraph_counting::net::wire::read_frame(&mut raw, 1 << 20)
-        .unwrap()
-        .expect("first chunk");
-    assert_eq!(first.tag, 0x82);
+    assert!(matches!(read_response(&mut raw), Some(Response::Chunk(_))));
     drop(raw);
     // The server must cancel the orphaned job rather than hold the (only)
     // worker hostage streaming into a dead socket.

@@ -98,12 +98,6 @@ proptest! {
         let request = Request::Count(spec_from(id, selector, seed, budget, precision));
         let decoded = Request::decode(request.tag(), &request.encode());
         prop_assert_eq!(decoded.as_ref(), Ok(&request));
-        // And as the sole member of a batch.
-        let Request::Count(spec) = request else { unreachable!() };
-        let batch = Request::Batch(vec![spec.clone(), spec]);
-        let encoded = batch.encode();
-        let decoded_batch = Request::decode(batch.tag(), &encoded);
-        prop_assert_eq!(decoded_batch.as_ref(), Ok(&batch));
     }
 
     /// Every strict prefix of a valid encoding is a typed error, and so is

@@ -346,6 +346,8 @@ fn metrics_and_trace_verbs_work_over_loopback() {
     assert!(value("service_jobs_completed") >= 1);
     assert!(value("net_frames_written") >= 1);
     assert!(value("span_coloring_count") >= 1);
+    // Kept under the append-only name contract; nothing submits batches.
+    assert_eq!(value("service_batches_submitted"), 0);
 
     let report = client.trace_log().expect("trace verb");
     assert!(

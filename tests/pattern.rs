@@ -151,7 +151,6 @@ fn text_and_constructor_jobs_share_one_service_cache_entry() {
             workers: 1,
             queue_capacity: 16,
             chunk_trials: 4,
-            obs: true,
             ..ServiceConfig::default()
         },
     );

@@ -8,7 +8,7 @@ use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::CsrGraph;
 use subgraph_counting::query::catalog;
 use subgraph_counting::{
-    BatchJob, CountJob, Engine, Precision, Service, ServiceConfig, ServiceError, StopReason,
+    CountJob, Engine, Precision, Service, ServiceConfig, ServiceError, StopReason,
 };
 
 fn service_graph() -> Arc<CsrGraph> {
@@ -20,7 +20,6 @@ fn config(workers: usize) -> ServiceConfig {
         workers,
         queue_capacity: 64,
         chunk_trials: 4,
-        obs: true,
         ..ServiceConfig::default()
     }
 }
@@ -211,7 +210,6 @@ fn admission_control_and_shutdown_are_typed() {
             workers: 0, // accept-only: the queue fills deterministically
             queue_capacity: 3,
             chunk_trials: 4,
-            obs: true,
             ..ServiceConfig::default()
         },
     );
@@ -293,10 +291,10 @@ fn error_jobs_and_key_separation() {
 }
 
 /// The determinism matrix, service axis: one seed must yield bit-identical
-/// estimates across worker counts {1, 4} × submission style (batch vs
-/// solo), all agreeing with the raw engine baseline.
+/// estimates across worker counts {1, 4}, all agreeing with the raw engine
+/// baseline.
 #[test]
-fn determinism_matrix_workers_by_batch_vs_solo() {
+fn determinism_matrix_workers_agree_with_the_engine() {
     let graph = service_graph();
     let jobs = [
         CountJob::new(catalog::triangle()).seed(77).budget(6),
@@ -317,50 +315,32 @@ fn determinism_matrix_workers_by_batch_vs_solo() {
         })
         .collect();
     for workers in [1usize, 4] {
-        // Solo submissions on a fresh service (fresh cache: everything
-        // actually computes).
-        let solo_service = Service::with_config(Arc::clone(&graph), config(workers));
+        // A fresh service (fresh cache: everything actually computes).
+        let service = Service::with_config(Arc::clone(&graph), config(workers));
         for (job, baseline) in jobs.iter().zip(&baselines) {
-            let output = solo_service.run(job.clone()).unwrap();
+            let output = service.run(job.clone()).unwrap();
             assert_eq!(
                 output.estimate.per_trial, baseline.per_trial,
-                "solo at {workers} workers"
-            );
-            assert_eq!(
-                output.estimate.estimated_matches.to_bits(),
-                baseline.estimated_matches.to_bits(),
-                "solo at {workers} workers"
-            );
-        }
-        // The same jobs as one batch on another fresh service.
-        let batch_service = Service::with_config(Arc::clone(&graph), config(workers));
-        let outputs = batch_service
-            .run_batch(BatchJob::from_jobs(jobs.to_vec()))
-            .unwrap();
-        for ((job, baseline), output) in jobs.iter().zip(&baselines).zip(outputs) {
-            let output = output.unwrap();
-            assert_eq!(
-                output.estimate.per_trial, baseline.per_trial,
-                "batch at {workers} workers, seed {}",
+                "{workers} workers, seed {}",
                 job.seed
             );
             assert_eq!(
                 output.estimate.estimated_matches.to_bits(),
                 baseline.estimated_matches.to_bits(),
-                "batch at {workers} workers, seed {}",
+                "{workers} workers, seed {}",
                 job.seed
             );
         }
     }
 }
 
-/// Batch members are ordinary jobs: a fixed-budget member streams one
-/// update per chunk (each bit-identical to a fixed-budget run of that many
-/// trials), a member cancelled mid-run stops at a chunk boundary while its
-/// siblings complete, and every member's trace-log entry carries its stage
+/// Jobs in flight together stay independent: a fixed-budget job streams
+/// one update per chunk (each bit-identical to a fixed-budget run of that
+/// many trials), a job cancelled mid-run stops at a chunk boundary while
+/// the others complete, and every job's trace-log entry carries its stage
 /// breakdown and its real outcome.
 #[test]
-fn batch_members_stream_progress_cancel_alone_and_are_traced() {
+fn jobs_stream_progress_cancel_alone_and_are_traced() {
     use std::sync::{mpsc, Mutex};
     use subgraph_counting::service::ProgressFn;
     use subgraph_counting::{CancelToken, ChunkUpdate};
@@ -382,9 +362,9 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
     let collect: ProgressFn = Arc::new(move |update: &ChunkUpdate| {
         sink.lock().unwrap().push(update.clone());
     });
-    // The second member cancels itself from its own first update. The
-    // watcher blocks until the token arrives, so the cancel lands at the
-    // first chunk boundary whatever the scheduling.
+    // The second job cancels itself from its own first update. The watcher
+    // blocks until the token arrives, so the cancel lands at the first chunk
+    // boundary whatever the scheduling.
     let (send_token, token) = mpsc::channel::<CancelToken>();
     let token = Mutex::new(token);
     let cancel_self: ProgressFn = Arc::new(move |_: &ChunkUpdate| {
@@ -393,12 +373,13 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
         }
     });
 
-    let handles = service
-        .submit_batch_with_progress(
-            BatchJob::from_jobs(vec![streamed, cancelled, sibling]),
-            vec![Some(collect), Some(cancel_self)],
-        )
-        .unwrap();
+    let handles = vec![
+        service.submit_with_progress(streamed, collect).unwrap(),
+        service
+            .submit_with_progress(cancelled, cancel_self)
+            .unwrap(),
+        service.submit(sibling).unwrap(),
+    ];
     send_token.send(handles[1].cancel_token()).unwrap();
     drop(send_token);
     let outputs: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
@@ -424,7 +405,7 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
         assert_eq!(update.estimate.variance.to_bits(), fixed.variance.to_bits());
     }
 
-    // The cancelled member stopped after its first chunk; its partial
+    // The cancelled job stopped after its first chunk; its partial
     // estimate is the fixed-budget run of the trials that completed.
     assert_eq!(outputs[1].stop, StopReason::Cancelled);
     assert_eq!(outputs[1].trials_run, 4);
@@ -435,15 +416,15 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
         .estimate()
         .unwrap();
     assert_eq!(outputs[1].estimate.per_trial, partial.per_trial);
-    // Its siblings ran their whole budgets.
+    // The others ran their whole budgets.
     for (output, budget) in [(&outputs[0], 12), (&outputs[2], 8)] {
         assert_eq!(output.stop, StopReason::BudgetExhausted);
         assert_eq!(output.trials_run, budget);
     }
     assert_eq!(service.metrics().jobs_cancelled, 1);
 
-    // Every member has a trace entry with its own outcome and the stages
-    // its worker spent time in.
+    // Every job has a trace entry with its own outcome and the stages its
+    // worker spent time in.
     let report = service.trace_report();
     for (trace_id, outcome) in [
         (41, "outcome=budget_exhausted trials=12"),
@@ -453,7 +434,7 @@ fn batch_members_stream_progress_cancel_alone_and_are_traced() {
         let mut lines = report
             .lines()
             .skip_while(|line| !line.starts_with(&format!("trace_id={trace_id} ")));
-        let header = lines.next().expect("every member is traced");
+        let header = lines.next().expect("every job is traced");
         assert!(header.contains(outcome), "{header}");
         let stages: Vec<&str> = lines.take_while(|l| l.starts_with("  stage=")).collect();
         assert!(
