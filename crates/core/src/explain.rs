@@ -62,6 +62,13 @@ pub struct BlockReport {
     pub distinct_merges: usize,
     /// Merges the written algorithm runs per tile: one per split.
     pub written_merges: u64,
+    /// Semi steps one tile runs: the join mapping the end of an uneven
+    /// split's longer path, which stores only the rows whose endpoints the
+    /// shorter path has.
+    pub distinct_semi_steps: usize,
+    /// Semi steps the written algorithm runs per tile: one per split whose
+    /// two paths differ in length (zero for an even cycle).
+    pub written_semi_steps: u64,
 }
 
 /// One candidate decomposition tree, costed.
@@ -162,11 +169,13 @@ impl std::fmt::Display for PlanReport {
             if block.cycle_length > 0 {
                 write!(
                     f,
-                    "  path steps {}/{}, merges {}/{}",
+                    "  path steps {}/{}, merges {}/{}, semi-joined {}/{}",
                     block.distinct_steps,
                     block.written_steps,
                     block.distinct_merges,
-                    block.written_merges
+                    block.written_merges,
+                    block.distinct_semi_steps,
+                    block.written_semi_steps
                 )?;
             }
             writeln!(f)?;
@@ -234,6 +243,8 @@ fn block_report(
         written_steps: program.written_steps(),
         distinct_merges: program.distinct_merges(),
         written_merges: program.written_merges(),
+        distinct_semi_steps: program.distinct_semi_steps(),
+        written_semi_steps: program.written_semi_steps(),
     }
 }
 
@@ -314,7 +325,9 @@ mod tests {
 
     /// The report shows the program the kernel runs: a bare 5-cycle under
     /// DB builds 3 of its 25 written path steps and merges once, five times
-    /// over; under PS its one split shares two of five steps.
+    /// over, its one semi step standing for every split's; under PS its one
+    /// split shares two of five steps. An even cycle's paths are equally
+    /// long, so nothing is semi-joined.
     #[test]
     fn explain_shows_the_path_program_of_each_cycle_block() {
         let query = sgc_query::catalog::cycle(5);
@@ -323,9 +336,22 @@ mod tests {
         let program = (block.distinct_steps, block.written_steps);
         assert_eq!(program, (3, 25));
         assert_eq!((block.distinct_merges, block.written_merges), (1, 5));
-        assert!(db.to_string().contains("path steps 3/25, merges 1/5"));
+        assert_eq!(
+            (block.distinct_semi_steps, block.written_semi_steps),
+            (1, 5)
+        );
+        let text = db.to_string();
+        assert!(text.contains("path steps 3/25, merges 1/5, semi-joined 1/5"));
         let ps = build_report(10, &query, Algorithm::PathSplitting).unwrap();
-        assert!(ps.to_string().contains("path steps 3/5, merges 1/1"));
+        let text = ps.to_string();
+        assert!(text.contains("path steps 3/5, merges 1/1, semi-joined 1/1"));
+        for algorithm in [Algorithm::DegreeBased, Algorithm::PathSplitting] {
+            let even = build_report(10, &sgc_query::catalog::cycle(4), algorithm).unwrap();
+            assert!(
+                even.to_string().contains(", semi-joined 0/0"),
+                "{algorithm}"
+            );
+        }
         // Leaf-edge blocks print no program line.
         let path = build_report(10, &sgc_query::catalog::path(3), Algorithm::DegreeBased);
         assert!(!path.unwrap().to_string().contains("path steps"));

@@ -39,7 +39,9 @@
 //!   appended table the first steps copy their tables from,
 //! * only join outputs are hashed: a first table's keys — seed edges, or a
 //!   child slice's rows — are distinct by construction, so it is appended
-//!   ([`ColumnarTable::append`]) without probing.
+//!   ([`ColumnarTable::append`]) without probing; a semi step (the EdgeJoin
+//!   mapping the end of an uneven split's longer path) probes its partner's
+//!   endpoint groups first and hashes only the rows the merge can pair.
 //!
 //! Every examined candidate is attributed to the simulated rank owning the
 //! vertex at which the paper's distributed engine would have performed the
@@ -105,7 +107,7 @@ impl KernelMetrics {
 /// memo tables of the steps two or more consumers read, each alive until
 /// the tile ends; `proj` accumulates the block projection (across all tiles
 /// and DB splits); `groups` is the endpoint-grouping scratch of the path
-/// merge.
+/// merge, which a semi step probes too.
 #[derive(Debug, Default)]
 pub struct KernelArena {
     /// The current tile's graph-edge seeds.
@@ -115,7 +117,7 @@ pub struct KernelArena {
     /// The block projection accumulator (summed over DB splits); between
     /// two solves, the table the exchange sums one owner's rows in.
     pub(crate) proj: ColumnarTable,
-    /// Endpoint-grouping scratch for the path merge.
+    /// Endpoint-grouping scratch for the path merge and the semi steps.
     groups: EndpointGroups,
     /// Row buffers of finished runs, refilled by the same role of the next:
     /// the lane's partial ([`PARTIAL_ROWS`], dead once its round is over),
@@ -343,7 +345,11 @@ fn solve_block_tiled(
         seeds.clear();
         for instr in program.run() {
             match instr {
-                Instr::Step(step) => run_step(&joins, step, tile.clone(), seeds, paths, metrics),
+                Instr::Step(step) => {
+                    let semi = step.semi.then_some(&*groups);
+                    run_step(&joins, step, semi, tile.clone(), seeds, paths, metrics)
+                }
+                Instr::Group(table) => groups.build(&paths[*table]),
                 Instr::Merge(merge) => merge_paths(
                     ctx,
                     block,
@@ -391,16 +397,19 @@ impl<'b> Joins<'_, 'b> {
 }
 
 /// Runs one path step of a tile: reads table `step.src` of `tables` (or the
-/// tile's seeds), writes table `step.dst`.
+/// tile's seeds), writes table `step.dst`. `semi` is the partner grouping of
+/// a semi step (always an EdgeJoin).
 fn run_step(
     joins: &Joins<'_, '_>,
     step: &Step,
+    semi: Option<&EndpointGroups>,
     tile: Range<VertexId>,
     seeds: &mut TileSeeds,
     tables: &mut [ColumnarTable],
     metrics: &mut RunMetrics,
 ) {
     let weight = step.weight;
+    debug_assert!(semi.is_none() || matches!(step.op, StepOp::EdgeJoin { .. }));
     match step.op {
         StepOp::First {
             via,
@@ -418,7 +427,7 @@ fn run_step(
         }
         StepOp::EdgeJoin { via, to_slot } => {
             let (src, dst) = src_and_dst(tables, step.src, step.dst);
-            edge_join(joins, src, dst, via, to_slot, weight, metrics);
+            edge_join(joins, src, dst, via, to_slot, semi, weight, metrics);
         }
     }
 }
@@ -540,7 +549,10 @@ fn node_join(
 
 /// EdgeJoin: extends every path in `src` by one block edge, realized by
 /// `via`, from its current end into `dst`; the new end's image goes to the
-/// extra slot `to_slot`, if any. The step stands for `weight` written ones.
+/// extra slot `to_slot`, if any. A semi step (`semi`: the partner's
+/// grouping) keeps only the candidates whose `(start, new end)` pair it
+/// contains, probed after the candidate's operation is recorded. The step
+/// stands for `weight` written ones.
 #[allow(clippy::too_many_arguments)]
 fn edge_join(
     joins: &Joins<'_, '_>,
@@ -548,6 +560,7 @@ fn edge_join(
     dst: &mut ColumnarTable,
     via: Via,
     to_slot: Option<usize>,
+    semi: Option<&EndpointGroups>,
     weight: u64,
     metrics: &mut RunMetrics,
 ) {
@@ -571,6 +584,9 @@ fn edge_join(
                     if sig.contains(cw) {
                         continue;
                     }
+                    if semi.is_some_and(|groups| !groups.contains(key[0], w)) {
+                        continue;
+                    }
                     let mut new_key = key;
                     new_key[1] = w;
                     if let Some(slot) = to_slot {
@@ -588,6 +604,9 @@ fn edge_join(
                         continue;
                     }
                     if sig.intersection(row.sig) != shared {
+                        continue;
+                    }
+                    if semi.is_some_and(|groups| !groups.contains(key[0], w)) {
                         continue;
                     }
                     let mut new_key = key;
@@ -628,7 +647,8 @@ const MERGE_LOOKAHEAD: usize = 16;
 /// output by the images of the block's boundary nodes. The merge stands for
 /// `merge.multiplicity` written ones: it adds every count and records every
 /// operation that many times (in release builds, exactly the wrapping sum
-/// of that many equal adds).
+/// of that many equal adds). A semi merge streams `plus` over `groups` as
+/// the program's `Group` left them, over `minus`.
 #[allow(clippy::too_many_arguments)]
 fn merge_paths(
     ctx: &Context<'_>,
@@ -643,14 +663,18 @@ fn merge_paths(
     // The merged pair set is symmetric in the two tables (pairs sharing
     // endpoints, counts multiplied), and grouping costs more per row than
     // streaming, so group the smaller table and stream the larger one over
-    // it. Load attribution is unaffected: every pair is attributed to the
-    // owner of the shared end vertex either way.
-    let (outer, inner) = if plus.len() <= minus.len() {
-        (minus, plus)
+    // it — unless the semi step already grouped `minus`. Load attribution is
+    // unaffected: every pair is attributed to the owner of the shared end
+    // vertex either way.
+    let outer = if merge.semi {
+        plus
+    } else if plus.len() <= minus.len() {
+        groups.build(plus);
+        minus
     } else {
-        (plus, minus)
+        groups.build(minus);
+        plus
     };
-    groups.build(inner);
     let (start_slot, end_slot, m) = (merge.start_slot, merge.end_slot, merge.multiplicity);
     match block.boundary.len() {
         // A boundary-free root cycle only ever needs the grand total:
@@ -963,6 +987,60 @@ mod tests {
             }
         }
         assert!(shared_somewhere, "no program shared a step");
+    }
+
+    /// Semi-joining an uneven split's longer path against its shorter one
+    /// drops only rows no merge can pair: on every registry query, under PS
+    /// and DB, at every tile budget, serial and over three shards, the
+    /// compiled program reports the count, operations and per-rank load of
+    /// the written algorithm that builds every path in full, and never more
+    /// created entries or a larger peak — strictly fewer entries on some odd
+    /// cycle, and exactly as many wherever no split is uneven.
+    #[test]
+    fn the_semi_join_changes_nothing_but_table_sizes() {
+        let g = skewed_graph();
+        let prep = GraphPrep::new(&g);
+        let mut fired = false;
+        for entry in sgc_query::Registry::builtin().entries() {
+            let query = entry.query();
+            let tree = sgc_query::heuristic_plan(query).unwrap();
+            let odd_cycle =
+                (tree.blocks.iter()).any(|b| b.kind.is_cycle() && b.cycle_length() % 2 == 1);
+            let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
+            for shards in [1, 3] {
+                let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                let contexts: Vec<Context<'_>> = (0..shards)
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                    .collect();
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    let semi_steps: u64 = (tree.blocks.iter())
+                        .map(|block| PathProgram::compile(&tree, block, algorithm))
+                        .map(|p| p.written_semi_steps())
+                        .sum();
+                    for budget in [0, TILE_EDGES, usize::MAX] {
+                        let what = format!(
+                            "{} with {algorithm}, {shards} shard(s), budget {budget}",
+                            entry.name()
+                        );
+                        let solve = |compile| {
+                            solve_tree(&contexts, &plan, &tree, algorithm, compile, budget)
+                        };
+                        let (count, semi) = solve(PathProgram::compile);
+                        let (full_count, full) = solve(PathProgram::compile_without_semi_joins);
+                        assert_eq!(count, full_count, "{what}");
+                        assert_eq!(semi.total_ops, full.total_ops, "{what}");
+                        assert_eq!(semi.load.per_rank(), full.load.per_rank(), "{what}");
+                        assert!(semi.entries_created <= full.entries_created, "{what}");
+                        assert!(semi.peak_table_entries <= full.peak_table_entries, "{what}");
+                        if semi_steps == 0 {
+                            assert_eq!(semi.entries_created, full.entries_created, "{what}");
+                        }
+                        fired |= odd_cycle && semi.entries_created < full.entries_created;
+                    }
+                }
+            }
+        }
+        assert!(fired, "no semi step dropped a row on an odd cycle");
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub struct RunMetrics {
     /// the whole logical table; projection tables count in full.
     pub peak_table_entries: usize,
     /// Total table entries produced across all joins (a path table's tiles
-    /// sum to the whole logical table). A cycle block's projection
-    /// accumulator counts once, at its final size after the block's last
-    /// tile, however many splits fed it. Shard-dependent in
+    /// sum to the whole logical table). A semi step — the join mapping the
+    /// end of an uneven split's longer path — counts the rows it keeps, not
+    /// the candidates it examined (those are operations). A cycle block's
+    /// projection accumulator counts once, at its final size after the
+    /// block's last tile, however many splits fed it. Shard-dependent in
     /// sharded runs: per-shard partial tables and the exchanged block
     /// tables each count as produced entries (the same projection key may
     /// appear in several shards' partials), mirroring the entry duplication

@@ -16,7 +16,9 @@
 //!   projection table of the child block annotating it), and which joins
 //!   each written path runs — with equal steps of equal prefixes built once
 //!   and equal splits merged once with their multiplicity, so a tile runs
-//!   one run per distinct split. Whether the DB algorithm's *high-starting*
+//!   one run per distinct split, and the longer path of an uneven split
+//!   semi-joined against the shorter one, so it stores no row the merge
+//!   cannot pair. Whether the DB algorithm's *high-starting*
 //!   constraint applies (the image of the path's start node must be
 //!   strictly higher, in the degree ordering, than the image of every other
 //!   cycle node) is the program's too.
@@ -26,6 +28,7 @@ use sgc_engine::{BlockTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_graph::VertexId;
 use sgc_query::{Block, BlockId, BlockKind, DecompositionTree, QueryNode};
+use std::cmp::Ordering;
 use std::mem;
 use std::sync::{Mutex, OnceLock};
 
@@ -169,6 +172,12 @@ pub(crate) enum StepOp {
 pub(crate) struct Step {
     /// What the step computes.
     pub op: StepOp,
+    /// A *semi step*: the EdgeJoin that maps the end node of an uneven
+    /// split's longer path, which keeps only the rows whose `(start, end)`
+    /// pair the arena's endpoint groups — the split's shorter path, grouped
+    /// just before — contain. Its operations are recorded before the filter,
+    /// as the unfiltered step's are.
+    pub semi: bool,
     /// How many written path steps it stands for: its operations are
     /// recorded, and its table observed, that many times.
     pub weight: u64,
@@ -183,10 +192,15 @@ pub(crate) struct Step {
 /// symmetric in them, so which one is `plus` is the compiler's choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Merge {
-    /// The path table built first (it parks while the other is built).
+    /// The path table built first (it parks while the other is built); of a
+    /// semi merge, the semi-joined longer path.
     pub plus: usize,
-    /// The other path table (`plus` itself when the two paths are one).
+    /// The other path table (`plus` itself when the two paths are one); of a
+    /// semi merge, the shorter path `plus` was filtered against.
     pub minus: usize,
+    /// A semi merge: the arena's endpoint groups already index `minus`, and
+    /// `plus` streams over them.
+    pub semi: bool,
     /// The extra slot of the split's start node.
     pub start_slot: Option<usize>,
     /// The extra slot of the split's end node.
@@ -203,6 +217,10 @@ pub(crate) enum Instr {
     Step(Step),
     /// Merge two finished paths into the block's projection.
     Merge(Merge),
+    /// Group a finished path table by `(start, end)` into the arena's
+    /// endpoint groups: the partner of the semi step and the merge that
+    /// follow.
+    Group(usize),
     /// Project a leaf-edge block's finished path onto the key field of its
     /// boundary node (`None`: onto the scalar total).
     Project {
@@ -244,10 +262,21 @@ const FIRST_MEMO: usize = 3;
 /// through tables A and B, and a `P+` consumed only by its merge parks in a
 /// table of its own while the `P-` is built.
 ///
+/// When a split's two paths differ in length (every split of an odd cycle,
+/// and a PS split at adjacent boundary nodes), the longer path's last
+/// EdgeJoin — the one mapping its end node; an end NodeJoin after it keeps
+/// the pair — is a *semi step*: the tile groups the shorter path's table by
+/// `(start, end)` first, the semi step stores only the rows whose pair has a
+/// group, and the merge streams them over that grouping. A dropped row has no
+/// merge partner, so it adds no count and the merge records no operation
+/// for it. The partner is part of the step's identity, so a semi step is
+/// never shared with a reader of the unfiltered table.
+///
 /// Every step records its operations and observes its table `weight`
 /// times, and every merge records its operations and adds its counts
 /// `multiplicity` times, so counts and every work counter are those of the
-/// written algorithm to the digit; only the time goes.
+/// written algorithm to the digit; only the time goes, and the rows semi
+/// steps do not store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct PathProgram {
     /// DB mode: only high-starting paths are built.
@@ -260,6 +289,8 @@ pub(crate) struct PathProgram {
     written_steps: u64,
     /// Merges the written algorithm runs per tile.
     written_merges: u64,
+    /// Semi steps the written algorithm runs per tile: one per uneven split.
+    written_semi_steps: u64,
 }
 
 /// A node of the compile-time step trie.
@@ -268,6 +299,9 @@ struct TrieNode {
     parent: Option<usize>,
     /// What the step computes.
     op: StepOp,
+    /// Of a semi step, the node holding the shorter path it is filtered
+    /// against: part of the step's identity.
+    partner: Option<usize>,
     /// Written path steps this node stands for.
     weight: u64,
     /// Child steps and merge or projection reads of its table.
@@ -277,30 +311,60 @@ struct TrieNode {
 impl PathProgram {
     /// Compiles `block` of `tree` under `algorithm`.
     pub(crate) fn compile(tree: &DecompositionTree, block: &Block, algorithm: Algorithm) -> Self {
-        Self::build(tree, block, algorithm, true)
+        Self::build(tree, block, algorithm, true, true)
     }
 
     /// The written algorithm as a program: every written step and merge its
-    /// own, nothing shared — the reference the shared program is tested
-    /// against.
+    /// own, nothing shared, each uneven split's longer path semi-joined
+    /// against its own shorter one — the reference the shared program is
+    /// tested against.
     #[cfg(test)]
     pub(crate) fn compile_unshared(
         tree: &DecompositionTree,
         block: &Block,
         algorithm: Algorithm,
     ) -> Self {
-        Self::build(tree, block, algorithm, false)
+        Self::build(tree, block, algorithm, false, true)
     }
 
-    fn build(tree: &DecompositionTree, block: &Block, algorithm: Algorithm, share: bool) -> Self {
+    /// The written algorithm with no semi step: every path built in full —
+    /// the reference the semi-joined programs are tested against.
+    #[cfg(test)]
+    pub(crate) fn compile_without_semi_joins(
+        tree: &DecompositionTree,
+        block: &Block,
+        algorithm: Algorithm,
+    ) -> Self {
+        Self::build(tree, block, algorithm, false, false)
+    }
+
+    fn build(
+        tree: &DecompositionTree,
+        block: &Block,
+        algorithm: Algorithm,
+        share: bool,
+        semi_join: bool,
+    ) -> Self {
         let nodes = block.kind.nodes();
         let mut trie: Vec<TrieNode> = Vec::new();
         // Inserts one written path, returning the trie node holding its
-        // finished table.
-        let insert = |trie: &mut Vec<TrieNode>, positions: &[usize], start: bool, end: bool| {
+        // finished table; with a `partner`, the EdgeJoin mapping its end node
+        // is a semi step against that node's table.
+        let insert = |trie: &mut Vec<TrieNode>,
+                      positions: &[usize],
+                      start: bool,
+                      end: bool,
+                      partner: Option<usize>| {
             let mut at = None;
-            for op in path_ops(tree, block, &nodes, positions, start, end) {
-                let same = |n: &TrieNode| share && n.parent == at && n.op == op;
+            let ops = path_ops(tree, block, &nodes, positions, start, end);
+            // The longer path of an uneven split has two or more edges.
+            let last_edge = ops
+                .iter()
+                .rposition(|op| matches!(op, StepOp::EdgeJoin { .. }));
+            for (i, op) in ops.into_iter().enumerate() {
+                let partner = partner.filter(|_| Some(i) == last_edge);
+                let same =
+                    |n: &TrieNode| share && n.parent == at && n.op == op && n.partner == partner;
                 let node = match trie.iter().position(same) {
                     Some(node) => node,
                     None => {
@@ -310,6 +374,7 @@ impl PathProgram {
                         trie.push(TrieNode {
                             parent: at,
                             op,
+                            partner,
                             weight: 0,
                             consumers: 0,
                         });
@@ -330,7 +395,7 @@ impl PathProgram {
             BlockKind::LeafEdge { boundary, leaf } => {
                 // The single edge a -> b folds in both endpoint annotations
                 // (there is no second path to share them with).
-                let path = insert(&mut trie, &[0, 1], true, true);
+                let path = insert(&mut trie, &[0, 1], true, true, None);
                 trie[path].consumers += 1;
                 let field = match block.boundary.as_slice() {
                     [] => None,
@@ -359,15 +424,35 @@ impl PathProgram {
                     // of the end node a_d / a_t, P- that of the start node
                     // a_h / a_s, so each endpoint annotation is joined
                     // exactly once.
-                    let p = insert(&mut trie, plus, false, true);
-                    let m = insert(&mut trie, minus, true, false);
+                    let plus_path =
+                        |trie: &mut _, partner| insert(trie, plus, false, true, partner);
+                    let minus_path =
+                        |trie: &mut _, partner| insert(trie, minus, true, false, partner);
                     // The merge is symmetric in its two tables (pairs with
                     // equal endpoints, counts multiplied, each pair's
                     // operations attributed to its end vertex), so a split
-                    // whose paths are another's swapped is that merge again.
+                    // whose paths are another's swapped is that merge again,
+                    // and an uneven split may stream its longer path over
+                    // its shorter one's groups.
+                    let (p, m, semi) = match plus.len().cmp(&minus.len()) {
+                        Ordering::Less if semi_join => {
+                            let shorter = plus_path(&mut trie, None);
+                            (minus_path(&mut trie, Some(shorter)), shorter, true)
+                        }
+                        Ordering::Greater if semi_join => {
+                            let shorter = minus_path(&mut trie, None);
+                            (plus_path(&mut trie, Some(shorter)), shorter, true)
+                        }
+                        _ => {
+                            let p = plus_path(&mut trie, None);
+                            let m = minus_path(&mut trie, None);
+                            (p.min(m), p.max(m), false)
+                        }
+                    };
                     let merge = Merge {
-                        plus: p.min(m),
-                        minus: p.max(m),
+                        plus: p,
+                        minus: m,
+                        semi,
                         start_slot: slot_of(block, nodes[plus[0]]),
                         end_slot: slot_of(block, nodes[plus[plus.len() - 1]]),
                         multiplicity: 1,
@@ -403,8 +488,17 @@ impl PathProgram {
             run: Vec::new(),
         };
         for merge in &merges {
-            let plus = schedule.table_of(merge.plus, true);
-            let minus = schedule.table_of(merge.minus, false);
+            let (plus, minus) = if merge.semi {
+                // The partner is grouped before the semi step reads the
+                // groups, and the merge streams over the same grouping: no
+                // step between them builds another.
+                let minus = schedule.table_of(merge.minus, false);
+                schedule.run.push(Instr::Group(minus));
+                (schedule.table_of(merge.plus, false), minus)
+            } else {
+                let plus = schedule.table_of(merge.plus, true);
+                (plus, schedule.table_of(merge.minus, false))
+            };
             schedule.run.push(Instr::Merge(Merge {
                 plus,
                 minus,
@@ -421,6 +515,10 @@ impl PathProgram {
             tables,
             written_steps: trie.iter().map(|n| n.weight).sum(),
             written_merges: merges.iter().map(|m| m.multiplicity).sum(),
+            written_semi_steps: (trie.iter())
+                .filter(|n| n.partner.is_some())
+                .map(|n| n.weight)
+                .sum(),
         }
     }
 
@@ -465,6 +563,19 @@ impl PathProgram {
     pub(crate) fn written_merges(&self) -> u64 {
         self.written_merges
     }
+
+    /// Semi steps one tile runs.
+    pub(crate) fn distinct_semi_steps(&self) -> usize {
+        self.run
+            .iter()
+            .filter(|i| matches!(i, Instr::Step(step) if step.semi))
+            .count()
+    }
+
+    /// Semi steps the written algorithm runs per tile.
+    pub(crate) fn written_semi_steps(&self) -> u64 {
+        self.written_semi_steps
+    }
 }
 
 /// The run-list builder: emits each trie node's step once, before its first
@@ -494,6 +605,7 @@ impl Schedule<'_> {
         };
         self.run.push(Instr::Step(Step {
             op: self.trie[node].op,
+            semi: self.trie[node].partner.is_some(),
             weight: self.trie[node].weight,
             src: src.unwrap_or(dst),
             dst,
@@ -754,6 +866,71 @@ mod tests {
         let program = PathProgram::compile(&tree, &tree.blocks[0], Algorithm::DegreeBased);
         assert!(program.high_start());
         assert_eq!(counts(&program), [(3, 25), (1, 5)]);
+    }
+
+    /// `cycle(5)`'s one distinct DB split runs its shorter path (first edge,
+    /// edge join), groups it, filters the longer path's last edge join
+    /// against it and streams that semi table over the grouping.
+    #[test]
+    fn an_uneven_split_groups_its_shorter_path_before_the_semi_step() {
+        let tree = plan(&catalog::cycle(5));
+        let db = PathProgram::compile(&tree, &tree.blocks[0], Algorithm::DegreeBased);
+        let unexpected = || panic!("unexpected run {:?}", db.run());
+        let [first, shorter, grouped, semi, merge] = db.run() else {
+            unexpected()
+        };
+        let (Instr::Step(first), Instr::Step(shorter), Instr::Group(grouped)) =
+            (first, shorter, grouped)
+        else {
+            unexpected()
+        };
+        let (Instr::Step(semi), Instr::Merge(merge)) = (semi, merge) else {
+            unexpected()
+        };
+        assert!(!first.semi && !shorter.semi && semi.semi);
+        assert_eq!((*grouped, semi.src), (shorter.dst, shorter.dst));
+        assert!(merge.semi);
+        assert_eq!((merge.plus, merge.minus), (semi.dst, shorter.dst));
+        assert_eq!((db.distinct_semi_steps(), db.written_semi_steps()), (1, 5));
+    }
+
+    /// On every registry cycle block: DB semi-joins each of an odd cycle's
+    /// `l` splits and none of an even one's, PS its one split if the cycle
+    /// is odd; and every semi step and semi merge of the run reads the
+    /// grouping of its partner, which no merge rebuilt in between.
+    #[test]
+    fn semi_steps_read_their_partners_grouping() {
+        for entry in Registry::builtin().entries() {
+            let tree = plan(entry.query());
+            for block in tree.blocks.iter().filter(|b| b.kind.is_cycle()) {
+                let l = block.cycle_length() as u64;
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    let what = format!("{} block {} under {algorithm}", entry.name(), block.id);
+                    let program = PathProgram::compile(&tree, block, algorithm);
+                    let written = program.written_semi_steps();
+                    match algorithm {
+                        Algorithm::DegreeBased => assert_eq!(written, l % 2 * l, "{what}"),
+                        Algorithm::PathSplitting => {
+                            assert!(written >= l % 2 && written <= 1, "{what}")
+                        }
+                    }
+                    let mut grouped = None;
+                    for instr in program.run() {
+                        match *instr {
+                            Instr::Group(table) => grouped = Some(table),
+                            Instr::Step(step) if step.semi => {
+                                assert!(grouped.is_some(), "{what}")
+                            }
+                            Instr::Merge(merge) if merge.semi => {
+                                assert_eq!(grouped, Some(merge.minus), "{what}")
+                            }
+                            Instr::Merge(_) => grouped = None,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -688,12 +688,11 @@ pub struct EndpointGroups {
     group_keys: Vec<u64>,
     /// Scratch: group id of each row (pass one of the counting sort).
     group_of: Vec<u32>,
-    /// Prefix offsets into `rows`: group `g` spans
-    /// `rows[starts[g]..starts[g + 1]]`.
+    /// Prefix offsets into `grouped`: group `g` spans
+    /// `grouped[starts[g]..starts[g + 1]]`.
     starts: Vec<u32>,
-    /// Row ids, contiguous per group.
-    rows: Vec<u32>,
-    /// Permuted row payloads, contiguous per group (parallel to `rows`).
+    /// Permuted row payloads, contiguous per group, each group's rows in
+    /// insertion order.
     grouped: Vec<GroupedRow>,
     /// Low signature word per permuted row (parallel to `grouped`): the
     /// merge's signature filter scans this dense 8-byte lane and touches a
@@ -713,7 +712,6 @@ impl Default for EndpointGroups {
             group_keys: Vec::new(),
             group_of: Vec::new(),
             starts: Vec::new(),
-            rows: Vec::new(),
             grouped: Vec::new(),
             grouped_sigs: Vec::new(),
             cursors: Vec::new(),
@@ -750,7 +748,7 @@ impl EndpointGroups {
 
     /// Rebuilds the grouping over `table`'s rows, reusing all buffers.
     pub fn build(&mut self, table: &ColumnarTable) {
-        // Span bounds and row ids are `u32`.
+        // Span bounds and group ids are `u32`.
         assert!(
             table.len() as u64 <= u32::MAX as u64,
             "endpoint grouping is limited to 2^32 - 1 rows, got {}",
@@ -821,12 +819,10 @@ impl EndpointGroups {
             acc += len;
         }
         self.starts.push(acc);
-        // Pass two: scatter row ids into their group spans.
+        // Pass two: scatter the row payloads into their group spans.
         self.cursors.clear();
         self.cursors
             .extend_from_slice(&self.starts[..self.starts.len() - 1]);
-        self.rows.clear();
-        self.rows.resize(table.len(), 0);
         self.grouped.clear();
         self.grouped.resize(table.len(), GroupedRow::default());
         self.grouped_sigs.clear();
@@ -834,7 +830,6 @@ impl EndpointGroups {
         for (r, &g) in self.group_of.iter().enumerate() {
             let c = &mut self.cursors[g as usize];
             let row = &table.rows[r];
-            self.rows[*c as usize] = r as u32;
             self.grouped[*c as usize] = GroupedRow {
                 sig_lo: row.sig_lo,
                 sig_hi: table.hi(r),
@@ -854,11 +849,11 @@ impl EndpointGroups {
         }
     }
 
-    /// Prefetches the slot cache line a [`spans_for`](Self::spans_for) /
-    /// [`rows_for`](Self::rows_for) probe of `(start, end)` will read
-    /// first. The merge's group probes are dependent random accesses with
-    /// almost no work between them; issuing the prefetch a few outer rows
-    /// ahead overlaps their miss latency.
+    /// Prefetches the slot cache line a [`spans_for`](Self::spans_for)
+    /// probe of `(start, end)` will read first. The merge's group probes
+    /// are dependent random accesses with almost no work between them;
+    /// issuing the prefetch a few outer rows ahead overlaps their miss
+    /// latency.
     #[inline]
     pub fn prefetch_pair(&self, start: VertexId, end: VertexId) {
         #[cfg(target_arch = "x86_64")]
@@ -938,17 +933,17 @@ impl EndpointGroups {
         (&self.grouped_sigs[span.clone()], &self.grouped[span])
     }
 
-    /// The row ids whose `(f0, f1)` equals `(start, end)`, as one dense
-    /// span (empty if the pair never occurs).
-    pub fn rows_for(&self, start: VertexId, end: VertexId) -> &[u32] {
-        &self.rows[self.span_of(start, end)]
+    /// Whether some grouped row has `(f0, f1)` equal to `(start, end)`: the
+    /// probe of a semi-join against the grouped table.
+    #[inline]
+    pub fn contains(&self, start: VertexId, end: VertexId) -> bool {
+        !self.span_of(start, end).is_empty()
     }
 
     /// Total allocated bytes across all scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
         (self.group_of.capacity()
             + self.starts.capacity()
-            + self.rows.capacity()
             + self.group_slot.capacity()
             + self.cursors.capacity())
             * std::mem::size_of::<u32>()
@@ -1173,6 +1168,11 @@ mod tests {
         assert!(past.is_err(), "2^33 slots must be refused");
     }
 
+    /// The grouped payloads of `(start, end)`: the span `spans_for` returns.
+    fn group(groups: &EndpointGroups, start: VertexId, end: VertexId) -> &[GroupedRow] {
+        groups.spans_for(start, end).1
+    }
+
     #[test]
     fn endpoint_groups_find_all_rows() {
         let mut t = ColumnarTable::new();
@@ -1182,20 +1182,26 @@ mod tests {
         t.add([1, 2, 9, NO_VERTEX], Signature::singleton(3), 4);
         let mut groups = EndpointGroups::new();
         groups.build(&t);
-        let counts: u64 = groups
-            .rows_for(1, 2)
-            .iter()
-            .map(|&r| t.row(r as usize).2)
-            .sum();
+        let counts: u64 = group(&groups, 1, 2).iter().map(|g| g.count).sum();
         assert_eq!(counts, 7);
-        assert_eq!(groups.rows_for(1, 3).len(), 1);
-        assert_eq!(groups.rows_for(2, 1).len(), 0);
+        // The payloads carry each row's signature and extras, and the dense
+        // low-word lane matches them.
+        let (sigs, span) = groups.spans_for(1, 2);
+        let lows: Vec<u64> = span.iter().map(|g| g.sig_lo).collect();
+        assert_eq!(sigs, lows.as_slice());
+        assert_eq!(span[2].sig(), Signature::singleton(3));
+        assert_eq!(span[2].extras(), [9, NO_VERTEX]);
+        assert_eq!(group(&groups, 1, 3).len(), 1);
+        assert_eq!(group(&groups, 2, 1).len(), 0);
+        assert!(groups.contains(1, 3));
+        assert!(!groups.contains(2, 1));
     }
 
     #[test]
     fn endpoint_group_spans_are_contiguous_and_ordered() {
         // Counting sort must keep each group's rows in insertion order and
-        // cover every row exactly once.
+        // cover every row exactly once. Row `i` is the one whose signature
+        // is `{i}`.
         let mut t = ColumnarTable::new();
         for i in 0..100u32 {
             t.add(
@@ -1209,11 +1215,17 @@ mod tests {
         let mut seen = vec![false; t.len()];
         for a in 0..3u32 {
             for b in 0..2u32 {
-                let span = groups.rows_for(a, b);
-                assert!(span.windows(2).all(|w| w[0] < w[1]), "insertion order");
-                for &r in span {
-                    assert!(!seen[r as usize], "row listed twice");
-                    seen[r as usize] = true;
+                let rows: Vec<usize> = (group(&groups, a, b).iter())
+                    .map(|g| {
+                        let colors: Vec<_> = g.sig().colors().collect();
+                        colors[0] as usize
+                    })
+                    .collect();
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "insertion order");
+                for r in rows {
+                    assert_eq!(t.endpoints(r), (a, b), "row {r} in the wrong group");
+                    assert!(!seen[r], "row listed twice");
+                    seen[r] = true;
                 }
             }
         }
@@ -1237,13 +1249,7 @@ mod tests {
         assert_eq!(groups.capacity_bytes(), bytes);
         let total: u64 = (0..31u32)
             .flat_map(|a| (0..37u32).map(move |b| (a, b)))
-            .map(|(a, b)| {
-                groups
-                    .rows_for(a, b)
-                    .iter()
-                    .map(|&r| t.row(r as usize).2)
-                    .sum::<u64>()
-            })
+            .map(|(a, b)| group(&groups, a, b).iter().map(|g| g.count).sum::<u64>())
             .sum();
         assert_eq!(total, t.total());
     }

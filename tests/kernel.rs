@@ -177,14 +177,18 @@ fn endpoint_groups_partition_rows_by_packed_key() {
     t.add(path_key(1, 3), Signature::singleton(3), 4);
     let mut g = EndpointGroups::new();
     g.build(&t);
-    let group = g.rows_for(1, 2);
+    // Each grouped payload is one row of the pair: its signature and count
+    // are those of a row keyed `(1, 2)`, never of the `(2, 1)` row.
+    let (_, group) = g.spans_for(1, 2);
     assert_eq!(group.len(), 2);
-    for &r in group {
-        let (key, _, _) = t.row(r as usize);
+    for row in group {
+        let (key, _, _) = (t.rows())
+            .find(|&(_, sig, count)| sig == row.sig() && count == row.count)
+            .expect("a grouped payload is a row of the table");
         assert_eq!((key[0], key[1]), (1, 2));
     }
-    assert_eq!(g.rows_for(2, 1).len(), 1);
-    assert_eq!(g.rows_for(3, 1).len(), 0);
+    assert_eq!(g.spans_for(2, 1).1.len(), 1);
+    assert_eq!(g.spans_for(3, 1).1.len(), 0);
 }
 
 // ---------------------------------------------------------------------------
