@@ -41,7 +41,11 @@
 //!   child slice's rows — are distinct by construction, so it is appended
 //!   ([`ColumnarTable::append`]) without probing; a semi step (the EdgeJoin
 //!   mapping the end of an uneven split's longer path) probes its partner's
-//!   endpoint groups first and hashes only the rows the merge can pair.
+//!   endpoint groups first and hashes only the rows the merge can pair,
+//! * every path table is sorted by start, so the merge and the semi steps
+//!   find a row's partners through [`EndpointGroups`], which indexes the
+//!   partner table one start's run of rows at a time by a dense per-vertex
+//!   mark: a probe hashes nothing and no row is copied.
 //!
 //! Every examined candidate is attributed to the simulated rank owning the
 //! vertex at which the paper's distributed engine would have performed the
@@ -106,8 +110,8 @@ impl KernelMetrics {
 /// join chain, the parked `P+` of a split while its `P-` is built, and the
 /// memo tables of the steps two or more consumers read, each alive until
 /// the tile ends; `proj` accumulates the block projection (across all tiles
-/// and DB splits); `groups` is the endpoint-grouping scratch of the path
-/// merge, which a semi step probes too.
+/// and DB splits); `groups` is the endpoint index of the path merge and the
+/// semi steps (per-vertex marks and a per-row chain lane).
 #[derive(Debug, Default)]
 pub struct KernelArena {
     /// The current tile's graph-edge seeds.
@@ -341,15 +345,24 @@ fn solve_block_tiled(
         paths.resize_with(program.tables(), ColumnarTable::default);
     }
     proj.reset();
+    // The table the last `Group` indexed: the partner of the semi step and
+    // the semi merge after it.
+    let mut grouped = None;
     for tile in ctx.start_tiles(tile_edges) {
         seeds.clear();
         for instr in program.run() {
             match instr {
                 Instr::Step(step) => {
-                    let semi = step.semi.then_some(&*groups);
+                    let semi = step.semi.then(|| {
+                        let partner = grouped.expect("a semi step follows its partner's Group");
+                        (&mut *groups, partner)
+                    });
                     run_step(&joins, step, semi, tile.clone(), seeds, paths, metrics)
                 }
-                Instr::Group(table) => groups.build(&paths[*table]),
+                Instr::Group(table) => {
+                    groups.build(&paths[*table]);
+                    grouped = Some(*table);
+                }
                 Instr::Merge(merge) => merge_paths(
                     ctx,
                     block,
@@ -397,12 +410,13 @@ impl<'b> Joins<'_, 'b> {
 }
 
 /// Runs one path step of a tile: reads table `step.src` of `tables` (or the
-/// tile's seeds), writes table `step.dst`. `semi` is the partner grouping of
-/// a semi step (always an EdgeJoin).
+/// tile's seeds), writes table `step.dst`. `semi` is the endpoint groups and
+/// the table number of a semi step's partner (a semi step is always an
+/// EdgeJoin).
 fn run_step(
     joins: &Joins<'_, '_>,
     step: &Step,
-    semi: Option<&EndpointGroups>,
+    semi: Option<(&mut EndpointGroups, usize)>,
     tile: Range<VertexId>,
     seeds: &mut TileSeeds,
     tables: &mut [ColumnarTable],
@@ -410,42 +424,41 @@ fn run_step(
 ) {
     let weight = step.weight;
     debug_assert!(semi.is_none() || matches!(step.op, StepOp::EdgeJoin { .. }));
+    // Only `dst` is written: the source and a semi step's partner (which
+    // may be one table) are read in place.
+    let mut dst = mem::take(&mut tables[step.dst]);
+    let src = || {
+        debug_assert_ne!(step.src, step.dst, "a join reads another table");
+        &tables[step.src]
+    };
     match step.op {
         StepOp::First {
             via,
             from_slot,
             to_slot,
         } => {
-            let out = &mut tables[step.dst];
             let slots = [from_slot, to_slot];
-            initial_join(joins, via, slots, tile, seeds, out, weight, metrics);
+            initial_join(joins, via, slots, tile, seeds, &mut dst, weight, metrics);
         }
         StepOp::NodeJoin { field, child } => {
-            let (src, dst) = src_and_dst(tables, step.src, step.dst);
             let child = joins.index.child_table(child);
-            node_join(joins.ctx, src, dst, field, child, weight, metrics);
+            node_join(joins.ctx, src(), &mut dst, field, child, weight, metrics);
         }
         StepOp::EdgeJoin { via, to_slot } => {
-            let (src, dst) = src_and_dst(tables, step.src, step.dst);
-            edge_join(joins, src, dst, via, to_slot, semi, weight, metrics);
+            let (src, dst) = (src(), &mut dst);
+            match semi {
+                Some((groups, partner)) => {
+                    // `src` streams in start order, so the partner's runs
+                    // load in order.
+                    let partner = &tables[partner];
+                    let paired = |start, w| groups.contains(partner, start, w);
+                    edge_join(joins, src, dst, via, to_slot, paired, weight, metrics)
+                }
+                None => edge_join(joins, src, dst, via, to_slot, |_, _| true, weight, metrics),
+            }
         }
     }
-}
-
-/// Table `src` to read and table `dst` to write, two distinct entries of
-/// `tables`.
-fn src_and_dst(
-    tables: &mut [ColumnarTable],
-    src: usize,
-    dst: usize,
-) -> (&ColumnarTable, &mut ColumnarTable) {
-    if src < dst {
-        let (low, high) = tables.split_at_mut(dst);
-        (&low[src], &mut high[0])
-    } else {
-        let (low, high) = tables.split_at_mut(src);
-        (&high[0], &mut low[dst])
-    }
+    tables[step.dst] = dst;
 }
 
 /// Seeds the initial table for the first edge of the paths starting in
@@ -549,10 +562,12 @@ fn node_join(
 
 /// EdgeJoin: extends every path in `src` by one block edge, realized by
 /// `via`, from its current end into `dst`; the new end's image goes to the
-/// extra slot `to_slot`, if any. A semi step (`semi`: the partner's
-/// grouping) keeps only the candidates whose `(start, new end)` pair it
-/// contains, probed after the candidate's operation is recorded. The step
-/// stands for `weight` written ones.
+/// extra slot `to_slot`, if any. It keeps only the candidates `paired`
+/// accepts — of a semi step, those whose `(start, new end)` pair the
+/// partner has, probed after the candidate's operation is recorded and
+/// before its colour check: a rejected candidate (almost all of them) costs
+/// one mark load. Every other step pairs everything, and compiles to a
+/// loop without the probe. The step stands for `weight` written ones.
 #[allow(clippy::too_many_arguments)]
 fn edge_join(
     joins: &Joins<'_, '_>,
@@ -560,7 +575,7 @@ fn edge_join(
     dst: &mut ColumnarTable,
     via: Via,
     to_slot: Option<usize>,
-    semi: Option<&EndpointGroups>,
+    mut paired: impl FnMut(VertexId, VertexId) -> bool,
     weight: u64,
     metrics: &mut RunMetrics,
 ) {
@@ -580,11 +595,11 @@ fn edge_join(
                 };
                 metrics.record_ops(&ctx.partition, v, neighbors.len() as u64 * weight);
                 for &w in neighbors {
-                    let cw = ctx.color(w);
-                    if sig.contains(cw) {
+                    if !paired(key[0], w) {
                         continue;
                     }
-                    if semi.is_some_and(|groups| !groups.contains(key[0], w)) {
+                    let cw = ctx.color(w);
+                    if sig.contains(cw) {
                         continue;
                     }
                     let mut new_key = key;
@@ -603,10 +618,10 @@ fn edge_join(
                     if joins.high_start && !ctx.order().higher(key[0], w) {
                         continue;
                     }
-                    if sig.intersection(row.sig) != shared {
+                    if !paired(key[0], w) {
                         continue;
                     }
-                    if semi.is_some_and(|groups| !groups.contains(key[0], w)) {
+                    if sig.intersection(row.sig) != shared {
                         continue;
                     }
                     let mut new_key = key;
@@ -638,9 +653,6 @@ fn project(table: &ColumnarTable, field: Option<usize>, proj: &mut ColumnarTable
     }
 }
 
-/// How many outer rows ahead the path merge prefetches its group probes.
-const MERGE_LOOKAHEAD: usize = 16;
-
 /// Merges the two path tables of a split into the projection accumulator
 /// (Procedure 2 of Figures 4 and 6): join on the shared endpoints, require
 /// the signatures to overlap exactly in the endpoint colors, and key the
@@ -649,6 +661,10 @@ const MERGE_LOOKAHEAD: usize = 16;
 /// operation that many times (in release builds, exactly the wrapping sum
 /// of that many equal adds). A semi merge streams `plus` over `groups` as
 /// the program's `Group` left them, over `minus`.
+///
+/// Both tables are sorted by start and the outer one streams in that order,
+/// so the endpoint groups index the inner table one start's run at a time:
+/// an outer row's partners are the chain of its `(start, end)` pair.
 #[allow(clippy::too_many_arguments)]
 fn merge_paths(
     ctx: &Context<'_>,
@@ -661,20 +677,18 @@ fn merge_paths(
     metrics: &mut RunMetrics,
 ) {
     // The merged pair set is symmetric in the two tables (pairs sharing
-    // endpoints, counts multiplied), and grouping costs more per row than
-    // streaming, so group the smaller table and stream the larger one over
-    // it — unless the semi step already grouped `minus`. Load attribution is
-    // unaffected: every pair is attributed to the owner of the shared end
-    // vertex either way.
-    let outer = if merge.semi {
-        plus
-    } else if plus.len() <= minus.len() {
-        groups.build(plus);
-        minus
+    // endpoints, counts multiplied), so index the smaller table and stream
+    // the larger one over it — unless the semi step already indexed
+    // `minus`. Load attribution is unaffected: every pair is attributed to
+    // the owner of the shared end vertex either way.
+    let (inner, outer) = if merge.semi || minus.len() < plus.len() {
+        (minus, plus)
     } else {
-        groups.build(minus);
-        plus
+        (plus, minus)
     };
+    if !merge.semi {
+        groups.build(inner);
+    }
     let (start_slot, end_slot, m) = (merge.start_slot, merge.end_slot, merge.multiplicity);
     match block.boundary.len() {
         // A boundary-free root cycle only ever needs the grand total:
@@ -684,67 +698,42 @@ fn merge_paths(
         0 => {
             let mut total: Count = 0;
             for r in 0..outer.len() {
-                // The group probes are this loop's only random access;
-                // prefetching a few rows ahead overlaps their latency.
-                if r + MERGE_LOOKAHEAD < outer.len() {
-                    let (pu, pv) = outer.endpoints(r + MERGE_LOOKAHEAD);
-                    groups.prefetch_pair(pu, pv);
-                }
                 let (u, v) = outer.endpoints(r);
-                let (sigs, span) = groups.spans_for(u, v);
-                if span.is_empty() {
+                let Some(partners) = partners(groups, inner, u, v) else {
                     continue;
-                }
+                };
                 let shared = Signature::pair(ctx.color(u), ctx.color(v));
                 let osig = outer.sig(r);
                 let ocount = outer.count(r);
-                // Scan the dense low-word lane first: almost every pair
-                // fails the signature filter, and the low word alone
-                // rejects it without loading the 32-byte payload.
-                let [o_lo, _] = osig.words();
-                let [shared_lo, _] = shared.words();
-                for (i, &i_lo) in sigs.iter().enumerate() {
-                    if i_lo & o_lo != shared_lo {
-                        continue;
+                let mut pairs = 0;
+                for i in partners {
+                    pairs += 1;
+                    if osig.intersection(inner.sig(i)) == shared {
+                        total += ocount * inner.count(i);
                     }
-                    let g = &span[i];
-                    if osig.intersection(g.sig()) != shared {
-                        continue;
-                    }
-                    total += ocount * g.count;
                 }
-                metrics.record_ops(&ctx.partition, v, span.len() as u64 * m);
+                metrics.record_ops(&ctx.partition, v, pairs * m);
             }
             proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total * m);
         }
         arity @ (1 | 2) => {
             for r in 0..outer.len() {
-                if r + MERGE_LOOKAHEAD < outer.len() {
-                    let (pu, pv) = outer.endpoints(r + MERGE_LOOKAHEAD);
-                    groups.prefetch_pair(pu, pv);
-                }
                 let (u, v) = outer.endpoints(r);
-                let (sigs, span) = groups.spans_for(u, v);
-                if span.is_empty() {
+                let Some(partners) = partners(groups, inner, u, v) else {
                     continue;
-                }
+                };
                 let shared = Signature::pair(ctx.color(u), ctx.color(v));
                 let osig = outer.sig(r);
                 let ocount = outer.count(r) * m;
                 let oextras = outer.extras(r);
-                let [o_lo, _] = osig.words();
-                let [shared_lo, _] = shared.words();
-                for (i, &i_lo) in sigs.iter().enumerate() {
-                    // Low-word reject before touching the payload record.
-                    if i_lo & o_lo != shared_lo {
-                        continue;
-                    }
-                    let g = &span[i];
-                    let isig = g.sig();
+                let mut pairs = 0;
+                for i in partners {
+                    pairs += 1;
+                    let isig = inner.sig(i);
                     if osig.intersection(isig) != shared {
                         continue;
                     }
-                    let Some(mut extras) = combine_extras(oextras, g.extras()) else {
+                    let Some(mut extras) = combine_extras(oextras, inner.extras(i)) else {
                         continue;
                     };
                     // Endpoints double as boundary nodes in some
@@ -757,7 +746,7 @@ fn merge_paths(
                         extras[slot] = v;
                     }
                     let sig = osig.union(isig);
-                    let count = ocount * g.count;
+                    let count = ocount * inner.count(i);
                     debug_assert_ne!(extras[0], NO_VERTEX);
                     if arity == 1 {
                         proj.add([extras[0], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
@@ -766,11 +755,24 @@ fn merge_paths(
                         proj.add([extras[0], extras[1], NO_VERTEX, NO_VERTEX], sig, count);
                     }
                 }
-                metrics.record_ops(&ctx.partition, v, span.len() as u64 * m);
+                metrics.record_ops(&ctx.partition, v, pairs * m);
             }
         }
         _ => unreachable!(),
     }
+}
+
+/// The rows of `inner` — the table `groups` index — whose `(start, end)` is
+/// `(u, v)`, in insertion order; `None` if there are none.
+fn partners<'g>(
+    groups: &'g mut EndpointGroups,
+    inner: &ColumnarTable,
+    u: VertexId,
+    v: VertexId,
+) -> Option<impl Iterator<Item = usize> + 'g> {
+    let first = groups.first(inner, u, v)?;
+    let groups = &*groups;
+    Some(std::iter::successors(Some(first), move |&i| groups.next(i)))
 }
 
 /// Exports the accumulated projection as the context's partial: the

@@ -193,10 +193,10 @@ pub(crate) struct Step {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Merge {
     /// The path table built first (it parks while the other is built); of a
-    /// semi merge, the semi-joined longer path.
+    /// semi merge, the semi-joined longer path, built second.
     pub plus: usize,
     /// The other path table (`plus` itself when the two paths are one); of a
-    /// semi merge, the shorter path `plus` was filtered against.
+    /// semi merge, the shorter path `plus` was filtered against, which parks.
     pub minus: usize,
     /// A semi merge: the arena's endpoint groups already index `minus`, and
     /// `plus` streams over them.
@@ -259,18 +259,20 @@ const FIRST_MEMO: usize = 3;
 /// become one merge with a multiplicity. The run list then builds each
 /// distinct step once per tile: a step with two or more consumers writes a
 /// memo table that lives to the end of the tile, every other one ping-pongs
-/// through tables A and B, and a `P+` consumed only by its merge parks in a
-/// table of its own while the `P-` is built.
+/// through tables A and B, and the path a merge reads first — a `P+`, or
+/// the grouped partner of a semi merge — parks in a table of its own while
+/// the other is built, if its merge is its only consumer.
 ///
 /// When a split's two paths differ in length (every split of an odd cycle,
 /// and a PS split at adjacent boundary nodes), the longer path's last
 /// EdgeJoin — the one mapping its end node; an end NodeJoin after it keeps
 /// the pair — is a *semi step*: the tile groups the shorter path's table by
 /// `(start, end)` first, the semi step stores only the rows whose pair has a
-/// group, and the merge streams them over that grouping. A dropped row has no
-/// merge partner, so it adds no count and the merge records no operation
-/// for it. The partner is part of the step's identity, so a semi step is
-/// never shared with a reader of the unfiltered table.
+/// group, and the merge streams them over that grouping. The grouping holds
+/// the shorter table's row ids, so that table lives until the merge. A
+/// dropped row has no merge partner, so it adds no count and the merge
+/// records no operation for it. The partner is part of the step's identity,
+/// so a semi step is never shared with a reader of the unfiltered table.
 ///
 /// Every step records its operations and observes its table `weight`
 /// times, and every merge records its operations and adds its counts
@@ -491,8 +493,10 @@ impl PathProgram {
             let (plus, minus) = if merge.semi {
                 // The partner is grouped before the semi step reads the
                 // groups, and the merge streams over the same grouping: no
-                // step between them builds another.
-                let minus = schedule.table_of(merge.minus, false);
+                // step between them builds another. The groups index the
+                // partner's rows in place, so it parks (or keeps its memo)
+                // while the longer path is built.
+                let minus = schedule.table_of(merge.minus, true);
                 schedule.run.push(Instr::Group(minus));
                 (schedule.table_of(merge.plus, false), minus)
             } else {
@@ -591,7 +595,8 @@ struct Schedule<'c> {
 
 impl Schedule<'_> {
     /// Emits what `node`'s table needs and returns the table holding it.
-    /// `park`: the table is a `P+` that must survive its `P-`'s build.
+    /// `park`: the table must survive the build of its merge's other path
+    /// (a `P+`, or a semi merge's grouped partner).
     fn table_of(&mut self, node: usize, park: bool) -> usize {
         if self.done[node] {
             return self.memo[node].expect("only a memo table is read twice");
@@ -931,6 +936,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The endpoint groups hold row ids of the grouped table, not copies:
+    /// on every registry cycle block under PS and DB, no step may write the
+    /// table a `Group` indexed before the semi merge that reads it.
+    #[test]
+    fn a_grouped_table_lives_until_its_merge() {
+        let mut overwritten = Vec::new();
+        for entry in Registry::builtin().entries() {
+            let tree = plan(entry.query());
+            for block in tree.blocks.iter().filter(|b| b.kind.is_cycle()) {
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    let program = PathProgram::compile(&tree, block, algorithm);
+                    let mut grouped = None;
+                    let mut writes = 0;
+                    for instr in program.run() {
+                        match *instr {
+                            Instr::Group(table) => grouped = Some(table),
+                            Instr::Step(step) if grouped == Some(step.dst) => writes += 1,
+                            Instr::Merge(merge) if merge.semi => {
+                                assert_eq!(grouped, Some(merge.minus));
+                                grouped = None;
+                            }
+                            _ => {}
+                        }
+                    }
+                    if writes > 0 {
+                        let what = format!("{} block {} under {algorithm}", entry.name(), block.id);
+                        overwritten.push((what, writes));
+                    }
+                }
+            }
+        }
+        assert!(
+            overwritten.is_empty(),
+            "grouped tables overwritten: {overwritten:?}"
+        );
     }
 
     #[test]

@@ -13,14 +13,18 @@
 //! tile and trial: the arena-reuse story of `sgc-core::kernel` is built
 //! entirely on these two properties.
 //!
-//! Both indexes ([`ColumnarTable`]'s rows, [`EndpointGroups`]' groups) take
-//! a key's home slot from the low bits of a rotate-xor-multiply hash whose
-//! high half has been folded into its low half. The fold is what makes them
-//! hash tables for the DP's keys: a multiply carries bits upwards only, so
-//! the low bits of the raw product never see the end vertex of a packed
-//! `start | end << 32` word, and the thousands of rows that share a hub
-//! start vertex would chain on a handful of slots. A unit test pins the
-//! mean probe distance on exactly that key shape.
+//! The row index takes a key's home slot from the low bits of a
+//! rotate-xor-multiply hash whose high half has been folded into its low
+//! half. The fold is what makes it a hash table for the DP's keys: a
+//! multiply carries bits upwards only, so the low bits of the raw product
+//! never see the end vertex of a packed `start | end << 32` word, and the
+//! thousands of rows that share a hub start vertex would chain on a handful
+//! of slots. A unit test pins the mean probe distance on exactly that key
+//! shape.
+//!
+//! [`EndpointGroups`], the `(start, end)` index of the path merge and the
+//! semi steps, hashes nothing: path tables are sorted by start, so it
+//! indexes one start's run of rows at a time by a dense per-vertex mark.
 //!
 //! Three layout details keep the hot loops memory-friendly:
 //!
@@ -60,16 +64,12 @@
 use crate::signature::Signature;
 use crate::table::{self, Count};
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
-use std::ops::Range;
 
 /// Number of `u32` key fields per row.
 pub const KEY_FIELDS: usize = 4;
 
 /// A row key: up to four vertex images ([`NO_VERTEX`] for unused fields).
 pub type RowKey = [VertexId; KEY_FIELDS];
-
-/// Group sentinel: no entry (used by [`EndpointGroups`] scratch).
-const EMPTY: u32 = u32::MAX;
 
 /// Initial slot-table size (power of two).
 const MIN_SLOTS: usize = 16;
@@ -637,320 +637,173 @@ impl AddPipeline {
     }
 }
 
-/// One permuted row payload of an [`EndpointGroups`] build: everything the
-/// path merge needs about a grouped row, copied into group order so the
-/// merge's span walks read dense, sequential records instead of chasing row
-/// ids back into the source table.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GroupedRow {
-    /// Low signature word.
-    pub sig_lo: u64,
-    /// High signature word.
-    pub sig_hi: u64,
-    /// Accumulated count.
-    pub count: Count,
-    /// The two extra key fields, packed (`f2 | f3 << 32`).
-    extras: u64,
-}
-
-impl GroupedRow {
-    /// The row's full signature.
-    #[inline]
-    pub fn sig(&self) -> Signature {
-        Signature::from_words([self.sig_lo, self.sig_hi])
-    }
-
-    /// The row's two extra key fields.
-    #[inline]
-    pub fn extras(&self) -> [VertexId; 2] {
-        [self.extras as u32, (self.extras >> 32) as u32]
-    }
-}
-
-/// Rows of a [`ColumnarTable`] grouped by their `(f0, f1)` endpoint pair —
-/// the access pattern of the cycle path-merge join. Built by counting sort
-/// into one contiguous buffer (each group is a dense span, not a pointer
-/// chain), so the merge's repeated group walks read sequential memory; all
-/// scratch buffers are reusable across trials.
-#[derive(Clone, Debug)]
+/// An index of a start-sorted [`ColumnarTable`] by the `(f0, f1)` endpoint
+/// pair of its rows — the join key of the cycle path merge and of a semi
+/// step — loaded one start vertex's run of rows at a time.
+///
+/// Every path table the DP writes is sorted by start, and both readers probe
+/// in start order (the merge streams its outer table, a semi step its
+/// source), so the pair needs no hash: the start is the run, the end a dense
+/// mark. The first probe of a new start finds the start's run and walks it
+/// once, chaining the rows that share an end vertex through `next` and
+/// marking each chain's first row in `marks` under a fresh generation (so
+/// nothing is cleared between runs). A probe is then one load of
+/// `marks[end]` and a walk of a chain that lists exactly the pair's rows, in
+/// insertion order. The index holds row ids, not copies: the table must stay
+/// as it was built until its last probe. A table not sorted by start cannot
+/// be indexed this way, and its first probe panics.
+#[derive(Clone, Debug, Default)]
 pub struct EndpointGroups {
-    /// Open-addressing index: slot → `epoch << 48 | fingerprint << 32 |
-    /// group`, same tagging scheme as [`ColumnarTable::slots`].
-    slots: Vec<u64>,
-    /// Probe payloads parallel to `slots` (see [`SlotSpan`]).
-    slot_spans: Vec<SlotSpan>,
-    /// Slot claimed by each group in pass one (so pass three can write the
-    /// span bounds into `slot_spans` without re-probing).
-    group_slot: Vec<u32>,
-    /// Current slot epoch.
-    epoch: u16,
-    /// Packed `(f1 << 32) | f0` key per group.
-    group_keys: Vec<u64>,
-    /// Scratch: group id of each row (pass one of the counting sort).
-    group_of: Vec<u32>,
-    /// Prefix offsets into `grouped`: group `g` spans
-    /// `grouped[starts[g]..starts[g + 1]]`.
-    starts: Vec<u32>,
-    /// Permuted row payloads, contiguous per group, each group's rows in
-    /// insertion order.
-    grouped: Vec<GroupedRow>,
-    /// Low signature word per permuted row (parallel to `grouped`): the
-    /// merge's signature filter scans this dense 8-byte lane and touches a
-    /// full [`GroupedRow`] record only on the (rare) match.
-    grouped_sigs: Vec<u64>,
-    /// Scratch: per-group write cursors for the scatter pass.
-    cursors: Vec<u32>,
+    /// Per end vertex: `generation << 32 | row`, the first row of its chain
+    /// in the loaded run. Stale unless the generation is the current one.
+    marks: Vec<u64>,
+    /// Per row of the indexed table: the next row of its chain in the loaded
+    /// run ([`NO_ROW`]: the chain's last).
+    next: Vec<u32>,
+    /// Generation of the loaded run.
+    generation: u32,
+    /// Start vertex of the loaded run ([`NO_VERTEX`]: none since `build`).
+    start: VertexId,
+    /// First row past the loaded run: where a later start's run is sought.
+    cursor: usize,
+    /// Rows of the indexed table.
+    rows: usize,
+    /// Whether the indexed table's rows are sorted by start.
+    sorted: bool,
 }
 
-impl Default for EndpointGroups {
-    fn default() -> Self {
-        EndpointGroups {
-            slots: Vec::new(),
-            slot_spans: Vec::new(),
-            group_slot: Vec::new(),
-            epoch: 1,
-            group_keys: Vec::new(),
-            group_of: Vec::new(),
-            starts: Vec::new(),
-            grouped: Vec::new(),
-            grouped_sigs: Vec::new(),
-            cursors: Vec::new(),
-        }
-    }
-}
-
-/// Per-slot probe payload of an [`EndpointGroups`] index: the group's
-/// packed endpoint key and its span bounds, stored parallel to the slot
-/// word. Everything a successful probe needs is indexed by the slot it
-/// already computed, so a lookahead prefetch of the slot line can cover
-/// the payload line too — no dependent walk through group-id arrays.
-#[derive(Clone, Copy, Debug, Default)]
-struct SlotSpan {
-    /// Packed `(f1 << 32) | f0` endpoint key (claim-time).
-    key: u64,
-    /// Span start in the permuted row lanes (filled after the prefix sum).
-    start: u32,
-    /// Span end (exclusive).
-    end: u32,
-}
-
-/// Hash of a packed endpoint pair (same mix family as `hash_row`).
-#[inline]
-fn hash_pair(packed: u64) -> u64 {
-    fold((packed.rotate_left(5) ^ packed).wrapping_mul(SEED))
-}
+/// Chain terminator of [`EndpointGroups`]: no next row.
+const NO_ROW: u32 = u32::MAX;
 
 impl EndpointGroups {
-    /// Creates an empty grouping.
+    /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Rebuilds the grouping over `table`'s rows, reusing all buffers.
+    /// Attaches the index to `table`, reusing all buffers. One pass over the
+    /// rows checks that they are sorted by start and sizes the end marks;
+    /// the runs are indexed by the probes that need them.
     pub fn build(&mut self, table: &ColumnarTable) {
-        // Span bounds and group ids are `u32`.
+        // Row ids and the chain terminator share a `u32`.
         assert!(
-            table.len() as u64 <= u32::MAX as u64,
+            table.len() < NO_ROW as usize,
             "endpoint grouping is limited to 2^32 - 1 rows, got {}",
             table.len()
         );
-        self.group_keys.clear();
-        self.group_of.clear();
-        self.group_of.resize(table.len(), EMPTY);
-        // The slot table is sized to the number of *groups*, not rows —
-        // groups are typically several times fewer, and the merge probes
-        // this index once per outer row, so keeping it small keeps it
-        // cache-resident. It grows on demand during pass one and retains
-        // its size across rebuilds, so steady-state trials size it once.
-        self.group_slot.clear();
-        if self.slots.is_empty() {
-            self.slots.resize(MIN_SLOTS, 0);
-            self.slot_spans.resize(MIN_SLOTS, SlotSpan::default());
-            self.epoch = 1;
+        let (mut sorted, mut last_start, mut max_end) = (true, 0, 0);
+        for row in &table.rows {
+            let (start, end) = (row.key as u32, (row.key >> 32) as u32);
+            sorted &= last_start <= start;
+            last_start = start;
+            max_end = max_end.max(end as usize);
+        }
+        if self.marks.len() <= max_end {
+            self.marks.resize(max_end + 1, 0);
+        }
+        if self.next.len() < table.len() {
+            self.next.resize(table.len(), NO_ROW);
+        }
+        self.advance_generation();
+        self.start = NO_VERTEX;
+        self.cursor = 0;
+        self.rows = table.len();
+        self.sorted = sorted;
+    }
+
+    /// The first row of `table` — the table this index was built over —
+    /// whose `(f0, f1)` is `(start, end)`, if any; [`next`](Self::next)
+    /// walks the rest in insertion order. Probes of ascending starts load
+    /// each run of the table once.
+    #[inline]
+    pub fn first(
+        &mut self,
+        table: &ColumnarTable,
+        start: VertexId,
+        end: VertexId,
+    ) -> Option<usize> {
+        if start != self.start {
+            self.load(table, start);
+        }
+        match self.marks.get(end as usize) {
+            Some(&mark) if (mark >> 32) as u32 == self.generation => Some(mark as u32 as usize),
+            _ => None,
+        }
+    }
+
+    /// The row after `row` in its `(start, end)` chain, if any. `row` must
+    /// come from the last start probed.
+    #[inline]
+    pub fn next(&self, row: usize) -> Option<usize> {
+        let next = self.next[row];
+        (next != NO_ROW).then_some(next as usize)
+    }
+
+    /// Whether some row of `table` has `(f0, f1)` equal to `(start, end)`:
+    /// the probe of a semi-join against the indexed table.
+    #[inline]
+    pub fn contains(&mut self, table: &ColumnarTable, start: VertexId, end: VertexId) -> bool {
+        self.first(table, start, end).is_some()
+    }
+
+    /// Indexes `start`'s run of `table`: finds it (scanning on from the last
+    /// run when starts ascend, searching from the top otherwise) and chains
+    /// its rows by end vertex, walking it backwards so every chain lists its
+    /// rows in insertion order.
+    #[inline(never)]
+    fn load(&mut self, table: &ColumnarTable, start: VertexId) {
+        assert!(
+            self.sorted,
+            "endpoint groups need a table sorted by start vertex"
+        );
+        assert_eq!(
+            table.len(),
+            self.rows,
+            "probe of a table it was not built over"
+        );
+        let rows = &table.rows;
+        let start_of = |row: &Row| row.key as u32;
+        let lo = if start > self.start {
+            let from = self.cursor;
+            from + (rows[from..].iter())
+                .take_while(|row| start_of(row) < start)
+                .count()
         } else {
-            self.epoch = self.epoch.wrapping_add(1);
-            if self.epoch == 0 {
-                self.slots.fill(0);
-                self.epoch = 1;
-            }
-        }
-        let mut mask = self.slots.len() - 1;
-        // Pass one: assign a group id to every row, counting group sizes in
-        // `starts` (shifted by one so the prefix sum lands in place).
-        self.starts.clear();
-        for r in 0..table.len() {
-            if self.group_keys.len() * 2 >= self.slots.len() {
-                self.grow_slots();
-                mask = self.slots.len() - 1;
-            }
-            // The packed `(f1 << 32) | f0` pair is exactly the low half of
-            // the packed key column.
-            let packed = table.rows[r].key as u64;
-            let hash = hash_pair(packed);
-            let tag = slot_tag(self.epoch, hash);
-            let mut slot = (hash as usize) & mask;
-            let group = loop {
-                let entry = self.slots[slot];
-                if (entry >> 48) as u16 != self.epoch {
-                    let g = self.group_keys.len() as u32;
-                    self.slots[slot] = tag | g as u64;
-                    self.slot_spans[slot].key = packed;
-                    self.group_slot.push(slot as u32);
-                    self.group_keys.push(packed);
-                    self.starts.push(0);
-                    break g;
-                }
-                if entry >> 32 == tag >> 32 {
-                    let g = entry as u32;
-                    if self.slot_spans[slot].key == packed {
-                        break g;
-                    }
-                }
-                slot = (slot + 1) & mask;
+            rows.partition_point(|row| start_of(row) < start)
+        };
+        let hi = lo
+            + (rows[lo..].iter())
+                .take_while(|row| start_of(row) == start)
+                .count();
+        self.advance_generation();
+        let tag = (self.generation as u64) << 32;
+        for r in (lo..hi).rev() {
+            let mark = &mut self.marks[(rows[r].key >> 32) as u32 as usize];
+            self.next[r] = if (*mark >> 32) as u32 == self.generation {
+                *mark as u32
+            } else {
+                NO_ROW
             };
-            self.group_of[r] = group;
-            self.starts[group as usize] += 1;
+            *mark = tag | r as u64;
         }
-        // Prefix sum: starts[g] becomes the span start of group g.
-        let mut acc = 0u32;
-        for s in &mut self.starts {
-            let len = *s;
-            *s = acc;
-            acc += len;
-        }
-        self.starts.push(acc);
-        // Pass two: scatter the row payloads into their group spans.
-        self.cursors.clear();
-        self.cursors
-            .extend_from_slice(&self.starts[..self.starts.len() - 1]);
-        self.grouped.clear();
-        self.grouped.resize(table.len(), GroupedRow::default());
-        self.grouped_sigs.clear();
-        self.grouped_sigs.resize(table.len(), 0);
-        for (r, &g) in self.group_of.iter().enumerate() {
-            let c = &mut self.cursors[g as usize];
-            let row = &table.rows[r];
-            self.grouped[*c as usize] = GroupedRow {
-                sig_lo: row.sig_lo,
-                sig_hi: table.hi(r),
-                count: row.count,
-                extras: (row.key >> 64) as u64,
-            };
-            self.grouped_sigs[*c as usize] = row.sig_lo;
-            *c += 1;
-        }
-        // Pass three: copy each group's span bounds next to its slot, so a
-        // probe resolves key, start and end from the one prefetched
-        // payload line.
-        for (g, &slot) in self.group_slot.iter().enumerate() {
-            let span = &mut self.slot_spans[slot as usize];
-            span.start = self.starts[g];
-            span.end = self.starts[g + 1];
+        self.start = start;
+        self.cursor = hi;
+    }
+
+    /// Moves to a fresh generation, which stales every mark at once (a real
+    /// wipe only when the 32-bit generation wraps).
+    fn advance_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.marks.fill(0);
+            self.generation = 1;
         }
     }
 
-    /// Prefetches the slot cache line a [`spans_for`](Self::spans_for)
-    /// probe of `(start, end)` will read first. The merge's group probes
-    /// are dependent random accesses with almost no work between them;
-    /// issuing the prefetch a few outer rows ahead overlaps their miss
-    /// latency.
-    #[inline]
-    pub fn prefetch_pair(&self, start: VertexId, end: VertexId) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.slots.is_empty() {
-            let packed = (start as u64) | ((end as u64) << 32);
-            let slot = (hash_pair(packed) as usize) & (self.slots.len() - 1);
-            // SAFETY: `slot` is masked into bounds; prefetch has no effect
-            // beyond the cache.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    self.slots.as_ptr().add(slot) as *const i8,
-                );
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    self.slot_spans.as_ptr().add(slot) as *const i8,
-                );
-            }
-        }
-    }
-
-    /// Doubles the group slot table and re-indexes every group key.
-    #[cold]
-    fn grow_slots(&mut self) {
-        let new_len = (self.slots.len() * 2).max(MIN_SLOTS);
-        assert_ids_fit(new_len);
-        self.slots.clear();
-        self.slots.resize(new_len, 0);
-        self.slot_spans.clear();
-        self.slot_spans.resize(new_len, SlotSpan::default());
-        self.epoch = 1;
-        let mask = new_len - 1;
-        for (g, &packed) in self.group_keys.iter().enumerate() {
-            let hash = hash_pair(packed);
-            let tag = slot_tag(self.epoch, hash);
-            let mut slot = (hash as usize) & mask;
-            while (self.slots[slot] >> 48) as u16 == self.epoch {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = tag | g as u64;
-            self.slot_spans[slot].key = packed;
-            self.group_slot[g] = slot as u32;
-        }
-    }
-
-    /// Probes for the group of `(start, end)`: its span in the permuted row
-    /// lanes, empty if the pair never occurs.
-    #[inline]
-    fn span_of(&self, start: VertexId, end: VertexId) -> Range<usize> {
-        if self.slots.is_empty() {
-            return 0..0;
-        }
-        let packed = (start as u64) | ((end as u64) << 32);
-        let hash = hash_pair(packed);
-        let tag = slot_tag(self.epoch, hash);
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.slots[slot];
-            if (entry >> 48) as u16 != self.epoch {
-                return 0..0;
-            }
-            if entry >> 32 == tag >> 32 {
-                let p = &self.slot_spans[slot];
-                if p.key == packed {
-                    return p.start as usize..p.end as usize;
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// The span of rows whose `(f0, f1)` equals `(start, end)`, as the pair
-    /// of parallel lanes the merge scans: the dense low-signature words and
-    /// the full permuted payloads (both empty if the pair never occurs).
-    #[inline]
-    pub fn spans_for(&self, start: VertexId, end: VertexId) -> (&[u64], &[GroupedRow]) {
-        let span = self.span_of(start, end);
-        (&self.grouped_sigs[span.clone()], &self.grouped[span])
-    }
-
-    /// Whether some grouped row has `(f0, f1)` equal to `(start, end)`: the
-    /// probe of a semi-join against the grouped table.
-    #[inline]
-    pub fn contains(&self, start: VertexId, end: VertexId) -> bool {
-        !self.span_of(start, end).is_empty()
-    }
-
-    /// Total allocated bytes across all scratch buffers.
+    /// Total allocated bytes: the end marks and the chain lane.
     pub fn capacity_bytes(&self) -> usize {
-        (self.group_of.capacity()
-            + self.starts.capacity()
-            + self.group_slot.capacity()
-            + self.cursors.capacity())
-            * std::mem::size_of::<u32>()
-            + self.slot_spans.capacity() * std::mem::size_of::<SlotSpan>()
-            + (self.slots.capacity() + self.group_keys.capacity() + self.grouped_sigs.capacity())
-                * std::mem::size_of::<u64>()
-            + self.grouped.capacity() * std::mem::size_of::<GroupedRow>()
+        self.marks.capacity() * std::mem::size_of::<u64>()
+            + self.next.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -1115,19 +968,10 @@ mod tests {
         total as f64 / t.len() as f64
     }
 
-    /// Mean distance of a group's slot from the home slot of its key's hash.
-    fn mean_group_probe_distance(g: &EndpointGroups) -> f64 {
-        let mask = g.slots.len() - 1;
-        let total: usize = (g.group_keys.iter().zip(&g.group_slot))
-            .map(|(&key, &slot)| (slot as usize).wrapping_sub(hash_pair(key) as usize) & mask)
-            .sum();
-        total as f64 / g.group_keys.len() as f64
-    }
-
     /// The DP's own key shape — one hub start vertex, thousands of ends, a
     /// few signatures each — must spread over the slot table: uniform
-    /// hashing at these load factors (1/2 for rows, 1/4..1/2 for groups)
-    /// displaces a key by about half a slot on average. A multiplicative
+    /// hashing at the row index's load factor (1/2 here) displaces a key by
+    /// about half a slot on average. A multiplicative
     /// hash that takes its slot from the unfolded low bits never sees the end
     /// vertex there and chains all of them: mean distance in the thousands.
     #[test]
@@ -1146,11 +990,6 @@ mod tests {
             assert_eq!(t.len(), 4096 * 8);
             let rows = mean_row_probe_distance(&t);
             assert!(rows < 2.0, "extras {extras}: mean row probe {rows}");
-            let mut groups = EndpointGroups::new();
-            groups.build(&t);
-            assert_eq!(groups.group_keys.len(), 4096);
-            let pairs = mean_group_probe_distance(&groups);
-            assert!(pairs < 2.0, "extras {extras}: mean group probe {pairs}");
         }
     }
 
@@ -1168,9 +1007,15 @@ mod tests {
         assert!(past.is_err(), "2^33 slots must be refused");
     }
 
-    /// The grouped payloads of `(start, end)`: the span `spans_for` returns.
-    fn group(groups: &EndpointGroups, start: VertexId, end: VertexId) -> &[GroupedRow] {
-        groups.spans_for(start, end).1
+    /// The rows of `(start, end)`, as the chain from `first` lists them.
+    fn chain(
+        groups: &mut EndpointGroups,
+        t: &ColumnarTable,
+        start: VertexId,
+        end: VertexId,
+    ) -> Vec<usize> {
+        let first = groups.first(t, start, end);
+        std::iter::successors(first, |&r| groups.next(r)).collect()
     }
 
     #[test]
@@ -1182,44 +1027,37 @@ mod tests {
         t.add([1, 2, 9, NO_VERTEX], Signature::singleton(3), 4);
         let mut groups = EndpointGroups::new();
         groups.build(&t);
-        let counts: u64 = group(&groups, 1, 2).iter().map(|g| g.count).sum();
+        let rows = chain(&mut groups, &t, 1, 2);
+        let counts: u64 = rows.iter().map(|&r| t.count(r)).sum();
         assert_eq!(counts, 7);
-        // The payloads carry each row's signature and extras, and the dense
-        // low-word lane matches them.
-        let (sigs, span) = groups.spans_for(1, 2);
-        let lows: Vec<u64> = span.iter().map(|g| g.sig_lo).collect();
-        assert_eq!(sigs, lows.as_slice());
-        assert_eq!(span[2].sig(), Signature::singleton(3));
-        assert_eq!(span[2].extras(), [9, NO_VERTEX]);
-        assert_eq!(group(&groups, 1, 3).len(), 1);
-        assert_eq!(group(&groups, 2, 1).len(), 0);
-        assert!(groups.contains(1, 3));
-        assert!(!groups.contains(2, 1));
+        // The chain lists rows of the pair, and through them each row's
+        // signature and extras.
+        assert!(rows.iter().all(|&r| t.endpoints(r) == (1, 2)));
+        assert_eq!(t.sig(rows[2]), Signature::singleton(3));
+        assert_eq!(t.extras(rows[2]), [9, NO_VERTEX]);
+        assert_eq!(chain(&mut groups, &t, 1, 3).len(), 1);
+        assert_eq!(chain(&mut groups, &t, 2, 1).len(), 0);
+        // Back to an earlier start: the run is found again.
+        assert!(groups.contains(&t, 1, 3));
+        assert!(!groups.contains(&t, 2, 1));
     }
 
     #[test]
     fn endpoint_group_spans_are_contiguous_and_ordered() {
-        // Counting sort must keep each group's rows in insertion order and
-        // cover every row exactly once. Row `i` is the one whose signature
-        // is `{i}`.
+        // A chain must list its pair's rows in insertion order and the
+        // chains must cover every row exactly once. Row `i` is the one whose
+        // signature is `{i}`; starts ascend, as in a path table.
         let mut t = ColumnarTable::new();
         for i in 0..100u32 {
-            t.add(
-                path_key(i % 3, i % 2),
-                Signature::singleton((i % 100) as u8),
-                1,
-            );
+            t.add(path_key(i / 34, i % 2), Signature::singleton(i as u8), 1);
         }
         let mut groups = EndpointGroups::new();
         groups.build(&t);
         let mut seen = vec![false; t.len()];
         for a in 0..3u32 {
             for b in 0..2u32 {
-                let rows: Vec<usize> = (group(&groups, a, b).iter())
-                    .map(|g| {
-                        let colors: Vec<_> = g.sig().colors().collect();
-                        colors[0] as usize
-                    })
+                let rows: Vec<usize> = (chain(&mut groups, &t, a, b).into_iter())
+                    .map(|r| t.sig(r).colors().next().unwrap() as usize)
                     .collect();
                 assert!(rows.windows(2).all(|w| w[0] < w[1]), "insertion order");
                 for r in rows {
@@ -1237,7 +1075,7 @@ mod tests {
         let mut t = ColumnarTable::new();
         for i in 0..1000u32 {
             t.add(
-                path_key(i % 31, i % 37),
+                path_key(i / 33, i % 37),
                 Signature::singleton((i % 64) as u8),
                 1,
             );
@@ -1249,8 +1087,44 @@ mod tests {
         assert_eq!(groups.capacity_bytes(), bytes);
         let total: u64 = (0..31u32)
             .flat_map(|a| (0..37u32).map(move |b| (a, b)))
-            .map(|(a, b)| group(&groups, a, b).iter().map(|g| g.count).sum::<u64>())
+            .map(|(a, b)| {
+                let rows = chain(&mut groups, &t, a, b);
+                rows.iter().map(|&r| t.count(r)).sum::<u64>()
+            })
             .sum();
         assert_eq!(total, t.total());
+        assert_eq!(groups.capacity_bytes(), bytes, "probes allocate nothing");
+    }
+
+    /// The index chains one start's run at a time: a table whose starts do
+    /// not ascend has no runs, and is refused rather than misread.
+    #[test]
+    #[should_panic(expected = "sorted by start")]
+    fn endpoint_groups_refuse_a_table_not_sorted_by_start() {
+        let mut t = ColumnarTable::new();
+        t.add(path_key(2, 1), Signature::singleton(0), 1);
+        t.add(path_key(1, 2), Signature::singleton(1), 1);
+        let mut groups = EndpointGroups::new();
+        groups.build(&t);
+        groups.contains(&t, 1, 2);
+    }
+
+    /// The 32-bit generation wraps after 2^32 runs: the marks are then wiped
+    /// for real, and no mark of an earlier run resurfaces.
+    #[test]
+    fn endpoint_groups_survive_generation_wrap() {
+        let mut t = ColumnarTable::new();
+        t.add(path_key(1, 5), Signature::singleton(0), 1);
+        t.add(path_key(2, 6), Signature::singleton(1), 1);
+        let mut groups = EndpointGroups::new();
+        groups.build(&t);
+        groups.generation = u32::MAX - 3;
+        for _ in 0..4 {
+            for (start, end, other) in [(1, 5, 6), (2, 6, 5)] {
+                assert_eq!(chain(&mut groups, &t, start, end).len(), 1);
+                assert!(!groups.contains(&t, start, other), "stale mark at {start}");
+            }
+        }
+        assert!(groups.generation < 16, "the generation wrapped");
     }
 }

@@ -170,25 +170,28 @@ fn subset_enumeration_at_word_boundary_fills_distinct_rows() {
 
 #[test]
 fn endpoint_groups_partition_rows_by_packed_key() {
+    // Starts ascend, as in every path table.
     let mut t = ColumnarTable::new();
     t.add(path_key(1, 2), Signature::singleton(0), 1);
     t.add(path_key(1, 2), Signature::singleton(1), 2);
-    t.add(path_key(2, 1), Signature::singleton(2), 3);
     t.add(path_key(1, 3), Signature::singleton(3), 4);
+    t.add(path_key(2, 1), Signature::singleton(2), 3);
     let mut g = EndpointGroups::new();
     g.build(&t);
-    // Each grouped payload is one row of the pair: its signature and count
-    // are those of a row keyed `(1, 2)`, never of the `(2, 1)` row.
-    let (_, group) = g.spans_for(1, 2);
+    let mut chain = |start, end| {
+        let first = g.first(&t, start, end);
+        std::iter::successors(first, |&r| g.next(r)).collect::<Vec<_>>()
+    };
+    // Each chained row is one row of the pair: its key is `(1, 2)`, never
+    // the `(2, 1)` row's.
+    let group = chain(1, 2);
     assert_eq!(group.len(), 2);
-    for row in group {
-        let (key, _, _) = (t.rows())
-            .find(|&(_, sig, count)| sig == row.sig() && count == row.count)
-            .expect("a grouped payload is a row of the table");
+    for &r in &group {
+        let (key, _, _) = t.row(r);
         assert_eq!((key[0], key[1]), (1, 2));
     }
-    assert_eq!(g.spans_for(2, 1).1.len(), 1);
-    assert_eq!(g.spans_for(3, 1).1.len(), 0);
+    assert_eq!(chain(2, 1).len(), 1);
+    assert_eq!(chain(3, 1).len(), 0);
 }
 
 // ---------------------------------------------------------------------------
