@@ -27,7 +27,7 @@
 //! ```
 
 use crate::ball::DeltaBall;
-use crate::config::{Algorithm, CountConfig};
+use crate::config::Algorithm;
 use crate::context::GraphPrep;
 use crate::driver::CountResult;
 use crate::error::SgcError;
@@ -80,7 +80,6 @@ pub struct Engine<'g> {
     /// Shared with every engine [`rebind`](Engine::rebind) derives from this
     /// one: a plan depends only on the query, never on the graph.
     plan_cache: Arc<PlanCache>,
-    default_config: CountConfig,
     /// Reusable DP-kernel arenas, shared by every request (and every worker
     /// task) of this engine and of the engines it rebinds: trial `i + 1`
     /// solves into the buffers trial `i` grew.
@@ -88,56 +87,42 @@ pub struct Engine<'g> {
 }
 
 impl Engine<'static> {
-    /// Binds an engine to a shared graph with the default [`CountConfig`].
+    /// Binds an engine to a shared graph.
     ///
     /// The returned engine owns a reference count on the graph and has no
     /// borrowed lifetime, so it can be stored in `'static` contexts — worker
     /// threads, services, globals. The `sgc-service` worker pool is the
     /// canonical caller: one shared `Engine<'static>` serves every job.
     pub fn from_shared(graph: Arc<CsrGraph>) -> Self {
-        Engine::from_shared_with_config(graph, CountConfig::default())
-    }
-
-    /// Binds an engine to a shared graph with `config` as the default for
-    /// every request.
-    pub fn from_shared_with_config(graph: Arc<CsrGraph>, config: CountConfig) -> Self {
-        Engine::build(GraphRef::Shared(graph), config)
+        Engine::build(GraphRef::Shared(graph))
     }
 }
 
 impl<'g> Engine<'g> {
-    /// Binds an engine to `graph` with the default [`CountConfig`], running
-    /// the preprocessing pass once.
+    /// Binds an engine to `graph`, running the preprocessing pass once.
     pub fn new(graph: &'g CsrGraph) -> Self {
-        Engine::with_config(graph, CountConfig::default())
-    }
-
-    /// Binds an engine to `graph` with `config` as the default for every
-    /// request (individual requests can still override it).
-    pub fn with_config(graph: &'g CsrGraph, config: CountConfig) -> Self {
-        Engine::build(GraphRef::Borrowed(graph), config)
+        Engine::build(GraphRef::Borrowed(graph))
     }
 
     /// Binds a second engine to `graph` — another version of this engine's
     /// graph, say. It runs its own preprocessing pass and shares this
-    /// engine's plan cache (so a query is planned once for both graphs),
-    /// arena pool and default [`CountConfig`].
+    /// engine's plan cache (so a query is planned once for both graphs) and
+    /// arena pool.
     pub fn rebind(&self, graph: Arc<CsrGraph>) -> Engine<'static> {
         Engine {
             plan_cache: Arc::clone(&self.plan_cache),
             arena_pool: Arc::clone(&self.arena_pool),
-            ..Engine::build(GraphRef::Shared(graph), self.default_config)
+            ..Engine::build(GraphRef::Shared(graph))
         }
     }
 
-    fn build(graph: GraphRef<'g>, config: CountConfig) -> Self {
-        let _span = config.obs.then(|| sgc_obs::span(sgc_obs::Stage::Bind));
+    fn build(graph: GraphRef<'g>) -> Self {
+        let _span = sgc_obs::span(sgc_obs::Stage::Bind);
         let prep = GraphPrep::new(&graph);
         Engine {
             graph,
             prep,
             plan_cache: Arc::default(),
-            default_config: config,
             arena_pool: Arc::default(),
         }
     }
@@ -264,11 +249,7 @@ impl<'g> Engine<'g> {
     /// [`SgcError::Query`] for unplannable queries (empty, disconnected,
     /// treewidth > 2).
     pub fn explain(&self, query: &QueryGraph) -> Result<PlanReport, SgcError> {
-        crate::explain::build_report(
-            self.graph().num_vertices(),
-            query,
-            self.default_config.algorithm,
-        )
+        crate::explain::build_report(self.graph().num_vertices(), query, Algorithm::DegreeBased)
     }
 
     /// [`explain`](Engine::explain) for a textual pattern.
@@ -361,15 +342,15 @@ impl<'g> Engine<'g> {
         CountRequest {
             engine: self,
             query,
-            algorithm: self.default_config.algorithm,
-            num_ranks: self.default_config.num_ranks,
+            algorithm: Algorithm::DegreeBased,
+            num_ranks: 64,
             coloring: None,
             plan: None,
             trials: 3,
             seed: 0x5eed,
             parallel: true,
             shards: None,
-            obs: self.default_config.obs,
+            obs: true,
             recount: None,
         }
     }
@@ -414,30 +395,21 @@ pub struct CountRequest<'e, 'g, 'a> {
 }
 
 impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
-    /// Selects the cycle-solving algorithm (default: the engine's).
+    /// Selects the cycle-solving algorithm (default: Degree Based).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
     }
 
-    /// Sets the number of simulated ranks for load attribution (default: the
-    /// engine's). Zero is rejected at run time with [`SgcError::ZeroRanks`].
+    /// Sets the number of simulated ranks for load attribution (default:
+    /// 64). Zero is rejected at run time with [`SgcError::ZeroRanks`].
     pub fn ranks(mut self, num_ranks: usize) -> Self {
         self.num_ranks = num_ranks;
         self
     }
 
-    /// Applies a whole [`CountConfig`] (algorithm, ranks and observability
-    /// toggle) at once.
-    pub fn config(mut self, config: CountConfig) -> Self {
-        self.algorithm = config.algorithm;
-        self.num_ranks = config.num_ranks;
-        self.obs = config.obs;
-        self
-    }
-
-    /// Enables or disables observability for this request (default: the
-    /// engine's, normally on): stage spans on the threads that execute the
+    /// Enables or disables observability for this request (default: on):
+    /// stage spans on the threads that execute the
     /// run and publication of run counters into the `sgc-obs` registry.
     /// Counts are bit-identical either way — observability reads, never
     /// branches, the DP.
@@ -944,6 +916,17 @@ mod tests {
             (6, 3),
         ]);
         b.build()
+    }
+
+    #[test]
+    fn default_is_degree_based() {
+        let g = demo_graph();
+        let engine = Engine::new(&g);
+        let query = catalog::triangle();
+        let request = engine.count(&query);
+        assert_eq!(request.algorithm, Algorithm::DegreeBased);
+        assert_eq!(request.num_ranks, 64);
+        assert!(request.obs, "observability defaults to on");
     }
 
     #[test]

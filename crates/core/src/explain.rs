@@ -113,8 +113,8 @@ pub struct PlanReport {
     pub verdict: TreewidthVerdict,
     /// `|Aut(Q)|`, the divisor that turns match counts into subgraph counts.
     pub automorphisms: u64,
-    /// The cycle-solving algorithm a request would run with (the engine's
-    /// default; per-request overrides don't change the plan).
+    /// The cycle-solving algorithm a request runs with by default (Degree
+    /// Based; per-request overrides don't change the plan).
     pub algorithm: Algorithm,
     /// Every distinct decomposition tree, in enumeration order.
     pub candidates: Vec<PlanCandidate>,

@@ -61,7 +61,7 @@ pub mod runtime;
 
 pub use ball::DeltaBall;
 pub use batch::{BatchMetrics, BatchResult};
-pub use config::{Algorithm, CountConfig};
+pub use config::Algorithm;
 pub use driver::CountResult;
 pub use engine::{CountRequest, Engine, TrialStream};
 pub use error::SgcError;

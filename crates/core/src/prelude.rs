@@ -6,7 +6,7 @@
 //! estimate.
 
 pub use crate::batch::{BatchMetrics, BatchResult};
-pub use crate::config::{Algorithm, CountConfig};
+pub use crate::config::Algorithm;
 pub use crate::driver::CountResult;
 pub use crate::engine::{CountRequest, Engine, TrialStream};
 pub use crate::error::SgcError;

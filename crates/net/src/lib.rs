@@ -23,10 +23,10 @@
 //!   and the response/error taxonomy
 //!   ([`ErrorKind::QueueFull`] is the one *retryable* error — admission
 //!   control on the wire),
-//! * [`server`] — [`Server`]: thread-per-connection accept loop, chunk
-//!   frames written by the service workers through progress watchers
-//!   (strictly before the final frame), cooperative cancel at chunk
-//!   boundaries, clean shutdown,
+//! * [`server`] — [`Server`]: thread-per-connection accept loop, no
+//!   thread per job: chunk frames written by the service workers through
+//!   progress watchers, the final frame by the job's completion hook after
+//!   them, cooperative cancel at chunk boundaries, clean shutdown,
 //! * [`client`] — [`Client`]: a blocking connection with a streaming
 //!   iterator of estimate events.
 //!

@@ -4,7 +4,7 @@
 //! Std-only by design — the deployment environment has no async runtime,
 //! and the concurrency story the service already has (bounded queue, worker
 //! pool, single-flight cache) does the heavy lifting; the network layer
-//! only needs one cheap blocking thread per connection:
+//! only needs one cheap blocking thread per connection, and none per job:
 //!
 //! * the **accept loop** runs on its own thread and hands each connection
 //!   to a handler thread,
@@ -12,17 +12,24 @@
 //!   can poll the shutdown flag while idle), decodes requests, and answers
 //!   on a mutex-guarded write half — whole frames are written under the
 //!   lock, so responses from concurrent jobs never interleave mid-frame.
-//!   Writes carry a timeout too: chunk frames are written by shared
-//!   service workers, and a client that stops reading must not wedge a
-//!   worker forever. The first write failure (timeout included) marks the
-//!   connection **dead** — its socket is shut down, its active jobs are
+//!   Writes carry a timeout too: job frames are written by shared service
+//!   workers, and a client that stops reading must not wedge a worker
+//!   forever. The first write failure (timeout included) marks the
+//!   connection **dead** — its socket is shut down, its streams are
 //!   cancelled, and every later write fails fast without touching the
-//!   socket,
-//! * each **count job** gets a small waiter thread that blocks on the
-//!   service's [`JobHandle`] and writes the `Final` frame; the streamed
-//!   `Chunk` frames are written by the service worker itself, through the
-//!   progress watcher, strictly *before* the handle is fulfilled — which is
-//!   what guarantees every chunk precedes its final on the wire.
+//!   socket. So does the end of the request loop (EOF, `bye`, a protocol
+//!   error), which is why `bye-ok` is the last frame on a connection,
+//! * each **count job** is written back by the thread that runs it: its
+//!   `Chunk` frames by the service worker, through the progress watcher,
+//!   and its `Final` (or `Error`) frame by its completion hook
+//!   ([`JobHandle::on_done`](sgc_service::JobHandle::on_done)), which runs
+//!   on whichever thread fulfils the job — after the last chunk, which is
+//!   what guarantees every chunk precedes its final on the wire. The hook
+//!   frees the job's id before it writes, so a client may reuse the id as
+//!   soon as it reads the terminal frame.
+//!
+//! The accept loop and the connection handlers are the only threads the
+//! server spawns.
 //!
 //! Counting work is never duplicated for the wire: requests flow through
 //! [`Service::submit_with_progress`], so network jobs share the same
@@ -37,14 +44,14 @@ use crate::proto::{
 use crate::wire::{self, FrameError, RawFrame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
 use sgc_graph::CsrGraph;
 use sgc_service::{
-    CancelToken, ChunkUpdate, CountJob, EdgeDelta, JobHandle, ProgressFn, Service, ServiceConfig,
+    CancelToken, ChunkUpdate, CountJob, EdgeDelta, ProgressFn, Service, ServiceConfig,
     ServiceError, VersionId, WatchFn, WatchHandle,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -60,10 +67,10 @@ pub struct ServerConfig {
     /// hiccup never kills a healthy connection).
     pub read_timeout: Duration,
     /// Per-connection write timeout. Response frames — including the chunk
-    /// frames written by shared service worker threads — must land within
-    /// this window; a client that stops reading until its TCP window fills
-    /// is declared dead (its jobs are cancelled and the connection is
-    /// closed) instead of blocking a worker indefinitely.
+    /// and final frames written by shared service worker threads — must
+    /// land within this window; a client that stops reading until its TCP
+    /// window fills is declared dead (its jobs are cancelled and the
+    /// connection is closed) instead of blocking a worker indefinitely.
     pub write_timeout: Duration,
     /// Maximum accepted frame length (tag + payload bytes); oversized
     /// frames are rejected with a `bad-frame` error and the connection is
@@ -235,8 +242,9 @@ impl Server {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         }
-        // Drain the service: in-flight jobs complete (or fail with
-        // ShuttingDown), so waiter threads observe terminal results.
+        // Drain the service: every in-flight job settles (completes, or
+        // fails with ShuttingDown) and its completion hook runs, failing
+        // fast on the closed socket and releasing its connection.
         self.shared.service.shutdown();
         let handlers: Vec<JoinHandle<()>> = {
             let mut threads = self
@@ -294,25 +302,33 @@ fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) {
     }
 }
 
-/// Per-connection state shared between the request loop and the waiter
-/// threads of its streaming jobs.
+/// One live id on a connection.
+enum Stream {
+    /// A count job, from submission until its completion hook frees the id.
+    Count(CancelToken),
+    /// A watch subscription, until `cancel` or a dead connection
+    /// unsubscribes it.
+    Watch(WatchHandle),
+}
+
+/// Per-connection state shared between the request loop and the service
+/// threads that write its jobs' frames.
 struct Conn {
     shared: Arc<ServerShared>,
     /// The write half (a socket clone). Whole frames are written and
     /// flushed under this lock, so concurrent writers never interleave.
     writer: Mutex<TcpStream>,
-    /// Set on the first write failure (timeout included): the client is
-    /// unreachable, or a timed-out `write_all` left a torn frame on the
-    /// stream. Either way nothing coherent can be sent anymore, so every
-    /// later `send` fails fast without taking the socket's write timeout
-    /// again — which is what bounds how long a stalled client can occupy a
-    /// shared service worker.
+    /// Set, under the writer lock, on the first write failure (timeout
+    /// included), after `bye-ok`, and at teardown: the client is
+    /// unreachable or gone, or a timed-out `write_all` left a torn frame on
+    /// the stream. Either way nothing coherent can be sent anymore, so
+    /// every later `send` fails fast without taking the socket's write
+    /// timeout again — which is what bounds how long a stalled client can
+    /// occupy a shared service worker.
     dead: AtomicBool,
-    /// Active streaming jobs on this connection: id → cancel token.
-    active: Mutex<HashMap<JobId, CancelToken>>,
-    /// Live watch subscriptions on this connection: id → service handle.
-    /// `Cancel` with a watch id unsubscribes; teardown unregisters all.
-    watches: Mutex<HashMap<JobId, WatchHandle>>,
+    /// Every live count and watch id on this connection. Never held while
+    /// a frame is written.
+    streams: Mutex<HashMap<JobId, Stream>>,
 }
 
 impl Conn {
@@ -321,63 +337,76 @@ impl Conn {
     /// marked dead and its jobs cancelled — callers treat the error as
     /// "stop talking", never as a server error.
     fn send(&self, response: &Response) -> std::io::Result<()> {
+        self.write(response, false)
+    }
+
+    /// Writes `response` as the connection's last frame: the connection is
+    /// marked dead before the writer lock is released, so no frame can
+    /// follow it.
+    fn send_last(&self, response: &Response) {
+        let _ = self.write(response, true);
+    }
+
+    fn write(&self, response: &Response, last: bool) -> std::io::Result<()> {
+        let payload = {
+            let _span = sgc_obs::span(sgc_obs::Stage::NetEncode);
+            response.encode()
+        };
+        let _span = sgc_obs::span(sgc_obs::Stage::NetWrite);
+        let mut writer = self.lock_writer();
         if self.dead.load(Ordering::SeqCst) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "connection marked dead",
             ));
         }
-        let payload = {
-            let _span = sgc_obs::span(sgc_obs::Stage::NetEncode);
-            response.encode()
-        };
-        let result = {
-            let _span = sgc_obs::span(sgc_obs::Stage::NetWrite);
-            let mut writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-            wire::write_frame(
-                &mut *writer,
-                response.tag(),
-                &payload,
-                self.shared.max_frame_len,
-            )
-            .and_then(|()| writer.flush())
-        };
-        match result {
-            Ok(()) => {
-                self.shared
-                    .counters
-                    .frames_written
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.mark_dead();
-                Err(e)
-            }
+        let result = wire::write_frame(
+            &mut *writer,
+            response.tag(),
+            &payload,
+            self.shared.max_frame_len,
+        )
+        .and_then(|()| writer.flush());
+        if result.is_ok() {
+            self.shared
+                .counters
+                .frames_written
+                .fetch_add(1, Ordering::Relaxed);
         }
+        if last || result.is_err() {
+            self.mark_dead(&writer);
+        }
+        result
     }
 
-    /// Declares the client unreachable: shuts the socket down (unblocking
-    /// the request loop's reader), and cancels every active job so service
-    /// workers stop computing — and stop writing — for a connection nobody
-    /// reads. Idempotent.
-    fn mark_dead(&self) {
-        if self.dead.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        {
-            let writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-        let active = self.active.lock().unwrap_or_else(|p| p.into_inner());
-        for token in active.values() {
-            token.cancel();
-        }
-        drop(active);
-        let watches = self.watches.lock().unwrap_or_else(|p| p.into_inner());
-        for handle in watches.values() {
-            handle.cancel();
-        }
+    /// Declares the connection dead, given its locked write half: shuts
+    /// the socket down (unblocking the request loop's reader), cancels
+    /// every count so service workers stop computing — and stop writing —
+    /// for a connection nobody reads, and unsubscribes every watch. A
+    /// count keeps its id until its completion hook runs. Not latched on
+    /// the flag: teardown calls it once more to catch streams the request
+    /// loop started after a failed write.
+    fn mark_dead(&self, writer: &TcpStream) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = writer.shutdown(std::net::Shutdown::Both);
+        self.lock_streams().retain(|_, stream| match stream {
+            Stream::Count(token) => {
+                token.cancel();
+                true
+            }
+            Stream::Watch(handle) => {
+                self.shared.service.unwatch(handle.id());
+                false
+            }
+        });
+    }
+
+    fn lock_writer(&self) -> MutexGuard<'_, TcpStream> {
+        self.writer.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn lock_streams(&self) -> MutexGuard<'_, HashMap<JobId, Stream>> {
+        self.streams.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn send_error(&self, id: JobId, kind: ErrorKind, message: impl Into<String>) {
@@ -410,8 +439,7 @@ fn handle_conn(shared: Arc<ServerShared>, stream: TcpStream, conn_id: u64) {
                 shared: Arc::clone(&shared),
                 writer: Mutex::new(writer),
                 dead: AtomicBool::new(false),
-                active: Mutex::new(HashMap::new()),
-                watches: Mutex::new(HashMap::new()),
+                streams: Mutex::new(HashMap::new()),
             })
         }
         _ => {
@@ -423,7 +451,6 @@ fn handle_conn(shared: Arc<ServerShared>, stream: TcpStream, conn_id: u64) {
         }
     };
     let mut reader = BufReader::new(stream);
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
     let mut greeted = false;
     loop {
         let raw = match wire::read_frame(&mut reader, shared.max_frame_len) {
@@ -446,29 +473,14 @@ fn handle_conn(shared: Arc<ServerShared>, stream: TcpStream, conn_id: u64) {
             }
         };
         shared.counters.frames_read.fetch_add(1, Ordering::Relaxed);
-        if !handle_frame(&conn, raw, &mut greeted, &mut waiters) {
+        if !handle_frame(&conn, raw, &mut greeted) {
             break;
         }
     }
-    // The request loop is done; cancel whatever is still streaming (the
-    // client cannot read the frames anymore) and wait for the waiter
-    // threads so job resources never outlive the connection unnoticed.
-    {
-        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-        for token in active.values() {
-            token.cancel();
-        }
-    }
-    {
-        let mut watches = conn.watches.lock().unwrap_or_else(|p| p.into_inner());
-        for (_, handle) in watches.drain() {
-            handle.cancel();
-            shared.service.unwatch(handle.id());
-        }
-    }
-    for waiter in waiters {
-        let _ = waiter.join();
-    }
+    // The request loop is done: the client left, said goodbye or broke the
+    // protocol. Close the connection and cancel every stream; each count's
+    // completion hook still runs when its job settles, and writes nothing.
+    conn.mark_dead(&conn.lock_writer());
     shared
         .conns
         .lock()
@@ -480,21 +492,9 @@ fn handle_conn(shared: Arc<ServerShared>, stream: TcpStream, conn_id: u64) {
         .fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Drops waiter handles whose threads already exited, so a connection
-/// running many jobs holds handles proportional to its *active* jobs.
-/// (A finished thread's handle can be dropped without joining.)
-fn reap_finished(waiters: &mut Vec<JoinHandle<()>>) {
-    waiters.retain(|waiter| !waiter.is_finished());
-}
-
 /// Dispatches one decoded frame. Returns `false` when the connection should
 /// close (goodbye, protocol violation, or a dead socket).
-fn handle_frame(
-    conn: &Arc<Conn>,
-    raw: RawFrame,
-    greeted: &mut bool,
-    waiters: &mut Vec<JoinHandle<()>>,
-) -> bool {
+fn handle_frame(conn: &Arc<Conn>, raw: RawFrame, greeted: &mut bool) -> bool {
     let request = match Request::decode(raw.tag, &raw.payload) {
         Ok(request) => request,
         Err(e) => {
@@ -533,48 +533,35 @@ fn handle_frame(
             .is_ok()
         }
         Request::Count(spec) => {
-            reap_finished(waiters);
-            if let Some(waiter) = start_count(conn, spec) {
-                waiters.push(waiter);
-            }
+            start_count(conn, spec);
             true
         }
         Request::Cancel(id) => {
-            let token = {
-                let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-                active.get(&id).cloned()
-            };
-            let was_active = match token {
-                Some(token) => {
-                    token.cancel();
-                    conn.shared
-                        .counters
-                        .jobs_cancelled
-                        .fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                // Not a streaming job — maybe a watch subscription. `cancel`
-                // doubles as unsubscribe so v3 needs no extra verb.
-                None => {
-                    let handle = conn
-                        .watches
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .remove(&id);
-                    match handle {
-                        Some(handle) => {
-                            handle.cancel();
-                            conn.shared.service.unwatch(handle.id());
-                            conn.shared
-                                .counters
-                                .jobs_cancelled
-                                .fetch_add(1, Ordering::Relaxed);
-                            true
-                        }
-                        None => false,
+            let was_active = {
+                let mut streams = conn.lock_streams();
+                match streams.get(&id) {
+                    // The id stays taken until the job's hook writes its
+                    // terminal frame.
+                    Some(Stream::Count(token)) => {
+                        token.cancel();
+                        true
                     }
+                    // `cancel` doubles as unsubscribe so v3 needs no extra
+                    // verb.
+                    Some(Stream::Watch(handle)) => {
+                        conn.shared.service.unwatch(handle.id());
+                        streams.remove(&id);
+                        true
+                    }
+                    None => false,
                 }
             };
+            if was_active {
+                conn.shared
+                    .counters
+                    .jobs_cancelled
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             conn.send(&Response::CancelOk { id, was_active }).is_ok()
         }
         Request::Delta(spec) => handle_delta(conn, spec),
@@ -602,7 +589,7 @@ fn handle_frame(
             }))
             .is_ok(),
         Request::Bye => {
-            let _ = conn.send(&Response::ByeOk);
+            conn.send_last(&Response::ByeOk);
             false
         }
         Request::Metrics => conn
@@ -686,46 +673,6 @@ fn chunk_watcher(conn: &Arc<Conn>, id: JobId, confidence: f64) -> ProgressFn {
     })
 }
 
-/// Registers a submitted job as active and spawns its waiter thread: block
-/// on the handle, write the terminal frame, deregister.
-fn spawn_waiter(conn: &Arc<Conn>, id: JobId, handle: JobHandle) -> JoinHandle<()> {
-    let counters = &conn.shared.counters;
-    counters.streams_opened.fetch_add(1, Ordering::Relaxed);
-    counters.streams_active.fetch_add(1, Ordering::Relaxed);
-    conn.active
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(id, handle.cancel_token());
-    let conn = Arc::clone(conn);
-    std::thread::Builder::new()
-        .name(format!("sgc-net-job-{id}"))
-        .spawn(move || {
-            let response = match handle.wait() {
-                Ok(output) => Response::Final {
-                    id,
-                    output: WireOutput {
-                        trials_run: output.trials_run as u64,
-                        budget: output.budget as u64,
-                        stop: output.stop,
-                        from_cache: output.from_cache,
-                        estimate: WireEstimate::from_estimate(&output.estimate),
-                    },
-                },
-                Err(e) => Response::Error(service_error_frame(id, &e)),
-            };
-            let _ = conn.send(&response);
-            conn.active
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&id);
-            conn.shared
-                .counters
-                .streams_active
-                .fetch_sub(1, Ordering::Relaxed);
-        })
-        .expect("failed to spawn job waiter thread")
-}
-
 /// Maps a service-level failure onto the wire error taxonomy.
 fn service_error_frame(id: JobId, e: &ServiceError) -> ErrorFrame {
     let kind = match e {
@@ -750,11 +697,7 @@ fn service_error_frame(id: JobId, e: &ServiceError) -> ErrorFrame {
 /// registered on the connection's one reader thread, so no other request
 /// can claim `id` in between.
 fn refuse_id_in_use(conn: &Conn, id: JobId) -> bool {
-    let in_use = {
-        let active = conn.active.lock().unwrap_or_else(|p| p.into_inner());
-        let watches = conn.watches.lock().unwrap_or_else(|p| p.into_inner());
-        active.contains_key(&id) || watches.contains_key(&id)
-    };
+    let in_use = conn.lock_streams().contains_key(&id);
     if in_use {
         conn.send_error(
             id,
@@ -765,23 +708,55 @@ fn refuse_id_in_use(conn: &Conn, id: JobId) -> bool {
     in_use
 }
 
-/// Starts one streaming count job; returns the waiter thread handle, or
-/// `None` when the job was rejected before submission (the error frame is
-/// already written).
-fn start_count(conn: &Arc<Conn>, spec: CountSpec) -> Option<JoinHandle<()>> {
-    let job = build_job(conn, &spec)?;
+/// Starts one streaming count job, or answers its refusal. The job's chunk
+/// frames are written by [`chunk_watcher`]; its terminal frame by its
+/// completion hook, on whichever thread fulfils it, which first frees the
+/// id and the `streams_active` slot.
+fn start_count(conn: &Arc<Conn>, spec: CountSpec) {
+    let Some(job) = build_job(conn, &spec) else {
+        return;
+    };
     if refuse_id_in_use(conn, spec.id) {
-        return None;
+        return;
     }
+    let id = spec.id;
     let confidence = spec.precision.map(|p| p.confidence).unwrap_or(0.95);
-    let watcher = chunk_watcher(conn, spec.id, confidence);
-    match conn.shared.service.submit_with_progress(job, watcher) {
-        Ok(handle) => Some(spawn_waiter(conn, spec.id, handle)),
+    let watcher = chunk_watcher(conn, id, confidence);
+    let handle = match conn.shared.service.submit_with_progress(job, watcher) {
+        Ok(handle) => handle,
         Err(e) => {
-            let _ = conn.send(&Response::Error(service_error_frame(spec.id, &e)));
-            None
+            let _ = conn.send(&Response::Error(service_error_frame(id, &e)));
+            return;
         }
-    }
+    };
+    let counters = &conn.shared.counters;
+    counters.streams_opened.fetch_add(1, Ordering::Relaxed);
+    counters.streams_active.fetch_add(1, Ordering::Relaxed);
+    conn.lock_streams()
+        .insert(id, Stream::Count(handle.cancel_token()));
+    let conn = Arc::clone(conn);
+    handle.on_done(move |result| {
+        // Free the id first: a client may reuse it once it reads the frame.
+        conn.lock_streams().remove(&id);
+        conn.shared
+            .counters
+            .streams_active
+            .fetch_sub(1, Ordering::Relaxed);
+        let response = match result {
+            Ok(output) => Response::Final {
+                id,
+                output: WireOutput {
+                    trials_run: output.trials_run as u64,
+                    budget: output.budget as u64,
+                    stop: output.stop,
+                    from_cache: output.from_cache,
+                    estimate: WireEstimate::from_estimate(&output.estimate),
+                },
+            },
+            Err(e) => Response::Error(service_error_frame(id, &e)),
+        };
+        let _ = conn.send(&response);
+    });
 }
 
 /// Applies one edge-delta batch to the service's versioned graph head and
@@ -852,10 +827,7 @@ fn start_watch(conn: &Arc<Conn>, spec: CountSpec) {
                 .counters
                 .streams_opened
                 .fetch_add(1, Ordering::Relaxed);
-            conn.watches
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .insert(id, handle);
+            conn.lock_streams().insert(id, Stream::Watch(handle));
         }
         Err(e) => {
             let _ = conn.send(&Response::Error(service_error_frame(id, &e)));

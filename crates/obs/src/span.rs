@@ -254,7 +254,7 @@ impl Drop for SpanGuard {
 
 /// Suspends span recording on this thread until the guard drops. Guards
 /// nest; recording resumes when the outermost one is released. This is how
-/// `CountConfig { obs: false }` turns a single run's instrumentation off
+/// a request built with `.obs(false)` turns a single run's instrumentation off
 /// without touching the process-wide switch.
 pub fn suspend() -> PauseGuard {
     TL.with(|t| t.borrow_mut().suspended += 1);

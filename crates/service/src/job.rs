@@ -5,7 +5,8 @@
 //! [`Precision`] target that lets the scheduler stop early once the
 //! confidence interval is tight enough. Submission returns a [`JobHandle`];
 //! [`JobHandle::wait`] blocks until the worker pool produces a
-//! [`JobOutput`] (or a [`ServiceError`]).
+//! [`JobOutput`] (or a [`ServiceError`]); [`JobHandle::on_done`] hands it
+//! to a hook instead, on the thread that produces it.
 
 use crate::error::ServiceError;
 use sgc_core::{Algorithm, Estimate};
@@ -239,7 +240,8 @@ pub(crate) struct JobState {
     cancelled: AtomicBool,
     /// Optional per-chunk progress watcher, fixed at submission time.
     progress: Option<ProgressFn>,
-    /// Optional completion hook, taken by the fulfilment that wins the slot.
+    /// Optional completion hook, set at construction or by
+    /// [`JobHandle::on_done`], taken by the fulfilment that wins the slot.
     done: Mutex<Option<DoneFn>>,
 }
 
@@ -342,6 +344,25 @@ impl JobHandle {
     /// Blocks until the job completes and returns its output.
     pub fn wait(self) -> Result<JobOutput, ServiceError> {
         self.state.wait()
+    }
+
+    /// Runs `f` with the job's result exactly once: on the thread that
+    /// fulfils the job (a service worker, or the caller of
+    /// [`Service::shutdown`](crate::Service::shutdown)), or on this thread,
+    /// now, when the job is already fulfilled. Every admitted job is
+    /// fulfilled — by its run, a cancellation, or shutdown — so `f` always
+    /// runs. The fulfilling thread runs `f` with no lock held, but runs
+    /// nothing else meanwhile: keep it short or bounded.
+    pub fn on_done(self, f: impl FnOnce(Result<JobOutput, ServiceError>) + Send + 'static) {
+        // Under the slot lock `fulfill` takes, so the two cannot interleave.
+        let slot = self.state.slot.lock().unwrap_or_else(|p| p.into_inner());
+        match slot.clone() {
+            Some(result) => {
+                drop(slot);
+                f(result);
+            }
+            None => *self.state.done.lock().unwrap_or_else(|p| p.into_inner()) = Some(Box::new(f)),
+        }
     }
 
     /// Returns the result if the job has already completed, without
@@ -504,6 +525,67 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert!(matches!(runs[0], Err(ServiceError::WorkerLost)));
         assert!(matches!(state.peek(), Some(Err(ServiceError::WorkerLost))));
+    }
+
+    #[test]
+    fn a_hook_installed_before_fulfill_runs_on_the_fulfilling_thread() {
+        let state = Arc::new(JobState::with_progress(None));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = JobHandle {
+            state: Arc::clone(&state),
+        };
+        handle.on_done(move |result| {
+            tx.send((std::thread::current().id(), result)).unwrap();
+        });
+        assert!(rx.try_recv().is_err(), "the job is not fulfilled yet");
+        let fulfiller = std::thread::spawn(move || {
+            state.fulfill(Err(ServiceError::ShuttingDown));
+            std::thread::current().id()
+        });
+        let fulfiller = fulfiller.join().unwrap();
+        let (ran_on, result) = rx.try_recv().expect("fulfil ran the hook");
+        assert_eq!(ran_on, fulfiller);
+        assert!(matches!(result, Err(ServiceError::ShuttingDown)));
+    }
+
+    #[test]
+    fn a_hook_installed_after_fulfill_runs_on_the_caller() {
+        let state = Arc::new(JobState::with_progress(None));
+        state.fulfill(Err(ServiceError::Cancelled));
+        let ran_on = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&ran_on);
+        JobHandle { state }.on_done(move |result| {
+            assert!(matches!(result, Err(ServiceError::Cancelled)));
+            *sink.lock().unwrap() = Some(std::thread::current().id());
+        });
+        // `on_done` returned only after running the hook, on this thread.
+        assert_eq!(*ran_on.lock().unwrap(), Some(std::thread::current().id()));
+    }
+
+    #[test]
+    fn an_on_done_hook_runs_exactly_once_even_for_an_error() {
+        let runs: Arc<Mutex<Vec<Result<JobOutput, ServiceError>>>> = Arc::default();
+        let state = Arc::new(JobState::with_progress(None));
+        let sink = Arc::clone(&runs);
+        let handle = JobHandle {
+            state: Arc::clone(&state),
+        };
+        handle.on_done(move |result| sink.lock().unwrap().push(result));
+        state.fulfill(Err(ServiceError::WorkerLost));
+        state.fulfill(Err(ServiceError::ShuttingDown));
+        // A hook installed after fulfilment runs once too, with the same
+        // winning result.
+        let sink = Arc::clone(&runs);
+        JobHandle {
+            state: Arc::clone(&state),
+        }
+        .on_done(move |result| sink.lock().unwrap().push(result));
+        state.fulfill(Err(ServiceError::Cancelled));
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 2);
+        assert!(runs
+            .iter()
+            .all(|run| matches!(run, Err(ServiceError::WorkerLost))));
     }
 
     #[test]

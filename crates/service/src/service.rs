@@ -494,19 +494,6 @@ impl Service {
         self.admit_one(&mut job, None, Some(version))
     }
 
-    /// [`submit_at`](Service::submit_at) with a progress watcher, following
-    /// the [`submit_with_progress`](Service::submit_with_progress)
-    /// contract: one update per completed chunk, each bit-identical to a
-    /// fixed-budget run of exactly that many trials at that version.
-    pub fn submit_at_with_progress(
-        &self,
-        version: VersionId,
-        mut job: CountJob,
-        progress: ProgressFn,
-    ) -> Result<JobHandle, ServiceError> {
-        self.admit_one(&mut job, Some(progress), Some(version))
-    }
-
     /// Counts at a version and blocks: [`submit_at`](Service::submit_at)
     /// plus [`JobHandle::wait`] in one call.
     pub fn count_at(&self, version: VersionId, job: CountJob) -> Result<JobOutput, ServiceError> {

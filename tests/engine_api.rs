@@ -7,7 +7,7 @@ use subgraph_counting::core::context::prep_build_count;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::Coloring;
 use subgraph_counting::query::{catalog, QueryError, QueryGraph};
-use subgraph_counting::{Algorithm, CountConfig, Engine, SgcError};
+use subgraph_counting::{Algorithm, Engine, SgcError};
 
 #[test]
 fn mismatched_coloring_size_is_a_typed_error() {
@@ -82,11 +82,7 @@ fn zero_ranks_is_a_typed_error_for_run_and_estimate() {
         SgcError::ZeroRanks
     );
     assert_eq!(
-        engine
-            .count(&query)
-            .config(CountConfig::default().with_ranks(0))
-            .estimate()
-            .unwrap_err(),
+        engine.count(&query).ranks(0).estimate().unwrap_err(),
         SgcError::ZeroRanks
     );
 }

@@ -455,6 +455,67 @@ fn a_count_cannot_reuse_a_live_watch_id() {
     server.shutdown();
 }
 
+/// A count's id is free again by the time its terminal frame is on the
+/// wire: a client that reuses one id for every job, sending the next count
+/// the moment it reads the previous `final`, is never refused.
+#[test]
+fn an_id_is_free_again_once_its_final_is_read() {
+    let mut server = start_server(2, 16, 2);
+    let mut raw = raw_client(server.local_addr());
+    // Each count goes out the moment the previous final is read.
+    raw.set_nodelay(true).unwrap();
+    for seed in 0..200 {
+        write_request(
+            &mut raw,
+            &Request::Count(count_spec(1, "cycle(3)", seed, 2)),
+        );
+        loop {
+            match read_response(&mut raw) {
+                Some(Response::Chunk(frame)) => assert_eq!(frame.id, 1),
+                Some(Response::Final { id, output }) => {
+                    assert_eq!(id, 1);
+                    assert_eq!(output.trials_run, 2, "count {seed}");
+                    break;
+                }
+                other => panic!("count {seed}: expected its final, got {other:?}"),
+            }
+        }
+    }
+    write_request(&mut raw, &Request::Bye);
+    assert!(matches!(read_response(&mut raw), Some(Response::ByeOk)));
+    server.shutdown();
+    assert_eq!(server.stats().streams_opened, 200);
+    assert_eq!(server.stats().streams_active, 0);
+}
+
+/// `bye-ok` is the last frame on a connection: a count still streaming when
+/// the client says goodbye is cancelled, and its terminal frame is never
+/// written after the acknowledgement. The job still settles: after
+/// shutdown no stream is left active.
+#[test]
+fn bye_ok_is_the_last_frame() {
+    let mut server = start_server(1, 16, 2);
+    let mut raw = raw_client(server.local_addr());
+    let endless = CountSpec {
+        budget: 1 << 40,
+        precision: Some(Precision::within(1e-15)),
+        ..count_spec(1, "cycle(3)", 5, 0)
+    };
+    write_request(&mut raw, &Request::Count(endless));
+    assert!(matches!(read_response(&mut raw), Some(Response::Chunk(_))));
+    write_request(&mut raw, &Request::Bye);
+    let mut last = None;
+    while let Some(response) = read_response(&mut raw) {
+        last = Some(response);
+    }
+    assert!(
+        matches!(last, Some(Response::ByeOk)),
+        "the last frame was {last:?}"
+    );
+    server.shutdown();
+    assert_eq!(server.stats().streams_active, 0);
+}
+
 /// The plain `count` verb answers at the **root** — the graph the server
 /// was bound to — however many deltas have landed, in the cache slot of
 /// `count_at(root)`; the head is what `count_at(head)` answers.
