@@ -6,7 +6,9 @@
 //!
 //! * leaf-edge blocks are a one-path program — a short chain of joins (edge
 //!   realization plus the node annotations of the two endpoints) — followed
-//!   by a projection onto the boundary node,
+//!   by a projection onto the boundary node; a *bare pendant* (a graph edge
+//!   whose ends carry no annotation) is that projection alone, counting
+//!   each start's neighbours by colour,
 //! * cycle blocks are split into two path segments, each built by a
 //!   sequence of joins (initial edge, EdgeJoin, NodeJoin — Figures 4, 6 and
 //!   7), and merged back; the PS algorithm uses a single split at the
@@ -34,12 +36,19 @@
 //!   block's projection accumulator spans tiles. Tiles are the outer loop
 //!   and the program's run the inner one,
 //! * every path of a tile whose first edge is a graph edge starts from the
-//!   same edge set (`P+` and `P-` of every DB split, both PS paths, the
-//!   leaf-edge chain): the tile's seeds are enumerated once, into an
-//!   appended table the first steps copy their tables from,
+//!   same edge set (`P+` and `P-` of every DB split, both PS paths, an
+//!   annotated leaf-edge chain): the tile's seeds are enumerated once, into
+//!   an appended table the first steps copy their tables from. A path
+//!   tracks only its interior boundary nodes in extra slots — its start and
+//!   end stay in key fields 0 and 1 until the merge writes their slots — so
+//!   first steps differ only by how they realize the edge and which
+//!   interior node they track. A bare pendant's projection is the seeds
+//!   summed by start and colour: it counts them straight from the graph
+//!   into a `k`-entry counter and builds no seed table,
 //! * only join outputs are hashed: a first table's keys — seed edges, or a
 //!   child slice's rows — are distinct by construction, so it is appended
-//!   ([`ColumnarTable::append`]) without probing; a semi step (the EdgeJoin
+//!   ([`ColumnarTable::append`]) without probing, and so are a bare
+//!   pendant's `(start, colour pair)` rows; a semi step (the EdgeJoin
 //!   mapping the end of an uneven split's longer path) probes its partner's
 //!   endpoint groups first and hashes only the rows the merge can pair,
 //! * every path table is sorted by start, so the merge and the semi steps
@@ -105,7 +114,8 @@ impl KernelMetrics {
 
 /// All scratch storage one block solve needs, reusable across trials.
 ///
-/// `seeds` holds the current tile's graph-edge seeds; `paths` the path
+/// `seeds` holds the current tile's graph-edge seeds; `by_color` a bare
+/// pendant's neighbour counts of one start, by colour; `paths` the path
 /// tables a path program run addresses — the two ping-pong tables of a
 /// join chain, the parked `P+` of a split while its `P-` is built, and the
 /// memo tables of the steps two or more consumers read, each alive until
@@ -116,6 +126,8 @@ impl KernelMetrics {
 pub struct KernelArena {
     /// The current tile's graph-edge seeds.
     seeds: TileSeeds,
+    /// A bare pendant's per-colour neighbour counts of one start vertex.
+    by_color: Vec<Count>,
     /// The path tables of a program run, by the program's table number.
     paths: Vec<ColumnarTable>,
     /// The block projection accumulator (summed over DB splits); between
@@ -140,6 +152,7 @@ impl KernelArena {
     /// Total allocated capacity across all tables and scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
         self.seeds.capacity_bytes()
+            + self.by_color.capacity() * mem::size_of::<Count>()
             + (self.paths.iter())
                 .map(ColumnarTable::capacity_bytes)
                 .sum::<usize>()
@@ -174,7 +187,8 @@ impl KernelArena {
 /// below `u` in the degree order, the only first edges a high-starting path
 /// can take. `high_start` is fixed for a block solve, so this one set is the
 /// first table of every path of the tile whose first edge is a graph edge,
-/// up to the extras each path sets.
+/// up to the interior slot each path sets. A bare pendant's projection
+/// counts the same edges without storing them.
 #[derive(Debug, Default)]
 struct TileSeeds {
     /// One `(u, w, {c(u), c(w)}, 1)` row per seed, appended: the keys are
@@ -334,6 +348,7 @@ fn solve_block_tiled(
     let partial = arena.take_rows(PARTIAL_ROWS);
     let KernelArena {
         seeds,
+        by_color,
         paths,
         proj,
         groups,
@@ -373,7 +388,13 @@ fn solve_block_tiled(
                     proj,
                     metrics,
                 ),
-                Instr::Project { table, field } => project(&paths[*table], *field, proj),
+                Instr::Project {
+                    table: Some(table),
+                    field,
+                } => project(&paths[*table], *field, proj),
+                Instr::Project { table: None, field } => {
+                    project_pendant(ctx, tile.clone(), field.is_some(), by_color, proj, metrics)
+                }
             }
         }
     }
@@ -432,13 +453,8 @@ fn run_step(
         &tables[step.src]
     };
     match step.op {
-        StepOp::First {
-            via,
-            from_slot,
-            to_slot,
-        } => {
-            let slots = [from_slot, to_slot];
-            initial_join(joins, via, slots, tile, seeds, &mut dst, weight, metrics);
+        StepOp::First { via, to_slot } => {
+            initial_join(joins, via, to_slot, tile, seeds, &mut dst, weight, metrics);
         }
         StepOp::NodeJoin { field, child } => {
             let child = joins.index.child_table(child);
@@ -462,15 +478,15 @@ fn run_step(
 }
 
 /// Seeds the initial table for the first edge of the paths starting in
-/// `starts` (one tile of the context's start range), with the start's and
-/// the second node's images in their extra `slots`. Its keys are distinct
-/// by construction, so every row is appended without probing. The step
-/// stands for `weight` written ones.
+/// `starts` (one tile of the context's start range), with the second node's
+/// image in its extra slot `to_slot`, if any. Its keys are distinct by
+/// construction, so every row is appended without probing. The step stands
+/// for `weight` written ones.
 #[allow(clippy::too_many_arguments)]
 fn initial_join(
     joins: &Joins<'_, '_>,
     via: Via,
-    slots: [Option<usize>; 2],
+    to_slot: Option<usize>,
     starts: Range<VertexId>,
     seeds: &mut TileSeeds,
     out: &mut ColumnarTable,
@@ -479,12 +495,8 @@ fn initial_join(
 ) {
     let ctx = joins.ctx;
     out.reset();
-    let [from_slot, to_slot] = slots;
     let seed_key = |u: VertexId, w: VertexId| {
         let mut key = path_key(u, w);
-        if let Some(slot) = from_slot {
-            key[2 + slot] = u;
-        }
         if let Some(slot) = to_slot {
             key[2 + slot] = w;
         }
@@ -650,6 +662,53 @@ fn project(table: &ColumnarTable, field: Option<usize>, proj: &mut ColumnarTable
             }
             pipe.flush(proj);
         }
+    }
+}
+
+/// Projects a bare pendant — a leaf-edge block realized by the graph whose
+/// ends carry no annotation — for the starts of one tile, straight from the
+/// graph: each start `u`'s neighbours `w` with `c(w) ≠ c(u)`, counted by
+/// colour in `by_color`, become one row `(u, {c(u), c}, n)` per colour `c`
+/// met (`keyed`), or are summed onto the scalar total. The written
+/// algorithm's first table holds one `(u, w, {c(u), c(w)}, 1)` row per such
+/// neighbour and [`project`] sums those rows by `(u, signature)` into the
+/// same rows, which are distinct by construction: they are appended, and
+/// nothing is hashed. Operations (`neighbors(u).len()` at `u`'s rank) and
+/// the observed seed count are the first step's.
+fn project_pendant(
+    ctx: &Context<'_>,
+    starts: Range<VertexId>,
+    keyed: bool,
+    by_color: &mut Vec<Count>,
+    proj: &mut ColumnarTable,
+    metrics: &mut RunMetrics,
+) {
+    by_color.clear();
+    by_color.resize(ctx.num_colors(), 0);
+    let mut seeds: Count = 0;
+    for u in starts {
+        let neighbors = ctx.graph.neighbors(u);
+        metrics.record_ops(&ctx.partition, u, neighbors.len() as u64);
+        for &w in neighbors {
+            by_color[ctx.color(w) as usize] += 1;
+        }
+        let cu = ctx.color(u);
+        by_color[cu as usize] = 0;
+        for (c, n) in by_color.iter_mut().enumerate() {
+            if *n == 0 {
+                continue;
+            }
+            seeds += *n;
+            if keyed {
+                let key = [u, NO_VERTEX, NO_VERTEX, NO_VERTEX];
+                proj.append(key, Signature::pair(cu, c as u8), *n);
+            }
+            *n = 0;
+        }
+    }
+    metrics.observe_table(seeds as usize);
+    if !keyed {
+        proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), seeds);
     }
 }
 
@@ -989,6 +1048,85 @@ mod tests {
             }
         }
         assert!(shared_somewhere, "no program shared a step");
+    }
+
+    /// A bare pendant's projection counts each start's neighbours by colour
+    /// instead of projecting the seed table the written algorithm builds:
+    /// on every bare-pendant block of the registry, `path(4)` and the one
+    /// edge `path(2)` (a bare pendant at the root, projected onto the
+    /// scalar), serial and over three shards, at every tile budget, each
+    /// shard's exported rows are the written program's as a multiset, and
+    /// so are its operations, per-rank load, created entries and peak.
+    #[test]
+    fn a_bare_pendant_counts_what_its_projection_built() {
+        let g = skewed_graph();
+        let prep = GraphPrep::new(&g);
+        let registry = sgc_query::Registry::builtin();
+        let queries = (registry.entries())
+            .map(|entry| (entry.name().to_string(), entry.query().clone()))
+            .chain([2, 4].map(|n| (format!("path({n})"), sgc_query::catalog::path(n))));
+        let (mut keyed, mut scalar) = (0, 0);
+        for (name, query) in queries {
+            let tree = sgc_query::heuristic_plan(&query).unwrap();
+            let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
+            for block in &tree.blocks {
+                let algorithm = Algorithm::DegreeBased;
+                let program = PathProgram::compile(&tree, block, algorithm);
+                if !matches!(program.run(), [Instr::Project { table: None, .. }]) {
+                    continue;
+                }
+                match block.boundary.len() {
+                    0 => scalar += 1,
+                    _ => keyed += 1,
+                }
+                let written = PathProgram::compile_unshared(&tree, block, algorithm);
+                // A bare pendant reads no child table.
+                let index = BlockJoinIndex::build(block, &[], |_| RowGroups::default());
+                for shards in [1, 3] {
+                    let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                    let contexts: Vec<Context<'_>> = (0..shards)
+                        .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                        .collect();
+                    for budget in [0, TILE_EDGES, usize::MAX] {
+                        let solve = |program: &PathProgram| {
+                            let mut arena = KernelArena::new();
+                            let mut metrics = RunMetrics::new(8);
+                            let (a, m) = (&mut arena, &mut metrics);
+                            let partials: Vec<RowGroups> = (contexts.iter())
+                                .map(|ctx| {
+                                    solve_block_tiled(ctx, block, &index, program, budget, a, m)
+                                })
+                                .collect();
+                            (partials, metrics)
+                        };
+                        let (partials, counted) = solve(&program);
+                        let (written_partials, projected) = solve(&written);
+                        let what = format!(
+                            "{name} block {}, {shards} shard(s), budget {budget}",
+                            block.id
+                        );
+                        for (a, b) in partials.iter().zip(&written_partials) {
+                            let sorted = |rows: &RowGroups| {
+                                let mut rows = rows.rows().to_vec();
+                                rows.sort_unstable();
+                                rows
+                            };
+                            assert_eq!(sorted(a), sorted(b), "{what}");
+                            assert_eq!(a.is_scalar(), b.is_scalar(), "{what}");
+                            assert_eq!(a.total(), b.total(), "{what}");
+                        }
+                        assert_eq!(counted.total_ops, projected.total_ops, "{what}");
+                        assert_eq!(counted.load.per_rank(), projected.load.per_rank(), "{what}");
+                        assert_eq!(counted.entries_created, projected.entries_created, "{what}");
+                        assert_eq!(
+                            counted.peak_table_entries, projected.peak_table_entries,
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(keyed > 0 && scalar > 0, "keyed {keyed}, scalar {scalar}");
     }
 
     /// Semi-joining an uneven split's longer path against its shorter one

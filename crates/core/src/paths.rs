@@ -11,14 +11,17 @@
 //!   the one regrouping a join can still need: a binary child traversed from
 //!   its second boundary node,
 //! * `PathProgram` — the block's path builds and merges, compiled from the
-//!   query alone: which extra slot tracks which boundary node, how each
-//!   cycle edge is realized (by the data graph's edges or by the binary
-//!   projection table of the child block annotating it), and which joins
-//!   each written path runs — with equal steps of equal prefixes built once
-//!   and equal splits merged once with their multiplicity, so a tile runs
-//!   one run per distinct split, and the longer path of an uneven split
-//!   semi-joined against the shorter one, so it stores no row the merge
-//!   cannot pair. Whether the DB algorithm's *high-starting*
+//!   query alone: which extra slot tracks which boundary node inside a
+//!   path (a path's start and end stay in its key, and the merge writes
+//!   their slots), how each cycle edge is realized (by the data graph's
+//!   edges or by the binary projection table of the child block annotating
+//!   it), and which joins each written path runs — with equal steps of
+//!   equal prefixes built once and equal splits merged once with their
+//!   multiplicity, so a tile runs one run per distinct split, the longer
+//!   path of an uneven split semi-joined against the shorter one, so it
+//!   stores no row the merge cannot pair, and a bare pendant (a leaf edge
+//!   realized by the graph, with no annotation on either end) projected
+//!   straight from the graph. Whether the DB algorithm's *high-starting*
 //!   constraint applies (the image of the path's start node must be
 //!   strictly higher, in the degree ordering, than the image of every other
 //!   cycle node) is the program's too.
@@ -140,13 +143,12 @@ pub(crate) enum Via {
 /// tile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum StepOp {
-    /// The initial edge: the path's first table, with the start's and the
-    /// second node's images tracked in their extra slots, if any.
+    /// The initial edge: the path's first table, with the second node's
+    /// image tracked in its extra slot if it is a boundary node inside the
+    /// path. The start's image never leaves key field 0, so it has no slot.
     First {
         /// The first edge's realization.
         via: Via,
-        /// The extra slot of the path's start node.
-        from_slot: Option<usize>,
         /// The extra slot of the path's second node.
         to_slot: Option<usize>,
     },
@@ -161,7 +163,8 @@ pub(crate) enum StepOp {
     EdgeJoin {
         /// The edge's realization.
         via: Via,
-        /// The extra slot of the newly mapped node.
+        /// The extra slot of the newly mapped node, if it is a boundary node
+        /// inside the path.
         to_slot: Option<usize>,
     },
 }
@@ -224,8 +227,11 @@ pub(crate) enum Instr {
     /// Project a leaf-edge block's finished path onto the key field of its
     /// boundary node (`None`: onto the scalar total).
     Project {
-        /// The path table projected.
-        table: usize,
+        /// The path table projected; `None` for a *bare pendant*, a leaf
+        /// edge realized by the graph whose two ends carry no annotation.
+        /// Its one path would be the tile's seeds, so the projection counts
+        /// each start's neighbours by colour instead and runs no step.
+        table: Option<usize>,
         /// The key field holding the boundary node's image.
         field: Option<usize>,
     },
@@ -411,17 +417,7 @@ impl PathProgram {
                 project = Some((path, field));
             }
             BlockKind::Cycle { .. } => {
-                let l = nodes.len();
-                let splits: Vec<_> = match algorithm {
-                    Algorithm::PathSplitting => {
-                        let (s, t) = ps_split_positions(block, &nodes);
-                        vec![split_paths(l, s, t)]
-                    }
-                    Algorithm::DegreeBased => {
-                        (0..l).map(|h| split_paths(l, h, (h + l / 2) % l)).collect()
-                    }
-                };
-                for (plus, minus) in &splits {
+                for (plus, minus) in &written_splits(block, &nodes, algorithm) {
                     // Convention (Section 5.2): P+ folds in the annotation
                     // of the end node a_d / a_t, P- that of the start node
                     // a_h / a_s, so each endpoint annotation is joined
@@ -510,7 +506,15 @@ impl PathProgram {
             }));
         }
         if let Some((path, field)) = project {
-            let table = schedule.table_of(path, false);
+            // A bare pendant projected onto its start (or the scalar) is
+            // the tile's seeds counted by start and colour: no seed table,
+            // no step. The written algorithm builds its first table.
+            let bare = block.node_annotations.is_empty() && block.edge_annotations.is_empty();
+            let table = if share && bare && field != Some(1) {
+                None
+            } else {
+                Some(schedule.table_of(path, false))
+            };
             schedule.run.push(Instr::Project { table, field });
         }
         PathProgram {
@@ -542,12 +546,11 @@ impl PathProgram {
         self.tables
     }
 
-    /// Path steps one tile runs.
+    /// Path steps one tile runs; a bare pendant's projection runs its one
+    /// step's enumeration.
     pub(crate) fn distinct_steps(&self) -> usize {
-        self.run
-            .iter()
-            .filter(|i| matches!(i, Instr::Step(_)))
-            .count()
+        let step = |i: &&Instr| matches!(i, Instr::Step(_) | Instr::Project { table: None, .. });
+        self.run.iter().filter(step).count()
     }
 
     /// Path steps the written algorithm runs per tile.
@@ -623,6 +626,11 @@ impl Schedule<'_> {
 /// The written steps of the path visiting cycle `positions` (for a leaf
 /// edge, `[0, 1]`), folding in the start node's annotation if `start` and
 /// the end node's if `end` (inner nodes' always).
+///
+/// Only a boundary node inside the path gets an extra slot. The start's
+/// image stays in key field 0 and the end's in key field 1 until the merge,
+/// which writes both endpoint slots from the join fields, so a slot for
+/// either would only make steps that compute the same table look distinct.
 fn path_ops(
     tree: &DecompositionTree,
     block: &Block,
@@ -636,25 +644,28 @@ fn path_ops(
         let child = block.node_annotation(node)?;
         Some(StepOp::NodeJoin { field, child })
     };
-    let (first, second) = (nodes[positions[0]], nodes[positions[1]]);
+    let last = positions.len() - 1;
+    // The slot of the node at `positions[idx]`, unless it is the path's end.
+    let interior_slot = |idx: usize| {
+        let node = nodes[positions[idx]];
+        (idx < last).then(|| slot_of(block, node)).flatten()
+    };
     let mut ops = vec![StepOp::First {
         via: via(tree, block, nodes, positions[0], positions[1]),
-        from_slot: slot_of(block, first),
-        to_slot: slot_of(block, second),
+        to_slot: interior_slot(1),
     }];
     if start {
-        ops.extend(node_join(first, Field::Start));
+        ops.extend(node_join(nodes[positions[0]], Field::Start));
     }
-    for idx in 1..positions.len() {
-        let node = nodes[positions[idx]];
+    for idx in 1..=last {
         if idx > 1 {
             ops.push(StepOp::EdgeJoin {
                 via: via(tree, block, nodes, positions[idx - 1], positions[idx]),
-                to_slot: slot_of(block, node),
+                to_slot: interior_slot(idx),
             });
         }
-        if idx < positions.len() - 1 || end {
-            ops.extend(node_join(node, Field::End));
+        if idx < last || end {
+            ops.extend(node_join(nodes[positions[idx]], Field::End));
         }
     }
     ops
@@ -699,6 +710,24 @@ fn via(tree: &DecompositionTree, block: &Block, nodes: &[QueryNode], i: usize, j
     Via::Child {
         annotation,
         forward,
+    }
+}
+
+/// The written splits of cycle block `block` (visiting `nodes`) under
+/// `algorithm`, as the position lists of their two paths: PS's one split,
+/// or DB's one per candidate highest node (Equation 1).
+fn written_splits(
+    block: &Block,
+    nodes: &[QueryNode],
+    algorithm: Algorithm,
+) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let l = nodes.len();
+    match algorithm {
+        Algorithm::PathSplitting => {
+            let (s, t) = ps_split_positions(block, nodes);
+            vec![split_paths(l, s, t)]
+        }
+        Algorithm::DegreeBased => (0..l).map(|h| split_paths(l, h, (h + l / 2) % l)).collect(),
     }
 }
 
@@ -825,7 +854,60 @@ mod tests {
         let with_itself = db_merges.iter().filter(|m| m.plus == m.minus);
         assert!(with_itself.clone().all(|m| m.multiplicity == 1));
         assert_eq!(with_itself.count(), 2);
-        assert_eq!(counts(&db), [(8, 16), (3, 4)]);
+        assert_eq!(counts(&db), [(6, 16), (3, 4)]);
+    }
+
+    /// Only a boundary node inside a path gets an extra slot: the start's
+    /// image stays in key field 0 and the end's in key field 1 until the
+    /// merge writes both endpoint slots from them. On every registry block
+    /// under PS and DB, every written path's steps fill exactly the slots of
+    /// its interior boundary nodes, in path order — never an endpoint's. So
+    /// `glet1`'s triangle, whose three DB splits differed only in the
+    /// endpoint slots their paths filled, now shares steps.
+    #[test]
+    fn a_path_tracks_only_its_interior_boundary_nodes() {
+        for entry in Registry::builtin().entries() {
+            let tree = plan(entry.query());
+            for block in &tree.blocks {
+                let nodes = block.kind.nodes();
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    let what = format!("{} block {} under {algorithm}", entry.name(), block.id);
+                    let paths: Vec<Vec<usize>> = match block.kind {
+                        BlockKind::LeafEdge { .. } => vec![vec![0, 1]],
+                        BlockKind::Cycle { .. } => (written_splits(block, &nodes, algorithm))
+                            .into_iter()
+                            .flat_map(|(plus, minus)| [plus, minus])
+                            .collect(),
+                    };
+                    for positions in &paths {
+                        let ops = path_ops(&tree, block, &nodes, positions, true, true);
+                        let filled: Vec<usize> = (ops.iter())
+                            .filter_map(|op| match *op {
+                                StepOp::First { to_slot, .. } => to_slot,
+                                StepOp::EdgeJoin { to_slot, .. } => to_slot,
+                                StepOp::NodeJoin { .. } => None,
+                            })
+                            .collect();
+                        let inside = &positions[1..positions.len() - 1];
+                        let interior: Vec<usize> = (inside.iter())
+                            .filter_map(|&p| slot_of(block, nodes[p]))
+                            .collect();
+                        assert_eq!(filled, interior, "{what}, path {positions:?}");
+                    }
+                }
+            }
+        }
+        let tree = plan(&catalog::glet1());
+        let triangles = tree.blocks.iter().filter(|b| b.cycle_length() == 3);
+        let [triangle] = triangles.collect::<Vec<_>>()[..] else {
+            panic!("glet1 has one triangle block")
+        };
+        let db = PathProgram::compile(&tree, triangle, Algorithm::DegreeBased);
+        assert!(
+            (db.distinct_steps() as u64) < db.written_steps(),
+            "{:?}",
+            counts(&db)
+        );
     }
 
     /// PS runs one split, and a leaf-edge block one path and no merge: no

@@ -380,8 +380,10 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<RawFrame>,
     Ok(Some(RawFrame { tag, payload: body }))
 }
 
-/// Writes one frame (length prefix, tag, payload) and flushes nothing —
-/// callers flush once per logical message.
+/// Writes one frame (length prefix, tag, payload) with one `write_all` and
+/// flushes nothing — callers flush once per logical message. On an
+/// unbuffered socket each write is a syscall, and with Nagle on, a header
+/// written apart from its payload can wait for a delayed ACK.
 ///
 /// # Errors
 /// The transport's I/O errors; an oversized payload is reported as
@@ -399,9 +401,11 @@ pub fn write_frame(
             format!("frame of {len} bytes exceeds the {max_len}-byte limit"),
         ));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(&[tag])?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.push(tag);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
 }
 
 #[cfg(test)]
@@ -488,6 +492,42 @@ mod tests {
         assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
             .is_none());
+    }
+
+    /// A `Write` that keeps what it is given and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One frame is one write to the transport — one syscall on a socket —
+    /// carrying the length prefix, the tag and the payload.
+    #[test]
+    fn a_frame_is_one_write() {
+        let payload = b"one write per frame";
+        let mut counted = CountingWriter::default();
+        write_frame(&mut counted, 0x42, payload, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(counted.writes, 1);
+        let mut expected = ((payload.len() + 1) as u32).to_be_bytes().to_vec();
+        expected.push(0x42);
+        expected.extend_from_slice(payload);
+        assert_eq!(counted.bytes, expected);
+        write_frame(&mut counted, 0x01, b"", DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(counted.writes, 2);
+        assert_eq!(&counted.bytes[expected.len()..], &[0, 0, 0, 1, 0x01]);
     }
 
     #[test]
