@@ -3,13 +3,25 @@
 /// Which algorithm solves the cycle blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// The baseline Path Splitting algorithm (Figure 4): equivalent to the
-    /// dynamic program of Alon et al.; cycles are split at their boundary
-    /// nodes and paths are extended without any pruning.
+    /// The baseline Path Splitting (PS) algorithm: the paper's rephrasing of
+    /// the original Alon et al. color-coding dynamic program over the
+    /// decomposition tree (Section 5.1, Figure 4). Each cycle is split at its
+    /// boundary nodes into the two paths `P+` and `P-`, each path's
+    /// projection table is built by extending one edge at a time, and the
+    /// two are joined. No degree information is used, which on skewed graphs
+    /// leads to large intermediate tables around high-degree vertices and to
+    /// load imbalance — exactly the behaviour the DB algorithm addresses.
     PathSplitting,
-    /// The paper's Degree Based algorithm (Figures 5–7): cycles are split at
-    /// every possible highest node under the degree ordering, and only
-    /// high-starting paths are extended.
+    /// The Degree Based (DB) algorithm, the paper's main contribution. It
+    /// partitions the colorful matches of every cycle block by the *highest*
+    /// data vertex (in the increasing degree-then-id order) among the images
+    /// of the cycle's nodes, and computes each group separately by building
+    /// only *high-starting* paths from that vertex (Section 5.1, Figures
+    /// 5–6; generalised to annotated cycles in Section 5.2, Figure 7). The
+    /// `u ≻ w` pruning keeps high-degree vertices from blowing up the
+    /// intermediate tables, which both reduces total work and balances the
+    /// per-rank load — the MINBUCKET idea lifted from triangles to arbitrary
+    /// treewidth-2 queries. PS and DB compute the same count.
     DegreeBased,
 }
 

@@ -209,13 +209,6 @@ impl<'a> Context<'a> {
         &self.prep.order
     }
 
-    /// Neighbors of `v` sorted by ascending degree rank.
-    #[inline]
-    pub fn neighbors_by_rank(&self, v: VertexId) -> &[VertexId] {
-        let v = v as usize;
-        &self.prep.ranked_neighbors[self.prep.ranked_offsets[v]..self.prep.ranked_offsets[v + 1]]
-    }
-
     /// The neighbors of `v` that are strictly lower than `than` in the degree
     /// ordering — the only candidates a high-starting path from `than` may
     /// extend to.
@@ -281,21 +274,21 @@ mod tests {
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
         let ctx = Context::new(&g, &prep, &col, 2).unwrap();
         for v in g.vertices() {
-            let ranked = ctx.neighbors_by_rank(v);
-            assert_eq!(ranked.len(), g.degree(v));
-            assert!(ranked
-                .windows(2)
-                .all(|w| ctx.order().rank(w[0]) <= ctx.order().rank(w[1])));
-            for &than in &[0u32, 1, 2, 3] {
-                for &w in ctx.lower_neighbors(v, than) {
-                    assert!(ctx.order().higher(than, w));
-                }
-                let lower = ctx.lower_neighbors(v, than).len();
-                let full: usize = ranked
+            for than in g.vertices() {
+                let lower = ctx.lower_neighbors(v, than);
+                assert!(lower
+                    .windows(2)
+                    .all(|w| ctx.order().rank(w[0]) <= ctx.order().rank(w[1])));
+                let mut got = lower.to_vec();
+                got.sort_unstable();
+                let mut want: Vec<VertexId> = g
+                    .neighbors(v)
                     .iter()
-                    .filter(|&&w| ctx.order().higher(than, w))
-                    .count();
-                assert_eq!(lower, full);
+                    .copied()
+                    .filter(|&w| ctx.order().higher(than, w))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "lower neighbors of {v} than {than}");
             }
         }
     }

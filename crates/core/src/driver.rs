@@ -106,6 +106,39 @@ mod tests {
         assert_eq!(res.colorful_matches, 4);
     }
 
+    /// PS and DB must agree on every query/coloring — this is the core
+    /// equivalence the paper relies on (they compute the same quantity).
+    #[test]
+    fn db_equals_ps_on_a_small_skewed_graph() {
+        // A star plus a few cycle edges, so degrees differ substantially.
+        let mut b = GraphBuilder::new(8);
+        for v in 1..8 {
+            b.add_edge(0, v);
+        }
+        b.extend_edges([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1)]);
+        let g = b.build();
+        let engine = Engine::new(&g);
+        for (qname, query) in [
+            ("triangle", sgc_query::catalog::triangle()),
+            ("c4", sgc_query::catalog::cycle(4)),
+            ("glet1", sgc_query::catalog::glet1()),
+            ("youtube", sgc_query::catalog::youtube()),
+        ] {
+            for seed in 0..3 {
+                let coloring = Coloring::random(8, query.num_nodes(), seed);
+                let count = |alg| {
+                    let res = engine.count(&query).algorithm(alg).coloring(&coloring);
+                    res.run().unwrap().colorful_matches
+                };
+                assert_eq!(
+                    count(Algorithm::DegreeBased),
+                    count(Algorithm::PathSplitting),
+                    "PS/DB disagree on {qname} with seed {seed}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn wrong_color_count_is_an_error_not_a_panic() {
         let g = cycle_graph(4);

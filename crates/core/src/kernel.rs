@@ -70,7 +70,7 @@ use crate::metrics::RunMetrics;
 use crate::paths::{
     combine_extras, BlockJoinIndex, Field, Instr, Merge, PathProgram, Step, StepOp, Via,
 };
-use sgc_engine::columnar::{path_key, AddPipeline, KEY_FIELDS};
+use sgc_engine::columnar::{path_key, KEY_FIELDS};
 use sgc_engine::{BlockTable, ColumnarTable, Count, EndpointGroups, RowGroups, Signature};
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
 use sgc_query::{Block, BlockId};
@@ -552,7 +552,6 @@ fn node_join(
     metrics: &mut RunMetrics,
 ) {
     dst.reset();
-    let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
         let x = match field {
             Field::Start => key[0],
@@ -565,10 +564,9 @@ fn node_join(
             if sig.intersection(row.sig) != shared {
                 continue;
             }
-            pipe.push(dst, key, sig.union(row.sig), count * row.count);
+            dst.add(key, sig.union(row.sig), count * row.count);
         }
     }
-    pipe.flush(dst);
     metrics.observe_tables(dst.len(), weight);
 }
 
@@ -594,7 +592,6 @@ fn edge_join(
     let ctx = joins.ctx;
     dst.reset();
     let child = joins.edge_child(via);
-    let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
         let v = key[1];
         let shared = ctx.color_sig(v);
@@ -619,7 +616,7 @@ fn edge_join(
                     if let Some(slot) = to_slot {
                         new_key[2 + slot] = w;
                     }
-                    pipe.push(dst, new_key, sig.with(cw), count);
+                    dst.add(new_key, sig.with(cw), count);
                 }
             }
             Some(child) => {
@@ -641,12 +638,11 @@ fn edge_join(
                     if let Some(slot) = to_slot {
                         new_key[2 + slot] = w;
                     }
-                    pipe.push(dst, new_key, sig.union(row.sig), count * row.count);
+                    dst.add(new_key, sig.union(row.sig), count * row.count);
                 }
             }
         }
     }
-    pipe.flush(dst);
     metrics.observe_tables(dst.len(), weight);
 }
 
@@ -656,11 +652,9 @@ fn project(table: &ColumnarTable, field: Option<usize>, proj: &mut ColumnarTable
     match field {
         None => proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), table.total()),
         Some(f) => {
-            let mut pipe = AddPipeline::new();
             for (key, sig, count) in table.rows() {
-                pipe.push(proj, [key[f], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
+                proj.add([key[f], NO_VERTEX, NO_VERTEX, NO_VERTEX], sig, count);
             }
-            pipe.flush(proj);
         }
     }
 }

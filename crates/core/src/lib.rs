@@ -3,10 +3,11 @@
 //! The paper's algorithms, built on the substrates in `sgc-graph`,
 //! `sgc-query` and `sgc-engine`:
 //!
-//! * [`ps`] / [`db`] — the Path Splitting baseline (the Alon et al. dynamic
-//!   program rephrased over the decomposition tree, Figure 4) and the Degree
-//!   Based algorithm (split every cycle at its highest-degree-ordered vertex
-//!   and count only high-starting paths, Figures 5–7),
+//! * [`Algorithm`] — which of the paper's two algorithms solves the cycle
+//!   blocks: the Path Splitting baseline (the Alon et al. dynamic program
+//!   rephrased over the decomposition tree, Figure 4) or the Degree Based
+//!   algorithm (split every cycle at its highest-degree-ordered vertex and
+//!   count only high-starting paths, Figures 5–7),
 //! * [`kernel`] — the DP kernel: solving individual blocks (leaf edges and
 //!   annotated cycles) into projection tables over arena-backed columnar
 //!   tables, shared by both algorithms ([`paths`] holds the child-table
@@ -39,6 +40,7 @@
 //! * [`brute`] — exponential-time reference counters used as the correctness
 //!   oracle in tests (the tree-query DP oracle lives in `tests/treelet/`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ball;
@@ -46,7 +48,6 @@ pub mod batch;
 pub mod brute;
 pub mod config;
 pub mod context;
-pub mod db;
 pub mod driver;
 pub mod engine;
 pub mod error;
@@ -56,7 +57,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod paths;
 pub mod prelude;
-pub mod ps;
 pub mod runtime;
 
 pub use ball::DeltaBall;

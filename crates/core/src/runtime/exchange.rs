@@ -23,7 +23,6 @@
 
 use crate::metrics::ShardMetrics;
 use crate::runtime::shard::ShardPlan;
-use sgc_engine::columnar::AddPipeline;
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
@@ -95,12 +94,10 @@ fn owner_slice(
         return retired.by_vertex(only.iter().copied(), range);
     }
     table.reset();
-    let mut pipe = AddPipeline::new();
     for row in received().flatten() {
         let key = [row.u, row.v, NO_VERTEX, NO_VERTEX];
-        pipe.push(table, key, row.sig, row.count);
+        table.add(key, row.sig, row.count);
     }
-    pipe.flush(table);
     retired.by_vertex(table.projection_rows(), range)
 }
 

@@ -34,6 +34,8 @@
 //! `sgc-service` builds its `apply_delta` / `count_at` / `watch` jobs on
 //! top of this crate; `sgc-net` exposes them as protocol-v3 verbs.
 
+#![forbid(unsafe_code)]
+
 pub mod version;
 
 pub use version::{Descent, DynError, Version, VersionId, VersionedGraph};

@@ -26,7 +26,7 @@
 //! semi steps, hashes nothing: path tables are sorted by start, so it
 //! indexes one start's run of rows at a time by a dense per-vertex mark.
 //!
-//! Three layout details keep the hot loops memory-friendly:
+//! Two layout details keep the hot loops memory-friendly:
 //!
 //! * every slot word carries a 16-bit *fingerprint* (the top bits of the
 //!   row's hash, disjoint from its slot bits) next to the 32-bit row id, so
@@ -36,12 +36,7 @@
 //!   growth paths assert;
 //! * slot words are also tagged with a 16-bit *epoch*; `reset` just bumps
 //!   the epoch, turning every stale slot invalid at once instead of
-//!   memsetting a high-water slot table on every join;
-//! * insertion is software-pipelined: [`prepare`](ColumnarTable::prepare)
-//!   hashes a row up front, [`prefetch`](ColumnarTable::prefetch) pulls its
-//!   slot line, and [`AddPipeline`] keeps a fixed ring of prepared inserts
-//!   in flight so the joins overlap each probe's cache misses with useful
-//!   work instead of stalling on them one at a time.
+//!   memsetting a high-water slot table on every join.
 //!
 //! A table whose keys are distinct by construction — the seed edges of a
 //! path build, a child slice's rows — skips the index altogether:
@@ -243,95 +238,11 @@ impl ColumnarTable {
         }
     }
 
-    /// Adds `count` to the row for `(key, sig)`, appending a row if absent.
-    /// Zero counts are ignored (only non-zero entries are materialised).
+    /// Adds `count` to the row for `(key, sig)`, appending a row if absent,
+    /// so rows keep the order of their keys' first insertions. Zero counts
+    /// are ignored (only non-zero entries are materialised).
     #[inline]
     pub fn add(&mut self, key: RowKey, sig: Signature, count: Count) {
-        self.add_prepared(Self::prepare(key, sig, count));
-    }
-
-    /// Packs and hashes an add without touching the table, so the slot line
-    /// it will probe can be prefetched (see [`prefetch`](Self::prefetch))
-    /// well before the probe itself runs.
-    #[inline]
-    pub fn prepare(key: RowKey, sig: Signature, count: Count) -> PreparedAdd {
-        let packed = pack_key(key);
-        let [sig_lo, sig_hi] = sig.words();
-        PreparedAdd {
-            packed,
-            sig_lo,
-            sig_hi,
-            count,
-            hash: hash_row(packed, sig_lo, sig_hi),
-        }
-    }
-
-    /// Prefetches the slot cache line `p`'s probe will read first. Purely
-    /// advisory: growth between the prefetch and the probe just wastes the
-    /// hint.
-    #[inline]
-    pub fn prefetch(&self, p: &PreparedAdd) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.slots.is_empty() {
-            let slot = (p.hash as usize) & (self.slots.len() - 1);
-            // SAFETY: `slot` is masked into bounds; prefetch has no effect
-            // beyond the cache.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    self.slots.as_ptr().add(slot) as *const i8,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = p;
-    }
-
-    /// Advisory second pipeline stage: probes (read-only, bounded) for the
-    /// row `p` will land on and prefetches that row record. Runs after
-    /// [`prefetch`](Self::prefetch) has had time to pull the slot line in,
-    /// and before [`add_prepared`](Self::add_prepared) needs the row line.
-    /// Wrong or missed predictions (pipelined adds not yet applied, growth
-    /// in between) only waste the hint.
-    #[inline]
-    pub fn prefetch_candidate_row(&self, p: &PreparedAdd) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.slots.is_empty() {
-            let tag = slot_tag(self.epoch, p.hash);
-            let mask = self.slots.len() - 1;
-            let mut slot = (p.hash as usize) & mask;
-            for _ in 0..4 {
-                let entry = self.slots[slot];
-                if (entry >> 48) as u16 != self.epoch {
-                    return;
-                }
-                if entry >> 32 == tag >> 32 {
-                    // SAFETY: slot entries index live rows; prefetch has no
-                    // effect beyond the cache.
-                    unsafe {
-                        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                            self.rows.as_ptr().add(entry as u32 as usize) as *const i8,
-                        );
-                    }
-                    return;
-                }
-                slot = (slot + 1) & mask;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = p;
-    }
-
-    /// Applies a prepared add — [`add`](Self::add) with the pack and hash
-    /// already done.
-    #[inline]
-    pub fn add_prepared(&mut self, p: PreparedAdd) {
-        let PreparedAdd {
-            packed,
-            sig_lo,
-            sig_hi,
-            count,
-            hash,
-        } = p;
         debug_assert!(!self.appended, "add to an appended table");
         if count == 0 {
             return;
@@ -342,6 +253,9 @@ impl ColumnarTable {
         if self.rows.len() * 3 >= self.slots.len() * 2 {
             self.grow();
         }
+        let packed = pack_key(key);
+        let [sig_lo, sig_hi] = sig.words();
+        let hash = hash_row(packed, sig_lo, sig_hi);
         let tag = slot_tag(self.epoch, hash);
         let mask = self.slots.len() - 1;
         let mut slot = (hash as usize) & mask;
@@ -531,109 +445,6 @@ impl ColumnarTable {
             }
             self.slots[slot] = tag | r as u64;
         }
-    }
-}
-
-/// A packed-and-hashed pending add, produced by
-/// [`ColumnarTable::prepare`] and consumed by
-/// [`ColumnarTable::add_prepared`].
-#[derive(Clone, Copy, Debug)]
-pub struct PreparedAdd {
-    /// Packed key (see [`pack_key`]).
-    packed: u128,
-    /// Low signature word.
-    sig_lo: u64,
-    /// High signature word.
-    sig_hi: u64,
-    /// Count to accumulate.
-    count: Count,
-    /// Precomputed row hash.
-    hash: u64,
-}
-
-/// An idle pipeline entry (count 0, so applying it is a no-op).
-const NO_ADD: PreparedAdd = PreparedAdd {
-    packed: 0,
-    sig_lo: 0,
-    sig_hi: 0,
-    count: 0,
-    hash: 0,
-};
-
-/// Pipeline depth: far enough ahead that a prefetched slot line arrives
-/// from L2/L3 before its probe runs, small enough to stay L1-resident.
-const PIPELINE_DEPTH: usize = 16;
-
-/// A fixed-depth software pipeline over table adds.
-///
-/// The probe of a hash add is two dependent cache misses (slot word, then
-/// row record) that out-of-order execution cannot overlap across the
-/// branchy probe loop. The pipeline makes the overlap explicit: each
-/// [`push`](AddPipeline::push) hashes the new add and prefetches its slot
-/// line, then applies the add that entered the 16-deep ring earlier —
-/// by which point that line is resident. Adds drain in FIFO order, so the
-/// table (rows, row order, counts) is exactly what the same sequence of
-/// plain [`ColumnarTable::add`] calls would build.
-#[derive(Debug)]
-pub struct AddPipeline {
-    /// Ring of pending adds.
-    buf: [PreparedAdd; PIPELINE_DEPTH],
-    /// Next write position.
-    head: usize,
-    /// Number of live entries (≤ [`PIPELINE_DEPTH`]).
-    len: usize,
-}
-
-impl Default for AddPipeline {
-    fn default() -> Self {
-        AddPipeline {
-            buf: [NO_ADD; PIPELINE_DEPTH],
-            head: 0,
-            len: 0,
-        }
-    }
-}
-
-impl AddPipeline {
-    /// Creates an empty pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues `(key, sig, count)` for `table`, applying the oldest pending
-    /// add if the pipeline is full.
-    #[inline]
-    pub fn push(&mut self, table: &mut ColumnarTable, key: RowKey, sig: Signature, count: Count) {
-        if count == 0 {
-            return;
-        }
-        let p = ColumnarTable::prepare(key, sig, count);
-        table.prefetch(&p);
-        let old = std::mem::replace(&mut self.buf[self.head], p);
-        self.head = (self.head + 1) % PIPELINE_DEPTH;
-        // Second stage: the half-aged entry's slot line has arrived by now;
-        // resolve its candidate row and prefetch that line too, so the
-        // apply below never waits on either access. (Idle entries hold
-        // `NO_ADD`, whose probe is harmless.)
-        let mid = (self.head + PIPELINE_DEPTH / 2) % PIPELINE_DEPTH;
-        table.prefetch_candidate_row(&self.buf[mid]);
-        if self.len == PIPELINE_DEPTH {
-            table.add_prepared(old);
-        } else {
-            self.len += 1;
-        }
-    }
-
-    /// Applies every pending add in FIFO order, leaving the pipeline empty.
-    /// Must run before the table is read — a pipeline is a window of adds
-    /// the table has not seen yet.
-    pub fn flush(&mut self, table: &mut ColumnarTable) {
-        let mut i = (self.head + PIPELINE_DEPTH - self.len) % PIPELINE_DEPTH;
-        for _ in 0..self.len {
-            table.add_prepared(self.buf[i]);
-            i = (i + 1) % PIPELINE_DEPTH;
-        }
-        self.len = 0;
     }
 }
 
@@ -923,6 +734,41 @@ mod tests {
         appended.reset();
         appended.add(path_key(1, 2), rows[0].1, 1);
         assert_eq!(appended.get(path_key(1, 2), rows[0].1), 1);
+    }
+
+    /// The joins write each table with plain `add`s in source order and rely
+    /// on the rows coming back the same way: sorted by start, each distinct
+    /// `(key, signature)` at its first insertion, with its counts summed.
+    #[test]
+    fn adds_keep_first_insertion_order() {
+        use std::collections::hash_map::{Entry, HashMap};
+        let mut t = ColumnarTable::new();
+        let mut want: Vec<(RowKey, Signature, Count)> = Vec::new();
+        let mut position: HashMap<(RowKey, Signature), usize> = HashMap::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..5_000u32 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = (state >> 33) as u32;
+            // Eight adds per start over three ends and two signatures (one
+            // in the high lane), so pairs repeat, mostly not back to back.
+            let start = i / 8;
+            let key = path_key(start, start + 1 + draw % 3);
+            let sig = Signature::pair(0, [5, 70][(draw / 3 % 2) as usize]);
+            let count = Count::from(draw / 6 % 4 + 1);
+            t.add(key, sig, count);
+            match position.entry((key, sig)) {
+                Entry::Occupied(at) => want[*at.get()].2 += count,
+                Entry::Vacant(at) => {
+                    at.insert(want.len());
+                    want.push((key, sig, count));
+                }
+            }
+        }
+        assert!(want.len() < 5_000, "no pair was repeated");
+        assert!(t.slots.len() >= MIN_SLOTS << 2, "the index grew only once");
+        assert_eq!(t.rows().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //! * [`columnar`] — dense row tables with an open-addressing row index,
 //!   built for arena reuse: the working tables (paths with up to two extra
 //!   tracked boundary fields, projection accumulators) of `sgc-core`'s DP
-//!   kernel,
+//!   kernel, filled by one hashed insert ([`ColumnarTable::add`], which
+//!   keeps each distinct row at its first insertion) and one unhashed
+//!   insert for rows distinct by construction
+//!   ([`ColumnarTable::append`]),
 //! * [`load`] — per-rank load accounting over a
 //!   [`sgc_graph::BlockPartition`], reproducing the paper's
 //!   "number of projection function operations per processor" metric,
 //! * [`parallel`] — small rayon helpers (per-item fan-out, scoped thread
 //!   pools for the scaling experiments).
+
+#![forbid(unsafe_code)]
 
 pub mod columnar;
 pub mod load;

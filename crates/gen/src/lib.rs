@@ -18,6 +18,8 @@
 //! * [`small`] — deterministic small graphs (cliques, cycles, Petersen,
 //!   Zachary's karate club) for unit tests and examples.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod chung_lu;
 pub mod erdos_renyi;

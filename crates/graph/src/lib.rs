@@ -17,6 +17,8 @@
 //! The crate is dependency-light (only `rand`) and forms the bottom of the
 //! workspace: every other crate builds on these types.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod coloring;
 pub mod csr;

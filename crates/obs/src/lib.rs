@@ -26,6 +26,7 @@
 //! influences counting results, which is what the obs-on ≡ obs-off
 //! differential test in `tests/obs.rs` pins.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hist;

@@ -27,6 +27,8 @@
 //! Everything here is independent of the data graph: it is the paper's
 //! "planner" layer (Section 7) and runs in microseconds for 10-node queries.
 
+#![forbid(unsafe_code)]
+
 pub mod automorphism;
 pub mod block;
 pub mod catalog;

@@ -63,6 +63,7 @@
 //! assert_eq!(again.estimate.per_trial, output.estimate.per_trial);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -18,6 +18,8 @@
 //! * [`balanced`] — the λ-balancedness measure of Section 9.2 and the
 //!   power-law ⇒ balanced check of Claim 10.1.
 
+#![forbid(unsafe_code)]
+
 pub mod balanced;
 pub mod bounds;
 pub mod paths;

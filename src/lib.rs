@@ -45,6 +45,8 @@
 //! assert_eq!(report.candidates.len(), 2); // the two Section 6 plans
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sgc_core as core;
 /// Versioned graph snapshots and delta-aware incremental recount
 /// (`sgc-dyn`; the crate ident avoids the `dyn` keyword).
