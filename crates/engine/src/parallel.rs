@@ -29,15 +29,17 @@ pub fn run_with_threads<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Sen
 /// returning the results in index order.
 ///
 /// Each item is assumed expensive (an entire counting trial, one shard's
-/// block solve), so even tiny counts go parallel. Results are
-/// deterministic: item `i`'s output depends only on `i`, never on the thread
-/// layout.
+/// block solve), so two or more items go parallel whenever the pool has
+/// more than one thread. A count of one runs inline on the calling thread
+/// and reads nothing, not even the pool width, so a one-shard block step
+/// pays only for its solve. Results are deterministic: item `i`'s output
+/// depends only on `i`, never on the thread layout.
 pub fn parallel_indexed<R: Send>(count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if count == 0 {
-        return Vec::new();
+    if count <= 1 {
+        return (0..count).map(f).collect();
     }
     let threads = rayon::current_num_threads().max(1);
-    if threads == 1 || count == 1 {
+    if threads == 1 {
         return (0..count).map(f).collect();
     }
     let indices: Vec<usize> = (0..count).collect();
@@ -79,5 +81,26 @@ mod tests {
         }
         assert!(parallel_indexed(0, f).is_empty());
         assert_eq!(parallel_indexed(1, f), vec![0]);
+    }
+
+    #[test]
+    fn one_item_runs_inline_on_the_calling_thread() {
+        let check = || {
+            let caller = std::thread::current().id();
+            assert_eq!(
+                parallel_indexed(1, |i| (i, std::thread::current().id())),
+                vec![(0, caller)]
+            );
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let none: Vec<()> = parallel_indexed(0, |_| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+            assert!(none.is_empty());
+            assert_eq!(calls.into_inner(), 0);
+        };
+        check();
+        for threads in [1, 3] {
+            run_with_threads(threads, check);
+        }
     }
 }

@@ -49,6 +49,31 @@ impl CsrGraph {
         }
     }
 
+    /// Builds a graph from an already-flat CSR: `offsets` of length `n + 1`
+    /// starting at 0, and `neighbors` holding every sorted list back to
+    /// back. The same invariants as
+    /// [`from_sorted_adjacency`](CsrGraph::from_sorted_adjacency) apply.
+    pub(crate) fn from_flat_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last(), Some(&neighbors.len()));
+        debug_assert!(offsets.windows(2).all(|w| {
+            let list = &neighbors[w[0]..w[1]];
+            list.windows(2).all(|p| p[0] < p[1])
+        }));
+        debug_assert_eq!(neighbors.len() % 2, 0, "undirected edge count must be even");
+        let num_edges = neighbors.len() / 2;
+        CsrGraph {
+            offsets,
+            neighbors,
+            num_edges,
+        }
+    }
+
+    /// The flat `offsets` (length `n + 1`) and `neighbors` arrays.
+    pub(crate) fn flat_parts(&self) -> (&[usize], &[VertexId]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -3,11 +3,18 @@
 //! A [`CsrGraph`] is immutable, but real graphs mutate. This module is the
 //! substrate of the versioned graph store (`sgc-dyn`): the vertex set is cut
 //! into contiguous segments, each holding a mini-CSR of its vertices'
-//! adjacency lists behind an `Arc`, and applying an [`EdgeDelta`] rebuilds
+//! adjacency lists behind an `Arc`, and applying an [`EdgeDelta`] writes
 //! **only the segments owning a changed edge's endpoints** — every untouched
 //! segment is shared by reference with the parent snapshot. A chain of small
 //! deltas over a large graph therefore costs memory proportional to what
 //! changed, not to the graph.
+//!
+//! A delta patches each dirty segment in one pass over the parent's flat
+//! `offsets`/`neighbors`: its edits are sorted by vertex, the lists between
+//! edited vertices are copied as whole slices, and each edited list is
+//! merged with its edits. No per-vertex `Vec` is allocated, here or in
+//! [`from_graph`](SegmentedSnapshot::from_graph), which copies CSR slices
+//! the same way.
 //!
 //! The one hard contract is **materialization equivalence**: for any chain
 //! of deltas, [`SegmentedSnapshot::materialize`] produces a [`CsrGraph`]
@@ -24,7 +31,7 @@ use std::sync::Arc;
 
 /// Default number of vertices per snapshot segment.
 ///
-/// Small enough that a single changed edge rebuilds a sliver of a large
+/// Small enough that a single changed edge rewrites a sliver of a large
 /// graph, large enough that the per-segment `Arc` overhead stays noise.
 pub const DEFAULT_SEGMENT_VERTICES: usize = 1024;
 
@@ -232,17 +239,75 @@ pub struct CsrSegment {
     neighbors: Vec<VertexId>,
 }
 
+/// One adjacency-list edit: at vertex `.0`, insert (`.2`) or delete the
+/// neighbor `.1`.
+type Edit = (VertexId, VertexId, bool);
+
 impl CsrSegment {
-    fn from_lists(start: VertexId, lists: Vec<Vec<VertexId>>) -> Self {
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        offsets.push(0u32);
-        let mut neighbors = Vec::new();
-        for list in lists {
-            neighbors.extend_from_slice(&list);
-            offsets.push(neighbors.len() as u32);
-        }
+    /// Copies the lists of vertices `range` out of `graph`'s flat CSR: one
+    /// slice copy of the neighbors, and the offsets rebased to zero.
+    fn copy_of(graph: &CsrGraph, range: Range<usize>) -> Self {
+        let (offsets, neighbors) = graph.flat_parts();
+        let base = offsets[range.start];
         CsrSegment {
-            start,
+            start: range.start as VertexId,
+            offsets: offsets[range.start..=range.end]
+                .iter()
+                .map(|&o| (o - base) as u32)
+                .collect(),
+            neighbors: neighbors[base..offsets[range.end]].to_vec(),
+        }
+    }
+
+    /// This segment with `edits` applied, written in one pass: the lists
+    /// between edited vertices are copied as whole slices, and each edited
+    /// list is merged with its edits. `edits` must be sorted, lie in
+    /// [`range`](CsrSegment::range), and be valid (no insert of a present
+    /// neighbor, no delete of an absent one).
+    fn patched(&self, edits: &[Edit]) -> Self {
+        let n = self.num_vertices();
+        let inserts = edits.iter().filter(|e| e.2).count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut neighbors =
+            Vec::with_capacity(self.neighbors.len() + inserts - (edits.len() - inserts));
+        // Copies the untouched lists of local vertices `from..to`.
+        let copy =
+            |offsets: &mut Vec<u32>, neighbors: &mut Vec<VertexId>, from: usize, to: usize| {
+                let (lo, hi) = (self.offsets[from], self.offsets[to]);
+                let base = neighbors.len() as u32;
+                neighbors.extend_from_slice(&self.neighbors[lo as usize..hi as usize]);
+                offsets.extend(self.offsets[from + 1..=to].iter().map(|&o| o - lo + base));
+            };
+        let mut next = 0usize;
+        let mut rest = edits;
+        while let Some(&(v, _, _)) = rest.first() {
+            let run = rest.partition_point(|e| e.0 == v);
+            let (mine, tail) = rest.split_at(run);
+            rest = tail;
+            let local = (v - self.start) as usize;
+            copy(&mut offsets, &mut neighbors, next, local);
+            let list = self.neighbors(v);
+            let mut pos = 0usize;
+            for &(_, other, insert) in mine {
+                let at = pos + list[pos..].partition_point(|&w| w < other);
+                neighbors.extend_from_slice(&list[pos..at]);
+                if insert {
+                    debug_assert_ne!(list.get(at), Some(&other), "insert of a present edge");
+                    neighbors.push(other);
+                    pos = at;
+                } else {
+                    debug_assert_eq!(list.get(at), Some(&other), "delete of an absent edge");
+                    pos = at + 1;
+                }
+            }
+            neighbors.extend_from_slice(&list[pos..]);
+            offsets.push(neighbors.len() as u32);
+            next = local + 1;
+        }
+        copy(&mut offsets, &mut neighbors, next, n);
+        CsrSegment {
+            start: self.start,
             offsets,
             neighbors,
         }
@@ -305,10 +370,7 @@ impl SegmentedSnapshot {
         let mut start = 0usize;
         while start < n || (n == 0 && segments.is_empty()) {
             let end = (start + segment_vertices).min(n);
-            let lists: Vec<Vec<VertexId>> = (start..end)
-                .map(|v| graph.neighbors(v as VertexId).to_vec())
-                .collect();
-            segments.push(Arc::new(CsrSegment::from_lists(start as VertexId, lists)));
+            segments.push(Arc::new(CsrSegment::copy_of(graph, start..end)));
             start = end;
             if n == 0 {
                 break;
@@ -398,8 +460,9 @@ impl SegmentedSnapshot {
     }
 
     /// Applies a canonical [`EdgeDelta`], producing the child snapshot.
-    /// Only segments owning an endpoint of a changed edge are rebuilt; all
-    /// others are `Arc`-shared with `self`.
+    /// Only segments owning an endpoint of a changed edge are written anew,
+    /// each patched in one pass over its parent; all others are `Arc`-shared
+    /// with `self`.
     ///
     /// # Errors
     /// [`DeltaError::VertexOutOfRange`], [`DeltaError::InsertExisting`] or
@@ -409,45 +472,30 @@ impl SegmentedSnapshot {
         // Validate everything before touching any segment.
         self.check(delta)?;
 
-        // Group the per-vertex list edits by owning segment.
-        let mut dirty: Vec<Vec<(VertexId, VertexId, bool)>> = vec![Vec::new(); self.segments.len()];
-        let mut mark = |v: VertexId, other: VertexId, insert: bool| {
-            dirty[self.segment_of(v)].push((v, other, insert));
-        };
-        for &(u, v) in delta.inserts() {
-            mark(u, v, true);
-            mark(v, u, true);
+        // Both directions of every changed edge, sorted by vertex: each
+        // segment's edits are then one contiguous run, in list order.
+        let mut edits: Vec<Edit> = Vec::with_capacity(2 * delta.len());
+        for (edges, insert) in [(delta.inserts(), true), (delta.deletes(), false)] {
+            for &(u, v) in edges {
+                edits.push((u, v, insert));
+                edits.push((v, u, insert));
+            }
         }
-        for &(u, v) in delta.deletes() {
-            mark(u, v, false);
-            mark(v, u, false);
-        }
+        edits.sort_unstable();
 
+        let mut rest = &edits[..];
         let segments = self
             .segments
             .iter()
-            .enumerate()
-            .map(|(i, segment)| {
-                if dirty[i].is_empty() {
-                    return Arc::clone(segment);
+            .map(|segment| {
+                let run = rest.partition_point(|e| e.0 < segment.range().end);
+                let (mine, tail) = rest.split_at(run);
+                rest = tail;
+                if mine.is_empty() {
+                    Arc::clone(segment)
+                } else {
+                    Arc::new(segment.patched(mine))
                 }
-                let range = segment.range();
-                let mut lists: Vec<Vec<VertexId>> = range
-                    .clone()
-                    .map(|v| segment.neighbors(v).to_vec())
-                    .collect();
-                for &(v, other, insert) in &dirty[i] {
-                    let list = &mut lists[(v - range.start) as usize];
-                    match (list.binary_search(&other), insert) {
-                        (Err(pos), true) => list.insert(pos, other),
-                        (Ok(pos), false) => {
-                            list.remove(pos);
-                        }
-                        // Existence was validated above.
-                        _ => unreachable!("delta validated against this snapshot"),
-                    }
-                }
-                Arc::new(CsrSegment::from_lists(range.start, lists))
             })
             .collect();
         Ok(SegmentedSnapshot {
@@ -465,13 +513,15 @@ impl SegmentedSnapshot {
     /// segment lists stay sorted under every delta, so the flattening is
     /// canonical.
     pub fn materialize(&self) -> CsrGraph {
-        let mut adjacency: Vec<Vec<VertexId>> = Vec::with_capacity(self.num_vertices);
+        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
+        offsets.push(0usize);
+        let mut neighbors = Vec::with_capacity(2 * self.num_edges);
         for segment in &self.segments {
-            for v in segment.range() {
-                adjacency.push(segment.neighbors(v).to_vec());
-            }
+            let base = neighbors.len();
+            neighbors.extend_from_slice(&segment.neighbors);
+            offsets.extend(segment.offsets[1..].iter().map(|&o| base + o as usize));
         }
-        CsrGraph::from_sorted_adjacency(adjacency)
+        CsrGraph::from_flat_parts(offsets, neighbors)
     }
 }
 
@@ -593,6 +643,130 @@ mod tests {
         // And the parent version is untouched (COW, not mutation).
         assert!(v1.has_edge(0, 5));
         assert!(!v2.has_edge(0, 5));
+    }
+
+    /// Seeded random delta chains at several segment sizes, each delta
+    /// forcing one edge case, against a mirrored edge set: after every
+    /// `apply` the snapshot materializes to a fresh build of the mirror, and
+    /// every segment owning no changed endpoint is still the parent's `Arc`.
+    #[test]
+    fn random_deltas_patch_like_a_fresh_build_and_share_untouched_segments() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        const N: usize = 23;
+        let fresh = |edges: &BTreeSet<(VertexId, VertexId)>| {
+            let mut b = GraphBuilder::new(N);
+            b.extend_edges(edges.iter().copied());
+            b.build()
+        };
+        for segment_vertices in [1usize, 3, 7, 1024] {
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 1031 + segment_vertices as u64);
+                let mut edges = BTreeSet::new();
+                for _ in 0..30 {
+                    let (u, v) = (rng.gen_range(0..N as u32), rng.gen_range(0..N as u32));
+                    if u != v {
+                        edges.insert((u.min(v), u.max(v)));
+                    }
+                }
+                let mut snap = SegmentedSnapshot::from_graph(&fresh(&edges), segment_vertices);
+                assert_eq!(
+                    snap.materialize().fingerprint(),
+                    fresh(&edges).fingerprint()
+                );
+                for step in 0..40 {
+                    let mut inserts = BTreeSet::new();
+                    let mut deletes = BTreeSet::new();
+                    let neighbors = |v: VertexId, edges: &BTreeSet<(VertexId, VertexId)>| {
+                        (0..N as VertexId)
+                            .filter(|&w| edges.contains(&(v.min(w), v.max(w))))
+                            .collect::<Vec<_>>()
+                    };
+                    let canon = |u: VertexId, v: VertexId| (u.min(v), u.max(v));
+                    let v = rng.gen_range(0..N as VertexId);
+                    let adjacent = neighbors(v, &edges);
+                    match step % 3 {
+                        // An insert and a delete at one vertex.
+                        0 => {
+                            if let Some(&w) = adjacent.first() {
+                                deletes.insert(canon(v, w));
+                            }
+                            if let Some(w) =
+                                (0..N as VertexId).find(|&w| w != v && !adjacent.contains(&w))
+                            {
+                                inserts.insert(canon(v, w));
+                            }
+                        }
+                        // Edits at a segment's first and last vertex.
+                        1 => {
+                            let first = v as usize / segment_vertices * segment_vertices;
+                            let last = (first + segment_vertices).min(N) - 1;
+                            let far = (last as VertexId + 1 + v) % N as VertexId;
+                            for (a, b) in
+                                [(first, last), (first, far as usize), (last, far as usize)]
+                            {
+                                if a == b {
+                                    continue;
+                                }
+                                let e = canon(a as VertexId, b as VertexId);
+                                if edges.contains(&e) {
+                                    deletes.insert(e);
+                                } else {
+                                    inserts.insert(e);
+                                }
+                            }
+                        }
+                        // A vertex losing its last neighbour.
+                        _ => {
+                            for &w in &adjacent {
+                                deletes.insert(canon(v, w));
+                            }
+                        }
+                    }
+                    // Random extra edits on top of the forced ones.
+                    for _ in 0..rng.gen_range(0..4usize) {
+                        let (a, b) = (rng.gen_range(0..N as u32), rng.gen_range(0..N as u32));
+                        if a == b {
+                            continue;
+                        }
+                        let e = canon(a, b);
+                        if edges.contains(&e) && !inserts.contains(&e) {
+                            deletes.insert(e);
+                        } else if !edges.contains(&e) && !deletes.contains(&e) {
+                            inserts.insert(e);
+                        }
+                    }
+                    let delta = EdgeDelta::new(
+                        inserts.iter().copied().collect(),
+                        deletes.iter().copied().collect(),
+                    )
+                    .unwrap();
+                    let next = snap.apply(&delta).unwrap();
+                    edges.extend(inserts.iter().copied());
+                    edges.retain(|e| !deletes.contains(e));
+                    let context =
+                        format!("segments of {segment_vertices}, seed {seed}, step {step}");
+                    let expected = fresh(&edges);
+                    let got = next.materialize();
+                    assert_eq!(got.fingerprint(), expected.fingerprint(), "{context}");
+                    assert_eq!(next.num_edges(), expected.num_edges(), "{context}");
+                    let dirty: BTreeSet<usize> = delta
+                        .touched_vertices()
+                        .map(|w| w as usize / segment_vertices)
+                        .collect();
+                    for (i, (a, b)) in next.segments.iter().zip(&snap.segments).enumerate() {
+                        assert_eq!(
+                            Arc::ptr_eq(a, b),
+                            !dirty.contains(&i),
+                            "{context}, segment {i}"
+                        );
+                    }
+                    snap = next;
+                }
+            }
+        }
     }
 
     #[test]

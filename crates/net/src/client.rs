@@ -109,6 +109,13 @@ pub struct Client {
     writer: TcpStream,
     max_frame_len: usize,
     next_id: JobId,
+    /// Count jobs cancelled whose `cancel-ok` has not been read yet, one
+    /// entry per cancel sent. The server writes a job's terminal frame from
+    /// the job's completion hook, so the ack may come before or after it.
+    owed_acks: Vec<JobId>,
+    /// Watches whose `cancel-ok` ended their stream. An emission already
+    /// being delivered when the cancel landed may still follow the ack.
+    retired_watches: Vec<JobId>,
 }
 
 impl Client {
@@ -126,6 +133,8 @@ impl Client {
             writer,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             next_id: 1,
+            owed_acks: Vec::new(),
+            retired_watches: Vec::new(),
         };
         client.send(&Request::Hello {
             version: PROTOCOL_VERSION,
@@ -155,10 +164,26 @@ impl Client {
         Ok(())
     }
 
+    /// Reads the next frame, consuming the acks of count cancels and any
+    /// late emission of a retired watch on the way: whoever reads next —
+    /// the stream, or the next verb — never sees them.
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        match wire::read_frame(&mut self.reader, self.max_frame_len)? {
-            Some(raw) => Ok(Response::decode(raw.tag, &raw.payload)?),
-            None => Err(ClientError::ConnectionClosed),
+        loop {
+            let response = match wire::read_frame(&mut self.reader, self.max_frame_len)? {
+                Some(raw) => Response::decode(raw.tag, &raw.payload)?,
+                None => return Err(ClientError::ConnectionClosed),
+            };
+            match &response {
+                Response::CancelOk { id, .. } => {
+                    if let Some(owed) = self.owed_acks.iter().position(|owed| owed == id) {
+                        self.owed_acks.swap_remove(owed);
+                        continue;
+                    }
+                }
+                Response::WatchChunk(frame) if self.retired_watches.contains(&frame.id) => continue,
+                _ => {}
+            }
+            return Ok(response);
         }
     }
 
@@ -462,12 +487,16 @@ impl CountStream<'_> {
     /// chunk boundary, after which the stream yields its terminal frame —
     /// a `Final` with `StopReason::Cancelled` (and the partial estimate)
     /// when at least one chunk had run, a `cancelled` error otherwise.
-    /// Keep consuming the iterator after cancelling.
+    /// Keep consuming the iterator after cancelling. The server's
+    /// acknowledgement may arrive before or after the terminal frame; the
+    /// client consumes it either way.
     ///
     /// # Errors
     /// Transport failures while sending the cancel frame.
     pub fn cancel(&mut self) -> Result<(), ClientError> {
-        self.client.send(&Request::Cancel(self.id))
+        self.client.send(&Request::Cancel(self.id))?;
+        self.client.owed_acks.push(self.id);
+        Ok(())
     }
 }
 
@@ -522,9 +551,11 @@ impl Iterator for WatchStream<'_> {
                     return Some(Err(ClientError::Remote(frame)));
                 }
                 // The server acknowledged our cancel: the subscription is
-                // gone, the stream is over.
+                // gone, the stream is over. An emission already being
+                // delivered may still follow; the client drops it.
                 Response::CancelOk { id, .. } if id == self.id => {
                     self.done = true;
+                    self.client.retired_watches.push(self.id);
                     return None;
                 }
                 // Frames for other jobs on this connection: not ours, skip.
@@ -572,9 +603,6 @@ impl Iterator for CountStream<'_> {
                     self.done = true;
                     return Some(Err(ClientError::Remote(frame)));
                 }
-                // Acknowledgement of our cancel; the terminal frame is
-                // still coming.
-                Response::CancelOk { id, .. } if id == self.id => {}
                 // Frames for other (older, already-failed) jobs on this
                 // connection: not ours, skip.
                 Response::Chunk(_) | Response::Final { .. } | Response::Error(_) => {}

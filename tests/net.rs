@@ -516,6 +516,147 @@ fn bye_ok_is_the_last_frame() {
     assert_eq!(server.stats().streams_active, 0);
 }
 
+/// A scripted peer on an ephemeral port: accepts one connection, answers
+/// its `hello`, then runs `script` against the raw socket. Join the handle
+/// to surface the script's assertions.
+fn scripted_peer(
+    script: impl FnOnce(&mut TcpStream) + Send + 'static,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        assert!(matches!(read_request(&mut raw), Request::Hello { .. }));
+        write_response(
+            &mut raw,
+            &Response::HelloOk {
+                version: PROTOCOL_VERSION,
+            },
+        );
+        script(&mut raw);
+    });
+    (addr, peer)
+}
+
+fn read_request(raw: &mut TcpStream) -> Request {
+    let frame = wire::read_frame(raw, 1 << 20).unwrap().expect("a request");
+    Request::decode(frame.tag, &frame.payload).unwrap()
+}
+
+fn write_response(raw: &mut TcpStream, response: &Response) {
+    wire::write_frame(raw, response.tag(), &response.encode(), 1 << 20).unwrap();
+}
+
+/// A job's `final` is written by its completion hook and its `cancel-ok` by
+/// the connection handler, so either can reach the client first. The
+/// client consumes the one ack it is owed in both orders: the stream ends
+/// at its `final`, and the next verb reads its own answer.
+#[test]
+fn a_cancel_ok_owed_by_a_count_is_consumed_in_either_order() {
+    for ack_first in [false, true] {
+        let output = WireOutput {
+            trials_run: 2,
+            budget: 64,
+            stop: StopReason::Cancelled,
+            from_cache: false,
+            estimate: subgraph_counting::net::WireEstimate {
+                per_trial: vec![3, 5],
+                mean_colorful: 4.0,
+                scale: 2.0,
+                estimated_matches: 8.0,
+                estimated_subgraphs: 4.0,
+                automorphisms: 2,
+                variance: 2.0,
+                coefficient_of_variation: 0.35,
+                total_seconds: 0.001,
+            },
+        };
+        let scripted = output.clone();
+        let (addr, peer) = scripted_peer(move |raw| {
+            let Request::Count(spec) = read_request(raw) else {
+                panic!("expected count");
+            };
+            write_response(
+                raw,
+                &Response::Chunk(subgraph_counting::net::ChunkFrame {
+                    id: spec.id,
+                    trials_run: 1,
+                    budget: 64,
+                    estimated_subgraphs: 3.0,
+                    relative_half_width: 0.5,
+                }),
+            );
+            assert!(matches!(read_request(raw), Request::Cancel(id) if id == spec.id));
+            let ack = Response::CancelOk {
+                id: spec.id,
+                was_active: true,
+            };
+            let last = Response::Final {
+                id: spec.id,
+                output: scripted,
+            };
+            let (first, second) = if ack_first { (ack, last) } else { (last, ack) };
+            write_response(raw, &first);
+            write_response(raw, &second);
+            assert!(matches!(read_request(raw), Request::Bye));
+            write_response(raw, &Response::ByeOk);
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        let mut stream = client.count("cycle(3)").budget(64).stream().unwrap();
+        assert!(matches!(stream.next(), Some(Ok(StreamEvent::Chunk(_)))));
+        stream.cancel().expect("send cancel");
+        match stream.next() {
+            Some(Ok(StreamEvent::Final(got))) => assert_eq!(got, output),
+            other => panic!("ack_first = {ack_first}: expected the final, got {other:?}"),
+        }
+        assert!(stream.next().is_none());
+        client.bye().expect("clean goodbye");
+        peer.join().expect("scripted peer");
+    }
+}
+
+/// A watch emission already being delivered when the cancel lands can reach
+/// the socket after the `cancel-ok`. The watch stream ends at the ack, and
+/// the client drops the late emission instead of handing it to the next
+/// verb.
+#[test]
+fn a_watch_chunk_after_its_cancel_ok_is_dropped() {
+    let (addr, peer) = scripted_peer(|raw| {
+        let Request::Watch(spec) = read_request(raw) else {
+            panic!("expected watch");
+        };
+        let chunk = |version| {
+            Response::WatchChunk(subgraph_counting::net::WatchFrame {
+                id: spec.id,
+                version,
+                trials_run: 8,
+                budget: 8,
+                estimated_subgraphs: 1.0,
+                relative_half_width: 0.5,
+            })
+        };
+        write_response(raw, &chunk(1));
+        assert!(matches!(read_request(raw), Request::Cancel(id) if id == spec.id));
+        write_response(
+            raw,
+            &Response::CancelOk {
+                id: spec.id,
+                was_active: true,
+            },
+        );
+        write_response(raw, &chunk(2));
+        assert!(matches!(read_request(raw), Request::Bye));
+        write_response(raw, &Response::ByeOk);
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let mut watch = client.count("cycle(3)").budget(8).watch().unwrap();
+    assert_eq!(watch.next().unwrap().unwrap().version, 1);
+    watch.cancel().expect("send cancel");
+    assert!(watch.next().is_none());
+    client.bye().expect("clean goodbye");
+    peer.join().expect("scripted peer");
+}
+
 /// The plain `count` verb answers at the **root** — the graph the server
 /// was bound to — however many deltas have landed, in the cache slot of
 /// `count_at(root)`; the head is what `count_at(head)` answers.
