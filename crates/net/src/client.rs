@@ -24,8 +24,7 @@
 //! ```
 
 use crate::proto::{
-    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, JobId, Request, Response, StatsFrame, WatchFrame,
-    WireOutput,
+    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, JobId, Request, Response, WatchFrame, WireOutput,
 };
 use crate::wire::{self, FrameError, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
 use sgc_core::Algorithm;
@@ -221,32 +220,19 @@ impl Client {
         }
     }
 
-    /// Fetches the service metrics and server counters.
-    pub fn stats(&mut self) -> Result<StatsFrame, ClientError> {
-        self.send(&Request::Stats)?;
-        match self.read_response()? {
-            Response::StatsOk(frame) => Ok(frame),
-            Response::Error(frame) => Err(ClientError::Remote(frame)),
-            other => Err(ClientError::Unexpected(format!(
-                "expected stats-ok, got tag 0x{:02x}",
-                other.tag()
-            ))),
-        }
-    }
-
-    /// Fetches the server's full metrics exposition: sorted `name value`
-    /// lines covering stage histograms, engine/kernel/shard counters,
-    /// service gauges, and the network layer's own counters.
+    /// Fetches the server's metrics exposition: sorted `name value` lines
+    /// covering stage histograms, engine/kernel/shard counters, and the
+    /// serving server's `service_*` and `net_*` numbers.
     ///
     /// # Errors
     /// Transport failures, or [`ClientError::Remote`] error frames.
-    pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(&Request::Metrics)?;
+    pub fn stats(&mut self) -> Result<String, ClientError> {
+        self.send(&Request::Stats)?;
         match self.read_response()? {
-            Response::MetricsOk { exposition } => Ok(exposition),
+            Response::StatsOk { exposition } => Ok(exposition),
             Response::Error(frame) => Err(ClientError::Remote(frame)),
             other => Err(ClientError::Unexpected(format!(
-                "expected metrics-ok, got tag 0x{:02x}",
+                "expected stats-ok, got tag 0x{:02x}",
                 other.tag()
             ))),
         }

@@ -17,8 +17,8 @@
 //!   panic or a hang,
 //! * [`proto`] — the verb vocabulary: `hello`, `count` (streams; several
 //!   may be in flight on one connection, so a batch is a loop of counts),
-//!   `cancel`, `explain`, `stats`, `metrics`, `trace`, `delta` (mutate the
-//!   graph, get the new version id), `watch` (a live subscription
+//!   `cancel`, `explain`, `stats` (the metrics exposition), `trace`,
+//!   `delta` (mutate the graph, get the new version id), `watch` (a live subscription
 //!   re-emitting a version-tagged estimate whenever a delta lands), `bye`,
 //!   and the response/error taxonomy
 //!   ([`ErrorKind::QueueFull`] is the one *retryable* error — admission
@@ -65,8 +65,8 @@ pub mod wire;
 
 pub use client::{Client, ClientError, CountBuilder, CountStream, StreamEvent, WatchStream};
 pub use proto::{
-    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, ErrorKind, JobId, Request, Response, ServerStats,
-    StatsFrame, WatchFrame, WireEstimate, WireOutput,
+    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, ErrorKind, JobId, Request, Response, WatchFrame,
+    WireEstimate, WireOutput,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ServerStats};
 pub use wire::{FrameError, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -3,31 +3,31 @@
 //!
 //! Tag assignments (requests `0x01..`, responses `0x81..`):
 //!
-//! | tag    | message    | payload                                         |
-//! |--------|------------|-------------------------------------------------|
-//! | `0x01` | Hello      | protocol version (`u32`)                        |
-//! | `0x02` | Count      | [`CountSpec`]                                   |
-//! | `0x03` | —          | retired in protocol v4 (was Batch); not reused  |
-//! | `0x04` | Cancel     | job id (`u64`)                                  |
-//! | `0x05` | Explain    | pattern text (`str`)                            |
-//! | `0x06` | Stats      | —                                               |
-//! | `0x07` | Bye        | —                                               |
-//! | `0x08` | Metrics    | —                                               |
-//! | `0x09` | Trace      | —                                               |
-//! | `0x0A` | Delta      | [`DeltaSpec`] (edge inserts + deletes)          |
-//! | `0x0B` | Watch      | [`CountSpec`] (re-run at every new version)     |
-//! | `0x81` | HelloOk    | server protocol version (`u32`)                 |
-//! | `0x82` | Chunk      | [`ChunkFrame`]                                  |
-//! | `0x83` | Final      | job id, [`WireOutput`]                          |
-//! | `0x84` | Error      | [`ErrorFrame`]                                  |
-//! | `0x85` | ExplainOk  | rendered plan report (`str`)                    |
-//! | `0x86` | StatsOk    | [`StatsFrame`]                                  |
-//! | `0x87` | CancelOk   | job id, `was_active` (`bool`)                   |
-//! | `0x88` | ByeOk      | —                                               |
-//! | `0x89` | MetricsOk  | registry exposition (`str`)                     |
-//! | `0x8A` | TraceOk    | slow-query log rendering (`str`)                |
-//! | `0x8B` | DeltaOk    | new head version id (`u64`)                     |
-//! | `0x8C` | WatchChunk | [`WatchFrame`] (version-tagged estimate chunk)  |
+//! | tag    | message    | payload                                            |
+//! |--------|------------|----------------------------------------------------|
+//! | `0x01` | Hello      | protocol version (`u32`)                           |
+//! | `0x02` | Count      | [`CountSpec`]                                      |
+//! | `0x03` | —          | retired in protocol v4 (was Batch); not reused     |
+//! | `0x04` | Cancel     | job id (`u64`)                                     |
+//! | `0x05` | Explain    | pattern text (`str`)                               |
+//! | `0x06` | Stats      | —                                                  |
+//! | `0x07` | Bye        | —                                                  |
+//! | `0x08` | —          | retired in protocol v5 (was Metrics); not reused   |
+//! | `0x09` | Trace      | —                                                  |
+//! | `0x0A` | Delta      | [`DeltaSpec`] (edge inserts + deletes)             |
+//! | `0x0B` | Watch      | [`CountSpec`] (re-run at every new version)        |
+//! | `0x81` | HelloOk    | server protocol version (`u32`)                    |
+//! | `0x82` | Chunk      | [`ChunkFrame`]                                     |
+//! | `0x83` | Final      | job id, [`WireOutput`]                             |
+//! | `0x84` | Error      | [`ErrorFrame`]                                     |
+//! | `0x85` | ExplainOk  | rendered plan report (`str`)                       |
+//! | `0x86` | StatsOk    | registry exposition (`str`)                        |
+//! | `0x87` | CancelOk   | job id, `was_active` (`bool`)                      |
+//! | `0x88` | ByeOk      | —                                                  |
+//! | `0x89` | —          | retired in protocol v5 (was the metrics reply)     |
+//! | `0x8A` | TraceOk    | slow-query log rendering (`str`)                   |
+//! | `0x8B` | DeltaOk    | new head version id (`u64`)                        |
+//! | `0x8C` | WatchChunk | [`WatchFrame`] (version-tagged estimate chunk)     |
 //!
 //! Estimates cross the wire as [`WireEstimate`]: every `f64` travels as its
 //! IEEE-754 bit pattern and the per-trial counts travel verbatim, so the
@@ -36,7 +36,7 @@
 
 use crate::wire::{self, Reader, WireError};
 use sgc_core::{Algorithm, Estimate};
-use sgc_service::{Precision, ServiceMetrics, StopReason};
+use sgc_service::{Precision, StopReason};
 
 /// Job ids are caller-assigned `u64`s, unique per connection; `0` in an
 /// [`ErrorFrame`] means "about the connection, not any job".
@@ -67,14 +67,12 @@ pub enum Request {
         /// The pattern text, in the grammar of `sgc_query::parse`.
         pattern: String,
     },
-    /// Fetch service metrics and server counters.
+    /// Fetch the metrics exposition: every histogram, counter and gauge
+    /// the process accumulated, plus the serving server's own `service_*`
+    /// and `net_*` numbers; answered with [`Response::StatsOk`].
     Stats,
     /// Clean goodbye: the server answers [`Response::ByeOk`] and closes.
     Bye,
-    /// Fetch the full `sgc-obs` metrics exposition (every histogram,
-    /// counter and gauge the process accumulated); answered with
-    /// [`Response::MetricsOk`].
-    Metrics,
     /// Fetch the slow-query trace log; answered with
     /// [`Response::TraceOk`].
     Trace,
@@ -132,7 +130,6 @@ impl Request {
             Request::Explain { .. } => 0x05,
             Request::Stats => 0x06,
             Request::Bye => 0x07,
-            Request::Metrics => 0x08,
             Request::Trace => 0x09,
             Request::Delta(_) => 0x0A,
             Request::Watch(_) => 0x0B,
@@ -147,7 +144,7 @@ impl Request {
             Request::Count(spec) => encode_count_spec(&mut buf, spec),
             Request::Cancel(id) => wire::put_u64(&mut buf, *id),
             Request::Explain { pattern } => wire::put_str(&mut buf, pattern),
-            Request::Stats | Request::Bye | Request::Metrics | Request::Trace => {}
+            Request::Stats | Request::Bye | Request::Trace => {}
             Request::Delta(delta) => {
                 encode_edges(&mut buf, &delta.inserts);
                 encode_edges(&mut buf, &delta.deletes);
@@ -171,7 +168,6 @@ impl Request {
             0x05 => Request::Explain { pattern: r.str()? },
             0x06 => Request::Stats,
             0x07 => Request::Bye,
-            0x08 => Request::Metrics,
             0x09 => Request::Trace,
             0x0A => Request::Delta(DeltaSpec {
                 inserts: decode_edges(&mut r)?,
@@ -341,8 +337,12 @@ pub enum Response {
         /// `PlanReport`'s `Display` rendering.
         report: String,
     },
-    /// Service metrics and server counters for a `stats` request.
-    StatsOk(StatsFrame),
+    /// The metrics exposition for a `stats` request.
+    StatsOk {
+        /// Sorted `name value` lines: the registry plus the serving
+        /// server's `service_*` and `net_*` numbers.
+        exposition: String,
+    },
     /// Acknowledges a `cancel` request.
     CancelOk {
         /// The id the cancel named.
@@ -353,11 +353,6 @@ pub enum Response {
     },
     /// Acknowledges `bye`; the server closes the connection after sending.
     ByeOk,
-    /// The full `sgc-obs` metrics exposition for a `metrics` request.
-    MetricsOk {
-        /// Sorted `name value` lines from the registry.
-        exposition: String,
-    },
     /// The slow-query trace log for a `trace` request.
     TraceOk {
         /// The rendered trace ring, slowest job first.
@@ -641,69 +636,6 @@ impl std::fmt::Display for ErrorFrame {
     }
 }
 
-/// Server-side connection/frame counters, reported by the `stats` verb
-/// alongside the service metrics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted since the server started.
-    pub connections_accepted: u64,
-    /// Connections currently open.
-    pub connections_open: u64,
-    /// Frames read from clients.
-    pub frames_read: u64,
-    /// Frames written to clients.
-    pub frames_written: u64,
-    /// Count streams opened (jobs started over the wire).
-    pub streams_opened: u64,
-    /// Count streams currently running.
-    pub streams_active: u64,
-    /// Cancels that hit an active job.
-    pub jobs_cancelled: u64,
-    /// Malformed frames / protocol violations observed.
-    pub protocol_errors: u64,
-}
-
-/// The stable text form of the server counters: one `name value` per line,
-/// fixed order, no trailing newline — the same contract as
-/// [`ServiceMetrics`]'s `Display`.
-impl std::fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "connections_accepted {}\n\
-             connections_open     {}\n\
-             frames_read          {}\n\
-             frames_written       {}\n\
-             streams_opened       {}\n\
-             streams_active       {}\n\
-             jobs_cancelled       {}\n\
-             protocol_errors      {}",
-            self.connections_accepted,
-            self.connections_open,
-            self.frames_read,
-            self.frames_written,
-            self.streams_opened,
-            self.streams_active,
-            self.jobs_cancelled,
-            self.protocol_errors,
-        )
-    }
-}
-
-/// The `stats` response payload: a service metrics snapshot plus the
-/// server's own counters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsFrame {
-    /// The counting service's metrics.
-    pub service: ServiceMetrics,
-    /// The network layer's counters.
-    pub server: ServerStats,
-    /// The registry exposition at snapshot time, so `stats` surfaces the
-    /// kernel/shard/run counters that the two fixed structs above don't
-    /// carry. Empty when observability is disabled.
-    pub exposition: String,
-}
-
 impl Response {
     /// The frame tag of this response.
     pub fn tag(&self) -> u8 {
@@ -713,10 +645,9 @@ impl Response {
             Response::Final { .. } => 0x83,
             Response::Error(_) => 0x84,
             Response::ExplainOk { .. } => 0x85,
-            Response::StatsOk(_) => 0x86,
+            Response::StatsOk { .. } => 0x86,
             Response::CancelOk { .. } => 0x87,
             Response::ByeOk => 0x88,
-            Response::MetricsOk { .. } => 0x89,
             Response::TraceOk { .. } => 0x8A,
             Response::DeltaOk { .. } => 0x8B,
             Response::WatchChunk(_) => 0x8C,
@@ -764,36 +695,12 @@ impl Response {
                 }
             }
             Response::ExplainOk { report } => wire::put_str(&mut buf, report),
-            Response::StatsOk(s) => {
-                let m = &s.service;
-                wire::put_u64(&mut buf, m.jobs_submitted);
-                wire::put_u64(&mut buf, m.jobs_rejected);
-                wire::put_u64(&mut buf, m.jobs_completed);
-                wire::put_u64(&mut buf, m.queue_depth as u64);
-                wire::put_u64(&mut buf, m.cache_hits);
-                wire::put_u64(&mut buf, m.cache_misses);
-                wire::put_u64(&mut buf, m.cached_results as u64);
-                wire::put_u64(&mut buf, m.trials_executed);
-                wire::put_u64(&mut buf, m.trials_saved);
-                wire::put_u64(&mut buf, m.jobs_cancelled);
-                wire::put_u64(&mut buf, m.cache_evictions);
-                let srv = &s.server;
-                wire::put_u64(&mut buf, srv.connections_accepted);
-                wire::put_u64(&mut buf, srv.connections_open);
-                wire::put_u64(&mut buf, srv.frames_read);
-                wire::put_u64(&mut buf, srv.frames_written);
-                wire::put_u64(&mut buf, srv.streams_opened);
-                wire::put_u64(&mut buf, srv.streams_active);
-                wire::put_u64(&mut buf, srv.jobs_cancelled);
-                wire::put_u64(&mut buf, srv.protocol_errors);
-                wire::put_str(&mut buf, &s.exposition);
-            }
+            Response::StatsOk { exposition } => wire::put_str(&mut buf, exposition),
             Response::CancelOk { id, was_active } => {
                 wire::put_u64(&mut buf, *id);
                 wire::put_bool(&mut buf, *was_active);
             }
             Response::ByeOk => {}
-            Response::MetricsOk { exposition } => wire::put_str(&mut buf, exposition),
             Response::TraceOk { report } => wire::put_str(&mut buf, report),
             Response::DeltaOk { version } => wire::put_u64(&mut buf, *version),
             Response::WatchChunk(w) => {
@@ -860,42 +767,14 @@ impl Response {
                 },
             }),
             0x85 => Response::ExplainOk { report: r.str()? },
-            0x86 => Response::StatsOk(StatsFrame {
-                service: ServiceMetrics {
-                    jobs_submitted: r.u64()?,
-                    jobs_rejected: r.u64()?,
-                    jobs_completed: r.u64()?,
-                    queue_depth: r.u64()? as usize,
-                    cache_hits: r.u64()?,
-                    cache_misses: r.u64()?,
-                    cached_results: r.u64()? as usize,
-                    trials_executed: r.u64()?,
-                    trials_saved: r.u64()?,
-                    jobs_cancelled: r.u64()?,
-                    cache_evictions: r.u64()?,
-                    // Not on the wire: the exposition carries them.
-                    ..ServiceMetrics::default()
-                },
-                server: ServerStats {
-                    connections_accepted: r.u64()?,
-                    connections_open: r.u64()?,
-                    frames_read: r.u64()?,
-                    frames_written: r.u64()?,
-                    streams_opened: r.u64()?,
-                    streams_active: r.u64()?,
-                    jobs_cancelled: r.u64()?,
-                    protocol_errors: r.u64()?,
-                },
+            0x86 => Response::StatsOk {
                 exposition: r.str()?,
-            }),
+            },
             0x87 => Response::CancelOk {
                 id: r.u64()?,
                 was_active: r.bool()?,
             },
             0x88 => Response::ByeOk,
-            0x89 => Response::MetricsOk {
-                exposition: r.str()?,
-            },
             0x8A => Response::TraceOk { report: r.str()? },
             0x8B => Response::DeltaOk { version: r.u64()? },
             0x8C => Response::WatchChunk(WatchFrame {
@@ -994,7 +873,6 @@ mod tests {
         });
         round_trip_request(Request::Stats);
         round_trip_request(Request::Bye);
-        round_trip_request(Request::Metrics);
         round_trip_request(Request::Trace);
         round_trip_request(Request::Delta(DeltaSpec {
             inserts: vec![(0, 3), (17, 99)],
@@ -1039,42 +917,15 @@ mod tests {
         round_trip_response(Response::ExplainOk {
             report: "plan: 2 components".to_string(),
         });
-        round_trip_response(Response::StatsOk(StatsFrame {
-            service: ServiceMetrics {
-                jobs_submitted: 10,
-                jobs_rejected: 1,
-                jobs_completed: 9,
-                queue_depth: 3,
-                cache_hits: 4,
-                cache_misses: 5,
-                cached_results: 5,
-                trials_executed: 500,
-                trials_saved: 100,
-                jobs_cancelled: 1,
-                cache_evictions: 2,
-                ..ServiceMetrics::default()
-            },
-            server: ServerStats {
-                connections_accepted: 3,
-                connections_open: 1,
-                frames_read: 40,
-                frames_written: 50,
-                streams_opened: 10,
-                streams_active: 2,
-                jobs_cancelled: 1,
-                protocol_errors: 0,
-            },
-            exposition: "engine_runs 12\nservice_jobs_completed 9".to_string(),
-        }));
         round_trip_response(Response::CancelOk {
             id: 42,
             was_active: true,
         });
         round_trip_response(Response::ByeOk);
-        round_trip_response(Response::MetricsOk {
+        round_trip_response(Response::StatsOk {
             exposition: "span_coloring_count 3\nspan_coloring_p50_ns 1024".to_string(),
         });
-        round_trip_response(Response::MetricsOk {
+        round_trip_response(Response::StatsOk {
             exposition: String::new(),
         });
         round_trip_response(Response::TraceOk {
@@ -1174,10 +1025,13 @@ mod tests {
             Request::decode(0x04, &buf),
             Err(WireError::TrailingBytes { remaining: 1 })
         );
-        // The retired batch tag is unknown, not a request.
+        // The retired batch and metrics tags are unknown, not messages.
+        for tag in [0x03, 0x08] {
+            assert_eq!(Request::decode(tag, &[]), Err(WireError::BadTag { tag }));
+        }
         assert_eq!(
-            Request::decode(0x03, &[]),
-            Err(WireError::BadTag { tag: 0x03 })
+            Response::decode(0x89, &[]),
+            Err(WireError::BadTag { tag: 0x89 })
         );
     }
 
@@ -1199,18 +1053,5 @@ mod tests {
         ] {
             assert!(!kind.is_retryable(), "{kind} must not be retryable");
         }
-    }
-
-    #[test]
-    fn server_stats_display_is_line_oriented() {
-        let stats = ServerStats {
-            connections_accepted: 3,
-            frames_read: 10,
-            ..ServerStats::default()
-        };
-        let text = stats.to_string();
-        assert!(text.lines().any(|l| l.starts_with("connections_accepted")));
-        assert_eq!(text.lines().count(), 8);
-        assert!(!text.ends_with('\n'));
     }
 }

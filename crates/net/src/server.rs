@@ -38,8 +38,8 @@
 //! [`Service::run`] with the same parameters.
 
 use crate::proto::{
-    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, ErrorKind, JobId, Request, Response, ServerStats,
-    StatsFrame, WatchFrame, WireEstimate, WireOutput,
+    ChunkFrame, CountSpec, DeltaSpec, ErrorFrame, ErrorKind, JobId, Request, Response, WatchFrame,
+    WireEstimate, WireOutput,
 };
 use crate::wire::{self, FrameError, RawFrame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
 use sgc_graph::CsrGraph;
@@ -87,6 +87,29 @@ impl Default for ServerConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
     }
+}
+
+/// A snapshot of a server's connection and frame counters, from
+/// [`Server::stats`]. Over the wire the same numbers are the `net_*` lines
+/// of the `stats` verb's exposition.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Connections accepted since the server started.
+    pub connections_accepted: u64,
+    /// Connections currently open.
+    pub connections_open: u64,
+    /// Frames read from clients.
+    pub frames_read: u64,
+    /// Frames written to clients.
+    pub frames_written: u64,
+    /// Count streams opened (jobs started over the wire).
+    pub streams_opened: u64,
+    /// Count streams currently running.
+    pub streams_active: u64,
+    /// Cancels that hit an active job.
+    pub jobs_cancelled: u64,
+    /// Malformed frames / protocol violations observed.
+    pub protocol_errors: u64,
 }
 
 /// Live server counters (atomics; snapshot with
@@ -202,8 +225,8 @@ impl Server {
     }
 
     /// The full metrics exposition — the same sorted `name value` lines the
-    /// `metrics` wire verb returns, covering stage histograms, engine and
-    /// kernel counters, service gauges, and this server's `net_*` counters.
+    /// `stats` wire verb returns, covering stage histograms, engine and
+    /// kernel counters, and this server's `service_*` and `net_*` numbers.
     pub fn exposition(&self) -> String {
         exposition(&self.shared)
     }
@@ -582,21 +605,14 @@ fn handle_frame(conn: &Arc<Conn>, raw: RawFrame, greeted: &mut bool) -> bool {
             conn.send(&response).is_ok()
         }
         Request::Stats => conn
-            .send(&Response::StatsOk(StatsFrame {
-                service: conn.shared.service.metrics(),
-                server: conn.shared.counters.snapshot(),
+            .send(&Response::StatsOk {
                 exposition: exposition(&conn.shared),
-            }))
+            })
             .is_ok(),
         Request::Bye => {
             conn.send_last(&Response::ByeOk);
             false
         }
-        Request::Metrics => conn
-            .send(&Response::MetricsOk {
-                exposition: exposition(&conn.shared),
-            })
-            .is_ok(),
         Request::Trace => conn
             .send(&Response::TraceOk {
                 report: conn.shared.service.trace_report(),
@@ -605,22 +621,22 @@ fn handle_frame(conn: &Arc<Conn>, raw: RawFrame, greeted: &mut bool) -> bool {
     }
 }
 
-/// Renders the full registry exposition after refreshing the network
-/// layer's own `net_*` gauges from the live counters. Gauges (not counter
-/// deltas): the atomics are cumulative, so setting them on every render
-/// keeps repeated expositions from double-counting.
+/// Renders the full registry exposition with this server's service and
+/// `net_*` numbers merged in, read from the live counters in the same call:
+/// nothing is stored in the process-wide registry, so another server in the
+/// process never shows through.
 fn exposition(shared: &ServerShared) -> String {
-    let registry = sgc_obs::global();
     let stats = shared.counters.snapshot();
-    registry.gauge_set("net_connections_accepted", stats.connections_accepted);
-    registry.gauge_set("net_connections_open", stats.connections_open);
-    registry.gauge_set("net_frames_read", stats.frames_read);
-    registry.gauge_set("net_frames_written", stats.frames_written);
-    registry.gauge_set("net_streams_opened", stats.streams_opened);
-    registry.gauge_set("net_streams_active", stats.streams_active);
-    registry.gauge_set("net_jobs_cancelled", stats.jobs_cancelled);
-    registry.gauge_set("net_protocol_errors", stats.protocol_errors);
-    shared.service.exposition()
+    shared.service.exposition_with(&[
+        ("net_connections_accepted", stats.connections_accepted),
+        ("net_connections_open", stats.connections_open),
+        ("net_frames_read", stats.frames_read),
+        ("net_frames_written", stats.frames_written),
+        ("net_streams_opened", stats.streams_opened),
+        ("net_streams_active", stats.streams_active),
+        ("net_jobs_cancelled", stats.jobs_cancelled),
+        ("net_protocol_errors", stats.protocol_errors),
+    ])
 }
 
 /// Builds the service job for one wire spec. Parse errors become spanned

@@ -31,8 +31,10 @@ use std::io::{Read, Write};
 /// (versioned graphs with live re-emission), their `delta-ok` /
 /// `watch-chunk` responses, and the cache-evictions field in stats frames.
 /// Version 4 retired the `batch` verb (tag `0x03`, now an unknown tag) and
-/// the batches-submitted field of stats frames.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// the batches-submitted field of stats frames. Version 5 made the `stats`
+/// answer the exposition string alone and retired the `metrics` verb (tags
+/// `0x08`/`0x89`, now unknown tags).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default cap on `length` (tag + payload bytes) accepted per frame.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 16 * 1024 * 1024;

@@ -5,9 +5,8 @@
 //! counters) and renders them — together with the per-stage span histograms
 //! of [`crate::span`](mod@crate::span) — as one stable text exposition: one metric per line,
 //! `name value`, names unique and sorted. New metrics are only ever added,
-//! never renamed, so the line set is append-only across releases (the same
-//! contract `ServiceMetrics`' `Display` established); the CI `obs` job pins
-//! the current name list against a checked-in snapshot.
+//! never renamed, so the line set is append-only across releases; the CI
+//! `obs` job pins the current name list against a checked-in snapshot.
 //!
 //! Publication happens at job/run granularity (a mutex-guarded map update),
 //! never inside kernel loops — the hot path only touches the static stage
@@ -85,6 +84,14 @@ impl Registry {
     /// `_p50_ns`, `_p95_ns`, `_p99_ns`, `_max_ns`), one `name value` line
     /// each, sorted by name, no trailing newline.
     pub fn render(&self) -> String {
+        self.render_with(&[])
+    }
+
+    /// [`render`](Registry::render) with the caller's `instance` lines,
+    /// whose names are never registered ones, merged in. They are stored
+    /// nowhere, so two servers in one process never read each other's
+    /// numbers.
+    pub fn render_with(&self, instance: &[(&'static str, u64)]) -> String {
         let mut lines: Vec<(String, u64)> = Vec::new();
         for stage in Stage::ALL {
             let prefix = stage.metric_prefix();
@@ -98,6 +105,9 @@ impl Registry {
         }
         for (name, metric) in self.lock().iter() {
             lines.push((name.to_string(), metric.value()));
+        }
+        for &(name, value) in instance {
+            lines.push((name.to_string(), value));
         }
         lines.sort();
         let rendered: Vec<String> = lines
@@ -157,6 +167,29 @@ mod tests {
         assert!(names.iter().any(|n| n == "span_net_write_p99_ns"));
         assert!(names.iter().any(|n| n == "aa_first"));
         assert!(names.iter().any(|n| n == "zz_last"));
+    }
+
+    #[test]
+    fn instance_lines_merge_into_one_render_and_are_not_stored() {
+        let r = Registry::new();
+        r.counter_add("mm_shared", 4);
+        let instance = [("zz_own", 7), ("aa_own", 3)];
+        // Other tests record into the process-wide stage histograms at the
+        // same time, so a span line is compared by name only.
+        let lines = |text: String| -> Vec<String> {
+            text.lines()
+                .map(|l| match l.split_once(' ') {
+                    Some((name, _)) if name.starts_with("span_") => name.to_string(),
+                    _ => l.to_string(),
+                })
+                .collect()
+        };
+        let mut expected = lines(r.render());
+        expected.extend(["zz_own 7".to_string(), "aa_own 3".to_string()]);
+        expected.sort();
+        assert_eq!(lines(r.render_with(&instance)), expected);
+        assert_eq!(r.get("zz_own"), None);
+        assert_eq!(r.get("aa_own"), None);
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //!    recorder).
 //!
 //! Guards are zero-allocation: a `Stage` copy and an `Option<Instant>`.
-//! When observability is off — globally via [`set_enabled`] or on this
-//! thread via [`suspend`] — a guard is a single relaxed load plus a `None`,
-//! and its drop is a branch. Panic unwinding drops live guards in reverse
-//! creation order, so the span stack self-heals across `catch_unwind`
-//! boundaries (pinned by a test below).
+//! When observability is off on this thread — inside a [`suspend`] scope —
+//! a guard is one thread-local read plus a `None`, and its drop is a
+//! branch. Panic unwinding drops live guards in reverse creation order, so
+//! the span stack self-heals across `catch_unwind` boundaries (pinned by a
+//! test below).
 
 use crate::hist::Histogram;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Number of stages in the taxonomy.
@@ -143,19 +142,10 @@ static STAGE_HISTOGRAMS: [Histogram; STAGE_COUNT] = {
     [EMPTY; STAGE_COUNT]
 };
 
-/// Global on/off switch (default on). Per-thread suspension stacks on top.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns span recording on or off process-wide. Used by the overhead
-/// benchmark; per-request opt-out goes through [`suspend`] instead.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span recording is currently enabled for this thread (the global
-/// switch is on and no [`suspend`] guard is live here).
+/// Whether span recording is enabled on this thread: no [`suspend`] guard
+/// is live here.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && TL.with(|t| t.borrow().suspended == 0)
+    TL.with(|t| t.borrow().suspended == 0)
 }
 
 struct ThreadObs {
@@ -216,11 +206,8 @@ impl SpanGuard {
 
 /// Starts a span for `stage` on this thread. The guard records into the
 /// stage histogram, the thread ring and the active job accumulator when
-/// dropped; when observability is disabled it is inert.
+/// dropped; inside a [`suspend`] scope it is inert.
 pub fn span(stage: Stage) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard { stage, start: None };
-    }
     let active = TL.with(|t| {
         let mut t = t.borrow_mut();
         if t.suspended > 0 {
@@ -254,8 +241,8 @@ impl Drop for SpanGuard {
 
 /// Suspends span recording on this thread until the guard drops. Guards
 /// nest; recording resumes when the outermost one is released. This is how
-/// a request built with `.obs(false)` turns a single run's instrumentation off
-/// without touching the process-wide switch.
+/// a request built with `.obs(false)` turns a single run's instrumentation
+/// off; no other thread is affected.
 pub fn suspend() -> PauseGuard {
     TL.with(|t| t.borrow_mut().suspended += 1);
     PauseGuard { _private: () }

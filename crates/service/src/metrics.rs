@@ -3,7 +3,8 @@
 //! Counters are lock-free atomics bumped on the submission and worker
 //! paths; [`ServiceMetrics`] is a coherent-enough snapshot for dashboards
 //! and tests (individual counters are exact, cross-counter invariants may
-//! lag by in-flight jobs).
+//! lag by in-flight jobs). Over the wire the same numbers are the
+//! `service_*` lines of [`Service::exposition`](crate::Service::exposition).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,14 +40,11 @@ pub struct ServiceMetrics {
     /// Completed results evicted from the bounded result cache (LRU over
     /// the per-version job keys) to honor its capacity.
     pub cache_evictions: u64,
-    /// Live watch subscriptions (cancelled ones excluded). Not carried by
-    /// the wire `stats` frame; read it from the `service_watchers`
-    /// exposition line.
+    /// Live watch subscriptions (cancelled ones excluded).
     pub watchers: usize,
     /// Versions a watcher was owed that a newer delta superseded before
     /// their emission was queued: the re-counts latest-version-wins
-    /// coalescing saved. Not carried by the wire `stats` frame; read it
-    /// from the `service_watch_emissions_coalesced` exposition line.
+    /// coalescing saved.
     pub watch_emissions_coalesced: u64,
 }
 
@@ -60,48 +58,6 @@ impl ServiceMetrics {
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-}
-
-/// The stable text form of the metrics: one `name value` pair per line, in
-/// a fixed order, no trailing newline.
-///
-/// This is the *serialization contract* shared by every consumer that
-/// prints metrics — the `sgc-net` `stats` verb renders the snapshot it
-/// received over the wire with this impl — so scrapers can parse one
-/// format everywhere. New fields are only ever appended, and none is ever
-/// removed: `batches_submitted` outlived the batch API it counted and
-/// always reads 0.
-impl std::fmt::Display for ServiceMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "jobs_submitted    {}\n\
-             batches_submitted 0\n\
-             jobs_rejected     {}\n\
-             jobs_completed    {}\n\
-             jobs_cancelled    {}\n\
-             queue_depth       {}\n\
-             cache_hits        {}\n\
-             cache_misses      {}\n\
-             cache_hit_rate    {:.4}\n\
-             cached_results    {}\n\
-             trials_executed   {}\n\
-             trials_saved      {}\n\
-             cache_evictions   {}",
-            self.jobs_submitted,
-            self.jobs_rejected,
-            self.jobs_completed,
-            self.jobs_cancelled,
-            self.queue_depth,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate(),
-            self.cached_results,
-            self.trials_executed,
-            self.trials_saved,
-            self.cache_evictions,
-        )
     }
 }
 

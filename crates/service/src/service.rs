@@ -586,33 +586,43 @@ impl Service {
         )
     }
 
-    /// The unified metrics exposition: publishes the current
-    /// [`ServiceMetrics`] snapshot into the process-wide `sgc-obs` registry
-    /// under `service_*` names (as gauges — the snapshot is already
-    /// cumulative) and renders the whole registry as sorted `name value`
-    /// lines. This is the payload of the `metrics` net verb.
+    /// The unified metrics exposition: the process-wide `sgc-obs` registry
+    /// rendered with this service's [`ServiceMetrics`] merged in as
+    /// `service_*` lines. See [`exposition_with`](Service::exposition_with).
     pub fn exposition(&self) -> String {
-        let snapshot = self.metrics();
-        let registry = sgc_obs::global();
-        registry.gauge_set("service_jobs_submitted", snapshot.jobs_submitted);
-        // Kept under the append-only name contract; nothing submits batches.
-        registry.gauge_set("service_batches_submitted", 0);
-        registry.gauge_set("service_jobs_rejected", snapshot.jobs_rejected);
-        registry.gauge_set("service_jobs_completed", snapshot.jobs_completed);
-        registry.gauge_set("service_jobs_cancelled", snapshot.jobs_cancelled);
-        registry.gauge_set("service_queue_depth", snapshot.queue_depth as u64);
-        registry.gauge_set("service_cache_hits", snapshot.cache_hits);
-        registry.gauge_set("service_cache_misses", snapshot.cache_misses);
-        registry.gauge_set("service_cached_results", snapshot.cached_results as u64);
-        registry.gauge_set("service_trials_executed", snapshot.trials_executed);
-        registry.gauge_set("service_trials_saved", snapshot.trials_saved);
-        registry.gauge_set("service_cache_evictions", snapshot.cache_evictions);
-        registry.gauge_set("service_watchers", snapshot.watchers as u64);
-        registry.gauge_set(
-            "service_watch_emissions_coalesced",
-            snapshot.watch_emissions_coalesced,
-        );
-        registry.render()
+        self.exposition_with(&[])
+    }
+
+    /// [`exposition`](Service::exposition) with the caller's own
+    /// `instance` lines (a server's `net_*` counters) merged in too. The
+    /// snapshot and the render are one step and nothing is stored in the
+    /// registry, so two services in one process never render each other's
+    /// numbers. This is the payload of the `stats` net verb.
+    pub fn exposition_with(&self, instance: &[(&'static str, u64)]) -> String {
+        let m = self.metrics();
+        let mut lines = vec![
+            ("service_jobs_submitted", m.jobs_submitted),
+            // Kept under the append-only name contract; nothing submits
+            // batches.
+            ("service_batches_submitted", 0),
+            ("service_jobs_rejected", m.jobs_rejected),
+            ("service_jobs_completed", m.jobs_completed),
+            ("service_jobs_cancelled", m.jobs_cancelled),
+            ("service_queue_depth", m.queue_depth as u64),
+            ("service_cache_hits", m.cache_hits),
+            ("service_cache_misses", m.cache_misses),
+            ("service_cached_results", m.cached_results as u64),
+            ("service_trials_executed", m.trials_executed),
+            ("service_trials_saved", m.trials_saved),
+            ("service_cache_evictions", m.cache_evictions),
+            ("service_watchers", m.watchers as u64),
+            (
+                "service_watch_emissions_coalesced",
+                m.watch_emissions_coalesced,
+            ),
+        ];
+        lines.extend_from_slice(instance);
+        sgc_obs::global().render_with(&lines)
     }
 
     /// Renders the slow-query trace log (slowest recent job first); the

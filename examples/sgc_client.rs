@@ -6,7 +6,6 @@
 //!     [--seed N] [--budget N] [--precision F] [--algorithm db|ps]
 //! cargo run --release --example sgc_client -- --addr HOST:PORT explain 'brain1'
 //! cargo run --release --example sgc_client -- --addr HOST:PORT stats
-//! cargo run --release --example sgc_client -- --addr HOST:PORT metrics
 //! cargo run --release --example sgc_client -- --addr HOST:PORT trace
 //! cargo run --release --example sgc_client -- --addr HOST:PORT delta \
 //!     [--insert U-V,U-V,...] [--delete U-V,U-V,...]
@@ -123,9 +122,7 @@ fn parse_args() -> Result<Options, String> {
         return Err("--addr HOST:PORT is required".to_string());
     }
     if options.verb.is_empty() {
-        return Err(
-            "expected a verb: count, explain, stats, metrics, trace, delta, or watch".to_string(),
-        );
+        return Err("expected a verb: count, explain, stats, trace, delta, or watch".to_string());
     }
     Ok(options)
 }
@@ -222,15 +219,7 @@ fn run(options: Options) -> Result<(), ClientError> {
             println!("{}", client.explain(pattern)?);
         }
         "stats" => {
-            let stats = client.stats()?;
-            println!("--- service metrics ---\n{}", stats.service);
-            println!("--- server stats ---\n{}", stats.server);
-            if !stats.exposition.is_empty() {
-                println!("--- metrics exposition ---\n{}", stats.exposition);
-            }
-        }
-        "metrics" => {
-            println!("{}", client.metrics()?);
+            println!("{}", client.stats()?);
         }
         "trace" => {
             println!("{}", client.trace_log()?);
@@ -238,7 +227,7 @@ fn run(options: Options) -> Result<(), ClientError> {
         other => {
             eprintln!(
                 "error: unknown verb {other} \
-                 (expected count, explain, stats, metrics, trace, delta, or watch)"
+                 (expected count, explain, stats, trace, delta, or watch)"
             );
             std::process::exit(2);
         }

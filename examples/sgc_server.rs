@@ -13,8 +13,8 @@
 //!
 //! The process serves until stdin reaches EOF or a line reading `stop`
 //! arrives — which is how the CI smoke job drives a clean shutdown — then
-//! drains in-flight jobs and prints the end-of-run metrics in the stable
-//! `name value` text form shared with the `stats` wire verb.
+//! drains in-flight jobs and prints the end-of-run metrics exposition to
+//! stderr: the same `name value` lines the `stats` wire verb returns.
 
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -127,10 +127,8 @@ fn main() -> ExitCode {
         }
     }
     eprintln!("shutting down");
-    let service_metrics = server.service().metrics();
-    let server_stats = server.stats();
+    let exposition = server.exposition();
     server.shutdown();
-    eprintln!("--- service metrics ---\n{service_metrics}");
-    eprintln!("--- server stats ---\n{server_stats}");
+    eprintln!("{exposition}");
     ExitCode::SUCCESS
 }

@@ -810,9 +810,12 @@ fn net_watch_streams_version_tagged_chunks_across_deltas() {
     stream.cancel().unwrap();
     assert!(stream.next().is_none());
 
-    // Stats now travel the eviction counter (protocol v3 field).
-    let stats = mutator.stats().unwrap();
-    assert_eq!(stats.service.cache_evictions, 0);
+    // The stats exposition carries the eviction counter.
+    let exposition = mutator.stats().unwrap();
+    assert!(
+        exposition.lines().any(|l| l == "service_cache_evictions 0"),
+        "{exposition}"
+    );
 
     mutator.bye().unwrap();
     watcher.bye().unwrap();

@@ -767,9 +767,14 @@ fn malformed_frames_are_rejected_with_typed_errors() {
     let mut server = start_server(1, 16, 4);
     let addr = server.local_addr();
 
-    // Unknown tags after a proper hello: 0x7F was never assigned, and 0x03
-    // (the batch verb before protocol v4) is retired.
-    for (tag, payload) in [(0x7F, Vec::new()), (0x03, 0u32.to_be_bytes().to_vec())] {
+    // Unknown tags after a proper hello: 0x7F was never assigned, 0x03
+    // (the batch verb before protocol v4) and 0x08 (the metrics verb
+    // before protocol v5) are retired.
+    for (tag, payload) in [
+        (0x7F, Vec::new()),
+        (0x03, 0u32.to_be_bytes().to_vec()),
+        (0x08, Vec::new()),
+    ] {
         let mut raw = raw_client(addr);
         wire::write_frame(&mut raw, tag, &payload, 1 << 20).unwrap();
         match read_response(&mut raw) {
@@ -798,6 +803,11 @@ fn malformed_frames_are_rejected_with_typed_errors() {
     }
 
     assert!(server.stats().protocol_errors >= 3);
+    // A bad frame closes only its own connection: the server still counts.
+    let mut client = Client::connect(addr).expect("connect");
+    let output = client.count("cycle(3)").budget(4).run().expect("count");
+    assert_eq!(output.trials_run, 4);
+    client.bye().expect("clean goodbye");
     server.shutdown();
 }
 
@@ -856,10 +866,55 @@ fn a_client_that_vanishes_mid_stream_gets_its_job_cancelled() {
     assert_eq!(server.stats().streams_active, 0);
 }
 
-/// Stats travel the wire in full: the decoded service metrics snapshot
-/// renders through the same stable `Display` form the server prints.
+/// The value of `name` in an exposition.
+fn exposition_value(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from exposition"))
+        .parse()
+        .unwrap()
+}
+
+/// Every `service_*` and `net_*` line one server publishes, read from its
+/// in-process snapshots.
+fn instance_lines(server: &Server) -> Vec<(&'static str, u64)> {
+    let m = server.service().metrics();
+    let s = server.stats();
+    vec![
+        ("net_connections_accepted", s.connections_accepted),
+        ("net_connections_open", s.connections_open),
+        ("net_frames_read", s.frames_read),
+        ("net_frames_written", s.frames_written),
+        ("net_jobs_cancelled", s.jobs_cancelled),
+        ("net_protocol_errors", s.protocol_errors),
+        ("net_streams_active", s.streams_active),
+        ("net_streams_opened", s.streams_opened),
+        ("service_batches_submitted", 0),
+        ("service_cache_evictions", m.cache_evictions),
+        ("service_cache_hits", m.cache_hits),
+        ("service_cache_misses", m.cache_misses),
+        ("service_cached_results", m.cached_results as u64),
+        ("service_jobs_cancelled", m.jobs_cancelled),
+        ("service_jobs_completed", m.jobs_completed),
+        ("service_jobs_rejected", m.jobs_rejected),
+        ("service_jobs_submitted", m.jobs_submitted),
+        ("service_queue_depth", m.queue_depth as u64),
+        ("service_trials_executed", m.trials_executed),
+        ("service_trials_saved", m.trials_saved),
+        (
+            "service_watch_emissions_coalesced",
+            m.watch_emissions_coalesced,
+        ),
+        ("service_watchers", m.watchers as u64),
+    ]
+}
+
+/// The `stats` verb answers with the exposition, and its `service_*` and
+/// `net_*` lines are the serving server's own numbers, read by name.
 #[test]
 fn stats_verb_round_trips_the_metrics_snapshot() {
+    use std::time::{Duration, Instant};
     let mut server = start_server(1, 16, 4);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client
@@ -868,21 +923,110 @@ fn stats_verb_round_trips_the_metrics_snapshot() {
         .budget(8)
         .run()
         .expect("count");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.service.jobs_submitted, 1);
-    assert_eq!(stats.service.jobs_completed, 1);
-    assert_eq!(stats.service.trials_executed, 8);
-    assert!(stats.server.streams_opened >= 1);
-    assert!(stats.server.frames_written >= 2);
-    // The wire snapshot and a direct snapshot render identically through
-    // the stable text contract (both taken at quiescence).
-    assert_eq!(
-        stats.service.to_string(),
-        server.service().metrics().to_string()
-    );
-    let text = stats.service.to_string();
-    assert!(text.starts_with("jobs_submitted"));
-    assert!(text.contains("\ntrials_saved"));
+    // A frame a worker wrote (a chunk, the final) is counted under the
+    // connection's writer lock, which the first reply's write waits for;
+    // and the reader thread counts that reply before it reads the next
+    // request. So the second reply's render misses only the second reply.
+    client.stats().expect("stats");
+    let exposition = client.stats().expect("stats");
+    let value = |name| exposition_value(&exposition, name);
+    assert_eq!(value("service_jobs_submitted"), 1);
+    assert_eq!(value("service_jobs_completed"), 1);
+    assert_eq!(value("service_trials_executed"), 8);
+    assert!(value("net_streams_opened") >= 1);
+    assert!(value("net_frames_written") >= 2);
+    // At quiescence every instance line equals the in-process snapshots,
+    // once the second reply's own write is counted.
+    let written = value("net_frames_written");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().frames_written <= written {
+        assert!(
+            Instant::now() < deadline,
+            "the stats reply was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let published: Vec<(&str, u64)> = exposition
+        .lines()
+        .filter(|line| line.starts_with("service_") || line.starts_with("net_"))
+        .map(|line| {
+            let (name, value) = line.split_once(' ').unwrap();
+            (name, value.parse().unwrap())
+        })
+        .collect();
+    let mut expected = instance_lines(&server);
+    for (name, value) in &mut expected {
+        if *name == "net_frames_written" {
+            *value -= 1;
+        }
+    }
+    assert_eq!(published, expected);
     client.bye().expect("clean goodbye");
     server.shutdown();
+}
+
+/// Two servers in one process share the process-wide registry, yet every
+/// `stats` reply carries its own server's numbers, even while both servers
+/// answer `stats` at once.
+#[test]
+fn two_servers_in_one_process_answer_stats_with_their_own_numbers() {
+    use std::sync::Barrier;
+    const THREADS: usize = 2;
+    const CALLS: usize = 200;
+    let servers = [start_server(1, 16, 4), start_server(1, 16, 4)];
+    // Different traffic first: one connection and job on the first server,
+    // three on the second.
+    for (server, connections) in servers.iter().zip([1u64, 3]) {
+        for seed in 0..connections {
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            client
+                .count("cycle(3)")
+                .seed(seed)
+                .budget(4)
+                .run()
+                .expect("count");
+            client.bye().expect("clean goodbye");
+        }
+    }
+    let barrier = Barrier::new(THREADS * servers.len());
+    let replies: Vec<Vec<(usize, u64, u64)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .flat_map(|_| servers.iter().enumerate())
+            .map(|(which, server)| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut client = Client::connect(server.local_addr()).expect("connect");
+                    barrier.wait();
+                    let replies: Vec<(usize, u64, u64)> = (0..CALLS)
+                        .map(|_| {
+                            let exposition = client.stats().expect("stats");
+                            (
+                                which,
+                                exposition_value(&exposition, "net_connections_accepted"),
+                                exposition_value(&exposition, "service_jobs_submitted"),
+                            )
+                        })
+                        .collect();
+                    client.bye().expect("clean goodbye");
+                    replies
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let own: Vec<(u64, u64)> = servers
+        .iter()
+        .map(|server| {
+            (
+                server.stats().connections_accepted,
+                server.service().metrics().jobs_submitted,
+            )
+        })
+        .collect();
+    assert_eq!(own, [(1 + THREADS as u64, 1), (3 + THREADS as u64, 3)]);
+    let replies: Vec<(usize, u64, u64)> = replies.into_iter().flatten().collect();
+    assert_eq!(replies.len(), THREADS * CALLS * servers.len());
+    for (which, accepted, submitted) in replies {
+        assert_eq!((accepted, submitted), own[which], "server {which}");
+    }
 }

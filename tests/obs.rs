@@ -2,12 +2,11 @@
 //! the differential guarantee (obs-on ≡ obs-off bit identity — spans and
 //! counters read the DP, they never branch it), the text exposition
 //! contract (`name value` lines, names unique, sorted, and pinned against
-//! a checked-in snapshot), and the `metrics`/`trace` wire verbs over a
+//! a checked-in snapshot), and the `stats`/`trace` wire verbs over a
 //! loopback server.
 //!
 //! These tests share one process, so they toggle observability only at
-//! request/config granularity (never the process-wide switch) and only
-//! ever publish the standard metric names. Each holds [`serial`] so that
+//! request/config granularity and only ever publish the standard metric names. Each holds [`serial`] so that
 //! one test can read an exact counter delta off the shared registry.
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -290,7 +289,7 @@ fn exposition_names_match_the_checked_in_snapshot() {
             .expect("triangle counts");
         assert!(output.trials_run >= 1);
     }
-    let exposition = client.metrics().expect("metrics verb");
+    let exposition = client.stats().expect("stats verb");
     client.bye().expect("clean goodbye");
     server.shutdown();
 
@@ -303,8 +302,8 @@ fn exposition_names_match_the_checked_in_snapshot() {
     );
 }
 
-/// The `metrics` and `trace` verbs round-trip well-formed payloads over a
-/// live connection, and a client-stamped trace ID surfaces in the log.
+/// The `stats` verb (the metrics exposition) and the `trace` verb
+/// round-trip well-formed payloads over a live connection, and a client-stamped trace ID surfaces in the log.
 #[test]
 fn metrics_and_trace_verbs_work_over_loopback() {
     let _serial = serial();
@@ -330,7 +329,7 @@ fn metrics_and_trace_verbs_work_over_loopback() {
         .expect("cycle(4) counts");
     assert_eq!(output.trials_run, 8);
 
-    let exposition = client.metrics().expect("metrics verb");
+    let exposition = client.stats().expect("stats verb");
     let names = parse_exposition(&exposition);
     assert!(!names.is_empty());
     // The job left footprints in every layer the exposition covers.
