@@ -84,7 +84,7 @@ pub(crate) fn execute<'g, 'a>(
     // One solo stream per distinct (structure, algorithm, seed), with the
     // requests it serves. Every request is validated as its own stream
     // would be, twins included, before any trial runs.
-    let mut runs: Vec<(TrialStream<'_, 'g, 'a>, Vec<usize>)> = Vec::new();
+    let mut runs: Vec<(TrialStream<'_, 'g, '_>, Vec<usize>)> = Vec::new();
     let mut run_of: HashMap<(usize, Algorithm, u64), usize> = HashMap::new();
     for (i, (request, &group)) in requests.iter().zip(&groups).enumerate() {
         if !std::ptr::eq(request.engine, engine) {
@@ -93,7 +93,7 @@ pub(crate) fn execute<'g, 'a>(
         if request.trials == 0 {
             return Err(SgcError::ZeroTrials);
         }
-        let stream = request.stream()?;
+        let stream = request.reborrow().estimate_incremental()?;
         match run_of.entry((group, request.algorithm, request.seed)) {
             Entry::Occupied(e) => runs[*e.get()].1.push(i),
             Entry::Vacant(e) => {

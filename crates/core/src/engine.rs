@@ -31,7 +31,7 @@ use crate::config::Algorithm;
 use crate::context::GraphPrep;
 use crate::driver::CountResult;
 use crate::error::SgcError;
-use crate::estimator::{summarize_trials, Estimate, TrialAccumulator};
+use crate::estimator::{relative_half_width, summarize_trials, Estimate};
 use crate::explain::PlanReport;
 use crate::kernel::ArenaPool;
 use crate::runtime::executor::{execute, Job};
@@ -450,7 +450,9 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     }
 
     /// Enables or disables trial-level parallelism for
-    /// [`estimate`](CountRequest::estimate) (default on). The estimate is
+    /// [`estimate`](CountRequest::estimate) (default on). It spreads only
+    /// unsharded trials: a [`sharded`](CountRequest::sharded) request
+    /// parallelises within each trial instead. The estimate is
     /// bit-identical either way; this only exists for measurement and tests.
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
@@ -472,9 +474,9 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// shard actually did. Zero shards is rejected at run time with
     /// [`SgcError::ZeroShards`].
     ///
-    /// For [`estimate`](CountRequest::estimate), per-trial sharding applies
-    /// when trial-level parallelism is disabled; see there for the
-    /// interaction.
+    /// Every trial of an [`estimate`](CountRequest::estimate) is sharded
+    /// too; the trials then run in order on the calling thread, whatever
+    /// [`parallel`](CountRequest::parallel) says.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -552,38 +554,62 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// for an unusable coloring, [`SgcError::ZeroRanks`] for a zero rank
     /// count, and [`SgcError::ZeroShards`] for a sharded request with zero
     /// shards.
-    pub fn run(self) -> Result<CountResult, SgcError> {
+    pub fn run(mut self) -> Result<CountResult, SgcError> {
         // A disabled request suspends span recording on this thread for the
         // whole run (the sharded fan-out re-suspends on its workers).
         let _pause = (!self.obs).then(sgc_obs::suspend);
+        // Like `trials`, a recount applies to estimates only.
+        self.recount = None;
         let plan = self.resolve_plan()?;
-        let k = self.query.num_nodes();
-        let fresh;
+        self.trial(&plan, 0)
+    }
+
+    /// Trial `trial` of this request on `plan`: the one per-trial path of
+    /// [`run`](CountRequest::run) and of every [`TrialStream`] chunk. It
+    /// draws the trial's coloring (the explicit one; else seeded
+    /// `seed + trial`, restricted to the ball for a trial the
+    /// [`recount`](CountRequest::recount) parent holds), builds the job,
+    /// recounts the ball or counts the whole graph over the request's
+    /// shards, and publishes the run's metrics when observability is on.
+    fn trial(&self, plan: &DecompositionTree, trial: usize) -> Result<CountResult, SgcError> {
+        // Worker threads don't inherit the submitter's obs state.
+        let _pause = (!self.obs).then(sgc_obs::suspend);
+        let k = plan.query.num_nodes();
+        let seed = self.seed.wrapping_add(trial as u64);
+        let ball = self
+            .recount
+            .filter(|(parent, _)| trial < parent.len())
+            .map(|(parent, ball)| (parent[trial], ball));
+        let drawn;
         let coloring = match self.coloring {
-            Some(coloring) => {
-                if coloring.num_colors() != k {
-                    return Err(SgcError::WrongColorCount {
-                        expected: k,
-                        actual: coloring.num_colors(),
-                    });
-                }
-                coloring
+            Some(coloring) if coloring.num_colors() != k => {
+                return Err(SgcError::WrongColorCount {
+                    expected: k,
+                    actual: coloring.num_colors(),
+                })
             }
+            Some(coloring) => coloring,
             None => {
                 let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
-                fresh = Coloring::random(self.engine.graph().num_vertices(), k, self.seed);
-                &fresh
+                drawn = match ball {
+                    Some((_, ball)) => ball.coloring(k, seed),
+                    None => Coloring::random(self.engine.graph().num_vertices(), k, seed),
+                };
+                &drawn
             }
         };
         let job = Job {
             coloring,
-            plan: &plan,
+            plan,
             algorithm: self.algorithm,
             num_ranks: self.num_ranks,
             obs: self.obs,
         };
-        let result = self.engine.execute(&job, self.shards)?;
-        if self.obs {
+        let result = match ball {
+            Some((parent, ball)) => ball.recount(parent, &job, &self.engine.arena_pool),
+            None => self.engine.execute(&job, self.shards)?,
+        };
+        if sgc_obs::enabled() {
             result.metrics.publish();
         }
         Ok(result)
@@ -593,15 +619,12 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// `seed + i`) and scales them into an estimate of the match count.
     ///
     /// Trials run in parallel over the current thread pool unless
-    /// [`parallel(false)`](CountRequest::parallel) was set; the result is
-    /// bit-identical either way. The engine's preprocessing is reused by
-    /// every trial — nothing graph-dependent is rebuilt. With
-    /// [`sharded`](CountRequest::sharded) set and sequential trials
-    /// ([`parallel(false)`](CountRequest::parallel)), each trial runs
-    /// through the sharded rank-runtime, parallelising *within* the trial
-    /// instead of across trials; under parallel trials the shards would
-    /// only serialize, so the unsharded per-trial path is used (the counts
-    /// are identical in all three modes).
+    /// [`parallel(false)`](CountRequest::parallel) or
+    /// [`sharded`](CountRequest::sharded) was set: a sharded estimate runs
+    /// its trials in order on the calling thread, each one over its shards.
+    /// The result is bit-identical in every mode. The engine's
+    /// preprocessing is reused by every trial — nothing graph-dependent is
+    /// rebuilt.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -639,21 +662,19 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         if self.trials == 0 {
             return Err(SgcError::ZeroTrials);
         }
-        let trials = self.trials;
         // `estimate` is literally one full chunk of the incremental API:
         // fixed-trial and early-stopped estimation share every line of the
         // trial loop, which is what makes the anytime-consistency contract
         // (stream stopped after `t` trials ≡ batch run of `t` trials) hold
         // by construction.
         let mut stream = self.estimate_incremental()?;
-        stream.run_chunk(trials);
+        stream.run_chunk(stream.request.trials);
         stream.estimate()
     }
 
     /// Starts an incremental estimation: a [`TrialStream`] that runs trials
-    /// in caller-controlled chunks and surfaces streaming precision
-    /// statistics after each, instead of committing to a trial count up
-    /// front.
+    /// in caller-controlled chunks and reports the precision of the counts
+    /// so far after each, instead of committing to a trial count up front.
     ///
     /// The per-trial determinism contract is unchanged — trial `i` colors
     /// with `seed + i` no matter how the trials are chunked or scheduled —
@@ -701,12 +722,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::ZeroRanks`] / [`SgcError::ZeroShards`] for zero ranks or
     /// shards, plus the planning errors of [`run`](CountRequest::run).
     pub fn estimate_incremental(self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
-        self.stream()
-    }
-
-    /// [`estimate_incremental`](CountRequest::estimate_incremental) by
-    /// reference, for [`Engine::count_batch`]'s borrowed requests.
-    pub(crate) fn stream(&self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
         if self.coloring.is_some() {
             return Err(SgcError::ColoringWithEstimate);
         }
@@ -716,135 +731,79 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         if self.shards == Some(0) {
             return Err(SgcError::ZeroShards);
         }
-        let plan = self.resolve_plan()?;
-        // Per-trial sharding only helps when the trials themselves run
-        // sequentially: the shard fan-out then has the whole pool to
-        // itself. Under parallel trials the pool is already saturated at
-        // trial granularity (nested workers run their inner stages
-        // sequentially), so sharding each trial would add exchange and
-        // regrouping overhead without any added parallelism. Counts are
-        // bit-identical either way, so those requests take the unsharded
-        // per-trial path.
-        let shards_per_trial = if self.parallel { None } else { self.shards };
         Ok(TrialStream {
-            engine: self.engine,
-            plan,
-            algorithm: self.algorithm,
-            num_ranks: self.num_ranks,
-            seed: self.seed,
-            parallel: self.parallel,
-            shards_per_trial,
-            obs: self.obs,
-            recount: self.recount,
+            plan: self.resolve_plan()?,
+            request: self,
             per_trial: Vec::new(),
-            acc: TrialAccumulator::new(),
-            total_seconds: 0.0,
+            seconds: 0.0,
         })
+    }
+
+    /// This request with its query borrowed, for [`Engine::count_batch`]'s
+    /// borrowed requests.
+    pub(crate) fn reborrow(&self) -> CountRequest<'e, 'g, '_> {
+        CountRequest {
+            query: Cow::Borrowed(&self.query),
+            ..*self
+        }
     }
 }
 
-/// An in-progress incremental estimation over one engine-bound query.
+/// An in-progress incremental estimation over one engine-bound query: the
+/// request it was built from, its resolved plan, and the counts and seconds
+/// of the trials run so far.
 ///
 /// Created by [`CountRequest::estimate_incremental`]. Each
 /// [`run_chunk`](TrialStream::run_chunk) call executes the next batch of
-/// trials (trial `i` always colored with `seed + i`) and folds the counts
-/// into a streaming [`TrialAccumulator`]; callers consult
+/// trials (trial `i` always colored with `seed + i`); callers consult
 /// [`relative_half_width`](TrialStream::relative_half_width) between chunks
 /// and stop as soon as their precision target is met. See
 /// [`CountRequest::estimate_incremental`] for the anytime-consistency
 /// contract and an example.
 #[must_use = "a TrialStream does nothing until run_chunk() is called"]
 pub struct TrialStream<'e, 'g, 'a> {
-    engine: &'e Engine<'g>,
+    request: CountRequest<'e, 'g, 'a>,
     plan: PlanRef<'a>,
-    algorithm: Algorithm,
-    num_ranks: usize,
-    seed: u64,
-    parallel: bool,
-    shards_per_trial: Option<usize>,
-    obs: bool,
-    recount: Option<(&'a [Count], &'a DeltaBall)>,
     per_trial: Vec<Count>,
-    acc: TrialAccumulator,
-    total_seconds: f64,
+    seconds: f64,
 }
 
 impl TrialStream<'_, '_, '_> {
-    /// Runs the next `trials` trials (a no-op for zero) and returns the
-    /// updated streaming statistics.
+    /// Runs the next `trials` trials (a no-op for zero).
     ///
-    /// Chunks run in parallel over the current thread pool unless the
-    /// originating request set [`parallel(false)`](CountRequest::parallel);
-    /// results are bit-identical either way, and independent of how trials
-    /// are split into chunks.
-    pub fn run_chunk(&mut self, trials: usize) -> &TrialAccumulator {
+    /// A [`sharded`](CountRequest::sharded) request runs them in order on
+    /// the calling thread, each one over its shards; any other spreads them
+    /// over the current thread pool unless it set
+    /// [`parallel(false)`](CountRequest::parallel). Results are
+    /// bit-identical either way, and independent of how trials are split
+    /// into chunks.
+    pub fn run_chunk(&mut self, trials: usize) {
         if trials == 0 {
-            return &self.acc;
+            return;
         }
         // Chunk-level instrumentation: suspended on this thread for obs-off
-        // requests; per-trial workers re-apply the toggle themselves.
-        let _pause = (!self.obs).then(sgc_obs::suspend);
+        // requests; each trial re-applies the toggle on its own thread.
+        let _pause = (!self.request.obs).then(sgc_obs::suspend);
         let _chunk_span = sgc_obs::span(sgc_obs::Stage::EstimatorChunk);
-        let start = self.per_trial.len();
-        let outcomes: Vec<(Count, f64)> = {
-            let engine = self.engine;
-            let plan: &DecompositionTree = &self.plan;
-            let k = plan.query.num_nodes();
-            let seed = self.seed;
-            let algorithm = self.algorithm;
-            let num_ranks = self.num_ranks;
-            let shards_per_trial = self.shards_per_trial;
-            let obs = self.obs;
-            let recount = self.recount;
-            let run_trial = move |offset: usize| -> (Count, f64) {
-                let _pause = (!obs).then(sgc_obs::suspend);
-                let trial = start + offset;
-                let coloring_seed = seed.wrapping_add(trial as u64);
-                // A trial the parent ran recounts the ball; any other counts
-                // the whole graph.
-                let ball = recount
-                    .filter(|(parent, _)| trial < parent.len())
-                    .map(|(parent, ball)| (parent[trial], ball));
-                let coloring = {
-                    let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
-                    match ball {
-                        Some((_, ball)) => ball.coloring(k, coloring_seed),
-                        None => Coloring::random(engine.graph().num_vertices(), k, coloring_seed),
-                    }
-                };
-                let job = Job {
-                    coloring: &coloring,
-                    plan,
-                    algorithm,
-                    num_ranks,
-                    obs,
-                };
-                let result = match ball {
-                    Some((parent, ball)) => ball.recount(parent, &job, &engine.arena_pool),
-                    None => engine
-                        .execute(&job, shards_per_trial)
-                        .expect("engine-drawn colorings always cover the graph"),
-                };
-                if obs && sgc_obs::enabled() {
-                    result.metrics.publish();
-                }
-                (
-                    result.colorful_matches,
-                    result.metrics.elapsed.as_secs_f64(),
-                )
-            };
-            if self.parallel {
-                parallel_indexed(trials, run_trial)
-            } else {
-                (0..trials).map(run_trial).collect()
-            }
+        let (request, plan, start) = (&self.request, &*self.plan, self.per_trial.len());
+        let run_trial = |offset: usize| {
+            let result = request
+                .trial(plan, start + offset)
+                .expect("engine-drawn colorings always cover the graph");
+            (
+                result.colorful_matches,
+                result.metrics.elapsed.as_secs_f64(),
+            )
+        };
+        let outcomes: Vec<(Count, f64)> = if request.parallel && request.shards.is_none() {
+            parallel_indexed(trials, run_trial)
+        } else {
+            (0..trials).map(run_trial).collect()
         };
         for (count, seconds) in outcomes {
             self.per_trial.push(count);
-            self.acc.push(count as f64);
-            self.total_seconds += seconds;
+            self.seconds += seconds;
         }
-        &self.acc
     }
 
     /// Number of trials executed so far.
@@ -857,17 +816,12 @@ impl TrialStream<'_, '_, '_> {
         &self.per_trial
     }
 
-    /// The streaming statistics over the trials executed so far.
-    pub fn accumulator(&self) -> &TrialAccumulator {
-        &self.acc
-    }
-
-    /// Relative half-width of the confidence interval around the running
-    /// mean (see [`TrialAccumulator::relative_half_width`]) — the quantity
-    /// adaptive callers compare against their precision target after each
-    /// chunk. `f64::INFINITY` until at least two trials have run.
+    /// Relative half-width of the confidence interval around the mean of
+    /// the counts so far (see [`Estimate::relative_half_width`]) — the
+    /// quantity adaptive callers compare against their precision target
+    /// after each chunk. `f64::INFINITY` until at least two trials have run.
     pub fn relative_half_width(&self, confidence: f64) -> f64 {
-        self.acc.relative_half_width(confidence)
+        relative_half_width(&self.per_trial, confidence)
     }
 
     /// Summarizes the trials executed so far into an [`Estimate`] —
@@ -884,7 +838,7 @@ impl TrialStream<'_, '_, '_> {
         Ok(summarize_trials(
             self.per_trial.clone(),
             &self.plan.query,
-            self.total_seconds,
+            self.seconds,
         ))
     }
 }
@@ -1025,6 +979,28 @@ mod tests {
         });
         assert_eq!(serial.per_trial, parallel.per_trial);
         assert_eq!(serial.estimated_matches, parallel.estimated_matches);
+    }
+
+    /// `.sharded(n)` holds for every trial of an estimate, under the
+    /// default `.parallel(true)` too. With one worker thread every shard
+    /// solve runs on this thread, so the job's span totals hold one
+    /// `dp_block_columnar` span per shard, block and trial.
+    #[test]
+    fn a_sharded_estimate_shards_every_trial() {
+        let g = demo_graph();
+        let engine = Engine::new(&g);
+        let query = catalog::glet1();
+        let blocks = engine.plan(&query).unwrap().blocks.len() as u64;
+        assert!(blocks > 1, "a plan of several blocks");
+        let plain = engine.count(&query).trials(3).estimate().unwrap();
+        let (sharded, spans) = sgc_engine::parallel::run_with_threads(1, || {
+            sgc_obs::start_job();
+            let sharded = engine.count(&query).sharded(2).trials(3).estimate();
+            (sharded.unwrap(), sgc_obs::end_job())
+        });
+        let solves = spans.count(sgc_obs::Stage::DpBlockColumnar);
+        assert_eq!(solves, 2 * blocks * 3);
+        assert_eq!(sharded.per_trial, plain.per_trial);
     }
 
     /// A recounting request answers the parent's trials from the ball and
@@ -1221,11 +1197,13 @@ mod tests {
         let full = stream.estimate().unwrap();
         assert_eq!(full.per_trial, batch.per_trial);
         assert_eq!(full.estimated_matches, batch.estimated_matches);
-        // The streaming statistics agree with the batch summary.
-        let acc = stream.accumulator();
-        assert_eq!(acc.count(), 11);
-        assert!((acc.mean() - batch.mean_colorful).abs() < 1e-9);
-        assert!((acc.sample_variance() - batch.variance).abs() < 1e-9);
+        // The stream's statistics are the batch summary's, bit for bit.
+        assert_eq!(full.mean_colorful.to_bits(), batch.mean_colorful.to_bits());
+        assert_eq!(full.variance.to_bits(), batch.variance.to_bits());
+        assert_eq!(
+            stream.relative_half_width(0.95).to_bits(),
+            batch.relative_half_width(0.95).to_bits()
+        );
     }
 
     #[test]

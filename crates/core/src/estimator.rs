@@ -9,10 +9,11 @@
 //! The estimation loop itself lives in
 //! [`CountRequest::estimate`](crate::CountRequest::estimate) (and its
 //! incremental form, [`TrialStream`](crate::engine::TrialStream)); this
-//! module holds the statistics: [`Estimate`], [`scaling_factor`], and the
-//! streaming [`TrialAccumulator`] that lets adaptive callers watch the
-//! confidence interval tighten trial by trial and stop as soon as a target
-//! precision is met.
+//! module holds the statistics of the per-trial counts: [`Estimate`],
+//! [`scaling_factor`], and the one precision statistic adaptive callers
+//! stop on, [`Estimate::relative_half_width`] (which
+//! [`TrialStream::relative_half_width`](crate::engine::TrialStream::relative_half_width)
+//! computes on the counts so far).
 
 use sgc_engine::Count;
 use sgc_query::automorphism::count_automorphisms;
@@ -65,122 +66,33 @@ impl Estimate {
     /// the all-zero case, where a run of zero counts on a rare subgraph is
     /// "no information yet", not "precise zero".
     pub fn relative_half_width(&self, confidence: f64) -> f64 {
-        let mut acc = TrialAccumulator::new();
-        for &count in &self.per_trial {
-            acc.push(count as f64);
-        }
-        acc.relative_half_width(confidence)
+        relative_half_width(&self.per_trial, confidence)
     }
 }
 
-/// Streaming mean/variance over per-trial counts (Welford's algorithm),
-/// surfacing a normal-approximation confidence interval after every push.
-///
-/// This is the statistical half of adaptive trial scheduling: the trial loop
-/// feeds each colorful count in as it is produced, and the caller stops as
-/// soon as [`relative_half_width`](TrialAccumulator::relative_half_width)
-/// drops below its target. One pass, O(1) state, no stored samples.
-///
-/// ```
-/// use sgc_core::estimator::TrialAccumulator;
-///
-/// let mut acc = TrialAccumulator::new();
-/// for count in [96.0, 104.0, 100.0, 98.0, 102.0] {
-///     acc.push(count);
-/// }
-/// assert_eq!(acc.count(), 5);
-/// assert!((acc.mean() - 100.0).abs() < 1e-12);
-/// // Tightly clustered counts: the 95% interval is a few percent wide.
-/// assert!(acc.relative_half_width(0.95) < 0.05);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TrialAccumulator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl TrialAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        TrialAccumulator::default()
+/// The precision statistic of the counts `per_trial`, behind both
+/// [`Estimate::relative_half_width`] and
+/// [`TrialStream::relative_half_width`](crate::engine::TrialStream::relative_half_width):
+/// the mean and the sum of squared deviations by Welford's recurrence in
+/// trial order, then `z(confidence) · s / √n / mean`, with the degenerate
+/// cases ordered so that a stop decision stays sound.
+pub(crate) fn relative_half_width(per_trial: &[Count], confidence: f64) -> f64 {
+    let (mut n, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
+    for &count in per_trial {
+        let value = count as f64;
+        n += 1;
+        let delta = value - mean;
+        mean += delta / n as f64;
+        m2 += delta * (value - mean);
     }
-
-    /// Folds one per-trial count into the running statistics.
-    pub fn push(&mut self, value: f64) {
-        self.n += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (value - self.mean);
+    if n < 2 || mean <= 0.0 {
+        return f64::INFINITY;
     }
-
-    /// Number of values accumulated.
-    pub fn count(&self) -> u64 {
-        self.n
+    if m2 == 0.0 {
+        return 0.0;
     }
-
-    /// Running mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (`0.0` with fewer than two values).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n > 1 {
-            self.m2 / (self.n - 1) as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Unbiased sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Standard error of the mean, `s / √n` (`0.0` with fewer than two
-    /// values).
-    pub fn standard_error(&self) -> f64 {
-        if self.n > 1 {
-            self.sample_std_dev() / (self.n as f64).sqrt()
-        } else {
-            0.0
-        }
-    }
-
-    /// Half-width of the two-sided normal-approximation confidence interval
-    /// around the mean: `z(confidence) · s / √n`. Returns `f64::INFINITY`
-    /// with fewer than two values (no variance information yet).
-    pub fn half_width(&self, confidence: f64) -> f64 {
-        if self.n < 2 {
-            return f64::INFINITY;
-        }
-        z_for_confidence(confidence) * self.standard_error()
-    }
-
-    /// [`half_width`](TrialAccumulator::half_width) divided by the mean —
-    /// the scale-free precision target of the adaptive scheduler.
-    ///
-    /// Degenerate cases are ordered so that "stop" decisions stay sound:
-    /// fewer than two values is `f64::INFINITY` (never stop on one trial);
-    /// a non-positive mean is `f64::INFINITY` — *including the all-zero
-    /// case*: for a rare subgraph every trial in an early chunk can
-    /// plausibly count zero while the true count is positive, so a run of
-    /// zeros is "no information yet", never "precise zero" (such jobs run
-    /// their full budget); a collapsed interval around a positive mean
-    /// (all values identical) is `0.0`.
-    pub fn relative_half_width(&self, confidence: f64) -> f64 {
-        if self.n < 2 {
-            return f64::INFINITY;
-        }
-        if self.mean <= 0.0 {
-            return f64::INFINITY;
-        }
-        if self.m2 == 0.0 {
-            return 0.0;
-        }
-        self.half_width(confidence) / self.mean
-    }
+    let standard_error = (m2 / (n - 1) as f64).sqrt() / (n as f64).sqrt();
+    z_for_confidence(confidence) * standard_error / mean
 }
 
 /// The two-sided critical value `z` with `P(|N(0,1)| ≤ z) = confidence`.
@@ -392,53 +304,79 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_two_pass_statistics() {
-        let samples = [3.0, 7.0, 7.0, 19.0, 24.0, 4.0, 11.0];
-        let mut acc = TrialAccumulator::new();
-        for &s in &samples {
-            acc.push(s);
-        }
+    fn precision_statistic_matches_two_pass_statistics() {
+        let samples: [Count; 7] = [3, 7, 7, 19, 24, 4, 11];
         let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        assert_eq!(acc.count(), samples.len() as u64);
-        assert!((acc.mean() - mean).abs() < 1e-12);
-        assert!((acc.sample_variance() - var).abs() < 1e-12);
-        assert!((acc.standard_error() - var.sqrt() / n.sqrt()).abs() < 1e-12);
+        let mean = samples.iter().map(|&s| s as f64).sum::<f64>() / n;
+        let var = samples
+            .iter()
+            .map(|&s| (s as f64 - mean).powi(2))
+            .sum::<f64>()
+            / (n - 1.0);
         let expected_hw = z_for_confidence(0.95) * var.sqrt() / n.sqrt();
-        assert!((acc.half_width(0.95) - expected_hw).abs() < 1e-12);
-        assert!((acc.relative_half_width(0.95) - expected_hw / mean).abs() < 1e-12);
+        let width = relative_half_width(&samples, 0.95);
+        assert!((width - expected_hw / mean).abs() < 1e-12);
+        let estimate = summarize_trials(samples.to_vec(), &catalog::triangle(), 0.0);
+        assert!((estimate.mean_colorful - mean).abs() < 1e-12);
+        assert!((estimate.variance - var).abs() < 1e-12);
+    }
+
+    /// The statistic reproduces the streaming Welford accumulator it
+    /// replaced bit for bit; the constants are that accumulator's
+    /// `relative_half_width` at 0.5, 0.95 and 0.99 on the same counts.
+    #[test]
+    fn precision_statistic_is_bit_identical_to_the_streaming_form() {
+        let cases: [(&[Count], [u64; 3]); 4] = [
+            (
+                &[3, 7, 7, 19, 24, 4, 11],
+                [0x3fc827ca8333ccfd, 0x3fe18c49a09de3ca, 0x3fe70fdddeba2b6c],
+            ),
+            (
+                &[96, 104, 100, 98, 102],
+                [0x3f83890a116299e6, 0x3f9c6220a0766ac5, 0x3fa2a6a7b3a9327d],
+            ),
+            (
+                &[0, 8, 4],
+                [0x3fd8ec349ad9cc71, 0x3ff21af9a4c65453, 0x3ff7cb63d223a408],
+            ),
+            (
+                &[
+                    1_000_003,
+                    999_999_937,
+                    123_456_789,
+                    987_654_321,
+                    55,
+                    0,
+                    42_424_242,
+                ],
+                [0x3fd8f392d8d34790, 0x3ff22053ed25c782, 0x3ff7d26cad76ea06],
+            ),
+        ];
+        for (counts, bits) in cases {
+            for (confidence, bits) in [0.5, 0.95, 0.99].into_iter().zip(bits) {
+                assert_eq!(
+                    relative_half_width(counts, confidence).to_bits(),
+                    bits,
+                    "{counts:?} at {confidence}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn accumulator_degenerate_cases_are_safe_for_stopping() {
-        // One value: no precision claim.
-        let mut one = TrialAccumulator::new();
-        one.push(5.0);
-        assert_eq!(one.half_width(0.95), f64::INFINITY);
-        assert_eq!(one.relative_half_width(0.95), f64::INFINITY);
+    fn precision_statistic_degenerate_cases_are_safe_for_stopping() {
+        // No value or one value: no precision claim.
+        assert_eq!(relative_half_width(&[], 0.95), f64::INFINITY);
+        assert_eq!(relative_half_width(&[5], 0.95), f64::INFINITY);
 
         // Identical positive values: collapsed interval, nothing to gain.
-        let mut same = TrialAccumulator::new();
-        same.push(5.0);
-        same.push(5.0);
-        same.push(5.0);
-        assert_eq!(same.relative_half_width(0.95), 0.0);
+        assert_eq!(relative_half_width(&[5, 5, 5], 0.95), 0.0);
 
-        // All-zero counts: for a rare subgraph an early chunk can be all
-        // zeros while the true count is positive — never report "precise
-        // zero", so adaptive schedulers keep running the budget.
-        let mut zeros = TrialAccumulator::new();
-        zeros.push(0.0);
-        zeros.push(0.0);
-        zeros.push(0.0);
-        assert_eq!(zeros.relative_half_width(0.95), f64::INFINITY);
-
-        // Spread around a zero mean: relative target meaningless.
-        let mut centered = TrialAccumulator::new();
-        centered.push(-1.0);
-        centered.push(1.0);
-        assert_eq!(centered.relative_half_width(0.95), f64::INFINITY);
+        // All-zero counts (the one non-positive mean counts can have): for
+        // a rare subgraph an early chunk can be all zeros while the true
+        // count is positive — never report "precise zero", so adaptive
+        // schedulers keep running the budget.
+        assert_eq!(relative_half_width(&[0, 0, 0], 0.95), f64::INFINITY);
     }
 
     #[test]
@@ -462,18 +400,23 @@ mod tests {
             (6, 3),
         ]);
         let g = b.build();
-        let est = Engine::new(&g)
-            .count(&catalog::triangle())
-            .trials(32)
-            .seed(5)
-            .estimate()
-            .unwrap();
+        let engine = Engine::new(&g);
+        let triangle = catalog::triangle();
+        let request = || engine.count(&triangle).trials(32).seed(5);
+        let est = request().estimate().unwrap();
         assert!((est.sample_std_dev() - est.variance.sqrt()).abs() < 1e-12);
-        let mut acc = TrialAccumulator::new();
-        for &c in &est.per_trial {
-            acc.push(c as f64);
+        let mut stream = request().estimate_incremental().unwrap();
+        stream.run_chunk(32);
+        for confidence in [0.95, 0.99] {
+            assert_eq!(
+                est.relative_half_width(confidence).to_bits(),
+                relative_half_width(&est.per_trial, confidence).to_bits()
+            );
+            assert_eq!(
+                stream.relative_half_width(confidence).to_bits(),
+                est.relative_half_width(confidence).to_bits()
+            );
         }
-        assert_eq!(est.relative_half_width(0.95), acc.relative_half_width(0.95));
         // Widening the confidence level widens the interval.
         if est.relative_half_width(0.95).is_finite() && est.relative_half_width(0.95) > 0.0 {
             assert!(est.relative_half_width(0.99) > est.relative_half_width(0.95));

@@ -65,7 +65,7 @@ pub use config::Algorithm;
 pub use driver::CountResult;
 pub use engine::{CountRequest, Engine, TrialStream};
 pub use error::SgcError;
-pub use estimator::{Estimate, TrialAccumulator};
+pub use estimator::Estimate;
 pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use kernel::KernelMetrics;
 pub use metrics::{RunMetrics, ShardMetrics};

@@ -10,7 +10,7 @@ pub use crate::config::Algorithm;
 pub use crate::driver::CountResult;
 pub use crate::engine::{CountRequest, Engine, TrialStream};
 pub use crate::error::SgcError;
-pub use crate::estimator::{Estimate, TrialAccumulator};
+pub use crate::estimator::Estimate;
 pub use crate::explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use crate::kernel::KernelMetrics;
 pub use crate::metrics::{RunMetrics, ShardMetrics};

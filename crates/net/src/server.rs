@@ -100,7 +100,8 @@ pub struct ServerStats {
     pub connections_open: u64,
     /// Frames read from clients.
     pub frames_read: u64,
-    /// Frames written to clients.
+    /// Frames written to clients, each counted as its write begins: a
+    /// write that then fails is still counted.
     pub frames_written: u64,
     /// Count streams opened (jobs started over the wire).
     pub streams_opened: u64,
@@ -383,6 +384,12 @@ impl Conn {
                 "connection marked dead",
             ));
         }
+        // Counted before the write, so a peer that has read a frame can
+        // never be answered with a count that misses it.
+        self.shared
+            .counters
+            .frames_written
+            .fetch_add(1, Ordering::Relaxed);
         let result = wire::write_frame(
             &mut *writer,
             response.tag(),
@@ -390,12 +397,6 @@ impl Conn {
             self.shared.max_frame_len,
         )
         .and_then(|()| writer.flush());
-        if result.is_ok() {
-            self.shared
-                .counters
-                .frames_written
-                .fetch_add(1, Ordering::Relaxed);
-        }
         if last || result.is_err() {
             self.mark_dead(&writer);
         }

@@ -23,10 +23,11 @@
 //! The paper's measurement loop (Section 2, Figure 15) runs a *fixed*
 //! number of random-coloring trials per estimate. The service replaces
 //! that with *anytime* estimation: trials stream in chunks through
-//! [`sgc_core::TrialStream`], a Welford accumulator watches the confidence
-//! interval tighten, and each job stops at its own precision target — so a
-//! caller asking for ±50% pays a fraction of the trials a ±5% caller does,
-//! and neither pays anything when the answer is already cached.
+//! [`sgc_core::TrialStream`], the confidence interval of the counts so far
+//! is re-read after every chunk, and each job stops at its own precision
+//! target — so a caller asking for ±50% pays a fraction of the trials a ±5%
+//! caller does, and neither pays anything when the answer is already
+//! cached.
 //!
 //! ```
 //! use sgc_graph::GraphBuilder;

@@ -121,8 +121,17 @@ fn parse_args() -> Result<Options, String> {
     if options.addr.is_empty() {
         return Err("--addr HOST:PORT is required".to_string());
     }
-    if options.verb.is_empty() {
-        return Err("expected a verb: count, explain, stats, trace, delta, or watch".to_string());
+    // Checked before `run` connects, so a mistyped command costs the server
+    // nothing.
+    const VERBS: [&str; 6] = ["count", "explain", "stats", "trace", "delta", "watch"];
+    if !VERBS.contains(&options.verb.as_str()) {
+        return Err(format!(
+            "expected a verb (count, explain, stats, trace, delta, or watch), got {:?}",
+            options.verb
+        ));
+    }
+    if options.verb == "delta" && options.inserts.is_empty() && options.deletes.is_empty() {
+        return Err("delta expects --insert and/or --delete edge lists".to_string());
     }
     Ok(options)
 }
@@ -207,10 +216,6 @@ fn run(options: Options) -> Result<(), ClientError> {
             }
         }
         "delta" => {
-            if options.inserts.is_empty() && options.deletes.is_empty() {
-                eprintln!("error: delta expects --insert and/or --delete edge lists");
-                std::process::exit(2);
-            }
             let version = client.apply_delta(&options.inserts, &options.deletes)?;
             println!("version {version:016x}");
         }
@@ -224,13 +229,7 @@ fn run(options: Options) -> Result<(), ClientError> {
         "trace" => {
             println!("{}", client.trace_log()?);
         }
-        other => {
-            eprintln!(
-                "error: unknown verb {other} \
-                 (expected count, explain, stats, trace, delta, or watch)"
-            );
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args accepts no verb {other}"),
     }
     client.bye()
 }

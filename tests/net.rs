@@ -914,7 +914,6 @@ fn instance_lines(server: &Server) -> Vec<(&'static str, u64)> {
 /// `net_*` lines are the serving server's own numbers, read by name.
 #[test]
 fn stats_verb_round_trips_the_metrics_snapshot() {
-    use std::time::{Duration, Instant};
     let mut server = start_server(1, 16, 4);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client
@@ -923,11 +922,8 @@ fn stats_verb_round_trips_the_metrics_snapshot() {
         .budget(8)
         .run()
         .expect("count");
-    // A frame a worker wrote (a chunk, the final) is counted under the
-    // connection's writer lock, which the first reply's write waits for;
-    // and the reader thread counts that reply before it reads the next
-    // request. So the second reply's render misses only the second reply.
-    client.stats().expect("stats");
+    // Every frame is counted before it is written, so the reply's render
+    // misses only the reply itself.
     let exposition = client.stats().expect("stats");
     let value = |name| exposition_value(&exposition, name);
     assert_eq!(value("service_jobs_submitted"), 1);
@@ -936,16 +932,7 @@ fn stats_verb_round_trips_the_metrics_snapshot() {
     assert!(value("net_streams_opened") >= 1);
     assert!(value("net_frames_written") >= 2);
     // At quiescence every instance line equals the in-process snapshots,
-    // once the second reply's own write is counted.
-    let written = value("net_frames_written");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().frames_written <= written {
-        assert!(
-            Instant::now() < deadline,
-            "the stats reply was never counted"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // less the reply's own frame.
     let published: Vec<(&str, u64)> = exposition
         .lines()
         .filter(|line| line.starts_with("service_") || line.starts_with("net_"))
