@@ -250,7 +250,6 @@ mod tests {
                     plan: &plan,
                     algorithm: crate::Algorithm::DegreeBased,
                     num_ranks: 1,
-                    obs: false,
                 };
                 let recounted = ball.recount(count(&before), &job, &ArenaPool::new());
                 assert_eq!(

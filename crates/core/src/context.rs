@@ -9,7 +9,6 @@
 //! around.
 
 use crate::error::SgcError;
-use crate::runtime::shard::VertexShard;
 use sgc_engine::Signature;
 use sgc_graph::{BlockPartition, Coloring, CsrGraph, DegreeOrder, VertexId};
 use std::cell::Cell;
@@ -149,15 +148,16 @@ impl<'a> Context<'a> {
         })
     }
 
-    /// Builds a context restricted to one vertex shard: path construction
-    /// enumerates only start vertices in `shard`'s owned range. Inputs must
-    /// already have passed [`Context::validate`].
+    /// Builds a context restricted to block `shard` of `shards`: path
+    /// construction enumerates only start vertices in that block. Inputs
+    /// must already have passed [`Context::validate`].
     pub(crate) fn for_shard(
         graph: &'a CsrGraph,
         prep: &'a GraphPrep,
         coloring: &'a Coloring,
         num_ranks: usize,
-        shard: VertexShard,
+        shards: &BlockPartition,
+        shard: usize,
     ) -> Self {
         debug_assert!(Context::validate(graph, coloring, num_ranks).is_ok());
         Context {
@@ -165,8 +165,8 @@ impl<'a> Context<'a> {
             coloring,
             partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
-            start: shard.range(),
-            owners: shard.partition,
+            start: shards.owned_range(shard),
+            owners: shards.clone(),
         }
     }
 
@@ -331,9 +331,9 @@ mod tests {
         let full = Context::new(&g, &prep, &col, 2).unwrap();
         assert_eq!(full.start_vertices(), 0..4);
 
-        let plan = crate::runtime::ShardPlan::new(g.num_vertices(), 2).unwrap();
-        let ctx0 = Context::for_shard(&g, &prep, &col, 2, plan.shard(0));
-        let ctx1 = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
+        let shards = BlockPartition::new(g.num_vertices(), 2);
+        let ctx0 = Context::for_shard(&g, &prep, &col, 2, &shards, 0);
+        let ctx1 = Context::for_shard(&g, &prep, &col, 2, &shards, 1);
         assert_eq!(ctx0.start_vertices(), 0..2);
         assert_eq!(ctx1.start_vertices(), 2..4);
     }
@@ -351,8 +351,8 @@ mod tests {
         assert_eq!(tiles(4), vec![0..2, 2..4]);
         assert_eq!(tiles(5), vec![0..3, 3..4]);
         assert_eq!(tiles(usize::MAX), vec![0..4]);
-        let plan = crate::runtime::ShardPlan::new(g.num_vertices(), 2).unwrap();
-        let shard = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
+        let shards = BlockPartition::new(g.num_vertices(), 2);
+        let shard = Context::for_shard(&g, &prep, &col, 2, &shards, 1);
         assert_eq!(shard.start_tiles(2).collect::<Vec<_>>(), vec![2..3, 3..4]);
     }
 

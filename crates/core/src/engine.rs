@@ -556,7 +556,7 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// shards.
     pub fn run(mut self) -> Result<CountResult, SgcError> {
         // A disabled request suspends span recording on this thread for the
-        // whole run (the sharded fan-out re-suspends on its workers).
+        // whole run; the fan-outs' workers inherit the suspension.
         let _pause = (!self.obs).then(sgc_obs::suspend);
         // Like `trials`, a recount applies to estimates only.
         self.recount = None;
@@ -572,8 +572,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// recounts the ball or counts the whole graph over the request's
     /// shards, and publishes the run's metrics when observability is on.
     fn trial(&self, plan: &DecompositionTree, trial: usize) -> Result<CountResult, SgcError> {
-        // Worker threads don't inherit the submitter's obs state.
-        let _pause = (!self.obs).then(sgc_obs::suspend);
         let k = plan.query.num_nodes();
         let seed = self.seed.wrapping_add(trial as u64);
         let ball = self
@@ -603,7 +601,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             plan,
             algorithm: self.algorithm,
             num_ranks: self.num_ranks,
-            obs: self.obs,
         };
         let result = match ball {
             Some((parent, ball)) => ball.recount(parent, &job, &self.engine.arena_pool),
@@ -782,7 +779,7 @@ impl TrialStream<'_, '_, '_> {
             return;
         }
         // Chunk-level instrumentation: suspended on this thread for obs-off
-        // requests; each trial re-applies the toggle on its own thread.
+        // requests, and on the workers the trials fan out to.
         let _pause = (!self.request.obs).then(sgc_obs::suspend);
         let _chunk_span = sgc_obs::span(sgc_obs::Stage::EstimatorChunk);
         let (request, plan, start) = (&self.request, &*self.plan, self.per_trial.len());

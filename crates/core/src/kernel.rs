@@ -855,8 +855,7 @@ mod tests {
     use crate::context::GraphPrep;
     use crate::metrics::ShardMetrics;
     use crate::runtime::exchange::tests::combine;
-    use crate::runtime::ShardPlan;
-    use sgc_graph::{Coloring, CsrGraph, GraphBuilder};
+    use sgc_graph::{BlockPartition, Coloring, CsrGraph, GraphBuilder};
     use sgc_query::{decompose, DecompositionTree, QueryGraph};
 
     /// Solves the pure triangle query's one block on a data triangle under
@@ -923,7 +922,7 @@ mod tests {
     /// with `tile_edges` as the tile budget, and the exchange combines them.
     fn solve_tree(
         contexts: &[Context<'_>],
-        plan: &ShardPlan,
+        plan: &BlockPartition,
         tree: &DecompositionTree,
         algorithm: Algorithm,
         compile: Compile,
@@ -967,7 +966,7 @@ mod tests {
         let g = skewed_graph();
         let prep = GraphPrep::new(&g);
         let one_tile = usize::MAX;
-        let plan = ShardPlan::new(g.num_vertices(), 1).unwrap();
+        let plan = BlockPartition::new(g.num_vertices(), 1);
         for entry in sgc_query::Registry::builtin().entries() {
             let query = entry.query();
             let tree = sgc_query::heuristic_plan(query).unwrap();
@@ -1011,9 +1010,9 @@ mod tests {
             let tree = sgc_query::heuristic_plan(query).unwrap();
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
             for shards in [1, 3] {
-                let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                let plan = BlockPartition::new(g.num_vertices(), shards);
                 let contexts: Vec<Context<'_>> = (0..shards)
-                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
                     .collect();
                 for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
                     shared_somewhere |= (tree.blocks.iter())
@@ -1077,9 +1076,9 @@ mod tests {
                 // A bare pendant reads no child table.
                 let index = BlockJoinIndex::build(block, &[], |_| RowGroups::default());
                 for shards in [1, 3] {
-                    let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                    let plan = BlockPartition::new(g.num_vertices(), shards);
                     let contexts: Vec<Context<'_>> = (0..shards)
-                        .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                        .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
                         .collect();
                     for budget in [0, TILE_EDGES, usize::MAX] {
                         let solve = |program: &PathProgram| {
@@ -1142,9 +1141,9 @@ mod tests {
                 (tree.blocks.iter()).any(|b| b.kind.is_cycle() && b.cycle_length() % 2 == 1);
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
             for shards in [1, 3] {
-                let plan = ShardPlan::new(g.num_vertices(), shards).unwrap();
+                let plan = BlockPartition::new(g.num_vertices(), shards);
                 let contexts: Vec<Context<'_>> = (0..shards)
-                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, plan.shard(s)))
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
                     .collect();
                 for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
                     let semi_steps: u64 = (tree.blocks.iter())

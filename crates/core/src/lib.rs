@@ -69,4 +69,3 @@ pub use estimator::Estimate;
 pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use kernel::KernelMetrics;
 pub use metrics::{RunMetrics, ShardMetrics};
-pub use runtime::{ShardPlan, VertexShard};

@@ -14,7 +14,6 @@ pub use crate::estimator::Estimate;
 pub use crate::explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use crate::kernel::KernelMetrics;
 pub use crate::metrics::{RunMetrics, ShardMetrics};
-pub use crate::runtime::{ShardPlan, VertexShard};
 pub use sgc_engine::{Count, Signature};
 pub use sgc_graph::{Coloring, CsrGraph, GraphBuilder, VertexId};
 pub use sgc_query::{

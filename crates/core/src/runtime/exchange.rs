@@ -22,10 +22,10 @@
 //! contract hold.
 
 use crate::metrics::ShardMetrics;
-use crate::runtime::shard::ShardPlan;
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, RowGroups};
 use sgc_graph::vertex::NO_VERTEX;
+use sgc_graph::BlockPartition;
 
 /// Lends one owner's retired slice buffers and summing table to the closure
 /// it is handed, and returns what the closure made of them; asked once per
@@ -38,22 +38,23 @@ pub type ScratchLender<'a> = dyn Fn(usize, &mut dyn FnMut(RowGroups, &mut Column
 /// returns the block's table. `metrics` records the round and every shard's
 /// contributed entries.
 ///
-/// The owners' merges run on the current thread pool. An owner that a single
-/// shard sent rows to — every leaf edge keyed by its start vertex, every
-/// one-shard run — holds distinct keys already and is only sorted; the others
-/// are summed through the table `scratch` lends, and every slice is written
-/// into the buffers `scratch` lends with it.
+/// The owners' merges fan out over `sgc_engine::parallel`, one per block of
+/// `shards`. An owner that a single shard sent rows to — every leaf edge
+/// keyed by its start vertex, every one-shard run — holds distinct keys
+/// already and is only sorted; the others are summed through the table
+/// `scratch` lends, and every slice is written into the buffers `scratch`
+/// lends with it.
 ///
 /// # Panics
-/// Panics if the partial count differs from `plan`'s or `metrics`' shard
+/// Panics if the partial count differs from `shards`' or `metrics`' shard
 /// count.
 pub fn combine_round(
     partials: &[RowGroups],
     metrics: &mut ShardMetrics,
-    plan: &ShardPlan,
+    shards: &BlockPartition,
     scratch: &ScratchLender<'_>,
 ) -> BlockTable {
-    let owners = plan.num_shards();
+    let owners = shards.num_ranks();
     assert_eq!(partials.len(), owners, "one partial table per shard");
     assert_eq!(metrics.num_shards(), owners, "one metrics slot per shard");
     metrics.exchange_rounds += 1;
@@ -67,10 +68,10 @@ pub fn combine_round(
     }
     let slices = parallel_indexed(owners, |owner| {
         scratch(owner, &mut |retired, table| {
-            owner_slice(partials, plan, owner, retired, table)
+            owner_slice(partials, shards, owner, retired, table)
         })
     });
-    BlockTable::from_slices(slices, plan.partition.clone())
+    BlockTable::from_slices(slices, shards.clone())
 }
 
 /// One owner's share of a keyed block's exchange: the rows every shard's
@@ -79,12 +80,12 @@ pub fn combine_round(
 /// the buffers of `retired`.
 fn owner_slice(
     partials: &[RowGroups],
-    plan: &ShardPlan,
+    shards: &BlockPartition,
     owner: usize,
     retired: RowGroups,
     table: &mut ColumnarTable,
 ) -> RowGroups {
-    let range = plan.partition.owned_range(owner);
+    let range = shards.owned_range(owner);
     let received = || {
         let sent = partials.iter().map(|partial| partial.get(owner as u32));
         sent.filter(|rows| !rows.is_empty())
@@ -120,24 +121,24 @@ pub(crate) mod tests {
     /// [`combine_round`] with fresh scratch.
     pub(crate) fn combine(
         partials: Vec<RowGroups>,
-        plan: &ShardPlan,
+        plan: &BlockPartition,
         metrics: &mut ShardMetrics,
     ) -> BlockTable {
         combine_round(&partials, metrics, plan, &fresh)
     }
 
     /// A shard's partial over `plan` from `(u, v, color, count)` entries.
-    fn partial(plan: &ShardPlan, entries: &[(VertexId, VertexId, u8, Count)]) -> RowGroups {
+    fn partial(plan: &BlockPartition, entries: &[(VertexId, VertexId, u8, Count)]) -> RowGroups {
         let rows = entries.iter().map(|&(u, v, color, count)| Row {
             u,
             v,
             sig: Signature::singleton(color),
             count,
         });
-        RowGroups::default().by_owner(rows, &plan.partition)
+        RowGroups::default().by_owner(rows, plan)
     }
 
-    fn unary(plan: &ShardPlan, entries: &[(VertexId, u8, Count)]) -> RowGroups {
+    fn unary(plan: &BlockPartition, entries: &[(VertexId, u8, Count)]) -> RowGroups {
         let binary: Vec<_> = entries
             .iter()
             .map(|&(u, color, count)| (u, NO_VERTEX, color, count))
@@ -157,9 +158,9 @@ pub(crate) mod tests {
 
     #[test]
     fn scalars_sum_across_shards() {
-        let plan = ShardPlan::new(9, 3).unwrap();
+        let plan = BlockPartition::new(9, 3);
         let mut m = ShardMetrics::new(3);
-        let scalars = [5, 0, 7].map(|total| RowGroups::default().scalar(total, &plan.partition));
+        let scalars = [5, 0, 7].map(|total| RowGroups::default().scalar(total, &plan));
         let combined = combine(scalars.to_vec(), &plan, &mut m);
         assert_eq!(combined.total(), 12);
         assert_eq!(combined.len(), 1);
@@ -173,7 +174,7 @@ pub(crate) mod tests {
         // Shards that own no vertices (more shards than vertices) produce
         // empty keyed tables; the exchange must pass the populated entries
         // through untouched.
-        let plan = ShardPlan::new(2, 4).unwrap();
+        let plan = BlockPartition::new(2, 4);
         let mut m = ShardMetrics::new(4);
         let combined = combine(
             vec![
@@ -196,7 +197,7 @@ pub(crate) mod tests {
     fn single_vertex_shards_reassemble_the_full_table() {
         // One shard per vertex: every partial holds at most one vertex's
         // entries, and the exchange must reassemble the exact union.
-        let plan = ShardPlan::new(3, 3).unwrap();
+        let plan = BlockPartition::new(3, 3);
         let mut m = ShardMetrics::new(3);
         let combined = combine(
             vec![
@@ -214,7 +215,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_shard_exchange_is_identity() {
-        let plan = ShardPlan::new(6, 1).unwrap();
+        let plan = BlockPartition::new(6, 1);
         let mut m = ShardMetrics::new(1);
         let combined = combine(vec![unary(&plan, &[(4, 1, 9)])], &plan, &mut m);
         assert_eq!(count_of(&combined, 4, NO_VERTEX, 1), 9);
@@ -224,7 +225,7 @@ pub(crate) mod tests {
 
     #[test]
     fn binary_partials_merge_by_key() {
-        let plan = ShardPlan::new(4, 2).unwrap();
+        let plan = BlockPartition::new(4, 2);
         let mut m = ShardMetrics::new(2);
         let combined = combine(
             vec![
@@ -242,7 +243,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic]
     fn empty_partials_panic() {
-        let plan = ShardPlan::new(3, 1).unwrap();
+        let plan = BlockPartition::new(3, 1);
         let _ = combine(Vec::new(), &plan, &mut ShardMetrics::new(0));
     }
 
@@ -260,7 +261,7 @@ pub(crate) mod tests {
             entries in proptest::collection::vec((0u64..u64::MAX, 0u32..16, 1u64..1000), 0..120),
         ) {
             let (shards, n, hub) = ([1, 2, 3, 8][layout.0], layout.1, layout.2 % layout.1);
-            let plan = ShardPlan::new(n as usize, shards).unwrap();
+            let plan = BlockPartition::new(n as usize, shards);
             // Entry → (shard, key): half of the rows sit on the hub vertex,
             // and every eighth key is sent by every shard.
             let mut sent: Vec<BTreeMap<(VertexId, VertexId, u8), Count>> =
@@ -293,7 +294,7 @@ pub(crate) mod tests {
             prop_assert_eq!(table.len(), reference.len());
             prop_assert_eq!(table.slices().len(), shards);
             for (owner, slice) in table.slices().iter().enumerate() {
-                let range = plan.shard(owner).range();
+                let range = plan.owned_range(owner);
                 prop_assert!(slice.rows().iter().all(|row| range.contains(&row.u)));
             }
             for x in 0..n + 2 {

@@ -6,9 +6,10 @@
 //!
 //! * an **unsharded** request is the one-shard case (the shard owns every
 //!   vertex, the exchange round passes its partial through untouched),
-//! * a **sharded** request fans each block out over the shards of a
-//!   [`ShardPlan`] on worker threads, and the round
-//!   ([`exchange::combine_round`]) fans the owners' merges out the same way.
+//! * a **sharded** request fans each block out over the shards — the
+//!   blocks of a `BlockPartition` of the vertices — on worker threads, and
+//!   the round ([`exchange::combine_round`]) fans the owners' merges out
+//!   the same way.
 //!
 //! Estimates, batches, service jobs and the ball recount of a graph version
 //! ([`DeltaBall`](crate::DeltaBall)) are loops over this call.
@@ -23,10 +24,9 @@ use crate::kernel::{
 use crate::metrics::{RunMetrics, ShardMetrics};
 use crate::paths::{BlockJoinIndex, PathProgram};
 use crate::runtime::exchange;
-use crate::runtime::shard::ShardPlan;
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::{BlockTable, ColumnarTable, Count, RowGroups};
-use sgc_graph::{Coloring, CsrGraph};
+use sgc_graph::{BlockPartition, Coloring, CsrGraph};
 use sgc_query::DecompositionTree;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -41,10 +41,6 @@ pub(crate) struct Job<'a> {
     pub algorithm: Algorithm,
     /// Simulated rank count for load attribution.
     pub num_ranks: usize,
-    /// Whether this job's shard workers record observability spans. Worker
-    /// threads inherit nothing from the submitting thread, so the
-    /// per-request toggle rides along with the job.
-    pub obs: bool,
 }
 
 /// One shard's state across the block steps — the analog of one rank's local
@@ -107,7 +103,10 @@ pub(crate) fn execute(
     pool: &ArenaPool,
 ) -> Result<CountResult, SgcError> {
     let num_shards = shards.unwrap_or(1);
-    let plan = ShardPlan::new(graph.num_vertices(), num_shards)?;
+    if num_shards == 0 {
+        return Err(SgcError::ZeroShards);
+    }
+    let layout = BlockPartition::new(graph.num_vertices(), num_shards);
     Context::validate(graph, job.coloring, job.num_ranks)?;
     let lanes: Vec<Mutex<Lane>> = (0..num_shards)
         .map(|_| {
@@ -153,9 +152,6 @@ pub(crate) fn execute(
             });
             drop(exchange_span.take());
             let partials = parallel_indexed(num_shards, |s| {
-                // Worker threads don't inherit the submitter's obs state, so
-                // obs-off jobs re-suspend here for the span guards below.
-                let _pause = (!job.obs).then(sgc_obs::suspend);
                 let started = Instant::now();
                 let mut lane = lanes[s]
                     .lock()
@@ -163,7 +159,7 @@ pub(crate) fn execute(
                 let partial = if let Some((index, program)) = &inputs {
                     let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
                     let ctx =
-                        Context::for_shard(graph, prep, job.coloring, job.num_ranks, plan.shard(s));
+                        Context::for_shard(graph, prep, job.coloring, job.num_ranks, &layout, s);
                     let Lane { metrics, arena } = &mut *lane;
                     let block = &job.plan.blocks[step];
                     let arena = checked_out(arena, pool);
@@ -171,8 +167,7 @@ pub(crate) fn execute(
                 } else {
                     // Single-node query: the shard's owned-vertex count is
                     // its scalar partial sum.
-                    RowGroups::default()
-                        .scalar(plan.shard(s).num_vertices() as Count, &plan.partition)
+                    RowGroups::default().scalar(layout.owned_count(s) as Count, &layout)
                 };
                 lane.metrics.elapsed += started.elapsed();
                 partial
@@ -188,8 +183,7 @@ pub(crate) fn execute(
             partials
         };
         let exchange_started = Instant::now();
-        // The caller thread may itself be suspended; the job's toggle rules.
-        exchange_span = job.obs.then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
+        exchange_span = Some(sgc_obs::span(sgc_obs::Stage::Exchange));
         // An owner builds its slice of the block's table with the arena of
         // the lane it shares its index with: into the buffers of the slice it
         // built there a run ago, summing through the arena's table.
@@ -200,7 +194,7 @@ pub(crate) fn execute(
                     merge(retired, &mut arena.proj)
                 })
             };
-        let table = exchange::combine_round(&partials, &mut shard_metrics, &plan, &scratch);
+        let table = exchange::combine_round(&partials, &mut shard_metrics, &layout, &scratch);
         exchange_time += exchange_started.elapsed();
         if job.plan.root.is_some() {
             // A table is observed when it is created: each shard's partial

@@ -7,12 +7,11 @@
 //! the per-rank partial-sum (PS) tables are combined in a batched alltoall.
 //! This module is that rank model realized on a shared-memory machine:
 //!
-//! * [`shard`] — the vertex shards (reusing `sgc_graph::BlockPartition`, the
-//!   same 1D block distribution the paper uses),
 //! * `executor` — the one block-step loop, for one (query, coloring) job:
-//!   per step, the per-shard partial solves fanned out over the thread
-//!   pool, then one exchange round. An unsharded request is its one-shard
-//!   case,
+//!   the shards are the blocks of an `sgc_graph::BlockPartition` (the same
+//!   1D block distribution the paper uses); per step, the per-shard partial
+//!   solves fan out over `sgc_engine::parallel`, then one exchange round.
+//!   An unsharded request is its one-shard case,
 //! * [`exchange`] — the explicit combination step that sums one block's
 //!   per-shard partial projection tables into its full table, mirroring
 //!   the paper's alltoall of partial sums (batched over the entries of that
@@ -30,6 +29,3 @@
 
 pub mod exchange;
 pub(crate) mod executor;
-pub mod shard;
-
-pub use shard::{ShardPlan, VertexShard};

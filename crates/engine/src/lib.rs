@@ -19,8 +19,9 @@
 //! * [`load`] — per-rank load accounting over a
 //!   [`sgc_graph::BlockPartition`], reproducing the paper's
 //!   "number of projection function operations per processor" metric,
-//! * [`parallel`] — small rayon helpers (per-item fan-out, scoped thread
-//!   pools for the scaling experiments).
+//! * [`parallel`] — the workspace's fan-out: per-item scoped threads that
+//!   inherit their caller's span suspension, and a thread-local width for
+//!   the scaling experiments.
 
 #![forbid(unsafe_code)]
 

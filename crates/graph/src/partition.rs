@@ -8,9 +8,9 @@
 //! projection operations performed per rank (Figure 11).
 //!
 //! In this reproduction the ranks are *simulated*: the engine executes on a
-//! shared-memory machine (rayon), but work is still attributed to the rank
-//! that would own it in the distributed setting so that the paper's load
-//! metrics can be reproduced exactly.
+//! shared-memory machine (scoped threads), but work is still attributed to
+//! the rank that would own it in the distributed setting so that the
+//! paper's load metrics can be reproduced exactly.
 
 use crate::vertex::VertexId;
 

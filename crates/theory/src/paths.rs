@@ -11,12 +11,17 @@
 //!   DB procedure (high-starting paths).
 //!
 //! Both are counted exactly by a DFS from every start vertex, pruning
-//! extensions that would violate the ordering constraint; the counters are
-//! parallelised over start vertices with rayon. The paper's paths are
-//! directed sequences, so each undirected path contributes up to two counts.
+//! extensions that would violate the ordering constraint; the counters fan
+//! out over contiguous ranges of start vertices with
+//! `sgc_engine::parallel`. The paper's paths are directed sequences, so each
+//! undirected path contributes up to two counts.
 
-use rayon::prelude::*;
-use sgc_graph::{CsrGraph, DegreeOrder, VertexId};
+use sgc_engine::parallel::parallel_indexed;
+use sgc_graph::{BlockPartition, CsrGraph, DegreeOrder, VertexId};
+
+/// The start vertices are cut into this many contiguous ranges, each walked
+/// with one on-path buffer.
+const START_RANGES: usize = 64;
 
 /// Counts `Y(q)`: simple paths of `q` nodes whose first node has the largest
 /// id among the path's nodes.
@@ -37,18 +42,18 @@ fn count_constrained_paths(
     q: usize,
     start_dominates: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> u64 {
-    graph
-        .vertices()
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|&start| {
-            let mut on_path = vec![false; graph.num_vertices()];
+    let ranges = BlockPartition::new(graph.num_vertices(), START_RANGES);
+    let per_range = parallel_indexed(START_RANGES, |range| {
+        let mut on_path = vec![false; graph.num_vertices()];
+        let mut count = 0;
+        for start in ranges.owned_range(range) {
             on_path[start as usize] = true;
-            let count = extend(graph, &start_dominates, start, start, q - 1, &mut on_path);
+            count += extend(graph, &start_dominates, start, start, q - 1, &mut on_path);
             on_path[start as usize] = false;
-            count
-        })
-        .sum()
+        }
+        count
+    });
+    per_range.into_iter().sum()
 }
 
 fn extend(

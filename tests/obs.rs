@@ -114,6 +114,29 @@ fn one_exchange_span_fills_each_gap_between_block_steps() {
     }
 }
 
+/// An `.obs(false)` sharded run records no span on any thread: the shard
+/// workers inherit the caller's span suspension. The same run with
+/// `.obs(true)` records one `dp.block.columnar` span per shard per block
+/// step. Read off the process-wide stage histogram, so it sees the workers.
+#[test]
+fn an_obs_off_sharded_run_records_no_span_on_any_thread() {
+    let _serial = serial();
+    const SHARDS: usize = 3;
+    let graph = obs_graph();
+    let engine = Engine::new(&graph);
+    let query = Registry::builtin().build("glet1").unwrap();
+    let blocks = engine.plan(&query).unwrap().blocks.len();
+    let solves = || Stage::DpBlockColumnar.histogram().snapshot().count;
+    run_with_threads(2, || {
+        for (obs, spans) in [(false, 0), (true, blocks * SHARDS)] {
+            let before = solves();
+            let request = engine.count(&query).sharded(SHARDS).obs(obs);
+            request.run().unwrap();
+            assert_eq!(solves() - before, spans as u64, "obs {obs}");
+        }
+    });
+}
+
 /// A trial run at a graph version (the delta-aware runtime behind
 /// `count_at` and `watch`) publishes its run metrics like an engine trial:
 /// four trials, four `engine_runs`.
