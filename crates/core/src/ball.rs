@@ -249,7 +249,6 @@ mod tests {
                     coloring: &coloring,
                     plan: &plan,
                     algorithm: crate::Algorithm::DegreeBased,
-                    num_ranks: 1,
                 };
                 let recounted = ball.recount(count(&before), &job, &ArenaPool::new());
                 assert_eq!(

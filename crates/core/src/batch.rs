@@ -333,13 +333,7 @@ mod tests {
                 .unwrap_err(),
             SgcError::ColoringWithEstimate
         );
-        // Zero ranks / zero shards.
-        assert_eq!(
-            engine
-                .count_batch(&[engine.count(&tri).ranks(0)])
-                .unwrap_err(),
-            SgcError::ZeroRanks
-        );
+        // Zero shards.
         assert_eq!(
             engine
                 .count_batch(&[engine.count(&tri).sharded(0)])

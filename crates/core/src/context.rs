@@ -4,9 +4,9 @@
 //! the degree-based total order and the rank-sorted adjacency lists — across
 //! hundreds of random-coloring trials. That pass lives in [`GraphPrep`],
 //! built once per [`Engine`](crate::Engine). [`Context`] then bundles a
-//! `GraphPrep` with the *per-trial* inputs — the coloring and the simulated
-//! rank partition — so that the algorithm code passes a single reference
-//! around.
+//! `GraphPrep` with the *per-run* inputs — the coloring and the run's shard
+//! layout, the one partition its work is both run and charged over — so
+//! that the algorithm code passes a single reference around.
 
 use crate::error::SgcError;
 use sgc_engine::Signature;
@@ -82,70 +82,52 @@ impl GraphPrep {
 }
 
 /// Immutable state shared by every join of a counting run: the data graph,
-/// its reusable preprocessing, and the per-trial coloring and partition.
+/// its reusable preprocessing, and the per-run coloring and shard layout.
 pub struct Context<'a> {
     /// The data graph.
     pub graph: &'a CsrGraph,
     /// The current random coloring (k colors, k = query size).
     pub coloring: &'a Coloring,
-    /// Simulated 1D block partition of vertices over ranks.
-    pub partition: BlockPartition,
     prep: &'a GraphPrep,
     /// Path construction only enumerates start vertices in this range: one
     /// shard's owned vertex block (the executor sums the shards' partial
     /// tables back together in its exchange step), or every vertex.
     start: Range<VertexId>,
-    /// The run's shard layout (one owner for an unsharded context): a
-    /// block's projection rows are exported grouped by the owner of their
-    /// first boundary image under it.
+    /// The run's shard layout (one block for an unsharded context): every
+    /// operation is charged to the block owning its vertex, and a block's
+    /// projection rows are exported grouped by the owner of their first
+    /// boundary image.
     pub(crate) owners: BlockPartition,
 }
 
 impl<'a> Context<'a> {
-    /// Checks that `coloring` covers `graph` and that `num_ranks` is
-    /// positive — the validation shared by [`Context::new`] and the
-    /// executor (which validates once up front, then builds one context per
-    /// shard infallibly).
-    pub(crate) fn validate(
-        graph: &CsrGraph,
-        coloring: &Coloring,
-        num_ranks: usize,
-    ) -> Result<(), SgcError> {
+    /// Checks that `coloring` covers `graph` — the validation shared by
+    /// [`Context::new`] and the executor (which validates once up front,
+    /// then builds one context per shard infallibly).
+    pub(crate) fn validate(graph: &CsrGraph, coloring: &Coloring) -> Result<(), SgcError> {
         if coloring.num_vertices() != graph.num_vertices() {
             return Err(SgcError::ColoringSizeMismatch {
                 graph_vertices: graph.num_vertices(),
                 coloring_vertices: coloring.num_vertices(),
             });
         }
-        if num_ranks == 0 {
-            return Err(SgcError::ZeroRanks);
-        }
         Ok(())
     }
 
-    /// Builds a context for one run over all of `graph` with `coloring`,
-    /// reusing the preprocessing in `prep` and attributing load to
-    /// `num_ranks` simulated ranks.
+    /// Builds a context for one unsharded run over all of `graph` with
+    /// `coloring`, reusing the preprocessing in `prep`.
     ///
     /// # Errors
     /// [`SgcError::ColoringSizeMismatch`] if the coloring does not cover
-    /// every vertex of the graph; [`SgcError::ZeroRanks`] if `num_ranks` is
-    /// zero.
+    /// every vertex of the graph.
     pub fn new(
         graph: &'a CsrGraph,
         prep: &'a GraphPrep,
         coloring: &'a Coloring,
-        num_ranks: usize,
     ) -> Result<Self, SgcError> {
-        Context::validate(graph, coloring, num_ranks)?;
-        Ok(Context {
-            graph,
-            coloring,
-            partition: BlockPartition::new(graph.num_vertices(), num_ranks),
-            prep,
-            start: 0..graph.num_vertices() as VertexId,
-            owners: BlockPartition::new(graph.num_vertices(), 1),
-        })
+        Context::validate(graph, coloring)?;
+        let whole = BlockPartition::new(graph.num_vertices(), 1);
+        Ok(Context::for_shard(graph, prep, coloring, &whole, 0))
     }
 
     /// Builds a context restricted to block `shard` of `shards`: path
@@ -155,15 +137,13 @@ impl<'a> Context<'a> {
         graph: &'a CsrGraph,
         prep: &'a GraphPrep,
         coloring: &'a Coloring,
-        num_ranks: usize,
         shards: &BlockPartition,
         shard: usize,
     ) -> Self {
-        debug_assert!(Context::validate(graph, coloring, num_ranks).is_ok());
+        debug_assert!(Context::validate(graph, coloring).is_ok());
         Context {
             graph,
             coloring,
-            partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
             start: shards.owned_range(shard),
             owners: shards.clone(),
@@ -258,13 +238,14 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let ctx = Context::new(&g, &prep, &col, 4).unwrap();
+        let ctx = Context::new(&g, &prep, &col).unwrap();
         assert_eq!(ctx.color(1), 1);
         assert_eq!(ctx.color_sig(2), Signature::singleton(2));
         assert_eq!(ctx.num_colors(), 3);
         // Vertex 1 and 2 have degree 2, higher than endpoints.
         assert!(ctx.order().higher(1, 0));
-        assert_eq!(ctx.partition.num_ranks(), 4);
+        // An unsharded context's layout is one block.
+        assert_eq!(ctx.owners.num_ranks(), 1);
     }
 
     #[test]
@@ -272,7 +253,7 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+        let ctx = Context::new(&g, &prep, &col).unwrap();
         for v in g.vertices() {
             for than in g.vertices() {
                 let lower = ctx.lower_neighbors(v, than);
@@ -300,7 +281,7 @@ mod tests {
         let prep = GraphPrep::new(&g);
         for seed in 0..5 {
             let col = Coloring::random(g.num_vertices(), 3, seed);
-            let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+            let ctx = Context::new(&g, &prep, &col).unwrap();
             assert_eq!(ctx.num_colors(), 3);
         }
         assert_eq!(prep_build_count() - before, 1);
@@ -311,7 +292,7 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1], 2);
-        match Context::new(&g, &prep, &col, 2).err() {
+        match Context::new(&g, &prep, &col).err() {
             Some(SgcError::ColoringSizeMismatch {
                 graph_vertices,
                 coloring_vertices,
@@ -328,12 +309,12 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let full = Context::new(&g, &prep, &col, 2).unwrap();
+        let full = Context::new(&g, &prep, &col).unwrap();
         assert_eq!(full.start_vertices(), 0..4);
 
         let shards = BlockPartition::new(g.num_vertices(), 2);
-        let ctx0 = Context::for_shard(&g, &prep, &col, 2, &shards, 0);
-        let ctx1 = Context::for_shard(&g, &prep, &col, 2, &shards, 1);
+        let ctx0 = Context::for_shard(&g, &prep, &col, &shards, 0);
+        let ctx1 = Context::for_shard(&g, &prep, &col, &shards, 1);
         assert_eq!(ctx0.start_vertices(), 0..2);
         assert_eq!(ctx1.start_vertices(), 2..4);
     }
@@ -344,7 +325,7 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+        let ctx = Context::new(&g, &prep, &col).unwrap();
         let tiles = |budget| ctx.start_tiles(budget).collect::<Vec<_>>();
         assert_eq!(tiles(0), vec![0..1, 1..2, 2..3, 3..4]);
         assert_eq!(tiles(3), vec![0..2, 2..4]);
@@ -352,18 +333,7 @@ mod tests {
         assert_eq!(tiles(5), vec![0..3, 3..4]);
         assert_eq!(tiles(usize::MAX), vec![0..4]);
         let shards = BlockPartition::new(g.num_vertices(), 2);
-        let shard = Context::for_shard(&g, &prep, &col, 2, &shards, 1);
+        let shard = Context::for_shard(&g, &prep, &col, &shards, 1);
         assert_eq!(shard.start_tiles(2).collect::<Vec<_>>(), vec![2..3, 3..4]);
-    }
-
-    #[test]
-    fn zero_ranks_is_an_error() {
-        let g = tiny();
-        let prep = GraphPrep::new(&g);
-        let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        assert!(matches!(
-            Context::new(&g, &prep, &col, 0),
-            Err(SgcError::ZeroRanks)
-        ));
     }
 }

@@ -292,8 +292,8 @@ impl<'g> Engine<'g> {
     /// coloring is rejected exactly like a solo `estimate`. A twin group
     /// runs with its first member's settings
     /// ([`parallel`](CountRequest::parallel),
-    /// [`sharded`](CountRequest::sharded), ranks, observability) — counts
-    /// are identical under all of them.
+    /// [`sharded`](CountRequest::sharded), observability) — counts are
+    /// identical under all of them.
     ///
     /// ```
     /// use sgc_core::Engine;
@@ -322,9 +322,8 @@ impl<'g> Engine<'g> {
     /// # Errors
     /// [`SgcError::EngineMismatch`] for a request built by another engine,
     /// [`SgcError::ColoringWithEstimate`] for an explicit coloring,
-    /// [`SgcError::ZeroTrials`] / [`SgcError::ZeroRanks`] /
-    /// [`SgcError::ZeroShards`] for zero trials, ranks or shards, plus the
-    /// planning errors of [`run`](CountRequest::run).
+    /// [`SgcError::ZeroTrials`] / [`SgcError::ZeroShards`] for zero trials
+    /// or shards, plus the planning errors of [`run`](CountRequest::run).
     pub fn count_batch<'a>(
         &self,
         requests: &[CountRequest<'_, 'g, 'a>],
@@ -343,7 +342,6 @@ impl<'g> Engine<'g> {
             engine: self,
             query,
             algorithm: Algorithm::DegreeBased,
-            num_ranks: 64,
             coloring: None,
             plan: None,
             trials: 3,
@@ -383,7 +381,6 @@ pub struct CountRequest<'e, 'g, 'a> {
     pub(crate) engine: &'e Engine<'g>,
     pub(crate) query: Cow<'a, QueryGraph>,
     pub(crate) algorithm: Algorithm,
-    num_ranks: usize,
     coloring: Option<&'a Coloring>,
     plan: Option<&'a DecompositionTree>,
     pub(crate) trials: usize,
@@ -398,13 +395,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// Selects the cycle-solving algorithm (default: Degree Based).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the number of simulated ranks for load attribution (default:
-    /// 64). Zero is rejected at run time with [`SgcError::ZeroRanks`].
-    pub fn ranks(mut self, num_ranks: usize) -> Self {
-        self.num_ranks = num_ranks;
         self
     }
 
@@ -469,7 +459,9 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     ///
     /// The count is **bit-identical** to the unsharded path for every shard
     /// count ≥ 1; what changes is the execution (real per-shard parallelism)
-    /// and the metrics: the result's
+    /// and the metrics: a shard is a rank, so the result's
+    /// [`RunMetrics::load`](crate::RunMetrics::load) — the paper's Figure 11
+    /// per-rank load — has one entry per shard, and
     /// [`RunMetrics::shards`](crate::RunMetrics::shards) reports what each
     /// shard actually did. Zero shards is rejected at run time with
     /// [`SgcError::ZeroShards`].
@@ -551,9 +543,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::Query`] for unplannable queries,
     /// [`SgcError::PlanQueryMismatch`] for a plan of a different query,
     /// [`SgcError::WrongColorCount`] / [`SgcError::ColoringSizeMismatch`]
-    /// for an unusable coloring, [`SgcError::ZeroRanks`] for a zero rank
-    /// count, and [`SgcError::ZeroShards`] for a sharded request with zero
-    /// shards.
+    /// for an unusable coloring, and [`SgcError::ZeroShards`] for a sharded
+    /// request with zero shards.
     pub fn run(mut self) -> Result<CountResult, SgcError> {
         // A disabled request suspends span recording on this thread for the
         // whole run; the fan-outs' workers inherit the suspension.
@@ -600,7 +591,6 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
             coloring,
             plan,
             algorithm: self.algorithm,
-            num_ranks: self.num_ranks,
         };
         let result = match ball {
             Some((parent, ball)) => ball.recount(parent, &job, &self.engine.arena_pool),
@@ -716,14 +706,11 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     ///
     /// # Errors
     /// [`SgcError::ColoringWithEstimate`] if an explicit coloring was set,
-    /// [`SgcError::ZeroRanks`] / [`SgcError::ZeroShards`] for zero ranks or
-    /// shards, plus the planning errors of [`run`](CountRequest::run).
+    /// [`SgcError::ZeroShards`] for zero shards, plus the planning errors of
+    /// [`run`](CountRequest::run).
     pub fn estimate_incremental(self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
         if self.coloring.is_some() {
             return Err(SgcError::ColoringWithEstimate);
-        }
-        if self.num_ranks == 0 {
-            return Err(SgcError::ZeroRanks);
         }
         if self.shards == Some(0) {
             return Err(SgcError::ZeroShards);
@@ -876,7 +863,6 @@ mod tests {
         let query = catalog::triangle();
         let request = engine.count(&query);
         assert_eq!(request.algorithm, Algorithm::DegreeBased);
-        assert_eq!(request.num_ranks, 64);
         assert!(request.obs, "observability defaults to on");
     }
 
@@ -1101,19 +1087,11 @@ mod tests {
             Err(SgcError::ColoringSizeMismatch { .. })
         ));
 
-        // Zero trials and zero ranks.
+        // Zero trials.
         assert_eq!(
             engine.count(&triangle).trials(0).estimate().unwrap_err(),
             SgcError::ZeroTrials
         );
-        assert_eq!(
-            engine.count(&triangle).ranks(0).estimate().unwrap_err(),
-            SgcError::ZeroRanks
-        );
-        assert!(matches!(
-            engine.count(&triangle).ranks(0).run(),
-            Err(SgcError::ZeroRanks)
-        ));
 
         // Treewidth > 2 queries are rejected, not panicked on.
         let mut k4 = QueryGraph::new(4);
@@ -1216,10 +1194,10 @@ mod tests {
         assert_eq!(
             engine
                 .count(&catalog::triangle())
-                .ranks(0)
+                .sharded(0)
                 .estimate_incremental()
                 .err(),
-            Some(SgcError::ZeroRanks)
+            Some(SgcError::ZeroShards)
         );
         let coloring = Coloring::random(g.num_vertices(), 3, 0);
         assert_eq!(

@@ -56,10 +56,11 @@
 //!   partner table one start's run of rows at a time by a dense per-vertex
 //!   mark: a probe hashes nothing and no row is copied.
 //!
-//! Every examined candidate is attributed to the simulated rank owning the
-//! vertex at which the paper's distributed engine would have performed the
-//! operation, as many times as the written algorithm examines it: a shared
-//! step records its operations once per written step it stands for.
+//! Every examined candidate is charged to the block of the run's shard
+//! layout owning the vertex at which the paper's distributed engine would
+//! have performed the operation, as many times as the written algorithm
+//! examines it: a shared step records its operations once per written step
+//! it stands for.
 //! `solve_block` is the kernel's one entry point, and the block-step
 //! executor (`runtime::executor`) its one caller; counts are checked
 //! against the independent oracles in [`crate::brute`] and `tests/treelet/`
@@ -151,7 +152,7 @@ impl KernelArena {
 
     /// Total allocated capacity across all tables and scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
-        self.seeds.capacity_bytes()
+        self.seeds.table.capacity_bytes()
             + self.by_color.capacity() * mem::size_of::<Count>()
             + (self.paths.iter())
                 .map(ColumnarTable::capacity_bytes)
@@ -194,9 +195,9 @@ struct TileSeeds {
     /// One `(u, w, {c(u), c(w)}, 1)` row per seed, appended: the keys are
     /// distinct by construction.
     table: ColumnarTable,
-    /// The seed step's operations per simulated rank, as `(rank, ops)`
-    /// runs in start-vertex order — what each written path build records.
-    ops: Vec<(usize, u64)>,
+    /// The seed step's operations — what each written path build records,
+    /// all charged to the context's own block, where every start lies.
+    ops: u64,
     /// Whether `table` and `ops` hold the current tile's seeds.
     filled: bool,
 }
@@ -217,7 +218,7 @@ impl TileSeeds {
         }
         self.filled = true;
         self.table.reset();
-        self.ops.clear();
+        self.ops = 0;
         let ctx = joins.ctx;
         for u in starts {
             let cu = ctx.color(u);
@@ -229,12 +230,7 @@ impl TileSeeds {
             } else {
                 ctx.graph.neighbors(u)
             };
-            let rank = ctx.partition.owner(u);
-            let ops = neighbors.len() as u64;
-            match self.ops.last_mut() {
-                Some((last, sum)) if *last == rank => *sum += ops,
-                _ => self.ops.push((rank, ops)),
-            }
+            self.ops += neighbors.len() as u64;
             for &w in neighbors {
                 let cw = ctx.color(w);
                 if cu != cw {
@@ -243,11 +239,6 @@ impl TileSeeds {
                 }
             }
         }
-    }
-
-    /// Allocated bytes of the seed table and the op runs.
-    fn capacity_bytes(&self) -> usize {
-        self.table.capacity_bytes() + self.ops.capacity() * mem::size_of::<(usize, u64)>()
     }
 }
 
@@ -509,11 +500,10 @@ fn initial_join(
             // range) partitions the block's entire table by start. The
             // tile's first graph-realised step enumerates them; every
             // written path records the enumeration's operations as if it
-            // had done it.
+            // had done it, at the block owning the tile.
+            let first = starts.start;
             seeds.fill(joins, starts);
-            for &(rank, ops) in &seeds.ops {
-                metrics.record_rank_ops(rank, ops * weight);
-            }
+            metrics.record_ops(&ctx.owners, first, seeds.ops * weight);
             for (key, sig, count) in seeds.table.rows() {
                 out.append(seed_key(key[0], key[1]), sig, count);
             }
@@ -525,7 +515,7 @@ fn initial_join(
             // `(v, sig)` rows are distinct, so the keys are too.
             for u in starts {
                 let list = child.get(u);
-                metrics.record_ops(&ctx.partition, u, list.len() as u64 * weight);
+                metrics.record_ops(&ctx.owners, u, list.len() as u64 * weight);
                 for row in list {
                     let w = row.v;
                     if joins.high_start && !ctx.order().higher(u, w) {
@@ -558,7 +548,7 @@ fn node_join(
             Field::End => key[1],
         };
         let list = child.get(x);
-        metrics.record_ops(&ctx.partition, x, list.len() as u64 * weight);
+        metrics.record_ops(&ctx.owners, x, list.len() as u64 * weight);
         let shared = ctx.color_sig(x);
         for row in list {
             if sig.intersection(row.sig) != shared {
@@ -602,7 +592,7 @@ fn edge_join(
                 } else {
                     ctx.graph.neighbors(v)
                 };
-                metrics.record_ops(&ctx.partition, v, neighbors.len() as u64 * weight);
+                metrics.record_ops(&ctx.owners, v, neighbors.len() as u64 * weight);
                 for &w in neighbors {
                     if !paired(key[0], w) {
                         continue;
@@ -621,7 +611,7 @@ fn edge_join(
             }
             Some(child) => {
                 let list = child.get(v);
-                metrics.record_ops(&ctx.partition, v, list.len() as u64 * weight);
+                metrics.record_ops(&ctx.owners, v, list.len() as u64 * weight);
                 for row in list {
                     let w = row.v;
                     if joins.high_start && !ctx.order().higher(key[0], w) {
@@ -667,7 +657,7 @@ fn project(table: &ColumnarTable, field: Option<usize>, proj: &mut ColumnarTable
 /// algorithm's first table holds one `(u, w, {c(u), c(w)}, 1)` row per such
 /// neighbour and [`project`] sums those rows by `(u, signature)` into the
 /// same rows, which are distinct by construction: they are appended, and
-/// nothing is hashed. Operations (`neighbors(u).len()` at `u`'s rank) and
+/// nothing is hashed. Operations (`neighbors(u).len()` at `u`'s block) and
 /// the observed seed count are the first step's.
 fn project_pendant(
     ctx: &Context<'_>,
@@ -682,7 +672,7 @@ fn project_pendant(
     let mut seeds: Count = 0;
     for u in starts {
         let neighbors = ctx.graph.neighbors(u);
-        metrics.record_ops(&ctx.partition, u, neighbors.len() as u64);
+        metrics.record_ops(&ctx.owners, u, neighbors.len() as u64);
         for &w in neighbors {
             by_color[ctx.color(w) as usize] += 1;
         }
@@ -765,7 +755,7 @@ fn merge_paths(
                         total += ocount * inner.count(i);
                     }
                 }
-                metrics.record_ops(&ctx.partition, v, pairs * m);
+                metrics.record_ops(&ctx.owners, v, pairs * m);
             }
             proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total * m);
         }
@@ -808,7 +798,7 @@ fn merge_paths(
                         proj.add([extras[0], extras[1], NO_VERTEX, NO_VERTEX], sig, count);
                     }
                 }
-                metrics.record_ops(&ctx.partition, v, pairs * m);
+                metrics.record_ops(&ctx.owners, v, pairs * m);
             }
         }
         _ => unreachable!(),
@@ -858,8 +848,9 @@ mod tests {
     use sgc_graph::{BlockPartition, Coloring, CsrGraph, GraphBuilder};
     use sgc_query::{decompose, DecompositionTree, QueryGraph};
 
-    /// Solves the pure triangle query's one block on a data triangle under
-    /// `colors`, with both algorithms.
+    /// Solves the pure triangle query on a data triangle under `colors`,
+    /// with both algorithms, over four shards: one per vertex, and an empty
+    /// fourth.
     fn triangle_totals(colors: Vec<u8>) -> Vec<(Algorithm, Count, RunMetrics)> {
         let mut b = GraphBuilder::new(3);
         b.extend_edges([(0, 1), (1, 2), (2, 0)]);
@@ -868,19 +859,17 @@ mod tests {
         let query = QueryGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
         let tree = decompose(&query).unwrap();
         let prep = GraphPrep::new(&g);
-        let ctx = Context::new(&g, &prep, &coloring, 4).unwrap();
-        let pool = ArenaPool::new();
+        let plan = BlockPartition::new(g.num_vertices(), 4);
+        let contexts: Vec<Context<'_>> = (0..4)
+            .map(|s| Context::for_shard(&g, &prep, &coloring, &plan, s))
+            .collect();
         [Algorithm::PathSplitting, Algorithm::DegreeBased]
             .into_iter()
             .map(|algorithm| {
-                let (mut arena, _) = pool.checkout();
-                let mut metrics = RunMetrics::new(4);
-                let block = &tree.blocks[0];
-                let index = BlockJoinIndex::build(block, &[None], |_| RowGroups::default());
-                let program = PathProgram::compile(&tree, block, algorithm);
-                let partial = solve_block(&ctx, block, &index, &program, &mut arena, &mut metrics);
-                pool.give_back(arena);
-                (algorithm, partial.total(), metrics)
+                let compile = PathProgram::compile;
+                let (total, metrics) =
+                    solve_tree(&contexts, &plan, &tree, algorithm, compile, TILE_EDGES);
+                (algorithm, total, metrics)
             })
             .collect()
     }
@@ -889,7 +878,7 @@ mod tests {
     /// query (one per orientation), for both algorithms (the module-level
     /// smoke test; the differential suites against the brute-force and
     /// treelet oracles are `tests/correctness.rs` and `tests/property.rs`).
-    /// The per-rank operation counts are pinned too: every written path
+    /// The per-block operation counts are pinned too: every written path
     /// records its seed step's operations, although the paths of a tile
     /// share one enumeration and DB's three splits one first step.
     #[test]
@@ -929,7 +918,7 @@ mod tests {
         tile_edges: usize,
     ) -> (Count, RunMetrics) {
         let mut arena = KernelArena::new();
-        let mut metrics = RunMetrics::new(contexts[0].partition.num_ranks());
+        let mut metrics = RunMetrics::new(plan.num_ranks());
         let mut tables: Vec<Option<BlockTable>> = vec![None; tree.blocks.len()];
         for block in &tree.blocks {
             let index = BlockJoinIndex::build(block, &tables, |_| RowGroups::default());
@@ -959,37 +948,48 @@ mod tests {
 
     /// Tiling is invisible in everything but the peak: one start per tile,
     /// the shipped budget and a single tile report the same count, the same
-    /// operations per simulated rank and the same created entries on every
-    /// registry query, on a skewed graph that needs several shipped tiles.
+    /// operations per block and the same created entries on every registry
+    /// query, unsharded and over eight shards, on a skewed graph that needs
+    /// several shipped tiles.
     #[test]
     fn tile_budget_changes_nothing_but_the_peak() {
         let g = skewed_graph();
         let prep = GraphPrep::new(&g);
         let one_tile = usize::MAX;
-        let plan = BlockPartition::new(g.num_vertices(), 1);
         for entry in sgc_query::Registry::builtin().entries() {
             let query = entry.query();
             let tree = sgc_query::heuristic_plan(query).unwrap();
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
-            let ctx = Context::new(&g, &prep, &coloring, 8).unwrap();
-            assert!(ctx.start_tiles(TILE_EDGES).count() > 1, "graph too small");
-            let contexts = [ctx];
-            let compile: Compile = PathProgram::compile;
-            for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-                let solve =
-                    |budget| solve_tree(&contexts, &plan, &tree, algorithm, compile, budget);
-                let (count, whole) = solve(one_tile);
-                for budget in [0, TILE_EDGES] {
-                    let what = format!("{} with {algorithm}, budget {budget}", entry.name());
-                    let (tiled_count, tiled) = solve(budget);
-                    assert_eq!(tiled_count, count, "{what}");
-                    assert_eq!(tiled.total_ops, whole.total_ops, "{what}");
-                    assert_eq!(tiled.load.per_rank(), whole.load.per_rank(), "{what}");
-                    assert_eq!(tiled.entries_created, whole.entries_created, "{what}");
-                    assert!(
-                        tiled.peak_table_entries <= whole.peak_table_entries,
-                        "{what}"
-                    );
+            let unsharded = Context::new(&g, &prep, &coloring).unwrap();
+            assert!(
+                unsharded.start_tiles(TILE_EDGES).count() > 1,
+                "graph too small"
+            );
+            for shards in [1, 8] {
+                let plan = BlockPartition::new(g.num_vertices(), shards);
+                let contexts: Vec<Context<'_>> = (0..shards)
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, &plan, s))
+                    .collect();
+                let compile: Compile = PathProgram::compile;
+                for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
+                    let solve =
+                        |budget| solve_tree(&contexts, &plan, &tree, algorithm, compile, budget);
+                    let (count, whole) = solve(one_tile);
+                    for budget in [0, TILE_EDGES] {
+                        let what = format!(
+                            "{} with {algorithm}, {shards} shard(s), budget {budget}",
+                            entry.name()
+                        );
+                        let (tiled_count, tiled) = solve(budget);
+                        assert_eq!(tiled_count, count, "{what}");
+                        assert_eq!(tiled.total_ops, whole.total_ops, "{what}");
+                        assert_eq!(tiled.load.per_rank(), whole.load.per_rank(), "{what}");
+                        assert_eq!(tiled.entries_created, whole.entries_created, "{what}");
+                        assert!(
+                            tiled.peak_table_entries <= whole.peak_table_entries,
+                            "{what}"
+                        );
+                    }
                 }
             }
         }
@@ -997,9 +997,9 @@ mod tests {
 
     /// Sharing steps and merges is invisible in everything but the time: on
     /// every registry query, under PS and DB, at every tile budget, serial
-    /// and over three shards, the compiled program reports the count,
-    /// operations, per-rank load, created entries and peak of the written
-    /// algorithm — the program that shares nothing.
+    /// and over three and eight shards, the compiled program reports the
+    /// count, operations, per-block load, created entries and peak of the
+    /// written algorithm — the program that shares nothing.
     #[test]
     fn the_path_program_changes_nothing_but_time() {
         let g = skewed_graph();
@@ -1009,10 +1009,10 @@ mod tests {
             let query = entry.query();
             let tree = sgc_query::heuristic_plan(query).unwrap();
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
-            for shards in [1, 3] {
+            for shards in [1, 3, 8] {
                 let plan = BlockPartition::new(g.num_vertices(), shards);
                 let contexts: Vec<Context<'_>> = (0..shards)
-                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, &plan, s))
                     .collect();
                 for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
                     shared_somewhere |= (tree.blocks.iter())
@@ -1047,9 +1047,10 @@ mod tests {
     /// instead of projecting the seed table the written algorithm builds:
     /// on every bare-pendant block of the registry, `path(4)` and the one
     /// edge `path(2)` (a bare pendant at the root, projected onto the
-    /// scalar), serial and over three shards, at every tile budget, each
-    /// shard's exported rows are the written program's as a multiset, and
-    /// so are its operations, per-rank load, created entries and peak.
+    /// scalar), serial and over three and eight shards, at every tile
+    /// budget, each shard's exported rows are the written program's as a
+    /// multiset, and so are its operations, per-block load, created entries
+    /// and peak.
     #[test]
     fn a_bare_pendant_counts_what_its_projection_built() {
         let g = skewed_graph();
@@ -1075,15 +1076,15 @@ mod tests {
                 let written = PathProgram::compile_unshared(&tree, block, algorithm);
                 // A bare pendant reads no child table.
                 let index = BlockJoinIndex::build(block, &[], |_| RowGroups::default());
-                for shards in [1, 3] {
+                for shards in [1, 3, 8] {
                     let plan = BlockPartition::new(g.num_vertices(), shards);
                     let contexts: Vec<Context<'_>> = (0..shards)
-                        .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
+                        .map(|s| Context::for_shard(&g, &prep, &coloring, &plan, s))
                         .collect();
                     for budget in [0, TILE_EDGES, usize::MAX] {
                         let solve = |program: &PathProgram| {
                             let mut arena = KernelArena::new();
-                            let mut metrics = RunMetrics::new(8);
+                            let mut metrics = RunMetrics::new(shards);
                             let (a, m) = (&mut arena, &mut metrics);
                             let partials: Vec<RowGroups> = (contexts.iter())
                                 .map(|ctx| {
@@ -1124,9 +1125,9 @@ mod tests {
 
     /// Semi-joining an uneven split's longer path against its shorter one
     /// drops only rows no merge can pair: on every registry query, under PS
-    /// and DB, at every tile budget, serial and over three shards, the
-    /// compiled program reports the count, operations and per-rank load of
-    /// the written algorithm that builds every path in full, and never more
+    /// and DB, at every tile budget, serial and over three and eight shards,
+    /// the compiled program reports the count, operations and per-block load
+    /// of the written algorithm that builds every path in full, and never more
     /// created entries or a larger peak — strictly fewer entries on some odd
     /// cycle, and exactly as many wherever no split is uneven.
     #[test]
@@ -1140,10 +1141,10 @@ mod tests {
             let odd_cycle =
                 (tree.blocks.iter()).any(|b| b.kind.is_cycle() && b.cycle_length() % 2 == 1);
             let coloring = Coloring::random(g.num_vertices(), query.num_nodes(), 7);
-            for shards in [1, 3] {
+            for shards in [1, 3, 8] {
                 let plan = BlockPartition::new(g.num_vertices(), shards);
                 let contexts: Vec<Context<'_>> = (0..shards)
-                    .map(|s| Context::for_shard(&g, &prep, &coloring, 8, &plan, s))
+                    .map(|s| Context::for_shard(&g, &prep, &coloring, &plan, s))
                     .collect();
                 for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
                     let semi_steps: u64 = (tree.blocks.iter())

@@ -1,15 +1,15 @@
-//! Run metrics: operation counts, per-rank loads, table sizes, timings.
+//! Run metrics: operation counts, per-block loads, table sizes, timings.
 //!
 //! The paper's evaluation reports execution time (Figures 9, 10, 12, 13) and
 //! the per-processor load — "the number of projection function operations" —
 //! (Figure 11). [`RunMetrics`] collects both, plus table-size statistics
-//! useful for understanding memory behaviour.
+//! useful for understanding memory behaviour. The load is charged over the
+//! run's shard layout: one block for an unsharded run, one per shard of a
+//! [`sharded`](crate::CountRequest::sharded) one.
 //!
-//! Sharded runs ([`CountRequest::sharded`](crate::CountRequest::sharded))
-//! additionally fill [`RunMetrics::shards`] with [`ShardMetrics`]: the
-//! operations each shard actually executed and the partial-sum entries it
-//! contributed to each exchange round — the measured (not simulated)
-//! counterpart of the paper's Figure 11 load analysis.
+//! Sharded runs additionally fill [`RunMetrics::shards`] with
+//! [`ShardMetrics`]: the operations each shard actually executed and the
+//! partial-sum entries it contributed to each exchange round.
 
 use crate::kernel::KernelMetrics;
 use sgc_engine::LoadStats;
@@ -19,10 +19,11 @@ use std::time::Duration;
 /// Metrics accumulated over a single colorful-counting run.
 #[derive(Clone, Debug)]
 pub struct RunMetrics {
-    /// Per-rank operation counts (projection function operations attributed
-    /// to the simulated owner rank).
+    /// Operation counts per block of the run's shard layout: each
+    /// projection function operation is charged to the block owning its
+    /// vertex.
     pub load: LoadStats,
-    /// Total operations across all ranks (equals `load.total()`, cached for
+    /// Total operations across all blocks (equals `load.total()`, cached for
     /// convenience).
     pub total_ops: u64,
     /// Largest number of entries held by any single working table during the
@@ -51,16 +52,17 @@ pub struct RunMetrics {
 
 /// Per-shard execution metrics of one sharded run.
 ///
-/// Where [`RunMetrics::load`] *attributes* operations to simulated ranks by
-/// key ownership (reproducing the paper's Figure 11 accounting), this struct
-/// records what each shard of the real runtime *did*: the projection
-/// operations it executed and the partial-sum table entries it handed to the
-/// exchange step (the shared-memory analog of the paper's alltoall message
-/// volume, Section 7).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Where [`RunMetrics::load`] *charges* each operation to the block owning
+/// its vertex (reproducing the paper's Figure 11 accounting), this struct
+/// records what each shard of the runtime *did*: the projection operations
+/// it executed and the partial-sum table entries it handed to the exchange
+/// step (the shared-memory analog of the paper's alltoall message volume,
+/// Section 7).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMetrics {
-    /// Projection operations executed by each shard, summed over all blocks.
-    pub ops_per_shard: Vec<u64>,
+    /// Projection operations executed by each shard, summed over all blocks
+    /// of the plan.
+    pub ops_per_shard: LoadStats,
     /// Partial-sum table entries each shard contributed to the exchange
     /// steps, summed over all rounds.
     pub entries_exchanged: Vec<u64>,
@@ -72,7 +74,7 @@ impl ShardMetrics {
     /// Creates zeroed metrics for `num_shards` shards.
     pub fn new(num_shards: usize) -> Self {
         ShardMetrics {
-            ops_per_shard: vec![0; num_shards],
+            ops_per_shard: LoadStats::new(num_shards),
             entries_exchanged: vec![0; num_shards],
             exchange_rounds: 0,
         }
@@ -80,34 +82,14 @@ impl ShardMetrics {
 
     /// Number of shards tracked.
     pub fn num_shards(&self) -> usize {
-        self.ops_per_shard.len()
+        self.ops_per_shard.num_ranks()
     }
 
-    /// Maximum operations executed by any single shard — the critical-path
-    /// load of the sharded runtime.
-    pub fn max_ops(&self) -> u64 {
-        self.ops_per_shard.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Average operations per shard.
-    pub fn avg_ops(&self) -> f64 {
-        if self.ops_per_shard.is_empty() {
-            0.0
-        } else {
-            self.ops_per_shard.iter().sum::<u64>() as f64 / self.ops_per_shard.len() as f64
-        }
-    }
-
-    /// Ratio of the maximum to the average per-shard operations
+    /// Ratio of the maximum to the average per-shard executed operations
     /// (1.0 = perfectly balanced; the paper's load-imbalance metric applied
-    /// to the real shards).
+    /// to the shards).
     pub fn imbalance(&self) -> f64 {
-        let avg = self.avg_ops();
-        if avg == 0.0 {
-            1.0
-        } else {
-            self.max_ops() as f64 / avg
-        }
+        self.ops_per_shard.imbalance()
     }
 
     /// Total partial-sum entries moved through the exchange steps.
@@ -117,10 +99,10 @@ impl ShardMetrics {
 }
 
 impl RunMetrics {
-    /// Creates empty metrics for `num_ranks` simulated ranks.
-    pub fn new(num_ranks: usize) -> Self {
+    /// Creates empty metrics for a layout of `num_blocks` blocks.
+    pub fn new(num_blocks: usize) -> Self {
         RunMetrics {
-            load: LoadStats::new(num_ranks),
+            load: LoadStats::new(num_blocks),
             total_ops: 0,
             peak_table_entries: 0,
             entries_created: 0,
@@ -131,7 +113,7 @@ impl RunMetrics {
     }
 
     /// Folds the metrics of one shard's partial solve into this run's
-    /// totals: simulated-rank loads add up, peak table sizes take the max,
+    /// totals: per-block loads add up, peak table sizes take the max,
     /// and created-entry counts accumulate. Used by the sharded runtime,
     /// whose per-shard solves each carry their own `RunMetrics`.
     pub fn absorb_shard(&mut self, shard: &RunMetrics) {
@@ -142,18 +124,11 @@ impl RunMetrics {
         self.kernel.absorb(&shard.kernel);
     }
 
-    /// Records `ops` projection operations attributed to the simulated
-    /// owner of `vertex`.
+    /// Records `ops` projection operations charged to the block of
+    /// `layout` owning `vertex`.
     #[inline]
-    pub(crate) fn record_ops(&mut self, partition: &BlockPartition, vertex: VertexId, ops: u64) {
-        self.load.record_vertex(partition, vertex, ops);
-        self.total_ops += ops;
-    }
-
-    /// Records `ops` projection operations attributed to simulated `rank`.
-    #[inline]
-    pub(crate) fn record_rank_ops(&mut self, rank: usize, ops: u64) {
-        self.load.record(rank, ops);
+    pub(crate) fn record_ops(&mut self, layout: &BlockPartition, vertex: VertexId, ops: u64) {
+        self.load.record_vertex(layout, vertex, ops);
         self.total_ops += ops;
     }
 
@@ -169,12 +144,12 @@ impl RunMetrics {
         self.entries_created += entries as u64 * copies;
     }
 
-    /// Maximum per-rank load (Figure 11's "max load").
+    /// Maximum per-block load (Figure 11's "max load").
     pub fn max_load(&self) -> u64 {
         self.load.max()
     }
 
-    /// Average per-rank load (Figure 11's "avg load").
+    /// Average per-block load (Figure 11's "avg load").
     pub fn avg_load(&self) -> f64 {
         self.load.average()
     }
@@ -195,7 +170,7 @@ impl RunMetrics {
         if let Some(shards) = &self.shards {
             registry.counter_add("shard_exchange_rounds", shards.exchange_rounds);
             registry.counter_add("shard_entries_exchanged", shards.total_entries_exchanged());
-            registry.gauge_max("shard_max_ops", shards.max_ops());
+            registry.gauge_max("shard_max_ops", shards.ops_per_shard.max());
         }
     }
 }
@@ -207,7 +182,7 @@ mod tests {
     #[test]
     fn absorb_and_observe() {
         let mut m = RunMetrics::new(4);
-        // Four ranks over eight vertices: vertex 2 is rank 1's, 5 rank 2's.
+        // Four blocks over eight vertices: vertex 2 is block 1's, 5 block 2's.
         let partition = BlockPartition::new(8, 4);
         for _ in 0..2 {
             m.record_ops(&partition, 2, 10);
@@ -257,13 +232,13 @@ mod tests {
     fn shard_metrics_statistics() {
         let mut s = ShardMetrics::new(4);
         assert_eq!(s.num_shards(), 4);
-        assert_eq!(s.max_ops(), 0);
         assert_eq!(s.imbalance(), 1.0);
-        s.ops_per_shard = vec![10, 20, 30, 40];
+        for (shard, ops) in [10, 20, 30, 40].into_iter().enumerate() {
+            s.ops_per_shard.record(shard, ops);
+        }
         s.entries_exchanged = vec![1, 2, 3, 4];
         s.exchange_rounds = 2;
-        assert_eq!(s.max_ops(), 40);
-        assert!((s.avg_ops() - 25.0).abs() < 1e-12);
+        assert_eq!(s.ops_per_shard.max(), 40);
         assert!((s.imbalance() - 1.6).abs() < 1e-12);
         assert_eq!(s.total_entries_exchanged(), 10);
     }

@@ -39,8 +39,6 @@ pub(crate) struct Job<'a> {
     pub plan: &'a DecompositionTree,
     /// The cycle-solving algorithm.
     pub algorithm: Algorithm,
-    /// Simulated rank count for load attribution.
-    pub num_ranks: usize,
 }
 
 /// One shard's state across the block steps — the analog of one rank's local
@@ -93,8 +91,8 @@ fn with_arena<R>(
 ///
 /// # Errors
 /// [`SgcError::ZeroShards`] for `Some(0)` shards, and
-/// [`SgcError::ColoringSizeMismatch`] / [`SgcError::ZeroRanks`] for a
-/// coloring that does not cover `graph` or a zero rank count.
+/// [`SgcError::ColoringSizeMismatch`] for a coloring that does not cover
+/// `graph`.
 pub(crate) fn execute(
     graph: &CsrGraph,
     prep: &GraphPrep,
@@ -107,18 +105,18 @@ pub(crate) fn execute(
         return Err(SgcError::ZeroShards);
     }
     let layout = BlockPartition::new(graph.num_vertices(), num_shards);
-    Context::validate(graph, job.coloring, job.num_ranks)?;
+    Context::validate(graph, job.coloring)?;
     let lanes: Vec<Mutex<Lane>> = (0..num_shards)
         .map(|_| {
             Mutex::new(Lane {
-                metrics: RunMetrics::new(job.num_ranks),
+                metrics: RunMetrics::new(num_shards),
                 arena: None,
             })
         })
         .collect();
     // What the exchange rounds observed; the lanes' metrics are absorbed at
     // the end.
-    let mut metrics = RunMetrics::new(job.num_ranks);
+    let mut metrics = RunMetrics::new(num_shards);
     let mut shard_metrics = ShardMetrics::new(num_shards);
     // The combined table of every block solved so far, by block id.
     let mut tables: Vec<Option<BlockTable>> = vec![None; job.plan.blocks.len()];
@@ -158,8 +156,7 @@ pub(crate) fn execute(
                     .expect("a lane is locked by one task per step; a panicked one ends the run");
                 let partial = if let Some((index, program)) = &inputs {
                     let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
-                    let ctx =
-                        Context::for_shard(graph, prep, job.coloring, job.num_ranks, &layout, s);
+                    let ctx = Context::for_shard(graph, prep, job.coloring, &layout, s);
                     let Lane { metrics, arena } = &mut *lane;
                     let block = &job.plan.blocks[step];
                     let arena = checked_out(arena, pool);
@@ -245,7 +242,9 @@ pub(crate) fn execute(
             );
             arenas.push(arena);
         }
-        shard_metrics.ops_per_shard[s] = lane.metrics.total_ops;
+        shard_metrics
+            .ops_per_shard
+            .record(s, lane.metrics.total_ops);
         metrics.elapsed += lane.metrics.elapsed;
         metrics.absorb_shard(&lane.metrics);
     }

@@ -1,4 +1,4 @@
-//! # sgc-engine — tables, joins and the simulated distributed engine
+//! # sgc-engine — tables, joins and load accounting of the shared-memory engine
 //!
 //! The paper's "engine" layer (Section 7) stores the data graph and the
 //! projection tables in a distributed fashion and exposes join routines to

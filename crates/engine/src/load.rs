@@ -1,17 +1,18 @@
-//! Per-rank load accounting.
+//! Per-block load accounting.
 //!
 //! Figure 11 of the paper compares the PS and DB algorithms by the *load* of
 //! each processor, defined as the number of projection function operations it
 //! performs: the DB algorithm both lowers the average load (less wasted work)
 //! and, crucially, the maximum load (better balance around high-degree
-//! vertices). In this reproduction the ranks are simulated: each join
-//! operation is attributed to the rank that owns the vertex at which the
+//! vertices). Here a processor is a block of the run's shard layout: each
+//! join operation is charged to the block owning the vertex at which the
 //! paper's engine would have executed it (the owner of the key's second
-//! vertex `v`, Section 7), regardless of which thread actually ran it.
+//! vertex `v`, Section 7), whichever shard's thread actually ran it. The
+//! same vector type holds the operations each shard executed.
 
 use sgc_graph::{BlockPartition, VertexId};
 
-/// Accumulated per-rank operation counts.
+/// Accumulated operation counts, one per block (rank) of a layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadStats {
     per_rank: Vec<u64>,
@@ -39,7 +40,7 @@ impl LoadStats {
     /// Records `ops` operations attributed to the owner of `vertex`.
     #[inline]
     pub fn record_vertex(&mut self, partition: &BlockPartition, vertex: VertexId, ops: u64) {
-        // Serial runs track a single simulated rank; skip the owner division
+        // An unsharded run's layout is one block; skip the owner division
         // entirely on that (hot) path.
         if self.per_rank.len() == 1 {
             self.per_rank[0] += ops;
@@ -68,11 +69,7 @@ impl LoadStats {
 
     /// Average per-rank load.
     pub fn average(&self) -> f64 {
-        if self.per_rank.is_empty() {
-            0.0
-        } else {
-            self.total() as f64 / self.per_rank.len() as f64
-        }
+        self.total() as f64 / self.per_rank.len() as f64
     }
 
     /// Ratio of maximum to average load (1.0 = perfectly balanced).

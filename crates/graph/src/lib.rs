@@ -9,8 +9,9 @@
 //! * [`DegreeOrder`] — the total order on vertices (degree, then id) used by
 //!   the paper's Degree Based (DB) algorithm (the MINBUCKET generalisation),
 //! * [`Coloring`] — random k-colorings of the vertex set used by color coding,
-//! * [`BlockPartition`] — the simulated 1D block distribution of vertices over
-//!   "ranks" reproducing the paper's distributed-memory ownership model,
+//! * [`BlockPartition`] — the 1D block distribution of vertices over ranks
+//!   (a run's shards) reproducing the paper's distributed-memory ownership
+//!   model,
 //! * [`DegreeStats`] — the degree-distribution statistics reported in Table 1,
 //! * [`io`] — plain edge-list readers/writers so external graphs can be used.
 //!

@@ -1,4 +1,4 @@
-//! Simulated 1D block distribution of vertices over processor ranks.
+//! 1D block distribution of vertices over processor ranks.
 //!
 //! The paper's engine distributes the data graph with a "1D decomposition,
 //! wherein the vertices are equally distributed among the processors using
@@ -7,10 +7,10 @@
 //! the owner of `v`, and load imbalance is measured as the number of
 //! projection operations performed per rank (Figure 11).
 //!
-//! In this reproduction the ranks are *simulated*: the engine executes on a
-//! shared-memory machine (scoped threads), but work is still attributed to
-//! the rank that would own it in the distributed setting so that the
-//! paper's load metrics can be reproduced exactly.
+//! In this reproduction a rank is a shard of the run: a block of this
+//! partition whose start vertices one worker thread solves. The same layout
+//! routes the exchange and is charged the operations, so a run's per-rank
+//! load is the paper's whether its shards run on many threads or one.
 
 use crate::vertex::VertexId;
 

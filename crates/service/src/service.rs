@@ -887,8 +887,8 @@ fn route(shared: &Shared, entry: &QueueEntry) -> Option<JobKey> {
 }
 
 /// Completes a computation this worker owned: updates the trial counters,
-/// stores the result (successes only), and fulfills the owner plus every
-/// joined twin.
+/// stores the result (successes only), and fulfills every joined twin, then
+/// the owner.
 fn finish_compute(
     shared: &Shared,
     key: JobKey,
@@ -924,23 +924,27 @@ fn finish_compute(
     // deliberately not served to them) nothing is cached and every joiner
     // receives a failure, so counting them as hits would inflate the hit
     // rate while cached_results stays 0.
-    if result.is_ok() && !cancelled_partial {
-        Counters::add(&shared.counters.cache_hits, waiters.len() as u64);
-    }
+    let served = if cancelled_partial {
+        Counters::add(&shared.counters.jobs_cancelled, waiters.len() as u64);
+        Err(ServiceError::Cancelled)
+    } else {
+        if result.is_ok() {
+            Counters::add(&shared.counters.cache_hits, waiters.len() as u64);
+        }
+        result.clone().map(|mut output| {
+            output.from_cache = true;
+            output
+        })
+    };
     Counters::add(&shared.counters.jobs_completed, 1 + waiters.len() as u64);
-    entry.state.fulfill(result.clone());
+    // The owner last: its fulfilment runs its completion hook on this
+    // thread — for a count, the write of its `final` frame, bounded by the
+    // write timeout — and one stalled client must not hold back the other
+    // clients' identical jobs.
     for waiter in waiters {
-        let served = if cancelled_partial {
-            Counters::bump(&shared.counters.jobs_cancelled);
-            Err(ServiceError::Cancelled)
-        } else {
-            result.clone().map(|mut output| {
-                output.from_cache = true;
-                output
-            })
-        };
-        waiter.fulfill(served);
+        waiter.fulfill(served.clone());
     }
+    entry.state.fulfill(result);
 }
 
 /// The adaptive trial loop of every job: run chunks of the job's
@@ -987,12 +991,9 @@ fn run_job(shared: &Shared, entry: &QueueEntry) -> Result<JobOutput, ServiceErro
     if let Some((parent, ball)) = &recount {
         request = request.recount(parent, ball);
     }
-    // Nothing here reads per-rank load, so one simulated rank: the kernel
-    // then skips the owner lookup it attributes every row's work with.
     let mut stream = request
         .algorithm(job.algorithm)
         .seed(job.seed)
-        .ranks(1)
         .parallel(false)
         .estimate_incremental()?;
     let mut seconds = 0.0;
@@ -1499,6 +1500,50 @@ mod tests {
                 .claim(key, &Arc::new(JobState::with_progress(None))),
             Claim::Compute
         ));
+    }
+
+    #[test]
+    fn joined_twins_are_fulfilled_before_the_owners_completion_hook_runs() {
+        // The owner's hook stands for its `final` frame write to a client
+        // that may stall; the twin must already hold its result when that
+        // write starts. Driven directly (zero workers, so nothing races).
+        let service = small_service(0);
+        let shared = &service.shared;
+        let job = CountJob::new(catalog::triangle()).seed(5).budget(4);
+        let key = JobKey::new(shared.graph_fingerprint, &job);
+        let twin = Arc::new(JobState::with_progress(None));
+        let seen = Arc::new(Mutex::new(None));
+        let owner = QueueEntry {
+            job: job.clone(),
+            state: Arc::new(JobState::with_done({
+                let (twin, seen) = (Arc::clone(&twin), Arc::clone(&seen));
+                Box::new(move |_| *seen.lock().unwrap() = Some(twin.is_fulfilled()))
+            })),
+            version: None,
+        };
+        assert!(matches!(
+            shared.cache.claim(key.clone(), &owner.state),
+            Claim::Compute
+        ));
+        assert!(matches!(
+            shared.cache.claim(key.clone(), &twin),
+            Claim::Joined
+        ));
+        let estimate = (shared.engine.count(&catalog::triangle()))
+            .seed(5)
+            .trials(4)
+            .estimate()
+            .unwrap();
+        let output = JobOutput {
+            estimate,
+            trials_run: 4,
+            budget: 4,
+            stop: StopReason::BudgetExhausted,
+            from_cache: false,
+        };
+        finish_compute(shared, key, &owner, Ok(output));
+        assert_eq!(*seen.lock().unwrap(), Some(true), "twin fulfilled first");
+        assert!(JobHandle { state: twin }.wait().unwrap().from_cache);
     }
 
     #[test]

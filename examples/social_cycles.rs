@@ -39,7 +39,7 @@ fn main() {
             let res = engine
                 .count(&query)
                 .algorithm(algorithm)
-                .ranks(ranks)
+                .sharded(ranks)
                 .seed(17)
                 .run()
                 .unwrap();

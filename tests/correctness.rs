@@ -34,7 +34,6 @@ fn check_query_on_engine(
             let got = engine
                 .count(query)
                 .algorithm(algorithm)
-                .ranks(8)
                 .coloring(&coloring)
                 .run()
                 .unwrap()
@@ -117,7 +116,6 @@ fn every_plan_of_a_query_gives_the_same_count() {
                 let got = engine
                     .count(&query)
                     .algorithm(algorithm)
-                    .ranks(8)
                     .plan(plan)
                     .coloring(&coloring)
                     .run()
@@ -151,7 +149,6 @@ fn tree_queries_agree_with_treelet_dp_and_brute_force() {
                 let got = engine
                     .count(&query)
                     .algorithm(algorithm)
-                    .ranks(8)
                     .coloring(&coloring)
                     .run()
                     .unwrap()
@@ -162,30 +159,29 @@ fn tree_queries_agree_with_treelet_dp_and_brute_force() {
     }
 }
 
+/// 512 is more shards than the graph has vertices: most blocks are empty.
 #[test]
-fn counts_are_independent_of_rank_count() {
+fn counts_are_independent_of_shard_count() {
     let graph = gnp(18, 0.3, 11);
     let engine = Engine::new(&graph);
     let query = catalog::brain2();
     let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 5);
-    let reference = engine
-        .count(&query)
-        .algorithm(Algorithm::DegreeBased)
-        .ranks(1)
-        .coloring(&coloring)
-        .run()
-        .unwrap()
-        .colorful_matches;
-    for ranks in [2, 7, 64, 512] {
-        let got = engine
-            .count(&query)
+    let request = || {
+        (engine.count(&query))
             .algorithm(Algorithm::DegreeBased)
-            .ranks(ranks)
             .coloring(&coloring)
-            .run()
-            .unwrap()
-            .colorful_matches;
-        assert_eq!(got, reference, "ranks = {ranks}");
+    };
+    let reference = request().run().unwrap();
+    for shards in [1, 2, 7, 64, 512] {
+        let got = request().sharded(shards).run().unwrap();
+        assert_eq!(
+            got.colorful_matches, reference.colorful_matches,
+            "shards = {shards}"
+        );
+        assert_eq!(
+            got.metrics.total_ops, reference.metrics.total_ops,
+            "shards = {shards}"
+        );
     }
 }
 
@@ -200,7 +196,6 @@ fn empty_and_sparse_graphs_count_zero_for_cyclic_queries() {
             let got = engine
                 .count(&query)
                 .algorithm(algorithm)
-                .ranks(8)
                 .coloring(&coloring)
                 .run()
                 .unwrap()

@@ -73,21 +73,6 @@ fn zero_trials_is_a_typed_error() {
 }
 
 #[test]
-fn zero_ranks_is_a_typed_error_for_run_and_estimate() {
-    let graph = gnp(12, 0.3, 4);
-    let engine = Engine::new(&graph);
-    let query = catalog::triangle();
-    assert_eq!(
-        engine.count(&query).ranks(0).run().unwrap_err(),
-        SgcError::ZeroRanks
-    );
-    assert_eq!(
-        engine.count(&query).ranks(0).estimate().unwrap_err(),
-        SgcError::ZeroRanks
-    );
-}
-
-#[test]
 fn treewidth_exceeding_queries_are_rejected_not_panicked_on() {
     let graph = gnp(12, 0.4, 5);
     let engine = Engine::new(&graph);

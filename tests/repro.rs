@@ -5,11 +5,11 @@
 //! under both algorithms; Figure 14 runs every registry query on every
 //! enumerated plan under DB. Each uses one colouring per query and reads
 //! only deterministic counters — `RunMetrics::total_ops` and the per-rank
-//! `max_load()` over 64 simulated ranks — never a clock, so the outcome is
-//! the same on any box. What is reproduced is the *shape* of a figure (who
-//! does less work, whose load is better balanced, how far the chosen plan is
-//! from the best), not its absolute numbers. Every failure message prints
-//! the measured rows next to the figure's claim.
+//! `max_load()` of a run sharded over 64 ranks — never a clock, so the
+//! outcome is the same on any box. What is reproduced is the *shape* of a
+//! figure (who does less work, whose load is better balanced, how far the
+//! chosen plan is from the best), not its absolute numbers. Every failure
+//! message prints the measured rows next to the figure's claim.
 //!
 //! Shapes pinned elsewhere: Corollary 9.9 by
 //! `theory::bounds::tests::power_law_sequences_give_polynomially_smaller_x_bound`
@@ -26,7 +26,8 @@ use subgraph_counting::query::{
     enumerate_plans, heuristic_plan, DecompositionTree, PlanCost, QueryGraph,
 };
 
-/// Simulated ranks the loads are attributed to (the paper runs 32–512).
+/// Shards — the paper's ranks — each run is laid out over and charged to
+/// (the paper runs 32–512).
 const RANKS: usize = 64;
 
 /// One query's deterministic work counters under PS and DB.
@@ -92,7 +93,7 @@ fn measure(graph: &str, scale: f64) -> Vec<Row> {
             let coloring = coloring_for(&graph, &query);
             let run = |algorithm| {
                 let request = engine.count(&query).plan(&plan).algorithm(algorithm);
-                request.ranks(RANKS).coloring(&coloring).run().unwrap()
+                request.sharded(RANKS).coloring(&coloring).run().unwrap()
             };
             let (ps, db) = (run(Algorithm::PathSplitting), run(Algorithm::DegreeBased));
             assert_eq!(ps.colorful_matches, db.colorful_matches, "{}", spec.name);

@@ -61,20 +61,15 @@ fn sharded_counts_are_bit_identical_to_serial_on_all_catalog_queries() {
     for (name, query) in catalog_queries() {
         let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 17);
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let serial = engine
-                .count(&query)
-                .algorithm(algorithm)
-                .coloring(&coloring)
-                .run()
-                .unwrap();
-            for shards in SHARD_COUNTS {
-                let sharded = engine
+            let request = || {
+                engine
                     .count(&query)
                     .algorithm(algorithm)
                     .coloring(&coloring)
-                    .sharded(shards)
-                    .run()
-                    .unwrap();
+            };
+            let serial = request().run().unwrap();
+            for shards in SHARD_COUNTS {
+                let sharded = request().sharded(shards).run().unwrap();
                 assert_eq!(
                     sharded.colorful_matches, serial.colorful_matches,
                     "{name} with {algorithm} at {shards} shards"
@@ -82,15 +77,22 @@ fn sharded_counts_are_bit_identical_to_serial_on_all_catalog_queries() {
                 let metrics = sharded.metrics.shards.expect("sharded metrics present");
                 assert_eq!(metrics.num_shards(), shards);
                 assert!(metrics.exchange_rounds > 0);
-                // The simulated-rank load attribution is shard-independent:
-                // the same operations happen, just on different workers.
+                // The same operations happen whatever the layout, just on
+                // different workers and charged to the layout's blocks.
                 assert_eq!(
                     sharded.metrics.total_ops, serial.metrics.total_ops,
                     "{name} with {algorithm} at {shards} shards"
                 );
                 assert_eq!(
+                    sharded.metrics.load.total(),
+                    serial.metrics.total_ops,
+                    "{name} with {algorithm} at {shards} shards"
+                );
+                // The load is the layout's, not the thread count's.
+                let one_thread = run_with_threads(1, || request().sharded(shards).run().unwrap());
+                assert_eq!(
+                    one_thread.metrics.load.per_rank(),
                     sharded.metrics.load.per_rank(),
-                    serial.metrics.load.per_rank(),
                     "{name} with {algorithm} at {shards} shards"
                 );
             }
@@ -266,11 +268,8 @@ fn shard_load_metrics_cover_the_work() {
         .unwrap();
     let shards = res.metrics.shards.expect("sharded metrics present");
     // Every projection operation is executed by exactly one shard.
-    assert_eq!(
-        shards.ops_per_shard.iter().sum::<u64>(),
-        res.metrics.total_ops
-    );
-    assert!(shards.max_ops() > 0);
+    assert_eq!(shards.ops_per_shard.total(), res.metrics.total_ops);
+    assert!(shards.ops_per_shard.max() > 0);
     assert!(shards.imbalance() >= 1.0);
     // Exchange volume: one round per block, entries flowed through it.
     assert!(shards.exchange_rounds > 0);
@@ -379,8 +378,10 @@ fn skewed_graph() -> CsrGraph {
 
 /// The shard count decides who does the work, never what work is done: on
 /// every registry query and both algorithms, `None`, `sharded(1)`,
-/// `sharded(2)` and `sharded(5)` report the same count, the same operations
-/// and the same per-rank load. One shard is the serial run down to its table
+/// `sharded(2)` and `sharded(5)` report the same count and the same
+/// operations, and the load is the layout's: one entry per shard summing to
+/// the operations, the same vector on one thread as at the default width.
+/// One shard is the serial run down to its load and table
 /// metrics — a one-partial exchange round creates no table, so it must not
 /// be observed as one; what still tells the two apart is that only the
 /// sharded request reports shard metrics.
@@ -392,13 +393,7 @@ fn shard_count_changes_nothing_but_the_shard_metrics() {
         let (name, query) = (entry.name(), entry.query());
         let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 7);
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let request = || {
-                engine
-                    .count(query)
-                    .algorithm(algorithm)
-                    .ranks(8)
-                    .coloring(&coloring)
-            };
+            let request = || engine.count(query).algorithm(algorithm).coloring(&coloring);
             let serial = request().run().unwrap();
             assert!(serial.metrics.shards.is_none(), "{name} with {algorithm}");
             for shards in [1, 2, 5] {
@@ -407,15 +402,15 @@ fn shard_count_changes_nothing_but_the_shard_metrics() {
                 let (m, s) = (&sharded.metrics, &serial.metrics);
                 assert_eq!(sharded.colorful_matches, serial.colorful_matches, "{what}");
                 assert_eq!(m.total_ops, s.total_ops, "{what}");
-                assert_eq!(m.load.per_rank(), s.load.per_rank(), "{what}");
+                assert_eq!(m.load.num_ranks(), shards, "{what}");
+                assert_eq!(m.load.total(), s.total_ops, "{what}");
+                let one_thread = run_with_threads(1, || request().sharded(shards).run().unwrap());
+                assert_eq!(one_thread.metrics.load, m.load, "{what}");
                 let shard_metrics = m.shards.as_ref().expect("sharded metrics present");
                 assert_eq!(shard_metrics.num_shards(), shards, "{what}");
-                assert_eq!(
-                    shard_metrics.ops_per_shard.iter().sum::<u64>(),
-                    s.total_ops,
-                    "{what}"
-                );
+                assert_eq!(shard_metrics.ops_per_shard.total(), s.total_ops, "{what}");
                 if shards == 1 {
+                    assert_eq!(m.load, s.load, "{what}");
                     assert_eq!(m.entries_created, s.entries_created, "{what}");
                     assert_eq!(m.peak_table_entries, s.peak_table_entries, "{what}");
                 }
